@@ -1,10 +1,14 @@
-//! Regenerates every table and figure of the paper's evaluation and prints a
+//! Regenerates the tables and figures of the paper's evaluation and prints a
 //! Markdown report (the source of `EXPERIMENTS.md`).
 //!
 //! ```text
-//! cargo run --release -p draid-bench --bin all_figures            # everything
-//! cargo run --release -p draid-bench --bin all_figures fig10 fig15  # a subset
+//! cargo run --release -p draid-bench --bin all_figures               # everything
+//! cargo run --release -p draid-bench --bin all_figures fig10 fig15   # a subset
 //! ```
+//!
+//! Ids are those of `draid_bench::figures::all` (`table1`, `fig09` … `fig30`,
+//! `ablation`). When ids are named, each figure is followed by its terminal
+//! bar chart.
 
 use std::time::Instant;
 
@@ -26,6 +30,10 @@ fn main() {
         let fig = spec.build();
         eprintln!("  done in {:.1}s", started.elapsed().as_secs_f64());
         println!("{fig}");
+        let chart = fig.to_ascii_chart();
+        if !filter.is_empty() && !chart.is_empty() {
+            println!("```\n{chart}```");
+        }
     }
     eprintln!("total wall time {:.1}s", total.elapsed().as_secs_f64());
 }

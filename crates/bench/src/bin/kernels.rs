@@ -15,6 +15,7 @@
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
+use draid_bench::json;
 use draid_ec::{gf256, kernels, xor_into, ReedSolomon};
 
 const SIZES: &[usize] = &[4 * 1024, 64 * 1024, 1024 * 1024];
@@ -55,11 +56,6 @@ fn buf(len: usize, seed: u8) -> Vec<u8> {
     (0..len)
         .map(|i| (i as u8).wrapping_mul(37).wrapping_add(seed))
         .collect()
-}
-
-fn json_escape_free(s: &str) -> &str {
-    debug_assert!(s.chars().all(|c| c != '"' && c != '\\' && !c.is_control()));
-    s
 }
 
 fn main() {
@@ -126,13 +122,14 @@ fn main() {
 
         let rs = ReedSolomon::new(6, 2);
         let parity = rs.encode(&refs);
+        // Built once: the timed closure only drops and rebuilds two shards.
+        let mut shards: Vec<Option<Vec<u8>>> = data
+            .iter()
+            .cloned()
+            .map(Some)
+            .chain(parity.into_iter().map(Some))
+            .collect();
         measure("rs_decode_2_of_6+2", size, 6 * size, &mut || {
-            let mut shards: Vec<Option<Vec<u8>>> = data
-                .iter()
-                .cloned()
-                .map(Some)
-                .chain(parity.iter().cloned().map(Some))
-                .collect();
             shards[1] = None;
             shards[4] = None;
             rs.reconstruct(std::hint::black_box(&mut shards))
@@ -166,7 +163,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"kernel\": \"{}\", \"size\": {}, \"bytes_per_call\": {}, \"gb_per_sec\": {:.3}}}{comma}",
-            json_escape_free(m.kernel),
+            json::escape(m.kernel),
             m.size,
             m.bytes_per_call,
             m.gb_per_sec()

@@ -27,7 +27,7 @@
 
 use std::time::{Duration, Instant};
 
-use draid_bench::{baseline, figures, run_report, ReportConfig};
+use draid_bench::{baseline, figures, json, run_report, ReportConfig};
 use draid_sim::SimTime;
 
 /// splitmix64, for deterministic pseudorandom event times.
@@ -207,11 +207,6 @@ fn timer_cancel_baseline(n: u64) -> (u64, Duration) {
     (eng.stats().events_fired, start.elapsed())
 }
 
-fn json_escape_free(s: &str) -> &str {
-    debug_assert!(s.chars().all(|c| c != '"' && c != '\\' && !c.is_control()));
-    s
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -326,8 +321,8 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"scenario\": \"{}\", \"engine\": \"{}\", \"events\": {}, \"events_per_sec\": {:.0}}}{comma}",
-            json_escape_free(m.scenario),
-            json_escape_free(m.engine),
+            json::escape(m.scenario),
+            json::escape(m.engine),
             m.events,
             m.events_per_sec()
         );
@@ -339,7 +334,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"scenario\": \"{}\", \"speedup\": {:.2}}}{comma}",
-            json_escape_free(s),
+            json::escape(s),
             x
         );
     }
@@ -351,7 +346,7 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"wall_ms\": {:.1}}}{comma}",
-            json_escape_free(name),
+            json::escape(name),
             ms
         );
     }

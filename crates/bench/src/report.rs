@@ -8,13 +8,10 @@
 //! channel. Renders as aligned text, hand-rolled JSON (validated against
 //! `schema/report.schema.json`), or Prometheus exposition text.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
-use draid_core::{ArraySim, RaidLevel, SystemKind};
+use draid_core::{run_measured, ArraySim, RaidLevel, SystemKind};
 use draid_net::LinkDir;
 use draid_sim::{Engine, HistogramSummary, MetricsRegistry, SimTime, UtilizationTimeline};
-use draid_workload::{FioJob, FioStream};
+use draid_workload::{start_closed_loop, FioJob};
 
 use crate::{build_array, Scenario};
 
@@ -29,7 +26,8 @@ pub struct ReportConfig {
     pub warmup: SimTime,
     /// Measured window.
     pub measure: SimTime,
-    /// Number of fixed-width utilization buckets over the window.
+    /// Number of fixed-width utilization buckets over the window (at least
+    /// one; also the harness's slice count).
     pub buckets: u64,
 }
 
@@ -98,7 +96,7 @@ pub struct BottleneckRow {
 }
 
 /// One byte-conservation ledger (a NIC direction or a drive channel).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LedgerRow {
     /// Resource the ledger covers.
     pub resource: String,
@@ -182,30 +180,21 @@ impl BottleneckReport {
 pub fn run_report(cfg: &ReportConfig) -> BottleneckReport {
     let mut array = build_array(&cfg.scenario);
     let mut engine: Engine<ArraySim> = Engine::new();
-    let stream = Rc::new(RefCell::new(FioStream::new(cfg.job)));
-    for _ in 0..cfg.job.queue_depth {
-        submit_next(&mut array, &mut engine, &stream);
-    }
-
-    // Warm-up, then reset counters and start a fresh trace for the window.
-    engine.run_until(&mut array, cfg.warmup);
-    array.drain_completions();
-    array.reset_measurement(cfg.warmup);
-    array.enable_tracing(2_000_000);
-
+    start_closed_loop(&mut array, &mut engine, &cfg.job);
     let mut timeline = UtilizationTimeline::new(cfg.warmup);
-    array.cluster.sample_busy(&mut timeline, cfg.warmup);
-    let end = cfg.warmup + cfg.measure;
-    for i in 1..=cfg.buckets {
-        let target = if i == cfg.buckets {
-            end
-        } else {
-            cfg.warmup + SimTime::from_nanos(cfg.measure.as_nanos() * i / cfg.buckets)
-        };
-        engine.run_until(&mut array, target);
-        array.drain_completions();
-        array.cluster.sample_busy(&mut timeline, target);
-    }
+    run_measured(
+        &mut engine,
+        &mut array,
+        cfg.warmup,
+        cfg.measure,
+        cfg.buckets,
+        |array, at| {
+            if at == cfg.warmup {
+                array.enable_tracing(2_000_000);
+            }
+            array.cluster.sample_busy(&mut timeline, at);
+        },
+    );
 
     let trace = array.take_trace().expect("tracing enabled above");
     let breakdown = trace
@@ -273,22 +262,6 @@ pub fn run_report(cfg: &ReportConfig) -> BottleneckReport {
         trace_events: trace.events().len() as u64,
         trace_dropped: trace.dropped(),
     }
-}
-
-fn submit_next(
-    array: &mut ArraySim,
-    engine: &mut Engine<ArraySim>,
-    stream: &Rc<RefCell<FioStream>>,
-) {
-    let io = stream.borrow_mut().next_io(array.layout());
-    let stream2 = Rc::clone(stream);
-    array.submit_with_hook(
-        engine,
-        io,
-        Some(Box::new(move |array, engine, _res| {
-            submit_next(array, engine, &stream2);
-        })),
-    );
 }
 
 fn collect_ledgers(array: &ArraySim) -> Vec<LedgerRow> {
@@ -611,6 +584,23 @@ mod tests {
             assert_eq!(row.queue + row.service, row.span, "{}", row.class);
         }
         assert_eq!(report.trace_dropped, 0);
+    }
+
+    #[test]
+    fn totals_and_ledgers_do_not_depend_on_buckets() {
+        let run = |buckets| {
+            run_report(&ReportConfig {
+                buckets,
+                ..ReportConfig::quick()
+            })
+        };
+        let base = run(4);
+        for buckets in [1, 13] {
+            let other = run(buckets);
+            assert_eq!((other.reads, other.writes), (base.reads, base.writes));
+            assert_eq!(other.ledgers, base.ledgers);
+            assert_eq!(other.bottlenecks.len(), buckets as usize);
+        }
     }
 
     #[test]

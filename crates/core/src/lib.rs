@@ -61,6 +61,7 @@ mod health;
 mod io;
 mod layout;
 mod lock;
+mod measure;
 pub mod protocol;
 mod rebuild;
 pub mod reducer;
@@ -84,6 +85,7 @@ pub use health::{HealthConfig, HealthMonitor, HealthState, MemberHealth};
 pub use io::{IoError, IoId, IoKind, IoResult, UserIo};
 pub use layout::{Layout, Segment, StripeIo, WriteMode};
 pub use lock::LockTable;
+pub use measure::{run_measured, MEASURE_SLICES};
 pub use rebuild::RebuildStatus;
 pub use scrub::ScrubStatus;
 pub use stats::ArrayStats;

@@ -4,7 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use draid_core::{ArraySim, UserIo};
+use draid_core::{run_measured, ArraySim, UserIo, MEASURE_SLICES};
 use draid_sim::{Engine, Histogram, SimTime};
 
 use crate::{YcsbGen, YcsbOp};
@@ -123,22 +123,21 @@ impl AppRunner {
         for _ in 0..self.concurrency {
             start_op(&mut array, &mut engine, &shared);
         }
-        engine.run_until(&mut array, self.warmup);
-        array.drain_completions();
-        array.reset_measurement(self.warmup);
-        {
-            let mut s = shared.borrow_mut();
-            s.latencies.reset();
-            s.ops = 0;
-            s.measuring = true;
-        }
-        let end = self.warmup + self.measure;
-        let slices = 8u64;
-        for i in 1..=slices {
-            let t = self.warmup + SimTime::from_nanos(self.measure.as_nanos() * i / slices);
-            engine.run_until(&mut array, t.min(end));
-            array.drain_completions();
-        }
+        run_measured(
+            &mut engine,
+            &mut array,
+            self.warmup,
+            self.measure,
+            MEASURE_SLICES,
+            |_, at| {
+                if at == self.warmup {
+                    let mut s = shared.borrow_mut();
+                    s.latencies.reset();
+                    s.ops = 0;
+                    s.measuring = true;
+                }
+            },
+        );
 
         let host = array.cluster.host_node();
         let host_bytes =

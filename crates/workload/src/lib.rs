@@ -41,4 +41,4 @@ mod runner;
 pub use fio::{FioJob, FioStream};
 pub use open_loop::{ArrivalPattern, OpenLoopReport, OpenLoopRunner};
 pub use replay::{replay, IoTrace, ParseTraceError, ReplayReport, TraceRecord};
-pub use runner::{RunReport, Runner};
+pub use runner::{start_closed_loop, RunReport, Runner};

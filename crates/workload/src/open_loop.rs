@@ -6,7 +6,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use draid_core::ArraySim;
+use draid_core::{run_measured, ArraySim, MEASURE_SLICES};
 use draid_sim::{DetRng, Engine, SimTime};
 
 use crate::{FioJob, RunReport, Runner};
@@ -168,22 +168,22 @@ impl OpenLoopRunner {
         };
         schedule_arrival(&mut engine, &state, &params, SimTime::ZERO);
 
-        engine.run_until(&mut array, self.warmup);
-        array.drain_completions();
-        array.reset_measurement(self.warmup);
-        {
-            let mut s = state.borrow_mut();
-            s.arrivals = 0;
-            s.shed = 0;
-            s.peak_inflight = s.inflight;
-        }
+        run_measured(
+            &mut engine,
+            &mut array,
+            self.warmup,
+            self.measure,
+            MEASURE_SLICES,
+            |_, at| {
+                if at == self.warmup {
+                    let mut s = state.borrow_mut();
+                    s.arrivals = 0;
+                    s.shed = 0;
+                    s.peak_inflight = s.inflight;
+                }
+            },
+        );
         let end = self.warmup + self.measure;
-        let slices = 8u64;
-        for i in 1..=slices {
-            let t = self.warmup + SimTime::from_nanos(self.measure.as_nanos() * i / slices);
-            engine.run_until(&mut array, t.min(end));
-            array.drain_completions();
-        }
         let report = crate::runner::report_from(&mut array, end, self.measure);
         let s = state.borrow();
         OpenLoopReport {

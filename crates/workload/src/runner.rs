@@ -3,13 +3,13 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use draid_core::ArraySim;
+use draid_core::{run_measured, ArraySim, MEASURE_SLICES};
 use draid_sim::{Engine, SimTime};
 
 use crate::{FioJob, FioStream};
 
 /// Results of one measured run.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct RunReport {
     /// User bandwidth over the measured window, decimal MB/s (the paper's
     /// bandwidth axis unit).
@@ -82,31 +82,16 @@ impl Runner {
     /// fixed concurrency like FIO's `iodepth`.
     pub fn run(&self, mut array: ArraySim, job: &FioJob) -> RunReport {
         let mut engine: Engine<ArraySim> = Engine::new();
-        let stream = Rc::new(RefCell::new(FioStream::new(*job)));
-        for _ in 0..job.queue_depth {
-            submit_next(&mut array, &mut engine, &stream);
-        }
-
-        // Warm-up: run, then discard all counters.
-        engine.run_until(&mut array, self.warmup);
-        array.drain_completions();
-        array.reset_measurement(self.warmup);
-
-        // Measured window, drained in slices to bound completion memory.
-        let end = self.warmup + self.measure;
-        let slices = 8u64;
-        let slice = SimTime::from_nanos(self.measure.as_nanos() / slices);
-        for i in 1..=slices {
-            let target = if i == slices {
-                end
-            } else {
-                self.warmup + SimTime::from_nanos(slice.as_nanos() * i)
-            };
-            engine.run_until(&mut array, target);
-            array.drain_completions();
-        }
-
-        report_from(&mut array, end, self.measure)
+        start_closed_loop(&mut array, &mut engine, job);
+        run_measured(
+            &mut engine,
+            &mut array,
+            self.warmup,
+            self.measure,
+            MEASURE_SLICES,
+            |_, _| {},
+        );
+        report_from(&mut array, self.warmup + self.measure, self.measure)
     }
 }
 
@@ -182,6 +167,15 @@ impl Default for Runner {
     }
 }
 
+/// Starts a closed loop of `job` on `array`: submits `job.queue_depth` I/Os,
+/// and every completion hook immediately submits the next one.
+pub fn start_closed_loop(array: &mut ArraySim, engine: &mut Engine<ArraySim>, job: &FioJob) {
+    let stream = Rc::new(RefCell::new(FioStream::new(*job)));
+    for _ in 0..job.queue_depth {
+        submit_next(array, engine, &stream);
+    }
+}
+
 fn submit_next(
     array: &mut ArraySim,
     engine: &mut Engine<ArraySim>,
@@ -207,6 +201,44 @@ mod tests {
     fn array(system: SystemKind) -> ArraySim {
         let cfg = ArrayConfig::paper_default(system);
         ArraySim::new(Cluster::homogeneous(cfg.width), cfg).expect("valid")
+    }
+
+    /// Runs `job` through the shared harness with `slices` slices; returns
+    /// the report and the engine's event count.
+    fn run_sliced(system: SystemKind, job: &FioJob, slices: u64) -> (RunReport, u64) {
+        let runner = Runner::quick();
+        let mut array = array(system);
+        let mut engine = Engine::new();
+        start_closed_loop(&mut array, &mut engine, job);
+        run_measured(
+            &mut engine,
+            &mut array,
+            runner.warmup,
+            runner.measure,
+            slices,
+            |_, _| {},
+        );
+        let end = runner.warmup + runner.measure;
+        let report = report_from(&mut array, end, runner.measure);
+        (report, engine.stats().events_fired)
+    }
+
+    #[test]
+    fn slice_count_does_not_change_results() {
+        let jobs = [
+            FioJob::random_write(128 * 1024).queue_depth(32),
+            FioJob::random_read(4 * 1024).queue_depth(32),
+        ];
+        for system in [SystemKind::Draid, SystemKind::SpdkRaid] {
+            for job in &jobs {
+                let base = run_sliced(system, job, 1);
+                assert!(base.0.reads + base.0.writes > 0, "{base:?}");
+                for slices in [8, 13] {
+                    assert_eq!(run_sliced(system, job, slices), base, "{slices} slices");
+                }
+                assert_eq!(Runner::quick().run(array(system), job), base.0);
+            }
+        }
     }
 
     #[test]
