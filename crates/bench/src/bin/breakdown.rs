@@ -67,36 +67,8 @@ fn main() {
         let res = array.drain_completions().pop().expect("done");
         assert!(res.is_ok());
         let trace = array.take_trace().expect("tracing on");
-        let events: Vec<draid_core::trace::TraceEvent> =
-            trace.for_user(1).into_iter().copied().collect();
-        // Rebuild the op's DAG (deterministic for the same inputs).
-        let io = &array.layout().map(0, IO)[0];
-        let faulty = std::collections::BTreeSet::new();
-        let nodes: Vec<draid_net::NodeId> = (0..array.config().width)
-            .map(|m| array.cluster.server_node(draid_block::ServerId(m)))
-            .collect();
-        let servers: Vec<draid_block::ServerId> = (0..array.config().width)
-            .map(draid_block::ServerId)
-            .collect();
-        let ctx = draid_core::BuildCtx {
-            cfg: array.config(),
-            layout: array.layout(),
-            host: array.cluster.host_node(),
-            nodes: &nodes,
-            servers: &servers,
-            faulty: &faulty,
-            reducer: None,
-        };
-        let dag = draid_core::build_dag(
-            &ctx,
-            draid_core::Purpose::Write {
-                mode: draid_core::WriteMode::ReadModifyWrite,
-                degraded: false,
-            },
-            io,
-        );
-        if let Some(path) = draid_core::trace::critical_path(&dag, &events) {
-            use draid_core::trace::StepClass;
+        let op = trace.ops().first().expect("the write launched an op");
+        if let Some(path) = trace.critical_path(op) {
             println!(
                 "{:<8} {:>8.0} {:>9.0} {:>8.0} {:>6.0} {:>8.0}",
                 system.label(),

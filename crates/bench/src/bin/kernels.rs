@@ -12,10 +12,9 @@
 //! wide-vs-scalar `mul_acc` speedup at 64 KiB — the number the acceptance
 //! bar (≥ 5×) checks.
 
-use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use draid_bench::json;
+use draid_bench::json::Json;
 use draid_ec::{gf256, kernels, xor_into, ReedSolomon};
 
 const SIZES: &[usize] = &[4 * 1024, 64 * 1024, 1024 * 1024];
@@ -149,29 +148,27 @@ fn main() {
     };
     println!("mul_acc wide/scalar speedup at 64 KiB: {speedup:.1}x");
 
-    // The serde shim is a no-op, so the report is written as literal JSON.
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"kernels\",");
-    let _ = writeln!(json, "  \"unit\": \"GB/s\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"simd_active\": {},", kernels::simd_active());
-    let _ = writeln!(json, "  \"mul_acc_speedup_at_64KiB\": {:.2},", speedup);
-    let _ = writeln!(json, "  \"results\": [");
-    for (i, m) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"kernel\": \"{}\", \"size\": {}, \"bytes_per_call\": {}, \"gb_per_sec\": {:.3}}}{comma}",
-            json::escape(m.kernel),
-            m.size,
-            m.bytes_per_call,
-            m.gb_per_sec()
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-
-    std::fs::write(&out_path, &json).expect("write kernel report");
+    let doc = Json::obj([
+        ("bench", "kernels".into()),
+        ("unit", "GB/s".into()),
+        ("quick", quick.into()),
+        ("simd_active", kernels::simd_active().into()),
+        ("mul_acc_speedup_at_64KiB", Json::rounded(speedup, 2)),
+        (
+            "results",
+            results
+                .iter()
+                .map(|m| {
+                    Json::obj([
+                        ("kernel", m.kernel.into()),
+                        ("size", m.size.into()),
+                        ("bytes_per_call", m.bytes_per_call.into()),
+                        ("gb_per_sec", Json::rounded(m.gb_per_sec(), 3)),
+                    ])
+                })
+                .collect(),
+        ),
+    ]);
+    std::fs::write(&out_path, format!("{doc}\n")).expect("write kernel report");
     println!("wrote {out_path}");
 }

@@ -27,7 +27,8 @@
 
 use std::time::{Duration, Instant};
 
-use draid_bench::{baseline, figures, json, run_report, ReportConfig};
+use draid_bench::json::Json;
+use draid_bench::{baseline, figures, run_report, ReportConfig};
 use draid_sim::SimTime;
 
 /// splitmix64, for deterministic pseudorandom event times.
@@ -309,50 +310,43 @@ fn main() {
         }
     }
 
-    // The serde shim is a no-op, so the report is written as literal JSON.
-    use std::fmt::Write as _;
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(json, "  \"bench\": \"simperf\",");
-    let _ = writeln!(json, "  \"quick\": {quick},");
-    let _ = writeln!(json, "  \"results\": [");
-    for (i, m) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"scenario\": \"{}\", \"engine\": \"{}\", \"events\": {}, \"events_per_sec\": {:.0}}}{comma}",
-            json::escape(m.scenario),
-            json::escape(m.engine),
-            m.events,
-            m.events_per_sec()
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"speedups\": [");
-    for (i, (s, x)) in speedups.iter().enumerate() {
-        let comma = if i + 1 < speedups.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"scenario\": \"{}\", \"speedup\": {:.2}}}{comma}",
-            json::escape(s),
-            x
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"headline_speedup\": {headline:.2},");
-    let _ = writeln!(json, "  \"macro\": [");
-    for (i, (name, ms)) in macros.iter().enumerate() {
-        let comma = if i + 1 < macros.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {{\"name\": \"{}\", \"wall_ms\": {:.1}}}{comma}",
-            json::escape(name),
-            ms
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-
-    std::fs::write(&out_path, &json).expect("write sim report");
+    let doc = Json::obj([
+        ("bench", "simperf".into()),
+        ("quick", quick.into()),
+        (
+            "results",
+            results
+                .iter()
+                .map(|m| {
+                    Json::obj([
+                        ("scenario", m.scenario.into()),
+                        ("engine", m.engine.into()),
+                        ("events", m.events.into()),
+                        ("events_per_sec", Json::rounded(m.events_per_sec(), 0)),
+                    ])
+                })
+                .collect(),
+        ),
+        (
+            "speedups",
+            speedups
+                .iter()
+                .map(|&(s, x)| {
+                    Json::obj([("scenario", s.into()), ("speedup", Json::rounded(x, 2))])
+                })
+                .collect(),
+        ),
+        ("headline_speedup", Json::rounded(headline, 2)),
+        (
+            "macro",
+            macros
+                .iter()
+                .map(|&(name, ms)| {
+                    Json::obj([("name", name.into()), ("wall_ms", Json::rounded(ms, 1))])
+                })
+                .collect(),
+        ),
+    ]);
+    std::fs::write(&out_path, format!("{doc}\n")).expect("write sim report");
     println!("wrote {out_path}");
 }

@@ -1,14 +1,17 @@
-//! A minimal JSON document model, parser and schema validator.
+//! A minimal JSON document model with a writer, a parser and a schema
+//! validator.
 //!
-//! The workspace's `serde` is a façade without a JSON backend, so the report
-//! plane carries its own small implementation: enough JSON to parse what
-//! [`crate::report`] emits and to validate it against the checked-in schema
+//! The workspace's `serde` is a façade without a JSON backend, so the bench
+//! crate carries its own small implementation. Every JSON file it writes —
+//! the [`crate::report`] document, `BENCH_kernels.json` and `BENCH_sim.json`
+//! — is a [`Json`] value printed through its `Display` impl; the parser reads
+//! them back, and [`validate`] checks a report against the checked-in schema
 //! (`schema/report.schema.json`, a subset of JSON Schema: `type`,
 //! `properties`, `required`, `items`).
 
 use std::fmt;
 
-/// A parsed JSON value.
+/// A JSON value, as parsed or to be written.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -77,6 +80,130 @@ impl Json {
             Json::Obj(_) => "object",
         }
     }
+}
+
+impl Json {
+    /// An object with `members` in the given order.
+    pub fn obj<const N: usize>(members: [(&str, Json); N]) -> Json {
+        Json::Obj(members.map(|(k, v)| (k.to_string(), v)).into())
+    }
+
+    /// A number rounded to `decimals` places exactly as `{:.decimals$}`
+    /// rounds it, so the document prints no more digits than the
+    /// measurement resolves.
+    pub fn rounded(x: f64, decimals: usize) -> Json {
+        Json::Num(
+            format!("{x:.decimals$}")
+                .parse()
+                .expect("a formatted f64 parses"),
+        )
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+impl FromIterator<Json> for Json {
+    fn from_iter<I: IntoIterator<Item = Json>>(items: I) -> Json {
+        Json::Arr(items.into_iter().collect())
+    }
+}
+
+/// Prints the value as a document. One layout rule covers every file the
+/// crate writes: the root object puts each member on its own line, arrays
+/// directly inside the root put each element on its own line, and
+/// everything else prints inline (`{"k": v, "k2": v2}`, `[a, b]`).
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write_value(f, self, 0)
+    }
+}
+
+fn write_value(f: &mut fmt::Formatter<'_>, value: &Json, depth: usize) -> fmt::Result {
+    match value {
+        Json::Null => f.write_str("null"),
+        Json::Bool(b) => write!(f, "{b}"),
+        // `f64`'s `Display` prints integral values without a fraction and
+        // everything else as the shortest decimal that parses back exactly.
+        Json::Num(n) if n.is_finite() => write!(f, "{n}"),
+        Json::Num(_) => f.write_str("null"),
+        Json::Str(s) => write_str(f, s),
+        Json::Arr(items) => write_seq(f, "[]", depth, depth == 1, items, |f, item| {
+            write_value(f, item, depth + 1)
+        }),
+        Json::Obj(members) => write_seq(f, "{}", depth, depth == 0, members, |f, (k, v)| {
+            write_str(f, k)?;
+            f.write_str(": ")?;
+            write_value(f, v, depth + 1)
+        }),
+    }
+}
+
+/// Writes `items` between `brackets`, either inline or one item per line
+/// indented one level deeper than `depth`.
+fn write_seq<T>(
+    f: &mut fmt::Formatter<'_>,
+    brackets: &str,
+    depth: usize,
+    one_per_line: bool,
+    items: &[T],
+    mut each: impl FnMut(&mut fmt::Formatter<'_>, &T) -> fmt::Result,
+) -> fmt::Result {
+    let (open, close) = brackets.split_at(1);
+    f.write_str(open)?;
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            f.write_str(",")?;
+        }
+        if one_per_line {
+            write!(f, "\n{:1$}", "", 2 * depth + 2)?;
+        } else if i > 0 {
+            f.write_str(" ")?;
+        }
+        each(f, item)?;
+    }
+    if one_per_line {
+        write!(f, "\n{:1$}", "", 2 * depth)?;
+    }
+    f.write_str(close)
+}
+
+/// Writes `s` as a quoted, escaped JSON string.
+fn write_str(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+    f.write_str("\"")?;
+    for ch in s.chars() {
+        match ch {
+            '"' => f.write_str("\\\"")?,
+            '\\' => f.write_str("\\\\")?,
+            '\n' => f.write_str("\\n")?,
+            '\r' => f.write_str("\\r")?,
+            '\t' => f.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+            c => write!(f, "{c}")?,
+        }
+    }
+    f.write_str("\"")
 }
 
 /// A parse failure with its byte offset.
@@ -298,23 +425,6 @@ impl Parser<'_> {
     }
 }
 
-/// Escapes a string for embedding in a JSON document (quotes not included).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Validates `value` against `schema` — the JSON Schema subset used by
 /// `schema/report.schema.json`: `type`, `required`, `properties`, `items`.
 ///
@@ -388,12 +498,26 @@ mod tests {
         assert!(parse("nul").is_err());
     }
 
+    /// Re-serializing a parsed document gives back an equal value with the
+    /// same line count, so the writer keeps each file's layout.
     #[test]
-    fn escape_roundtrips_through_parse() {
-        let original = "line\nwith \"quotes\" and \\slashes\\ and \t tabs";
-        let doc = format!("{{\"s\": \"{}\"}}", escape(original));
-        let v = parse(&doc).expect("parses");
+    fn writer_roundtrips_every_document_the_crate_writes() {
+        let report = crate::report::run_report(&crate::report::ReportConfig::quick()).to_json();
+        let original = "line\nwith \"quotes\" and \\slashes\\ and \t tabs \u{1}";
+        let escaped = Json::obj([("s", original.into())]).to_string();
+        let v = parse(&escaped).expect("escaped string parses");
         assert_eq!(v.get("s").and_then(Json::as_str), Some(original));
+        for source in [
+            include_str!("../../../BENCH_sim.json"),
+            include_str!("../../../BENCH_kernels.json"),
+            &report,
+            &escaped,
+        ] {
+            let doc = parse(source).expect("source parses");
+            let written = doc.to_string();
+            assert_eq!(parse(&written).as_ref(), Ok(&doc), "{written}");
+            assert_eq!(written.lines().count(), source.lines().count(), "{written}");
+        }
     }
 
     #[test]

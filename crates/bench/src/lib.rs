@@ -12,7 +12,8 @@
 //!
 //! The `report` binary is the observability plane's front end: it runs a
 //! reference scenario and attributes the bottleneck per phase, with JSON,
-//! aligned-text and Prometheus outputs (see [`report`]).
+//! aligned-text and Prometheus outputs (see [`report`]). The reproduction
+//! gates live in [`repro`] and run as `draid-check repro`.
 //!
 //! ## Example
 //!
@@ -33,6 +34,7 @@ pub mod figures;
 pub mod json;
 pub mod parallel;
 pub mod report;
+pub mod repro;
 mod setup;
 
 pub use figure::{Figure, Point, Series};

@@ -5,7 +5,7 @@
 //! the bytes went: per-resource utilization timeline, per-phase bottleneck,
 //! per-class queueing-vs-service latency breakdown, and the byte-conservation
 //! ledgers (`offered == served + dropped`) for every NIC direction and drive
-//! channel. Renders as aligned text, hand-rolled JSON (validated against
+//! channel. Renders as aligned text, a [`Json`] document (validated against
 //! `schema/report.schema.json`), or Prometheus exposition text.
 
 use draid_core::{run_measured, ArraySim, RaidLevel, SystemKind};
@@ -13,6 +13,7 @@ use draid_net::LinkDir;
 use draid_sim::{Engine, HistogramSummary, MetricsRegistry, SimTime, UtilizationTimeline};
 use draid_workload::{start_closed_loop, FioJob};
 
+use crate::json::Json;
 use crate::{build_array, Scenario};
 
 /// What to run and how to sample it.
@@ -307,117 +308,123 @@ fn level_label(level: RaidLevel) -> &'static str {
     }
 }
 
-fn summary_json(s: &HistogramSummary) -> String {
-    format!(
-        "{{\"n\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"min_ns\": {}, \"max_ns\": {}}}",
-        s.n,
-        s.mean.as_nanos(),
-        s.p50.as_nanos(),
-        s.p99.as_nanos(),
-        s.min.as_nanos(),
-        s.max.as_nanos()
-    )
+fn summary_json(s: &HistogramSummary) -> Json {
+    Json::obj([
+        ("n", s.n.into()),
+        ("mean_ns", s.mean.as_nanos().into()),
+        ("p50_ns", s.p50.as_nanos().into()),
+        ("p99_ns", s.p99.as_nanos().into()),
+        ("min_ns", s.min.as_nanos().into()),
+        ("max_ns", s.max.as_nanos().into()),
+    ])
 }
 
 impl BottleneckReport {
     /// Renders the report as a JSON document matching
     /// `schema/report.schema.json`.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n");
-        out.push_str("  \"schema_version\": 1,\n");
-        out.push_str(&format!(
-            "  \"scenario\": {{\"system\": \"{}\", \"level\": \"{}\", \"width\": {}, \"chunk_kib\": {}}},\n",
-            json_str(self.system.label()),
-            level_label(self.level),
-            self.width,
-            self.chunk_kib
-        ));
-        out.push_str(&format!(
-            "  \"window\": {{\"warmup_ns\": {}, \"measure_ns\": {}, \"buckets\": {}}},\n",
-            self.warmup.as_nanos(),
-            self.measure.as_nanos(),
-            self.bottlenecks.len()
-        ));
-        out.push_str(&format!(
-            "  \"totals\": {{\"reads\": {}, \"writes\": {}, \"bytes_read\": {}, \"bytes_written\": {}, \
-             \"bandwidth_mb_per_sec\": {:.3}, \"kiops\": {:.3}, \"read_latency\": {}, \"write_latency\": {}}},\n",
-            self.reads,
-            self.writes,
-            self.bytes_read,
-            self.bytes_written,
-            self.bandwidth_mb_per_sec,
-            self.kiops,
-            summary_json(&self.read_latency),
-            summary_json(&self.write_latency)
-        ));
-        out.push_str("  \"breakdown\": [\n");
-        for (i, row) in self.breakdown.iter().enumerate() {
-            let sep = if i + 1 == self.breakdown.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!(
-                "    {{\"class\": \"{}\", \"steps\": {}, \"span_ns\": {}, \"queue_ns\": {}, \"service_ns\": {}, \"bytes\": {}}}{sep}\n",
-                row.class,
-                row.steps,
-                row.span.as_nanos(),
-                row.queue.as_nanos(),
-                row.service.as_nanos(),
-                row.bytes
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"utilization\": [\n");
-        for (i, row) in self.utilization.iter().enumerate() {
-            let sep = if i + 1 == self.utilization.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!(
-                "    {{\"resource\": \"{}\", \"busy_ns\": {}, \"utilization\": {:.6}}}{sep}\n",
-                json_str(&row.resource),
-                row.busy.as_nanos(),
-                row.utilization
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"bottlenecks\": [\n");
-        for (i, row) in self.bottlenecks.iter().enumerate() {
-            let sep = if i + 1 == self.bottlenecks.len() {
-                ""
-            } else {
-                ","
-            };
-            out.push_str(&format!(
-                "    {{\"end_ns\": {}, \"resource\": \"{}\", \"utilization\": {:.6}}}{sep}\n",
-                row.end.as_nanos(),
-                json_str(&row.resource),
-                row.utilization
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"ledgers\": [\n");
-        for (i, row) in self.ledgers.iter().enumerate() {
-            let sep = if i + 1 == self.ledgers.len() { "" } else { "," };
-            out.push_str(&format!(
-                "    {{\"resource\": \"{}\", \"offered\": {}, \"served\": {}, \"dropped\": {}, \"balanced\": {}}}{sep}\n",
-                json_str(&row.resource),
-                row.offered,
-                row.served,
-                row.dropped,
-                row.balanced()
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!("  \"reconciled\": {},\n", self.reconciled()));
-        out.push_str(&format!(
-            "  \"trace\": {{\"events\": {}, \"dropped\": {}}}\n",
-            self.trace_events, self.trace_dropped
-        ));
-        out.push('}');
-        out
+        Json::obj([
+            ("schema_version", 1u64.into()),
+            (
+                "scenario",
+                Json::obj([
+                    ("system", self.system.label().into()),
+                    ("level", level_label(self.level).into()),
+                    ("width", self.width.into()),
+                    ("chunk_kib", self.chunk_kib.into()),
+                ]),
+            ),
+            (
+                "window",
+                Json::obj([
+                    ("warmup_ns", self.warmup.as_nanos().into()),
+                    ("measure_ns", self.measure.as_nanos().into()),
+                    ("buckets", self.bottlenecks.len().into()),
+                ]),
+            ),
+            (
+                "totals",
+                Json::obj([
+                    ("reads", self.reads.into()),
+                    ("writes", self.writes.into()),
+                    ("bytes_read", self.bytes_read.into()),
+                    ("bytes_written", self.bytes_written.into()),
+                    (
+                        "bandwidth_mb_per_sec",
+                        Json::rounded(self.bandwidth_mb_per_sec, 3),
+                    ),
+                    ("kiops", Json::rounded(self.kiops, 3)),
+                    ("read_latency", summary_json(&self.read_latency)),
+                    ("write_latency", summary_json(&self.write_latency)),
+                ]),
+            ),
+            (
+                "breakdown",
+                self.breakdown
+                    .iter()
+                    .map(|row| {
+                        Json::obj([
+                            ("class", row.class.into()),
+                            ("steps", row.steps.into()),
+                            ("span_ns", row.span.as_nanos().into()),
+                            ("queue_ns", row.queue.as_nanos().into()),
+                            ("service_ns", row.service.as_nanos().into()),
+                            ("bytes", row.bytes.into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "utilization",
+                self.utilization
+                    .iter()
+                    .map(|row| {
+                        Json::obj([
+                            ("resource", row.resource.as_str().into()),
+                            ("busy_ns", row.busy.as_nanos().into()),
+                            ("utilization", Json::rounded(row.utilization, 6)),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "bottlenecks",
+                self.bottlenecks
+                    .iter()
+                    .map(|row| {
+                        Json::obj([
+                            ("end_ns", row.end.as_nanos().into()),
+                            ("resource", row.resource.as_str().into()),
+                            ("utilization", Json::rounded(row.utilization, 6)),
+                        ])
+                    })
+                    .collect(),
+            ),
+            (
+                "ledgers",
+                self.ledgers
+                    .iter()
+                    .map(|row| {
+                        Json::obj([
+                            ("resource", row.resource.as_str().into()),
+                            ("offered", row.offered.into()),
+                            ("served", row.served.into()),
+                            ("dropped", row.dropped.into()),
+                            ("balanced", row.balanced().into()),
+                        ])
+                    })
+                    .collect(),
+            ),
+            ("reconciled", self.reconciled().into()),
+            (
+                "trace",
+                Json::obj([
+                    ("events", self.trace_events.into()),
+                    ("dropped", self.trace_dropped.into()),
+                ]),
+            ),
+        ])
+        .to_string()
     }
 
     /// Renders the report as aligned human-readable text.
@@ -551,11 +558,6 @@ impl BottleneckReport {
     }
 }
 
-/// Escapes a string for a JSON document (delegates to [`crate::json`]).
-fn json_str(s: &str) -> String {
-    crate::json::escape(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,12 +613,7 @@ mod tests {
         assert!(text.contains("all balanced"));
         let json = report.to_json();
         let parsed = crate::json::parse(&json).expect("report JSON parses");
-        assert_eq!(
-            parsed
-                .get("reconciled")
-                .and_then(crate::json::Json::as_bool),
-            Some(true)
-        );
+        assert_eq!(parsed.get("reconciled").and_then(Json::as_bool), Some(true));
         let prom = report.to_prometheus();
         assert!(prom.contains("draid_writes_total"));
         assert!(prom.contains("draid_utilization{resource="));

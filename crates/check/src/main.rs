@@ -4,8 +4,12 @@
 //! cargo run -p draid-check -- lint            # source-hygiene lints
 //! cargo run -p draid-check -- determinism     # double-run byte diff
 //! cargo run -p draid-check -- interleave      # bounded-interleaving stress
-//! cargo run -p draid-check -- all             # everything (CI gate)
+//! cargo run -p draid-check -- all             # the three legs above (CI gate)
+//! cargo run --release -p draid-check -- repro # 8 reproduction gates
 //! ```
+//!
+//! `repro` runs the paper's headline experiments, which need a release
+//! build to finish in seconds, so `all` (run as a debug build) leaves it out.
 //!
 //! Options: `--seed N` (determinism scenario seed, default 42),
 //! `--seeds N` (interleaving seed count, default 64, CI floor 64),
@@ -15,6 +19,7 @@
 
 use std::process::ExitCode;
 
+use draid_bench::repro;
 use draid_check::{determinism, interleave, lint};
 
 fn main() -> ExitCode {
@@ -25,7 +30,7 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "lint" | "determinism" | "interleave" | "all" if cmd.is_none() => {
+            "lint" | "determinism" | "interleave" | "all" | "repro" if cmd.is_none() => {
                 cmd = Some(args[i].clone());
             }
             "--seed" => {
@@ -44,7 +49,8 @@ fn main() -> ExitCode {
             }
             other => {
                 eprintln!("unknown argument `{other}`");
-                eprintln!("usage: draid-check [lint|determinism|interleave|all] [--seed N] [--seeds N] [--rules]");
+                eprintln!("usage: draid-check [lint|determinism|interleave|all|repro] [--seed N] [--seeds N] [--rules]");
+                eprintln!("`all` runs lint, determinism and interleave; `repro` runs alone, in a release build");
                 return ExitCode::FAILURE;
             }
         }
@@ -61,6 +67,9 @@ fn main() -> ExitCode {
     }
     if cmd == "interleave" || cmd == "all" {
         failed |= !run_interleave(seeds);
+    }
+    if cmd == "repro" {
+        failed |= !run_repro();
     }
     if failed {
         ExitCode::FAILURE
@@ -134,4 +143,15 @@ fn run_interleave(seeds: u64) -> bool {
         report.seeds, report.mapped_items, report.chunked_items, report.pool_cycles
     );
     true
+}
+
+fn run_repro() -> bool {
+    let gates = repro::gates();
+    for g in &gates {
+        let verdict = if g.pass { "PASS" } else { "FAIL" };
+        println!("{verdict} {}: {}", g.name, g.detail);
+    }
+    let passed = gates.iter().filter(|g| g.pass).count();
+    println!("\n{passed}/{} reproduction gates passed", gates.len());
+    passed == gates.len()
 }

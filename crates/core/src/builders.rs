@@ -14,10 +14,10 @@
 //!   old data and old parity in, new data and new parity out ("4x" in
 //!   Table 1) — and parity math runs on the host cores.
 //!
-//! Builders are pure functions of `(BuildCtx, Purpose, StripeIo)`: the
-//! executor and the trace-attribution tooling rebuild identical graphs from
-//! the same inputs (step indices included), which is what lets
-//! [`crate::trace::critical_path`] re-associate recorded events with steps.
+//! Builders are pure functions of `(BuildCtx, Purpose, StripeIo)`. Only the
+//! executor calls them for a running array; while tracing is on it hands
+//! each launched graph to the tracer, so [`crate::trace::Tracer::critical_path`]
+//! re-associates recorded events with steps without rebuilding anything.
 
 use std::collections::BTreeSet;
 
@@ -509,73 +509,46 @@ impl<'a, 'c> Builder<'a, 'c> {
             let m = seg.member;
             let fetch = self.command(m, seg.len);
             let contrib_bytes = if rmw { seg.len } else { chunk };
-            let (write, src) = if opts.pipeline {
+            let read = if rmw {
+                // Old data needed for the delta.
+                self.dag.add(
+                    StepKind::DriveRead {
+                        server: self.server(m),
+                        bytes: seg.len,
+                    },
+                    &[fetch],
+                )
+            } else if !seg.covers_chunk(chunk) {
+                // Reconstruct-write of a partial chunk forwards the full
+                // new chunk, so the complement is read locally.
+                self.dag.add(
+                    StepKind::DriveRead {
+                        server: self.server(m),
+                        bytes: chunk - seg.len,
+                    },
+                    &[fetch],
+                )
+            } else {
+                fetch
+            };
+            let write = self.dag.add(
+                StepKind::DriveWrite {
+                    server: self.server(m),
+                    bytes: seg.len,
+                },
+                &[read],
+            );
+            let src = if opts.pipeline {
                 // §5.3: the drive-write and the parity forwarding both hang
                 // off the fetch/read alone — and the data bdev acknowledges
                 // the host as soon as its own write lands.
-                let src = if rmw {
-                    // Old data needed for the delta.
-                    self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: seg.len,
-                        },
-                        &[fetch],
-                    )
-                } else if !seg.covers_chunk(chunk) {
-                    // Reconstruct-write of a partial chunk forwards the full
-                    // new chunk, so the complement is read locally.
-                    self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: chunk - seg.len,
-                        },
-                        &[fetch],
-                    )
-                } else {
-                    fetch
-                };
-                let write = self.dag.add(
-                    StepKind::DriveWrite {
-                        server: self.server(m),
-                        bytes: seg.len,
-                    },
-                    &[src],
-                );
                 self.callback(m, &[write]);
-                (write, src)
+                read
             } else {
                 // Serial NVMe-oF-style chain: fetch -> read -> write ->
                 // forward, no per-bdev callback.
-                let read = if rmw {
-                    self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: seg.len,
-                        },
-                        &[fetch],
-                    )
-                } else if !seg.covers_chunk(chunk) {
-                    self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: chunk - seg.len,
-                        },
-                        &[fetch],
-                    )
-                } else {
-                    fetch
-                };
-                let write = self.dag.add(
-                    StepKind::DriveWrite {
-                        server: self.server(m),
-                        bytes: seg.len,
-                    },
-                    &[read],
-                );
-                (write, write)
+                write
             };
-            let _ = write;
             let delta = self.dag.add(
                 StepKind::Xor {
                     node: self.node(m),

@@ -217,6 +217,9 @@ impl ArraySim {
     pub(crate) fn launch_prebuilt(&mut self, eng: &mut Engine<ArraySim>, idx: usize, dag: Dag) {
         let gen = {
             let op = self.ops[idx].as_mut().expect("op vanished");
+            if let Some(tracer) = &mut self.tracer {
+                tracer.record_launch(op.user, idx, &dag);
+            }
             op.install_dag(dag);
             op.gen
         };

@@ -9,9 +9,12 @@
 //!   late `Parity` command — reduction proceeds on peer arrivals; only the
 //!   final persist awaits the command (§5.2).
 //!
-//! The DAG builders consume these plans for the timing simulation, and the
-//! unit tests check them directly against the paper's semantics (including
-//! arrival-order independence and the late-Parity case).
+//! The DAG builders derive the same extents on their own rather than
+//! calling these handlers; `tests/dag_shapes.rs` checks that the dRAID
+//! write builder's per-member drive reads, drive writes, fetches and
+//! forwards equal [`handle_data_chunk`]'s plan. The unit tests below check
+//! the handlers against the paper's semantics (including arrival-order
+//! independence and the late-Parity case).
 
 use std::collections::HashMap;
 

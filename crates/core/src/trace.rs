@@ -2,9 +2,11 @@
 //! service window, for debugging the simulation and for latency-breakdown
 //! analysis (where does an operation's time go: network, drive, or CPU?).
 
+use std::ops::Range;
+
 use draid_sim::SimTime;
 
-use crate::dag::StepKind;
+use crate::dag::{Dag, StepKind};
 
 /// Resource category of a step, for breakdown aggregation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -99,15 +101,38 @@ pub struct ClassBreakdown {
     pub bytes: u64,
 }
 
+/// One op launch whose DAG the tracer kept.
+#[derive(Clone, Debug)]
+pub struct TracedOp {
+    /// User I/O the op served (0 for background work like rebuild).
+    pub user: u64,
+    /// Op slot index, as in [`TraceEvent::op`].
+    pub op: usize,
+    /// The DAG the executor launched.
+    pub dag: Dag,
+    /// The trace events between this launch and the op's last recorded
+    /// step; the op's own are those whose slot is `op`.
+    events: Range<usize>,
+}
+
 /// A bounded in-memory step trace.
 ///
 /// Capture is off by default; enable with [`crate::ArraySim::enable_tracing`].
-/// When the bound is reached, further events are dropped and counted.
+/// When the bound is reached, further events are dropped and counted. The
+/// tracer also keeps the DAG of every op launched while it runs, up to
+/// `capacity` DAG steps in total, so [`Tracer::critical_path`] can attribute
+/// an op's latency from the trace alone.
 #[derive(Clone, Debug)]
 pub struct Tracer {
     events: Vec<TraceEvent>,
     capacity: usize,
     dropped: u64,
+    ops: Vec<TracedOp>,
+    /// DAG steps kept in `ops` (bounded by `capacity`).
+    op_steps: usize,
+    /// Index into `ops` of each op slot's current launch (`None` when the
+    /// launch's DAG did not fit).
+    live: Vec<Option<usize>>,
 }
 
 impl Tracer {
@@ -122,15 +147,59 @@ impl Tracer {
             events: Vec::new(),
             capacity,
             dropped: 0,
+            ops: Vec::new(),
+            op_steps: 0,
+            live: Vec::new(),
         }
     }
 
     pub(crate) fn record(&mut self, ev: TraceEvent) {
         if self.events.len() < self.capacity {
             self.events.push(ev);
+            if let Some(&Some(i)) = self.live.get(ev.op) {
+                self.ops[i].events.end = self.events.len();
+            }
         } else {
             self.dropped += 1;
         }
+    }
+
+    /// Notes that op slot `op` launched `dag` on behalf of `user`. The DAG
+    /// is kept while the kept DAGs total at most `capacity` steps.
+    pub(crate) fn record_launch(&mut self, user: u64, op: usize, dag: &Dag) {
+        if self.live.len() <= op {
+            self.live.resize(op + 1, None);
+        }
+        self.live[op] = (self.op_steps + dag.len() <= self.capacity).then(|| {
+            self.op_steps += dag.len();
+            let at = self.events.len();
+            self.ops.push(TracedOp {
+                user,
+                op,
+                dag: dag.clone(),
+                events: at..at,
+            });
+            self.ops.len() - 1
+        });
+    }
+
+    /// The op launches whose DAGs were kept, in launch order.
+    pub fn ops(&self) -> &[TracedOp] {
+        &self.ops
+    }
+
+    /// The critical path of one launch from [`Tracer::ops`], from its DAG
+    /// and its recorded events; `None` if the op did not run every step (it
+    /// failed, or the trace filled up).
+    pub fn critical_path(&self, op: &TracedOp) -> Option<PathBreakdown> {
+        let events: Vec<TraceEvent> = self
+            .events
+            .get(op.events.clone())?
+            .iter()
+            .filter(|e| e.op == op.op)
+            .copied()
+            .collect();
+        critical_path(&op.dag, &events)
     }
 
     /// Captured events, in execution order.
@@ -141,11 +210,6 @@ impl Tracer {
     /// Events dropped after the capacity was reached.
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Events belonging to one user I/O.
-    pub fn for_user(&self, user: u64) -> Vec<&TraceEvent> {
-        self.events.iter().filter(|e| e.user == user).collect()
     }
 
     /// Aggregates demand per resource class.
@@ -200,10 +264,13 @@ impl Tracer {
         out
     }
 
-    /// Clears the buffer (keeps capacity).
+    /// Clears the buffer and the kept DAGs (keeps capacity).
     pub fn reset(&mut self) {
         self.events.clear();
         self.dropped = 0;
+        self.ops.clear();
+        self.op_steps = 0;
+        self.live.clear();
     }
 }
 
@@ -254,7 +321,7 @@ impl PathBreakdown {
 ///
 /// Answers "where does this op's latency actually go" — e.g. how much of a
 /// partial-stripe write sits in drive queues vs. the fabric vs. parity math.
-pub fn critical_path(dag: &crate::dag::Dag, events: &[TraceEvent]) -> Option<PathBreakdown> {
+fn critical_path(dag: &Dag, events: &[TraceEvent]) -> Option<PathBreakdown> {
     let n = dag.len();
     let mut times = vec![None; n];
     for e in events {
@@ -510,6 +577,26 @@ mod path_tests {
     }
 
     #[test]
+    fn kept_dags_fit_capacity_and_end_at_slot_reuse() {
+        let mut dag = Dag::new();
+        let root = dag.add(transfer(), &[]);
+        dag.add(dread(), &[root]);
+        let mut t = Tracer::new(3);
+        t.record_launch(1, 0, &dag);
+        t.record(event(0, 0, 10, transfer()));
+        t.record(event(1, 10, 40, dread()));
+        // Slot 0 relaunches with a DAG that no longer fits: it is not kept,
+        // and its step 0 must not be read as the first launch's.
+        t.record_launch(1, 0, &dag);
+        t.record(event(0, 40, 45, transfer()));
+        let [op] = t.ops() else {
+            panic!("only the first DAG fits: {:?}", t.ops());
+        };
+        let path = t.critical_path(op).expect("complete");
+        assert_eq!(path.total, SimTime::from_micros(40));
+    }
+
+    #[test]
     fn end_to_end_attribution_sums_to_op_latency() {
         use crate::{ArrayConfig, ArraySim, SystemKind, UserIo};
         use draid_block::Cluster;
@@ -524,29 +611,13 @@ mod path_tests {
         let res = array.drain_completions().pop().expect("done");
         assert!(res.is_ok());
 
-        // Rebuild the identical DAG the engine used and attribute the trace.
-        let io = &array.layout().map(0, 128 * 1024)[0];
-        let faulty = std::collections::BTreeSet::new();
-        let ctx = crate::BuildCtx {
-            cfg: array.config(),
-            layout: array.layout(),
-            host: array.cluster.host_node(),
-            nodes: &(1..=8).map(NodeId).collect::<Vec<_>>(),
-            servers: &(0..8).map(draid_block::ServerId).collect::<Vec<_>>(),
-            faulty: &faulty,
-            reducer: None,
-        };
-        let dag = crate::build_dag(
-            &ctx,
-            crate::Purpose::Write {
-                mode: crate::WriteMode::ReadModifyWrite,
-                degraded: false,
-            },
-            io,
-        );
+        // The tracer kept the DAG the executor launched.
         let trace = array.take_trace().expect("tracing on");
-        let events: Vec<TraceEvent> = trace.for_user(1).into_iter().copied().collect();
-        let path = critical_path(&dag, &events).expect("complete op");
+        let [op] = trace.ops() else {
+            panic!("one stripe op launched: {:?}", trace.ops());
+        };
+        assert_eq!(op.user, 1);
+        let path = trace.critical_path(op).expect("complete op");
         assert_eq!(
             path.total,
             res.latency(),

@@ -388,6 +388,5 @@ fn tracing_captures_step_timelines() {
     }
     // All events belong to the single submitted I/O.
     assert!(events.iter().all(|e| e.user == 1));
-    assert_eq!(trace.for_user(1).len(), events.len());
     assert!(trace.summary().contains("drive"));
 }

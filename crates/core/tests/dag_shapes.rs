@@ -4,8 +4,10 @@
 use std::collections::BTreeSet;
 
 use draid_block::ServerId;
+use draid_core::protocol::{Command, Dest, Opcode, Subtype};
+use draid_core::target::handle_data_chunk;
 use draid_core::{
-    build_dag, ArrayConfig, BuildCtx, DraidOptions, Layout, Purpose, RaidLevel, StepKind,
+    build_dag, ArrayConfig, BuildCtx, Dag, DraidOptions, Layout, Purpose, RaidLevel, StepKind,
     SystemKind, WriteMode,
 };
 use draid_net::NodeId;
@@ -361,5 +363,93 @@ fn raid6_degraded_read_uses_q_when_p_is_lost() {
             )),
             0
         );
+    }
+}
+
+/// Per-member bytes of a dRAID write DAG, in `DataChunkPlan` terms: drive
+/// read, drive write, fetched payload, and partials forwarded to P and Q.
+fn member_bytes(fx: &Fixture, dag: &Dag, m: usize, p: usize, q: Option<usize>) -> [u64; 5] {
+    let (node, server) = (fx.nodes[m], fx.servers[m]);
+    let mut out = [0; 5];
+    for (_, step) in dag.iter() {
+        match step.kind {
+            StepKind::DriveRead { server: s, bytes } if s == server => out[0] += bytes,
+            StepKind::DriveWrite { server: s, bytes } if s == server => out[1] += bytes,
+            StepKind::Transfer { from, to, bytes } if from == HOST && to == node => {
+                out[2] += bytes - fx.cfg.command_bytes;
+            }
+            StepKind::Transfer { from, to, bytes } if from == node && to == fx.nodes[p] => {
+                out[3] += bytes;
+            }
+            StepKind::Transfer { from, to, bytes }
+                if from == node && Some(to) == q.map(|q| fx.nodes[q]) =>
+            {
+                out[4] += bytes;
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+#[test]
+fn draid_write_members_follow_algorithm_1() {
+    // One stripe write touching data chunk 0 partly (its last 64 KiB), chunk
+    // 1 fully and chunk 2 partly (its first 32 KiB); the rest are untouched.
+    for level in [RaidLevel::Raid5, RaidLevel::Raid6] {
+        for mode in [WriteMode::ReadModifyWrite, WriteMode::ReconstructWrite] {
+            for pipeline in [true, false] {
+                let mut fx = Fixture::new(SystemKind::Draid, level);
+                fx.cfg.draid.pipeline = pipeline;
+                let chunk = fx.layout.chunk_size();
+                let io = &fx.layout.map(chunk - 64 * KIB, 64 * KIB + chunk + 32 * KIB)[0];
+                let none = BTreeSet::new();
+                let purpose = Purpose::Write {
+                    mode,
+                    degraded: false,
+                };
+                let dag = build_dag(&fx.ctx(&none, None), purpose, io);
+                let (p, q) = (fx.layout.p_member(0), fx.layout.q_member(0));
+                for k in 0..fx.layout.data_chunks() {
+                    let m = fx.layout.data_member(0, k);
+                    let seg = io.segments.iter().find(|s| s.member == m);
+                    let got = member_bytes(&fx, &dag, m, p, q);
+                    let case = format!("{level:?} {mode:?} pipeline={pipeline} chunk {k}");
+                    if mode == WriteMode::ReadModifyWrite && seg.is_none() {
+                        assert_eq!(got, [0; 5], "{case}: untouched in RMW");
+                        continue;
+                    }
+                    let (offset, length) = seg.map_or((0, 0), |s| (s.offset, s.len));
+                    let (fwd_offset, fwd_length) = match mode {
+                        WriteMode::ReadModifyWrite => (offset, length),
+                        _ => (0, chunk),
+                    };
+                    let plan = handle_data_chunk(&Command {
+                        id: 1,
+                        opcode: Opcode::PartialWrite,
+                        nsid: 0,
+                        subtype: Some(Subtype::for_write_mode(mode, seg.is_some())),
+                        offset,
+                        length,
+                        fwd_offset,
+                        fwd_length,
+                        next_dest: Some(Dest { member: p as u32 }),
+                        wait_num: 0,
+                        next_dest2: q.map(|q| Dest { member: q as u32 }),
+                        data_idx: k as u32,
+                    });
+                    let len = |extent: Option<(u64, u64)>| extent.map_or(0, |(_, len)| len);
+                    let fwd = plan.forward.expect("every data member forwards").fwd_length;
+                    let want = [
+                        len(plan.drive_read),
+                        len(plan.drive_write),
+                        len(plan.fetch),
+                        fwd,
+                        if q.is_some() { fwd } else { 0 },
+                    ];
+                    assert_eq!(got, want, "{case}: [read, write, fetch, to P, to Q]");
+                }
+            }
+        }
     }
 }
