@@ -59,6 +59,28 @@ fn bench_engine_events(c: &mut Criterion) {
             black_box(world)
         })
     });
+    // The same chain as plain-data events (function pointer + arguments):
+    // the form the executor's step completions take, with no allocation.
+    g.bench_function("same_instant_call_chain_10k_backlog", |b| {
+        b.iter(|| {
+            let mut engine: Engine<u64> = Engine::new();
+            let mut world = 0u64;
+            fn chain(w: &mut u64, eng: &mut Engine<u64>, [limit, _, _]: [u64; 3]) {
+                *w += 1;
+                if *w < limit {
+                    eng.schedule_call_at(eng.now(), chain, [limit, 0, 0]);
+                } else {
+                    eng.stop();
+                }
+            }
+            for i in 0..10_000u64 {
+                engine.schedule_at(SimTime::from_micros(1_000 + i), |_, _| {});
+            }
+            engine.schedule_call_at(SimTime::from_nanos(1), chain, [10_000, 0, 0]);
+            engine.run(&mut world);
+            black_box(world)
+        })
+    });
     g.bench_function("timer_arm_cancel_10k", |b| {
         b.iter(|| {
             let mut engine: Engine<u64> = Engine::new();

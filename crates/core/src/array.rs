@@ -90,6 +90,9 @@ pub struct ArraySim {
     /// Recycled scratch buffers for the op data plane (see
     /// [`crate::exec::BufPool`]).
     pub(crate) buf_pool: crate::exec::BufPool,
+    /// Step buffers of finished ops, reused by the next launches (see
+    /// [`crate::exec::Steps`]).
+    pub(crate) step_pool: Vec<crate::exec::Steps>,
     /// Ops finished since the last sampled invariant audit (see
     /// [`ArraySim::audit_invariants`]).
     pub(crate) ops_since_audit: u64,
@@ -162,6 +165,7 @@ impl ArraySim {
             user_volumes: HashMap::new(),
             fault_mgr: None,
             buf_pool: crate::exec::BufPool::new(),
+            step_pool: Vec::new(),
             ops_since_audit: 0,
             cfg,
         })

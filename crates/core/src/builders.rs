@@ -67,7 +67,16 @@ pub enum Purpose {
 
 /// Builds the operation DAG for `purpose` over the stripe portion `io`.
 pub fn build(ctx: &BuildCtx, purpose: Purpose, io: &StripeIo) -> Dag {
-    let mut b = Builder::new(ctx, purpose, io);
+    let mut dag = Dag::new();
+    build_into(ctx, purpose, io, &mut dag);
+    dag
+}
+
+/// [`build`] into a caller-owned DAG, replacing its steps but keeping its
+/// capacity: the executor rebuilds into recycled DAGs without allocating.
+pub(crate) fn build_into(ctx: &BuildCtx, purpose: Purpose, io: &StripeIo, dag: &mut Dag) {
+    dag.clear();
+    let mut b = Builder::new(ctx, purpose, io, dag);
     match purpose {
         Purpose::Read { degraded: false } => b.normal_read(io),
         Purpose::Read { degraded: true } => match ctx.cfg.system {
@@ -87,20 +96,18 @@ pub fn build(ctx: &BuildCtx, purpose: Purpose, io: &StripeIo) -> Dag {
             SystemKind::SpdkRaid | SystemKind::LinuxMd => b.central_partial_write(io, mode),
         },
     }
-    b.dag
 }
 
 /// Internal builder state: the DAG under construction plus the admission
 /// root every command capsule depends on.
 struct Builder<'a, 'c> {
     ctx: &'a BuildCtx<'c>,
-    dag: Dag,
+    dag: &'a mut Dag,
     root: usize,
 }
 
 impl<'a, 'c> Builder<'a, 'c> {
-    fn new(ctx: &'a BuildCtx<'c>, purpose: Purpose, io: &StripeIo) -> Self {
-        let mut dag = Dag::new();
+    fn new(ctx: &'a BuildCtx<'c>, purpose: Purpose, io: &StripeIo, dag: &'a mut Dag) -> Self {
         // Host software admission cost.
         let mut root = dag.add(StepKind::PerIo { node: ctx.host }, &[]);
         let cfg = ctx.cfg;

@@ -73,20 +73,28 @@ pub enum StepKind {
     Join,
 }
 
-/// A step plus its dependencies (indices into the owning [`Dag`]).
-#[derive(Clone, Debug)]
-pub struct Step {
+/// A step plus its dependencies (indices into the owning [`Dag`]), borrowed
+/// from the DAG's flat storage.
+#[derive(Clone, Copy, Debug)]
+pub struct Step<'a> {
     /// What the step does.
     pub kind: StepKind,
     /// Steps that must complete first.
-    pub deps: Vec<usize>,
+    pub deps: &'a [u32],
 }
 
 /// A dependency DAG of steps. Indices are creation-ordered, and dependencies
 /// may only point backwards, which makes cycles unrepresentable.
-#[derive(Clone, Debug, Default)]
+///
+/// Stored flat (compressed sparse rows): step `i`'s dependencies are
+/// `deps[dep_end[i - 1]..dep_end[i]]`. Building a DAG costs three growing
+/// `Vec`s instead of one allocation per step, and [`Dag::clear`] keeps their
+/// capacity, so the executor rebuilds into recycled DAGs without allocating.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Dag {
-    steps: Vec<Step>,
+    kinds: Vec<StepKind>,
+    dep_end: Vec<u32>,
+    deps: Vec<u32>,
 }
 
 impl Dag {
@@ -95,49 +103,61 @@ impl Dag {
         Self::default()
     }
 
+    /// Removes every step, keeping the allocated capacity.
+    pub fn clear(&mut self) {
+        self.kinds.clear();
+        self.dep_end.clear();
+        self.deps.clear();
+    }
+
     /// Adds a step depending on earlier steps; returns its index.
     ///
     /// # Panics
     ///
     /// Panics if any dependency index is not an earlier step.
     pub fn add(&mut self, kind: StepKind, deps: &[usize]) -> usize {
-        let id = self.steps.len();
+        let id = self.kinds.len();
         for &d in deps {
             assert!(d < id, "dependency {d} must precede step {id}");
+            self.deps
+                .push(u32::try_from(d).expect("dag step index overflows u32"));
         }
-        self.steps.push(Step {
-            kind,
-            deps: deps.to_vec(),
-        });
+        self.kinds.push(kind);
+        self.dep_end
+            .push(u32::try_from(self.deps.len()).expect("dag dependency count overflows u32"));
         id
     }
 
     /// Number of steps.
     pub fn len(&self) -> usize {
-        self.steps.len()
+        self.kinds.len()
     }
 
     /// Whether the DAG has no steps.
     pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.kinds.is_empty()
     }
 
     /// Immutable step access.
-    pub fn step(&self, id: usize) -> &Step {
-        &self.steps[id]
+    pub fn step(&self, id: usize) -> Step<'_> {
+        let lo = id.checked_sub(1).map_or(0, |prev| self.dep_end[prev]);
+        Step {
+            kind: self.kinds[id],
+            deps: &self.deps[lo as usize..self.dep_end[id] as usize],
+        }
     }
 
     /// Iterates over steps in index order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Step)> {
-        self.steps.iter().enumerate()
+    pub fn iter(&self) -> impl Iterator<Item = (usize, Step<'_>)> {
+        (0..self.len()).map(|id| (id, self.step(id)))
     }
 
     /// Total payload bytes moved by `Transfer` steps whose source is `node`
     /// (DAG-level traffic accounting used in tests).
     pub fn bytes_sent_by(&self, node: NodeId) -> u64 {
-        self.steps
+        self.kinds
             .iter()
-            .filter_map(|s| match s.kind {
+            .filter_map(|k| match *k {
                 StepKind::Transfer { from, bytes, .. } if from == node => Some(bytes),
                 _ => None,
             })
@@ -146,9 +166,9 @@ impl Dag {
 
     /// Total payload bytes received by `node` via `Transfer` steps.
     pub fn bytes_received_by(&self, node: NodeId) -> u64 {
-        self.steps
+        self.kinds
             .iter()
-            .filter_map(|s| match s.kind {
+            .filter_map(|k| match *k {
                 StepKind::Transfer { to, bytes, .. } if to == node => Some(bytes),
                 _ => None,
             })
@@ -157,7 +177,7 @@ impl Dag {
 
     /// Counts steps matching a predicate (test helper).
     pub fn count_steps(&self, pred: impl Fn(&StepKind) -> bool) -> usize {
-        self.steps.iter().filter(|s| pred(&s.kind)).count()
+        self.kinds.iter().filter(|k| pred(k)).count()
     }
 }
 
@@ -194,7 +214,7 @@ mod tests {
             &[b],
         );
         assert_eq!(dag.len(), 3);
-        assert_eq!(dag.step(c).deps, vec![b]);
+        assert_eq!(dag.step(c).deps, [b as u32]);
         assert_eq!(dag.bytes_sent_by(host), 1024);
         assert_eq!(dag.bytes_received_by(host), 1024);
         assert_eq!(

@@ -28,10 +28,9 @@ pub(crate) struct OpState {
     pub kind: IoKind,
     /// Decided at launch; `None` until then.
     pub purpose: Option<Purpose>,
-    pub dag: Dag,
-    dependents: Vec<Vec<usize>>,
-    unmet: Vec<u32>,
-    done: Vec<bool>,
+    /// Empty until launch, which fills it from `ArraySim::step_pool`;
+    /// `finish_op` returns it there.
+    steps: Steps,
     remaining: usize,
     pub holds_lock: bool,
     pub retries: u32,
@@ -41,7 +40,6 @@ pub(crate) struct OpState {
     pub force_rcw: bool,
     /// Set when this op is a background scrub check.
     pub scrub: bool,
-    launched: bool,
     /// The armed §5.4 deadline timer; canceled when the op finishes so dead
     /// timers stop occupying the event queue.
     pub deadline_timer: Option<TimerHandle>,
@@ -108,38 +106,71 @@ impl OpState {
             io,
             kind,
             purpose: None,
-            dag: Dag::new(),
-            dependents: Vec::new(),
-            unmet: Vec::new(),
-            done: Vec::new(),
+            steps: Steps::default(),
             remaining: 0,
             holds_lock: false,
             retries: 0,
             rebuild_of: None,
             force_rcw: false,
             scrub: false,
-            launched: false,
             deadline_timer: None,
             launch_timer: None,
         }
     }
+}
 
-    fn install_dag(&mut self, dag: Dag) {
-        let n = dag.len();
-        let mut dependents = vec![Vec::new(); n];
-        let mut unmet = vec![0u32; n];
-        for (id, step) in dag.iter() {
-            unmet[id] = step.deps.len() as u32;
-            for &d in &step.deps {
-                dependents[d].push(id);
+/// An op's DAG and its execution state. Recycled across ops through
+/// `ArraySim::step_pool`, so a steady-state launch reuses the buffers of an
+/// op that already finished instead of allocating.
+#[derive(Debug, Default)]
+pub(crate) struct Steps {
+    pub dag: Dag,
+    /// Dependents of step `i` are `dependents[dependents_start[i]..
+    /// dependents_start[i + 1]]`, in increasing step order.
+    dependents_start: Vec<u32>,
+    dependents: Vec<u32>,
+    /// Dependencies of each step that have not completed yet.
+    unmet: Vec<u32>,
+    done: Vec<bool>,
+}
+
+impl Steps {
+    /// Derives the execution state of a freshly built `self.dag`, reusing
+    /// the buffers' capacity.
+    fn install(&mut self) {
+        let n = self.dag.len();
+        self.unmet.clear();
+        self.done.clear();
+        self.done.resize(n, false);
+        self.dependents_start.clear();
+        self.dependents_start.resize(n + 1, 0);
+        for (_, step) in self.dag.iter() {
+            self.unmet.push(step.deps.len() as u32);
+            for &d in step.deps {
+                self.dependents_start[d as usize] += 1;
             }
         }
-        self.dag = dag;
-        self.dependents = dependents;
-        self.unmet = unmet;
-        self.done = vec![false; n];
-        self.remaining = n;
-        self.launched = true;
+        // Prefix sums turn each count into the end of that step's range...
+        let mut total = 0;
+        for end in &mut self.dependents_start {
+            total += *end;
+            *end = total;
+        }
+        self.dependents.clear();
+        self.dependents.resize(total as usize, 0);
+        // ...and filling back to front moves each end down to its range's
+        // start, leaving every step's dependents in increasing order.
+        for id in (0..n).rev() {
+            for &d in self.dag.step(id).deps.iter().rev() {
+                let start = &mut self.dependents_start[d as usize];
+                *start -= 1;
+                self.dependents[*start as usize] = id as u32;
+            }
+        }
+    }
+
+    fn dependents(&self, sid: usize) -> std::ops::Range<usize> {
+        self.dependents_start[sid] as usize..self.dependents_start[sid + 1] as usize
     }
 }
 
@@ -159,7 +190,7 @@ impl ArraySim {
             (op.io.clone(), op.kind, op.retries, op.force_rcw)
         };
         let stripe = io.stripe;
-        let stripe_degraded = self.stripe_degraded(stripe, &io);
+        let stripe_degraded = self.stripe_degraded(stripe);
         let purpose = match kind {
             IoKind::Read => Purpose::Read {
                 degraded: io.segments.iter().any(|s| self.faulty.contains(&s.member)),
@@ -192,61 +223,65 @@ impl ArraySim {
             }
             _ => None,
         };
-        let dag = {
-            let ctx = BuildCtx {
-                cfg: &self.cfg,
-                layout: &self.layout,
-                host: self.cluster.host_node(),
-                nodes: &self.member_nodes,
-                servers: &self.member_servers,
-                faulty: &self.faulty,
-                reducer,
-            };
-            builders::build(&ctx, purpose, &io)
+        let mut steps = self.step_pool.pop().unwrap_or_default();
+        let ctx = BuildCtx {
+            cfg: &self.cfg,
+            layout: &self.layout,
+            host: self.cluster.host_node(),
+            nodes: &self.member_nodes,
+            servers: &self.member_servers,
+            faulty: &self.faulty,
+            reducer,
         };
-        {
-            let op = self.ops[idx].as_mut().expect("op vanished");
-            op.purpose = Some(purpose);
-        }
-        self.launch_prebuilt(eng, idx, dag);
+        builders::build_into(&ctx, purpose, &io, &mut steps.dag);
+        self.ops[idx].as_mut().expect("op vanished").purpose = Some(purpose);
+        self.launch_steps(eng, idx, steps);
     }
 
-    /// Installs an already-built DAG on the op, arms the §5.4 deadline, and
-    /// starts its root steps. Shared by the system builders and the rebuild
-    /// path, which constructs its own DAGs.
+    /// Launches an op whose DAG its caller built (the rebuild and scrub
+    /// paths construct their own graphs).
     pub(crate) fn launch_prebuilt(&mut self, eng: &mut Engine<ArraySim>, idx: usize, dag: Dag) {
+        let mut steps = self.step_pool.pop().unwrap_or_default();
+        steps.dag = dag;
+        self.launch_steps(eng, idx, steps);
+    }
+
+    /// Installs a built DAG on the op, arms the §5.4 deadline, and starts
+    /// its root steps.
+    fn launch_steps(&mut self, eng: &mut Engine<ArraySim>, idx: usize, mut steps: Steps) {
+        steps.install();
+        let n = steps.dag.len();
         let gen = {
             let op = self.ops[idx].as_mut().expect("op vanished");
             if let Some(tracer) = &mut self.tracer {
-                tracer.record_launch(op.user, idx, &dag);
+                tracer.record_launch(op.user, idx, &steps.dag);
             }
-            op.install_dag(dag);
+            op.steps = steps;
+            op.remaining = n;
             op.gen
         };
         // Arm the explicit timeout (§5.4) as a cancelable timer: the op
-        // cancels it on completion instead of leaving a tombstone closure to
+        // cancels it on completion instead of leaving a tombstone event to
         // fire as a generation-checked no-op.
-        let deadline = eng.schedule_timer_in(self.cfg.op_deadline, move |w: &mut ArraySim, eng| {
-            w.on_timeout(eng, idx, gen);
-        });
+        let deadline = eng.schedule_timer_call_in(
+            self.cfg.op_deadline,
+            ArraySim::on_timeout,
+            [idx as u64, gen, 0],
+        );
         self.ops[idx].as_mut().expect("op vanished").deadline_timer = Some(deadline);
-        // Start every dependency-free step.
-        let roots: Vec<usize> = {
-            let op = self.ops[idx].as_ref().expect("op vanished");
-            if op.dag.is_empty() {
-                self.finish_op(eng, idx, None, false);
-                return;
-            }
-            op.dag
-                .iter()
-                .filter(|(i, _)| op.unmet[*i] == 0)
-                .map(|(i, _)| i)
-                .collect()
-        };
-        for sid in roots {
-            self.start_step(eng, idx, sid);
-            if !self.op_live(idx, gen) {
-                return; // op failed and was reaped (slot may be recycled)
+        if n == 0 {
+            self.finish_op(eng, idx, None, false);
+            return;
+        }
+        // Start every dependency-free step. Starting a step only schedules
+        // its completion, so no `unmet` count changes during this loop.
+        for sid in 0..n {
+            let root = self.ops[idx].as_ref().expect("op vanished").steps.unmet[sid] == 0;
+            if root {
+                self.start_step(eng, idx, sid);
+                if !self.op_live(idx, gen) {
+                    return; // op failed and was reaped (slot may be recycled)
+                }
             }
         }
     }
@@ -257,7 +292,7 @@ impl ArraySim {
         matches!(&self.ops[idx], Some(op) if op.gen == gen)
     }
 
-    fn stripe_degraded(&self, stripe: u64, _io: &StripeIo) -> bool {
+    fn stripe_degraded(&self, stripe: u64) -> bool {
         if self.faulty.is_empty() {
             return false;
         }
@@ -278,7 +313,7 @@ impl ArraySim {
         let now = eng.now();
         let (kind, gen) = {
             let op = self.ops[idx].as_ref().expect("step of missing op");
-            (op.dag.step(sid).kind, op.gen)
+            (op.steps.dag.step(sid).kind, op.gen)
         };
         // Each arm yields (service start, completion): `now..start` is the
         // step's resource queueing, `start..end` its service time.
@@ -362,45 +397,40 @@ impl ArraySim {
                 completed: end,
             });
         }
-        eng.schedule_at(end, move |w: &mut ArraySim, eng| {
-            w.on_step_done(eng, idx, gen, sid);
-        });
+        eng.schedule_call_at(end, ArraySim::on_step_done, [idx as u64, gen, sid as u64]);
     }
 
-    fn on_step_done(&mut self, eng: &mut Engine<ArraySim>, idx: usize, gen: u64, sid: usize) {
-        let mut finished = false;
-        let ready: Vec<usize> = {
+    /// Completion event of step `sid` of the op in slot `idx` (generation
+    /// `gen`): starts each dependent as soon as its last dependency is done.
+    fn on_step_done(&mut self, eng: &mut Engine<ArraySim>, [idx, gen, sid]: [u64; 3]) {
+        let (idx, sid) = (idx as usize, sid as usize);
+        let (finished, dependents) = {
             let Some(op) = self.ops[idx].as_mut() else {
                 return; // op already finished/retried
             };
-            if op.gen != gen || op.done[sid] {
+            if op.gen != gen || op.steps.done[sid] {
                 return;
             }
-            op.done[sid] = true;
+            op.steps.done[sid] = true;
             op.remaining -= 1;
-            let mut ready = Vec::new();
-            let dependents = std::mem::take(&mut op.dependents[sid]);
-            for &dep in &dependents {
-                op.unmet[dep] -= 1;
-                if op.unmet[dep] == 0 {
-                    ready.push(dep);
-                }
-            }
-            op.dependents[sid] = dependents;
-            if op.remaining == 0 {
-                debug_assert!(ready.is_empty());
-                finished = true;
-            }
-            ready
+            (op.remaining == 0, op.steps.dependents(sid))
         };
         if finished {
             self.finish_op(eng, idx, None, false);
             return;
         }
-        for dep in ready {
-            self.start_step(eng, idx, dep);
-            if !self.op_live(idx, gen) {
-                return;
+        for k in dependents {
+            let ready = {
+                let steps = &mut self.ops[idx].as_mut().expect("op checked live").steps;
+                let dep = steps.dependents[k] as usize;
+                steps.unmet[dep] -= 1;
+                (steps.unmet[dep] == 0).then_some(dep)
+            };
+            if let Some(dep) = ready {
+                self.start_step(eng, idx, dep);
+                if !self.op_live(idx, gen) {
+                    return; // op failed and was reaped (slot may be recycled)
+                }
             }
         }
     }
@@ -409,7 +439,8 @@ impl ArraySim {
     /// generation check guards against the slot having been recycled (the
     /// timer is canceled on host crash, so in practice this only races
     /// hypothetical future reapers).
-    fn on_retry_launch(&mut self, eng: &mut Engine<ArraySim>, idx: usize, gen: u64) {
+    fn on_retry_launch(&mut self, eng: &mut Engine<ArraySim>, [idx, gen, _]: [u64; 3]) {
+        let idx = idx as usize;
         let Some(op) = self.ops[idx].as_mut() else {
             return;
         };
@@ -420,7 +451,8 @@ impl ArraySim {
         self.launch_op(eng, idx);
     }
 
-    fn on_timeout(&mut self, eng: &mut Engine<ArraySim>, idx: usize, gen: u64) {
+    fn on_timeout(&mut self, eng: &mut Engine<ArraySim>, [idx, gen, _]: [u64; 3]) {
+        let idx = idx as usize;
         let expired = matches!(&self.ops[idx], Some(op) if op.gen == gen && op.remaining > 0);
         if expired {
             self.stats.timeouts += 1;
@@ -444,8 +476,9 @@ impl ArraySim {
         failure: Option<OpFailure>,
         no_retry: bool,
     ) {
-        let op = self.ops[idx].take().expect("finish of missing op");
+        let mut op = self.ops[idx].take().expect("finish of missing op");
         self.free_ops.push(idx);
+        self.step_pool.push(std::mem::take(&mut op.steps));
         // Disarm the §5.4 deadline: the op reached a final state, so the
         // timer must not linger in the queue. (A no-op if the timer itself
         // expired and brought us here.)
@@ -485,9 +518,11 @@ impl ArraySim {
             // host retries only after the op reaches a final state). The
             // jitter keeps ops that failed together from retrying together.
             let backoff = retry_backoff(self.cfg.op_deadline, op.retries, gen);
-            let launch = eng.schedule_timer_in(backoff, move |w: &mut ArraySim, eng| {
-                w.on_retry_launch(eng, new_idx, gen);
-            });
+            let launch = eng.schedule_timer_call_in(
+                backoff,
+                ArraySim::on_retry_launch,
+                [new_idx as u64, gen, 0],
+            );
             self.ops[new_idx]
                 .as_mut()
                 .expect("fresh retry op")
@@ -652,8 +687,21 @@ pub(crate) fn retry_backoff(deadline: SimTime, retries: u32, gen: u64) -> SimTim
 
 #[cfg(test)]
 mod tests {
-    use super::retry_backoff;
-    use draid_sim::SimTime;
+    use std::cell::Cell;
+    use std::collections::BTreeSet;
+    use std::rc::Rc;
+
+    use draid_block::{Cluster, ServerId};
+    use draid_net::NodeId;
+    use draid_sim::{Engine, SimTime};
+
+    use super::{retry_backoff, Steps};
+    use crate::array::ArraySim;
+    use crate::builders::{build, build_into, BuildCtx, Purpose};
+    use crate::config::{ArrayConfig, RaidLevel, SystemKind};
+    use crate::dag::{Dag, StepKind};
+    use crate::io::UserIo;
+    use crate::layout::{Layout, WriteMode};
 
     const DEADLINE: SimTime = SimTime::from_millis(250);
 
@@ -696,5 +744,176 @@ mod tests {
     #[test]
     fn backoff_is_deterministic() {
         assert_eq!(retry_backoff(DEADLINE, 2, 7), retry_backoff(DEADLINE, 2, 7));
+    }
+
+    const KIB: u64 = 1024;
+
+    /// Calls `f` on every DAG shape the builders produce: each system ×
+    /// RAID level × purpose, over 4 KiB, 128 KiB and full-stripe I/Os. The
+    /// purpose changes between consecutive calls.
+    fn for_each_shape(mut f: impl FnMut(&BuildCtx, Purpose, &crate::layout::StripeIo)) {
+        let nodes: Vec<NodeId> = (1..=8).map(NodeId).collect();
+        let servers: Vec<ServerId> = (0..8).map(ServerId).collect();
+        for system in [SystemKind::Draid, SystemKind::SpdkRaid, SystemKind::LinuxMd] {
+            for level in [RaidLevel::Raid5, RaidLevel::Raid6] {
+                let mut cfg = ArrayConfig::paper_default(system);
+                cfg.level = level;
+                cfg.width = 8;
+                let layout = Layout::new(&cfg);
+                let stripe_bytes = layout.data_chunks() as u64 * layout.chunk_size();
+                for len in [4 * KIB, 128 * KIB, stripe_bytes] {
+                    let io = &layout.map(0, len)[0];
+                    let lost = BTreeSet::from([io.segments[0].member]);
+                    let healthy = BTreeSet::new();
+                    for (purpose, faulty) in [
+                        (Purpose::Read { degraded: false }, &healthy),
+                        (Purpose::Read { degraded: true }, &lost),
+                        (
+                            Purpose::Write {
+                                mode: WriteMode::ReadModifyWrite,
+                                degraded: false,
+                            },
+                            &healthy,
+                        ),
+                        (
+                            Purpose::Write {
+                                mode: WriteMode::ReconstructWrite,
+                                degraded: false,
+                            },
+                            &healthy,
+                        ),
+                        (
+                            Purpose::Write {
+                                mode: WriteMode::FullStripe,
+                                degraded: false,
+                            },
+                            &healthy,
+                        ),
+                        (
+                            Purpose::Write {
+                                mode: layout.write_mode(io),
+                                degraded: true,
+                            },
+                            &lost,
+                        ),
+                    ] {
+                        let reducer = (0..8).find(|m| !faulty.contains(m));
+                        let ctx = BuildCtx {
+                            cfg: &cfg,
+                            layout: &layout,
+                            host: NodeId(0),
+                            nodes: &nodes,
+                            servers: &servers,
+                            faulty,
+                            reducer,
+                        };
+                        f(&ctx, purpose, io);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flat_dependents_match_nested_derivation() {
+        // Duplicate dependencies and several roots, which no builder emits.
+        let mut hand = Dag::new();
+        let a = hand.add(StepKind::Join, &[]);
+        let b = hand.add(StepKind::Join, &[]);
+        let c = hand.add(StepKind::Join, &[a, a, b]);
+        hand.add(StepKind::Join, &[c, b, c]);
+        hand.add(StepKind::Join, &[]);
+        let mut dags = vec![hand];
+        for_each_shape(|ctx, purpose, io| dags.push(build(ctx, purpose, io)));
+        assert!(dags.len() > 100);
+        // One `Steps` for every DAG: each install starts from the previous
+        // DAG's state, as a recycled buffer does.
+        let mut steps = Steps::default();
+        for dag in dags {
+            let n = dag.len();
+            // The derivation the executor used before dependents were flat.
+            let mut nested = vec![Vec::new(); n];
+            let mut unmet = vec![0u32; n];
+            for (id, step) in dag.iter() {
+                unmet[id] = step.deps.len() as u32;
+                for &d in step.deps {
+                    nested[d as usize].push(id);
+                }
+            }
+            steps.dag = dag;
+            steps.install();
+            let flat: Vec<Vec<usize>> = (0..n)
+                .map(|sid| {
+                    steps
+                        .dependents(sid)
+                        .map(|k| steps.dependents[k] as usize)
+                        .collect()
+                })
+                .collect();
+            assert_eq!(flat, nested);
+            assert_eq!(steps.unmet, unmet);
+            assert_eq!(steps.done, vec![false; n]);
+        }
+    }
+
+    #[test]
+    fn build_into_a_dirty_dag_equals_a_fresh_build() {
+        let mut dirty = Dag::new();
+        let mut shapes = 0;
+        for_each_shape(|ctx, purpose, io| {
+            // `dirty` still holds the previous shape, built for a different
+            // purpose.
+            build_into(ctx, purpose, io, &mut dirty);
+            assert_eq!(dirty, build(ctx, purpose, io), "{purpose:?}");
+            shapes += 1;
+        });
+        assert!(shapes > 100);
+    }
+
+    #[test]
+    fn step_buffers_are_recycled_across_ops() {
+        const IOS: u32 = 10_000;
+        const QUEUE_DEPTH: u32 = 32;
+        let cfg = ArrayConfig::paper_default(SystemKind::Draid);
+        let mut array = ArraySim::new(Cluster::homogeneous(cfg.width), cfg).expect("valid config");
+        let mut eng = Engine::new();
+        // A closed loop of aligned 128 KiB reads and writes: each I/O is one
+        // stripe op.
+        fn submit_next(array: &mut ArraySim, eng: &mut Engine<ArraySim>, left: Rc<Cell<u32>>) {
+            let n = left.get();
+            if n == 0 {
+                return;
+            }
+            left.set(n - 1);
+            let offset = u64::from(n).wrapping_mul(2_654_435_761) % 8192 * 128 * KIB;
+            let io = if n.is_multiple_of(2) {
+                UserIo::write(offset, 128 * KIB)
+            } else {
+                UserIo::read(offset, 128 * KIB)
+            };
+            let hook = Box::new(move |a: &mut ArraySim, e: &mut Engine<ArraySim>, _: &_| {
+                submit_next(a, e, left)
+            });
+            array.submit_with_hook(eng, io, Some(hook));
+        }
+        let left = Rc::new(Cell::new(IOS));
+        for _ in 0..QUEUE_DEPTH {
+            submit_next(&mut array, &mut eng, Rc::clone(&left));
+        }
+        eng.run(&mut array);
+        assert_eq!(left.get(), 0);
+        assert_eq!(array.drain_completions().len(), IOS as usize);
+        assert_eq!(array.inflight_ops(), 0);
+        // Op slots are reused, so their count is the peak number of ops in
+        // flight. Every op returned its buffers on finishing (no crash drops
+        // any), so the pool now holds every `Steps` ever created.
+        let peak_inflight = array.ops.len();
+        assert!(peak_inflight <= QUEUE_DEPTH as usize);
+        assert!(!array.step_pool.is_empty());
+        assert!(
+            array.step_pool.len() <= peak_inflight,
+            "{} step buffers for at most {peak_inflight} ops in flight",
+            array.step_pool.len()
+        );
     }
 }

@@ -369,15 +369,17 @@ fn critical_path(dag: &Dag, events: &[TraceEvent]) -> Option<PathBreakdown> {
                 *t += step_queue;
             }
         }
-        let deps = &dag.step(cur).deps;
+        let deps = dag.step(cur).deps;
         if deps.is_empty() {
             start_of_path = issued;
             break;
         }
-        // The gating dependency: the one finishing last (== this issue time).
-        cur = *deps
+        // The gating dependency: the one finishing last (== this issue time;
+        // on ties, the last listed).
+        cur = deps
             .iter()
-            .max_by_key(|&&d| completed(d))
+            .map(|&d| d as usize)
+            .max_by_key(|&d| completed(d))
             .expect("non-empty deps");
     }
     let total = completed(last).saturating_sub(start_of_path);
