@@ -16,7 +16,7 @@ use draid_sim::{DetRng, Engine, SimTime};
 
 use crate::config::{ArrayConfig, DataMode, ReducerPolicy, SystemKind};
 use crate::datastore::ChunkStore;
-use crate::exec::OpState;
+use crate::exec::{OpKind, OpState};
 use crate::health::{HealthConfig, HealthMonitor, HealthState};
 use crate::io::{IoError, IoId, IoKind, IoResult, UserIo};
 use crate::layout::Layout;
@@ -324,7 +324,7 @@ impl ArraySim {
                 self.bitmap.mark(stripe);
             }
             let gen = self.fresh_gen();
-            let idx = self.alloc_op(OpState::new(gen, id, sio, kind));
+            let idx = self.alloc_op(OpState::new(gen, id, sio, kind.into()));
             let needs_lock = kind == IoKind::Write || self.reads_locked();
             if needs_lock {
                 self.ops[idx].as_mut().expect("fresh op").holds_lock = true;
@@ -583,8 +583,7 @@ impl ArraySim {
     fn resync_stripe(&mut self, eng: &mut Engine<ArraySim>, stripe: u64) {
         let io = crate::layout::StripeIo::new(stripe, 0, Vec::new());
         let gen = self.fresh_gen();
-        let mut op = OpState::new(gen, 0, io, IoKind::Write);
-        op.force_rcw = true;
+        let mut op = OpState::new(gen, 0, io, OpKind::Resync);
         op.holds_lock = true;
         let idx = self.alloc_op(op);
         if self.locks.acquire(stripe, idx) {

@@ -63,6 +63,16 @@ pub enum Purpose {
         /// Whether the stripe has faulty members.
         degraded: bool,
     },
+    /// Hot-spare rebuild of the op's one segment, a faulty member's chunk:
+    /// §6 reconstruction at `BuildCtx::reducer`, then a write to the spare.
+    Rebuild {
+        /// Pool drive receiving the reconstructed chunk.
+        spare: ServerId,
+        /// The spare's fabric node.
+        spare_node: NodeId,
+    },
+    /// Patrol-read parity check of the whole stripe.
+    Scrub,
 }
 
 /// Builds the operation DAG for `purpose` over the stripe portion `io`.
@@ -95,6 +105,8 @@ pub(crate) fn build_into(ctx: &BuildCtx, purpose: Purpose, io: &StripeIo, dag: &
             SystemKind::Draid => b.draid_partial_write(io, mode),
             SystemKind::SpdkRaid | SystemKind::LinuxMd => b.central_partial_write(io, mode),
         },
+        Purpose::Rebuild { spare, spare_node } => b.rebuild(io, spare, spare_node),
+        Purpose::Scrub => b.scrub(io),
     }
 }
 
@@ -110,6 +122,11 @@ impl<'a, 'c> Builder<'a, 'c> {
     fn new(ctx: &'a BuildCtx<'c>, purpose: Purpose, io: &StripeIo, dag: &'a mut Dag) -> Self {
         // Host software admission cost.
         let mut root = dag.add(StepKind::PerIo { node: ctx.host }, &[]);
+        // Background sweeps run beside the block layer: no stripe lock, no
+        // kernel path.
+        if matches!(purpose, Purpose::Rebuild { .. } | Purpose::Scrub) {
+            return Builder { ctx, dag, root };
+        }
         let cfg = ctx.cfg;
         // Stripe-lock CPU cost: the centralized systems lock every I/O;
         // dRAID locks writes, and reads only under the lock-free-read
@@ -135,8 +152,8 @@ impl<'a, 'c> Builder<'a, 'c> {
         // the page cache (the Fig. 15 collapse).
         if cfg.system == SystemKind::LinuxMd {
             let pays_pages = match purpose {
-                Purpose::Write { .. } => true,
                 Purpose::Read { .. } => !ctx.faulty.is_empty(),
+                _ => true,
             };
             let mut busy = cfg.linux.per_io_extra;
             if pays_pages {
@@ -394,6 +411,91 @@ impl<'a, 'c> Builder<'a, 'c> {
                 &arrivals,
             );
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Background sweeps
+    // ------------------------------------------------------------------
+
+    /// Rebuild of one stripe (identical for every system): each surviving
+    /// data member and P reads its chunk and streams it to the reducer,
+    /// which XORs and forwards the reconstructed chunk peer-to-peer to the
+    /// spare, which persists it. For a lost parity chunk the survivors are
+    /// the data members and the result is the recomputed parity.
+    fn rebuild(&mut self, io: &StripeIo, spare: ServerId, spare_node: NodeId) {
+        let stripe = io.stripe;
+        let l = *self.ctx.layout;
+        let victim = io.segments[0].member;
+        let reducer = self.ctx.reducer.expect("rebuild without a reducer");
+        let mut participants: Vec<usize> = (0..l.data_chunks())
+            .map(|k| l.data_member(stripe, k))
+            .chain(std::iter::once(l.p_member(stripe)))
+            .filter(|&m| m != victim && self.healthy(m))
+            .collect();
+        participants.sort_unstable();
+        let mut reduces = Vec::new();
+        for m in participants {
+            let ready = self.command(m, 0);
+            reduces.push(self.chunk_to(m, reducer, ready));
+        }
+        let done = self.dag.add(StepKind::Join, &reduces);
+        let chunk = l.chunk_size();
+        let to_spare = self.xfer(self.node(reducer), spare_node, chunk, &[done]);
+        let write = self.dag.add(
+            StepKind::DriveWrite {
+                server: spare,
+                bytes: chunk,
+            },
+            &[to_spare],
+        );
+        self.xfer(
+            spare_node,
+            self.ctx.host,
+            self.ctx.cfg.callback_bytes,
+            &[write],
+        );
+    }
+
+    /// Scrub of one stripe (identical for every system): every healthy
+    /// member reads its chunk and streams it to the stripe's P member, which
+    /// XOR-verifies; only a small verdict message reaches the host.
+    fn scrub(&mut self, io: &StripeIo) {
+        let (host, cfg) = (self.ctx.host, self.ctx.cfg);
+        let verifier = self.ctx.layout.p_member(io.stripe);
+        let mut checks = Vec::new();
+        for m in 0..self.ctx.layout.width() {
+            if self.healthy(m) {
+                let cmd = self.xfer(host, self.node(m), cfg.command_bytes, &[self.root]);
+                checks.push(self.chunk_to(m, verifier, cmd));
+            }
+        }
+        let done = self.dag.add(StepKind::Join, &checks);
+        self.xfer(self.node(verifier), host, cfg.callback_bytes, &[done]);
+    }
+
+    /// Member `m` reads its whole chunk after step `ready` and streams it to
+    /// member `sink`, which XORs it in. Returns the XOR step.
+    fn chunk_to(&mut self, m: usize, sink: usize, ready: usize) -> usize {
+        let chunk = self.ctx.layout.chunk_size();
+        let read = self.dag.add(
+            StepKind::DriveRead {
+                server: self.server(m),
+                bytes: chunk,
+            },
+            &[ready],
+        );
+        let arrival = if m == sink {
+            read
+        } else {
+            self.xfer(self.node(m), self.node(sink), chunk, &[read])
+        };
+        self.dag.add(
+            StepKind::Xor {
+                node: self.node(sink),
+                bytes: chunk,
+            },
+            &[arrival],
+        )
     }
 
     // ------------------------------------------------------------------

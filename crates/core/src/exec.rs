@@ -1,6 +1,7 @@
 //! The DAG executor: runs stripe-operation DAGs on the cluster's resources,
 //! with per-op deadlines, failure propagation, and full-stripe retry (§5.4).
 
+use draid_block::ServerId;
 use draid_sim::{Engine, SimTime, TimerHandle};
 
 use crate::array::ArraySim;
@@ -8,6 +9,33 @@ use crate::builders::{self, BuildCtx, Purpose};
 use crate::dag::{Dag, StepKind};
 use crate::io::{IoError, IoKind};
 use crate::layout::{StripeIo, WriteMode};
+
+/// What a stripe operation is for: user I/O or one of the array's own
+/// background jobs. `launch_op` maps it to a builder [`Purpose`], and
+/// `finish_op` dispatches on it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum OpKind {
+    /// A user read.
+    Read,
+    /// A user write.
+    Write,
+    /// A parity resync (§5.4 crash recovery, scrub repair): a
+    /// reconstruct-write with no new data.
+    Resync,
+    /// One stripe of the hot-spare rebuild of `member` onto `spare`.
+    Rebuild { member: usize, spare: ServerId },
+    /// One stripe of a scrub pass.
+    Scrub,
+}
+
+impl From<IoKind> for OpKind {
+    fn from(kind: IoKind) -> Self {
+        match kind {
+            IoKind::Read => OpKind::Read,
+            IoKind::Write => OpKind::Write,
+        }
+    }
+}
 
 /// Why a stripe operation failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -25,7 +53,7 @@ pub(crate) struct OpState {
     pub gen: u64,
     pub user: u64,
     pub io: StripeIo,
-    pub kind: IoKind,
+    pub kind: OpKind,
     /// Decided at launch; `None` until then.
     pub purpose: Option<Purpose>,
     /// Empty until launch, which fills it from `ArraySim::step_pool`;
@@ -34,12 +62,6 @@ pub(crate) struct OpState {
     remaining: usize,
     pub holds_lock: bool,
     pub retries: u32,
-    /// Set when this op is a background rebuild of the given member.
-    pub rebuild_of: Option<usize>,
-    /// Forces reconstruct-write mode (parity resync ops, §5.4).
-    pub force_rcw: bool,
-    /// Set when this op is a background scrub check.
-    pub scrub: bool,
     /// The armed §5.4 deadline timer; canceled when the op finishes so dead
     /// timers stop occupying the event queue.
     pub deadline_timer: Option<TimerHandle>,
@@ -99,7 +121,7 @@ impl BufPool {
 }
 
 impl OpState {
-    pub fn new(gen: u64, user: u64, io: StripeIo, kind: IoKind) -> Self {
+    pub fn new(gen: u64, user: u64, io: StripeIo, kind: OpKind) -> Self {
         OpState {
             gen,
             user,
@@ -110,9 +132,6 @@ impl OpState {
             remaining: 0,
             holds_lock: false,
             retries: 0,
-            rebuild_of: None,
-            force_rcw: false,
-            scrub: false,
             deadline_timer: None,
             launch_timer: None,
         }
@@ -175,42 +194,49 @@ impl Steps {
 }
 
 impl ArraySim {
-    /// Admits an op: decides the purpose from current array health, builds
-    /// the system DAG, arms the deadline, and starts the root steps.
+    /// Admits an op: decides the purpose from its kind and current array
+    /// health, builds the DAG, arms the deadline, and starts the root steps.
     pub(crate) fn launch_op(&mut self, eng: &mut Engine<ArraySim>, idx: usize) {
         let now = eng.now();
-        if self.is_failed() {
-            self.finish_op(eng, idx, Some(OpFailure::MemberError(0)), true);
-            return;
-        }
-        let (io, kind, retries, force_rcw) = {
+        let (io, kind, retries) = {
             let op = self.ops[idx].as_ref().expect("launch of missing op");
             // Cheap: the segment list is an `Arc<[Segment]>`, so this clone
             // is a reference-count bump, not an extent copy.
-            (op.io.clone(), op.kind, op.retries, op.force_rcw)
+            (op.io.clone(), op.kind, op.retries)
         };
+        // Background sweeps keep going on a failed array; they stop on
+        // their own failure budget.
+        if self.is_failed() && !matches!(kind, OpKind::Rebuild { .. } | OpKind::Scrub) {
+            self.finish_op(eng, idx, Some(OpFailure::MemberError(0)), true);
+            return;
+        }
         let stripe = io.stripe;
-        let stripe_degraded = self.stripe_degraded(stripe);
         let purpose = match kind {
-            IoKind::Read => Purpose::Read {
+            OpKind::Read => Purpose::Read {
                 degraded: io.segments.iter().any(|s| self.faulty.contains(&s.member)),
             },
-            IoKind::Write => {
+            OpKind::Write | OpKind::Resync => {
                 // §5.4: retries always run in the reconstruct-write ("full
-                // stripe") mode to guarantee a consistent parity rewrite.
-                let mode = if retries > 0 || force_rcw {
+                // stripe") mode to guarantee a consistent parity rewrite,
+                // and a resync rewrites parity from scratch.
+                let mode = if retries > 0 || kind == OpKind::Resync {
                     WriteMode::ReconstructWrite
                 } else {
                     self.layout.write_mode(&io)
                 };
                 Purpose::Write {
                     mode,
-                    degraded: stripe_degraded,
+                    degraded: self.stripe_degraded(stripe),
                 }
             }
+            OpKind::Rebuild { spare, .. } => Purpose::Rebuild {
+                spare,
+                spare_node: self.cluster.server_node(spare),
+            },
+            OpKind::Scrub => Purpose::Scrub,
         };
         let reducer = match purpose {
-            Purpose::Read { degraded: true } => {
+            Purpose::Read { degraded: true } | Purpose::Rebuild { .. } => {
                 let r = self.choose_reducer(now, stripe);
                 let lost: u64 = io
                     .segments
@@ -234,21 +260,6 @@ impl ArraySim {
             reducer,
         };
         builders::build_into(&ctx, purpose, &io, &mut steps.dag);
-        self.ops[idx].as_mut().expect("op vanished").purpose = Some(purpose);
-        self.launch_steps(eng, idx, steps);
-    }
-
-    /// Launches an op whose DAG its caller built (the rebuild and scrub
-    /// paths construct their own graphs).
-    pub(crate) fn launch_prebuilt(&mut self, eng: &mut Engine<ArraySim>, idx: usize, dag: Dag) {
-        let mut steps = self.step_pool.pop().unwrap_or_default();
-        steps.dag = dag;
-        self.launch_steps(eng, idx, steps);
-    }
-
-    /// Installs a built DAG on the op, arms the §5.4 deadline, and starts
-    /// its root steps.
-    fn launch_steps(&mut self, eng: &mut Engine<ArraySim>, idx: usize, mut steps: Steps) {
         steps.install();
         let n = steps.dag.len();
         let gen = {
@@ -256,6 +267,7 @@ impl ArraySim {
             if let Some(tracer) = &mut self.tracer {
                 tracer.record_launch(op.user, idx, &steps.dag);
             }
+            op.purpose = Some(purpose);
             op.steps = steps;
             op.remaining = n;
             op.gen
@@ -467,8 +479,9 @@ impl ArraySim {
         self.finish_op(eng, idx, Some(why), false);
     }
 
-    /// Tears down an op: releases/transfers the stripe lock, applies the data
-    /// plane effect on success, and drives retry or user completion.
+    /// Tears down an op: hands a background op to its sweep; for a user or
+    /// resync op, releases/transfers the stripe lock, applies the data plane
+    /// effect on success, and drives retry or user completion.
     fn finish_op(
         &mut self,
         eng: &mut Engine<ArraySim>,
@@ -486,19 +499,17 @@ impl ArraySim {
             eng.cancel(h);
         }
 
-        if let Some(member) = op.rebuild_of {
-            self.on_rebuild_op_done(eng, member, op.io.stripe, failure.is_some());
-            return;
-        }
-        if op.scrub {
-            self.on_scrub_op_done(eng, op.io.stripe, failure.is_some());
-            return;
+        let failed = failure.is_some();
+        match op.kind {
+            OpKind::Rebuild { member, spare } => {
+                return self.on_rebuild_op_done(eng, member, spare, op.io.stripe, failed);
+            }
+            OpKind::Scrub => return self.on_scrub_op_done(eng, op.io.stripe, failed),
+            OpKind::Read | OpKind::Write | OpKind::Resync => {}
         }
 
-        let retry = failure.is_some()
-            && !no_retry
-            && op.retries < self.cfg.max_retries
-            && !self.is_failed();
+        // A user or resync op: retry it, or complete it.
+        let retry = failed && !no_retry && op.retries < self.cfg.max_retries && !self.is_failed();
         if retry {
             self.stats.retries += 1;
             let gen = self.fresh_gen();
@@ -509,7 +520,6 @@ impl ArraySim {
             let mut next = OpState::new(gen, op.user, op.io, op.kind);
             next.retries = op.retries + 1;
             next.holds_lock = holds_lock;
-            next.force_rcw = op.force_rcw;
             let new_idx = self.alloc_op(next);
             if holds_lock {
                 self.locks.transfer(stripe, idx, new_idx);
@@ -535,7 +545,8 @@ impl ArraySim {
                 self.launch_op(eng, next);
             }
         }
-        if op.kind == IoKind::Write && failure.is_none() && !self.locks.is_locked(op.io.stripe) {
+        let writes = matches!(op.kind, OpKind::Write | OpKind::Resync);
+        if writes && !failed && !self.locks.is_locked(op.io.stripe) {
             // No writer holds or awaits the stripe: parity is persisted and
             // consistent; the write intent can be cleared (§5.4).
             self.bitmap.clear(op.io.stripe);
@@ -545,7 +556,7 @@ impl ArraySim {
         // than the level tolerates has no consistent place to land — surface
         // the array failure rather than acknowledging a lost write.
         let array_failed = self.is_failed();
-        if failure.is_none() && !array_failed {
+        if !failed && !array_failed {
             self.apply_effect(&op);
         }
 
@@ -556,7 +567,7 @@ impl ArraySim {
             IoError::RetriesExhausted
         };
         if let Some(user) = self.users.get_mut(&user_id) {
-            if failure.is_some() || array_failed {
+            if failed || array_failed {
                 user.error = Some(failure_error);
             }
             if matches!(
@@ -639,7 +650,7 @@ impl ArraySim {
                 }
                 self.buf_pool.put(scratch);
             }
-            None => {}
+            _ => {}
         }
 
         // Sampled post-write parity re-verification: every 8th stripe write
@@ -701,7 +712,7 @@ mod tests {
     use crate::config::{ArrayConfig, RaidLevel, SystemKind};
     use crate::dag::{Dag, StepKind};
     use crate::io::UserIo;
-    use crate::layout::{Layout, WriteMode};
+    use crate::layout::{Layout, Segment, StripeIo, WriteMode};
 
     const DEADLINE: SimTime = SimTime::from_millis(250);
 
@@ -749,9 +760,10 @@ mod tests {
     const KIB: u64 = 1024;
 
     /// Calls `f` on every DAG shape the builders produce: each system ×
-    /// RAID level × purpose, over 4 KiB, 128 KiB and full-stripe I/Os. The
-    /// purpose changes between consecutive calls.
-    fn for_each_shape(mut f: impl FnMut(&BuildCtx, Purpose, &crate::layout::StripeIo)) {
+    /// RAID level × user purpose, over 4 KiB, 128 KiB and full-stripe I/Os,
+    /// then a rebuild and a scrub with each member lost. The purpose changes
+    /// between consecutive calls.
+    fn for_each_shape(mut f: impl FnMut(&BuildCtx, Purpose, &StripeIo)) {
         let nodes: Vec<NodeId> = (1..=8).map(NodeId).collect();
         let servers: Vec<ServerId> = (0..8).map(ServerId).collect();
         for system in [SystemKind::Draid, SystemKind::SpdkRaid, SystemKind::LinuxMd] {
@@ -808,6 +820,36 @@ mod tests {
                             reducer,
                         };
                         f(&ctx, purpose, io);
+                    }
+                }
+                let chunk = layout.chunk_size();
+                for victim in 0..8 {
+                    let faulty = BTreeSet::from([victim]);
+                    let reducer = [layout.p_member(0), layout.data_member(0, 0)]
+                        .into_iter()
+                        .find(|&m| m != victim);
+                    let segment = Segment {
+                        data_index: layout.data_index_of(0, victim).unwrap_or(0),
+                        member: victim,
+                        offset: 0,
+                        len: chunk,
+                    };
+                    let rebuild = Purpose::Rebuild {
+                        spare: ServerId(8),
+                        spare_node: NodeId(9),
+                    };
+                    for (purpose, segments) in [(rebuild, vec![segment]), (Purpose::Scrub, vec![])]
+                    {
+                        let ctx = BuildCtx {
+                            cfg: &cfg,
+                            layout: &layout,
+                            host: NodeId(0),
+                            nodes: &nodes,
+                            servers: &servers,
+                            faulty: &faulty,
+                            reducer,
+                        };
+                        f(&ctx, purpose, &StripeIo::new(0, 0, segments));
                     }
                 }
             }

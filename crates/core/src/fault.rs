@@ -411,19 +411,10 @@ impl FaultSchedule {
 
     /// Schedules every injection on the engine. Call before (or while)
     /// running the workload; the events fire at their simulated times.
-    pub fn install(self, eng: &mut Engine<ArraySim>) {
-        for (at, action) in self.events {
-            eng.schedule_at(at, move |w: &mut ArraySim, eng| {
-                w.apply_fault(eng, action);
-            });
-        }
-    }
-
-    /// Like [`FaultSchedule::install`], but returns one [`TimerHandle`] per
-    /// injection, in schedule order, so a chaos test can call off the part
-    /// of the script that hasn't happened yet (`eng.cancel(handle)`);
-    /// canceling an already-fired injection is a no-op.
-    pub fn install_cancelable(self, eng: &mut Engine<ArraySim>) -> Vec<TimerHandle> {
+    /// Returns one [`TimerHandle`] per injection, in schedule order, so a
+    /// test can call off the part of the script that hasn't happened yet
+    /// (`eng.cancel(handle)`); canceling a fired injection is a no-op.
+    pub fn install(self, eng: &mut Engine<ArraySim>) -> Vec<TimerHandle> {
         self.events
             .into_iter()
             .map(|(at, action)| {

@@ -67,6 +67,7 @@ mod rebuild;
 pub mod reducer;
 mod scrub;
 mod stats;
+mod sweep;
 pub mod target;
 pub mod trace;
 mod volume;

@@ -19,10 +19,8 @@ use draid_block::ServerId;
 use draid_sim::{Engine, SimTime, TimerHandle};
 
 use crate::array::ArraySim;
-use crate::dag::{Dag, StepKind};
-use crate::exec::OpState;
-use crate::io::IoKind;
-use crate::layout::{Segment, StripeIo};
+use crate::exec::OpKind;
+use crate::sweep::Sweep;
 
 /// Progress of an in-flight rebuild.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -55,17 +53,13 @@ impl RebuildStatus {
 pub(crate) struct RebuildState {
     pub member: usize,
     pub spare: ServerId,
-    pub next_stripe: u64,
-    pub completed: u64,
-    pub total: u64,
-    pub inflight: usize,
-    pub concurrency: usize,
+    pub sweep: Sweep,
     pub started: SimTime,
     pub failures: u64,
     /// Backoff timers armed by failed stripe ops. Canceled when the rebuild
-    /// finishes, is abandoned, or a host crash wipes it, so a stale pump
-    /// can never bleed an extra concurrency slot into a later rebuild.
-    /// Fired timers leave stale handles behind; canceling those is a no-op.
+    /// finishes, is abandoned, or a host crash wipes it, so a stale
+    /// relaunch can never leak into a later rebuild. Fired timers leave
+    /// stale handles behind; canceling those is a no-op.
     pub backoff_timers: Vec<TimerHandle>,
 }
 
@@ -107,11 +101,7 @@ impl ArraySim {
         self.rebuild = Some(RebuildState {
             member,
             spare,
-            next_stripe: 0,
-            completed: 0,
-            total: stripes,
-            inflight: 0,
-            concurrency,
+            sweep: Sweep::new(stripes, concurrency),
             started: eng.now(),
             failures: 0,
             backoff_timers: Vec::new(),
@@ -120,9 +110,7 @@ impl ArraySim {
             self.finish_rebuild(eng);
             return;
         }
-        for _ in 0..concurrency.min(stripes as usize) {
-            self.pump_rebuild(eng);
-        }
+        self.pump_rebuild(eng);
     }
 
     /// Progress of the running rebuild, if any.
@@ -130,9 +118,9 @@ impl ArraySim {
         self.rebuild.as_ref().map(|r| RebuildStatus {
             member: r.member,
             spare: r.spare,
-            rebuilt: r.completed,
-            total: r.total,
-            concurrency: r.concurrency,
+            rebuilt: r.sweep.done(),
+            total: r.sweep.total,
+            concurrency: r.sweep.concurrency,
             started: r.started,
         })
     }
@@ -141,141 +129,23 @@ impl ArraySim {
     /// spare (writes behind the cursor go straight to the spare).
     pub(crate) fn stripe_rebuilt(&self, stripe: u64, member: usize) -> bool {
         match &self.rebuild {
-            Some(r) => r.member == member && stripe < r.next_stripe.min(r.completed),
+            Some(r) => r.member == member && r.sweep.is_done(stripe),
             None => false,
         }
     }
 
-    /// Launches reconstruction of the next stripe, if any remain.
-    pub(crate) fn pump_rebuild(&mut self, eng: &mut Engine<ArraySim>) {
-        let Some(r) = &mut self.rebuild else {
-            return;
-        };
-        if r.next_stripe >= r.total {
-            return;
-        }
-        let stripe = r.next_stripe;
-        r.next_stripe += 1;
-        r.inflight += 1;
-        let member = r.member;
-        let spare = r.spare;
-
-        let dag = self.build_rebuild_dag(eng.now(), stripe, member, spare);
-        let io = StripeIo::new(
-            stripe,
-            0,
-            vec![Segment {
-                data_index: self.layout.data_index_of(stripe, member).unwrap_or(0),
-                member,
-                offset: 0,
-                len: self.layout.chunk_size(),
-            }],
-        );
-        let gen = self.fresh_gen();
-        let mut op = OpState::new(gen, 0, io, IoKind::Read);
-        op.rebuild_of = Some(member);
-        let idx = self.alloc_op(op);
-        self.launch_prebuilt(eng, idx, dag);
-    }
-
-    /// The rebuild DAG for one stripe: survivors read their chunks, stream
-    /// partials to a reducer (§6 policy), the reducer XORs and forwards the
-    /// reconstructed chunk straight to the spare, which persists it. For a
-    /// parity chunk of the rebuilding member, survivors are the data members
-    /// and the result is the recomputed parity.
-    fn build_rebuild_dag(
-        &mut self,
-        now: SimTime,
-        stripe: u64,
-        member: usize,
-        spare: ServerId,
-    ) -> Dag {
-        let chunk = self.layout.chunk_size();
-        let host = self.cluster.host_node();
-        let spare_node = self.cluster.server_node(spare);
-        let mut dag = Dag::new();
-        let root = dag.add(StepKind::PerIo { node: host }, &[]);
-
-        // Participants: every healthy member that contributes to this
-        // chunk's reconstruction (all data members + P, minus the victim).
-        let mut participants: Vec<usize> = (0..self.layout.data_chunks())
-            .map(|k| self.layout.data_member(stripe, k))
-            .chain(std::iter::once(self.layout.p_member(stripe)))
-            .filter(|&m| m != member && !self.faulty.contains(&m))
-            .collect();
-        participants.sort_unstable();
-        let reducer = self.choose_reducer(now, stripe);
-        self.selector.record_load(chunk);
-
-        let mut reduce_deps = Vec::new();
-        for &m in &participants {
-            let cmd = dag.add(
-                StepKind::Transfer {
-                    from: host,
-                    to: self.member_nodes[m],
-                    bytes: self.cfg.command_bytes,
-                },
-                &[root],
-            );
-            let tgt_io = dag.add(
-                StepKind::PerIo {
-                    node: self.member_nodes[m],
-                },
-                &[cmd],
-            );
-            let read = dag.add(
-                StepKind::DriveRead {
-                    server: self.member_servers[m],
-                    bytes: chunk,
-                },
-                &[tgt_io],
-            );
-            let arrival = if m == reducer {
-                read
-            } else {
-                dag.add(
-                    StepKind::Transfer {
-                        from: self.member_nodes[m],
-                        to: self.member_nodes[reducer],
-                        bytes: chunk,
-                    },
-                    &[read],
-                )
+    /// Launches reconstruction of the next stripes, up to the concurrency.
+    fn pump_rebuild(&mut self, eng: &mut Engine<ArraySim>) {
+        while let Some(r) = &mut self.rebuild {
+            let Some(stripe) = r.sweep.claim() else {
+                return;
             };
-            reduce_deps.push(dag.add(
-                StepKind::Xor {
-                    node: self.member_nodes[reducer],
-                    bytes: chunk,
-                },
-                &[arrival],
-            ));
+            let kind = OpKind::Rebuild {
+                member: r.member,
+                spare: r.spare,
+            };
+            self.launch_sweep_op(eng, stripe, kind);
         }
-        // Reconstructed chunk goes peer-to-peer to the spare and is written.
-        let done = dag.add(StepKind::Join, &reduce_deps);
-        let to_spare = dag.add(
-            StepKind::Transfer {
-                from: self.member_nodes[reducer],
-                to: spare_node,
-                bytes: chunk,
-            },
-            &[done],
-        );
-        let write = dag.add(
-            StepKind::DriveWrite {
-                server: spare,
-                bytes: chunk,
-            },
-            &[to_spare],
-        );
-        dag.add(
-            StepKind::Transfer {
-                from: spare_node,
-                to: host,
-                bytes: self.cfg.callback_bytes,
-            },
-            &[write],
-        );
-        dag
     }
 
     /// Called by the executor when a rebuild stripe op finishes.
@@ -283,6 +153,7 @@ impl ArraySim {
         &mut self,
         eng: &mut Engine<ArraySim>,
         member: usize,
+        spare: ServerId,
         stripe: u64,
         failed: bool,
     ) {
@@ -295,14 +166,15 @@ impl ArraySim {
         let Some(r) = &mut self.rebuild else {
             return;
         };
-        debug_assert_eq!(r.member, member);
-        r.inflight -= 1;
+        if r.member != member || r.spare != spare || !r.sweep.is_inflight(stripe) {
+            return; // an op of an abandoned rebuild
+        }
         if failed {
             r.failures += 1;
-            if r.failures > r.total.max(8) * 3 {
+            if r.failures > r.sweep.total.max(8) * 3 {
                 // The spare (or too many survivors) keeps erroring: abandon
-                // the rebuild; the member stays faulty. Pending backoff
-                // pumps die with it.
+                // the rebuild; the member stays faulty. Pending relaunches
+                // die with it.
                 let r = self.rebuild.take().expect("rebuild state present");
                 for h in r.backoff_timers {
                     eng.cancel(h);
@@ -311,24 +183,24 @@ impl ArraySim {
                     .set_state(member, crate::health::HealthState::Faulty);
                 return;
             }
-            // Put the stripe back and back off before retrying, exactly like
-            // a §5.4 foreground retry — re-pumping immediately would grind
-            // through the whole failure budget within a short transient
-            // (drive errors are instantaneous) and abandon a salvageable
-            // rebuild.
-            r.next_stripe = r.next_stripe.min(stripe);
+            // The stripe keeps its slot and is relaunched on its own after a
+            // backoff, exactly like a §5.4 foreground retry — relaunching
+            // immediately would grind through the whole failure budget
+            // within a short transient (drive errors are instantaneous) and
+            // abandon a salvageable rebuild.
             let attempt = r.failures.min(3) as u32;
             let backoff =
                 crate::exec::retry_backoff(self.cfg.op_deadline, attempt, self.fresh_gen());
-            let h = eng.schedule_timer_in(backoff, |w: &mut ArraySim, eng| {
-                w.pump_rebuild(eng);
+            let kind = OpKind::Rebuild { member, spare };
+            let h = eng.schedule_timer_in(backoff, move |w: &mut ArraySim, eng| {
+                w.launch_sweep_op(eng, stripe, kind);
             });
             if let Some(r) = &mut self.rebuild {
                 r.backoff_timers.push(h);
             }
         } else {
-            r.completed += 1;
-            if r.completed >= r.total {
+            r.sweep.finish(stripe);
+            if r.sweep.is_complete() {
                 self.finish_rebuild(eng);
             } else {
                 self.pump_rebuild(eng);

@@ -8,10 +8,8 @@
 use draid_sim::Engine;
 
 use crate::array::ArraySim;
-use crate::dag::{Dag, StepKind};
-use crate::exec::OpState;
-use crate::io::IoKind;
-use crate::layout::StripeIo;
+use crate::exec::OpKind;
+use crate::sweep::Sweep;
 
 /// Progress and findings of a scrub pass.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -28,11 +26,8 @@ pub struct ScrubStatus {
 }
 
 pub(crate) struct ScrubState {
-    pub next_stripe: u64,
-    pub checked: u64,
-    pub total: u64,
-    pub inflight: usize,
-    pub mismatches: Vec<u64>,
+    sweep: Sweep,
+    mismatches: Vec<u64>,
 }
 
 impl ArraySim {
@@ -49,27 +44,19 @@ impl ArraySim {
         assert!(!self.is_failed(), "cannot scrub a failed array");
         assert!(concurrency > 0, "scrub concurrency must be positive");
         self.scrub = Some(ScrubState {
-            next_stripe: 0,
-            checked: 0,
-            total: stripes,
-            inflight: 0,
+            sweep: Sweep::new(stripes, concurrency),
             mismatches: Vec::new(),
         });
-        if stripes == 0 {
-            return;
-        }
-        for _ in 0..concurrency.min(stripes as usize) {
-            self.pump_scrub(eng);
-        }
+        self.pump_scrub(eng);
     }
 
     /// Progress of the current or completed scrub pass.
     pub fn scrub_status(&self) -> Option<ScrubStatus> {
         self.scrub.as_ref().map(|s| ScrubStatus {
-            checked: s.checked,
-            total: s.total,
+            checked: s.sweep.done(),
+            total: s.sweep.total,
             mismatches: s.mismatches.clone(),
-            running: s.checked < s.total,
+            running: !s.sweep.is_complete(),
         })
     }
 
@@ -80,95 +67,22 @@ impl ArraySim {
     /// Panics if the scrub is still running.
     pub fn take_scrub_report(&mut self) -> Option<ScrubStatus> {
         if let Some(s) = &self.scrub {
-            assert!(s.checked >= s.total, "scrub still running");
+            assert!(s.sweep.is_complete(), "scrub still running");
         }
         let s = self.scrub.take()?;
         Some(ScrubStatus {
-            checked: s.checked,
-            total: s.total,
+            checked: s.sweep.done(),
+            total: s.sweep.total,
             mismatches: s.mismatches,
             running: false,
         })
     }
 
+    /// Launches checks of the next stripes, up to the concurrency.
     fn pump_scrub(&mut self, eng: &mut Engine<ArraySim>) {
-        let Some(s) = &mut self.scrub else {
-            return;
-        };
-        if s.next_stripe >= s.total {
-            return;
+        while let Some(stripe) = self.scrub.as_mut().and_then(|s| s.sweep.claim()) {
+            self.launch_sweep_op(eng, stripe, OpKind::Scrub);
         }
-        let stripe = s.next_stripe;
-        s.next_stripe += 1;
-        s.inflight += 1;
-
-        let dag = self.build_scrub_dag(stripe);
-        let gen = self.fresh_gen();
-        let mut op = OpState::new(gen, 0, StripeIo::new(stripe, 0, Vec::new()), IoKind::Read);
-        op.scrub = true;
-        let idx = self.alloc_op(op);
-        self.launch_prebuilt(eng, idx, dag);
-    }
-
-    /// Scrub DAG for one stripe: every healthy member reads its chunk and
-    /// streams it to the stripe's parity member, which XOR-verifies; only a
-    /// tiny verdict message reaches the host.
-    fn build_scrub_dag(&mut self, stripe: u64) -> Dag {
-        let chunk = self.layout.chunk_size();
-        let host = self.cluster.host_node();
-        let verifier = self.layout.p_member(stripe);
-        let mut dag = Dag::new();
-        let root = dag.add(StepKind::PerIo { node: host }, &[]);
-        let mut checks = Vec::new();
-        let members: Vec<usize> = (0..self.layout.width())
-            .filter(|m| !self.faulty.contains(m))
-            .collect();
-        for &m in &members {
-            let cmd = dag.add(
-                StepKind::Transfer {
-                    from: host,
-                    to: self.member_nodes[m],
-                    bytes: self.cfg.command_bytes,
-                },
-                &[root],
-            );
-            let read = dag.add(
-                StepKind::DriveRead {
-                    server: self.member_servers[m],
-                    bytes: chunk,
-                },
-                &[cmd],
-            );
-            let arrival = if m == verifier {
-                read
-            } else {
-                dag.add(
-                    StepKind::Transfer {
-                        from: self.member_nodes[m],
-                        to: self.member_nodes[verifier],
-                        bytes: chunk,
-                    },
-                    &[read],
-                )
-            };
-            checks.push(dag.add(
-                StepKind::Xor {
-                    node: self.member_nodes[verifier],
-                    bytes: chunk,
-                },
-                &[arrival],
-            ));
-        }
-        let done = dag.add(StepKind::Join, &checks);
-        dag.add(
-            StepKind::Transfer {
-                from: self.member_nodes[verifier],
-                to: host,
-                bytes: self.cfg.callback_bytes,
-            },
-            &[done],
-        );
-        dag
     }
 
     /// Called by the executor when a scrub stripe op finishes.
@@ -186,8 +100,7 @@ impl ArraySim {
         let Some(s) = &mut self.scrub else {
             return;
         };
-        s.inflight -= 1;
-        s.checked += 1;
+        s.sweep.finish(stripe);
         // Unreadable stripes count as findings too.
         let mismatch = failed || !clean;
         if mismatch {

@@ -7,8 +7,8 @@ use draid_block::ServerId;
 use draid_core::protocol::{Command, Dest, Opcode, Subtype};
 use draid_core::target::handle_data_chunk;
 use draid_core::{
-    build_dag, ArrayConfig, BuildCtx, Dag, DraidOptions, Layout, Purpose, RaidLevel, StepKind,
-    SystemKind, WriteMode,
+    build_dag, ArrayConfig, BuildCtx, Dag, DraidOptions, Layout, Purpose, RaidLevel, Segment,
+    StepKind, StripeIo, SystemKind, WriteMode,
 };
 use draid_net::NodeId;
 
@@ -449,6 +449,106 @@ fn draid_write_members_follow_algorithm_1() {
                     ];
                     assert_eq!(got, want, "{case}: [read, write, fetch, to P, to Q]");
                 }
+            }
+        }
+    }
+}
+
+#[test]
+fn rebuild_and_scrub_stream_chunks_to_one_member_in_every_system() {
+    // Rebuild (§6 reconstruction plus a spare write) and scrub never touch
+    // the host's data path, so their DAGs are the same for every system.
+    let spare = ServerId(8);
+    let spare_node = NodeId(9);
+    for level in [RaidLevel::Raid5, RaidLevel::Raid6] {
+        let fxs = [SystemKind::Draid, SystemKind::SpdkRaid, SystemKind::LinuxMd]
+            .map(|system| Fixture::new(system, level));
+        let fx = &fxs[0];
+        let (l, chunk) = (&fx.layout, fx.layout.chunk_size());
+        let p = l.p_member(0);
+        let count = |dag: &Dag, step: StepKind| dag.count_steps(|k| *k == step);
+        let reads = |dag: &Dag, m: usize| {
+            let server = fx.servers[m];
+            count(
+                dag,
+                StepKind::DriveRead {
+                    server,
+                    bytes: chunk,
+                },
+            )
+        };
+        let sends = |dag: &Dag, m: usize, to: NodeId| {
+            let from = fx.nodes[m];
+            count(
+                dag,
+                StepKind::Transfer {
+                    from,
+                    to,
+                    bytes: chunk,
+                },
+            )
+        };
+        for victim in 0..8 {
+            let faulty: BTreeSet<usize> = [victim].into();
+            let case = format!("{level:?} victim {victim}");
+
+            let participants: Vec<usize> = (0..l.data_chunks())
+                .map(|k| l.data_member(0, k))
+                .chain([p])
+                .filter(|&m| m != victim)
+                .collect();
+            let segment = Segment {
+                data_index: l.data_index_of(0, victim).unwrap_or(0),
+                member: victim,
+                offset: 0,
+                len: chunk,
+            };
+            let io = StripeIo::new(0, 0, vec![segment]);
+            let purpose = Purpose::Rebuild { spare, spare_node };
+            for &reducer in &participants {
+                let dags = fxs
+                    .each_ref()
+                    .map(|fx| build_dag(&fx.ctx(&faulty, Some(reducer)), purpose, &io));
+                let dag = &dags[0];
+                assert!(dags.iter().all(|d| d == dag), "{case}: same DAG per system");
+                let case = format!("{case} reducer {reducer}");
+                for m in 0..8 {
+                    let participant = participants.contains(&m);
+                    let forwards = participant && m != reducer;
+                    assert_eq!(reads(dag, m), usize::from(participant), "{case}: {m} reads");
+                    let sent = sends(dag, m, fx.nodes[reducer]);
+                    assert_eq!(sent, usize::from(forwards), "{case}: {m} forwards");
+                }
+                let node = fx.nodes[reducer];
+                let xors = count(dag, StepKind::Xor { node, bytes: chunk });
+                assert_eq!(xors, participants.len(), "{case}: one XOR per participant");
+                assert_eq!(sends(dag, reducer, spare_node), 1, "{case}: to the spare");
+                let writes = dag.count_steps(|k| matches!(k, StepKind::DriveWrite { .. }));
+                let to_spare = count(
+                    dag,
+                    StepKind::DriveWrite {
+                        server: spare,
+                        bytes: chunk,
+                    },
+                );
+                assert_eq!(
+                    (writes, to_spare),
+                    (1, 1),
+                    "{case}: only the spare is written"
+                );
+            }
+
+            let io = StripeIo::new(0, 0, Vec::new());
+            let dags = fxs
+                .each_ref()
+                .map(|fx| build_dag(&fx.ctx(&faulty, None), Purpose::Scrub, &io));
+            let dag = &dags[0];
+            assert!(dags.iter().all(|d| d == dag), "{case}: same DAG per system");
+            for m in 0..8 {
+                let healthy = m != victim;
+                assert_eq!(reads(dag, m), usize::from(healthy), "{case}: {m} reads");
+                let sent = sends(dag, m, fx.nodes[p]);
+                assert_eq!(sent, usize::from(healthy && m != p), "{case}: {m} forwards");
             }
         }
     }

@@ -88,6 +88,43 @@ fn writes_during_rebuild_are_preserved() {
 }
 
 #[test]
+fn failed_stripe_is_relaunched_alone_and_counted_once() {
+    // A transient error on a survivor fails one stripe op mid-rebuild. The
+    // stripe must be relaunched on its own: rewinding the cursor to it would
+    // rebuild and count the stripes launched after it a second time, so the
+    // rebuild would report done — and remap the member to the spare —
+    // before its last stripes were rebuilt.
+    let (mut array, mut eng) = array_with_spare(RaidLevel::Raid5);
+    let stripes = 16u64;
+    let data = fill(&mut array, &mut eng, stripes, 6);
+    array.enable_tracing(1 << 16);
+    array.fail_member(2);
+    array.start_rebuild(&mut eng, 2, ServerId(5), stripes, 4);
+    eng.schedule_in(SimTime::from_micros(5), |array: &mut ArraySim, eng| {
+        array.inject_transient(eng.now(), 0, SimTime::from_micros(5));
+    });
+    eng.run(&mut array);
+    assert!(array.rebuild_status().is_none(), "rebuild finished");
+    assert!(!array.is_degraded(), "member restored");
+
+    let launched = array.trace().expect("tracing").ops().len() as u64;
+    assert!(launched > stripes, "the transient failed a stripe op");
+    assert_eq!(
+        array.cluster.drive(ServerId(5)).writes(),
+        stripes,
+        "each stripe is written to the spare exactly once"
+    );
+    array.submit(&mut eng, UserIo::read(0, data.len() as u64));
+    eng.run(&mut array);
+    let res = array.drain_completions().pop().expect("read");
+    assert_eq!(res.data.as_deref(), Some(&data[..]));
+    let store = array.store().expect("full mode");
+    for s in 0..stripes {
+        assert!(store.verify_stripe(s), "stripe {s}");
+    }
+}
+
+#[test]
 fn rebuild_keeps_host_nic_idle() {
     // The reconstruction data path is peer-to-peer: survivors -> reducer ->
     // spare. The host sees only commands and callbacks.

@@ -40,6 +40,10 @@ fn main() -> Result<(), String> {
         array.stats.timeouts,
         array.is_degraded()
     );
+    assert!(
+        res.is_ok(),
+        "a transient failure must be absorbed by retries"
+    );
 
     // --- 2. Host crash mid-write: bitmap-driven resync. ---------------------
     array.submit(&mut engine, UserIo::write(stripe, 32 * 1024));
@@ -54,6 +58,7 @@ fn main() -> Result<(), String> {
     engine.run(&mut array);
     let clean = array.store().expect("full mode").verify_all().is_empty();
     println!("after resync: parity consistent = {clean}");
+    assert!(clean, "resync must leave every stripe's parity consistent");
 
     // --- 3. Silent corruption caught by a scrub pass. ------------------------
     let victim = array.layout().data_member(0, 0);
@@ -68,6 +73,11 @@ fn main() -> Result<(), String> {
         "scrub: checked {}/{} stripes, findings = {:?}",
         report.checked, report.total, report.mismatches
     );
+    assert_eq!(
+        report.mismatches,
+        [0],
+        "scrub must flag the corrupted stripe"
+    );
 
     // Repair the flagged stripes: parity is re-encoded from the data (a
     // read-modify-write would *preserve* the corruption — only a full
@@ -76,9 +86,8 @@ fn main() -> Result<(), String> {
         array.repair_stripe(&mut engine, s);
     }
     engine.run(&mut array);
-    println!(
-        "post-repair fsck clean = {}",
-        array.store().expect("full mode").verify_all().is_empty()
-    );
+    let fsck = array.store().expect("full mode").verify_all().is_empty();
+    println!("post-repair fsck clean = {fsck}");
+    assert!(fsck, "repair must re-encode the corrupted stripe");
     Ok(())
 }

@@ -68,6 +68,7 @@ fn main() -> Result<(), String> {
         "workload: {ok}/{total} writes ok ({} retries, {} timeouts)",
         array.stats.retries, array.stats.timeouts
     );
+    assert_eq!(ok, total, "every write must complete despite the chaos");
     println!(
         "fault manager: {} automatic rebuild(s); degraded now = {}",
         array.fault_manager_rebuilds(),
@@ -88,10 +89,12 @@ fn main() -> Result<(), String> {
     array.submit(&mut engine, UserIo::read(0, shadow.len() as u64));
     engine.run(&mut array);
     let res = array.drain_completions().pop().expect("read");
+    let intact = res.data.as_deref() == Some(&shadow[..]);
     println!(
-        "fsck clean = {}, readback intact = {}",
-        fsck.is_empty(),
-        res.data.as_deref() == Some(&shadow[..])
+        "fsck clean = {}, readback intact = {intact}",
+        fsck.is_empty()
     );
+    assert!(fsck.is_empty(), "fsck found inconsistent stripes {fsck:?}");
+    assert!(intact, "read-back differs from what was written");
     Ok(())
 }
