@@ -86,6 +86,10 @@ pub struct ArraySim {
     pub(crate) volumes: crate::volume::VolumeTable,
     pub(crate) volume_cursor: u64,
     pub(crate) user_volumes: HashMap<u64, crate::volume::VolumeId>,
+    /// Host-controller incarnation, bumped by [`ArraySim::simulate_host_crash`]:
+    /// work the crashed controller had parked for later (volume-shaped
+    /// admissions) checks it and dies with that controller.
+    pub(crate) host_epoch: u64,
     pub(crate) fault_mgr: Option<crate::fault::FaultManagerState>,
     /// Recycled scratch buffers for the op data plane (see
     /// [`crate::exec::BufPool`]).
@@ -163,6 +167,7 @@ impl ArraySim {
             volumes: crate::volume::VolumeTable::new(),
             volume_cursor: 0,
             user_volumes: HashMap::new(),
+            host_epoch: 0,
             fault_mgr: None,
             buf_pool: crate::exec::BufPool::new(),
             step_pool: Vec::new(),
@@ -192,16 +197,27 @@ impl ArraySim {
     }
 
     /// Runs the runtime invariant checkers on demand: cluster-wide byte
-    /// conservation on every NIC direction and drive channel. The executor
+    /// conservation on every NIC direction and drive channel, and every
+    /// volume tag naming an outstanding user I/O. The executor
     /// also samples this automatically every 64 finished ops; call it at the
     /// end of a scenario for a final full audit. A no-op unless invariants
     /// are enabled (debug builds or the `strict-invariants` feature).
     ///
     /// # Panics
     ///
-    /// Panics when a conservation ledger does not balance.
+    /// Panics when a conservation ledger does not balance or a volume tag
+    /// outlives its I/O.
     pub fn audit_invariants(&self) {
         self.cluster.audit_conservation();
+        if draid_sim::invariants_enabled() {
+            if let Some(user) = self
+                .user_volumes
+                .keys()
+                .find(|u| !self.users.contains_key(u))
+            {
+                panic!("volume tag of user I/O {user} outlives the I/O");
+            }
+        }
     }
 
     /// Currently faulty member indices.
@@ -531,7 +547,8 @@ impl ArraySim {
 
     /// Simulates a host-controller crash and restart (§5.4 "host failures"):
     /// every in-flight operation and queued stripe lock is lost, outstanding
-    /// user I/Os never complete (their issuer is gone), and the write-intent
+    /// user I/Os never complete (their issuer is gone), volume admissions
+    /// held back by a tenant's budget are never issued, and the write-intent
     /// bitmap drives a parity resync of only the dirty stripes — no
     /// full-array scan. Returns the stripes being resynced.
     pub fn simulate_host_crash(&mut self, eng: &mut Engine<ArraySim>) -> Vec<u64> {
@@ -553,6 +570,8 @@ impl ArraySim {
         self.free_ops = (0..self.ops.len()).rev().collect();
         self.users.clear();
         self.hooks.clear();
+        self.user_volumes.clear();
+        self.host_epoch += 1;
         self.locks = LockTable::new();
         if let Some(r) = self.rebuild.take() {
             for h in r.backoff_timers {
@@ -615,7 +634,7 @@ impl ArraySim {
         self.cluster.reset_counters(now);
     }
 
-    /// One past the highest user-I/O id issued so far (diagnostics).
+    /// The highest user-I/O id issued so far (diagnostics).
     pub fn issued_ios(&self) -> u64 {
         self.next_io - 1
     }

@@ -14,6 +14,23 @@
 //!   old data and old parity in, new data and new parity out ("4x" in
 //!   Table 1) — and parity math runs on the host cores.
 //!
+//! Every builder composes one small step vocabulary, the data-movement
+//! primitives the paper builds its operations from (§4's opcode extensions,
+//! §5.3's per-bdev fetch → read → write ∥ forward pipeline):
+//!
+//! * `command`/`command_after` and `callback`: a command capsule from the
+//!   host to a member, and a member's completion back;
+//! * `read`, `write` and `combine`: one drive read, one drive write, one XOR
+//!   (or, for Q terms, GF(256)) pass on a core;
+//! * `read_to`: command, drive read, ship the bytes to a node; `pull` is
+//!   `read_to` the host plus the host's per-completion cost;
+//! * `push`: the host ships bytes to a member, which persists and
+//!   acknowledges;
+//! * `contribute`: fan a data member's term out to the P/Q parity members
+//!   (scaled by gⁱ for Q), peer-to-peer or through the host;
+//! * `untouched` and `pull_complements`: the healthy chunks a
+//!   reconstruct-write needs besides the new data.
+//!
 //! Builders are pure functions of `(BuildCtx, Purpose, StripeIo)`. Only the
 //! executor calls them for a running array; while tracing is on it hands
 //! each launched graph to the tracer, so [`crate::trace::Tracer::critical_path`]
@@ -87,24 +104,18 @@ pub fn build(ctx: &BuildCtx, purpose: Purpose, io: &StripeIo) -> Dag {
 pub(crate) fn build_into(ctx: &BuildCtx, purpose: Purpose, io: &StripeIo, dag: &mut Dag) {
     dag.clear();
     let mut b = Builder::new(ctx, purpose, io, dag);
+    let draid = ctx.cfg.system == SystemKind::Draid;
     match purpose {
-        Purpose::Read { degraded: false } => b.normal_read(io),
-        Purpose::Read { degraded: true } => match ctx.cfg.system {
-            SystemKind::Draid => b.draid_degraded_read(io),
-            SystemKind::SpdkRaid | SystemKind::LinuxMd => b.central_degraded_read(io),
-        },
-        Purpose::Write { degraded: true, .. } => match ctx.cfg.system {
-            SystemKind::Draid => b.draid_degraded_write(io),
-            SystemKind::SpdkRaid | SystemKind::LinuxMd => b.central_degraded_write(io),
-        },
+        // Segment health comes from `ctx.faulty`, as the read's `degraded`
+        // flag does.
+        Purpose::Read { .. } => b.user_read(io),
         Purpose::Write {
             mode: WriteMode::FullStripe,
-            ..
+            degraded: false,
         } => b.full_stripe_write(io),
-        Purpose::Write { mode, .. } => match ctx.cfg.system {
-            SystemKind::Draid => b.draid_partial_write(io, mode),
-            SystemKind::SpdkRaid | SystemKind::LinuxMd => b.central_partial_write(io, mode),
-        },
+        Purpose::Write { degraded: true, .. } if draid => b.draid_degraded_write(io),
+        Purpose::Write { mode, .. } if draid => b.draid_partial_write(io, mode),
+        Purpose::Write { mode, degraded } => b.central_write(io, mode, degraded),
         Purpose::Rebuild { spare, spare_node } => b.rebuild(io, spare, spare_node),
         Purpose::Scrub => b.scrub(io),
     }
@@ -187,6 +198,13 @@ impl<'a, 'c> Builder<'a, 'c> {
         !self.ctx.faulty.contains(&member)
     }
 
+    /// The stripe's healthy parity members: P, then Q (`None` when the
+    /// level has no Q or the member is faulty).
+    fn parity(&self, stripe: u64) -> [Option<usize>; 2] {
+        let l = self.ctx.layout;
+        [Some(l.p_member(stripe)), l.q_member(stripe)].map(|m| m.filter(|&m| self.healthy(m)))
+    }
+
     /// Adds a fabric transfer, degenerating to a free `Join` when source and
     /// destination share a node (two-tier clusters can colocate servers).
     fn xfer(&mut self, from: NodeId, to: NodeId, bytes: u64, deps: &[usize]) -> usize {
@@ -240,6 +258,116 @@ impl<'a, 'c> Builder<'a, 'c> {
         )
     }
 
+    /// `member`'s drive reads `bytes` after step `dep`.
+    fn read(&mut self, member: usize, bytes: u64, dep: usize) -> usize {
+        let server = self.server(member);
+        self.dag.add(StepKind::DriveRead { server, bytes }, &[dep])
+    }
+
+    /// `member`'s drive writes `bytes` after `deps`.
+    fn write(&mut self, member: usize, bytes: u64, deps: &[usize]) -> usize {
+        let server = self.server(member);
+        self.dag.add(StepKind::DriveWrite { server, bytes }, deps)
+    }
+
+    /// A pass over `bytes` on `node`'s core: GF(256) multiply-accumulate
+    /// for Q terms (`gf`), XOR otherwise.
+    fn combine(&mut self, gf: bool, node: NodeId, bytes: u64, deps: &[usize]) -> usize {
+        let kind = if gf {
+            StepKind::GfMul { node, bytes }
+        } else {
+            StepKind::Xor { node, bytes }
+        };
+        self.dag.add(kind, deps)
+    }
+
+    /// Host commands `member` to read `bytes`, which it ships to `to`.
+    /// Returns the arrival.
+    fn read_to(&mut self, member: usize, bytes: u64, to: NodeId) -> usize {
+        let ready = self.command(member, 0);
+        let read = self.read(member, bytes, ready);
+        self.xfer(self.node(member), to, bytes, &[read])
+    }
+
+    /// [`Builder::read_to`] the host, whose stack then processes the payload
+    /// as a completion (the per-verb software cost dRAID offloads to its
+    /// controllers).
+    fn pull(&mut self, member: usize, bytes: u64) -> usize {
+        let arrival = self.read_to(member, bytes, self.ctx.host);
+        self.dag.add(
+            StepKind::PerIo {
+                node: self.ctx.host,
+            },
+            &[arrival],
+        )
+    }
+
+    /// Host ships `bytes` to `member` after step `dep`; the member persists
+    /// them and acknowledges.
+    fn push(&mut self, member: usize, bytes: u64, dep: usize) {
+        let ready = self.command_after(member, bytes, dep);
+        let write = self.write(member, bytes, &[ready]);
+        self.callback(member, &[write]);
+    }
+
+    /// Fans data member `m`'s `bytes`-long term `src` out to the `parity`
+    /// members: P takes it as is, Q scaled by gⁱ on the data bdev (§5.2).
+    /// Each forward goes peer-to-peer, or through the host under the
+    /// ablation, and lands in that parity's list in `fwds`.
+    fn contribute(
+        &mut self,
+        m: usize,
+        bytes: u64,
+        src: usize,
+        parity: [Option<usize>; 2],
+        fwds: &mut [Vec<(usize, usize)>; 2],
+    ) {
+        let (host, from) = (self.ctx.host, self.node(m));
+        for (slot, pm) in parity.into_iter().enumerate() {
+            let Some(pm) = pm else { continue };
+            let term = if slot == 1 {
+                self.combine(true, from, bytes, &[src])
+            } else {
+                src
+            };
+            let fwd = if self.ctx.cfg.draid.peer_to_peer {
+                self.xfer(from, self.node(pm), bytes, &[term])
+            } else {
+                let up = self.xfer(from, host, bytes, &[term]);
+                self.xfer(host, self.node(pm), bytes, &[up])
+            };
+            fwds[slot].push((m, fwd));
+        }
+    }
+
+    /// The stripe's healthy data members that `io` leaves untouched, in data
+    /// order.
+    fn untouched<'x>(&self, io: &'x StripeIo) -> impl Iterator<Item = usize> + use<'a, 'c, 'x> {
+        let ctx = self.ctx;
+        (0..ctx.layout.data_chunks())
+            .map(move |k| ctx.layout.data_member(io.stripe, k))
+            .filter(move |m| !ctx.faulty.contains(m) && io.segments.iter().all(|s| s.member != *m))
+    }
+
+    /// Pulls what a reconstruct-write needs besides the new data to the
+    /// host: every untouched chunk, then the complement of every partially
+    /// covered healthy one. Returns the bytes pulled.
+    fn pull_complements(&mut self, io: &StripeIo, arrivals: &mut Vec<usize>) -> u64 {
+        let chunk = self.ctx.layout.chunk_size();
+        let mut pulled = 0;
+        for m in self.untouched(io) {
+            arrivals.push(self.pull(m, chunk));
+            pulled += chunk;
+        }
+        for seg in io.segments.iter() {
+            if self.healthy(seg.member) && !seg.covers_chunk(chunk) {
+                arrivals.push(self.pull(seg.member, chunk - seg.len));
+                pulled += chunk - seg.len;
+            }
+        }
+        pulled
+    }
+
     /// Byte extent `[lo, hi)` within the chunk covering every touched
     /// segment — the region a parity read-modify-write must cover.
     fn parity_extent(&self, io: &StripeIo) -> u64 {
@@ -262,19 +390,9 @@ impl<'a, 'c> Builder<'a, 'c> {
             .map(|k| l.data_member(stripe, k))
             .filter(|&m| m != victim && self.healthy(m))
             .collect();
-        let mut needed = l.data_chunks() - set.len();
-        for pm in [Some(l.p_member(stripe)), l.q_member(stripe)]
-            .into_iter()
-            .flatten()
-        {
-            if needed == 0 {
-                break;
-            }
-            if pm != victim && self.healthy(pm) {
-                set.push(pm);
-                needed -= 1;
-            }
-        }
+        let needed = l.data_chunks() - set.len();
+        let parity = self.parity(stripe).into_iter().flatten();
+        set.extend(parity.filter(|&pm| pm != victim).take(needed));
         set.sort_unstable();
         set
     }
@@ -283,133 +401,48 @@ impl<'a, 'c> Builder<'a, 'c> {
     // Reads
     // ------------------------------------------------------------------
 
-    /// Normal read, identical shape for every system: command out, drive
-    /// read, data straight back to the host (the data transfer is the
-    /// completion; no separate callback).
-    fn normal_read(&mut self, io: &StripeIo) {
-        for seg in io.segments.iter().copied() {
-            let ready = self.command(seg.member, 0);
-            let read = self.dag.add(
-                StepKind::DriveRead {
-                    server: self.server(seg.member),
-                    bytes: seg.len,
-                },
-                &[ready],
-            );
-            self.xfer(self.node(seg.member), self.ctx.host, seg.len, &[read]);
-        }
-    }
-
-    /// dRAID degraded read (§6): healthy segments go straight to the host;
-    /// each lost segment is reconstructed at the reducer, which alone ships
-    /// the rebuilt extent to the host.
-    fn draid_degraded_read(&mut self, io: &StripeIo) {
-        let stripe = io.stripe;
+    /// User read, one shape for every system: each healthy segment is a
+    /// command out, a drive read and the data straight back to the host
+    /// (the data transfer is the completion; no separate callback). A
+    /// segment on a faulty member is reconstructed: dRAID (§6) streams the
+    /// survivors' extents to the reducer, which alone ships the rebuilt
+    /// extent to the host; the centralized systems pull every survivor's
+    /// extent across the host NIC (Table 1 "Nx") and reconstruct there.
+    fn user_read(&mut self, io: &StripeIo) {
+        let host = self.ctx.host;
         for seg in io.segments.iter().copied() {
             if self.healthy(seg.member) {
-                let ready = self.command(seg.member, 0);
-                let read = self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(seg.member),
-                        bytes: seg.len,
-                    },
-                    &[ready],
-                );
-                self.xfer(self.node(seg.member), self.ctx.host, seg.len, &[read]);
+                self.read_to(seg.member, seg.len, host);
                 continue;
             }
-            let set = self.reconstruction_set(stripe, seg.member);
+            let set = self.reconstruction_set(io.stripe, seg.member);
+            if self.ctx.cfg.system != SystemKind::Draid {
+                let arrivals: Vec<usize> = set.iter().map(|&m| self.pull(m, seg.len)).collect();
+                self.combine(false, host, set.len() as u64 * seg.len, &arrivals);
+                continue;
+            }
             let reducer = self
                 .ctx
                 .reducer
-                .filter(|r| self.healthy(*r))
+                .filter(|&r| self.healthy(r))
                 .or_else(|| set.first().copied())
                 .expect("degraded read with no survivors");
-            let q = self.ctx.layout.q_member(stripe);
+            let (at, q) = (self.node(reducer), self.ctx.layout.q_member(io.stripe));
             let r_ready = self.command(reducer, 0);
-            let mut reduces = Vec::new();
-            for &m in &set {
-                let arrival = if m == reducer {
-                    self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: seg.len,
-                        },
-                        &[r_ready],
-                    )
-                } else {
-                    let ready = self.command(m, 0);
-                    let read = self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: seg.len,
-                        },
-                        &[ready],
-                    );
-                    self.xfer(self.node(m), self.node(reducer), seg.len, &[read])
-                };
-                // Q-based recovery needs GF(256) math; plain survivors XOR.
-                let kind = if Some(m) == q {
-                    StepKind::GfMul {
-                        node: self.node(reducer),
-                        bytes: seg.len,
-                    }
-                } else {
-                    StepKind::Xor {
-                        node: self.node(reducer),
-                        bytes: seg.len,
-                    }
-                };
-                reduces.push(self.dag.add(kind, &[arrival, r_ready]));
-            }
+            let reduces: Vec<usize> = set
+                .iter()
+                .map(|&m| {
+                    let arrival = if m == reducer {
+                        self.read(m, seg.len, r_ready)
+                    } else {
+                        self.read_to(m, seg.len, at)
+                    };
+                    // Q-based recovery needs GF(256) math; plain survivors XOR.
+                    self.combine(Some(m) == q, at, seg.len, &[arrival, r_ready])
+                })
+                .collect();
             let done = self.dag.add(StepKind::Join, &reduces);
-            self.xfer(self.node(reducer), self.ctx.host, seg.len, &[done]);
-        }
-    }
-
-    /// Centralized degraded read: every survivor's extent crosses the host
-    /// NIC (Table 1 "Nx") and the host reconstructs.
-    fn central_degraded_read(&mut self, io: &StripeIo) {
-        let stripe = io.stripe;
-        for seg in io.segments.iter().copied() {
-            if self.healthy(seg.member) {
-                let ready = self.command(seg.member, 0);
-                let read = self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(seg.member),
-                        bytes: seg.len,
-                    },
-                    &[ready],
-                );
-                self.xfer(self.node(seg.member), self.ctx.host, seg.len, &[read]);
-                continue;
-            }
-            let set = self.reconstruction_set(stripe, seg.member);
-            let mut arrivals = Vec::new();
-            for &m in &set {
-                let ready = self.command(m, 0);
-                let read = self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(m),
-                        bytes: seg.len,
-                    },
-                    &[ready],
-                );
-                let arrival = self.xfer(self.node(m), self.ctx.host, seg.len, &[read]);
-                arrivals.push(self.dag.add(
-                    StepKind::PerIo {
-                        node: self.ctx.host,
-                    },
-                    &[arrival],
-                ));
-            }
-            self.dag.add(
-                StepKind::Xor {
-                    node: self.ctx.host,
-                    bytes: set.len() as u64 * seg.len,
-                },
-                &arrivals,
-            );
+            self.xfer(at, host, seg.len, &[done]);
         }
     }
 
@@ -423,18 +456,12 @@ impl<'a, 'c> Builder<'a, 'c> {
     /// spare, which persists it. For a lost parity chunk the survivors are
     /// the data members and the result is the recomputed parity.
     fn rebuild(&mut self, io: &StripeIo, spare: ServerId, spare_node: NodeId) {
-        let stripe = io.stripe;
-        let l = *self.ctx.layout;
+        let (l, faulty) = (*self.ctx.layout, self.ctx.faulty);
         let victim = io.segments[0].member;
         let reducer = self.ctx.reducer.expect("rebuild without a reducer");
-        let mut participants: Vec<usize> = (0..l.data_chunks())
-            .map(|k| l.data_member(stripe, k))
-            .chain(std::iter::once(l.p_member(stripe)))
-            .filter(|&m| m != victim && self.healthy(m))
-            .collect();
-        participants.sort_unstable();
+        let q = l.q_member(io.stripe);
         let mut reduces = Vec::new();
-        for m in participants {
+        for m in (0..l.width()).filter(|&m| m != victim && Some(m) != q && !faulty.contains(&m)) {
             let ready = self.command(m, 0);
             reduces.push(self.chunk_to(m, reducer, ready));
         }
@@ -477,25 +504,13 @@ impl<'a, 'c> Builder<'a, 'c> {
     /// member `sink`, which XORs it in. Returns the XOR step.
     fn chunk_to(&mut self, m: usize, sink: usize, ready: usize) -> usize {
         let chunk = self.ctx.layout.chunk_size();
-        let read = self.dag.add(
-            StepKind::DriveRead {
-                server: self.server(m),
-                bytes: chunk,
-            },
-            &[ready],
-        );
+        let read = self.read(m, chunk, ready);
         let arrival = if m == sink {
             read
         } else {
             self.xfer(self.node(m), self.node(sink), chunk, &[read])
         };
-        self.dag.add(
-            StepKind::Xor {
-                node: self.node(sink),
-                bytes: chunk,
-            },
-            &[arrival],
-        )
+        self.combine(false, self.node(sink), chunk, &[arrival])
     }
 
     // ------------------------------------------------------------------
@@ -506,148 +521,58 @@ impl<'a, 'c> Builder<'a, 'c> {
     /// data chunk, computes parity locally, and ships data + parity with no
     /// reads anywhere.
     fn full_stripe_write(&mut self, io: &StripeIo) {
-        let stripe = io.stripe;
+        let (host, root) = (self.ctx.host, self.root);
         let l = *self.ctx.layout;
-        let xor = self.dag.add(
-            StepKind::Xor {
-                node: self.ctx.host,
-                bytes: l.stripe_data_bytes(),
-            },
-            &[self.root],
-        );
-        let q_gen = l.q_member(stripe).map(|_| {
-            self.dag.add(
-                StepKind::GfMul {
-                    node: self.ctx.host,
-                    bytes: l.stripe_data_bytes(),
-                },
-                &[self.root],
-            )
-        });
-        for seg in io.segments.iter().copied() {
-            let ready = self.command(seg.member, seg.len);
-            let write = self.dag.add(
-                StepKind::DriveWrite {
-                    server: self.server(seg.member),
-                    bytes: seg.len,
-                },
-                &[ready],
-            );
-            self.callback(seg.member, &[write]);
+        let [p, q] = self.parity(io.stripe);
+        let xor = self.combine(false, host, l.stripe_data_bytes(), &[root]);
+        let q_gen = q.map(|_| self.combine(true, host, l.stripe_data_bytes(), &[root]));
+        for seg in io.segments.iter() {
+            self.push(seg.member, seg.len, root);
         }
-        let p = l.p_member(stripe);
-        let ready = {
-            let cmd = self.xfer(
-                self.ctx.host,
-                self.node(p),
-                self.ctx.cfg.command_bytes + l.chunk_size(),
-                &[xor],
-            );
-            self.dag.add(StepKind::PerIo { node: self.node(p) }, &[cmd])
-        };
-        let write = self.dag.add(
-            StepKind::DriveWrite {
-                server: self.server(p),
-                bytes: l.chunk_size(),
-            },
-            &[ready],
-        );
-        self.callback(p, &[write]);
-        if let (Some(q), Some(qg)) = (l.q_member(stripe), q_gen) {
-            let cmd = self.xfer(
-                self.ctx.host,
-                self.node(q),
-                self.ctx.cfg.command_bytes + l.chunk_size(),
-                &[qg],
-            );
-            let ready = self.dag.add(StepKind::PerIo { node: self.node(q) }, &[cmd]);
-            let write = self.dag.add(
-                StepKind::DriveWrite {
-                    server: self.server(q),
-                    bytes: l.chunk_size(),
-                },
-                &[ready],
-            );
-            self.callback(q, &[write]);
+        if let Some(p) = p {
+            self.push(p, l.chunk_size(), xor);
+        }
+        if let (Some(q), Some(qg)) = (q, q_gen) {
+            self.push(q, l.chunk_size(), qg);
         }
     }
 
     /// dRAID partial-stripe write (§5): host ships only new data; partial
     /// parities flow peer-to-peer to the parity bdev(s).
     fn draid_partial_write(&mut self, io: &StripeIo, mode: WriteMode) {
-        let stripe = io.stripe;
-        let l = *self.ctx.layout;
-        let opts = self.ctx.cfg.draid;
-        let p = l.p_member(stripe);
-        let q = l.q_member(stripe);
-        let chunk = l.chunk_size();
+        let chunk = self.ctx.layout.chunk_size();
+        let pipeline = self.ctx.cfg.draid.pipeline;
+        let parity = self.parity(io.stripe);
         let rmw = mode == WriteMode::ReadModifyWrite;
         let extent = if rmw { self.parity_extent(io) } else { chunk };
 
         // Parity-side admission; RMW additionally reads the old parity.
-        let p_ready = self.command(p, 0);
-        let p_read = rmw.then(|| {
-            self.dag.add(
-                StepKind::DriveRead {
-                    server: self.server(p),
-                    bytes: extent,
-                },
-                &[p_ready],
-            )
-        });
-        let q_side = q.map(|qm| {
-            let ready = self.command(qm, 0);
-            let read = rmw.then(|| {
-                self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(qm),
-                        bytes: extent,
-                    },
-                    &[ready],
-                )
-            });
-            (qm, ready, read)
+        let old_reads = parity.map(|pm| {
+            let ready = pm.map(|pm| (pm, self.command(pm, 0)));
+            ready
+                .filter(|_| rmw)
+                .map(|(pm, ready)| self.read(pm, extent, ready))
         });
 
         // Data-side: each touched member fetches its new data, persists it,
         // and emits a partial-parity contribution; in reconstruct-write mode
         // the untouched members stream their (old) chunks as contributions.
-        let mut p_fwds = Vec::new();
-        let mut q_fwds = Vec::new();
+        let mut fwds = [Vec::new(), Vec::new()];
         for seg in io.segments.iter().copied() {
             let m = seg.member;
             let fetch = self.command(m, seg.len);
-            let contrib_bytes = if rmw { seg.len } else { chunk };
             let read = if rmw {
                 // Old data needed for the delta.
-                self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(m),
-                        bytes: seg.len,
-                    },
-                    &[fetch],
-                )
+                self.read(m, seg.len, fetch)
             } else if !seg.covers_chunk(chunk) {
                 // Reconstruct-write of a partial chunk forwards the full
                 // new chunk, so the complement is read locally.
-                self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(m),
-                        bytes: chunk - seg.len,
-                    },
-                    &[fetch],
-                )
+                self.read(m, chunk - seg.len, fetch)
             } else {
                 fetch
             };
-            let write = self.dag.add(
-                StepKind::DriveWrite {
-                    server: self.server(m),
-                    bytes: seg.len,
-                },
-                &[read],
-            );
-            let src = if opts.pipeline {
+            let write = self.write(m, seg.len, &[read]);
+            let src = if pipeline {
                 // §5.3: the drive-write and the parity forwarding both hang
                 // off the fetch/read alone — and the data bdev acknowledges
                 // the host as soon as its own write lands.
@@ -658,275 +583,65 @@ impl<'a, 'c> Builder<'a, 'c> {
                 // forward, no per-bdev callback.
                 write
             };
-            let delta = self.dag.add(
-                StepKind::Xor {
-                    node: self.node(m),
-                    bytes: contrib_bytes,
-                },
-                &[src],
-            );
-            p_fwds.push((
-                m,
-                self.forward(m, p, contrib_bytes, delta, opts.peer_to_peer),
-            ));
-            if let Some((qm, _, _)) = q_side {
-                // §5.2: the Q term is scaled by g^i on the data bdev.
-                let scaled = self.dag.add(
-                    StepKind::GfMul {
-                        node: self.node(m),
-                        bytes: contrib_bytes,
-                    },
-                    &[delta],
-                );
-                q_fwds.push((
-                    m,
-                    self.forward(m, qm, contrib_bytes, scaled, opts.peer_to_peer),
-                ));
-            }
+            let bytes = if rmw { seg.len } else { chunk };
+            let delta = self.combine(false, self.node(m), bytes, &[src]);
+            self.contribute(m, bytes, delta, parity, &mut fwds);
         }
         if !rmw {
-            // Untouched members contribute their resident chunks.
-            let touched: BTreeSet<usize> = io.segments.iter().map(|s| s.member).collect();
-            for k in 0..l.data_chunks() {
-                let m = l.data_member(stripe, k);
-                if touched.contains(&m) {
-                    continue;
-                }
-                let ready = self.command(m, 0);
-                let read = self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(m),
-                        bytes: chunk,
-                    },
-                    &[ready],
-                );
-                p_fwds.push((m, self.forward(m, p, chunk, read, opts.peer_to_peer)));
-                if let Some((qm, _, _)) = q_side {
-                    let scaled = self.dag.add(
-                        StepKind::GfMul {
-                            node: self.node(m),
-                            bytes: chunk,
-                        },
-                        &[read],
-                    );
-                    q_fwds.push((m, self.forward(m, qm, chunk, scaled, opts.peer_to_peer)));
-                }
-            }
+            self.contribute_untouched(io, parity, &mut fwds);
         }
 
         // Parity-side reduction and persist.
-        let contrib = |rmw_len: u64| if rmw { rmw_len } else { chunk };
-        self.reduce_and_write(
-            io,
-            p,
-            &p_fwds,
-            p_read,
-            if rmw { extent } else { chunk },
-            contrib(extent),
-            false,
-            opts.nonblocking,
-        );
-        if let Some((qm, _, q_read)) = q_side {
-            self.reduce_and_write(
-                io,
-                qm,
-                &q_fwds,
-                q_read,
-                if rmw { extent } else { chunk },
-                contrib(extent),
-                true,
-                opts.nonblocking,
-            );
+        for (slot, pm) in parity.into_iter().enumerate() {
+            if let Some(pm) = pm {
+                self.reduce_and_write(io, pm, slot == 1, &fwds[slot], old_reads[slot], extent);
+            }
         }
     }
 
-    /// Forwards a partial-parity contribution from `from` to parity member
-    /// `to`, peer-to-peer or detouring through the host under the ablation.
-    fn forward(&mut self, from: usize, to: usize, bytes: u64, dep: usize, p2p: bool) -> usize {
-        if p2p {
-            self.xfer(self.node(from), self.node(to), bytes, &[dep])
-        } else {
-            let up = self.xfer(self.node(from), self.ctx.host, bytes, &[dep]);
-            self.xfer(self.ctx.host, self.node(to), bytes, &[up])
+    /// Untouched healthy members read their resident chunks and contribute
+    /// them to the `parity` members.
+    fn contribute_untouched(
+        &mut self,
+        io: &StripeIo,
+        parity: [Option<usize>; 2],
+        fwds: &mut [Vec<(usize, usize)>; 2],
+    ) {
+        let chunk = self.ctx.layout.chunk_size();
+        for m in self.untouched(io) {
+            let ready = self.command(m, 0);
+            let read = self.read(m, chunk, ready);
+            self.contribute(m, chunk, read, parity, fwds);
         }
     }
 
-    /// Parity member `pm` reduces arriving contributions and persists the
-    /// result. Non-blocking (§5.2): each reduction depends only on its
-    /// contribution's arrival; blocking ablation: a barrier joins every
-    /// arrival (and the old-parity read) first.
-    #[allow(clippy::too_many_arguments)]
+    /// Parity member `pm` reduces the arriving contributions `fwds` (in
+    /// GF(256) when `gf`) and persists the `bytes`-long result. Non-blocking
+    /// (§5.2): each reduction depends only on its contribution's arrival;
+    /// blocking ablation: a barrier joins every arrival (and the old-parity
+    /// read) first.
     fn reduce_and_write(
         &mut self,
         io: &StripeIo,
         pm: usize,
+        gf: bool,
         fwds: &[(usize, usize)],
         old_read: Option<usize>,
-        write_bytes: u64,
-        _contrib_bytes: u64,
-        gf: bool,
-        nonblocking: bool,
+        bytes: u64,
     ) {
-        let barrier = if nonblocking {
-            None
-        } else {
+        let barrier = (!self.ctx.cfg.draid.nonblocking).then(|| {
             let mut deps: Vec<usize> = fwds.iter().map(|&(_, f)| f).collect();
             deps.extend(old_read);
-            Some(self.dag.add(StepKind::Join, &deps))
-        };
-        let mut reduces = Vec::new();
-        for &(m, fwd) in fwds {
-            let seg_len = io
-                .segments
-                .iter()
-                .find(|s| s.member == m)
-                .map(|s| s.len)
-                .unwrap_or(write_bytes);
-            let deps = match barrier {
-                Some(b) => vec![b],
-                None => vec![fwd],
-            };
-            let kind = if gf {
-                StepKind::GfMul {
-                    node: self.node(pm),
-                    bytes: seg_len.min(write_bytes).max(1),
-                }
-            } else {
-                StepKind::Xor {
-                    node: self.node(pm),
-                    bytes: seg_len.min(write_bytes).max(1),
-                }
-            };
-            reduces.push(self.dag.add(kind, &deps));
-        }
-        let mut wdeps = reduces;
-        wdeps.extend(old_read);
-        let write = self.dag.add(
-            StepKind::DriveWrite {
-                server: self.server(pm),
-                bytes: write_bytes,
-            },
-            &wdeps,
-        );
-        self.callback(pm, &[write]);
-    }
-
-    /// Centralized partial-stripe write: old data/parity (RMW) or untouched
-    /// chunks (reconstruct) are pulled to the host, parity math runs on the
-    /// host cores, and new data + parity are pushed back out — every byte
-    /// crossing the host NIC twice.
-    fn central_partial_write(&mut self, io: &StripeIo, mode: WriteMode) {
-        let stripe = io.stripe;
-        let l = *self.ctx.layout;
-        let p = l.p_member(stripe);
-        let q = l.q_member(stripe);
-        let chunk = l.chunk_size();
-        let rmw = mode == WriteMode::ReadModifyWrite;
-        let extent = if rmw { self.parity_extent(io) } else { chunk };
-        let write_bytes = extent;
-
-        let mut arrivals = Vec::new();
-        let mut pulled = 0u64;
-        // Each returned payload is a completion the host stack must process
-        // (the per-verb software cost dRAID offloads to its controllers).
-        let pull = |b: &mut Self, pulled: &mut u64, m: usize, bytes: u64| {
-            *pulled += bytes;
-            let ready = b.command(m, 0);
-            let read = b.dag.add(
-                StepKind::DriveRead {
-                    server: b.server(m),
-                    bytes,
-                },
-                &[ready],
-            );
-            let arrival = b.xfer(b.node(m), b.ctx.host, bytes, &[read]);
-            b.dag.add(StepKind::PerIo { node: b.ctx.host }, &[arrival])
-        };
-        if rmw {
-            for seg in io.segments.iter().copied() {
-                arrivals.push(pull(self, &mut pulled, seg.member, seg.len));
-            }
-            arrivals.push(pull(self, &mut pulled, p, extent));
-            if let Some(qm) = q {
-                arrivals.push(pull(self, &mut pulled, qm, extent));
-            }
-        } else {
-            let touched: BTreeSet<usize> = io.segments.iter().map(|s| s.member).collect();
-            for k in 0..l.data_chunks() {
-                let m = l.data_member(stripe, k);
-                if !touched.contains(&m) {
-                    arrivals.push(pull(self, &mut pulled, m, chunk));
-                }
-            }
-            // Partially-covered chunks need their complements too.
-            for seg in io.segments.iter().copied() {
-                if !seg.covers_chunk(chunk) {
-                    arrivals.push(pull(self, &mut pulled, seg.member, chunk - seg.len));
-                }
-            }
-        }
-        // The parity pass streams every input operand through the core: the
-        // new data plus everything that was pulled (old data and old parity
-        // for RMW, the chunk complements for reconstruct-write).
-        let xor = self.dag.add(
-            StepKind::Xor {
-                node: self.ctx.host,
-                bytes: io.bytes() + pulled,
-            },
-            &arrivals,
-        );
-        let q_gen = q.map(|_| {
-            self.dag.add(
-                StepKind::GfMul {
-                    node: self.ctx.host,
-                    bytes: io.bytes() + pulled,
-                },
-                &arrivals,
-            )
+            self.dag.add(StepKind::Join, &deps)
         });
-
-        // Phase two: only after every read has landed and parity math is done
-        // may the host dispatch the writes — the old contents feed the delta,
-        // so nothing can be overwritten while phase one is in flight.
-        for seg in io.segments.iter().copied() {
-            let ready = self.command_after(seg.member, seg.len, xor);
-            let write = self.dag.add(
-                StepKind::DriveWrite {
-                    server: self.server(seg.member),
-                    bytes: seg.len,
-                },
-                &[ready],
-            );
-            self.callback(seg.member, &[write]);
+        let mut reduces = Vec::with_capacity(fwds.len() + 1);
+        for &(m, fwd) in fwds {
+            let seg = io.segments.iter().find(|s| s.member == m);
+            let len = seg.map_or(bytes, |s| s.len).min(bytes).max(1);
+            reduces.push(self.combine(gf, self.node(pm), len, &[barrier.unwrap_or(fwd)]));
         }
-        self.push_parity(p, write_bytes, xor);
-        if let (Some(qm), Some(qg)) = (q, q_gen) {
-            self.push_parity(qm, write_bytes, qg);
-        }
-    }
-
-    /// Host ships `bytes` of freshly computed parity to member `pm`, which
-    /// persists and acknowledges.
-    fn push_parity(&mut self, pm: usize, bytes: u64, dep: usize) {
-        let cmd = self.xfer(
-            self.ctx.host,
-            self.node(pm),
-            self.ctx.cfg.command_bytes + bytes,
-            &[dep],
-        );
-        let ready = self.dag.add(
-            StepKind::PerIo {
-                node: self.node(pm),
-            },
-            &[cmd],
-        );
-        let write = self.dag.add(
-            StepKind::DriveWrite {
-                server: self.server(pm),
-                bytes,
-            },
-            &[ready],
-        );
+        reduces.extend(old_read);
+        let write = self.write(pm, bytes, &reduces);
         self.callback(pm, &[write]);
     }
 
@@ -937,25 +652,10 @@ impl<'a, 'c> Builder<'a, 'c> {
     /// to the surviving parity member(s), which recompute and persist —
     /// the lost chunk's content stays implied by parity until rebuild.
     fn draid_degraded_write(&mut self, io: &StripeIo) {
-        let stripe = io.stripe;
-        let l = *self.ctx.layout;
-        let opts = self.ctx.cfg.draid;
-        let chunk = l.chunk_size();
-        let p = l.p_member(stripe);
-        let q = l.q_member(stripe);
-        let parities: Vec<(usize, bool)> = std::iter::once((p, false))
-            .chain(q.map(|qm| (qm, true)))
-            .filter(|&(m, _)| self.healthy(m))
-            .collect();
-
-        let mut contributions: Vec<Vec<(usize, usize)>> = vec![Vec::new(); parities.len()];
-        let touched: BTreeSet<usize> = io.segments.iter().map(|s| s.member).collect();
-
-        let mut p_readies = Vec::new();
-        for &(pm, _) in &parities {
-            p_readies.push(self.command(pm, 0));
-        }
-
+        let chunk = self.ctx.layout.chunk_size();
+        let parity = self.parity(io.stripe);
+        let readies = parity.map(|pm| pm.map(|pm| self.command(pm, 0)));
+        let mut fwds = [Vec::new(), Vec::new()];
         for seg in io.segments.iter().copied() {
             let m = seg.member;
             if self.healthy(m) {
@@ -963,203 +663,83 @@ impl<'a, 'c> Builder<'a, 'c> {
                 let src = if seg.covers_chunk(chunk) {
                     fetch
                 } else {
-                    self.dag.add(
-                        StepKind::DriveRead {
-                            server: self.server(m),
-                            bytes: chunk - seg.len,
-                        },
-                        &[fetch],
-                    )
+                    self.read(m, chunk - seg.len, fetch)
                 };
-                let write = self.dag.add(
-                    StepKind::DriveWrite {
-                        server: self.server(m),
-                        bytes: seg.len,
-                    },
-                    &[src],
-                );
+                let write = self.write(m, seg.len, &[src]);
                 self.callback(m, &[write]);
-                for (slot, &(pm, gf)) in parities.iter().enumerate() {
-                    let contrib = if gf {
-                        self.dag.add(
-                            StepKind::GfMul {
-                                node: self.node(m),
-                                bytes: chunk,
-                            },
-                            &[src],
-                        )
-                    } else {
-                        src
-                    };
-                    let fwd = self.forward(m, pm, chunk, contrib, opts.peer_to_peer);
-                    contributions[slot].push((m, fwd));
-                }
-            } else {
-                // The dead member's new data goes straight to each parity.
-                for (slot, &(pm, _)) in parities.iter().enumerate() {
-                    let fwd = self.xfer(
-                        self.ctx.host,
-                        self.node(pm),
-                        self.ctx.cfg.command_bytes + seg.len,
-                        &[self.root],
-                    );
-                    contributions[slot].push((m, fwd));
-                }
-            }
-        }
-        for k in 0..l.data_chunks() {
-            let m = l.data_member(stripe, k);
-            if touched.contains(&m) || !self.healthy(m) {
+                self.contribute(m, chunk, src, parity, &mut fwds);
                 continue;
             }
-            let ready = self.command(m, 0);
-            let read = self.dag.add(
-                StepKind::DriveRead {
-                    server: self.server(m),
-                    bytes: chunk,
-                },
-                &[ready],
-            );
-            for (slot, &(pm, gf)) in parities.iter().enumerate() {
-                let contrib = if gf {
-                    self.dag.add(
-                        StepKind::GfMul {
-                            node: self.node(m),
-                            bytes: chunk,
-                        },
-                        &[read],
-                    )
-                } else {
-                    read
-                };
-                let fwd = self.forward(m, pm, chunk, contrib, opts.peer_to_peer);
-                contributions[slot].push((m, fwd));
+            // The dead member's new data goes straight to each parity.
+            for (slot, pm) in parity.into_iter().enumerate() {
+                if let Some(pm) = pm {
+                    let bytes = self.ctx.cfg.command_bytes + seg.len;
+                    let fwd = self.xfer(self.ctx.host, self.node(pm), bytes, &[self.root]);
+                    fwds[slot].push((m, fwd));
+                }
             }
         }
+        self.contribute_untouched(io, parity, &mut fwds);
 
-        for (slot, &(pm, gf)) in parities.iter().enumerate() {
-            let ready = p_readies[slot];
-            let mut reduces = Vec::new();
-            for &(_, fwd) in &contributions[slot] {
-                let kind = if gf {
-                    StepKind::GfMul {
-                        node: self.node(pm),
-                        bytes: chunk,
-                    }
-                } else {
-                    StepKind::Xor {
-                        node: self.node(pm),
-                        bytes: chunk,
-                    }
-                };
-                reduces.push(self.dag.add(kind, &[fwd, ready]));
-            }
-            let write = self.dag.add(
-                StepKind::DriveWrite {
-                    server: self.server(pm),
-                    bytes: chunk,
-                },
-                &reduces,
-            );
+        for (slot, (pm, ready)) in parity.into_iter().zip(readies).enumerate() {
+            let (Some(pm), Some(ready)) = (pm, ready) else {
+                continue;
+            };
+            let reduces: Vec<usize> = fwds[slot]
+                .iter()
+                .map(|&(_, fwd)| self.combine(slot == 1, self.node(pm), chunk, &[fwd, ready]))
+                .collect();
+            let write = self.write(pm, chunk, &reduces);
             self.callback(pm, &[write]);
         }
     }
 
-    /// Centralized degraded write: untouched healthy chunks are pulled to
-    /// the host, parity is recomputed there, and new data (healthy members
-    /// only) plus parity are pushed out.
-    fn central_degraded_write(&mut self, io: &StripeIo) {
-        let stripe = io.stripe;
-        let l = *self.ctx.layout;
-        let chunk = l.chunk_size();
-        let p = l.p_member(stripe);
-        let q = l.q_member(stripe);
-        let touched: BTreeSet<usize> = io.segments.iter().map(|s| s.member).collect();
+    /// Centralized write of part of a stripe, healthy or degraded: old data
+    /// and old parity (RMW) or the untouched chunks and complements
+    /// (reconstruct; a degraded write always reconstructs) are pulled to the
+    /// host, parity math runs on the host cores, and new data + parity are
+    /// pushed back out to the healthy members — every byte crossing the
+    /// host NIC twice.
+    fn central_write(&mut self, io: &StripeIo, mode: WriteMode, degraded: bool) {
+        let host = self.ctx.host;
+        let chunk = self.ctx.layout.chunk_size();
+        let [p, q] = self.parity(io.stripe);
+        let rmw = mode == WriteMode::ReadModifyWrite && !degraded;
+        let extent = if rmw { self.parity_extent(io) } else { chunk };
 
         let mut arrivals = Vec::new();
-        for k in 0..l.data_chunks() {
-            let m = l.data_member(stripe, k);
-            if touched.contains(&m) || !self.healthy(m) {
-                continue;
+        let pulled = if rmw {
+            for seg in io.segments.iter() {
+                arrivals.push(self.pull(seg.member, seg.len));
             }
-            let ready = self.command(m, 0);
-            let read = self.dag.add(
-                StepKind::DriveRead {
-                    server: self.server(m),
-                    bytes: chunk,
-                },
-                &[ready],
-            );
-            let arrival = self.xfer(self.node(m), self.ctx.host, chunk, &[read]);
-            arrivals.push(self.dag.add(
-                StepKind::PerIo {
-                    node: self.ctx.host,
-                },
-                &[arrival],
-            ));
-        }
-        for seg in io.segments.iter().copied() {
-            if self.healthy(seg.member) && !seg.covers_chunk(chunk) {
-                let ready = self.command(seg.member, 0);
-                let read = self.dag.add(
-                    StepKind::DriveRead {
-                        server: self.server(seg.member),
-                        bytes: chunk - seg.len,
-                    },
-                    &[ready],
-                );
-                let arrival = self.xfer(
-                    self.node(seg.member),
-                    self.ctx.host,
-                    chunk - seg.len,
-                    &[read],
-                );
-                arrivals.push(self.dag.add(
-                    StepKind::PerIo {
-                        node: self.ctx.host,
-                    },
-                    &[arrival],
-                ));
+            for pm in [p, q].into_iter().flatten() {
+                arrivals.push(self.pull(pm, extent));
             }
-        }
-        let xor = self.dag.add(
-            StepKind::Xor {
-                node: self.ctx.host,
-                bytes: io.bytes() + chunk,
-            },
-            &arrivals,
-        );
-        let q_gen = q.filter(|&qm| self.healthy(qm)).map(|_| {
-            self.dag.add(
-                StepKind::GfMul {
-                    node: self.ctx.host,
-                    bytes: io.bytes() + chunk,
-                },
-                &arrivals,
-            )
-        });
+            io.bytes() + extent * [p, q].iter().flatten().count() as u64
+        } else {
+            self.pull_complements(io, &mut arrivals)
+        };
+        // The parity pass streams every input operand through the core: the
+        // new data plus everything that was pulled (old data and old parity
+        // for RMW, the chunk complements for reconstruct-write); a degraded
+        // write's pass is costed as the new data plus one chunk.
+        let pass = io.bytes() + if degraded { chunk } else { pulled };
+        let xor = self.combine(false, host, pass, &arrivals);
+        let q_gen = q.map(|_| self.combine(true, host, pass, &arrivals));
 
-        // Writes are phase two: the survivors' old chunks feed the parity
-        // recompute, so no overwrite may race the pulls.
-        for seg in io.segments.iter().copied() {
-            if !self.healthy(seg.member) {
-                continue;
+        // Phase two: only after every read has landed and parity math is done
+        // may the host dispatch the writes — the old contents feed the delta,
+        // so nothing can be overwritten while phase one is in flight.
+        for seg in io.segments.iter() {
+            if self.healthy(seg.member) {
+                self.push(seg.member, seg.len, xor);
             }
-            let ready = self.command_after(seg.member, seg.len, xor);
-            let write = self.dag.add(
-                StepKind::DriveWrite {
-                    server: self.server(seg.member),
-                    bytes: seg.len,
-                },
-                &[ready],
-            );
-            self.callback(seg.member, &[write]);
         }
-        if self.healthy(p) {
-            self.push_parity(p, chunk, xor);
+        if let Some(p) = p {
+            self.push(p, extent, xor);
         }
-        if let (Some(qm), Some(qg)) = (q.filter(|&qm| self.healthy(qm)), q_gen) {
-            self.push_parity(qm, chunk, qg);
+        if let (Some(q), Some(qg)) = (q, q_gen) {
+            self.push(q, extent, qg);
         }
     }
 }

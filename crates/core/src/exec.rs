@@ -709,7 +709,7 @@ mod tests {
     use super::{retry_backoff, Steps};
     use crate::array::ArraySim;
     use crate::builders::{build, build_into, BuildCtx, Purpose};
-    use crate::config::{ArrayConfig, RaidLevel, SystemKind};
+    use crate::config::{ArrayConfig, DraidOptions, RaidLevel, SystemKind};
     use crate::dag::{Dag, StepKind};
     use crate::io::UserIo;
     use crate::layout::{Layout, Segment, StripeIo, WriteMode};
@@ -759,100 +759,131 @@ mod tests {
 
     const KIB: u64 = 1024;
 
-    /// Calls `f` on every DAG shape the builders produce: each system ×
-    /// RAID level × user purpose, over 4 KiB, 128 KiB and full-stripe I/Os,
-    /// then a rebuild and a scrub with each member lost. The purpose changes
-    /// between consecutive calls.
+    /// Calls `f` on every DAG shape the builders produce: each system × RAID
+    /// level × `DraidOptions` ablation × parity rotation, the user purposes
+    /// over aligned 4 KiB, 128 KiB, unaligned multi-chunk and full-stripe
+    /// I/Os (degraded ones with the first segment's member lost), degraded
+    /// reads and writes under the RAID-6 double losses (data+data, data+P,
+    /// P+Q, data+Q), then a rebuild and a scrub with each member lost. The
+    /// purpose changes between consecutive calls.
     fn for_each_shape(mut f: impl FnMut(&BuildCtx, Purpose, &StripeIo)) {
         let nodes: Vec<NodeId> = (1..=8).map(NodeId).collect();
         let servers: Vec<ServerId> = (0..8).map(ServerId).collect();
+        let ablations: [fn(&mut DraidOptions); 5] = [
+            |_| {},
+            |o| o.pipeline = false,
+            |o| o.nonblocking = false,
+            |o| o.peer_to_peer = false,
+            |o| o.lockfree_read = false,
+        ];
         for system in [SystemKind::Draid, SystemKind::SpdkRaid, SystemKind::LinuxMd] {
             for level in [RaidLevel::Raid5, RaidLevel::Raid6] {
-                let mut cfg = ArrayConfig::paper_default(system);
-                cfg.level = level;
-                cfg.width = 8;
-                let layout = Layout::new(&cfg);
-                let stripe_bytes = layout.data_chunks() as u64 * layout.chunk_size();
-                for len in [4 * KIB, 128 * KIB, stripe_bytes] {
-                    let io = &layout.map(0, len)[0];
-                    let lost = BTreeSet::from([io.segments[0].member]);
-                    let healthy = BTreeSet::new();
-                    for (purpose, faulty) in [
-                        (Purpose::Read { degraded: false }, &healthy),
-                        (Purpose::Read { degraded: true }, &lost),
-                        (
-                            Purpose::Write {
-                                mode: WriteMode::ReadModifyWrite,
-                                degraded: false,
-                            },
-                            &healthy,
-                        ),
-                        (
-                            Purpose::Write {
-                                mode: WriteMode::ReconstructWrite,
-                                degraded: false,
-                            },
-                            &healthy,
-                        ),
-                        (
-                            Purpose::Write {
-                                mode: WriteMode::FullStripe,
-                                degraded: false,
-                            },
-                            &healthy,
-                        ),
-                        (
-                            Purpose::Write {
-                                mode: layout.write_mode(io),
-                                degraded: true,
-                            },
-                            &lost,
-                        ),
-                    ] {
-                        let reducer = (0..8).find(|m| !faulty.contains(m));
-                        let ctx = BuildCtx {
-                            cfg: &cfg,
-                            layout: &layout,
-                            host: NodeId(0),
-                            nodes: &nodes,
-                            servers: &servers,
-                            faulty,
-                            reducer,
-                        };
-                        f(&ctx, purpose, io);
-                    }
-                }
-                let chunk = layout.chunk_size();
-                for victim in 0..8 {
-                    let faulty = BTreeSet::from([victim]);
-                    let reducer = [layout.p_member(0), layout.data_member(0, 0)]
-                        .into_iter()
-                        .find(|&m| m != victim);
-                    let segment = Segment {
-                        data_index: layout.data_index_of(0, victim).unwrap_or(0),
-                        member: victim,
-                        offset: 0,
-                        len: chunk,
-                    };
-                    let rebuild = Purpose::Rebuild {
-                        spare: ServerId(8),
-                        spare_node: NodeId(9),
-                    };
-                    for (purpose, segments) in [(rebuild, vec![segment]), (Purpose::Scrub, vec![])]
-                    {
-                        let ctx = BuildCtx {
-                            cfg: &cfg,
-                            layout: &layout,
-                            host: NodeId(0),
-                            nodes: &nodes,
-                            servers: &servers,
-                            faulty: &faulty,
-                            reducer,
-                        };
-                        f(&ctx, purpose, &StripeIo::new(0, 0, segments));
+                for ablate in ablations {
+                    let mut cfg = ArrayConfig::paper_default(system);
+                    cfg.level = level;
+                    cfg.width = 8;
+                    ablate(&mut cfg.draid);
+                    let layout = Layout::new(&cfg);
+                    for stripe in 0..8 {
+                        each_stripe_shape(&cfg, &layout, stripe, &nodes, &servers, &mut f);
                     }
                 }
             }
+        }
+    }
+
+    /// [`for_each_shape`] for one configuration and stripe.
+    fn each_stripe_shape(
+        cfg: &ArrayConfig,
+        layout: &Layout,
+        stripe: u64,
+        nodes: &[NodeId],
+        servers: &[ServerId],
+        f: &mut impl FnMut(&BuildCtx, Purpose, &StripeIo),
+    ) {
+        let chunk = layout.chunk_size();
+        let stripe_bytes = layout.stripe_data_bytes();
+        let mut call = |purpose: Purpose, io: &StripeIo, faulty: &BTreeSet<usize>, reducer| {
+            let ctx = BuildCtx {
+                cfg,
+                layout,
+                host: NodeId(0),
+                nodes,
+                servers,
+                faulty,
+                reducer,
+            };
+            f(&ctx, purpose, io);
+        };
+        for (offset, len) in [
+            (0, 4 * KIB),
+            (0, 128 * KIB),
+            (chunk / 2, 2 * chunk),
+            (0, stripe_bytes),
+        ] {
+            let io = &layout.map(stripe * stripe_bytes + offset, len)[0];
+            let first = io.segments[0].member;
+            let mut losses = vec![BTreeSet::from([first])];
+            if let Some(q) = layout.q_member(stripe) {
+                let p = layout.p_member(stripe);
+                let last = layout.data_member(stripe, layout.data_chunks() - 1);
+                for pair in [[first, last], [first, p], [p, q], [first, q]] {
+                    losses.push(BTreeSet::from(pair));
+                }
+            }
+            let healthy = BTreeSet::new();
+            call(Purpose::Read { degraded: false }, io, &healthy, None);
+            for mode in [
+                WriteMode::ReadModifyWrite,
+                WriteMode::ReconstructWrite,
+                WriteMode::FullStripe,
+            ] {
+                let degraded = false;
+                call(Purpose::Write { mode, degraded }, io, &healthy, None);
+            }
+            for lost in &losses {
+                let degraded = io.segments.iter().any(|s| lost.contains(&s.member));
+                let reducer = (0..8).find(|m| !lost.contains(m));
+                call(Purpose::Read { degraded }, io, lost, reducer);
+                let mode = layout.write_mode(io);
+                call(
+                    Purpose::Write {
+                        mode,
+                        degraded: true,
+                    },
+                    io,
+                    lost,
+                    None,
+                );
+            }
+        }
+        for victim in 0..8 {
+            let lost = BTreeSet::from([victim]);
+            let reducer = [layout.p_member(stripe), layout.data_member(stripe, 0)]
+                .into_iter()
+                .find(|&m| m != victim);
+            let segment = Segment {
+                data_index: layout.data_index_of(stripe, victim).unwrap_or(0),
+                member: victim,
+                offset: 0,
+                len: chunk,
+            };
+            let rebuild = Purpose::Rebuild {
+                spare: ServerId(8),
+                spare_node: NodeId(9),
+            };
+            call(
+                rebuild,
+                &StripeIo::new(stripe, 0, vec![segment]),
+                &lost,
+                reducer,
+            );
+            call(
+                Purpose::Scrub,
+                &StripeIo::new(stripe, 0, vec![]),
+                &lost,
+                None,
+            );
         }
     }
 
@@ -910,6 +941,33 @@ mod tests {
             shapes += 1;
         });
         assert!(shapes > 100);
+    }
+
+    #[test]
+    fn builder_dags_match_recorded_digest() {
+        // FNV-1a over every shape's step kinds and dependencies, recorded
+        // from the builders as they stood before they shared primitives: any
+        // change to a step's kind, order or dependencies changes it.
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        let mut shapes = 0;
+        for_each_shape(|ctx, purpose, io| {
+            for (_, step) in build(ctx, purpose, io).iter() {
+                eat(format!("{:?}", step.kind).as_bytes());
+                for &d in step.deps {
+                    eat(&d.to_le_bytes());
+                }
+                eat(b";");
+            }
+            eat(b"|");
+            shapes += 1;
+        });
+        assert_eq!(shapes, 13_440);
+        assert_eq!(hash, 0x99c6_498e_e1b9_9d2d);
     }
 
     #[test]

@@ -163,10 +163,13 @@ impl ArraySim {
         let id = if admit_at <= now {
             self.submit_tagged(eng, io, volume)
         } else {
-            // Budget exceeded: the admission is shaped to the tenant's rate.
-            let reserved = self.reserve_io_id();
+            // Budget exceeded: the admission is shaped to the tenant's rate,
+            // unless the controller holding it crashes first.
+            let (reserved, epoch) = (self.reserve_io_id(), self.host_epoch);
             eng.schedule_at(admit_at, move |w: &mut ArraySim, eng| {
-                w.submit_reserved(eng, reserved, io, Some(volume), now);
+                if w.host_epoch == epoch {
+                    w.submit_reserved(eng, reserved, io, Some(volume), now);
+                }
             });
             IoId(reserved)
         };

@@ -2,9 +2,9 @@
 //! bitmap-driven parity resync after a simulated host crash.
 
 use bytes::Bytes;
-use draid_block::Cluster;
-use draid_core::{ArrayConfig, ArraySim, DataMode, SystemKind, UserIo};
-use draid_sim::{DetRng, Engine, SimTime};
+use draid_block::{Cluster, TokenBucket};
+use draid_core::{ArrayConfig, ArraySim, DataMode, IoId, SystemKind, UserIo};
+use draid_sim::{ByteRate, DetRng, Engine, SimTime};
 
 const KIB: u64 = 1024;
 
@@ -138,4 +138,35 @@ fn crash_with_clean_bitmap_resyncs_nothing() {
     let resynced = array.simulate_host_crash(&mut eng);
     assert!(resynced.is_empty(), "no dirty stripes, no scan needed");
     eng.run(&mut array);
+}
+
+#[test]
+fn crash_drops_budget_shaped_volume_admissions() {
+    // A tenant over its budget has its admissions held back until the
+    // bucket refills. Those belong to the crashed controller: none may be
+    // issued, complete or be counted after the crash, and no volume tag
+    // may outlive the I/Os the crash dropped.
+    let (mut array, mut eng) = make();
+    let volume = array.create_volume("tenant", 64 * KIB);
+    let budget = TokenBucket::new(ByteRate::from_mb_per_sec(1.0), 8 * KIB);
+    array.set_volume_limit(volume, Some(budget));
+    for i in 0..8 {
+        let io = UserIo::write(i * 8 * KIB, 8 * KIB);
+        array
+            .submit_to_volume(&mut eng, volume, io)
+            .expect("in bounds");
+    }
+    eng.run_until(&mut array, SimTime::from_micros(100));
+    assert!(
+        array.drain_completions().is_empty(),
+        "the first write is in flight"
+    );
+
+    array.simulate_host_crash(&mut eng);
+    eng.run(&mut array);
+    let after: Vec<IoId> = array.drain_completions().iter().map(|r| r.id).collect();
+    assert!(after.is_empty(), "{after:?} completed after the crash");
+    let stats = array.volume_stats(volume);
+    assert_eq!((stats.writes, stats.failed_ios), (0, 0));
+    array.audit_invariants();
 }
