@@ -8,9 +8,10 @@
 //! ```
 //!
 //! `--quick` shortens each measurement (CI smoke); `--out` overrides the
-//! output path. The JSON carries GB/s per (kernel, size) plus the
-//! wide-vs-scalar `mul_acc` speedup at 64 KiB — the number the acceptance
-//! bar (≥ 5×) checks.
+//! output path. The JSON records the machine (core count, CPU model,
+//! whether the SIMD kernels are active) and carries GB/s per (kernel, size)
+//! plus the wide-vs-scalar `mul_acc` speedup at 64 KiB — the number the
+//! acceptance bar (≥ 5×) checks.
 
 use std::time::{Duration, Instant};
 
@@ -55,6 +56,19 @@ fn buf(len: usize, seed: u8) -> Vec<u8> {
     (0..len)
         .map(|i| (i as u8).wrapping_mul(37).wrapping_add(seed))
         .collect()
+}
+
+/// The CPU model from `/proc/cpuinfo`, or `"unknown"` off Linux.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
 }
 
 fn main() {
@@ -152,6 +166,13 @@ fn main() {
         ("bench", "kernels".into()),
         ("unit", "GB/s".into()),
         ("quick", quick.into()),
+        (
+            "cores",
+            std::thread::available_parallelism()
+                .map_or(0, |n| n.get())
+                .into(),
+        ),
+        ("cpu_model", cpu_model().as_str().into()),
         ("simd_active", kernels::simd_active().into()),
         ("mul_acc_speedup_at_64KiB", Json::rounded(speedup, 2)),
         (

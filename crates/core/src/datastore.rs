@@ -2,21 +2,38 @@
 //! degraded reconstruction.
 //!
 //! In [`DataMode::Full`] the simulation doesn't just account for time — every
-//! write stores real bytes and real parity (computed with `draid-ec` using
-//! the mode-appropriate path: delta XOR for read-modify-write, full encode
-//! otherwise), and every read returns bytes, reconstructing through the
-//! Reed-Solomon decoder when members are lost. Integration tests assert
-//! end-to-end data integrity across failures, which validates the layout,
-//! write-mode, and recovery logic the timing model alone could not.
+//! write stores real bytes and real parity (computed with `draid-ec`), and
+//! every read returns bytes, reconstructing through the Reed-Solomon decoder
+//! when members are lost. Integration tests assert end-to-end data integrity
+//! across failures, which validates the layout, write-mode, and recovery
+//! logic the timing model alone could not.
+//!
+//! GF(256) codes act on one byte position at a time, so every operation
+//! touches only the byte ranges it changes:
+//!
+//! * a degraded read decodes each lost segment's `[offset, offset + len)`
+//!   straight into the destination, reading `k` survivors over that range;
+//! * a read-modify-write applies parity deltas (`P ^= D ⊕ D'`, `Q ^=
+//!   g^i·(D ⊕ D')`) over each segment's range to every surviving parity,
+//!   decoding a lost touched chunk's old bytes over that range only;
+//! * a reconstruct-write or full-stripe write re-encodes parity over the
+//!   segments' ranges, decoding lost untouched data over those ranges only;
+//! * a resync (no segments) re-encodes the whole chunk.
+//!
+//! Every decode happens before the first byte changes, and healthy chunks
+//! are borrowed, never cloned.
 //!
 //! [`DataMode::Full`]: crate::DataMode::Full
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
-use draid_ec::{Raid5, Raid6, ReedSolomon};
+use draid_ec::{gf256, ReedSolomon};
 
-use crate::config::RaidLevel;
-use crate::layout::{Layout, StripeIo, WriteMode};
+use crate::layout::{Layout, Segment, StripeIo, WriteMode};
+
+/// Bytes verified per decode call when checking a stripe's parity.
+const VERIFY_WINDOW: usize = 64 * 1024;
 
 /// Per-array chunk contents keyed by `(stripe, member)`.
 ///
@@ -25,11 +42,23 @@ use crate::layout::{Layout, StripeIo, WriteMode};
 /// `BTreeSet`s) so every iteration — fsck sweeps, rebuild scans — observes a
 /// deterministic order; hash-iteration order leaking into simulation results
 /// would break replayability.
+///
+/// A stripe's rows are numbered like the codec's shards: `0..d` are its data
+/// chunks, `d` is P and `d + 1` is Q.
 #[derive(Debug)]
 pub struct ChunkStore {
     layout: Layout,
     codec: ReedSolomon,
     chunks: BTreeMap<(u64, usize), Vec<u8>>,
+    /// One chunk of zeros: what an unwritten chunk reads as, borrowed.
+    zeros: Vec<u8>,
+    /// Decoded bytes of a write, reused across writes.
+    scratch: Vec<u8>,
+}
+
+/// A segment's byte range within its chunk.
+fn span(seg: &Segment) -> Range<usize> {
+    seg.offset as usize..(seg.offset + seg.len) as usize
 }
 
 impl ChunkStore {
@@ -39,6 +68,8 @@ impl ChunkStore {
             layout,
             codec: ReedSolomon::new(layout.data_chunks(), layout.level().parity_count()),
             chunks: BTreeMap::new(),
+            zeros: vec![0; layout.chunk_size() as usize],
+            scratch: Vec::new(),
         }
     }
 
@@ -47,11 +78,69 @@ impl ChunkStore {
         self.chunks.len()
     }
 
-    fn chunk(&self, stripe: u64, member: usize) -> Vec<u8> {
+    /// The stored bytes of `member`'s chunk in `stripe`, or `None` if the
+    /// chunk was never written or its drive was lost (test/diagnostic aid).
+    pub fn stored_chunk(&self, stripe: u64, member: usize) -> Option<&[u8]> {
+        self.chunks.get(&(stripe, member)).map(Vec::as_slice)
+    }
+
+    fn rows(&self) -> usize {
+        self.codec.data_chunks() + self.codec.parity_chunks()
+    }
+
+    /// The member holding `row` of `stripe`.
+    fn member(&self, stripe: u64, row: usize) -> usize {
+        let d = self.layout.data_chunks();
+        if row < d {
+            self.layout.data_member(stripe, row)
+        } else if row == d {
+            self.layout.p_member(stripe)
+        } else {
+            self.layout
+                .q_member(stripe)
+                .expect("only raid6 has a Q row")
+        }
+    }
+
+    /// Which rows of `stripe` sit on a member in `failed`.
+    fn lost_rows(&self, stripe: u64, failed: &BTreeSet<usize>) -> Vec<bool> {
+        (0..self.rows())
+            .map(|r| !failed.is_empty() && failed.contains(&self.member(stripe, r)))
+            .collect()
+    }
+
+    /// Bytes `range` of `row`'s chunk; an unwritten chunk reads as zeros.
+    fn bytes(&self, stripe: u64, row: usize, range: Range<usize>) -> &[u8] {
+        match self.chunks.get(&(stripe, self.member(stripe, row))) {
+            Some(chunk) => &chunk[range],
+            None => &self.zeros[..range.len()],
+        }
+    }
+
+    /// Decodes `row` of `stripe` over `range` into `dst` from the rows not
+    /// marked in `lost` (which must include `row`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if more rows are lost than the level tolerates.
+    fn decode(&self, stripe: u64, lost: &[bool], row: usize, range: Range<usize>, dst: &mut [u8]) {
+        let shards: Vec<Option<&[u8]>> = lost
+            .iter()
+            .enumerate()
+            .map(|(r, &gone)| (!gone).then(|| self.bytes(stripe, r, range.clone())))
+            .collect();
+        self.codec
+            .decode_rows(&shards, &mut [(row, dst)])
+            .expect("failures exceed the RAID level's tolerance");
+    }
+
+    /// `row`'s chunk, taken out of the map for in-place update (zeros if
+    /// unwritten); [`ChunkStore::put_chunk`] returns it.
+    fn take_chunk(&mut self, stripe: u64, row: usize) -> Vec<u8> {
+        let member = self.member(stripe, row);
         self.chunks
-            .get(&(stripe, member))
-            .cloned()
-            .unwrap_or_else(|| vec![0; self.layout.chunk_size() as usize])
+            .remove(&(stripe, member))
+            .unwrap_or_else(|| self.zeros.clone())
     }
 
     fn put_chunk(&mut self, stripe: u64, member: usize, data: Vec<u8>) {
@@ -59,45 +148,20 @@ impl ChunkStore {
         self.chunks.insert((stripe, member), data);
     }
 
+    /// Writes `bytes` at `range` of `member`'s chunk, materializing it.
+    fn store_bytes(&mut self, stripe: u64, member: usize, range: Range<usize>, bytes: &[u8]) {
+        let zeros = &self.zeros;
+        self.chunks
+            .entry((stripe, member))
+            .or_insert_with(|| zeros.clone())[range]
+            .copy_from_slice(bytes);
+    }
+
     /// Discards every chunk stored on `member` — the drive is gone (§5.4
     /// prolonged failure). Parity on the surviving members still encodes the
     /// lost contents.
     pub fn drop_member(&mut self, member: usize) {
         self.chunks.retain(|&(_, m), _| m != member);
-    }
-
-    /// Reads the stripe's data chunks, reconstructing any whose member is in
-    /// `failed` via the erasure decoder.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more members failed than the level tolerates.
-    fn data_chunks(&self, stripe: u64, failed: &BTreeSet<usize>) -> Vec<Vec<u8>> {
-        let d = self.layout.data_chunks();
-        let p = self.layout.level().parity_count();
-        if failed.is_empty() {
-            return (0..d)
-                .map(|k| self.chunk(stripe, self.layout.data_member(stripe, k)))
-                .collect();
-        }
-        let mut shards: Vec<Option<Vec<u8>>> = Vec::with_capacity(d + p);
-        for k in 0..d {
-            let m = self.layout.data_member(stripe, k);
-            shards.push((!failed.contains(&m)).then(|| self.chunk(stripe, m)));
-        }
-        let pm = self.layout.p_member(stripe);
-        shards.push((!failed.contains(&pm)).then(|| self.chunk(stripe, pm)));
-        if let Some(qm) = self.layout.q_member(stripe) {
-            shards.push((!failed.contains(&qm)).then(|| self.chunk(stripe, qm)));
-        }
-        self.codec
-            .reconstruct(&mut shards)
-            .expect("failures exceed the RAID level's tolerance");
-        shards
-            .into_iter()
-            .take(d)
-            .map(|s| s.expect("reconstructed"))
-            .collect()
     }
 
     /// Returns the bytes a read of `io` must produce, reconstructing lost
@@ -109,36 +173,51 @@ impl ChunkStore {
     }
 
     /// Gathers the bytes a read of `io` must produce into a caller-provided
-    /// buffer (cleared first) — the zero-copy form of [`ChunkStore::read`].
-    /// The healthy path borrows stored chunks directly; only a degraded read
-    /// materializes reconstructed chunks.
+    /// buffer (cleared first). Healthy segments are copied once from the
+    /// stored chunk; a lost segment is decoded over its own range only.
     pub fn read_into(&self, out: &mut Vec<u8>, io: &StripeIo, failed: &BTreeSet<usize>) {
         out.clear();
         out.reserve(io.bytes() as usize);
-        let needs_reconstruct = io.segments.iter().any(|s| failed.contains(&s.member));
-        if needs_reconstruct {
-            let data = self.data_chunks(io.stripe, failed);
-            for seg in io.segments.iter() {
-                let chunk = &data[seg.data_index];
-                out.extend_from_slice(&chunk[seg.offset as usize..(seg.offset + seg.len) as usize]);
+        let lost = self.lost_rows(io.stripe, failed);
+        for seg in io.segments.iter() {
+            let at = out.len();
+            if lost[seg.data_index] {
+                out.resize(at + seg.len as usize, 0);
+                self.decode(io.stripe, &lost, seg.data_index, span(seg), &mut out[at..]);
+            } else {
+                out.extend_from_slice(self.bytes(io.stripe, seg.data_index, span(seg)));
             }
-        } else {
-            for seg in io.segments.iter() {
-                match self.chunks.get(&(io.stripe, seg.member)) {
-                    Some(chunk) => out.extend_from_slice(
-                        &chunk[seg.offset as usize..(seg.offset + seg.len) as usize],
-                    ),
-                    // Unwritten chunks read as zeros without materializing.
-                    None => out.resize(out.len() + seg.len as usize, 0),
-                }
+        }
+    }
+
+    /// [`ChunkStore::read_into`] into a slice of exactly `io.bytes()`: the
+    /// form that fills a user's read buffer in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst.len()` differs from the stripe I/O size, or a lost
+    /// segment cannot be decoded.
+    pub(crate) fn read_to(&self, dst: &mut [u8], io: &StripeIo, failed: &BTreeSet<usize>) {
+        assert_eq!(dst.len() as u64, io.bytes(), "read buffer size mismatch");
+        let lost = self.lost_rows(io.stripe, failed);
+        let mut at = 0;
+        for seg in io.segments.iter() {
+            let dst = &mut dst[at..at + seg.len as usize];
+            at += seg.len as usize;
+            if lost[seg.data_index] {
+                self.decode(io.stripe, &lost, seg.data_index, span(seg), dst);
+            } else {
+                dst.copy_from_slice(self.bytes(io.stripe, seg.data_index, span(seg)));
             }
         }
     }
 
     /// Applies a stripe write: updates data chunks with `payload` and brings
-    /// parity up to date using the mode's arithmetic path. Chunks on `failed`
-    /// members are not stored (the drive is dead) but parity still encodes
-    /// their intended contents, so later degraded reads return the new data.
+    /// parity up to date over the written ranges — deltas in
+    /// read-modify-write mode, a range-restricted encode otherwise, a whole
+    /// re-encode for a resync (no segments). Chunks on `failed` members are
+    /// not stored (the drive is dead) but parity still encodes their
+    /// intended contents, so later degraded reads return the new data.
     ///
     /// # Panics
     ///
@@ -152,119 +231,168 @@ impl ChunkStore {
         failed: &BTreeSet<usize>,
     ) {
         assert_eq!(payload.len() as u64, io.bytes(), "payload size mismatch");
+        let lost = self.lost_rows(io.stripe, failed);
+        assert!(
+            lost.iter().filter(|&&l| l).count() <= self.codec.parity_chunks(),
+            "failures exceed the RAID level's tolerance"
+        );
+        if mode == WriteMode::ReadModifyWrite && !io.segments.is_empty() {
+            self.write_delta(io, payload, &lost);
+        } else {
+            self.write_encode(io, payload, &lost);
+        }
+    }
+
+    /// Read-modify-write: `P ^= D ⊕ D'` and `Q ^= g^i·(D ⊕ D')` over each
+    /// segment's range, on every surviving parity.
+    fn write_delta(&mut self, io: &StripeIo, payload: &[u8], lost: &[bool]) {
         let stripe = io.stripe;
-        let old_data = self.data_chunks(stripe, failed);
-        let mut new_data = old_data.clone();
-        let mut cursor = 0usize;
+        let d = self.layout.data_chunks();
+        // Old bytes of lost touched chunks, decoded before anything changes.
+        let mut old_lost = std::mem::take(&mut self.scratch);
+        old_lost.clear();
+        for seg in io.segments.iter().filter(|s| lost[s.data_index]) {
+            let at = old_lost.len();
+            old_lost.resize(at + seg.len as usize, 0);
+            self.decode(stripe, lost, seg.data_index, span(seg), &mut old_lost[at..]);
+        }
+
+        let mut parity: Vec<(usize, Vec<u8>)> = (d..self.rows())
+            .filter(|&r| !lost[r])
+            .map(|r| (r, self.take_chunk(stripe, r)))
+            .collect();
+        let (mut cursor, mut decoded) = (0, 0);
         for seg in io.segments.iter() {
-            let dst =
-                &mut new_data[seg.data_index][seg.offset as usize..(seg.offset + seg.len) as usize];
-            dst.copy_from_slice(&payload[cursor..cursor + seg.len as usize]);
+            let range = span(seg);
+            let new = &payload[cursor..cursor + range.len()];
+            cursor += range.len();
+            let old = if lost[seg.data_index] {
+                decoded += range.len();
+                &old_lost[decoded - range.len()..decoded]
+            } else {
+                self.bytes(stripe, seg.data_index, range.clone())
+            };
+            for (row, chunk) in parity.iter_mut() {
+                let c = self.codec.coefficient(*row - d, seg.data_index);
+                let dst = &mut chunk[range.clone()];
+                gf256::mul_acc(dst, old, c);
+                gf256::mul_acc(dst, new, c);
+            }
+            if !lost[seg.data_index] {
+                self.store_bytes(stripe, seg.member, range, new);
+            }
+        }
+        for (row, chunk) in parity {
+            let member = self.member(stripe, row);
+            self.put_chunk(stripe, member, chunk);
+        }
+        self.scratch = old_lost;
+    }
+
+    /// Reconstruct-write, full-stripe write and resync: re-encodes every
+    /// surviving parity over the union of the segments' ranges (the whole
+    /// chunk for a resync), from the new payload, the stored untouched data
+    /// and lost untouched data decoded over those ranges.
+    fn write_encode(&mut self, io: &StripeIo, payload: &[u8], lost: &[bool]) {
+        let stripe = io.stripe;
+        let d = self.layout.data_chunks();
+        // Each data row's segment and that segment's payload offset.
+        let mut written: Vec<Option<(Range<usize>, usize)>> = vec![None; d];
+        let mut cursor = 0;
+        for seg in io.segments.iter() {
+            written[seg.data_index] = Some((span(seg), cursor));
             cursor += seg.len as usize;
         }
+        // The payload offset of `row`'s bytes over `iv`, if a segment
+        // writes them.
+        let covers = |row: usize, iv: &Range<usize>| match &written[row] {
+            Some((r, at)) if r.start <= iv.start && iv.end <= r.end => {
+                Some(at + iv.start - r.start)
+            }
+            _ => None,
+        };
+        // Cut the union at every segment boundary, so each interval lies
+        // wholly inside or outside every segment.
+        let intervals: Vec<Range<usize>> = if io.segments.is_empty() {
+            std::iter::once(0..self.layout.chunk_size() as usize).collect()
+        } else {
+            let mut cuts: Vec<usize> = io
+                .segments
+                .iter()
+                .flat_map(|s| [span(s).start, span(s).end])
+                .collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            cuts.windows(2)
+                .map(|w| w[0]..w[1])
+                .filter(|iv| (0..d).any(|r| covers(r, iv).is_some()))
+                .collect()
+        };
 
-        let (new_p, new_q) = self.updated_parity(stripe, io, &old_data, &new_data, mode, failed);
+        // Lost untouched data, decoded before anything changes, in
+        // (interval, row) order.
+        let mut decoded = std::mem::take(&mut self.scratch);
+        decoded.clear();
+        for iv in &intervals {
+            for row in (0..d).filter(|&r| lost[r] && covers(r, iv).is_none()) {
+                let at = decoded.len();
+                decoded.resize(at + iv.len(), 0);
+                self.decode(stripe, lost, row, iv.clone(), &mut decoded[at..]);
+            }
+        }
 
-        // Each segment owns a distinct data chunk, so the new chunks move
-        // into the store rather than being cloned.
+        let mut parity: Vec<(usize, Vec<u8>)> = (d..self.rows())
+            .filter(|&r| !lost[r])
+            .map(|r| (r, self.take_chunk(stripe, r)))
+            .collect();
+        let mut used = 0;
+        for iv in &intervals {
+            let sources: Vec<&[u8]> = (0..d)
+                .map(|row| match covers(row, iv) {
+                    Some(at) => &payload[at..at + iv.len()],
+                    None if lost[row] => {
+                        used += iv.len();
+                        &decoded[used - iv.len()..used]
+                    }
+                    None => self.bytes(stripe, row, iv.clone()),
+                })
+                .collect();
+            for (row, chunk) in parity.iter_mut() {
+                self.codec
+                    .encode_row_into(*row - d, &sources, &mut chunk[iv.clone()]);
+            }
+        }
+        let mut cursor = 0;
         for seg in io.segments.iter() {
-            if !failed.contains(&seg.member) {
-                self.put_chunk(
-                    stripe,
-                    seg.member,
-                    std::mem::take(&mut new_data[seg.data_index]),
-                );
+            let new = &payload[cursor..cursor + seg.len as usize];
+            cursor += seg.len as usize;
+            if !lost[seg.data_index] {
+                self.store_bytes(stripe, seg.member, span(seg), new);
             }
         }
-        let pm = self.layout.p_member(stripe);
-        if !failed.contains(&pm) {
-            self.put_chunk(stripe, pm, new_p);
+        for (row, chunk) in parity {
+            let member = self.member(stripe, row);
+            self.put_chunk(stripe, member, chunk);
         }
-        if let Some(qm) = self.layout.q_member(stripe) {
-            if !failed.contains(&qm) {
-                self.put_chunk(stripe, qm, new_q.expect("raid6 produces q"));
-            }
-        }
+        self.scratch = decoded;
     }
 
-    /// Computes the post-write parity. RMW without failures exercises the
-    /// delta path (`P' = P ⊕ D ⊕ D'`, and the `g^i`-scaled Q deltas);
-    /// everything else re-encodes from the full new stripe.
-    fn updated_parity(
-        &self,
-        stripe: u64,
-        io: &StripeIo,
-        old_data: &[Vec<u8>],
-        new_data: &[Vec<u8>],
-        mode: WriteMode,
-        failed: &BTreeSet<usize>,
-    ) -> (Vec<u8>, Option<Vec<u8>>) {
-        let refs: Vec<&[u8]> = new_data.iter().map(|d| &d[..]).collect();
-        let use_delta = mode == WriteMode::ReadModifyWrite && failed.is_empty();
-        match self.layout.level() {
-            RaidLevel::Raid5 => {
-                if use_delta {
-                    let mut p = self.chunk(stripe, self.layout.p_member(stripe));
-                    for seg in io.segments.iter() {
-                        let k = seg.data_index;
-                        // P' = P ⊕ D ⊕ D': two in-place XORs, no delta buffer.
-                        draid_ec::xor_into(&mut p, &old_data[k]);
-                        draid_ec::xor_into(&mut p, &new_data[k]);
-                    }
-                    (p, None)
-                } else {
-                    (Raid5::encode(&refs), None)
-                }
-            }
-            RaidLevel::Raid6 => {
-                if use_delta {
-                    let mut p = self.chunk(stripe, self.layout.p_member(stripe));
-                    let mut q = self.chunk(stripe, self.layout.q_member(stripe).expect("raid6"));
-                    for seg in io.segments.iter() {
-                        let k = seg.data_index;
-                        draid_ec::xor_into(&mut p, &old_data[k]);
-                        draid_ec::xor_into(&mut p, &new_data[k]);
-                        // q ^= g^k·(D ⊕ D') via two cached-table multiply-
-                        // accumulates, skipping the scaled delta allocation.
-                        Raid6::apply_q_delta(&mut q, k, &old_data[k], &new_data[k]);
-                    }
-                    (p, Some(q))
-                } else {
-                    let (p, q) = Raid6::encode(&refs);
-                    (p, Some(q))
-                }
-            }
-        }
-    }
-
-    /// Reconstructs the chunk `member` held in `stripe` from the survivors
-    /// and stores it — the data-plane side of a hot-spare rebuild. Parity
-    /// chunks are re-encoded; data chunks are decoded.
+    /// Restores the chunk `member` held in `stripe` from the survivors and
+    /// stores it — the data-plane side of a hot-spare rebuild. Only that one
+    /// row is produced: a data row is decoded, a parity row encoded.
     ///
     /// # Panics
     ///
     /// Panics if more members than tolerated are in `failed` (excluding
     /// `member` itself, which is the one being restored).
     pub fn rebuild_chunk(&mut self, stripe: u64, member: usize, failed: &BTreeSet<usize>) {
-        let mut effective = failed.clone();
-        effective.insert(member);
-        let data = self.data_chunks(stripe, &effective);
-        let chunk = if let Some(k) = self.layout.data_index_of(stripe, member) {
-            data[k].clone()
-        } else {
-            let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-            match self.layout.level() {
-                RaidLevel::Raid5 => Raid5::encode(&refs),
-                RaidLevel::Raid6 => {
-                    let (p, q) = Raid6::encode(&refs);
-                    if member == self.layout.p_member(stripe) {
-                        p
-                    } else {
-                        q
-                    }
-                }
-            }
-        };
+        let row = (0..self.rows())
+            .find(|&r| self.member(stripe, r) == member)
+            .expect("every member holds a row of every stripe");
+        let mut lost = self.lost_rows(stripe, failed);
+        lost[row] = true;
+        let mut chunk = self.zeros.clone();
+        self.decode(stripe, &lost, row, 0..chunk.len(), &mut chunk);
         self.put_chunk(stripe, member, chunk);
     }
 
@@ -298,28 +426,45 @@ impl ChunkStore {
     }
 
     /// Verifies that a stripe's stored parity matches its stored data
-    /// (healthy members only; returns `true` for never-written stripes).
+    /// (returns `true` for never-written stripes).
     pub fn verify_stripe(&self, stripe: u64) -> bool {
-        let d = self.layout.data_chunks();
-        let data: Vec<Vec<u8>> = (0..d)
-            .map(|k| self.chunk(stripe, self.layout.data_member(stripe, k)))
-            .collect();
-        let refs: Vec<&[u8]> = data.iter().map(|c| &c[..]).collect();
-        let p = self.chunk(stripe, self.layout.p_member(stripe));
-        match self.layout.level() {
-            RaidLevel::Raid5 => Raid5::verify(&refs, &p),
-            RaidLevel::Raid6 => {
-                let q = self.chunk(stripe, self.layout.q_member(stripe).expect("raid6"));
-                Raid6::verify(&refs, &p, &q)
-            }
+        self.verify_survivors(stripe, &BTreeSet::new())
+    }
+
+    /// Verifies what the members outside `failed` can check: the first `k`
+    /// surviving rows determine every other row, so each further surviving
+    /// row must equal its decode. With no redundancy left (RAID-5 with one
+    /// loss, RAID-6 with two) there is nothing to check and the stripe
+    /// passes.
+    pub fn verify_survivors(&self, stripe: u64, failed: &BTreeSet<usize>) -> bool {
+        let k = self.codec.data_chunks();
+        let lost = self.lost_rows(stripe, failed);
+        let survivors: Vec<usize> = (0..self.rows()).filter(|&r| !lost[r]).collect();
+        let Some(checked) = survivors.get(k..).filter(|c| !c.is_empty()) else {
+            return true;
+        };
+        // Decode the checked rows from the first k survivors only.
+        let mut outside = vec![true; self.rows()];
+        for &r in &survivors[..k] {
+            outside[r] = false;
         }
+        let len = self.zeros.len();
+        let mut buf = vec![0u8; VERIFY_WINDOW.min(len)];
+        (0..len).step_by(VERIFY_WINDOW).all(|lo| {
+            let range = lo..(lo + VERIFY_WINDOW).min(len);
+            checked.iter().all(|&r| {
+                let out = &mut buf[..range.len()];
+                self.decode(stripe, &outside, r, range.clone(), out);
+                *out == *self.bytes(stripe, r, range.clone())
+            })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{ArrayConfig, SystemKind};
+    use crate::config::{ArrayConfig, RaidLevel, SystemKind};
 
     fn small_layout(level: RaidLevel) -> Layout {
         let mut cfg = ArrayConfig::paper_default(SystemKind::Draid);
@@ -367,7 +512,11 @@ mod tests {
             assert!(a.verify_stripe(0), "{level:?} delta path consistent");
             assert_eq!(a.read(io, &none), b.read(io, &none));
             let pm = layout.p_member(0);
-            assert_eq!(a.chunk(0, pm), b.chunk(0, pm), "{level:?} parity equal");
+            assert_eq!(
+                a.stored_chunk(0, pm),
+                b.stored_chunk(0, pm),
+                "{level:?} parity equal"
+            );
         }
     }
 

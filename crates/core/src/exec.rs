@@ -598,25 +598,18 @@ impl ArraySim {
 
     /// Applies the operation's semantic effect to the chunk store (full data
     /// mode only): writes store data + parity, reads gather (possibly
-    /// reconstructed) bytes into the user buffer.
+    /// reconstructed) bytes straight into the user buffer.
     fn apply_effect(&mut self, op: &OpState) {
         if self.store.is_none() {
             return;
         }
-        // A member whose stripe is already rebuilt onto the spare stores
-        // writes directly (the member index now maps to the spare drive).
-        let effective_faulty: std::collections::BTreeSet<usize> = self
-            .faulty
-            .iter()
-            .copied()
-            .filter(|&m| !self.stripe_rebuilt(op.io.stripe, m))
-            .collect();
-        let Some(store) = &mut self.store else {
-            return;
-        };
         if self.faulty.len() > self.cfg.level.parity_count() {
             return; // array failed; nothing consistent to apply
         }
+        let lost = self.lost_members(op.io.stripe);
+        let Some(store) = &mut self.store else {
+            return;
+        };
         // Internal ops (parity resync) have no user record; their writes
         // carry no payload and only refresh parity.
         match op.purpose {
@@ -631,24 +624,21 @@ impl ArraySim {
                         let lo = op.io.buf_offset as usize;
                         let hi = lo + op.io.bytes() as usize;
                         let sub = data.slice(lo..hi);
-                        store.apply_write(&op.io, &sub, mode, &effective_faulty);
+                        store.apply_write(&op.io, &sub, mode, &lost);
                     }
                     None => {
                         let zeros = self.buf_pool.take_zeroed(op.io.bytes() as usize);
-                        store.apply_write(&op.io, &zeros, mode, &effective_faulty);
+                        store.apply_write(&op.io, &zeros, mode, &lost);
                         self.buf_pool.put(zeros);
                     }
                 }
             }
             Some(Purpose::Read { .. }) => {
-                let mut scratch = self.buf_pool.take();
-                store.read_into(&mut scratch, &op.io, &self.faulty);
                 let user = self.users.get_mut(&op.user);
                 if let Some(buf) = user.and_then(|u| u.read_buf.as_mut()) {
                     let lo = op.io.buf_offset as usize;
-                    buf[lo..lo + scratch.len()].copy_from_slice(&scratch);
+                    store.read_to(&mut buf[lo..lo + op.io.bytes() as usize], &op.io, &lost);
                 }
-                self.buf_pool.put(scratch);
             }
             _ => {}
         }
@@ -659,7 +649,7 @@ impl ArraySim {
         // skipped: its dropped chunks read back as zeros by design, and only
         // parity encodes the data.) No-op unless invariants are on.
         if draid_sim::invariants_enabled()
-            && effective_faulty.is_empty()
+            && lost.is_empty()
             && matches!(op.purpose, Some(Purpose::Write { .. }))
             && op.io.stripe.is_multiple_of(8)
         {

@@ -15,6 +15,8 @@
 //! up when the cursor reaches them, so the array is consistent at every
 //! instant and fully healthy when the rebuild completes.
 
+use std::collections::BTreeSet;
+
 use draid_block::ServerId;
 use draid_sim::{Engine, SimTime, TimerHandle};
 
@@ -132,6 +134,17 @@ impl ArraySim {
             Some(r) => r.member == member && r.sweep.is_done(stripe),
             None => false,
         }
+    }
+
+    /// The members whose chunk of `stripe` is lost: the faulty ones, minus
+    /// a rebuilding member whose copy is already on the spare (the member
+    /// index then maps to the spare drive, which holds the chunk).
+    pub(crate) fn lost_members(&self, stripe: u64) -> BTreeSet<usize> {
+        self.faulty
+            .iter()
+            .copied()
+            .filter(|&m| !self.stripe_rebuilt(stripe, m))
+            .collect()
     }
 
     /// Launches reconstruction of the next stripes, up to the concurrency.

@@ -92,9 +92,11 @@ impl ArraySim {
         stripe: u64,
         failed: bool,
     ) {
-        // Verify against the data plane (when present) at completion time.
+        // Verify against the data plane (when present) at completion time,
+        // checking only what the surviving chunks can: a lost chunk is
+        // absent by design, not corrupt.
         let clean = match &self.store {
-            Some(store) => store.verify_stripe(stripe),
+            Some(store) => store.verify_survivors(stripe, &self.lost_members(stripe)),
             None => true,
         };
         let Some(s) = &mut self.scrub else {

@@ -173,6 +173,54 @@ fn rebuild_progress_is_observable() {
 }
 
 #[test]
+fn reads_of_rebuilt_stripes_use_the_spare_copy() {
+    // Mid-rebuild, a stripe behind the cursor holds the member's chunk on
+    // the spare; a read of it must return that chunk, not decode through
+    // parity (here deliberately corrupted, so a decode would show).
+    let (mut array, mut eng) = array_with_spare(RaidLevel::Raid5);
+    let stripes = 32u64;
+    let data = fill(&mut array, &mut eng, stripes, 11);
+    let member = 2;
+    let k = array
+        .layout()
+        .data_index_of(0, member)
+        .expect("data in stripe 0");
+    array.fail_member(member);
+    array.start_rebuild(&mut eng, member, ServerId(5), stripes, 1);
+    let mut t = eng.now();
+    while array.rebuild_status().expect("rebuild running").rebuilt == 0 {
+        t += SimTime::from_micros(50);
+        eng.run_until(&mut array, t);
+    }
+    let p = array.layout().p_member(0);
+    array
+        .store_mut()
+        .expect("full mode")
+        .corrupt_chunk(0, p, 100);
+
+    let chunk = array.layout().chunk_size();
+    array.submit(&mut eng, UserIo::read(k as u64 * chunk, chunk));
+    let res = loop {
+        if let Some(res) = array.drain_completions().pop() {
+            break res;
+        }
+        t += SimTime::from_micros(50);
+        eng.run_until(&mut array, t);
+    };
+    assert!(
+        array.rebuild_status().is_some(),
+        "the read completed mid-rebuild"
+    );
+    let lo = (k as u64 * chunk) as usize;
+    assert_eq!(
+        res.data.as_deref(),
+        Some(&data[lo..lo + chunk as usize]),
+        "read served from the spare's copy"
+    );
+    eng.run(&mut array);
+}
+
+#[test]
 #[should_panic(expected = "not faulty")]
 fn rebuilding_healthy_member_rejected() {
     let (mut array, mut eng) = array_with_spare(RaidLevel::Raid5);

@@ -89,12 +89,42 @@ fn scrub_skips_faulty_members() {
     eng.run(&mut array);
     let report = array.take_scrub_report().expect("scrub ran");
     assert_eq!(report.checked, 4);
-    // Degraded but consistent: surviving chunks + parity still agree only
-    // where parity wasn't the faulty member's role. verify_stripe on healthy
-    // members treats missing chunks as zeros, so mismatches flag the stripes
-    // whose chunk is gone — scrubbing a degraded array reports what a
-    // rebuild must regenerate.
-    assert!(report.mismatches.len() <= 4);
+    // A lost chunk is absent, not corrupt: RAID-5 with one loss has no
+    // redundancy left to check, so the degraded array scrubs clean and no
+    // stripe is "repaired".
+    assert!(report.mismatches.is_empty(), "{:?}", report.mismatches);
+    assert_eq!(array.stats.scrub_repairs, 0);
+}
+
+#[test]
+fn raid6_degraded_scrub_flags_only_corrupt_survivors() {
+    // RAID-6 with one loss keeps one row of redundancy: the survivors still
+    // check each other, so bit rot on a surviving chunk is caught while the
+    // lost member's chunks are not mistaken for corruption.
+    let mut cfg = ArrayConfig::paper_default(SystemKind::Draid);
+    cfg.level = RaidLevel::Raid6;
+    cfg.width = 5;
+    cfg.chunk_size = 16 * KIB;
+    cfg.data_mode = DataMode::Full;
+    let mut array = ArraySim::new(Cluster::homogeneous(5), cfg).expect("valid");
+    let mut eng: Engine<ArraySim> = Engine::new();
+    fill(&mut array, &mut eng, 4);
+    array.fail_member(1);
+    let victim = (0..3)
+        .map(|k| array.layout().data_member(2, k))
+        .find(|&m| m != 1)
+        .expect("a surviving data member");
+    array
+        .store_mut()
+        .expect("full mode")
+        .corrupt_chunk(2, victim, 300);
+
+    array.start_scrub(&mut eng, 4, 1);
+    eng.run(&mut array);
+    let report = array.take_scrub_report().expect("scrub ran");
+    assert_eq!(report.checked, 4);
+    assert_eq!(report.mismatches, vec![2]);
+    assert_eq!(array.stats.scrub_repairs, 1, "only the finding is repaired");
 }
 
 #[test]

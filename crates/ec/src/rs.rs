@@ -6,6 +6,9 @@
 //! and reduced in any order. This codec provides `k` data + `m` parity with
 //! recovery from any `≤ m` erasures.
 
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
+
 use crate::gf256;
 use crate::Matrix;
 
@@ -43,6 +46,11 @@ impl std::error::Error for CodecError {}
 /// coefficients `g^(i·j)` (row 0 is plain XOR — RAID-5's P; row 1 is RAID-6's
 /// Q), so `ReedSolomon::new(k, 2)` is exactly the paper's RAID-6 code.
 ///
+/// The code acts on one byte position at a time, so every operation works
+/// on any equal-length sub-range of the chunks: [`ReedSolomon::decode_rows`]
+/// restores just the rows and bytes a caller needs. Decode matrices are
+/// built on first use of each erasure pattern and cached.
+///
 /// ```
 /// use draid_ec::ReedSolomon;
 /// let rs = ReedSolomon::new(4, 2);
@@ -59,12 +67,38 @@ impl std::error::Error for CodecError {}
 /// assert_eq!(restored, ());
 /// assert_eq!(shards[1].as_deref(), Some(&[2u8; 8][..]));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct ReedSolomon {
     k: usize,
     m: usize,
     /// `(k + m) × k` generator matrix: identity on top, Vandermonde below.
     generator: Matrix,
+    /// Decoders by erasure pattern, filled lazily.
+    decoders: Mutex<BTreeMap<Pattern, Arc<Decoder>>>,
+}
+
+/// Bitmask of missing shard indices (`k + m ≤ 255`).
+type Pattern = [u64; 4];
+
+/// How one erasure pattern's missing rows follow from `k` survivors.
+#[derive(Debug)]
+struct Decoder {
+    /// The `k` surviving shard indices the coefficients apply to.
+    survivors: Vec<usize>,
+    /// Row `r`'s coefficients over `survivors` at `r·k..(r+1)·k`; filled
+    /// for the missing rows only.
+    coeffs: Vec<u8>,
+}
+
+impl Clone for ReedSolomon {
+    fn clone(&self) -> Self {
+        ReedSolomon {
+            k: self.k,
+            m: self.m,
+            generator: self.generator.clone(),
+            decoders: Mutex::new(self.cache().clone()),
+        }
+    }
 }
 
 impl ReedSolomon {
@@ -89,6 +123,7 @@ impl ReedSolomon {
             k,
             m,
             generator: Matrix::from_rows(&rows),
+            decoders: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -114,18 +149,100 @@ impl ReedSolomon {
     ///
     /// Panics if `data.len() != k` or chunk lengths differ.
     pub fn encode(&self, data: &[&[u8]]) -> Vec<Vec<u8>> {
-        assert_eq!(data.len(), self.k, "expected {} data chunks", self.k);
-        let len = data[0].len();
         (0..self.m)
             .map(|j| {
-                let mut p = vec![0u8; len];
-                for (i, d) in data.iter().enumerate() {
-                    assert_eq!(d.len(), len, "chunk length mismatch");
-                    gf256::mul_acc(&mut p, d, self.coefficient(j, i));
-                }
+                let mut p = vec![0u8; data.first().map_or(0, |d| d.len())];
+                self.encode_row_into(j, data, &mut p);
                 p
             })
             .collect()
+    }
+
+    /// Encodes parity row `parity_row` of `data` into `out` (overwritten).
+    /// Row 0 is a wide XOR and row 1 the one-pass Q syndrome; further rows
+    /// multiply-accumulate. Works on any equal-length sub-range.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != k`, `parity_row >= m`, or a chunk's length
+    /// differs from `out.len()`.
+    pub fn encode_row_into(&self, parity_row: usize, data: &[&[u8]], out: &mut [u8]) {
+        assert_eq!(data.len(), self.k, "expected {} data chunks", self.k);
+        assert!(parity_row < self.m, "parity row out of range");
+        for d in data {
+            assert_eq!(d.len(), out.len(), "chunk length mismatch");
+        }
+        match parity_row {
+            0 => crate::xor_of_into(out, data),
+            1 => crate::kernels::raid6_q_into(out, data),
+            j => combine_into(out, data, self.generator.row(self.k + j)),
+        }
+    }
+
+    /// Decodes the requested missing rows over equal-length borrowed slices.
+    /// `shards` holds `k + m` entries (data then parity), `None` marking an
+    /// erasure; each `(row, buf)` in `out` names a missing row and receives
+    /// its bytes (overwritten). Only `k` survivors are read, and the decode
+    /// matrix of the erasure pattern is built once and cached.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::TooManyErasures`] if more than `m` shards are missing;
+    /// [`CodecError::Unrecoverable`] if the survivors cannot decode.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards.len() != k + m`, a requested row is present, or a
+    /// slice's length differs from the first present shard's.
+    pub fn decode_rows(
+        &self,
+        shards: &[Option<&[u8]>],
+        out: &mut [(usize, &mut [u8])],
+    ) -> Result<(), CodecError> {
+        assert_eq!(shards.len(), self.k + self.m, "wrong shard count");
+        let mut pattern: Pattern = [0; 4];
+        let mut missing = 0;
+        for (i, s) in shards.iter().enumerate() {
+            if s.is_none() {
+                pattern[i / 64] |= 1 << (i % 64);
+                missing += 1;
+            }
+        }
+        if missing > self.m {
+            return Err(CodecError::TooManyErasures {
+                missing,
+                tolerance: self.m,
+            });
+        }
+        let len = shards
+            .iter()
+            .flatten()
+            .map(|s| s.len())
+            .next()
+            .expect("at least one shard must be present");
+        for s in shards.iter().flatten() {
+            assert_eq!(s.len(), len, "chunk length mismatch");
+        }
+        let decoder = self.decoder(pattern, shards)?;
+        let sources: Vec<&[u8]> = decoder
+            .survivors
+            .iter()
+            .map(|&r| shards[r].expect("survivor present"))
+            .collect();
+        // With every data shard present, a missing row is a parity row and
+        // the survivors are the data: encode it on the fast kernels.
+        let data_intact = decoder.survivors[self.k - 1] == self.k - 1;
+        for (row, buf) in out.iter_mut() {
+            let row = *row;
+            assert!(shards[row].is_none(), "row {row} is not missing");
+            assert_eq!(buf.len(), len, "chunk length mismatch");
+            if data_intact {
+                self.encode_row_into(row - self.k, &sources, buf);
+            } else {
+                combine_into(buf, &sources, &decoder.coeffs[row * self.k..][..self.k]);
+            }
+        }
+        Ok(())
     }
 
     /// Reconstructs every missing shard in place. `shards` holds `k + m`
@@ -148,24 +265,49 @@ impl ReedSolomon {
         if missing.is_empty() {
             return Ok(());
         }
-        if missing.len() > self.m {
-            return Err(CodecError::TooManyErasures {
-                missing: missing.len(),
-                tolerance: self.m,
-            });
+        // With every shard gone, `decode_rows` reports too many erasures.
+        let len = shards.iter().flatten().map(Vec::len).next().unwrap_or(0);
+        let mut bufs: Vec<Vec<u8>> = missing.iter().map(|_| vec![0u8; len]).collect();
+        {
+            let view: Vec<Option<&[u8]>> = shards.iter().map(Option::as_deref).collect();
+            let mut out: Vec<(usize, &mut [u8])> = missing
+                .iter()
+                .copied()
+                .zip(bufs.iter_mut().map(|b| &mut b[..]))
+                .collect();
+            self.decode_rows(&view, &mut out)?;
         }
-        let len = shards
-            .iter()
-            .flatten()
-            .map(Vec::len)
-            .next()
-            .expect("at least one shard must be present");
-        for s in shards.iter().flatten() {
-            assert_eq!(s.len(), len, "chunk length mismatch");
+        for (idx, buf) in missing.into_iter().zip(bufs) {
+            shards[idx] = Some(buf);
         }
+        Ok(())
+    }
 
-        // Pick k surviving rows of the generator; invert to express data in
-        // terms of the survivors.
+    /// Number of erasure patterns with a cached decoder.
+    pub fn cached_patterns(&self) -> usize {
+        self.cache().len()
+    }
+
+    fn cache(&self) -> std::sync::MutexGuard<'_, BTreeMap<Pattern, Arc<Decoder>>> {
+        // The map is only ever inserted into whole, so a panic elsewhere
+        // cannot leave it torn.
+        self.decoders
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// The cached decoder of `pattern`, built on first use.
+    fn decoder(
+        &self,
+        pattern: Pattern,
+        shards: &[Option<&[u8]>],
+    ) -> Result<Arc<Decoder>, CodecError> {
+        if let Some(d) = self.cache().get(&pattern) {
+            return Ok(Arc::clone(d));
+        }
+        // Pick the first k survivors; invert their generator rows to express
+        // the data in terms of them, then every missing row as
+        // `generator row × inverse`.
         let survivors: Vec<usize> = (0..shards.len())
             .filter(|&i| shards[i].is_some())
             .take(self.k)
@@ -179,40 +321,34 @@ impl ReedSolomon {
                 .map(|&r| self.generator.row(r).to_vec())
                 .collect::<Vec<_>>(),
         );
-        let decode = sub.inverse().ok_or(CodecError::Unrecoverable)?;
-
-        // data_i = Σ_j decode[i][j] · shard[survivors[j]]
-        let mut data: Vec<Option<Vec<u8>>> = vec![None; self.k];
-        for (i, slot) in data.iter_mut().enumerate() {
-            if i < shards.len() && shards[i].is_some() && survivors.contains(&i) {
-                // Fast path: data shard survived untouched.
-                *slot = shards[i].clone();
-                continue;
-            }
-            let mut buf = vec![0u8; len];
-            for (j, &r) in survivors.iter().enumerate() {
-                let c = decode.get(i, j);
-                if c != 0 {
-                    gf256::mul_acc(&mut buf, shards[r].as_ref().expect("survivor"), c);
+        let inverse = sub.inverse().ok_or(CodecError::Unrecoverable)?;
+        let mut coeffs = vec![0u8; (self.k + self.m) * self.k];
+        for r in (0..shards.len()).filter(|&r| shards[r].is_none()) {
+            let row = &mut coeffs[r * self.k..][..self.k];
+            for (i, &g) in self.generator.row(r).iter().enumerate() {
+                for (j, c) in row.iter_mut().enumerate() {
+                    *c ^= gf256::mul(g, inverse.get(i, j));
                 }
             }
-            *slot = Some(buf);
         }
+        let decoder = Arc::new(Decoder { survivors, coeffs });
+        self.cache().insert(pattern, Arc::clone(&decoder));
+        Ok(decoder)
+    }
+}
 
-        // Fill the erased shards back in (data directly, parity re-encoded).
-        let data_refs: Vec<&[u8]> = data
-            .iter()
-            .map(|d| d.as_deref().expect("all data recovered"))
-            .collect();
-        let parity = self.encode(&data_refs);
-        for idx in missing {
-            shards[idx] = Some(if idx < self.k {
-                data_refs[idx].to_vec()
-            } else {
-                parity[idx - self.k].clone()
-            });
+/// `out = Σ coeffs[j] · sources[j]`, overwriting `out`.
+fn combine_into(out: &mut [u8], sources: &[&[u8]], coeffs: &[u8]) {
+    let mut terms = sources.iter().zip(coeffs).filter(|(_, &c)| c != 0);
+    match terms.next() {
+        Some((src, &c)) => {
+            out.copy_from_slice(src);
+            gf256::scale(out, c);
         }
-        Ok(())
+        None => out.fill(0),
+    }
+    for (src, &c) in terms {
+        gf256::mul_acc(out, src, c);
     }
 }
 
