@@ -173,25 +173,17 @@ impl ChunkStore {
     }
 
     /// Gathers the bytes a read of `io` must produce into a caller-provided
-    /// buffer (cleared first). Healthy segments are copied once from the
-    /// stored chunk; a lost segment is decoded over its own range only.
+    /// buffer (cleared first); see [`ChunkStore::read_to`].
     pub fn read_into(&self, out: &mut Vec<u8>, io: &StripeIo, failed: &BTreeSet<usize>) {
         out.clear();
-        out.reserve(io.bytes() as usize);
-        let lost = self.lost_rows(io.stripe, failed);
-        for seg in io.segments.iter() {
-            let at = out.len();
-            if lost[seg.data_index] {
-                out.resize(at + seg.len as usize, 0);
-                self.decode(io.stripe, &lost, seg.data_index, span(seg), &mut out[at..]);
-            } else {
-                out.extend_from_slice(self.bytes(io.stripe, seg.data_index, span(seg)));
-            }
-        }
+        out.resize(io.bytes() as usize, 0);
+        self.read_to(out, io, failed);
     }
 
-    /// [`ChunkStore::read_into`] into a slice of exactly `io.bytes()`: the
-    /// form that fills a user's read buffer in place.
+    /// Gathers the bytes a read of `io` must produce into a slice of exactly
+    /// `io.bytes()`: the form that fills a user's read buffer in place.
+    /// Healthy segments are copied once from the stored chunk; a lost
+    /// segment is decoded over its own range only.
     ///
     /// # Panics
     ///

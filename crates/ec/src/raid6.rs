@@ -67,20 +67,6 @@ impl Raid6 {
         delta
     }
 
-    /// Accumulates the partial Q-term of a changed chunk directly into `q`
-    /// (`q ^= g^i·(old ⊕ new)`) — the zero-copy form of
-    /// [`Raid6::partial_q_delta`]. Two cached-table multiply-accumulates;
-    /// no intermediate delta buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths differ.
-    pub fn apply_q_delta(q: &mut [u8], index: usize, old: &[u8], new: &[u8]) {
-        let c = gf256::exp(index);
-        gf256::mul_acc(q, old, c);
-        gf256::mul_acc(q, new, c);
-    }
-
     /// Read-modify-write update of both parities for a single changed chunk.
     pub fn update(
         index: usize,

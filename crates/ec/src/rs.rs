@@ -283,11 +283,6 @@ impl ReedSolomon {
         Ok(())
     }
 
-    /// Number of erasure patterns with a cached decoder.
-    pub fn cached_patterns(&self) -> usize {
-        self.cache().len()
-    }
-
     fn cache(&self) -> std::sync::MutexGuard<'_, BTreeMap<Pattern, Arc<Decoder>>> {
         // The map is only ever inserted into whole, so a panic elsewhere
         // cannot leave it torn.
@@ -429,6 +424,54 @@ mod tests {
                 tolerance: 2
             })
         );
+    }
+
+    #[test]
+    fn decoders_are_built_once_per_erasure_pattern() {
+        for (k, m) in [(4, 1), (6, 2), (4, 3)] {
+            let rs = ReedSolomon::new(k, m);
+            let n = k + m;
+            let data = sample_stripe(k, 16);
+            let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
+            let full: Vec<Vec<u8>> = data.iter().cloned().chain(rs.encode(&refs)).collect();
+            assert!(rs.cache().is_empty(), "nothing is built before a decode");
+            let mut patterns = 0;
+            for mask in 1u32..(1 << n) {
+                if mask.count_ones() as usize > m {
+                    continue;
+                }
+                patterns += 1;
+                let view: Vec<Option<&[u8]>> = full
+                    .iter()
+                    .enumerate()
+                    .map(|(i, s)| (mask & (1 << i) == 0).then_some(&s[..]))
+                    .collect();
+                let row = mask.trailing_zeros() as usize;
+                for lo in [0, 5] {
+                    let view: Vec<Option<&[u8]>> =
+                        view.iter().map(|s| s.map(|s| &s[lo..])).collect();
+                    let mut buf = vec![0u8; 16 - lo];
+                    rs.decode_rows(&view, &mut [(row, &mut buf[..])])
+                        .expect("within tolerance");
+                    assert_eq!(buf, full[row][lo..], "k={k} m={m} mask={mask:b}");
+                    assert_eq!(
+                        rs.cache().len(),
+                        patterns,
+                        "k={k} m={m} mask={mask:b}: one decoder per pattern, reused"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failed_decodes_cache_nothing() {
+        let rs = ReedSolomon::new(3, 1);
+        let a = [1u8; 4];
+        let shards = [None, None, Some(&a[..]), Some(&a[..])];
+        let mut buf = [0u8; 4];
+        assert!(rs.decode_rows(&shards, &mut [(0, &mut buf[..])]).is_err());
+        assert!(rs.cache().is_empty());
     }
 
     #[test]

@@ -143,22 +143,6 @@ fn raid5_encode_into_and_reconstruct_into_roundtrip() {
 }
 
 #[test]
-fn raid6_apply_q_delta_matches_partial_q_delta() {
-    for index in [0usize, 1, 7, 200] {
-        let old = pattern(129, 5);
-        let new = pattern(129, 99);
-        let mut q = pattern(129, 0xF0);
-        let mut q_ref = q.clone();
-        Raid6::apply_q_delta(&mut q, index, &old, &new);
-        let delta = Raid6::partial_q_delta(index, &old, &new);
-        for (r, d) in q_ref.iter_mut().zip(&delta) {
-            *r ^= d;
-        }
-        assert_eq!(q, q_ref, "index={index}");
-    }
-}
-
-#[test]
 fn rs_encode_corrupt_decode_roundtrips_through_new_paths() {
     // Every (k, m) in a small grid; every erasure pattern of exactly m
     // shards for the smaller codes; odd chunk length to exercise tails.

@@ -1,7 +1,8 @@
 //! `ReedSolomon::decode_rows` against full reconstruction: for every
 //! erasure pattern up to the code's tolerance and random byte sub-ranges,
 //! each decoded row equals the matching slice of a whole-shard
-//! `reconstruct`, and a repeated pattern reuses its cached decode matrix.
+//! `reconstruct`. (That a repeated pattern reuses its cached decoder is a
+//! unit test in `rs.rs`.)
 
 use draid_ec::ReedSolomon;
 
@@ -36,12 +37,10 @@ fn decoded_rows_match_full_reconstruct_on_every_pattern() {
         let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
         let full: Vec<Vec<u8>> = data.iter().cloned().chain(rs.encode(&refs)).collect();
 
-        let mut patterns = 0;
         for mask in 1u32..(1 << n) {
             if mask.count_ones() as usize > m {
                 continue;
             }
-            patterns += 1;
             let lost: Vec<usize> = (0..n).filter(|i| mask & (1 << i) != 0).collect();
             let mut shards: Vec<Option<Vec<u8>>> = full
                 .iter()
@@ -74,13 +73,7 @@ fn decoded_rows_match_full_reconstruct_on_every_pattern() {
                     .copied()
                     .zip(bufs.iter_mut().map(|b| &mut b[..]))
                     .collect();
-                let before = rs.cached_patterns();
                 rs.decode_rows(&view, &mut out).expect("within tolerance");
-                assert_eq!(
-                    rs.cached_patterns(),
-                    before,
-                    "k={k} m={m} mask={mask:b}: a repeated pattern reuses its decoder"
-                );
                 for (&r, buf) in wanted.iter().zip(&bufs) {
                     assert_eq!(
                         &buf[..],
@@ -90,7 +83,6 @@ fn decoded_rows_match_full_reconstruct_on_every_pattern() {
                 }
             }
         }
-        assert_eq!(rs.cached_patterns(), patterns, "one decoder per pattern");
     }
 }
 
@@ -101,5 +93,4 @@ fn too_many_erasures_reported_by_row_decoder() {
     let shards = [None, None, Some(&a[..]), Some(&a[..])];
     let mut buf = [0u8; 4];
     assert!(rs.decode_rows(&shards, &mut [(0, &mut buf[..])]).is_err());
-    assert_eq!(rs.cached_patterns(), 0, "failed decodes cache nothing");
 }
