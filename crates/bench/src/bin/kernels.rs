@@ -58,19 +58,6 @@ fn buf(len: usize, seed: u8) -> Vec<u8> {
         .collect()
 }
 
-/// The CPU model from `/proc/cpuinfo`, or `"unknown"` off Linux.
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|text| {
-            text.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -162,17 +149,13 @@ fn main() {
     };
     println!("mul_acc wide/scalar speedup at 64 KiB: {speedup:.1}x");
 
+    let (cores, cpu_model) = draid_bench::machine();
     let doc = Json::obj([
         ("bench", "kernels".into()),
         ("unit", "GB/s".into()),
         ("quick", quick.into()),
-        (
-            "cores",
-            std::thread::available_parallelism()
-                .map_or(0, |n| n.get())
-                .into(),
-        ),
-        ("cpu_model", cpu_model().as_str().into()),
+        ("cores", cores.into()),
+        ("cpu_model", cpu_model.as_str().into()),
         ("simd_active", kernels::simd_active().into()),
         ("mul_acc_speedup_at_64KiB", Json::rounded(speedup, 2)),
         (

@@ -1,7 +1,8 @@
 //! Scheduler-throughput report: measures the overhauled `draid_sim::Engine`
 //! against the vendored pre-overhaul engine (`draid_bench::baseline`) on
 //! micro scenarios that isolate the event-engine hot paths, plus the
-//! wall-clock time of a reference macro run, and writes `BENCH_sim.json`.
+//! wall-clock time of a reference macro run, and writes `BENCH_sim.json`
+//! together with the machine it ran on (core count and CPU model).
 //!
 //! ```text
 //! cargo run --release -p draid-bench --bin simperf [--quick] [--out PATH]
@@ -310,9 +311,12 @@ fn main() {
         }
     }
 
+    let (cores, cpu_model) = draid_bench::machine();
     let doc = Json::obj([
         ("bench", "simperf".into()),
         ("quick", quick.into()),
+        ("cores", cores.into()),
+        ("cpu_model", cpu_model.as_str().into()),
         (
             "results",
             results

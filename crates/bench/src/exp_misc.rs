@@ -1,8 +1,14 @@
-//! Table 1 (remote-RAID architecture overheads) and the design-choice
-//! ablations called out in DESIGN.md.
+//! Table 1 (remote-RAID architecture overheads), the design-choice
+//! ablations called out in DESIGN.md, and the extensions beyond the paper's
+//! artifact: the §7 server-CPU claim, traced per-op resource demand,
+//! open-loop latency and a two-tier oversubscribed core.
 
-use draid_core::{DraidOptions, ReducerPolicy, SystemKind};
-use draid_workload::{FioJob, Runner};
+use draid_block::{ClusterBuilder, CpuSpec, DriveSpec};
+use draid_core::trace::StepClass;
+use draid_core::{ArrayConfig, ArraySim, DraidOptions, ReducerPolicy, SystemKind, UserIo};
+use draid_net::NicSpec;
+use draid_sim::{Engine, SimTime};
+use draid_workload::{ArrivalPattern, FioJob, OpenLoopRunner, RunReport, Runner};
 
 use crate::figure::{Figure, Point, Series};
 use crate::parallel;
@@ -43,24 +49,11 @@ pub(crate) fn table1(id: &str) -> Figure {
                 .target_member(0),
         );
         let dread_overhead = r.host_rx_bytes as f64 / (r.reads as f64 * 128.0 * 1024.0);
-        (label.to_string(), write_overhead, dread_overhead)
+        (label, write_overhead, dread_overhead)
     });
     for (label, write_overhead, dread_overhead) in results {
-        fig.series.push(Series {
-            label,
-            points: vec![
-                Point {
-                    x: 0.0,
-                    y: write_overhead,
-                    latency_us: None,
-                },
-                Point {
-                    x: 1.0,
-                    y: dread_overhead,
-                    latency_us: None,
-                },
-            ],
-        });
+        fig.series
+            .push(rows(label, &[write_overhead, dread_overhead]));
     }
     fig.note(
         "paper Table 1: write overhead — single-machine 1x, distributed 1-4x, dRAID 1x".to_string(),
@@ -260,5 +253,296 @@ pub(crate) fn ablation(id: &str) -> Figure {
         fig.notes
             .push(format!("reducer ablation {i}: {name} = {bw:.0} MB/s"));
     }
+    fig
+}
+
+/// A series of `(x, y)` points without latencies.
+fn series(label: &str, points: impl IntoIterator<Item = (f64, f64)>) -> Series {
+    Series {
+        label: label.to_string(),
+        points: points
+            .into_iter()
+            .map(|(x, y)| Point {
+                x,
+                y,
+                latency_us: None,
+            })
+            .collect(),
+    }
+}
+
+/// A series in table1's "row" convention: row `i` carries `values[i]`.
+fn rows(label: &str, values: &[f64]) -> Series {
+    series(
+        label,
+        values.iter().enumerate().map(|(i, &y)| (i as f64, y)),
+    )
+}
+
+/// The §7 load point: saturated 128 KiB writes at queue depth 48 on the
+/// paper-default array. The `sec7-member-cpu` reproduction gate reads the
+/// same run.
+pub(crate) fn saturated_write(runner: &Runner, system: SystemKind) -> RunReport {
+    runner.run(
+        build_array(&Scenario::paper(system)),
+        &FioJob::random_write(128 * 1024).queue_depth(48),
+    )
+}
+
+/// §7 server-CPU claim: "we strictly limit dRAID to use only one core per
+/// SSD on the storage server … dRAID uses <25% of the CPU cycles", measured
+/// at each system's peak partial-stripe-write load.
+pub(crate) fn cpu_util(id: &str) -> Figure {
+    let mut fig = Figure::new(
+        id,
+        "Server-side core utilization at saturated 128 KiB writes (RAID-5 x8)",
+        "row (0=MB/s, 1=max member core %, 2=host core %)",
+        "value",
+    );
+    let runner = Runner::new();
+    let results = parallel::map(vec![SystemKind::SpdkRaid, SystemKind::Draid], |system| {
+        (system, saturated_write(&runner, system))
+    });
+    for (system, r) in results {
+        let (bw, member, host) = (
+            r.bandwidth_mb_per_sec,
+            r.max_member_cpu * 100.0,
+            r.host_cpu * 100.0,
+        );
+        fig.series.push(rows(system.label(), &[bw, member, host]));
+        fig.note(format!(
+            "{}: {bw:.0} MB/s, max member core {member:.1}%, host core {host:.1}%",
+            system.label()
+        ));
+    }
+    fig.note(
+        "paper (§7): dRAID uses <25% of one core per SSD — offloaded parity generation is resource-conservative even at peak write bandwidth",
+    );
+    fig
+}
+
+/// Traced per-op resource demand of partial-stripe writes — the paper's
+/// Table 1 bandwidth argument quantified from inside the simulator — plus
+/// the critical-path attribution of one unloaded write per system.
+pub(crate) fn breakdown(id: &str) -> Figure {
+    const OPS: u64 = 64;
+    const IO: u64 = 128 * 1024;
+    let mut fig = Figure::new(
+        id,
+        "Per-op resource demand for 64 x 128 KiB partial-stripe writes (RAID-5 x8)",
+        "row (0=net bytes/op, 1=drive bytes/op, 2=cpu bytes/op, 3=net span us/op)",
+        "value",
+    );
+    let systems = vec![SystemKind::LinuxMd, SystemKind::SpdkRaid, SystemKind::Draid];
+    let results = parallel::map(systems, |system| {
+        let mut array = build_array(&Scenario::paper(system));
+        array.enable_tracing(1_000_000);
+        let mut engine = Engine::new();
+        let stripe = array.layout().stripe_data_bytes();
+        for i in 0..OPS {
+            array.submit(&mut engine, UserIo::write(i * stripe, IO));
+        }
+        engine.run(&mut array);
+        assert!(array.drain_completions().iter().all(|r| r.is_ok()));
+        let bd = array.take_trace().expect("tracing on").breakdown();
+        let get = |class: StepClass| {
+            bd.iter()
+                .find(|(c, _)| *c == class)
+                .map(|(_, a)| *a)
+                .unwrap_or_default()
+        };
+        let (net, drive, cpu) = (
+            get(StepClass::Network),
+            get(StepClass::Drive),
+            get(StepClass::Cpu),
+        );
+        let demand = [
+            (net.bytes / OPS) as f64,
+            (drive.bytes / OPS) as f64,
+            (cpu.bytes / OPS) as f64,
+            net.total_span.as_micros_f64() / OPS as f64,
+        ];
+
+        // Where a single unloaded op's latency goes (queueing included).
+        let mut array = build_array(&Scenario::paper(system));
+        array.enable_tracing(10_000);
+        let mut engine = Engine::new();
+        array.submit(&mut engine, UserIo::write(0, IO));
+        engine.run(&mut array);
+        assert!(array.drain_completions().pop().expect("done").is_ok());
+        let trace = array.take_trace().expect("tracing on");
+        let op = trace.ops().first().expect("the write launched an op");
+        let path = trace.critical_path(op).map(|path| {
+            [
+                path.total,
+                path.class(StepClass::Network),
+                path.class(StepClass::Drive),
+                path.class(StepClass::Cpu),
+                path.class(StepClass::Control),
+            ]
+            .map(|t| t.as_micros_f64())
+        });
+        (system, demand, path)
+    });
+    for (system, demand, _) in &results {
+        fig.series.push(rows(system.label(), demand));
+        fig.note(format!(
+            "{}: net span {:.1} us/op",
+            system.label(),
+            demand[3]
+        ));
+    }
+    for (system, _, path) in &results {
+        if let Some([total, network, drive, cpu, control]) = path {
+            fig.note(format!(
+                "{}: unloaded 128 KiB write critical path {total:.0} us — network {network:.0}, drive {drive:.0}, cpu {cpu:.0}, control {control:.0}",
+                system.label()
+            ));
+        }
+    }
+    fig.note(
+        "reading: dRAID and the centralized baselines do identical drive work (the paper: drive-side amplification is inevitable), but dRAID moves ~2x fewer bytes over the network in total and ~4x fewer through the host NIC — the Table 1 asymmetry that buys its scalability",
+    );
+    fig
+}
+
+/// Open-loop latency under offered load — the serverless-style view (§1
+/// motivates disaggregation with serverless elasticity): a Poisson sweep per
+/// system, then bursty arrivals against Poisson at equal mean rate on dRAID.
+pub(crate) fn openloop(id: &str) -> Figure {
+    const LOADS: [f64; 9] = [2.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0];
+    let mut fig = Figure::new(
+        id,
+        "Open-loop 128 KiB random writes, RAID-5 x8",
+        "offered Kops/s",
+        "mean latency us",
+    );
+    let job = FioJob::random_write(128 * 1024);
+    let run = |system, pattern, max_inflight| {
+        let runner = OpenLoopRunner {
+            pattern,
+            warmup: SimTime::from_millis(30),
+            measure: SimTime::from_millis(150),
+            max_inflight,
+        };
+        runner.run(build_array(&Scenario::paper(system)), &job)
+    };
+    let systems = [SystemKind::SpdkRaid, SystemKind::Draid];
+    let sweep = parallel::map(
+        systems
+            .iter()
+            .flat_map(|&s| LOADS.map(|kops| (s, kops)))
+            .collect(),
+        |(system, kops)| {
+            let out = run(system, ArrivalPattern::Poisson { rate: kops * 1e3 }, 2048);
+            (out.report.mean_latency_us, out.stable())
+        },
+    );
+    for (system, points) in systems.iter().zip(sweep.chunks(LOADS.len())) {
+        let points = LOADS.iter().zip(points);
+        fig.series.push(series(
+            system.label(),
+            points.clone().map(|(&x, &(y, _))| (x, y)),
+        ));
+        let overloaded: Vec<String> = points
+            .filter(|(_, &(_, stable))| !stable)
+            .map(|(kops, _)| format!("{kops:.0}"))
+            .collect();
+        if !overloaded.is_empty() {
+            fig.note(format!(
+                "{} overloaded at {} Kops/s",
+                system.label(),
+                overloaded.join(", ")
+            ));
+        }
+    }
+
+    // Bursts at the same 16 Kops/s mean: `factor`× the mean for `duty` of
+    // each `period_ms`, a quarter of it in between.
+    let mean = 16_000.0;
+    let burst = |factor, period_ms, duty| ArrivalPattern::Burst {
+        burst_rate: mean * factor,
+        idle_rate: mean * 0.25,
+        period: SimTime::from_millis(period_ms),
+        duty,
+    };
+    let bursts = parallel::map(
+        vec![
+            ("poisson", ArrivalPattern::Poisson { rate: mean }),
+            ("burst 2.5x/8ms", burst(2.5, 8, 0.5)),
+            ("burst 4x/20ms", burst(4.0, 20, 0.2)),
+        ],
+        |(name, pattern)| (name, run(SystemKind::Draid, pattern, 8192)),
+    );
+    for (name, out) in bursts {
+        fig.note(format!(
+            "dRAID at 16 Kops/s mean, {name}: p50 {:.0} us, p99 {:.0} us, peak inflight {}, {}",
+            out.report.p50_latency_us,
+            out.report.p99_latency_us,
+            out.peak_inflight,
+            if out.stable() { "stable" } else { "OVERLOADED" }
+        ));
+    }
+    fig.note(
+        "reading: the same closed-loop bandwidth winner also absorbs bursty serverless-style arrivals with lower tails — headroom from the 1x host data path turns into latency slack under load spikes",
+    );
+    fig
+}
+
+/// A two-tier datacenter whose storage rack sits behind an oversubscribed
+/// core uplink. dRAID's partial parities travel peer-to-peer inside the
+/// storage rack, so one copy of the user data crosses the core per
+/// partial-stripe write; the centralized designs drag old data + old parity
+/// up and new data + new parity down — 4 core crossings.
+pub(crate) fn oversubscription(id: &str) -> Figure {
+    const WIDTH: usize = 8;
+    const FACTORS: [f64; 5] = [1.0, 2.0, 4.0, 8.0, 16.0];
+    let mut fig = Figure::new(
+        id,
+        "Two-tier topology with an oversubscribed storage core, 128 KiB writes, RAID-5 x8",
+        "storage core oversubscription (N:1)",
+        "MB/s",
+    );
+    let build = |system, oversub: f64| {
+        let mut b = ClusterBuilder::new();
+        // Uplink capacity = aggregate NIC bandwidth / oversubscription
+        // factor. The compute rack holds one host; its uplink is a full NIC.
+        let storage_uplink = NicSpec::with_goodput_gbps(92.0 * WIDTH as f64 / oversub);
+        b.two_tier(NicSpec::cx5_100g(), storage_uplink);
+        b.host(vec![NicSpec::cx5_100g()], CpuSpec::default());
+        for _ in 0..WIDTH {
+            b.server(
+                vec![NicSpec::cx5_100g()],
+                DriveSpec::default(),
+                CpuSpec::default(),
+            );
+        }
+        ArraySim::new(b.build(), ArrayConfig::paper_default(system)).expect("valid config")
+    };
+    let runner = Runner::new();
+    let job = FioJob::random_write(128 * 1024).queue_depth(48);
+    let systems = [SystemKind::SpdkRaid, SystemKind::Draid];
+    let results = parallel::map(
+        systems
+            .iter()
+            .flat_map(|&s| FACTORS.map(|f| (s, f)))
+            .collect(),
+        |(system, oversub)| {
+            runner
+                .run(build(system, oversub), &job)
+                .bandwidth_mb_per_sec
+        },
+    );
+    for (system, bw) in systems.iter().zip(results.chunks(FACTORS.len())) {
+        fig.series
+            .push(series(system.label(), FACTORS.into_iter().zip(bw.to_vec())));
+    }
+    for x in FACTORS {
+        let ratio = fig.ratio_at("dRAID", "SPDK", x).unwrap_or(0.0);
+        fig.note(format!("dRAID/SPDK at {x:.0}:1 = {ratio:.2}x"));
+    }
+    fig.note(
+        "reading: with a non-blocking core (1:1) the drives bound both systems; as the storage rack's uplink thins, the centralized baseline's 4 core crossings per write throttle it first, while dRAID's single crossing (plus rack-local parity movement) holds on far longer — the paper's Table 1 traffic asymmetry expressed as topology",
+    );
     fig
 }

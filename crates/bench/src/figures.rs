@@ -41,7 +41,8 @@ macro_rules! spec {
     };
 }
 
-/// Every experiment, in paper order.
+/// Every experiment, in paper order, then the extensions beyond the paper's
+/// artifact.
 pub fn all() -> Vec<FigureSpec> {
     use RaidLevel::{Raid5, Raid6};
     vec![
@@ -185,6 +186,26 @@ pub fn all() -> Vec<FigureSpec> {
             "dRAID design-choice ablations",
             exp_misc::ablation("ablation")
         ),
+        spec!(
+            "cpu_util",
+            "§7 server-side core utilization at peak write load",
+            exp_misc::cpu_util("cpu_util")
+        ),
+        spec!(
+            "breakdown",
+            "Traced per-op resource demand (Table 1, quantified)",
+            exp_misc::breakdown("breakdown")
+        ),
+        spec!(
+            "openloop",
+            "Open-loop Poisson and bursty arrival latency",
+            exp_misc::openloop("openloop")
+        ),
+        spec!(
+            "oversubscription",
+            "Two-tier topology with an oversubscribed storage core",
+            exp_misc::oversubscription("oversubscription")
+        ),
     ]
 }
 
@@ -207,6 +228,36 @@ mod tests {
         assert!(ids.contains(&"fig10"));
         assert!(ids.contains(&"fig30"));
         assert!(ids.contains(&"table1"));
+        // The extensions follow the paper's figures, in this order.
+        let tail = [
+            "ablation",
+            "cpu_util",
+            "breakdown",
+            "openloop",
+            "oversubscription",
+        ];
+        assert_eq!(ids[ids.len() - tail.len()..], tail);
+    }
+
+    #[test]
+    fn breakdown_quantifies_table1_asymmetry() {
+        let fig = by_id("breakdown").expect("registered").build();
+        let row = |label: &str, row: f64| {
+            fig.series(label)
+                .and_then(|s| s.at(row))
+                .map(|p| p.y)
+                .expect("measured")
+        };
+        // Row 1: drive bytes/op — identical drive work for every system.
+        let drive = row("dRAID", 1.0);
+        assert_eq!(row("Linux", 1.0), drive);
+        assert_eq!(row("SPDK", 1.0), drive);
+        // Row 0: network bytes/op — dRAID moves about half of SPDK's.
+        let (draid, spdk) = (row("dRAID", 0.0), row("SPDK", 0.0));
+        assert!(
+            draid <= 0.55 * spdk,
+            "dRAID {draid} vs SPDK {spdk} net bytes/op"
+        );
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!
 //! `all_figures` runs the whole evaluation and emits a Markdown report;
 //! `all_figures <id>...` regenerates individual figures (`fig09` … `fig30`,
-//! `table1`, `ablation`). Criterion micro-benchmarks live in `benches/`.
+//! `table1`, `ablation`, and the extensions `cpu_util`, `breakdown`,
+//! `openloop`, `oversubscription`). Criterion micro-benchmarks live in
+//! `benches/`.
 //!
 //! The `report` binary is the observability plane's front end: it runs a
 //! reference scenario and attributes the bottleneck per phase, with JSON,
@@ -40,3 +42,19 @@ mod setup;
 pub use figure::{Figure, Point, Series};
 pub use report::{run_report, BottleneckReport, ReportConfig};
 pub use setup::{build_array, build_hetero_array, Scenario};
+
+/// The machine a wall-clock report ran on, as `(logical cores, CPU model)`.
+/// The model comes from `/proc/cpuinfo` and is `"unknown"` off Linux.
+pub fn machine() -> (usize, String) {
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split(':').nth(1))
+                .map(|m| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    (cores, model)
+}

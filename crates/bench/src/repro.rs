@@ -157,10 +157,7 @@ pub fn gates() -> Vec<Gate> {
     );
 
     // 8. §7: dRAID member cores stay below 25%.
-    let util = runner.run(
-        build_array(&Scenario::paper(SystemKind::Draid)),
-        &FioJob::random_write(128 * 1024).queue_depth(48),
-    );
+    let util = crate::exp_misc::saturated_write(&runner, SystemKind::Draid);
     gate(
         "sec7-member-cpu",
         util.max_member_cpu < 0.25,

@@ -1,6 +1,7 @@
 //! The checked-in `BENCH_sim.json` scheduler-throughput report must parse,
-//! have the shape `simperf` promises, and carry a headline speedup at or
-//! above the engine-overhaul acceptance bar.
+//! name the machine it was measured on, have the shape `simperf` promises,
+//! and carry a headline speedup at or above the engine-overhaul acceptance
+//! bar, with no scenario far below the pre-overhaul engine.
 
 use draid_bench::json::{self, Json};
 
@@ -18,6 +19,15 @@ fn checked_in_sim_bench_has_expected_shape() {
     assert_eq!(doc.get("bench").and_then(Json::as_str), Some("simperf"));
     // The checked-in numbers must come from a full run, not a CI smoke.
     assert_eq!(doc.get("quick").and_then(Json::as_bool), Some(false));
+
+    // A throughput means little without the machine that produced it.
+    let cores = doc.get("cores").and_then(Json::as_num).expect("cores");
+    assert!(cores >= 1.0, "core count recorded");
+    let cpu = doc
+        .get("cpu_model")
+        .and_then(Json::as_str)
+        .expect("cpu_model");
+    assert!(!cpu.trim().is_empty(), "CPU model recorded");
 
     let results = doc
         .get("results")
@@ -110,4 +120,23 @@ fn headline_speedup_meets_acceptance_bar() {
         .and_then(|r| r.get("speedup").and_then(Json::as_num))
         .expect("completion_chain_backlog speedup");
     assert_eq!(headline, from_list, "headline not the chain scenario");
+}
+
+#[test]
+fn no_scenario_falls_far_below_the_baseline_engine() {
+    // The overhaul trades a little on two scenarios for the headline; the
+    // trade must stay small.
+    let doc = json::parse(BENCH).expect("BENCH_sim.json parses");
+    let speedups = doc
+        .get("speedups")
+        .and_then(Json::as_arr)
+        .expect("speedups array");
+    for scenario in ["heap_random_steady", "timer_arm_cancel"] {
+        let x = speedups
+            .iter()
+            .find(|r| r.get("scenario").and_then(Json::as_str) == Some(scenario))
+            .and_then(|r| r.get("speedup").and_then(Json::as_num))
+            .expect("scenario speedup");
+        assert!(x >= 0.75, "{scenario} speedup {x} below the 0.75x floor");
+    }
 }

@@ -27,6 +27,7 @@ use crate::stats::ArrayStats;
 /// Callback invoked when a user I/O completes (drives closed-loop workloads).
 pub type CompletionHook = Box<dyn FnOnce(&mut ArraySim, &mut Engine<ArraySim>, &IoResult)>;
 
+/// Everything the array tracks about one outstanding user I/O.
 pub(crate) struct UserState {
     pub io: UserIo,
     pub submitted: SimTime,
@@ -34,6 +35,9 @@ pub(crate) struct UserState {
     pub degraded: bool,
     pub error: Option<IoError>,
     pub read_buf: Option<Vec<u8>>,
+    pub hook: Option<CompletionHook>,
+    /// The volume whose statistics the I/O counts toward, if any.
+    pub volume: Option<crate::volume::VolumeId>,
 }
 
 /// Window-based available-bandwidth probe feeding the §6.2 selector.
@@ -78,17 +82,16 @@ pub struct ArraySim {
     /// Running user-level statistics.
     pub stats: ArrayStats,
     completions: VecDeque<IoResult>,
-    pub(crate) hooks: HashMap<u64, CompletionHook>,
     pub(crate) rebuild: Option<crate::rebuild::RebuildState>,
     pub(crate) scrub: Option<crate::scrub::ScrubState>,
     pub(crate) tracer: Option<crate::trace::Tracer>,
     pub(crate) bitmap: crate::bitmap::WriteIntentBitmap,
-    pub(crate) volumes: crate::volume::VolumeTable,
+    pub(crate) volumes: Vec<crate::volume::Volume>,
     pub(crate) volume_cursor: u64,
-    pub(crate) user_volumes: HashMap<u64, crate::volume::VolumeId>,
     /// Host-controller incarnation, bumped by [`ArraySim::simulate_host_crash`]:
     /// work the crashed controller had parked for later (volume-shaped
-    /// admissions) checks it and dies with that controller.
+    /// admissions, fail-fast completions on a failed array) checks it and
+    /// dies with that controller.
     pub(crate) host_epoch: u64,
     pub(crate) fault_mgr: Option<crate::fault::FaultManagerState>,
     /// Recycled scratch buffers for the op data plane (see
@@ -159,14 +162,12 @@ impl ArraySim {
             rng: DetRng::new(cfg.seed),
             stats: ArrayStats::new(),
             completions: VecDeque::new(),
-            hooks: HashMap::new(),
             rebuild: None,
             scrub: None,
             tracer: None,
             bitmap: crate::bitmap::WriteIntentBitmap::new(),
-            volumes: crate::volume::VolumeTable::new(),
+            volumes: Vec::new(),
             volume_cursor: 0,
-            user_volumes: HashMap::new(),
             host_epoch: 0,
             fault_mgr: None,
             buf_pool: crate::exec::BufPool::new(),
@@ -197,27 +198,16 @@ impl ArraySim {
     }
 
     /// Runs the runtime invariant checkers on demand: cluster-wide byte
-    /// conservation on every NIC direction and drive channel, and every
-    /// volume tag naming an outstanding user I/O. The executor
+    /// conservation on every NIC direction and drive channel. The executor
     /// also samples this automatically every 64 finished ops; call it at the
     /// end of a scenario for a final full audit. A no-op unless invariants
     /// are enabled (debug builds or the `strict-invariants` feature).
     ///
     /// # Panics
     ///
-    /// Panics when a conservation ledger does not balance or a volume tag
-    /// outlives its I/O.
+    /// Panics when a conservation ledger does not balance.
     pub fn audit_invariants(&self) {
         self.cluster.audit_conservation();
-        if draid_sim::invariants_enabled() {
-            if let Some(user) = self
-                .user_volumes
-                .keys()
-                .find(|u| !self.users.contains_key(u))
-            {
-                panic!("volume tag of user I/O {user} outlives the I/O");
-            }
-        }
     }
 
     /// Currently faulty member indices.
@@ -255,8 +245,8 @@ impl ArraySim {
         io: UserIo,
         hook: Option<CompletionHook>,
     ) -> IoId {
-        let id = self.reserve_io_id();
-        self.submit_reserved_inner(eng, id, io, hook);
+        let (id, now) = (self.reserve_io_id(), eng.now());
+        self.submit_reserved(eng, id, io, hook, None, now);
         IoId(id)
     }
 
@@ -268,53 +258,41 @@ impl ArraySim {
         id
     }
 
-    /// Submits under a previously reserved id (the delayed leg of a
-    /// volume-shaped admission).
+    /// Submits under a previously reserved id. `submitted` is when the
+    /// issuer asked: a volume-shaped admission submits later, and the
+    /// shaping delay is part of the tenant's latency.
     pub(crate) fn submit_reserved(
         &mut self,
         eng: &mut Engine<ArraySim>,
         id: u64,
         io: UserIo,
-        volume: Option<crate::volume::VolumeId>,
-        requested_at: SimTime,
-    ) {
-        if let Some(v) = volume {
-            self.tag_volume(id, v);
-        }
-        self.submit_reserved_inner(eng, id, io, None);
-        // The tenant asked earlier; admission shaping is part of its latency.
-        if let Some(user) = self.users.get_mut(&id) {
-            user.submitted = requested_at;
-        }
-    }
-
-    fn submit_reserved_inner(
-        &mut self,
-        eng: &mut Engine<ArraySim>,
-        id: u64,
-        io: UserIo,
         hook: Option<CompletionHook>,
+        volume: Option<crate::volume::VolumeId>,
+        submitted: SimTime,
     ) {
         assert!(io.len > 0, "zero-length I/O");
         if let Some(data) = &io.data {
             assert_eq!(data.len() as u64, io.len, "payload length mismatch");
         }
-        if let Some(h) = hook {
-            self.hooks.insert(id, h);
-        }
 
         if self.is_failed() {
             let user = UserState {
-                submitted: eng.now(),
+                submitted,
                 pending: 0,
                 degraded: false,
                 error: Some(IoError::ArrayFailed),
                 read_buf: None,
+                hook,
+                volume,
                 io,
             };
             self.users.insert(id, user);
+            // A host crash before this fires takes the I/O with it.
+            let epoch = self.host_epoch;
             eng.schedule_in(SimTime::ZERO, move |w: &mut ArraySim, eng| {
-                w.complete_user(eng, id);
+                if w.host_epoch == epoch {
+                    w.complete_user(eng, id);
+                }
             });
             return;
         }
@@ -322,11 +300,13 @@ impl ArraySim {
         let stripe_ios = self.layout.map(io.offset, io.len);
         let needs_read_buf = io.kind == IoKind::Read && self.cfg.data_mode == DataMode::Full;
         let user = UserState {
-            submitted: eng.now(),
+            submitted,
             pending: stripe_ios.len(),
             degraded: false,
             error: None,
             read_buf: needs_read_buf.then(|| vec![0u8; io.len as usize]),
+            hook,
+            volume,
             io,
         };
         let kind = user.io.kind;
@@ -501,25 +481,15 @@ impl ArraySim {
         let now = eng.now();
         let latency = now.saturating_sub(user.submitted);
         let ok = user.error.is_none();
-        self.account_volume(id, user.io.kind, user.io.len, latency, ok);
-        if ok {
-            match user.io.kind {
-                IoKind::Read => {
-                    self.stats.reads += 1;
-                    self.stats.bytes_read += user.io.len;
-                    self.stats.read_latency.record(latency);
-                }
-                IoKind::Write => {
-                    self.stats.writes += 1;
-                    self.stats.bytes_written += user.io.len;
-                    self.stats.write_latency.record(latency);
-                }
-            }
-            if user.degraded {
-                self.stats.degraded_ios += 1;
-            }
-        } else {
-            self.stats.failed_ios += 1;
+        let (kind, len) = (user.io.kind, user.io.len);
+        if let Some(volume) = user.volume {
+            self.volumes[volume.0 as usize]
+                .stats
+                .record(kind, len, latency, ok);
+        }
+        self.stats.record(kind, len, latency, ok);
+        if ok && user.degraded {
+            self.stats.degraded_ios += 1;
         }
         let result = IoResult {
             id: IoId(id),
@@ -534,7 +504,7 @@ impl ArraySim {
             data: user.read_buf.map(bytes::Bytes::from),
             error: user.error,
         };
-        if let Some(hook) = self.hooks.remove(&id) {
+        if let Some(hook) = user.hook {
             hook(self, eng, &result);
         }
         self.completions.push_back(result);
@@ -569,8 +539,6 @@ impl ArraySim {
         }
         self.free_ops = (0..self.ops.len()).rev().collect();
         self.users.clear();
-        self.hooks.clear();
-        self.user_volumes.clear();
         self.host_epoch += 1;
         self.locks = LockTable::new();
         if let Some(r) = self.rebuild.take() {

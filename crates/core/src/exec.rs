@@ -224,9 +224,11 @@ impl ArraySim {
                 } else {
                     self.layout.write_mode(&io)
                 };
+                // Every stripe spans all members, so any faulty member
+                // degrades it.
                 Purpose::Write {
                     mode,
-                    degraded: self.stripe_degraded(stripe),
+                    degraded: self.is_degraded(),
                 }
             }
             OpKind::Rebuild { spare, .. } => Purpose::Rebuild {
@@ -302,23 +304,6 @@ impl ArraySim {
     /// slot can be recycled by a retry or a newly admitted op mid-loop).
     fn op_live(&self, idx: usize, gen: u64) -> bool {
         matches!(&self.ops[idx], Some(op) if op.gen == gen)
-    }
-
-    fn stripe_degraded(&self, stripe: u64) -> bool {
-        if self.faulty.is_empty() {
-            return false;
-        }
-        let p = self.layout.p_member(stripe);
-        if self.faulty.contains(&p) {
-            return true;
-        }
-        if let Some(q) = self.layout.q_member(stripe) {
-            if self.faulty.contains(&q) {
-                return true;
-            }
-        }
-        (0..self.layout.data_chunks())
-            .any(|k| self.faulty.contains(&self.layout.data_member(stripe, k)))
     }
 
     fn start_step(&mut self, eng: &mut Engine<ArraySim>, idx: usize, sid: usize) {

@@ -2,6 +2,8 @@
 
 use draid_sim::{Histogram, SimTime};
 
+use crate::io::IoKind;
+
 /// Running statistics of an array simulation.
 ///
 /// Byte/op counters cover completed user I/Os; histograms record end-to-end
@@ -37,6 +39,27 @@ impl ArrayStats {
     /// Creates zeroed statistics.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Folds one completed user I/O in: a success counts toward its
+    /// direction's ops, bytes and latency, a failure toward `failed_ios`.
+    pub(crate) fn record(&mut self, kind: IoKind, len: u64, latency: SimTime, ok: bool) {
+        if !ok {
+            self.failed_ios += 1;
+            return;
+        }
+        match kind {
+            IoKind::Read => {
+                self.reads += 1;
+                self.bytes_read += len;
+                self.read_latency.record(latency);
+            }
+            IoKind::Write => {
+                self.writes += 1;
+                self.bytes_written += len;
+                self.write_latency.record(latency);
+            }
+        }
     }
 
     /// Total completed user I/Os.

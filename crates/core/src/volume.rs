@@ -7,16 +7,14 @@
 //! budget ("a QoS controller needs to implement rate limiting at run-time to
 //! ensure that a tenant does not exceed its I/O budget").
 
-use std::collections::HashMap;
-
 use draid_block::TokenBucket;
-use draid_sim::{Engine, SimTime};
+use draid_sim::Engine;
 
 use crate::array::ArraySim;
-use crate::io::{IoId, IoKind, UserIo};
+use crate::io::{IoId, UserIo};
 use crate::stats::ArrayStats;
 
-/// Identifies a volume on the array.
+/// Identifies a volume on the array: its index in creation order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VolumeId(pub u32);
 
@@ -73,16 +71,13 @@ impl ArraySim {
         let base = self.volume_cursor;
         self.volume_cursor += rounded;
         let id = VolumeId(self.volumes.len() as u32);
-        self.volumes.insert(
-            id,
-            Volume {
-                name: name.into(),
-                base,
-                capacity: rounded,
-                limiter: None,
-                stats: ArrayStats::new(),
-            },
-        );
+        self.volumes.push(Volume {
+            name: name.into(),
+            base,
+            capacity: rounded,
+            limiter: None,
+            stats: ArrayStats::new(),
+        });
         id
     }
 
@@ -94,7 +89,7 @@ impl ArraySim {
     /// Panics on an unknown volume.
     pub fn set_volume_limit(&mut self, volume: VolumeId, limiter: Option<TokenBucket>) {
         self.volumes
-            .get_mut(&volume)
+            .get_mut(volume.0 as usize)
             .expect("unknown volume")
             .limiter = limiter;
     }
@@ -105,7 +100,7 @@ impl ArraySim {
     ///
     /// Panics on an unknown volume.
     pub fn volume_capacity(&self, volume: VolumeId) -> u64 {
-        self.volumes.get(&volume).expect("unknown volume").capacity
+        self.volume(volume).capacity
     }
 
     /// Per-volume statistics.
@@ -114,7 +109,7 @@ impl ArraySim {
     ///
     /// Panics on an unknown volume.
     pub fn volume_stats(&self, volume: VolumeId) -> &ArrayStats {
-        &self.volumes.get(&volume).expect("unknown volume").stats
+        &self.volume(volume).stats
     }
 
     /// The volume's human-readable name.
@@ -123,7 +118,7 @@ impl ArraySim {
     ///
     /// Panics on an unknown volume.
     pub fn volume_name(&self, volume: VolumeId) -> &str {
-        &self.volumes.get(&volume).expect("unknown volume").name
+        &self.volume(volume).name
     }
 
     /// Submits an I/O against a volume: offsets are volume-relative, bounds
@@ -144,7 +139,7 @@ impl ArraySim {
         let (base, admit_at) = {
             let vol = self
                 .volumes
-                .get_mut(&volume)
+                .get_mut(volume.0 as usize)
                 .ok_or(VolumeError::UnknownVolume(volume))?;
             let end = io.offset + io.len;
             if end > vol.capacity {
@@ -160,64 +155,23 @@ impl ArraySim {
             (vol.base, admit_at)
         };
         io.offset += base;
-        let id = if admit_at <= now {
-            self.submit_tagged(eng, io, volume)
+        let id = self.reserve_io_id();
+        if admit_at <= now {
+            self.submit_reserved(eng, id, io, None, Some(volume), now);
         } else {
             // Budget exceeded: the admission is shaped to the tenant's rate,
             // unless the controller holding it crashes first.
-            let (reserved, epoch) = (self.reserve_io_id(), self.host_epoch);
+            let epoch = self.host_epoch;
             eng.schedule_at(admit_at, move |w: &mut ArraySim, eng| {
                 if w.host_epoch == epoch {
-                    w.submit_reserved(eng, reserved, io, Some(volume), now);
+                    w.submit_reserved(eng, id, io, None, Some(volume), now);
                 }
             });
-            IoId(reserved)
-        };
-        Ok(id)
-    }
-
-    fn submit_tagged(&mut self, eng: &mut Engine<ArraySim>, io: UserIo, volume: VolumeId) -> IoId {
-        let id = self.submit(eng, io);
-        self.tag_volume(id.0, volume);
-        id
-    }
-
-    pub(crate) fn tag_volume(&mut self, user: u64, volume: VolumeId) {
-        self.user_volumes.insert(user, volume);
-    }
-
-    /// Folds a completed user I/O into its volume's statistics.
-    pub(crate) fn account_volume(
-        &mut self,
-        user: u64,
-        kind: IoKind,
-        len: u64,
-        latency: SimTime,
-        ok: bool,
-    ) {
-        let Some(volume) = self.user_volumes.remove(&user) else {
-            return;
-        };
-        let Some(vol) = self.volumes.get_mut(&volume) else {
-            return;
-        };
-        if !ok {
-            vol.stats.failed_ios += 1;
-            return;
         }
-        match kind {
-            IoKind::Read => {
-                vol.stats.reads += 1;
-                vol.stats.bytes_read += len;
-                vol.stats.read_latency.record(latency);
-            }
-            IoKind::Write => {
-                vol.stats.writes += 1;
-                vol.stats.bytes_written += len;
-                vol.stats.write_latency.record(latency);
-            }
-        }
+        Ok(IoId(id))
+    }
+
+    fn volume(&self, volume: VolumeId) -> &Volume {
+        self.volumes.get(volume.0 as usize).expect("unknown volume")
     }
 }
-
-pub(crate) type VolumeTable = HashMap<VolumeId, Volume>;

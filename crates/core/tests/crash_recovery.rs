@@ -144,8 +144,7 @@ fn crash_with_clean_bitmap_resyncs_nothing() {
 fn crash_drops_budget_shaped_volume_admissions() {
     // A tenant over its budget has its admissions held back until the
     // bucket refills. Those belong to the crashed controller: none may be
-    // issued, complete or be counted after the crash, and no volume tag
-    // may outlive the I/Os the crash dropped.
+    // issued, complete or be counted after the crash.
     let (mut array, mut eng) = make();
     let volume = array.create_volume("tenant", 64 * KIB);
     let budget = TokenBucket::new(ByteRate::from_mb_per_sec(1.0), 8 * KIB);
@@ -169,4 +168,20 @@ fn crash_drops_budget_shaped_volume_admissions() {
     let stats = array.volume_stats(volume);
     assert_eq!((stats.writes, stats.failed_ios), (0, 0));
     array.audit_invariants();
+}
+
+#[test]
+fn crash_right_after_a_submit_to_a_failed_array_drops_the_io() {
+    // A failed array fails a submit fast, with a zero-delay completion. A
+    // crash before that completion fires takes the I/O with it, like every
+    // other outstanding I/O: it never completes and counts nowhere.
+    let (mut array, mut eng) = make();
+    array.fail_member(0);
+    array.fail_member(1);
+    assert!(array.is_failed());
+    array.submit(&mut eng, UserIo::write(0, 8 * KIB));
+    array.simulate_host_crash(&mut eng);
+    eng.run(&mut array);
+    assert!(array.drain_completions().is_empty());
+    assert_eq!(array.stats.failed_ios, 0);
 }
