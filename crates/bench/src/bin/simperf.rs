@@ -25,6 +25,11 @@
 //! * `timer_arm_cancel` — arm a deadline per op, then cancel it from the
 //!   op's completion (first-class `cancel` vs. the old tombstone-closure
 //!   idiom that fires every dead deadline as a no-op closure call).
+//! * `deadline_backlog` — the same op pattern with 32 ops in flight and a
+//!   deadline over 1000× the completion delay, the shape of a loaded
+//!   array: tens of thousands of canceled deadlines wait to be retired
+//!   while every completion goes through the queue. On the new engine they
+//!   wait in the timer heap, apart from the completions.
 
 use std::time::{Duration, Instant};
 
@@ -148,64 +153,102 @@ engine_scenarios!(heap_random_new, chain_backlog_new, EngineNew);
 engine_scenarios!(heap_random_baseline, chain_backlog_baseline, EngineBaseline);
 
 const COMPLETION_DELAY: SimTime = SimTime::from_nanos(200);
-/// Op deadlines dwarf completion latency (as in the real array config), so
-/// hundreds of not-yet-due deadline entries are pending at any instant.
+/// `timer_arm_cancel`'s op deadline: 500× the completion delay, so hundreds
+/// of not-yet-due deadline entries are pending at any instant.
 const DEADLINE_DELAY: SimTime = SimTime::from_micros(100);
+/// `deadline_backlog`'s op deadline: over 1000× the completion delay, like
+/// the array's 250 ms §5.4 timeout against sub-millisecond ops.
+const BACKLOG_DEADLINE_DELAY: SimTime = SimTime::from_micros(250);
+/// Ops in flight in `deadline_backlog`: the queue depth of simcost's loops.
+const BACKLOG_INFLIGHT: u64 = 32;
 
-/// `n` ops on the new engine: each arms a cancelable deadline timer, then
-/// its completion (200 ns later) cancels the deadline and launches the next
-/// op. No deadline handler ever runs; stale entries retire at due time.
-fn timer_cancel_new(n: u64) -> (u64, Duration) {
-    fn arm(eng: &mut draid_sim::Engine<u64>, remaining: u64) {
-        let deadline = eng.schedule_timer_in(DEADLINE_DELAY, |_, _| {
+/// Op counts of a timer scenario, kept in the world of either engine.
+struct Ops {
+    launched: u64,
+    completed: u64,
+    total: u64,
+    deadline: SimTime,
+}
+
+impl Ops {
+    fn new(total: u64, deadline: SimTime) -> Self {
+        Ops {
+            launched: 0,
+            completed: 0,
+            total,
+            deadline,
+        }
+    }
+
+    /// Completion delay of the `i`-th initial op: staggers the in-flight
+    /// ops by a nanosecond each so their completions do not tie.
+    fn stagger(i: u64) -> SimTime {
+        COMPLETION_DELAY + SimTime::from_nanos(i)
+    }
+}
+
+/// `n` ops on the new engine, `inflight` at a time: each arms a cancelable
+/// deadline timer, then its completion (200 ns later) cancels the deadline
+/// and launches the next op. No deadline handler ever runs; stale entries
+/// retire at due time.
+fn timer_cancel_new(n: u64, inflight: u64, deadline: SimTime) -> (u64, Duration) {
+    fn arm(w: &mut Ops, eng: &mut draid_sim::Engine<Ops>, completion: SimTime) {
+        w.launched += 1;
+        let deadline = eng.schedule_timer_in(w.deadline, |_, _| {
             panic!("deadline fired despite cancellation");
         });
-        eng.schedule_in(COMPLETION_DELAY, move |w: &mut u64, eng| {
-            *w += 1;
+        eng.schedule_in(completion, move |w: &mut Ops, eng| {
+            w.completed += 1;
             assert!(eng.cancel(deadline), "deadline still pending");
-            if remaining > 0 {
-                arm(eng, remaining - 1);
+            if w.launched < w.total {
+                arm(w, eng, COMPLETION_DELAY);
             }
         });
     }
     let start = Instant::now();
-    let mut eng: draid_sim::Engine<u64> = draid_sim::Engine::new();
-    let mut completed = 0u64;
-    arm(&mut eng, n - 1);
-    eng.run(&mut completed);
-    assert_eq!(completed, n, "every op must complete");
+    let mut eng: draid_sim::Engine<Ops> = draid_sim::Engine::new();
+    let mut ops = Ops::new(n, deadline);
+    for i in 0..inflight {
+        arm(&mut ops, &mut eng, Ops::stagger(i));
+    }
+    eng.run(&mut ops);
+    assert_eq!(ops.completed, n, "every op must complete");
     (eng.stats().events_fired, start.elapsed())
 }
 
 /// The same op pattern on the baseline engine, written the only way it
 /// could be: the deadline closure is a tombstone that checks a done flag
 /// and fires as a no-op, because the old API had no way to cancel.
-fn timer_cancel_baseline(n: u64) -> (u64, Duration) {
+fn timer_cancel_baseline(n: u64, inflight: u64, deadline: SimTime) -> (u64, Duration) {
     struct World {
-        completed: u64,
+        ops: Ops,
         done: Vec<bool>,
     }
-    fn arm(eng: &mut baseline::Engine<World>, op: u64, total: u64) {
-        eng.schedule_in(DEADLINE_DELAY, move |w: &mut World, _| {
-            assert!(w.done[op as usize], "deadline fired on a live op");
+    fn arm(w: &mut World, eng: &mut baseline::Engine<World>, completion: SimTime) {
+        let op = w.ops.launched as usize;
+        w.ops.launched += 1;
+        eng.schedule_in(w.ops.deadline, move |w: &mut World, _| {
+            assert!(w.done[op], "deadline fired on a live op");
         });
-        eng.schedule_in(COMPLETION_DELAY, move |w: &mut World, eng| {
-            w.completed += 1;
-            w.done[op as usize] = true;
-            if op + 1 < total {
-                arm(eng, op + 1, total);
+        eng.schedule_in(completion, move |w: &mut World, eng| {
+            w.ops.completed += 1;
+            w.done[op] = true;
+            if w.ops.launched < w.ops.total {
+                arm(w, eng, COMPLETION_DELAY);
             }
         });
     }
     let start = Instant::now();
     let mut eng: baseline::Engine<World> = baseline::Engine::new();
     let mut world = World {
-        completed: 0,
+        ops: Ops::new(n, deadline),
         done: vec![false; n as usize],
     };
-    arm(&mut eng, 0, n);
+    for i in 0..inflight {
+        arm(&mut world, &mut eng, Ops::stagger(i));
+    }
     eng.run(&mut world);
-    assert_eq!(world.completed, n, "every op must complete");
+    assert_eq!(world.ops.completed, n, "every op must complete");
     (eng.stats().events_fired, start.elapsed())
 }
 
@@ -256,9 +299,17 @@ fn main() {
     measure("completion_chain_backlog", "baseline", &mut || {
         chain_backlog_baseline(chain_n, backlog)
     });
-    measure("timer_arm_cancel", "new", &mut || timer_cancel_new(ops));
+    measure("timer_arm_cancel", "new", &mut || {
+        timer_cancel_new(ops, 1, DEADLINE_DELAY)
+    });
     measure("timer_arm_cancel", "baseline", &mut || {
-        timer_cancel_baseline(ops)
+        timer_cancel_baseline(ops, 1, DEADLINE_DELAY)
+    });
+    measure("deadline_backlog", "new", &mut || {
+        timer_cancel_new(ops, BACKLOG_INFLIGHT, BACKLOG_DEADLINE_DELAY)
+    });
+    measure("deadline_backlog", "baseline", &mut || {
+        timer_cancel_baseline(ops, BACKLOG_INFLIGHT, BACKLOG_DEADLINE_DELAY)
     });
 
     let rate = |scenario: &str, engine: &str| {
@@ -272,6 +323,7 @@ fn main() {
         "heap_random_steady",
         "completion_chain_backlog",
         "timer_arm_cancel",
+        "deadline_backlog",
     ];
     let speedups: Vec<(&str, f64)> = scenarios
         .iter()

@@ -7,10 +7,11 @@ use draid_bench::json::{self, Json};
 
 const BENCH: &str = include_str!("../../../BENCH_sim.json");
 
-const SCENARIOS: [&str; 3] = [
+const SCENARIOS: [&str; 4] = [
     "heap_random_steady",
     "completion_chain_backlog",
     "timer_arm_cancel",
+    "deadline_backlog",
 ];
 
 #[test]

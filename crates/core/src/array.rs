@@ -9,6 +9,7 @@
 //! user-visible results.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 
 use draid_block::{Cluster, ServerId};
 use draid_net::NodeId;
@@ -18,6 +19,7 @@ use crate::config::{ArrayConfig, DataMode, ReducerPolicy, SystemKind};
 use crate::datastore::ChunkStore;
 use crate::exec::{OpKind, OpState};
 use crate::health::{HealthConfig, HealthMonitor, HealthState};
+use crate::idhash::IdHasher;
 use crate::io::{IoError, IoId, IoKind, IoResult, UserIo};
 use crate::layout::Layout;
 use crate::lock::LockTable;
@@ -73,7 +75,7 @@ pub struct ArraySim {
     pub(crate) ops: Vec<Option<OpState>>,
     pub(crate) free_ops: Vec<usize>,
     pub(crate) next_gen: u64,
-    pub(crate) users: HashMap<u64, UserState>,
+    pub(crate) users: HashMap<u64, UserState, BuildHasherDefault<IdHasher>>,
     next_io: u64,
     pub(crate) store: Option<ChunkStore>,
     pub(crate) selector: ReducerSelector,
@@ -154,7 +156,7 @@ impl ArraySim {
             ops: Vec::new(),
             free_ops: Vec::new(),
             next_gen: 1,
-            users: HashMap::new(),
+            users: HashMap::default(),
             next_io: 1,
             store,
             selector: ReducerSelector::new(cfg.width),

@@ -62,8 +62,9 @@ pub(crate) struct OpState {
     remaining: usize,
     pub holds_lock: bool,
     pub retries: u32,
-    /// The armed §5.4 deadline timer; canceled when the op finishes so dead
-    /// timers stop occupying the event queue.
+    /// The armed §5.4 deadline timer; canceled when the op finishes, so it
+    /// never runs (its entry waits in the engine's timer heap, apart from
+    /// the step completions, until its due time).
     pub deadline_timer: Option<TimerHandle>,
     /// The pending retry-backoff timer that will (re)launch this op. Held so
     /// a host crash can cancel the launch outright instead of relying on the

@@ -58,6 +58,7 @@ mod datastore;
 mod exec;
 mod fault;
 mod health;
+mod idhash;
 mod io;
 mod layout;
 mod lock;

@@ -6,23 +6,39 @@
 //! normal reads (the SPDK POC behaviour dRAID's lock-free read improves on,
 //! §8/§9.2).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 
 use draid_sim::draid_invariant;
+
+use crate::idhash::IdHasher;
 
 /// Opaque ticket naming a queued operation (the executor's op slot).
 pub type Ticket = usize;
 
+/// One locked stripe: the holder, and the tickets queued behind it.
+#[derive(Debug)]
+struct StripeLock {
+    holder: Ticket,
+    /// Stays unallocated until a second ticket contends for the stripe.
+    waiters: VecDeque<Ticket>,
+}
+
 /// A table of per-stripe FIFO locks.
 ///
-/// Stripe queues live in a `BTreeMap` so any iteration (diagnostics, the
-/// [`LockTable::waiting`] gauge) observes stripes in a deterministic order —
-/// hash-map iteration order feeding stats would be a reproducibility bug.
+/// The table is only ever accessed by stripe — acquire, release, transfer,
+/// lookup — and [`LockTable::waiting`] is a running count, so nothing
+/// iterates it and hash order cannot reach a result. That makes a hash map
+/// with a one-multiply hasher the cheapest home for it: no ordered-tree
+/// descent or node allocation per write, and an uncontended acquire
+/// allocates nothing.
 #[derive(Debug, Default)]
 pub struct LockTable {
-    stripes: BTreeMap<u64, VecDeque<Ticket>>,
+    stripes: HashMap<u64, StripeLock, BuildHasherDefault<IdHasher>>,
     acquired: u64,
     queued: u64,
+    waiting: usize,
 }
 
 impl LockTable {
@@ -35,21 +51,42 @@ impl LockTable {
     /// the lock was granted immediately; otherwise the ticket is queued and
     /// will be returned by a future [`LockTable::release`].
     pub fn acquire(&mut self, stripe: u64, ticket: Ticket) -> bool {
-        let q = self.stripes.entry(stripe).or_default();
-        draid_invariant!(
-            !q.contains(&ticket),
-            "ticket {} acquired stripe {} twice without release",
-            ticket,
-            stripe
-        );
-        q.push_back(ticket);
-        if q.len() == 1 {
-            self.acquired += 1;
-            true
-        } else {
-            self.queued += 1;
-            false
+        match self.stripes.entry(stripe) {
+            Entry::Vacant(slot) => {
+                slot.insert(StripeLock {
+                    holder: ticket,
+                    waiters: VecDeque::new(),
+                });
+                self.acquired += 1;
+                true
+            }
+            Entry::Occupied(slot) => {
+                let lock = slot.into_mut();
+                draid_invariant!(
+                    lock.holder != ticket && !lock.waiters.contains(&ticket),
+                    "ticket {} acquired stripe {} twice without release",
+                    ticket,
+                    stripe
+                );
+                lock.waiters.push_back(ticket);
+                self.queued += 1;
+                self.waiting += 1;
+                false
+            }
         }
+    }
+
+    /// The lock on `stripe`, which `ticket` must hold.
+    fn held(&mut self, stripe: u64, ticket: Ticket) -> &mut StripeLock {
+        let lock = self
+            .stripes
+            .get_mut(&stripe)
+            .unwrap_or_else(|| panic!("stripe {stripe} is not locked"));
+        assert_eq!(
+            lock.holder, ticket,
+            "ticket {ticket} does not hold the lock on stripe {stripe}"
+        );
+        lock
     }
 
     /// Releases the stripe lock held by `ticket` and returns the next queued
@@ -60,21 +97,17 @@ impl LockTable {
     /// Panics if `ticket` does not hold the stripe's lock — releasing out of
     /// order would corrupt write ordering.
     pub fn release(&mut self, stripe: u64, ticket: Ticket) -> Option<Ticket> {
-        let q = self
-            .stripes
-            .get_mut(&stripe)
-            .unwrap_or_else(|| panic!("release of unlocked stripe {stripe}"));
-        assert_eq!(
-            q.front().copied(),
-            Some(ticket),
-            "ticket {ticket} does not hold the lock on stripe {stripe}"
-        );
-        q.pop_front();
-        let next = q.front().copied();
-        if q.is_empty() {
-            self.stripes.remove(&stripe);
-        } else {
-            self.acquired += 1;
+        let lock = self.held(stripe, ticket);
+        let next = lock.waiters.pop_front();
+        match next {
+            Some(next) => {
+                lock.holder = next;
+                self.acquired += 1;
+                self.waiting -= 1;
+            }
+            None => {
+                self.stripes.remove(&stripe);
+            }
         }
         next
     }
@@ -87,16 +120,7 @@ impl LockTable {
     ///
     /// Panics if `from` does not hold the stripe's lock.
     pub fn transfer(&mut self, stripe: u64, from: Ticket, to: Ticket) {
-        let q = self
-            .stripes
-            .get_mut(&stripe)
-            .unwrap_or_else(|| panic!("transfer on unlocked stripe {stripe}"));
-        assert_eq!(
-            q.front().copied(),
-            Some(from),
-            "ticket {from} does not hold the lock on stripe {stripe}"
-        );
-        *q.front_mut().expect("non-empty queue") = to;
+        self.held(stripe, from).holder = to;
     }
 
     /// Whether any ticket holds or awaits the stripe.
@@ -106,10 +130,7 @@ impl LockTable {
 
     /// Number of tickets waiting (not holding) across all stripes.
     pub fn waiting(&self) -> usize {
-        self.stripes
-            .values()
-            .map(|q| q.len().saturating_sub(1))
-            .sum()
+        self.waiting
     }
 
     /// Total grants so far (immediate + after queueing).
@@ -137,8 +158,10 @@ mod tests {
         assert!(t.is_locked(7));
         assert_eq!(t.waiting(), 2);
         assert_eq!(t.release(7, 1), Some(2));
+        assert_eq!(t.waiting(), 1);
         assert_eq!(t.release(7, 2), Some(3));
         assert_eq!(t.release(7, 3), None);
+        assert_eq!(t.waiting(), 0);
         assert!(!t.is_locked(7));
         assert_eq!(t.grants(), 3);
         assert_eq!(t.contended(), 2);
@@ -163,7 +186,9 @@ mod tests {
         t.release(1, 11);
     }
 
+    // `draid_invariant!` is compiled out of plain release builds.
     #[test]
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     #[should_panic(expected = "acquired stripe 1 twice")]
     fn duplicate_acquire_trips_invariant() {
         let mut t = LockTable::new();

@@ -15,6 +15,11 @@
 //!   via their [`TimerHandle`]; a canceled timer's heap entry is retired
 //!   lazily when popped, advancing the clock to its due time exactly as a
 //!   fired no-op would, so cancellation never perturbs the clock trajectory.
+//! * Timers keep their entries in a **heap of their own**. Most timers are
+//!   op deadlines that get canceled long before they are due, so their
+//!   stale entries pile up; in a separate heap they never deepen the one
+//!   that every step completion is pushed into and popped from. The run
+//!   loop takes the earlier of the two tops by `(time, seq)`.
 //!
 //! The global firing order is `(time, seq)` with `seq` assigned in
 //! scheduling order — the determinism contract every artifact diff rests on.
@@ -50,6 +55,7 @@ impl<W> Event<W> {
 
 /// Compact heap entry: 24 bytes moved per sift, addressing the slab slot
 /// that owns the event.
+#[derive(Clone, Copy)]
 struct HeapEntry {
     time: SimTime,
     seq: u64,
@@ -134,7 +140,11 @@ pub struct EngineStats {
 pub struct Engine<W> {
     now: SimTime,
     seq: u64,
+    /// Future plain events and step completions.
     heap: BinaryHeap<HeapEntry>,
+    /// Timers, live or canceled. Kept apart from `heap` so that canceled
+    /// deadlines waiting to be retired do not deepen it.
+    timers: BinaryHeap<HeapEntry>,
     slots: Vec<EventSlot<W>>,
     free: Vec<u32>,
     /// Same-instant FIFO: `(seq, event)` pairs scheduled at `now`. Entries
@@ -170,6 +180,7 @@ impl<W> Engine<W> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
+            timers: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             fast: VecDeque::new(),
@@ -292,8 +303,8 @@ impl<W> Engine<W> {
     }
 
     /// Schedules a cancelable timer at absolute time `at` and returns its
-    /// handle. Timers always go through the slab + heap (never the
-    /// same-instant fast path), but fire in exactly the same global
+    /// handle. Timers always go through the slab and the timer heap (never
+    /// the same-instant fast path), but fire in exactly the same global
     /// `(time, seq)` order as plain events.
     ///
     /// # Panics
@@ -311,7 +322,7 @@ impl<W> Engine<W> {
         self.assert_not_past(at);
         let seq = self.next_seq();
         let slot = self.alloc_slot(seq, event);
-        self.heap.push(HeapEntry {
+        self.timers.push(HeapEntry {
             time: at,
             seq,
             slot,
@@ -344,7 +355,7 @@ impl<W> Engine<W> {
     /// pending (its event is dropped immediately and its slab slot
     /// recycled); `false` if it already fired or was already canceled.
     ///
-    /// The timer's heap entry stays queued and is retired when popped: it
+    /// The timer's entry stays in the timer heap and is retired when popped: it
     /// advances the clock to the timer's due time and counts toward
     /// [`EngineStats::events_fired`], exactly as a no-op firing would —
     /// so canceling timers cannot change the simulated clock trajectory.
@@ -388,6 +399,23 @@ impl<W> Engine<W> {
         self.run_inner(world, Some(deadline))
     }
 
+    /// The earliest entry of the two heaps by `(time, seq)`, and whether it
+    /// is the timer heap's.
+    fn next_entry(&self) -> Option<(HeapEntry, bool)> {
+        match (self.heap.peek(), self.timers.peek()) {
+            (Some(&event), Some(&timer)) => {
+                Some(if (timer.time, timer.seq) < (event.time, event.seq) {
+                    (timer, true)
+                } else {
+                    (event, false)
+                })
+            }
+            (Some(&event), None) => Some((event, false)),
+            (None, Some(&timer)) => Some((timer, true)),
+            (None, None) => None,
+        }
+    }
+
     fn run_inner(&mut self, world: &mut W, deadline: Option<SimTime>) -> SimTime {
         self.stopped = false;
         let cap = deadline.unwrap_or(SimTime::MAX);
@@ -395,13 +423,12 @@ impl<W> Engine<W> {
             if self.stopped {
                 break;
             }
+            let next = self.next_entry();
             if let Some(&(front_seq, _)) = self.fast.front() {
                 // Heap entries due at this same instant were scheduled
                 // earlier (smaller seq) iff they beat the FIFO front.
-                let heap_due_first = self
-                    .heap
-                    .peek()
-                    .is_some_and(|top| top.time == self.now && top.seq < front_seq);
+                let heap_due_first =
+                    next.is_some_and(|(top, _)| top.time == self.now && top.seq < front_seq);
                 if !heap_due_first {
                     let (_, event) = self.fast.pop_front().expect("peeked front vanished");
                     self.live -= 1;
@@ -409,13 +436,18 @@ impl<W> Engine<W> {
                     event.fire(world, self);
                     continue;
                 }
-            } else if self.heap.peek().is_none() {
+            }
+            let Some((entry, is_timer)) = next else {
+                break;
+            };
+            if entry.time > cap {
                 break;
             }
-            if self.heap.peek().expect("heap non-empty here").time > cap {
-                break;
+            if is_timer {
+                self.timers.pop();
+            } else {
+                self.heap.pop();
             }
-            let entry = self.heap.pop().expect("peeked entry vanished");
             crate::draid_invariant!(
                 entry.time >= self.now,
                 "event queue went backwards: now={}, popped={}",
@@ -801,5 +833,318 @@ mod tests {
         }
         engine.run(&mut world);
         assert_eq!(engine.slab_slots(), 1000, "slab did not grow on reuse");
+    }
+
+    /// One action of the split-queue exactness script: schedule an event of
+    /// one of the four kinds `delay` ns from now, cancel the `n`-th timer
+    /// armed so far, or stop the run.
+    #[derive(Clone, Copy, Debug)]
+    enum Act {
+        Boxed(u64),
+        Call(u64),
+        Timer(u64),
+        TimerCall(u64),
+        Cancel(usize),
+        Stop,
+    }
+
+    /// What the script records, in order: each firing as `(now, seq)`, and
+    /// each cancel with its result.
+    #[derive(Debug, PartialEq)]
+    enum Logged {
+        Fired(SimTime, u64),
+        Canceled(usize, bool),
+    }
+
+    /// Draws the actions of one firing. Delays of 0 and a few nanoseconds
+    /// make same-instant ties between the FIFO, the event heap and the timer
+    /// heap common; cancels favour recent timers, so many hit timers that
+    /// are due at the current instant or soon after.
+    fn plan(rng: &mut crate::DetRng, budget: &mut u32, timers: usize) -> Vec<Act> {
+        const DELAYS: [u64; 7] = [0, 0, 1, 2, 3, 40, 5_000];
+        let mut acts = Vec::new();
+        for _ in 0..rng.below(4) {
+            let delay = DELAYS[rng.below(DELAYS.len() as u64) as usize];
+            let act = match rng.below(10) {
+                0 | 1 => Act::Boxed(delay),
+                2 | 3 => Act::Call(delay),
+                4 | 5 => Act::Timer(delay),
+                6 => Act::TimerCall(delay),
+                7 | 8 if timers > 0 => {
+                    let back = rng.below(timers.min(6) as u64) as usize;
+                    acts.push(Act::Cancel(timers - 1 - back));
+                    continue;
+                }
+                9 if rng.below(8) == 0 => {
+                    acts.push(Act::Stop);
+                    continue;
+                }
+                _ => continue,
+            };
+            if *budget > 0 {
+                *budget -= 1;
+                acts.push(act);
+            }
+        }
+        acts
+    }
+
+    /// The engine-side world of the exactness script.
+    struct Script {
+        rng: crate::DetRng,
+        budget: u32,
+        /// Mirrors the engine's sequence counter: every schedule bumps both.
+        seq: u64,
+        timers: Vec<TimerHandle>,
+        log: Vec<Logged>,
+    }
+
+    fn script_fire(w: &mut Script, eng: &mut Engine<Script>, seq: u64) {
+        w.log.push(Logged::Fired(eng.now(), seq));
+        for act in plan(&mut w.rng, &mut w.budget, w.timers.len()) {
+            script_apply(w, eng, act);
+        }
+    }
+
+    fn script_call(w: &mut Script, eng: &mut Engine<Script>, [seq, _, _]: [u64; 3]) {
+        script_fire(w, eng, seq);
+    }
+
+    fn script_apply(w: &mut Script, eng: &mut Engine<Script>, act: Act) {
+        let ns = SimTime::from_nanos;
+        let seq = w.seq + 1;
+        match act {
+            Act::Boxed(d) => eng.schedule_in(ns(d), move |w, eng| script_fire(w, eng, seq)),
+            Act::Call(d) => eng.schedule_call_at(eng.now() + ns(d), script_call, [seq, 0, 0]),
+            Act::Timer(d) => {
+                let h = eng.schedule_timer_in(ns(d), move |w, eng| script_fire(w, eng, seq));
+                w.timers.push(h);
+            }
+            Act::TimerCall(d) => {
+                let h = eng.schedule_timer_call_in(ns(d), script_call, [seq, 0, 0]);
+                w.timers.push(h);
+            }
+            Act::Cancel(i) => {
+                let ok = eng.cancel(w.timers[i]);
+                w.log.push(Logged::Canceled(i, ok));
+                return;
+            }
+            Act::Stop => {
+                eng.stop();
+                return;
+            }
+        }
+        w.seq = seq;
+    }
+
+    /// Test-only oracle: the engine's contract with one ordered queue for
+    /// every pending entry, no FIFO and no second heap. A canceled timer
+    /// stays queued and is retired at its due time.
+    struct Oracle {
+        now: SimTime,
+        seq: u64,
+        queue: std::collections::BTreeSet<(SimTime, u64)>,
+        canceled: std::collections::BTreeSet<u64>,
+        fired: u64,
+        stopped: bool,
+        rng: crate::DetRng,
+        budget: u32,
+        timers: Vec<(SimTime, u64)>,
+        log: Vec<Logged>,
+        /// Successful cancels of a timer due at the current instant.
+        same_instant_cancels: u32,
+        stops: u32,
+    }
+
+    impl Oracle {
+        fn apply(&mut self, act: Act) {
+            let (d, timer) = match act {
+                Act::Boxed(d) | Act::Call(d) => (d, false),
+                Act::Timer(d) | Act::TimerCall(d) => (d, true),
+                Act::Cancel(i) => {
+                    let (at, seq) = self.timers[i];
+                    let ok = self.queue.contains(&(at, seq)) && self.canceled.insert(seq);
+                    if ok && at == self.now {
+                        self.same_instant_cancels += 1;
+                    }
+                    self.log.push(Logged::Canceled(i, ok));
+                    return;
+                }
+                Act::Stop => {
+                    self.stopped = true;
+                    self.stops += 1;
+                    return;
+                }
+            };
+            self.seq += 1;
+            let at = self.now + SimTime::from_nanos(d);
+            self.queue.insert((at, self.seq));
+            if timer {
+                self.timers.push((at, self.seq));
+            }
+        }
+
+        fn run(&mut self, deadline: Option<SimTime>) {
+            self.stopped = false;
+            while !self.stopped {
+                let Some(&(time, seq)) = self.queue.first() else {
+                    break;
+                };
+                if deadline.is_some_and(|d| time > d) {
+                    break;
+                }
+                self.queue.pop_first();
+                self.now = time;
+                self.fired += 1;
+                if self.canceled.remove(&seq) {
+                    continue;
+                }
+                self.log.push(Logged::Fired(time, seq));
+                for act in plan(&mut self.rng, &mut self.budget, self.timers.len()) {
+                    self.apply(act);
+                }
+            }
+            if let Some(d) = deadline {
+                if !self.stopped && self.now < d {
+                    self.now = d;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn split_queues_fire_exactly_like_one_ordered_queue() {
+        let (mut same_instant_cancels, mut stops, mut timer_fires) = (0, 0, 0);
+        for seed in 0..24u64 {
+            let budget = 1_500;
+            let mut w = Script {
+                rng: crate::DetRng::new(seed),
+                budget,
+                seq: 0,
+                timers: Vec::new(),
+                log: Vec::new(),
+            };
+            let mut engine: Engine<Script> = Engine::new();
+            let mut oracle = Oracle {
+                now: SimTime::ZERO,
+                seq: 0,
+                queue: Default::default(),
+                canceled: Default::default(),
+                fired: 0,
+                stopped: false,
+                rng: crate::DetRng::new(seed),
+                budget,
+                timers: Vec::new(),
+                log: Vec::new(),
+                same_instant_cancels: 0,
+                stops: 0,
+            };
+            // Every kind at a handful of instants (0 ns included, which
+            // sends the non-timers through the FIFO), then a few cancels.
+            let mut before: Vec<Act> = (0..24u64)
+                .map(|i| {
+                    let d = i * 7 % 5;
+                    [
+                        Act::Boxed(d),
+                        Act::Call(d),
+                        Act::Timer(d),
+                        Act::TimerCall(d),
+                    ][i as usize % 4]
+                })
+                .collect();
+            before.extend([Act::Cancel(seed as usize % 6), Act::Cancel(4)]);
+            for act in before {
+                script_apply(&mut w, &mut engine, act);
+                oracle.apply(act);
+            }
+            for deadline in [0, 2, 2, 25, 90, 300, 2_000] {
+                let deadline = SimTime::from_nanos(deadline);
+                engine.run_until(&mut w, deadline);
+                oracle.run(Some(deadline));
+                assert_eq!(w.log, oracle.log, "seed {seed}, window to {deadline}");
+                assert_eq!(
+                    (engine.now(), engine.stats().events_fired),
+                    (oracle.now, oracle.fired),
+                    "seed {seed}, window to {deadline}"
+                );
+            }
+            // A stop in the final run leaves entries behind; keep running.
+            while !oracle.queue.is_empty() {
+                engine.run(&mut w);
+                oracle.run(None);
+                assert_eq!(w.log, oracle.log, "seed {seed}, final run");
+                assert_eq!(
+                    (engine.now(), engine.stats().events_fired),
+                    (oracle.now, oracle.fired),
+                    "seed {seed}, final run"
+                );
+            }
+            assert!(engine.heap.is_empty() && engine.timers.is_empty() && engine.fast.is_empty());
+            assert_eq!(engine.pending(), 0);
+            let canceled = w
+                .log
+                .iter()
+                .filter(|l| matches!(l, Logged::Canceled(_, true)))
+                .count() as u64;
+            assert_eq!(engine.stats().events_canceled, canceled);
+            same_instant_cancels += oracle.same_instant_cancels;
+            stops += oracle.stops;
+            let timer_seqs: std::collections::BTreeSet<u64> =
+                oracle.timers.iter().map(|&(_, seq)| seq).collect();
+            timer_fires += w
+                .log
+                .iter()
+                .filter(|l| matches!(l, Logged::Fired(_, seq) if timer_seqs.contains(seq)))
+                .count();
+        }
+        // The script reached the cases the merge rule exists for.
+        assert!(same_instant_cancels > 0, "no cancel of a timer due now");
+        assert!(stops > 0, "no stop()");
+        assert!(timer_fires > 0, "no timer fired");
+    }
+
+    #[test]
+    fn canceled_deadlines_stay_out_of_the_event_heap() {
+        // Four chains of ops; each op arms a deadline 1 s out and completes
+        // 200 ns later, canceling it. 10k ops in all.
+        const OPS: u64 = 10_000;
+        const CHAINS: u64 = 4;
+        fn arm(eng: &mut Engine<u64>) {
+            let deadline = eng.schedule_timer_in(SimTime::from_secs(1), |_, _| {
+                panic!("deadline fired despite cancellation")
+            });
+            eng.schedule_in(SimTime::from_nanos(200), move |done: &mut u64, eng| {
+                *done += 1;
+                assert!(eng.cancel(deadline));
+                if *done <= OPS - CHAINS {
+                    arm(eng);
+                }
+            });
+        }
+        let mut done = 0u64;
+        let mut engine: Engine<u64> = Engine::new();
+        for _ in 0..CHAINS {
+            arm(&mut engine);
+        }
+        let live_only = |engine: &Engine<u64>| {
+            engine
+                .heap
+                .iter()
+                .all(|e| engine.slots[e.slot as usize].seq == e.seq)
+        };
+        engine.run_until(&mut done, SimTime::from_micros(250));
+        assert!(done > OPS / 3 && done < OPS);
+        assert_eq!(engine.heap.len() as u64, CHAINS, "one completion per chain");
+        assert!(live_only(&engine));
+        engine.run_until(&mut done, SimTime::from_millis(1));
+        assert_eq!(done, OPS);
+        assert!(engine.heap.is_empty(), "no dead deadline in the event heap");
+        assert_eq!(engine.timers.len() as u64, OPS, "stale deadlines wait here");
+        assert_eq!(engine.pending(), 0);
+        // They still retire at their due times.
+        let end = engine.run(&mut done);
+        assert!(engine.timers.is_empty());
+        assert_eq!(engine.stats().events_fired, 2 * OPS);
+        assert!(end > SimTime::from_secs(1));
     }
 }

@@ -55,10 +55,19 @@ macro_rules! draid_invariant {
 
 #[cfg(test)]
 mod tests {
+    // The checks are live in `cargo test` and under `strict-invariants`;
+    // a plain release test build checks that they compile to nothing.
     #[test]
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     fn invariants_live_under_test() {
-        // Tests always build with debug_assertions in this workspace.
         assert!(crate::invariants_enabled());
+    }
+
+    #[test]
+    #[cfg(not(any(debug_assertions, feature = "strict-invariants")))]
+    fn plain_release_compiles_invariants_out() {
+        assert!(!crate::invariants_enabled());
+        draid_invariant!(1 + 1 == 3);
     }
 
     #[test]
@@ -68,12 +77,14 @@ mod tests {
     }
 
     #[test]
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     #[should_panic(expected = "invariant violated")]
     fn failing_invariant_panics() {
         draid_invariant!(1 + 1 == 3);
     }
 
     #[test]
+    #[cfg(any(debug_assertions, feature = "strict-invariants"))]
     #[should_panic(expected = "custom message 7")]
     fn failing_invariant_formats_message() {
         draid_invariant!(false, "custom message {}", 7);
