@@ -75,9 +75,10 @@ fn best_of(repeats: usize, mut f: impl FnMut() -> (u64, Duration)) -> (u64, Dura
     best
 }
 
-/// The three micro scenarios, stamped out per engine type. The two engines
-/// share their scheduling API but no trait, so a macro keeps the scenario
-/// bodies literally identical instead of near-duplicated.
+/// The two micro scenarios with a shared body (heap churn and the completion
+/// chain), stamped out per engine type. The two engines share their
+/// scheduling API but no trait, so a macro keeps the scenario bodies
+/// literally identical instead of near-duplicated.
 use baseline::Engine as EngineBaseline;
 use draid_sim::Engine as EngineNew;
 

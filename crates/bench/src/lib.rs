@@ -9,8 +9,9 @@
 //! `all_figures` runs the whole evaluation and emits a Markdown report;
 //! `all_figures <id>...` regenerates individual figures (`fig09` … `fig30`,
 //! `table1`, `ablation`, and the extensions `cpu_util`, `breakdown`,
-//! `openloop`, `oversubscription`). Criterion micro-benchmarks live in
-//! `benches/`.
+//! `openloop`, `oversubscription`). The `kernels` and `simperf` binaries
+//! time the GF(256) kernels and the event engine against recorded
+//! baselines (`BENCH_kernels.json`, `BENCH_sim.json`).
 //!
 //! The `report` binary is the observability plane's front end: it runs a
 //! reference scenario and attributes the bottleneck per phase, with JSON,
