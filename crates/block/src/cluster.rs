@@ -1,7 +1,5 @@
 //! Cluster assembly: a host plus storage servers on a fabric.
 
-use std::collections::HashMap;
-
 use draid_net::{ConnId, Fabric, FabricBuilder, LinkDir, NicSpec, NodeId};
 use draid_sim::{Service, SimTime};
 
@@ -104,16 +102,21 @@ impl ClusterBuilder {
             });
         }
         let mut fabric = fb.build();
-        let mut conns = HashMap::new();
+        let node_count = fabric.node_count();
+        let mut conns = vec![None; node_count * node_count];
         let nodes: Vec<NodeId> = std::iter::once(host_node)
             .chain(servers.iter().map(|s| s.node))
             .collect();
         for &a in &nodes {
             for &b in &nodes {
                 if a != b {
-                    conns.insert((a, b), fabric.connect(a, b));
+                    conns[a.0 * node_count + b.0] = Some(fabric.connect(a, b));
                 }
             }
+        }
+        let mut node_server = vec![None; node_count];
+        for (i, s) in servers.iter().enumerate() {
+            node_server[s.node.0] = Some(ServerId(i));
         }
         Cluster {
             fabric,
@@ -121,6 +124,7 @@ impl ClusterBuilder {
             host_cpu: Cpu::new(host_cpu),
             servers,
             conns,
+            node_server,
         }
     }
 }
@@ -133,7 +137,12 @@ pub struct Cluster {
     host_node: NodeId,
     host_cpu: Cpu,
     servers: Vec<Server>,
-    conns: HashMap<(NodeId, NodeId), ConnId>,
+    /// The connection of each ordered node pair, indexed by
+    /// `from * nodes + to` (`None` on the diagonal): a transfer finds its
+    /// connection by one index, not a hash lookup.
+    conns: Vec<Option<ConnId>>,
+    /// The server at each of the fabric's nodes (`None` for the host).
+    node_server: Vec<Option<ServerId>>,
 }
 
 impl Cluster {
@@ -174,10 +183,20 @@ impl Cluster {
 
     /// Reverse lookup from a fabric node to the server living on it.
     pub fn server_at(&self, node: NodeId) -> Option<ServerId> {
-        self.servers
-            .iter()
-            .position(|s| s.node == node)
-            .map(ServerId)
+        self.node_server.get(node.0).copied().flatten()
+    }
+
+    /// The pre-established connection from `from` to `to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair has no connection (i.e. `from == to`).
+    fn conn(&self, from: NodeId, to: NodeId) -> ConnId {
+        let n = self.node_server.len();
+        (from.0 < n && to.0 < n)
+            .then(|| self.conns[from.0 * n + to.0])
+            .flatten()
+            .unwrap_or_else(|| panic!("no connection {from:?} -> {to:?}"))
     }
 
     /// Sends `bytes` between two fabric nodes over the pre-established
@@ -187,10 +206,7 @@ impl Cluster {
     ///
     /// Panics if the pair has no connection (i.e. `from == to`).
     pub fn transfer(&mut self, now: SimTime, from: NodeId, to: NodeId, bytes: u64) -> Service {
-        let conn = *self
-            .conns
-            .get(&(from, to))
-            .unwrap_or_else(|| panic!("no connection {from:?} -> {to:?}"));
+        let conn = self.conn(from, to);
         self.fabric.transfer(now, conn, bytes)
     }
 
@@ -211,10 +227,7 @@ impl Cluster {
         to: NodeId,
         bytes: u64,
     ) -> Result<Service, draid_net::LinkError> {
-        let conn = *self
-            .conns
-            .get(&(from, to))
-            .unwrap_or_else(|| panic!("no connection {from:?} -> {to:?}"));
+        let conn = self.conn(from, to);
         self.fabric.try_transfer(now, conn, bytes)
     }
 
@@ -255,12 +268,8 @@ impl Cluster {
         if node == self.host_node {
             &mut self.host_cpu
         } else {
-            let s = self
-                .servers
-                .iter_mut()
-                .find(|s| s.node == node)
-                .expect("unknown node");
-            &mut s.cpu
+            let s = self.server_at(node).expect("unknown node");
+            &mut self.servers[s.0].cpu
         }
     }
 
@@ -269,12 +278,7 @@ impl Cluster {
         if node == self.host_node {
             &self.host_cpu
         } else {
-            &self
-                .servers
-                .iter()
-                .find(|s| s.node == node)
-                .expect("unknown node")
-                .cpu
+            &self.servers[self.server_at(node).expect("unknown node").0].cpu
         }
     }
 
@@ -456,6 +460,80 @@ mod tests {
             }
         }
         assert!(tl.total_busy("net:host:egress") > SimTime::ZERO);
+    }
+
+    /// The connection ids `build` assigns: `connect` numbers connections
+    /// in call order, and `build` connects every ordered pair of the host
+    /// then the servers, row by row.
+    fn expected_conns(c: &Cluster) -> Vec<(NodeId, NodeId, ConnId)> {
+        let nodes: Vec<NodeId> = std::iter::once(c.host_node())
+            .chain((0..c.width()).map(|i| c.server_node(ServerId(i))))
+            .collect();
+        let mut out = Vec::new();
+        for &a in &nodes {
+            for &b in &nodes {
+                if a != b {
+                    out.push((a, b, ConnId(out.len())));
+                }
+            }
+        }
+        out
+    }
+
+    fn rack_cluster() -> Cluster {
+        let mut b = ClusterBuilder::new();
+        b.two_tier(NicSpec::cx5_100g(), NicSpec::with_goodput_gbps(25.0));
+        b.host(vec![NicSpec::cx5_100g()], CpuSpec::default());
+        for _ in 0..5 {
+            b.server(
+                vec![NicSpec::cx5_100g(), NicSpec::cx5_100g()],
+                DriveSpec::default(),
+                CpuSpec::default(),
+            );
+        }
+        b.build()
+    }
+
+    #[test]
+    fn conn_table_holds_the_connect_order() {
+        for c in [Cluster::homogeneous(8), rack_cluster()] {
+            let expected = expected_conns(&c);
+            let nodes = c.width() + 1;
+            assert_eq!(expected.len(), nodes * (nodes - 1));
+            for (from, to, conn) in expected {
+                assert_eq!(c.conn(from, to), conn, "{from:?} -> {to:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn cpu_lookup_finds_each_nodes_core() {
+        for mut c in [Cluster::homogeneous(8), rack_cluster()] {
+            let host = c.host_node();
+            assert!(std::ptr::eq(c.cpu(host), &c.host_cpu));
+            assert!(std::ptr::eq(c.cpu_mut(host), &c.host_cpu));
+            for i in 0..c.width() {
+                let node = c.server_node(ServerId(i));
+                assert!(std::ptr::eq(c.cpu(node), &c.servers[i].cpu));
+                assert!(std::ptr::eq(c.cpu_mut(node), &c.servers[i].cpu));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no connection")]
+    fn loopback_transfer_panics() {
+        let mut c = Cluster::homogeneous(8);
+        let n = c.server_node(ServerId(3));
+        c.transfer(SimTime::ZERO, n, n, 4096);
+    }
+
+    #[test]
+    #[should_panic(expected = "no connection")]
+    fn rack_loopback_transfer_panics() {
+        let mut c = rack_cluster();
+        let host = c.host_node();
+        c.transfer(SimTime::ZERO, host, host, 4096);
     }
 
     #[test]

@@ -102,6 +102,9 @@ pub struct ArraySim {
     /// Step buffers of finished ops, reused by the next launches (see
     /// [`crate::exec::Steps`]).
     pub(crate) step_pool: Vec<crate::exec::Steps>,
+    /// Emptied segment buffers of finished ops, which the next stripe ops
+    /// map into (see [`Layout::map_stripe_into`]).
+    pub(crate) segment_pool: Vec<Vec<crate::layout::Segment>>,
     /// Ops finished since the last sampled invariant audit (see
     /// [`ArraySim::audit_invariants`]).
     pub(crate) ops_since_audit: u64,
@@ -174,6 +177,7 @@ impl ArraySim {
             fault_mgr: None,
             buf_pool: crate::exec::BufPool::new(),
             step_pool: Vec::new(),
+            segment_pool: Vec::new(),
             ops_since_audit: 0,
             cfg,
         })
@@ -299,28 +303,29 @@ impl ArraySim {
             return;
         }
 
-        let stripe_ios = self.layout.map(io.offset, io.len);
-        let needs_read_buf = io.kind == IoKind::Read && self.cfg.data_mode == DataMode::Full;
+        let (kind, offset, len) = (io.kind, io.offset, io.len);
+        let stripes = self.layout.stripes(offset, len);
+        let needs_read_buf = kind == IoKind::Read && self.cfg.data_mode == DataMode::Full;
         let user = UserState {
             submitted,
-            pending: stripe_ios.len(),
+            pending: (stripes.end - stripes.start) as usize,
             degraded: false,
             error: None,
-            read_buf: needs_read_buf.then(|| vec![0u8; io.len as usize]),
+            read_buf: needs_read_buf.then(|| vec![0u8; len as usize]),
             hook,
             volume,
             io,
         };
-        let kind = user.io.kind;
         self.users.insert(id, user);
 
-        for sio in stripe_ios {
-            let stripe = sio.stripe;
+        for stripe in stripes {
             if kind == IoKind::Write {
                 // §5.4 host-failure recovery: record the write intent before
                 // any remote I/O is issued.
                 self.bitmap.mark(stripe);
             }
+            let mut sio = self.pooled_stripe_io(stripe);
+            self.layout.map_stripe_into(offset, len, stripe, &mut sio);
             let gen = self.fresh_gen();
             let idx = self.alloc_op(OpState::new(gen, id, sio, kind.into()));
             let needs_lock = kind == IoKind::Write || self.reads_locked();
@@ -570,7 +575,7 @@ impl ArraySim {
     /// rewritten from scratch, guaranteeing consistency regardless of where
     /// the crashed write stopped.
     fn resync_stripe(&mut self, eng: &mut Engine<ArraySim>, stripe: u64) {
-        let io = crate::layout::StripeIo::new(stripe, 0, Vec::new());
+        let io = self.pooled_stripe_io(stripe);
         let gen = self.fresh_gen();
         let mut op = OpState::new(gen, 0, io, OpKind::Resync);
         op.holds_lock = true;

@@ -10,15 +10,15 @@
 //! re-synchronized (a reconstruct-write of the surviving data), instead of a
 //! full-array scan.
 
-use std::collections::BTreeSet;
-
 /// A write-intent bitmap over stripe indices.
 ///
-/// Sparse (a set of dirty stripes): the simulated device is practically
-/// unbounded and a crash leaves only the in-flight handful dirty.
+/// Sparse (the dirty stripes, kept as a sorted list): the simulated device
+/// is practically unbounded and a crash leaves only the in-flight handful
+/// dirty. Marks and clears binary-search the list and keep its capacity, so
+/// a warm write path marks and clears without allocating.
 #[derive(Clone, Debug, Default)]
 pub struct WriteIntentBitmap {
-    dirty: BTreeSet<u64>,
+    dirty: Vec<u64>,
     marks: u64,
 }
 
@@ -31,22 +31,26 @@ impl WriteIntentBitmap {
     /// Marks a stripe dirty (write admitted). Idempotent.
     pub fn mark(&mut self, stripe: u64) {
         self.marks += 1;
-        self.dirty.insert(stripe);
+        if let Err(at) = self.dirty.binary_search(&stripe) {
+            self.dirty.insert(at, stripe);
+        }
     }
 
     /// Clears a stripe (write fully completed, parity persisted).
     pub fn clear(&mut self, stripe: u64) {
-        self.dirty.remove(&stripe);
+        if let Ok(at) = self.dirty.binary_search(&stripe) {
+            self.dirty.remove(at);
+        }
     }
 
     /// Whether the stripe is possibly out of sync.
     pub fn is_dirty(&self, stripe: u64) -> bool {
-        self.dirty.contains(&stripe)
+        self.dirty.binary_search(&stripe).is_ok()
     }
 
     /// Stripes needing resync after a crash, in order.
     pub fn dirty_stripes(&self) -> Vec<u64> {
-        self.dirty.iter().copied().collect()
+        self.dirty.clone()
     }
 
     /// Number of dirty stripes.
@@ -84,5 +88,42 @@ mod tests {
         let mut b = WriteIntentBitmap::new();
         b.clear(42);
         assert_eq!(b.dirty_count(), 0);
+    }
+
+    #[test]
+    fn shuffled_marks_and_clears_keep_stripes_sorted() {
+        let mut rng = draid_sim::DetRng::new(17);
+        let mut order: Vec<u64> = (0..200).map(|i| i * 7919 % 1000).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let mut b = WriteIntentBitmap::new();
+        let mut model = std::collections::BTreeSet::new();
+        for &s in &order {
+            b.mark(s);
+            model.insert(s);
+            // Every third stripe finishes while later ones are admitted.
+            if s % 3 == 0 {
+                b.clear(s);
+                model.remove(&s);
+            }
+        }
+        // Re-marking a dirty stripe is idempotent; clearing a clean one is a
+        // no-op.
+        for &s in &order {
+            if s % 3 == 0 {
+                b.clear(s);
+            } else {
+                b.mark(s);
+            }
+        }
+        let dirty = b.dirty_stripes();
+        assert!(dirty.windows(2).all(|w| w[0] < w[1]), "{dirty:?}");
+        assert_eq!(dirty, model.into_iter().collect::<Vec<_>>());
+        assert!(dirty.iter().all(|&s| b.is_dirty(s)));
+        assert_eq!(
+            b.marks(),
+            200 + 200 - order.iter().filter(|&&s| s % 3 == 0).count() as u64
+        );
     }
 }

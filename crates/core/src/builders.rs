@@ -95,29 +95,51 @@ pub enum Purpose {
 /// Builds the operation DAG for `purpose` over the stripe portion `io`.
 pub fn build(ctx: &BuildCtx, purpose: Purpose, io: &StripeIo) -> Dag {
     let mut dag = Dag::new();
-    build_into(ctx, purpose, io, &mut dag);
+    build_into(ctx, purpose, io, &mut dag, &mut Scratch::default());
     dag
 }
 
-/// [`build`] into a caller-owned DAG, replacing its steps but keeping its
-/// capacity: the executor rebuilds into recycled DAGs without allocating.
-pub(crate) fn build_into(ctx: &BuildCtx, purpose: Purpose, io: &StripeIo, dag: &mut Dag) {
+/// The builders' working lists, recycled with the op's DAG: each builder
+/// clears the ones it uses before filling them, so a warm build allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Contributions forwarded to the P and Q members: `(data member,
+    /// arrival step)`.
+    fwds: [Vec<(usize, usize)>; 2],
+    /// Dependency list of one join, reduction or write step.
+    deps: Vec<usize>,
+    /// Reconstruction set of a degraded read.
+    set: Vec<usize>,
+}
+
+/// [`build`] into a caller-owned DAG and scratch, replacing the DAG's steps
+/// but keeping both capacities: the executor rebuilds into recycled buffers
+/// without allocating.
+pub(crate) fn build_into(
+    ctx: &BuildCtx,
+    purpose: Purpose,
+    io: &StripeIo,
+    dag: &mut Dag,
+    scratch: &mut Scratch,
+) {
     dag.clear();
     let mut b = Builder::new(ctx, purpose, io, dag);
     let draid = ctx.cfg.system == SystemKind::Draid;
+    let Scratch { fwds, deps, set } = scratch;
     match purpose {
         // Segment health comes from `ctx.faulty`, as the read's `degraded`
         // flag does.
-        Purpose::Read { .. } => b.user_read(io),
+        Purpose::Read { .. } => b.user_read(io, set, deps),
         Purpose::Write {
             mode: WriteMode::FullStripe,
             degraded: false,
         } => b.full_stripe_write(io),
-        Purpose::Write { degraded: true, .. } if draid => b.draid_degraded_write(io),
-        Purpose::Write { mode, .. } if draid => b.draid_partial_write(io, mode),
-        Purpose::Write { mode, degraded } => b.central_write(io, mode, degraded),
-        Purpose::Rebuild { spare, spare_node } => b.rebuild(io, spare, spare_node),
-        Purpose::Scrub => b.scrub(io),
+        Purpose::Write { degraded: true, .. } if draid => b.draid_degraded_write(io, fwds, deps),
+        Purpose::Write { mode, .. } if draid => b.draid_partial_write(io, mode, fwds, deps),
+        Purpose::Write { mode, degraded } => b.central_write(io, mode, degraded, deps),
+        Purpose::Rebuild { spare, spare_node } => b.rebuild(io, spare, spare_node, deps),
+        Purpose::Scrub => b.scrub(io, deps),
     }
 }
 
@@ -381,20 +403,21 @@ impl<'a, 'c> Builder<'a, 'c> {
         hi - lo
     }
 
-    /// Healthy members able to reconstruct `victim`'s chunk of `stripe`:
-    /// the surviving data members plus as many parity members as the losses
-    /// require (P first, then Q).
-    fn reconstruction_set(&self, stripe: u64, victim: usize) -> Vec<usize> {
+    /// Fills `set` with the healthy members able to reconstruct `victim`'s
+    /// chunk of `stripe`: the surviving data members plus as many parity
+    /// members as the losses require (P first, then Q), in member order.
+    fn reconstruction_set(&self, stripe: u64, victim: usize, set: &mut Vec<usize>) {
         let l = self.ctx.layout;
-        let mut set: Vec<usize> = (0..l.data_chunks())
-            .map(|k| l.data_member(stripe, k))
-            .filter(|&m| m != victim && self.healthy(m))
-            .collect();
+        set.clear();
+        set.extend(
+            (0..l.data_chunks())
+                .map(|k| l.data_member(stripe, k))
+                .filter(|&m| m != victim && self.healthy(m)),
+        );
         let needed = l.data_chunks() - set.len();
         let parity = self.parity(stripe).into_iter().flatten();
         set.extend(parity.filter(|&pm| pm != victim).take(needed));
         set.sort_unstable();
-        set
     }
 
     // ------------------------------------------------------------------
@@ -408,17 +431,18 @@ impl<'a, 'c> Builder<'a, 'c> {
     /// survivors' extents to the reducer, which alone ships the rebuilt
     /// extent to the host; the centralized systems pull every survivor's
     /// extent across the host NIC (Table 1 "Nx") and reconstruct there.
-    fn user_read(&mut self, io: &StripeIo) {
+    fn user_read(&mut self, io: &StripeIo, set: &mut Vec<usize>, deps: &mut Vec<usize>) {
         let host = self.ctx.host;
         for seg in io.segments.iter().copied() {
             if self.healthy(seg.member) {
                 self.read_to(seg.member, seg.len, host);
                 continue;
             }
-            let set = self.reconstruction_set(io.stripe, seg.member);
+            self.reconstruction_set(io.stripe, seg.member, set);
+            deps.clear();
             if self.ctx.cfg.system != SystemKind::Draid {
-                let arrivals: Vec<usize> = set.iter().map(|&m| self.pull(m, seg.len)).collect();
-                self.combine(false, host, set.len() as u64 * seg.len, &arrivals);
+                deps.extend(set.iter().map(|&m| self.pull(m, seg.len)));
+                self.combine(false, host, set.len() as u64 * seg.len, deps);
                 continue;
             }
             let reducer = self
@@ -429,19 +453,16 @@ impl<'a, 'c> Builder<'a, 'c> {
                 .expect("degraded read with no survivors");
             let (at, q) = (self.node(reducer), self.ctx.layout.q_member(io.stripe));
             let r_ready = self.command(reducer, 0);
-            let reduces: Vec<usize> = set
-                .iter()
-                .map(|&m| {
-                    let arrival = if m == reducer {
-                        self.read(m, seg.len, r_ready)
-                    } else {
-                        self.read_to(m, seg.len, at)
-                    };
-                    // Q-based recovery needs GF(256) math; plain survivors XOR.
-                    self.combine(Some(m) == q, at, seg.len, &[arrival, r_ready])
-                })
-                .collect();
-            let done = self.dag.add(StepKind::Join, &reduces);
+            deps.extend(set.iter().map(|&m| {
+                let arrival = if m == reducer {
+                    self.read(m, seg.len, r_ready)
+                } else {
+                    self.read_to(m, seg.len, at)
+                };
+                // Q-based recovery needs GF(256) math; plain survivors XOR.
+                self.combine(Some(m) == q, at, seg.len, &[arrival, r_ready])
+            }));
+            let done = self.dag.add(StepKind::Join, deps);
             self.xfer(at, host, seg.len, &[done]);
         }
     }
@@ -455,17 +476,23 @@ impl<'a, 'c> Builder<'a, 'c> {
     /// which XORs and forwards the reconstructed chunk peer-to-peer to the
     /// spare, which persists it. For a lost parity chunk the survivors are
     /// the data members and the result is the recomputed parity.
-    fn rebuild(&mut self, io: &StripeIo, spare: ServerId, spare_node: NodeId) {
+    fn rebuild(
+        &mut self,
+        io: &StripeIo,
+        spare: ServerId,
+        spare_node: NodeId,
+        deps: &mut Vec<usize>,
+    ) {
         let (l, faulty) = (*self.ctx.layout, self.ctx.faulty);
         let victim = io.segments[0].member;
         let reducer = self.ctx.reducer.expect("rebuild without a reducer");
         let q = l.q_member(io.stripe);
-        let mut reduces = Vec::new();
+        deps.clear();
         for m in (0..l.width()).filter(|&m| m != victim && Some(m) != q && !faulty.contains(&m)) {
             let ready = self.command(m, 0);
-            reduces.push(self.chunk_to(m, reducer, ready));
+            deps.push(self.chunk_to(m, reducer, ready));
         }
-        let done = self.dag.add(StepKind::Join, &reduces);
+        let done = self.dag.add(StepKind::Join, deps);
         let chunk = l.chunk_size();
         let to_spare = self.xfer(self.node(reducer), spare_node, chunk, &[done]);
         let write = self.dag.add(
@@ -486,17 +513,17 @@ impl<'a, 'c> Builder<'a, 'c> {
     /// Scrub of one stripe (identical for every system): every healthy
     /// member reads its chunk and streams it to the stripe's P member, which
     /// XOR-verifies; only a small verdict message reaches the host.
-    fn scrub(&mut self, io: &StripeIo) {
+    fn scrub(&mut self, io: &StripeIo, deps: &mut Vec<usize>) {
         let (host, cfg) = (self.ctx.host, self.ctx.cfg);
         let verifier = self.ctx.layout.p_member(io.stripe);
-        let mut checks = Vec::new();
+        deps.clear();
         for m in 0..self.ctx.layout.width() {
             if self.healthy(m) {
                 let cmd = self.xfer(host, self.node(m), cfg.command_bytes, &[self.root]);
-                checks.push(self.chunk_to(m, verifier, cmd));
+                deps.push(self.chunk_to(m, verifier, cmd));
             }
         }
-        let done = self.dag.add(StepKind::Join, &checks);
+        let done = self.dag.add(StepKind::Join, deps);
         self.xfer(self.node(verifier), host, cfg.callback_bytes, &[done]);
     }
 
@@ -539,7 +566,13 @@ impl<'a, 'c> Builder<'a, 'c> {
 
     /// dRAID partial-stripe write (§5): host ships only new data; partial
     /// parities flow peer-to-peer to the parity bdev(s).
-    fn draid_partial_write(&mut self, io: &StripeIo, mode: WriteMode) {
+    fn draid_partial_write(
+        &mut self,
+        io: &StripeIo,
+        mode: WriteMode,
+        fwds: &mut [Vec<(usize, usize)>; 2],
+        deps: &mut Vec<usize>,
+    ) {
         let chunk = self.ctx.layout.chunk_size();
         let pipeline = self.ctx.cfg.draid.pipeline;
         let parity = self.parity(io.stripe);
@@ -557,7 +590,7 @@ impl<'a, 'c> Builder<'a, 'c> {
         // Data-side: each touched member fetches its new data, persists it,
         // and emits a partial-parity contribution; in reconstruct-write mode
         // the untouched members stream their (old) chunks as contributions.
-        let mut fwds = [Vec::new(), Vec::new()];
+        fwds.iter_mut().for_each(Vec::clear);
         for seg in io.segments.iter().copied() {
             let m = seg.member;
             let fetch = self.command(m, seg.len);
@@ -585,16 +618,16 @@ impl<'a, 'c> Builder<'a, 'c> {
             };
             let bytes = if rmw { seg.len } else { chunk };
             let delta = self.combine(false, self.node(m), bytes, &[src]);
-            self.contribute(m, bytes, delta, parity, &mut fwds);
+            self.contribute(m, bytes, delta, parity, fwds);
         }
         if !rmw {
-            self.contribute_untouched(io, parity, &mut fwds);
+            self.contribute_untouched(io, parity, fwds);
         }
 
         // Parity-side reduction and persist.
         for (slot, pm) in parity.into_iter().enumerate() {
             if let Some(pm) = pm {
-                self.reduce_and_write(io, pm, slot == 1, &fwds[slot], old_reads[slot], extent);
+                self.reduce_and_write(io, pm, &fwds[slot], old_reads[slot], extent, deps);
             }
         }
     }
@@ -616,7 +649,8 @@ impl<'a, 'c> Builder<'a, 'c> {
     }
 
     /// Parity member `pm` reduces the arriving contributions `fwds` (in
-    /// GF(256) when `gf`) and persists the `bytes`-long result. Non-blocking
+    /// GF(256) when it is the Q member) and persists the `bytes`-long
+    /// result, with `deps` as working space. Non-blocking
     /// (§5.2): each reduction depends only on its contribution's arrival;
     /// blocking ablation: a barrier joins every arrival (and the old-parity
     /// read) first.
@@ -624,24 +658,27 @@ impl<'a, 'c> Builder<'a, 'c> {
         &mut self,
         io: &StripeIo,
         pm: usize,
-        gf: bool,
         fwds: &[(usize, usize)],
         old_read: Option<usize>,
         bytes: u64,
+        deps: &mut Vec<usize>,
     ) {
+        let gf = Some(pm) == self.ctx.layout.q_member(io.stripe);
         let barrier = (!self.ctx.cfg.draid.nonblocking).then(|| {
-            let mut deps: Vec<usize> = fwds.iter().map(|&(_, f)| f).collect();
+            deps.clear();
+            deps.extend(fwds.iter().map(|&(_, f)| f));
             deps.extend(old_read);
-            self.dag.add(StepKind::Join, &deps)
+            self.dag.add(StepKind::Join, deps)
         });
-        let mut reduces = Vec::with_capacity(fwds.len() + 1);
+        // The reductions, then the old parity, are the write's dependencies.
+        deps.clear();
         for &(m, fwd) in fwds {
             let seg = io.segments.iter().find(|s| s.member == m);
             let len = seg.map_or(bytes, |s| s.len).min(bytes).max(1);
-            reduces.push(self.combine(gf, self.node(pm), len, &[barrier.unwrap_or(fwd)]));
+            deps.push(self.combine(gf, self.node(pm), len, &[barrier.unwrap_or(fwd)]));
         }
-        reduces.extend(old_read);
-        let write = self.write(pm, bytes, &reduces);
+        deps.extend(old_read);
+        let write = self.write(pm, bytes, deps);
         self.callback(pm, &[write]);
     }
 
@@ -651,11 +688,16 @@ impl<'a, 'c> Builder<'a, 'c> {
     /// chunks; segments on faulty members are shipped from the host straight
     /// to the surviving parity member(s), which recompute and persist —
     /// the lost chunk's content stays implied by parity until rebuild.
-    fn draid_degraded_write(&mut self, io: &StripeIo) {
+    fn draid_degraded_write(
+        &mut self,
+        io: &StripeIo,
+        fwds: &mut [Vec<(usize, usize)>; 2],
+        deps: &mut Vec<usize>,
+    ) {
         let chunk = self.ctx.layout.chunk_size();
         let parity = self.parity(io.stripe);
         let readies = parity.map(|pm| pm.map(|pm| self.command(pm, 0)));
-        let mut fwds = [Vec::new(), Vec::new()];
+        fwds.iter_mut().for_each(Vec::clear);
         for seg in io.segments.iter().copied() {
             let m = seg.member;
             if self.healthy(m) {
@@ -667,7 +709,7 @@ impl<'a, 'c> Builder<'a, 'c> {
                 };
                 let write = self.write(m, seg.len, &[src]);
                 self.callback(m, &[write]);
-                self.contribute(m, chunk, src, parity, &mut fwds);
+                self.contribute(m, chunk, src, parity, fwds);
                 continue;
             }
             // The dead member's new data goes straight to each parity.
@@ -679,17 +721,19 @@ impl<'a, 'c> Builder<'a, 'c> {
                 }
             }
         }
-        self.contribute_untouched(io, parity, &mut fwds);
+        self.contribute_untouched(io, parity, fwds);
 
         for (slot, (pm, ready)) in parity.into_iter().zip(readies).enumerate() {
             let (Some(pm), Some(ready)) = (pm, ready) else {
                 continue;
             };
-            let reduces: Vec<usize> = fwds[slot]
-                .iter()
-                .map(|&(_, fwd)| self.combine(slot == 1, self.node(pm), chunk, &[fwd, ready]))
-                .collect();
-            let write = self.write(pm, chunk, &reduces);
+            deps.clear();
+            deps.extend(
+                fwds[slot]
+                    .iter()
+                    .map(|&(_, fwd)| self.combine(slot == 1, self.node(pm), chunk, &[fwd, ready])),
+            );
+            let write = self.write(pm, chunk, deps);
             self.callback(pm, &[write]);
         }
     }
@@ -700,14 +744,20 @@ impl<'a, 'c> Builder<'a, 'c> {
     /// host, parity math runs on the host cores, and new data + parity are
     /// pushed back out to the healthy members — every byte crossing the
     /// host NIC twice.
-    fn central_write(&mut self, io: &StripeIo, mode: WriteMode, degraded: bool) {
+    fn central_write(
+        &mut self,
+        io: &StripeIo,
+        mode: WriteMode,
+        degraded: bool,
+        arrivals: &mut Vec<usize>,
+    ) {
         let host = self.ctx.host;
         let chunk = self.ctx.layout.chunk_size();
         let [p, q] = self.parity(io.stripe);
         let rmw = mode == WriteMode::ReadModifyWrite && !degraded;
         let extent = if rmw { self.parity_extent(io) } else { chunk };
 
-        let mut arrivals = Vec::new();
+        arrivals.clear();
         let pulled = if rmw {
             for seg in io.segments.iter() {
                 arrivals.push(self.pull(seg.member, seg.len));
@@ -717,15 +767,15 @@ impl<'a, 'c> Builder<'a, 'c> {
             }
             io.bytes() + extent * [p, q].iter().flatten().count() as u64
         } else {
-            self.pull_complements(io, &mut arrivals)
+            self.pull_complements(io, arrivals)
         };
         // The parity pass streams every input operand through the core: the
         // new data plus everything that was pulled (old data and old parity
         // for RMW, the chunk complements for reconstruct-write); a degraded
         // write's pass is costed as the new data plus one chunk.
         let pass = io.bytes() + if degraded { chunk } else { pulled };
-        let xor = self.combine(false, host, pass, &arrivals);
-        let q_gen = q.map(|_| self.combine(true, host, pass, &arrivals));
+        let xor = self.combine(false, host, pass, arrivals);
+        let q_gen = q.map(|_| self.combine(true, host, pass, arrivals));
 
         // Phase two: only after every read has landed and parity math is done
         // may the host dispatch the writes — the old contents feed the delta,

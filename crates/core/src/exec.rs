@@ -5,10 +5,10 @@ use draid_block::ServerId;
 use draid_sim::{Engine, SimTime, TimerHandle};
 
 use crate::array::ArraySim;
-use crate::builders::{self, BuildCtx, Purpose};
+use crate::builders::{self, BuildCtx, Purpose, Scratch};
 use crate::dag::{Dag, StepKind};
 use crate::io::{IoError, IoKind};
-use crate::layout::{StripeIo, WriteMode};
+use crate::layout::{Segment, StripeIo, WriteMode};
 
 /// What a stripe operation is for: user I/O or one of the array's own
 /// background jobs. `launch_op` maps it to a builder [`Purpose`], and
@@ -145,6 +145,8 @@ impl OpState {
 #[derive(Debug, Default)]
 pub(crate) struct Steps {
     pub dag: Dag,
+    /// The builders' working lists for `dag`.
+    scratch: Scratch,
     /// Dependents of step `i` are `dependents[dependents_start[i]..
     /// dependents_start[i + 1]]`, in increasing step order.
     dependents_start: Vec<u32>,
@@ -200,14 +202,15 @@ impl ArraySim {
     pub(crate) fn launch_op(&mut self, eng: &mut Engine<ArraySim>, idx: usize) {
         let now = eng.now();
         let (io, kind, retries) = {
-            let op = self.ops[idx].as_ref().expect("launch of missing op");
-            // Cheap: the segment list is an `Arc<[Segment]>`, so this clone
-            // is a reference-count bump, not an extent copy.
-            (op.io.clone(), op.kind, op.retries)
+            let op = self.ops[idx].as_mut().expect("launch of missing op");
+            // The stripe I/O leaves the op for the build and goes back with
+            // the built steps: moved, never cloned.
+            (std::mem::take(&mut op.io), op.kind, op.retries)
         };
         // Background sweeps keep going on a failed array; they stop on
         // their own failure budget.
         if self.is_failed() && !matches!(kind, OpKind::Rebuild { .. } | OpKind::Scrub) {
+            self.ops[idx].as_mut().expect("op vanished").io = io;
             self.finish_op(eng, idx, Some(OpFailure::MemberError(0)), true);
             return;
         }
@@ -262,7 +265,7 @@ impl ArraySim {
             faulty: &self.faulty,
             reducer,
         };
-        builders::build_into(&ctx, purpose, &io, &mut steps.dag);
+        builders::build_into(&ctx, purpose, &io, &mut steps.dag, &mut steps.scratch);
         steps.install();
         let n = steps.dag.len();
         let gen = {
@@ -270,6 +273,7 @@ impl ArraySim {
             if let Some(tracer) = &mut self.tracer {
                 tracer.record_launch(op.user, idx, &steps.dag);
             }
+            op.io = io;
             op.purpose = Some(purpose);
             op.steps = steps;
             op.remaining = n;
@@ -299,6 +303,19 @@ impl ArraySim {
                 }
             }
         }
+    }
+
+    /// An empty stripe I/O on `stripe` over a segment buffer a finished op
+    /// left in `ArraySim::segment_pool`, for a new op to fill.
+    pub(crate) fn pooled_stripe_io(&mut self, stripe: u64) -> StripeIo {
+        let segments = self.segment_pool.pop().unwrap_or_default();
+        StripeIo::new(stripe, 0, segments)
+    }
+
+    /// Returns a finished op's segment buffer to `ArraySim::segment_pool`.
+    fn recycle_segments(&mut self, mut segments: Vec<Segment>) {
+        segments.clear();
+        self.segment_pool.push(segments);
     }
 
     /// Whether slot `idx` still holds the op generation `gen` (a failed op's
@@ -486,11 +503,16 @@ impl ArraySim {
         }
 
         let failed = failure.is_some();
+        let stripe = op.io.stripe;
         match op.kind {
             OpKind::Rebuild { member, spare } => {
-                return self.on_rebuild_op_done(eng, member, spare, op.io.stripe, failed);
+                self.recycle_segments(op.io.segments);
+                return self.on_rebuild_op_done(eng, member, spare, stripe, failed);
             }
-            OpKind::Scrub => return self.on_scrub_op_done(eng, op.io.stripe, failed),
+            OpKind::Scrub => {
+                self.recycle_segments(op.io.segments);
+                return self.on_scrub_op_done(eng, stripe, failed);
+            }
             OpKind::Read | OpKind::Write | OpKind::Resync => {}
         }
 
@@ -499,7 +521,6 @@ impl ArraySim {
         if retry {
             self.stats.retries += 1;
             let gen = self.fresh_gen();
-            let stripe = op.io.stripe;
             let holds_lock = op.holds_lock;
             // The finished op is owned here; its stripe I/O moves into the
             // retry op instead of being cloned.
@@ -527,15 +548,15 @@ impl ArraySim {
         }
 
         if op.holds_lock {
-            if let Some(next) = self.locks.release(op.io.stripe, idx) {
+            if let Some(next) = self.locks.release(stripe, idx) {
                 self.launch_op(eng, next);
             }
         }
         let writes = matches!(op.kind, OpKind::Write | OpKind::Resync);
-        if writes && !failed && !self.locks.is_locked(op.io.stripe) {
+        if writes && !failed && !self.locks.is_locked(stripe) {
             // No writer holds or awaits the stripe: parity is persisted and
             // consistent; the write intent can be cleared (§5.4).
-            self.bitmap.clear(op.io.stripe);
+            self.bitmap.clear(stripe);
         }
 
         // An op that physically completed after the array lost more members
@@ -545,6 +566,7 @@ impl ArraySim {
         if !failed && !array_failed {
             self.apply_effect(&op);
         }
+        self.recycle_segments(op.io.segments);
 
         let user_id = op.user;
         let failure_error = if array_failed {
@@ -684,7 +706,7 @@ mod tests {
 
     use super::{retry_backoff, Steps};
     use crate::array::ArraySim;
-    use crate::builders::{build, build_into, BuildCtx, Purpose};
+    use crate::builders::{build, build_into, BuildCtx, Purpose, Scratch};
     use crate::config::{ArrayConfig, DraidOptions, RaidLevel, SystemKind};
     use crate::dag::{Dag, StepKind};
     use crate::io::UserIo;
@@ -907,12 +929,12 @@ mod tests {
 
     #[test]
     fn build_into_a_dirty_dag_equals_a_fresh_build() {
-        let mut dirty = Dag::new();
+        let (mut dirty, mut scratch) = (Dag::new(), Scratch::default());
         let mut shapes = 0;
         for_each_shape(|ctx, purpose, io| {
             // `dirty` still holds the previous shape, built for a different
             // purpose.
-            build_into(ctx, purpose, io, &mut dirty);
+            build_into(ctx, purpose, io, &mut dirty, &mut scratch);
             assert_eq!(dirty, build(ctx, purpose, io), "{purpose:?}");
             shapes += 1;
         });
@@ -982,7 +1004,8 @@ mod tests {
         assert_eq!(array.inflight_ops(), 0);
         // Op slots are reused, so their count is the peak number of ops in
         // flight. Every op returned its buffers on finishing (no crash drops
-        // any), so the pool now holds every `Steps` ever created.
+        // any), so the pools now hold every `Steps` and every segment buffer
+        // ever created: one of each per op in flight at the peak.
         let peak_inflight = array.ops.len();
         assert!(peak_inflight <= QUEUE_DEPTH as usize);
         assert!(!array.step_pool.is_empty());
@@ -991,5 +1014,7 @@ mod tests {
             "{} step buffers for at most {peak_inflight} ops in flight",
             array.step_pool.len()
         );
+        assert_eq!(array.segment_pool.len(), array.step_pool.len());
+        assert!(array.segment_pool.iter().all(Vec::is_empty));
     }
 }

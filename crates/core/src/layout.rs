@@ -1,7 +1,7 @@
 //! Stripe geometry: mapping logical byte ranges to (stripe, member, offset)
 //! extents with rotating parity, and the per-stripe write-mode decision.
 
-use std::sync::Arc;
+use std::ops::Range;
 
 use crate::config::{ArrayConfig, RaidLevel};
 
@@ -41,18 +41,18 @@ impl Segment {
 
 /// The portion of a user I/O that falls on one stripe.
 ///
-/// The segment list is a shared `Arc<[Segment]>` handle: an op retry or a
-/// DAG build clones the `StripeIo` with a reference-count bump instead of
-/// copying extents, which keeps the op hot path free of per-stripe
-/// allocations.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// The segment list is a plain owned `Vec`: the array maps each stripe op
+/// into a segment buffer recycled from a finished op, and a retry moves the
+/// op's `StripeIo` into the retry op, so the op path neither allocates nor
+/// clones segment lists.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StripeIo {
     /// Stripe index.
     pub stripe: u64,
     /// Offset of this stripe portion within the user I/O's buffer.
     pub buf_offset: u64,
     /// Per-chunk extents, ordered by data index.
-    pub segments: Arc<[Segment]>,
+    pub segments: Vec<Segment>,
 }
 
 impl StripeIo {
@@ -61,7 +61,7 @@ impl StripeIo {
         StripeIo {
             stripe,
             buf_offset,
-            segments: segments.into(),
+            segments,
         }
     }
 
@@ -169,31 +169,45 @@ impl Layout {
     ///
     /// Panics if `len == 0`.
     pub fn map(&self, offset: u64, len: u64) -> Vec<StripeIo> {
-        assert!(len > 0, "zero-length I/O");
-        let stripe_bytes = self.stripe_data_bytes();
-        let mut out = Vec::new();
-        let mut pos = offset;
-        let end = offset + len;
-        while pos < end {
-            let stripe = pos / stripe_bytes;
-            let stripe_start = stripe * stripe_bytes;
-            let in_stripe = pos - stripe_start;
-            let take = (end - pos).min(stripe_bytes - in_stripe);
-            out.push(self.stripe_io(stripe, in_stripe, take, pos - offset));
-            pos += take;
-        }
-        out
+        self.stripes(offset, len)
+            .map(|stripe| {
+                let mut io = StripeIo::default();
+                self.map_stripe_into(offset, len, stripe, &mut io);
+                io
+            })
+            .collect()
     }
 
-    fn stripe_io(&self, stripe: u64, in_stripe: u64, len: u64, buf_offset: u64) -> StripeIo {
-        let mut segments = Vec::new();
-        let mut pos = in_stripe;
-        let end = in_stripe + len;
+    /// The stripes a logical byte range touches, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len == 0`.
+    pub(crate) fn stripes(&self, offset: u64, len: u64) -> Range<u64> {
+        assert!(len > 0, "zero-length I/O");
+        let stripe_bytes = self.stripe_data_bytes();
+        offset / stripe_bytes..(offset + len - 1) / stripe_bytes + 1
+    }
+
+    /// Writes into `io` the portion of the byte range `offset..offset + len`
+    /// that falls on `stripe` (one of [`Layout::stripes`]), replacing its
+    /// segments but keeping their capacity — the array maps every stripe op
+    /// into a recycled buffer this way without allocating.
+    pub(crate) fn map_stripe_into(&self, offset: u64, len: u64, stripe: u64, io: &mut StripeIo) {
+        let stripe_bytes = self.stripe_data_bytes();
+        let stripe_start = stripe * stripe_bytes;
+        let lo = offset.max(stripe_start);
+        let hi = (offset + len).min(stripe_start + stripe_bytes);
+        assert!(lo < hi, "stripe {stripe} outside the mapped range");
+        io.stripe = stripe;
+        io.buf_offset = lo - offset;
+        io.segments.clear();
+        let (mut pos, end) = (lo - stripe_start, hi - stripe_start);
         while pos < end {
             let k = (pos / self.chunk_size) as usize;
             let off = pos % self.chunk_size;
             let take = (end - pos).min(self.chunk_size - off);
-            segments.push(Segment {
+            io.segments.push(Segment {
                 data_index: k,
                 member: self.data_member(stripe, k),
                 offset: off,
@@ -201,7 +215,6 @@ impl Layout {
             });
             pos += take;
         }
-        StripeIo::new(stripe, buf_offset, segments)
     }
 
     /// Chooses the write mode for a stripe write touching `io.segments`,

@@ -6,7 +6,7 @@ use draid_sim::Engine;
 
 use crate::array::ArraySim;
 use crate::exec::{OpKind, OpState};
-use crate::layout::{Segment, StripeIo};
+use crate::layout::Segment;
 
 /// A pass over stripes `0..total` that keeps at most `concurrency` stripe
 /// ops in flight. Stripes are handed out in order; a failed stripe stays
@@ -83,17 +83,17 @@ impl ArraySim {
         stripe: u64,
         kind: OpKind,
     ) {
-        let segments = match kind {
-            OpKind::Rebuild { member, .. } => vec![Segment {
+        let mut io = self.pooled_stripe_io(stripe);
+        if let OpKind::Rebuild { member, .. } = kind {
+            io.segments.push(Segment {
                 data_index: self.layout.data_index_of(stripe, member).unwrap_or(0),
                 member,
                 offset: 0,
                 len: self.layout.chunk_size(),
-            }],
-            _ => Vec::new(),
-        };
+            });
+        }
         let gen = self.fresh_gen();
-        let op = OpState::new(gen, 0, StripeIo::new(stripe, 0, segments), kind);
+        let op = OpState::new(gen, 0, io, kind);
         let idx = self.alloc_op(op);
         self.launch_op(eng, idx);
     }

@@ -84,8 +84,17 @@ impl ByteRate {
     /// Panics if the rate is zero.
     pub fn time_for(self, bytes: u64) -> SimTime {
         assert!(self.0 > 0, "cannot serve at a zero rate");
-        let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(self.0 as u128);
-        SimTime::from_nanos(u64::try_from(ns).expect("transfer duration overflow"))
+        // The exact ceiling either way: a 64-bit division whenever
+        // `bytes * 10⁹` fits in 64 bits (below ~18.4 GB, every simulated
+        // transfer), the 128-bit one above.
+        let ns = match bytes.checked_mul(1_000_000_000) {
+            Some(scaled) => scaled.div_ceil(self.0),
+            None => {
+                let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(self.0 as u128);
+                u64::try_from(ns).expect("transfer duration overflow")
+            }
+        };
+        SimTime::from_nanos(ns)
     }
 }
 

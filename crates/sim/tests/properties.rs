@@ -142,3 +142,39 @@ fn histogram_percentiles_are_monotone() {
         assert!(h.mean() >= h.min() && h.mean() <= h.max());
     }
 }
+
+#[test]
+fn time_for_is_the_exact_128_bit_ceiling() {
+    // `time_for` divides in 64 bits while `bytes * 10⁹` fits and in 128 bits
+    // above; both must give the 128-bit formula's nanosecond count.
+    fn reference(rate: ByteRate, bytes: u64) -> Option<u64> {
+        let ns = (u128::from(bytes) * 1_000_000_000).div_ceil(u128::from(rate.bytes_per_sec()));
+        u64::try_from(ns).ok()
+    }
+    let check = |rate: ByteRate, bytes: u64| match reference(rate, bytes) {
+        Some(ns) => assert_eq!(rate.time_for(bytes).as_nanos(), ns, "{rate:?} {bytes}"),
+        None => assert!(
+            std::panic::catch_unwind(|| rate.time_for(bytes)).is_err(),
+            "{rate:?} {bytes}: overflow must panic"
+        ),
+    };
+    // The largest byte count whose scaled value fits in 64 bits, and the
+    // first that does not.
+    let boundary = u64::MAX / 1_000_000_000;
+    let rates = [1, 3, 2_375_000_000, 12_500_000_000].map(ByteRate::from_bytes_per_sec);
+    for rate in rates {
+        for bytes in [0, 1, 4096, 128 << 10, boundary - 1, boundary, boundary + 1] {
+            check(rate, bytes);
+        }
+    }
+    let mut rng = DetRng::new(0x51A6);
+    for _ in 0..20_000 {
+        let rate = ByteRate::from_bytes_per_sec(1 + (rng.next_u64() >> rng.below(64)));
+        // Byte counts spread over every magnitude, on both sides of the
+        // boundary.
+        let bytes = rng.next_u64() >> rng.below(64);
+        check(rate, bytes);
+        check(rate, boundary - rng.below(1 << 20));
+        check(rate, boundary + rng.below(1 << 20));
+    }
+}
