@@ -1,7 +1,8 @@
 //! The checked-in `BENCH_sim.json` scheduler-throughput report must parse,
 //! name the machine it was measured on, have the shape `simperf` promises,
 //! and carry a headline speedup at or above the engine-overhaul acceptance
-//! bar, with no scenario far below the pre-overhaul engine.
+//! bar, with no scenario far below the pre-overhaul engine and the
+//! deadline-backlog scenario at least 2x above it.
 
 use draid_bench::json::{self, Json};
 
@@ -140,4 +141,24 @@ fn no_scenario_falls_far_below_the_baseline_engine() {
             .expect("scenario speedup");
         assert!(x >= 0.75, "{scenario} speedup {x} below the 0.75x floor");
     }
+}
+
+#[test]
+fn deadline_backlog_retires_canceled_deadlines_in_constant_time() {
+    // Op deadlines go to the engine's timer lane, where arming and retiring
+    // one are O(1); the pre-overhaul engine sifts each through its heap of
+    // tens of thousands of canceled deadlines.
+    let doc = json::parse(BENCH).expect("BENCH_sim.json parses");
+    let x = doc
+        .get("speedups")
+        .and_then(Json::as_arr)
+        .expect("speedups array")
+        .iter()
+        .find(|r| r.get("scenario").and_then(Json::as_str) == Some("deadline_backlog"))
+        .and_then(|r| r.get("speedup").and_then(Json::as_num))
+        .expect("deadline_backlog speedup");
+    assert!(
+        x >= 2.0,
+        "deadline_backlog speedup {x} below the 2.0x floor"
+    );
 }

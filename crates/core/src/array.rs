@@ -105,6 +105,9 @@ pub struct ArraySim {
     /// Emptied segment buffers of finished ops, which the next stripe ops
     /// map into (see [`Layout::map_stripe_into`]).
     pub(crate) segment_pool: Vec<Vec<crate::layout::Segment>>,
+    /// Scratch list of a degraded read's eligible reducers, refilled by
+    /// every [`ArraySim::choose_reducer`].
+    reducer_candidates: Vec<usize>,
     /// Ops finished since the last sampled invariant audit (see
     /// [`ArraySim::audit_invariants`]).
     pub(crate) ops_since_audit: u64,
@@ -178,6 +181,7 @@ impl ArraySim {
             buf_pool: crate::exec::BufPool::new(),
             step_pool: Vec::new(),
             segment_pool: Vec::new(),
+            reducer_candidates: Vec::new(),
             ops_since_audit: 0,
             cfg,
         })
@@ -446,18 +450,22 @@ impl ArraySim {
     /// Chooses the reducer for a degraded read on `stripe` (§6): uniformly at
     /// random, or by the bandwidth-aware probabilities.
     pub(crate) fn choose_reducer(&mut self, now: SimTime, stripe: u64) -> usize {
-        let mut eligible: Vec<usize> = (0..self.layout.data_chunks())
-            .map(|k| self.layout.data_member(stripe, k))
-            .chain(std::iter::once(self.layout.p_member(stripe)))
-            .filter(|m| !self.faulty.contains(m))
-            .collect();
+        let eligible = &mut self.reducer_candidates;
+        eligible.clear();
+        eligible.extend(
+            (0..self.layout.data_chunks())
+                .map(|k| self.layout.data_member(stripe, k))
+                .chain(std::iter::once(self.layout.p_member(stripe)))
+                .filter(|m| !self.faulty.contains(m)),
+        );
         eligible.sort_unstable();
         assert!(!eligible.is_empty(), "no eligible reducer");
         match self.cfg.draid.reducer {
             ReducerPolicy::Random => eligible[self.rng.below(eligible.len() as u64) as usize],
             ReducerPolicy::BandwidthAware => {
                 self.maybe_update_selector(now);
-                self.selector.choose(&mut self.rng, &eligible)
+                self.selector
+                    .choose(&mut self.rng, &self.reducer_candidates)
             }
         }
     }

@@ -63,8 +63,8 @@ pub(crate) struct OpState {
     pub holds_lock: bool,
     pub retries: u32,
     /// The armed §5.4 deadline timer; canceled when the op finishes, so it
-    /// never runs (its entry waits in the engine's timer heap, apart from
-    /// the step completions, until its due time).
+    /// never runs (its entry waits until its due time, normally in the
+    /// engine's timer lane, apart from the step completions).
     pub deadline_timer: Option<TimerHandle>,
     /// The pending retry-backoff timer that will (re)launch this op. Held so
     /// a host crash can cancel the launch outright instead of relying on the

@@ -155,11 +155,20 @@ impl ReducerSelector {
     /// Panics if `eligible` is empty or contains out-of-range indices.
     pub fn choose(&self, rng: &mut DetRng, eligible: &[usize]) -> usize {
         assert!(!eligible.is_empty(), "no eligible reducers");
-        let weights: Vec<f64> = eligible.iter().map(|&i| self.probs[i]).collect();
-        if weights.iter().sum::<f64>() <= 0.0 {
+        // The walk of `DetRng::weighted_index` over `eligible`'s weights,
+        // inline so nothing is collected: same sum order, same draws.
+        let total: f64 = eligible.iter().map(|&i| self.probs[i]).sum();
+        if total <= 0.0 {
             return eligible[rng.below(eligible.len() as u64) as usize];
         }
-        eligible[rng.weighted_index(&weights)]
+        let mut draw = rng.unit_f64() * total;
+        for &i in eligible {
+            if draw < self.probs[i] {
+                return i;
+            }
+            draw -= self.probs[i];
+        }
+        eligible[eligible.len() - 1]
     }
 }
 
@@ -249,6 +258,21 @@ mod tests {
         for _ in 0..100 {
             let c = sel.choose(&mut rng, &[1, 2]);
             assert!(c == 1 || c == 2);
+        }
+    }
+
+    #[test]
+    fn choose_draws_exactly_as_weighted_index() {
+        let mut sel = ReducerSelector::new(5);
+        sel.record_load(3_000_000);
+        sel.update(SimTime::from_millis(20), &[100.0, 40.0, 100.0, 10.0, 70.0]);
+        let (mut a, mut b) = (DetRng::new(9), DetRng::new(9));
+        for eligible in [&[0, 1, 2, 3, 4][..], &[1, 3, 4], &[2], &[0, 3]] {
+            let weights: Vec<f64> = eligible.iter().map(|&i| sel.probabilities()[i]).collect();
+            for _ in 0..200 {
+                let expect = eligible[b.weighted_index(&weights)];
+                assert_eq!(sel.choose(&mut a, eligible), expect);
+            }
         }
     }
 

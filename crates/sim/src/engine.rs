@@ -12,14 +12,20 @@
 //!   common pattern in the executor — bypass the heap entirely through a
 //!   **same-instant FIFO** (`VecDeque`).
 //! * Timers scheduled through [`Engine::schedule_timer_at`] are **cancelable**
-//!   via their [`TimerHandle`]; a canceled timer's heap entry is retired
+//!   via their [`TimerHandle`]; a canceled timer's queued entry is retired
 //!   lazily when popped, advancing the clock to its due time exactly as a
 //!   fired no-op would, so cancellation never perturbs the clock trajectory.
-//! * Timers keep their entries in a **heap of their own**. Most timers are
-//!   op deadlines that get canceled long before they are due, so their
-//!   stale entries pile up; in a separate heap they never deepen the one
-//!   that every step completion is pushed into and popped from. The run
-//!   loop takes the earlier of the two tops by `(time, seq)`.
+//! * Timers armed in order wait in a **timer lane** (a FIFO) instead of the
+//!   event heap. Most timers are op deadlines that get canceled long
+//!   before they are due, so their stale entries pile up; in the lane they
+//!   never deepen the heap that every step completion is pushed into and
+//!   popped from. A timer due no earlier than the lane's back joins it:
+//!   `seq` only grows, so the lane stays sorted by `(time, seq)` with no
+//!   sifting, and arming and retiring an op deadline (`now + constant`)
+//!   are an O(1) push and pop. A timer due earlier than the lane's back
+//!   (a jittered backoff, an absolute fault time) goes to the event heap.
+//!   The run loop takes the earlier of the heap top and the lane front by
+//!   `(time, seq)`.
 //!
 //! The global firing order is `(time, seq)` with `seq` assigned in
 //! scheduling order — the determinism contract every artifact diff rests on.
@@ -80,8 +86,41 @@ impl Ord for HeapEntry {
     }
 }
 
+/// Slab-slot bits of a packed [`LaneEntry`] key; the sequence number takes
+/// the other 40.
+const LANE_SLOT_BITS: u32 = 24;
+
+/// Timer-lane entry, packed to 16 bytes: the lane is a ring that touches
+/// its whole capacity as it cycles, and 24-byte entries cost measurably
+/// more resident memory. A timer whose `seq` or slot does not fit the key
+/// goes to the event heap instead.
+#[derive(Clone, Copy)]
+struct LaneEntry {
+    time: SimTime,
+    /// `seq << LANE_SLOT_BITS | slot`.
+    key: u64,
+}
+
+impl LaneEntry {
+    fn pack(entry: HeapEntry) -> Option<LaneEntry> {
+        let fits = entry.seq < 1 << (64 - LANE_SLOT_BITS) && entry.slot < 1 << LANE_SLOT_BITS;
+        fits.then(|| LaneEntry {
+            time: entry.time,
+            key: entry.seq << LANE_SLOT_BITS | u64::from(entry.slot),
+        })
+    }
+
+    fn unpack(self) -> HeapEntry {
+        HeapEntry {
+            time: self.time,
+            seq: self.key >> LANE_SLOT_BITS,
+            slot: (self.key & ((1 << LANE_SLOT_BITS) - 1)) as u32,
+        }
+    }
+}
+
 /// One slab slot. `seq` identifies the occupying event; sequence numbers are
-/// globally unique and never reused, so a heap entry whose `seq` disagrees
+/// globally unique and never reused, so a queued entry whose `seq` disagrees
 /// with its slot is stale (the timer was canceled and the slot possibly
 /// recycled) — no generation counter or ABA hazard.
 struct EventSlot<W> {
@@ -140,11 +179,13 @@ pub struct EngineStats {
 pub struct Engine<W> {
     now: SimTime,
     seq: u64,
-    /// Future plain events and step completions.
+    /// Future plain events, step completions and the timers that arrived
+    /// out of order for the lane.
     heap: BinaryHeap<HeapEntry>,
-    /// Timers, live or canceled. Kept apart from `heap` so that canceled
-    /// deadlines waiting to be retired do not deepen it.
-    timers: BinaryHeap<HeapEntry>,
+    /// Timers, live or canceled, armed no earlier than the lane's back:
+    /// sorted by `(time, seq)` by construction. Kept apart from `heap` so
+    /// that canceled deadlines waiting to be retired do not deepen it.
+    lane: VecDeque<LaneEntry>,
     slots: Vec<EventSlot<W>>,
     free: Vec<u32>,
     /// Same-instant FIFO: `(seq, event)` pairs scheduled at `now`. Entries
@@ -180,7 +221,7 @@ impl<W> Engine<W> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
-            timers: BinaryHeap::new(),
+            lane: VecDeque::new(),
             slots: Vec::new(),
             free: Vec::new(),
             fast: VecDeque::new(),
@@ -303,8 +344,9 @@ impl<W> Engine<W> {
     }
 
     /// Schedules a cancelable timer at absolute time `at` and returns its
-    /// handle. Timers always go through the slab and the timer heap (never
-    /// the same-instant fast path), but fire in exactly the same global
+    /// handle. Timers always go through the slab (never the same-instant
+    /// fast path) into the timer lane, or the event heap if `at` is earlier
+    /// than the lane's back, but fire in exactly the same global
     /// `(time, seq)` order as plain events.
     ///
     /// # Panics
@@ -322,11 +364,16 @@ impl<W> Engine<W> {
         self.assert_not_past(at);
         let seq = self.next_seq();
         let slot = self.alloc_slot(seq, event);
-        self.timers.push(HeapEntry {
+        let entry = HeapEntry {
             time: at,
             seq,
             slot,
-        });
+        };
+        let in_order = self.lane.back().is_none_or(|back| at >= back.time);
+        match LaneEntry::pack(entry).filter(|_| in_order) {
+            Some(packed) => self.lane.push_back(packed),
+            None => self.heap.push(entry),
+        }
         TimerHandle { slot, seq }
     }
 
@@ -355,7 +402,7 @@ impl<W> Engine<W> {
     /// pending (its event is dropped immediately and its slab slot
     /// recycled); `false` if it already fired or was already canceled.
     ///
-    /// The timer's entry stays in the timer heap and is retired when popped: it
+    /// The timer's entry stays queued and is retired when popped: it
     /// advances the clock to the timer's due time and counts toward
     /// [`EngineStats::events_fired`], exactly as a no-op firing would —
     /// so canceling timers cannot change the simulated clock trajectory.
@@ -399,11 +446,13 @@ impl<W> Engine<W> {
         self.run_inner(world, Some(deadline))
     }
 
-    /// The earliest entry of the two heaps by `(time, seq)`, and whether it
-    /// is the timer heap's.
+    /// The earlier of the event heap's top and the lane's front by
+    /// `(time, seq)`, and whether it is the lane's. Sequence numbers are
+    /// unique, so the choice is exact.
     fn next_entry(&self) -> Option<(HeapEntry, bool)> {
-        match (self.heap.peek(), self.timers.peek()) {
-            (Some(&event), Some(&timer)) => {
+        match (self.heap.peek(), self.lane.front()) {
+            (Some(&event), Some(timer)) => {
+                let timer = timer.unpack();
                 Some(if (timer.time, timer.seq) < (event.time, event.seq) {
                     (timer, true)
                 } else {
@@ -411,7 +460,7 @@ impl<W> Engine<W> {
                 })
             }
             (Some(&event), None) => Some((event, false)),
-            (None, Some(&timer)) => Some((timer, true)),
+            (None, Some(timer)) => Some((timer.unpack(), true)),
             (None, None) => None,
         }
     }
@@ -437,14 +486,14 @@ impl<W> Engine<W> {
                     continue;
                 }
             }
-            let Some((entry, is_timer)) = next else {
+            let Some((entry, in_lane)) = next else {
                 break;
             };
             if entry.time > cap {
                 break;
             }
-            if is_timer {
-                self.timers.pop();
+            if in_lane {
+                self.lane.pop_front();
             } else {
                 self.heap.pop();
             }
@@ -858,8 +907,9 @@ mod tests {
 
     /// Draws the actions of one firing. Delays of 0 and a few nanoseconds
     /// make same-instant ties between the FIFO, the event heap and the timer
-    /// heap common; cancels favour recent timers, so many hit timers that
-    /// are due at the current instant or soon after.
+    /// lane common, and the long delay sends the timers armed after it to
+    /// the event heap; cancels favour recent timers, so
+    /// many hit timers that are due at the current instant or soon after.
     fn plan(rng: &mut crate::DetRng, budget: &mut u32, timers: usize) -> Vec<Act> {
         const DELAYS: [u64; 7] = [0, 0, 1, 2, 3, 40, 5_000];
         let mut acts = Vec::new();
@@ -895,8 +945,54 @@ mod tests {
         budget: u32,
         /// Mirrors the engine's sequence counter: every schedule bumps both.
         seq: u64,
-        timers: Vec<TimerHandle>,
+        /// Every timer armed, with its due time and whether it joined the
+        /// lane (else the event heap).
+        timers: Vec<(TimerHandle, SimTime, bool)>,
         log: Vec<Logged>,
+        reached: Reached,
+    }
+
+    /// Which queue paths the exactness script exercised.
+    #[derive(Default)]
+    struct Reached {
+        lane_timers: u32,
+        /// Timers that went to the event heap instead.
+        heap_timers: u32,
+        /// In-order timers sent to the heap because their `seq` does not fit
+        /// a lane key.
+        unpackable: u32,
+        /// Successful cancels of a lane timer due at the current instant.
+        lane_cancels_due_now: u32,
+    }
+
+    impl Script {
+        fn new(seed: u64, budget: u32, seq: u64) -> Self {
+            Script {
+                rng: crate::DetRng::new(seed),
+                budget,
+                seq,
+                timers: Vec::new(),
+                log: Vec::new(),
+                reached: Reached::default(),
+            }
+        }
+
+        fn armed(&mut self, eng: &Engine<Script>, h: TimerHandle, delay: u64) {
+            let in_lane = eng.lane.back().is_some_and(|b| b.unpack().seq == h.seq);
+            if in_lane {
+                self.reached.lane_timers += 1;
+            } else {
+                self.reached.heap_timers += 1;
+                let lane_back = eng.lane.back().map_or(SimTime::ZERO, |b| b.time);
+                if h.seq >= 1 << (64 - LANE_SLOT_BITS)
+                    && eng.now() + SimTime::from_nanos(delay) >= lane_back
+                {
+                    self.reached.unpackable += 1;
+                }
+            }
+            self.timers
+                .push((h, eng.now() + SimTime::from_nanos(delay), in_lane));
+        }
     }
 
     fn script_fire(w: &mut Script, eng: &mut Engine<Script>, seq: u64) {
@@ -918,14 +1014,18 @@ mod tests {
             Act::Call(d) => eng.schedule_call_at(eng.now() + ns(d), script_call, [seq, 0, 0]),
             Act::Timer(d) => {
                 let h = eng.schedule_timer_in(ns(d), move |w, eng| script_fire(w, eng, seq));
-                w.timers.push(h);
+                w.armed(eng, h, d);
             }
             Act::TimerCall(d) => {
                 let h = eng.schedule_timer_call_in(ns(d), script_call, [seq, 0, 0]);
-                w.timers.push(h);
+                w.armed(eng, h, d);
             }
             Act::Cancel(i) => {
-                let ok = eng.cancel(w.timers[i]);
+                let (h, due, in_lane) = w.timers[i];
+                let ok = eng.cancel(h);
+                if ok && in_lane && due == eng.now() {
+                    w.reached.lane_cancels_due_now += 1;
+                }
                 w.log.push(Logged::Canceled(i, ok));
                 return;
             }
@@ -938,7 +1038,7 @@ mod tests {
     }
 
     /// Test-only oracle: the engine's contract with one ordered queue for
-    /// every pending entry, no FIFO and no second heap. A canceled timer
+    /// every pending entry, no FIFO and no lane. A canceled timer
     /// stays queued and is retired at its due time.
     struct Oracle {
         now: SimTime,
@@ -1015,19 +1115,23 @@ mod tests {
     #[test]
     fn split_queues_fire_exactly_like_one_ordered_queue() {
         let (mut same_instant_cancels, mut stops, mut timer_fires) = (0, 0, 0);
+        let mut reached = Reached::default();
         for seed in 0..24u64 {
             let budget = 1_500;
-            let mut w = Script {
-                rng: crate::DetRng::new(seed),
-                budget,
-                seq: 0,
-                timers: Vec::new(),
-                log: Vec::new(),
+            // Half the seeds start the sequence numbers just below the lane
+            // key's limit, so timers armed in order mid-run stop fitting a
+            // lane entry and fall back to the event heap.
+            let seq = if seed % 4 >= 2 {
+                (1 << (64 - LANE_SLOT_BITS)) - 800
+            } else {
+                0
             };
+            let mut w = Script::new(seed, budget, seq);
             let mut engine: Engine<Script> = Engine::new();
+            engine.seq = seq;
             let mut oracle = Oracle {
                 now: SimTime::ZERO,
-                seq: 0,
+                seq,
                 queue: Default::default(),
                 canceled: Default::default(),
                 fired: 0,
@@ -1039,19 +1143,22 @@ mod tests {
                 same_instant_cancels: 0,
                 stops: 0,
             };
+            // Odd seeds first arm a timer far ahead of every other, so the
+            // timers armed after it fall back to the event heap until it
+            // retires.
+            let far = (seed % 2 == 1).then_some(Act::Timer(1_000_000));
             // Every kind at a handful of instants (0 ns included, which
             // sends the non-timers through the FIFO), then a few cancels.
-            let mut before: Vec<Act> = (0..24u64)
-                .map(|i| {
-                    let d = i * 7 % 5;
-                    [
-                        Act::Boxed(d),
-                        Act::Call(d),
-                        Act::Timer(d),
-                        Act::TimerCall(d),
-                    ][i as usize % 4]
-                })
-                .collect();
+            let mut before: Vec<Act> = far.into_iter().collect();
+            before.extend((0..24u64).map(|i| {
+                let d = i * 7 % 5;
+                [
+                    Act::Boxed(d),
+                    Act::Call(d),
+                    Act::Timer(d),
+                    Act::TimerCall(d),
+                ][i as usize % 4]
+            }));
             before.extend([Act::Cancel(seed as usize % 6), Act::Cancel(4)]);
             for act in before {
                 script_apply(&mut w, &mut engine, act);
@@ -1079,7 +1186,7 @@ mod tests {
                     "seed {seed}, final run"
                 );
             }
-            assert!(engine.heap.is_empty() && engine.timers.is_empty() && engine.fast.is_empty());
+            assert!(engine.heap.is_empty() && engine.lane.is_empty() && engine.fast.is_empty());
             assert_eq!(engine.pending(), 0);
             let canceled = w
                 .log
@@ -1088,6 +1195,10 @@ mod tests {
                 .count() as u64;
             assert_eq!(engine.stats().events_canceled, canceled);
             same_instant_cancels += oracle.same_instant_cancels;
+            reached.lane_timers += w.reached.lane_timers;
+            reached.heap_timers += w.reached.heap_timers;
+            reached.unpackable += w.reached.unpackable;
+            reached.lane_cancels_due_now += w.reached.lane_cancels_due_now;
             stops += oracle.stops;
             let timer_seqs: std::collections::BTreeSet<u64> =
                 oracle.timers.iter().map(|&(_, seq)| seq).collect();
@@ -1101,6 +1212,16 @@ mod tests {
         assert!(same_instant_cancels > 0, "no cancel of a timer due now");
         assert!(stops > 0, "no stop()");
         assert!(timer_fires > 0, "no timer fired");
+        assert!(reached.lane_timers > 0, "no timer in the lane");
+        assert!(reached.heap_timers > 0, "no timer in the event heap");
+        assert!(
+            reached.unpackable > 0,
+            "no in-order timer too big for the lane"
+        );
+        assert!(
+            reached.lane_cancels_due_now > 0,
+            "no cancel of a lane timer due now"
+        );
     }
 
     #[test]
@@ -1138,12 +1259,15 @@ mod tests {
         assert!(live_only(&engine));
         engine.run_until(&mut done, SimTime::from_millis(1));
         assert_eq!(done, OPS);
-        assert!(engine.heap.is_empty(), "no dead deadline in the event heap");
-        assert_eq!(engine.timers.len() as u64, OPS, "stale deadlines wait here");
+        assert!(
+            engine.heap.is_empty(),
+            "armed in order, none in the event heap"
+        );
+        assert_eq!(engine.lane.len() as u64, OPS, "stale deadlines wait here");
         assert_eq!(engine.pending(), 0);
         // They still retire at their due times.
         let end = engine.run(&mut done);
-        assert!(engine.timers.is_empty());
+        assert!(engine.lane.is_empty());
         assert_eq!(engine.stats().events_fired, 2 * OPS);
         assert!(end > SimTime::from_secs(1));
     }
