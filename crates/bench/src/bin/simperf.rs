@@ -13,9 +13,13 @@
 //!
 //! * `heap_random_steady` — a bounded in-flight window of events, each
 //!   firing rescheduling a successor at a pseudorandom future delta (the
-//!   steady-state shape of a running simulation); stresses heap sift cost
-//!   (24-byte index entries vs. boxed-closure fat entries) with a hot,
-//!   bounded slab.
+//!   steady-state shape of a running simulation, where every step
+//!   completion goes through the heap). Measures the heap path end to end:
+//!   the new engine's successor push overwrites the spent top in one
+//!   sift-down where the baseline pops and then pushes, and it sifts
+//!   24-byte index entries compared by one `u128` key, with a hot, bounded
+//!   slab, where the baseline sifts boxed-closure fat entries. CI floors it
+//!   at 1.0×: the new engine must not be slower on its most common path.
 //! * `completion_chain_backlog` — a long same-instant completion chain over
 //!   a deep backlog of far-future timers; stresses the same-instant FIFO
 //!   fast path against sift-to-root heap pushes. This is the headline

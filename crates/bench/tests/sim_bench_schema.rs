@@ -1,8 +1,9 @@
 //! The checked-in `BENCH_sim.json` scheduler-throughput report must parse,
 //! name the machine it was measured on, have the shape `simperf` promises,
 //! and carry a headline speedup at or above the engine-overhaul acceptance
-//! bar, with no scenario far below the pre-overhaul engine and the
-//! deadline-backlog scenario at least 2x above it.
+//! bar, with steady heap churn no slower than on the pre-overhaul engine,
+//! no scenario far below it and the deadline-backlog scenario at least 2x
+//! above it.
 
 use draid_bench::json::{self, Json};
 
@@ -126,20 +127,25 @@ fn headline_speedup_meets_acceptance_bar() {
 
 #[test]
 fn no_scenario_falls_far_below_the_baseline_engine() {
-    // The overhaul trades a little on two scenarios for the headline; the
-    // trade must stay small.
+    // Steady heap churn, every event through the heap, must be at least as
+    // fast as on the pre-overhaul engine: a successor push replaces the
+    // spent top in one sift. Arm-and-cancel with one op in flight keeps the
+    // older 0.75x floor.
     let doc = json::parse(BENCH).expect("BENCH_sim.json parses");
     let speedups = doc
         .get("speedups")
         .and_then(Json::as_arr)
         .expect("speedups array");
-    for scenario in ["heap_random_steady", "timer_arm_cancel"] {
+    for (scenario, floor) in [("heap_random_steady", 1.0), ("timer_arm_cancel", 0.75)] {
         let x = speedups
             .iter()
             .find(|r| r.get("scenario").and_then(Json::as_str) == Some(scenario))
             .and_then(|r| r.get("speedup").and_then(Json::as_num))
             .expect("scenario speedup");
-        assert!(x >= 0.75, "{scenario} speedup {x} below the 0.75x floor");
+        assert!(
+            x >= floor,
+            "{scenario} speedup {x} below the {floor}x floor"
+        );
     }
 }
 

@@ -147,6 +147,13 @@ impl Dag {
         }
     }
 
+    /// The flat dependency storage, `(dep_end, deps)`: step `i`'s
+    /// dependencies are `deps[dep_end[i - 1]..dep_end[i]]`, from 0 for the
+    /// first step.
+    pub(crate) fn csr(&self) -> (&[u32], &[u32]) {
+        (&self.dep_end, &self.deps)
+    }
+
     /// Iterates over steps in index order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, Step<'_>)> {
         (0..self.len()).map(|id| (id, self.step(id)))

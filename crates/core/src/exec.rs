@@ -160,17 +160,16 @@ impl Steps {
     /// Derives the execution state of a freshly built `self.dag`, reusing
     /// the buffers' capacity.
     fn install(&mut self) {
-        let n = self.dag.len();
+        let (dep_end, deps) = self.dag.csr();
+        let n = dep_end.len();
         self.unmet.clear();
+        self.unmet.resize(n, 0);
         self.done.clear();
         self.done.resize(n, false);
         self.dependents_start.clear();
         self.dependents_start.resize(n + 1, 0);
-        for (_, step) in self.dag.iter() {
-            self.unmet.push(step.deps.len() as u32);
-            for &d in step.deps {
-                self.dependents_start[d as usize] += 1;
-            }
+        for &d in deps {
+            self.dependents_start[d as usize] += 1;
         }
         // Prefix sums turn each count into the end of that step's range...
         let mut total = 0;
@@ -181,13 +180,19 @@ impl Steps {
         self.dependents.clear();
         self.dependents.resize(total as usize, 0);
         // ...and filling back to front moves each end down to its range's
-        // start, leaving every step's dependents in increasing order.
+        // start, leaving every step's dependents in increasing order. Step
+        // `id`'s own dependencies are `deps[lo..end]`, so their count is
+        // its `unmet`.
+        let mut end = deps.len();
         for id in (0..n).rev() {
-            for &d in self.dag.step(id).deps.iter().rev() {
+            let lo = id.checked_sub(1).map_or(0, |prev| dep_end[prev] as usize);
+            self.unmet[id] = (end - lo) as u32;
+            for &d in deps[lo..end].iter().rev() {
                 let start = &mut self.dependents_start[d as usize];
                 *start -= 1;
                 self.dependents[*start as usize] = id as u32;
             }
+            end = lo;
         }
     }
 

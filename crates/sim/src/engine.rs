@@ -26,6 +26,14 @@
 //!   (a jittered backoff, an absolute fault time) goes to the event heap.
 //!   The run loop takes the earlier of the heap top and the lane front by
 //!   `(time, seq)`.
+//! * A heap event is not popped before it fires: its entry stays on top,
+//!   marked **spent**, and the handler's first heap push overwrites it with
+//!   one sift-down (a step completion that schedules the next step pays one
+//!   sift, not a pop's and a push's). A spent top that no push replaced —
+//!   the handler pushed nothing to the heap, or the entry was a canceled
+//!   timer's — is popped right after. `run_inner` also settles a spent top
+//!   on entry, so a handler that runs the engine re-entrantly hands the
+//!   inner loop a clean heap, and no top is left spent when it returns.
 //!
 //! The global firing order is `(time, seq)` with `seq` assigned in
 //! scheduling order — the determinism contract every artifact diff rests on.
@@ -68,21 +76,43 @@ struct HeapEntry {
     slot: u32,
 }
 
+impl HeapEntry {
+    /// `(time, seq)` as one integer, `time << 64 | seq`: a sift step then
+    /// makes one comparison instead of a tuple compare.
+    fn key(self) -> u128 {
+        u128::from(self.time.as_nanos()) << 64 | u128::from(self.seq)
+    }
+}
+
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl Eq for HeapEntry {}
+// BinaryHeap is a max-heap; every comparison is inverted so the earliest
+// `(time, seq)` pops first. The sift loops use `<=` and `>=`, so those are
+// overridden too rather than derived from `partial_cmp`.
 impl PartialOrd for HeapEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+    fn lt(&self, other: &Self) -> bool {
+        other.key() < self.key()
+    }
+    fn le(&self, other: &Self) -> bool {
+        other.key() <= self.key()
+    }
+    fn gt(&self, other: &Self) -> bool {
+        other.key() > self.key()
+    }
+    fn ge(&self, other: &Self) -> bool {
+        other.key() >= self.key()
+    }
 }
 impl Ord for HeapEntry {
-    // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
     fn cmp(&self, other: &Self) -> Ordering {
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
@@ -182,6 +212,11 @@ pub struct Engine<W> {
     /// Future plain events, step completions and the timers that arrived
     /// out of order for the lane.
     heap: BinaryHeap<HeapEntry>,
+    /// The heap's top has fired (or retired as a canceled timer) but is
+    /// still in place: the next heap push overwrites it with one sift-down
+    /// instead of a pop and a push. Only set between a heap event's firing
+    /// and [`Engine::settle_top`].
+    spent_top: bool,
     /// Timers, live or canceled, armed no earlier than the lane's back:
     /// sorted by `(time, seq)` by construction. Kept apart from `heap` so
     /// that canceled deadlines waiting to be retired do not deepen it.
@@ -221,6 +256,7 @@ impl<W> Engine<W> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
+            spent_top: false,
             lane: VecDeque::new(),
             slots: Vec::new(),
             free: Vec::new(),
@@ -246,8 +282,8 @@ impl<W> Engine<W> {
         self.stats
     }
 
-    /// Slab slots allocated so far (high-water mark of concurrently pending
-    /// heap events; diagnostic for the engine benchmarks).
+    /// Slab slots allocated so far (high-water mark of events pending
+    /// outside the same-instant FIFO; diagnostic for the engine benchmarks).
     pub fn slab_slots(&self) -> usize {
         self.slots.len()
     }
@@ -311,11 +347,29 @@ impl<W> Engine<W> {
             self.fast.push_back((seq, event));
         } else {
             let slot = self.alloc_slot(seq, event);
-            self.heap.push(HeapEntry {
+            self.heap_push(HeapEntry {
                 time: at,
                 seq,
                 slot,
             });
+        }
+    }
+
+    /// Pushes onto the event heap. A spent top is overwritten in place, so
+    /// a handler's first heap push costs one sift-down and the spent entry's
+    /// pop costs nothing.
+    fn heap_push(&mut self, entry: HeapEntry) {
+        if std::mem::take(&mut self.spent_top) {
+            *self.heap.peek_mut().expect("spent top vanished") = entry;
+        } else {
+            self.heap.push(entry);
+        }
+    }
+
+    /// Pops the spent heap top, if no push has replaced it.
+    fn settle_top(&mut self) {
+        if std::mem::take(&mut self.spent_top) {
+            self.heap.pop();
         }
     }
 
@@ -372,7 +426,7 @@ impl<W> Engine<W> {
         let in_order = self.lane.back().is_none_or(|back| at >= back.time);
         match LaneEntry::pack(entry).filter(|_| in_order) {
             Some(packed) => self.lane.push_back(packed),
-            None => self.heap.push(entry),
+            None => self.heap_push(entry),
         }
         TimerHandle { slot, seq }
     }
@@ -466,6 +520,9 @@ impl<W> Engine<W> {
     }
 
     fn run_inner(&mut self, world: &mut W, deadline: Option<SimTime>) -> SimTime {
+        // A handler that runs the engine re-entrantly leaves its own spent
+        // top behind; the loop below must see a clean heap.
+        self.settle_top();
         self.stopped = false;
         let cap = deadline.unwrap_or(SimTime::MAX);
         loop {
@@ -495,7 +552,8 @@ impl<W> Engine<W> {
             if in_lane {
                 self.lane.pop_front();
             } else {
-                self.heap.pop();
+                // Left in place: the handler's first heap push replaces it.
+                self.spent_top = true;
             }
             crate::draid_invariant!(
                 entry.time >= self.now,
@@ -515,7 +573,9 @@ impl<W> Engine<W> {
             }
             // else: stale entry of a canceled timer — retired at its due
             // time (clock advanced, fired counted) without running anything.
+            self.settle_top();
         }
+        crate::draid_invariant!(!self.spent_top, "run loop left a spent heap top");
         if let Some(d) = deadline {
             if !self.stopped && self.now < d {
                 self.now = d;
@@ -963,6 +1023,35 @@ mod tests {
         unpackable: u32,
         /// Successful cancels of a lane timer due at the current instant.
         lane_cancels_due_now: u32,
+        /// Successful cancels of a timer in the event heap, whose stale
+        /// entry is later retired as a spent top that no push replaces.
+        heap_cancels: u32,
+        /// Heap-fired handlers whose first heap push replaced the spent top.
+        spent_replaced: u32,
+        /// ...by an out-of-order timer (`push_timer`'s heap fallback).
+        spent_replaced_by_timer: u32,
+        /// ...that went on to push more heap events.
+        spent_replaced_then_pushed: u32,
+        /// Heap-fired handlers that pushed nothing to the heap, leaving the
+        /// spent top to be popped after them.
+        spent_popped: u32,
+        /// Handlers that called `stop()` after pushing to the heap.
+        stops_after_heap_push: u32,
+    }
+
+    impl Reached {
+        fn absorb(&mut self, other: &Reached) {
+            self.lane_timers += other.lane_timers;
+            self.heap_timers += other.heap_timers;
+            self.unpackable += other.unpackable;
+            self.lane_cancels_due_now += other.lane_cancels_due_now;
+            self.heap_cancels += other.heap_cancels;
+            self.spent_replaced += other.spent_replaced;
+            self.spent_replaced_by_timer += other.spent_replaced_by_timer;
+            self.spent_replaced_then_pushed += other.spent_replaced_then_pushed;
+            self.spent_popped += other.spent_popped;
+            self.stops_after_heap_push += other.stops_after_heap_push;
+        }
     }
 
     impl Script {
@@ -997,8 +1086,27 @@ mod tests {
 
     fn script_fire(w: &mut Script, eng: &mut Engine<Script>, seq: u64) {
         w.log.push(Logged::Fired(eng.now(), seq));
+        // An event fired from the heap finds its entry still on top, spent.
+        let from_heap = eng.spent_top;
+        let heap_len = eng.heap.len();
+        let mut stopped = false;
         for act in plan(&mut w.rng, &mut w.budget, w.timers.len()) {
+            stopped |= matches!(act, Act::Stop);
             script_apply(w, eng, act);
+        }
+        // The first push overwrote the spent top; the rest grew the heap.
+        let replaced = from_heap && !eng.spent_top;
+        let pushes = eng.heap.len() - heap_len + usize::from(replaced);
+        if stopped && pushes > 0 {
+            w.reached.stops_after_heap_push += 1;
+        }
+        if replaced {
+            w.reached.spent_replaced += 1;
+            if pushes > 1 {
+                w.reached.spent_replaced_then_pushed += 1;
+            }
+        } else if from_heap {
+            w.reached.spent_popped += 1;
         }
     }
 
@@ -1009,6 +1117,7 @@ mod tests {
     fn script_apply(w: &mut Script, eng: &mut Engine<Script>, act: Act) {
         let ns = SimTime::from_nanos;
         let seq = w.seq + 1;
+        let spent = eng.spent_top;
         match act {
             Act::Boxed(d) => eng.schedule_in(ns(d), move |w, eng| script_fire(w, eng, seq)),
             Act::Call(d) => eng.schedule_call_at(eng.now() + ns(d), script_call, [seq, 0, 0]),
@@ -1026,6 +1135,9 @@ mod tests {
                 if ok && in_lane && due == eng.now() {
                     w.reached.lane_cancels_due_now += 1;
                 }
+                if ok && !in_lane {
+                    w.reached.heap_cancels += 1;
+                }
                 w.log.push(Logged::Canceled(i, ok));
                 return;
             }
@@ -1033,6 +1145,9 @@ mod tests {
                 eng.stop();
                 return;
             }
+        }
+        if spent && !eng.spent_top && matches!(act, Act::Timer(_) | Act::TimerCall(_)) {
+            w.reached.spent_replaced_by_timer += 1;
         }
         w.seq = seq;
     }
@@ -1195,10 +1310,7 @@ mod tests {
                 .count() as u64;
             assert_eq!(engine.stats().events_canceled, canceled);
             same_instant_cancels += oracle.same_instant_cancels;
-            reached.lane_timers += w.reached.lane_timers;
-            reached.heap_timers += w.reached.heap_timers;
-            reached.unpackable += w.reached.unpackable;
-            reached.lane_cancels_due_now += w.reached.lane_cancels_due_now;
+            reached.absorb(&w.reached);
             stops += oracle.stops;
             let timer_seqs: std::collections::BTreeSet<u64> =
                 oracle.timers.iter().map(|&(_, seq)| seq).collect();
@@ -1221,6 +1333,27 @@ mod tests {
         assert!(
             reached.lane_cancels_due_now > 0,
             "no cancel of a lane timer due now"
+        );
+        assert!(reached.heap_cancels > 0, "no cancel of a heap timer");
+        assert!(
+            reached.spent_replaced > 0,
+            "no spent top replaced by a push"
+        );
+        assert!(
+            reached.spent_replaced_then_pushed > 0,
+            "no heap-fired handler pushed several heap events"
+        );
+        assert!(
+            reached.spent_replaced_by_timer > 0,
+            "no spent top replaced by an out-of-order timer"
+        );
+        assert!(
+            reached.spent_popped > 0,
+            "no spent top popped after its handler"
+        );
+        assert!(
+            reached.stops_after_heap_push > 0,
+            "no stop() from a handler that pushed"
         );
     }
 
@@ -1270,5 +1403,52 @@ mod tests {
         assert!(engine.lane.is_empty());
         assert_eq!(engine.stats().events_fired, 2 * OPS);
         assert!(end > SimTime::from_secs(1));
+    }
+
+    /// Records `(now, seq)` of each firing; `push` schedules a follow-up
+    /// half a microsecond out (through the heap), and `reenter` then runs
+    /// the engine re-entrantly for that many microseconds.
+    fn reentrant(
+        w: &mut Vec<(SimTime, u64)>,
+        eng: &mut Engine<Vec<(SimTime, u64)>>,
+        [seq, push, reenter]: [u64; 3],
+    ) {
+        w.push((eng.now(), seq));
+        if push != 0 {
+            let at = eng.now() + SimTime::from_nanos(500);
+            eng.schedule_call_at(at, reentrant, [eng.seq + 1, 0, 0]);
+        }
+        if reenter != 0 {
+            eng.run_until(w, eng.now() + SimTime::from_micros(reenter));
+        }
+    }
+
+    #[test]
+    fn reentrant_run_until_fires_nothing_twice() {
+        let mut fired = Vec::new();
+        let mut engine: Engine<Vec<(SimTime, u64)>> = Engine::new();
+        for us in 1..=12u64 {
+            // At 2 µs the handler re-enters with its top still spent (no
+            // push); at 6 µs its push has already replaced the top; the
+            // event at 3 µs, fired by the inner loop, re-enters once more.
+            let (push, reenter) = match us {
+                2 => (0, 3),
+                3 => (1, 1),
+                6 => (1, 2),
+                _ => (u64::from(us % 4 == 0), 0),
+            };
+            let seq = engine.seq + 1;
+            engine.schedule_call_at(SimTime::from_micros(us), reentrant, [seq, push, reenter]);
+        }
+        let end = engine.run(&mut fired);
+        assert!(!engine.spent_top && engine.heap.is_empty());
+        // The 12 µs event's follow-up fires last.
+        assert_eq!(end, SimTime::from_nanos(12_500));
+        let stats = engine.stats();
+        assert_eq!(stats.events_fired, stats.events_scheduled);
+        assert_eq!(fired.len() as u64, stats.events_fired);
+        for pair in fired.windows(2) {
+            assert!(pair[0] < pair[1], "fired out of order: {pair:?}");
+        }
     }
 }
