@@ -88,7 +88,6 @@ pub struct Drive {
     spec: DriveSpec,
     channel: RateResource,
     state: DriveState,
-    qos: Option<crate::TokenBucket>,
     /// Fail-slow multiplier: ≥ 1.0; bandwidth divides by it and access
     /// latency multiplies by it. 1.0 = nominal.
     slow_factor: f64,
@@ -107,19 +106,12 @@ impl Drive {
             spec,
             channel: RateResource::new(spec.read_rate),
             state: DriveState::Healthy,
-            qos: None,
             slow_factor: 1.0,
             reads: 0,
             writes: 0,
             bytes_offered: 0,
             bytes_dropped: 0,
         }
-    }
-
-    /// Installs (or clears) a §5.5 per-tenant rate limit: I/Os are shaped
-    /// through the token bucket before reaching the channel.
-    pub fn set_qos(&mut self, qos: Option<crate::TokenBucket>) {
-        self.qos = qos;
     }
 
     /// The drive's profile.
@@ -171,7 +163,6 @@ impl Drive {
     pub fn replace(&mut self) {
         self.state = DriveState::Healthy;
         self.channel = RateResource::new(self.spec.read_rate);
-        self.qos = None;
         self.slow_factor = 1.0;
         self.reads = 0;
         self.writes = 0;
@@ -192,10 +183,9 @@ impl Drive {
             return Err(e);
         }
         self.reads += 1;
-        let release = self.shape(now, bytes);
-        let svc =
-            self.channel
-                .serve_not_before(now, release, bytes, self.effective(self.spec.read_rate));
+        let svc = self
+            .channel
+            .serve_at_rate(now, bytes, self.effective(self.spec.read_rate));
         Ok(Service {
             start: svc.start,
             end: svc.end + self.stretch(self.spec.read_latency),
@@ -215,13 +205,9 @@ impl Drive {
             return Err(e);
         }
         self.writes += 1;
-        let release = self.shape(now, bytes);
-        let svc = self.channel.serve_not_before(
-            now,
-            release,
-            bytes,
-            self.effective(self.spec.write_rate),
-        );
+        let svc = self
+            .channel
+            .serve_at_rate(now, bytes, self.effective(self.spec.write_rate));
         Ok(Service {
             start: svc.start,
             end: svc.end + self.stretch(self.spec.write_latency),
@@ -234,13 +220,6 @@ impl Drive {
 
     fn stretch(&self, latency: SimTime) -> SimTime {
         SimTime::from_nanos((latency.as_nanos() as f64 * self.slow_factor).round() as u64)
-    }
-
-    fn shape(&mut self, now: SimTime, bytes: u64) -> SimTime {
-        match &mut self.qos {
-            Some(bucket) => bucket.admit(now, bytes),
-            None => now,
-        }
     }
 
     fn check(&mut self, now: SimTime) -> Result<(), DriveError> {
@@ -422,57 +401,9 @@ mod tests {
     }
 
     #[test]
-    fn qos_shaped_io_does_not_inflate_elapsed_busy() {
-        let mut d = Drive::new(DriveSpec::dell_ent_nvme());
-        d.set_qos(Some(crate::TokenBucket::new(
-            ByteRate::from_mb_per_sec(100.0),
-            128 * 1024,
-        )));
-        // Burst far beyond the bucket: service runs are released far into
-        // the future; elapsed busy sampled "now" must not include them.
-        for _ in 0..100 {
-            d.write(SimTime::ZERO, 128 * 1024).unwrap();
-        }
-        let at = SimTime::from_millis(1);
-        assert!(d.busy_elapsed(at) <= at);
-        assert!(d.utilization(at) <= 1.0);
-    }
-
-    #[test]
     fn default_spec_is_paper_drive() {
         let spec = DriveSpec::default();
         assert!((spec.write_rate.as_gbps() - 19.0).abs() < 0.1);
         assert_eq!(spec.capacity, 1_600_000_000_000);
-    }
-}
-
-#[cfg(test)]
-mod qos_tests {
-    use super::*;
-    use crate::TokenBucket;
-
-    #[test]
-    fn qos_caps_drive_throughput() {
-        let mut d = Drive::new(DriveSpec::dell_ent_nvme());
-        d.set_qos(Some(TokenBucket::new(
-            ByteRate::from_mb_per_sec(100.0),
-            128 * 1024,
-        )));
-        // 100 x 128 KiB writes: raw drive does ~2375 MB/s, the bucket shapes
-        // to 100 MB/s => ~13.1 MB / 100 MB/s ≈ 130 ms (minus one burst).
-        let mut last = SimTime::ZERO;
-        for _ in 0..100 {
-            last = d.write(SimTime::ZERO, 128 * 1024).unwrap().end;
-        }
-        let ms = last.as_millis_f64();
-        assert!((115.0..140.0).contains(&ms), "shaped completion at {ms} ms");
-
-        // Without QoS the same burst finishes in ~6 ms.
-        let mut fast = Drive::new(DriveSpec::dell_ent_nvme());
-        let mut last = SimTime::ZERO;
-        for _ in 0..100 {
-            last = fast.write(SimTime::ZERO, 128 * 1024).unwrap().end;
-        }
-        assert!(last.as_millis_f64() < 10.0);
     }
 }

@@ -41,4 +41,4 @@ mod qos;
 pub use cluster::{Cluster, ClusterBuilder, ServerId};
 pub use cpu::{Cpu, CpuSpec};
 pub use drive::{Drive, DriveError, DriveSpec, DriveState};
-pub use qos::{CoreGovernor, TokenBucket};
+pub use qos::TokenBucket;

@@ -1,7 +1,5 @@
-//! §5.5 resource sharing on storage servers: storage QoS (token-bucket rate
-//! limiting so a tenant "does not exceed its I/O budget") and compute
-//! sharing (a governor that grows/shrinks the cores serving dRAID bdevs by
-//! observed utilization).
+//! §5.5 storage QoS: token-bucket rate limiting so a tenant "does not exceed
+//! its I/O budget" (the volume layer's admission shaper).
 
 use draid_sim::{ByteRate, SimTime};
 
@@ -74,54 +72,6 @@ impl TokenBucket {
     }
 }
 
-/// §5.5 compute sharing: recommends how many cores a storage server should
-/// dedicate to its dRAID bdevs, by hysteresis on observed utilization —
-/// "using fewer cores when possible helps conserve energy in datacenters".
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CoreGovernor {
-    /// Shrink below this per-core utilization.
-    pub low_watermark: f64,
-    /// Grow above this per-core utilization.
-    pub high_watermark: f64,
-    /// Floor (at least one polling core per server).
-    pub min_cores: u32,
-    /// Ceiling (physical cores available for I/O).
-    pub max_cores: u32,
-}
-
-impl CoreGovernor {
-    /// A governor with the given core range and 20%/75% watermarks.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty or inverted core range.
-    pub fn new(min_cores: u32, max_cores: u32) -> Self {
-        assert!(min_cores >= 1 && min_cores <= max_cores, "bad core range");
-        CoreGovernor {
-            low_watermark: 0.20,
-            high_watermark: 0.75,
-            min_cores,
-            max_cores,
-        }
-    }
-
-    /// Given the current core count and the aggregate utilization of those
-    /// cores (0..=cores), recommends the next core count.
-    pub fn recommend(&self, cores: u32, aggregate_utilization: f64) -> u32 {
-        let per_core = aggregate_utilization / cores as f64;
-        if per_core > self.high_watermark && cores < self.max_cores {
-            cores + 1
-        } else if cores > self.min_cores
-            && aggregate_utilization / ((cores - 1) as f64) < self.high_watermark
-            && per_core < self.low_watermark
-        {
-            cores - 1
-        } else {
-            cores
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -161,29 +111,6 @@ mod tests {
             assert!(at >= now);
             prev = at;
         }
-    }
-
-    #[test]
-    fn governor_grows_under_load_and_shrinks_when_idle() {
-        let g = CoreGovernor::new(1, 4);
-        assert_eq!(g.recommend(1, 0.9), 2, "overloaded core grows");
-        assert_eq!(g.recommend(4, 3.9), 4, "ceiling respected");
-        assert_eq!(g.recommend(2, 0.1), 1, "idle cores shrink");
-        assert_eq!(g.recommend(1, 0.05), 1, "floor respected");
-        // Hysteresis: moderate load neither grows nor shrinks.
-        assert_eq!(g.recommend(2, 1.0), 2);
-    }
-
-    #[test]
-    fn governor_does_not_shrink_into_overload() {
-        let g = CoreGovernor::new(1, 4);
-        // 2 cores at 15% each (0.3 aggregate): shrinking to 1 core gives
-        // 30% < high watermark, allowed.
-        assert_eq!(g.recommend(2, 0.3), 1);
-        // 2 cores at 19% each but shrinking would exceed the high watermark
-        // is impossible here; construct: aggregate 1.6 on 4 cores = 40%/core
-        // -> not below low watermark, stays.
-        assert_eq!(g.recommend(4, 1.6), 4);
     }
 
     #[test]

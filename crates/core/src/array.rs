@@ -617,11 +617,6 @@ impl ArraySim {
         self.cluster.reset_counters(now);
     }
 
-    /// The highest user-I/O id issued so far (diagnostics).
-    pub fn issued_ios(&self) -> u64 {
-        self.next_io - 1
-    }
-
     /// Number of stripe operations currently in flight.
     pub fn inflight_ops(&self) -> usize {
         self.ops.iter().flatten().count()

@@ -173,7 +173,7 @@ impl ChunkStore {
     }
 
     /// Gathers the bytes a read of `io` must produce into a caller-provided
-    /// buffer (cleared first); see [`ChunkStore::read_to`].
+    /// buffer (cleared first, then sized to `io.bytes()`).
     pub fn read_into(&self, out: &mut Vec<u8>, io: &StripeIo, failed: &BTreeSet<usize>) {
         out.clear();
         out.resize(io.bytes() as usize, 0);

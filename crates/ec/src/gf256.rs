@@ -96,13 +96,6 @@ pub fn div(a: u8, b: u8) -> u8 {
     }
 }
 
-/// `g^n` where `n` may be any signed exponent (used by the RAID-6 recovery
-/// formulas, which need `g^{-x}`).
-#[inline]
-pub fn pow_g(n: isize) -> u8 {
-    EXP[n.rem_euclid(GROUP_ORDER as isize) as usize]
-}
-
 /// Builds the 256-entry product table `t[x] = c·x` for a fixed coefficient —
 /// the scalar analogue of ISA-L's per-coefficient tables. One table build
 /// (255 multiplies) amortizes over a whole chunk, leaving a single
@@ -243,14 +236,6 @@ mod tests {
                 assert_eq!(mul(c, add(a, b)), add(mul(c, a), mul(c, b)));
             }
         }
-    }
-
-    #[test]
-    fn pow_g_negative_exponents() {
-        assert_eq!(mul(pow_g(-3), pow_g(3)), 1);
-        assert_eq!(pow_g(0), 1);
-        assert_eq!(pow_g(255), 1);
-        assert_eq!(pow_g(-255), 1);
     }
 
     #[test]

@@ -10,30 +10,32 @@
 //!   lanes, or SSSE3/AVX2 `pshufb` with the `simd` feature), the
 //!   process-wide coefficient-table cache, and the table-free one-pass
 //!   RAID-6 Q syndrome.
-//! * [`xor_into`] / [`xor_of`] — wide XOR kernels (RAID-5 parity, partial
-//!   parity reduction).
-//! * [`Raid5`] — single-parity encode, delta update (read-modify-write), and
-//!   reconstruction.
-//! * [`Raid6`] — P+Q encode per H. P. Anvin's *The mathematics of RAID-6*
-//!   and recovery for every 1- and 2-failure combination.
-//! * [`ReedSolomon`] — general systematic Vandermonde RS codec backing the
-//!   paper's §7 "generalization to other erasure coding systems" discussion.
+//! * [`xor_into`] / [`xor_of_into`] — wide XOR kernels (RAID-5 parity,
+//!   partial-parity reduction).
+//! * [`ReedSolomon`] — the systematic Vandermonde `(k, m)` codec behind
+//!   every RAID level: its parity row 0 is RAID-5's P (a plain XOR) and row
+//!   1 is RAID-6's Q (H. P. Anvin's *The mathematics of RAID-6*), so
+//!   `ReedSolomon::new(k, 1)` is RAID-5, `ReedSolomon::new(k, 2)` is RAID-6,
+//!   and larger `m` is the paper's §7 generalization to other erasure codes.
 //!
 //! ## Example: survive a two-drive failure with RAID-6
 //!
 //! ```
-//! use draid_ec::Raid6;
+//! use draid_ec::ReedSolomon;
 //!
-//! let d0 = vec![1u8; 16];
-//! let d1 = vec![2u8; 16];
-//! let d2 = vec![3u8; 16];
-//! let data: Vec<&[u8]> = vec![&d0, &d1, &d2];
-//! let (p, q) = Raid6::encode(&data);
+//! let raid6 = ReedSolomon::new(3, 2);
+//! let data = [vec![1u8; 16], vec![2u8; 16], vec![3u8; 16]];
+//! let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
+//! let parity = raid6.encode(&refs); // [P, Q]
 //!
 //! // Drives 0 and 2 die; recover both chunks from d1, P and Q.
-//! let (r0, r2) = Raid6::recover_two_data(3, 0, 2, &[(1, &d1)], &p, &q);
-//! assert_eq!(r0, d0);
-//! assert_eq!(r2, d2);
+//! let mut shards: Vec<Option<Vec<u8>>> =
+//!     data.iter().cloned().chain(parity).map(Some).collect();
+//! shards[0] = None;
+//! shards[2] = None;
+//! raid6.reconstruct(&mut shards).unwrap();
+//! assert_eq!(shards[0].as_deref(), Some(&data[0][..]));
+//! assert_eq!(shards[2].as_deref(), Some(&data[2][..]));
 //! ```
 
 // With the `simd` feature the `kernels::x86` module uses raw SIMD
@@ -47,13 +49,9 @@
 pub mod gf256;
 pub mod kernels;
 mod matrix;
-mod raid5;
-mod raid6;
 mod rs;
 mod xor;
 
 pub use matrix::Matrix;
-pub use raid5::Raid5;
-pub use raid6::Raid6;
 pub use rs::{CodecError, ReedSolomon};
-pub use xor::{xor_into, xor_of, xor_of_into};
+pub use xor::{xor_into, xor_of_into};

@@ -1,10 +1,17 @@
-//! General systematic Reed-Solomon codec (Vandermonde construction).
+//! General systematic Reed-Solomon codec (Vandermonde construction): the one
+//! erasure codec behind every RAID level.
 //!
-//! Backs the paper's §7 discussion that dRAID's I/O disaggregation
-//! generalizes beyond standard RAID-5/6: any linear erasure code whose parity
-//! rows are per-chunk sums can have its partial terms generated distributedly
-//! and reduced in any order. This codec provides `k` data + `m` parity with
-//! recovery from any `≤ m` erasures.
+//! For data chunks `d_0 … d_{k-1}`, parity row `j` is `Σ g^(i·j)·d_i` over
+//! GF(2⁸). Row 0 is RAID-5's `P = d_0 ⊕ … ⊕ d_{k-1}` and row 1 is RAID-6's
+//! `Q = Σ g^i·d_i` (H. P. Anvin's *The mathematics of RAID-6*, the reference
+//! the paper cites for XOR associativity). Every row is a sum of per-chunk
+//! partial terms, so dRAID can generate parity distributedly: the data bdev
+//! of chunk `i` contributes `c·(d_i ⊕ d_i')` toward row `j`, with
+//! `c = g^(i·j)` travelling in the command's second SG list (§4 "other
+//! command data"), and the reducer may apply the terms in any order (§5.2).
+//! The same holds for any `m`, the paper's §7 generalization to other
+//! erasure codes: `k` data + `m` parity with recovery from any `≤ m`
+//! erasures.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -362,15 +369,29 @@ mod tests {
     }
 
     #[test]
-    fn matches_raid5_and_raid6() {
-        let data = sample_stripe(5, 32);
-        let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-        let rs = ReedSolomon::new(5, 2);
-        let parity = rs.encode(&refs);
-        assert_eq!(parity[0], crate::Raid5::encode(&refs), "row 0 is RAID-5 P");
-        let (p, q) = crate::Raid6::encode(&refs);
-        assert_eq!(parity[0], p);
-        assert_eq!(parity[1], q, "row 1 is RAID-6 Q");
+    fn rows_are_raid5_p_and_raid6_q() {
+        // P = Σ 1·d_i and Q = Σ g^i·d_i, built on the scalar reference, at
+        // widths and lengths that reach every kernel tail; `encode_row_into`
+        // overwrites whatever its buffer held.
+        for k in [1usize, 2, 5, 6, 11] {
+            for len in [1usize, 9, 64, 100, 4096] {
+                let data = sample_stripe(k, len);
+                let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
+                let rs = ReedSolomon::new(k, 2);
+                for (row, encoded) in rs.encode(&refs).iter().enumerate() {
+                    let mut expect = vec![0u8; len];
+                    for (i, d) in refs.iter().enumerate() {
+                        let coeff = if row == 0 { 1 } else { gf256::exp(i) };
+                        assert_eq!(rs.coefficient(row, i), coeff);
+                        gf256::mul_acc_ref(&mut expect, d, coeff);
+                    }
+                    assert_eq!(*encoded, expect, "row {row} k={k} len={len}");
+                    let mut out = vec![0xA5u8; len];
+                    rs.encode_row_into(row, &refs, &mut out);
+                    assert_eq!(out, expect, "row {row} k={k} len={len}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -31,29 +31,9 @@ pub fn xor_into(acc: &mut [u8], src: &[u8]) {
     }
 }
 
-/// XOR-reduces a set of equally sized buffers into a fresh vector.
-///
-/// # Panics
-///
-/// Panics if `sources` is empty or the buffers have different lengths.
-///
-/// ```
-/// use draid_ec::xor_of;
-/// let p = xor_of(&[&[1u8, 2][..], &[3u8, 4][..]]);
-/// assert_eq!(p, vec![2, 6]);
-/// ```
-pub fn xor_of(sources: &[&[u8]]) -> Vec<u8> {
-    assert!(!sources.is_empty(), "xor_of needs at least one source");
-    let mut acc = sources[0].to_vec();
-    for src in &sources[1..] {
-        xor_into(&mut acc, src);
-    }
-    acc
-}
-
-/// XOR-reduces a set of equally sized buffers into a caller-provided buffer
-/// (the zero-copy variant of [`xor_of`]): `out = s_0 ⊕ s_1 ⊕ …`. The
-/// buffer's previous contents are overwritten, not accumulated.
+/// XOR-reduces a set of equally sized buffers into a caller-provided buffer:
+/// `out = s_0 ⊕ s_1 ⊕ …`. The buffer's previous contents are overwritten,
+/// not accumulated.
 ///
 /// # Panics
 ///
@@ -99,13 +79,6 @@ mod tests {
             let expect: Vec<u8> = a.iter().zip(&b).map(|(x, y)| x ^ y).collect();
             assert_eq!(acc, expect, "len={len}");
         }
-    }
-
-    #[test]
-    fn xor_of_many() {
-        let bufs = [[1u8, 1], [2, 2], [4, 4], [8, 8]];
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| &b[..]).collect();
-        assert_eq!(xor_of(&refs), vec![15, 15]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! so these are plain loops rather than `proptest` strategies — same
 //! invariants, reproducible cases).
 
-use draid_ec::{gf256, xor_into, Raid5, Raid6, ReedSolomon};
+use draid_ec::{gf256, xor_into, ReedSolomon};
 
 /// Minimal deterministic generator (splitmix64).
 struct TestRng(u64);
@@ -62,105 +62,35 @@ fn gf_div_inverts_mul() {
 }
 
 #[test]
-fn raid5_reconstructs_any_chunk() {
-    let mut rng = TestRng(0xEC03);
-    for _ in 0..200 {
-        let data = rng.stripe(10, 64);
-        let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-        let parity = Raid5::encode(&refs);
-        let lost = rng.below(data.len() as u64) as usize;
-        let mut survivors: Vec<&[u8]> = data
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != lost)
-            .map(|(_, d)| &d[..])
-            .collect();
-        survivors.push(&parity);
-        assert_eq!(Raid5::reconstruct(&survivors), data[lost]);
-    }
-}
-
-#[test]
-fn raid5_rmw_matches_full_encode() {
-    let mut rng = TestRng(0xEC04);
-    for _ in 0..200 {
-        let mut data = rng.stripe(8, 32);
-        let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-        let parity = Raid5::encode(&refs);
-        let target = rng.below(data.len() as u64) as usize;
-        let new_chunk = vec![rng.byte(); data[0].len()];
-        let updated = Raid5::update(&data[target], &new_chunk, &parity);
-        data[target] = new_chunk;
-        let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-        assert_eq!(updated, Raid5::encode(&refs));
-    }
-}
-
-#[test]
-fn raid6_recovers_any_two_data() {
-    let mut rng = TestRng(0xEC05);
-    for _ in 0..200 {
-        let data = rng.stripe(9, 32);
-        let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-        let (p, q) = Raid6::encode(&refs);
-        let w = data.len();
-        let x = rng.below(w as u64) as usize;
-        let mut y = rng.below(w as u64) as usize;
-        if x == y {
-            y = (y + 1) % w;
-        }
-        let (x, y) = (x.min(y), x.max(y));
-        let survivors: Vec<(usize, &[u8])> = data
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i != x && *i != y)
-            .map(|(i, d)| (i, &d[..]))
-            .collect();
-        let (dx, dy) = Raid6::recover_two_data(w, x, y, &survivors, &p, &q);
-        assert_eq!(dx, data[x]);
-        assert_eq!(dy, data[y]);
-    }
-}
-
-#[test]
-fn raid6_partial_deltas_any_arrival_order() {
-    // dRAID §5.2: partial parities may arrive and reduce in any order.
+fn parity_deltas_any_arrival_order() {
+    // dRAID §5.2: each data bdev forwards `c·(old ⊕ new)` toward every
+    // parity row, and the reducer may apply the terms in any order.
     let mut rng = TestRng(0xEC06);
     for round in 0..200 {
         let mut data = rng.stripe(6, 24);
         let swap = round % 2 == 0;
+        let rs = ReedSolomon::new(data.len(), 2);
         let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-        let (p, q) = Raid6::encode(&refs);
+        let mut parity = rs.encode(&refs);
         let len = data[0].len();
-        let ca = vec![rng.byte(); len];
-        let cb = vec![rng.byte(); len];
         let ia = 0;
         let ib = data.len() - 1;
-
-        let da_p = Raid5::partial_delta(&data[ia], &ca);
-        let db_p = Raid5::partial_delta(&data[ib], &cb);
-        let da_q = Raid6::partial_q_delta(ia, &data[ia], &ca);
-        let db_q = Raid6::partial_q_delta(ib, &data[ib], &cb);
-
-        let mut np = p.clone();
-        let mut nq = q.clone();
+        let mut updates = [(ia, vec![rng.byte(); len]), (ib, vec![rng.byte(); len])];
         if swap {
-            xor_into(&mut np, &db_p);
-            xor_into(&mut np, &da_p);
-            xor_into(&mut nq, &db_q);
-            xor_into(&mut nq, &da_q);
-        } else {
-            xor_into(&mut np, &da_p);
-            xor_into(&mut np, &db_p);
-            xor_into(&mut nq, &da_q);
-            xor_into(&mut nq, &db_q);
+            updates.reverse();
         }
-        data[ia] = ca;
-        data[ib] = cb;
+        for (i, new) in &updates {
+            let mut delta = data[*i].clone();
+            xor_into(&mut delta, new);
+            for (row, p) in parity.iter_mut().enumerate() {
+                gf256::mul_acc(p, &delta, rs.coefficient(row, *i));
+            }
+        }
+        for (i, new) in updates {
+            data[i] = new;
+        }
         let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-        let (ep, eq) = Raid6::encode(&refs);
-        assert_eq!(np, ep);
-        assert_eq!(nq, eq);
+        assert_eq!(parity, rs.encode(&refs), "round {round}");
     }
 }
 

@@ -275,16 +275,6 @@ impl Fabric {
             .expect("nodes have at least one NIC")
     }
 
-    /// Source node of a connection.
-    pub fn conn_source(&self, conn: ConnId) -> NodeId {
-        self.connections[conn.0].from_node
-    }
-
-    /// Destination node of a connection.
-    pub fn conn_dest(&self, conn: ConnId) -> NodeId {
-        self.connections[conn.0].to_node
-    }
-
     /// Sends `bytes` over `conn`. Returns the delivery window: `start` is
     /// when the first byte left the sender, `end` is when the last byte
     /// arrived at the receiver (the moment a completion event should fire).
@@ -507,18 +497,6 @@ impl Fabric {
                 LinkDir::Ingress => self.nics[n].ingress.busy_elapsed(at),
             })
             .fold(SimTime::ZERO, |a, b| a + b)
-    }
-
-    /// Earliest time a node's least-busy egress NIC frees up — a liveness
-    /// signal used by the bandwidth-aware reducer selection to estimate
-    /// available bandwidth (§6.2).
-    pub fn egress_backlog(&self, node: NodeId, now: SimTime) -> SimTime {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| self.nics[n].egress.next_free().saturating_sub(now))
-            .min()
-            .unwrap_or(SimTime::ZERO)
     }
 
     /// Bytes a node's links dropped by refusing transfers (fault injection),

@@ -271,26 +271,7 @@ impl RateResource {
     ///
     /// Panics if `rate` is zero.
     pub fn serve_at_rate(&mut self, now: SimTime, bytes: u64, rate: ByteRate) -> Service {
-        self.serve_not_before(now, now, bytes, rate)
-    }
-
-    /// Queues `bytes` submitted at `now` but not eligible to start before
-    /// `earliest` (QoS shaping releases the I/O in the future). `now` is the
-    /// accounting instant — it must be the true submission time so that
-    /// elapsed-busy bookkeeping never folds service scheduled beyond the
-    /// present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is zero.
-    pub fn serve_not_before(
-        &mut self,
-        now: SimTime,
-        earliest: SimTime,
-        bytes: u64,
-        rate: ByteRate,
-    ) -> Service {
-        let start = self.next_free.max(now).max(earliest);
+        let start = self.next_free.max(now);
         let duration = rate.time_for(bytes);
         let end = start + duration;
         self.next_free = end;
@@ -529,29 +510,6 @@ mod tests {
         assert_eq!(res.busy_time(), SimTime::from_millis(500));
         assert_eq!(res.bytes_served(), 500);
         assert!((res.utilization(SimTime::from_secs(4)) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn shaped_service_does_not_fold_future_runs() {
-        // Submit at t=0 with a QoS-style release far in the future, then
-        // sample in between: the future run must not leak into elapsed busy.
-        let mut res = RateResource::new(ByteRate::from_bytes_per_sec(1_000));
-        res.serve(SimTime::ZERO, 1_000); // busy [0, 1s)
-        res.serve_not_before(
-            SimTime::from_millis(100),
-            SimTime::from_secs(10),
-            1_000,
-            ByteRate::from_bytes_per_sec(1_000),
-        ); // busy [10s, 11s)
-        assert_eq!(
-            res.busy_elapsed(SimTime::from_secs(2)),
-            SimTime::from_secs(1)
-        );
-        assert!(res.utilization(SimTime::from_secs(2)) <= 1.0);
-        assert_eq!(
-            res.busy_elapsed(SimTime::from_secs(11)),
-            SimTime::from_secs(2)
-        );
     }
 
     #[test]
