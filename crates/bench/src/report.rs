@@ -166,11 +166,6 @@ impl BottleneckReport {
     pub fn reconciled(&self) -> bool {
         self.ledgers.iter().all(LedgerRow::balanced)
     }
-
-    /// The saturated resource over the whole window, if anything ran.
-    pub fn top_bottleneck(&self) -> Option<&UtilRow> {
-        self.utilization.first()
-    }
 }
 
 /// Runs the scenario and builds the report.
@@ -579,7 +574,7 @@ mod tests {
         }
         // A saturating RMW write workload must name a bottleneck per bucket.
         assert_eq!(report.bottlenecks.len(), 4);
-        let top = report.top_bottleneck().expect("has resources");
+        let top = report.utilization.first().expect("has resources");
         assert!(top.utilization > 0.3, "load too light: {top:?}");
         // queue + service == span per class (the trace-span invariant).
         for row in &report.breakdown {

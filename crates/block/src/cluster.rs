@@ -435,7 +435,7 @@ mod tests {
         let n0 = c.server_node(ServerId(0));
         c.transfer(SimTime::ZERO, host, n0, 1 << 20);
         c.drive_write(SimTime::ZERO, ServerId(0), 1 << 20).unwrap();
-        c.reset_counters(SimTime::from_secs(1));
+        c.reset_counters(SimTime::from_millis(1_000));
         assert_eq!(c.fabric().bytes_sent(host), 0);
         assert_eq!(c.drive(ServerId(0)).bytes_served(), 0);
     }

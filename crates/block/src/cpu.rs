@@ -28,16 +28,6 @@ impl CpuSpec {
             per_io: SimTime::from_micros(3),
         }
     }
-
-    /// A kernel-path core (Linux MD): same arithmetic, but each I/O crosses
-    /// the kernel block stack, so the fixed per-I/O cost is much higher.
-    pub fn kernel_core() -> Self {
-        CpuSpec {
-            xor_rate: ByteRate::from_mb_per_sec(18_000.0),
-            gf_rate: ByteRate::from_mb_per_sec(9_000.0),
-            per_io: SimTime::from_micros(8),
-        }
-    }
 }
 
 impl Default for CpuSpec {
@@ -132,14 +122,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_core_costs_more_per_io() {
-        assert!(CpuSpec::kernel_core().per_io > CpuSpec::spdk_core().per_io);
-    }
-
-    #[test]
     fn utilization_tracks_busy_fraction() {
         let mut cpu = Cpu::new(CpuSpec::spdk_core());
         cpu.busy_for(SimTime::ZERO, SimTime::from_millis(250));
-        assert!((cpu.utilization(SimTime::from_secs(1)) - 0.25).abs() < 1e-9);
+        assert!((cpu.utilization(SimTime::from_millis(1_000)) - 0.25).abs() < 1e-9);
     }
 }

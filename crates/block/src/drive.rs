@@ -363,9 +363,12 @@ mod tests {
         assert_eq!(d.write(SimTime::ZERO, 512), Err(DriveError::Failed));
         // Transient injection cannot resurrect a failed drive.
         d.fail_transiently(SimTime::ZERO, SimTime::from_millis(1));
-        assert_eq!(d.write(SimTime::from_secs(1), 512), Err(DriveError::Failed));
+        assert_eq!(
+            d.write(SimTime::from_millis(1_000), 512),
+            Err(DriveError::Failed)
+        );
         d.replace();
-        assert!(d.write(SimTime::from_secs(1), 512).is_ok());
+        assert!(d.write(SimTime::from_millis(1_000), 512).is_ok());
     }
 
     #[test]
@@ -379,7 +382,7 @@ mod tests {
         assert_eq!(d.bytes_offered(), 4096 + 1000 + 512);
         assert_eq!(d.bytes_dropped(), 1000);
         assert_eq!(d.bytes_served(), 4096 + 512);
-        d.reset_counters(SimTime::from_secs(1));
+        d.reset_counters(SimTime::from_millis(1_000));
         assert_eq!(d.bytes_offered(), 0);
         d.audit_conservation();
     }

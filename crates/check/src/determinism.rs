@@ -36,13 +36,6 @@ pub struct Report {
     pub first_divergence: Option<(usize, String, String)>,
 }
 
-impl Report {
-    /// True when the two runs produced byte-identical artifacts.
-    pub fn identical(&self) -> bool {
-        self.first_divergence.is_none()
-    }
-}
-
 /// Runs the reference scenario twice with `seed` and diffs the artifacts.
 pub fn run(seed: u64) -> Report {
     let a = artifact(seed);
@@ -317,18 +310,6 @@ pub fn artifact(seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn report_detects_divergence_shape() {
-        // Sanity for the diffing itself (not the scenario): identical
-        // strings produce no divergence, different ones locate the line.
-        let r = Report {
-            artifact_bytes: 0,
-            artifact_lines: 0,
-            first_divergence: None,
-        };
-        assert!(r.identical());
-    }
 
     #[test]
     fn artifact_is_nonempty_and_contains_sections() {

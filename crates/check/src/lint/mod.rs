@@ -2,7 +2,8 @@
 //!
 //! The driver is deliberately *lexical*, not syntactic: it walks every
 //! `.rs` file in the workspace, strips comments and string-literal
-//! contents, and matches rules against what remains. That keeps it
+//! contents, indexes the identifiers that non-test code uses, and matches
+//! rules against what remains. That keeps it
 //! dependency-free (no rustc internals, no proc-macro parsing) and fast,
 //! at the cost of known blind spots (type aliases, macro-generated code),
 //! which the rules document individually.
@@ -13,6 +14,7 @@
 
 pub mod rules;
 
+use std::collections::HashSet;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -28,6 +30,8 @@ pub struct SourceFile {
     /// Raw file contents.
     pub text: String,
     stripped: Vec<String>,
+    /// Per line: whether it belongs to a `#[cfg(test)]` item.
+    test_lines: Vec<bool>,
 }
 
 impl SourceFile {
@@ -35,10 +39,12 @@ impl SourceFile {
     pub fn new(path: impl Into<String>, text: impl Into<String>) -> Self {
         let text = text.into();
         let stripped = strip_comments_and_strings(&text);
+        let test_lines = cfg_test_lines(&stripped);
         SourceFile {
             path: path.into(),
             text,
             stripped,
+            test_lines,
         }
     }
 
@@ -57,15 +63,56 @@ impl SourceFile {
         &self.stripped
     }
 
-    /// 1-based line of the first `#[cfg(test)]` attribute, if any. By
-    /// workspace convention the test module is the last item in a file,
-    /// so rules that exempt test code skip everything from here down.
-    pub fn test_region_start(&self) -> Option<usize> {
+    /// Code lines outside `#[cfg(test)]` items, as (0-based index, line).
+    pub fn non_test_lines(&self) -> impl Iterator<Item = (usize, &str)> {
         self.stripped
             .iter()
-            .position(|l| l.contains("#[cfg(test)]"))
-            .map(|i| i + 1)
+            .enumerate()
+            .filter(|&(i, _)| !self.test_lines[i])
+            .map(|(i, l)| (i, l.as_str()))
     }
+}
+
+/// Marks the lines of every `#[cfg(test)]` item: from the attribute to the
+/// brace closing the item's body, or to the `;` ending a bodiless one.
+/// Comments and literals are already blanked, so brackets balance.
+fn cfg_test_lines(code: &[String]) -> Vec<bool> {
+    let mut mask = vec![false; code.len()];
+    let mut i = 0;
+    while i < code.len() {
+        let Some(at) = code[i].find("#[cfg(test)]") else {
+            i += 1;
+            continue;
+        };
+        // `depth` counts braces; `nest` counts the parentheses and square
+        // brackets of the attribute and a signature (`[u8; 4]`).
+        let (mut depth, mut nest, mut end, mut col) = (0usize, 0usize, code.len() - 1, at);
+        'item: for (j, line) in code.iter().enumerate().skip(i) {
+            for c in line[col..].chars() {
+                match c {
+                    '(' | '[' => nest += 1,
+                    ')' | ']' => nest = nest.saturating_sub(1),
+                    '{' => depth += 1,
+                    '}' => {
+                        depth = depth.saturating_sub(1);
+                        if depth == 0 {
+                            end = j;
+                            break 'item;
+                        }
+                    }
+                    ';' if depth == 0 && nest == 0 => {
+                        end = j;
+                        break 'item;
+                    }
+                    _ => {}
+                }
+            }
+            col = 0;
+        }
+        mask[i..=end].fill(true);
+        i = end + 1;
+    }
+    mask
 }
 
 /// One rule violation.
@@ -102,17 +149,76 @@ pub struct Allow {
     pub path_suffix: &'static str,
     /// Substring the offending raw line must contain (`""` = any).
     pub line_contains: &'static str,
-    /// Why the exception is sound — shown by `draid-check lint --allows`.
+    /// Why the exception is sound — shown by `draid-check --rules`.
     pub reason: &'static str,
+}
+
+/// Every identifier that caller code uses, built once per lint run over
+/// the whole file set so cross-file rules (`no-dead-pub`) need no second
+/// walk.
+///
+/// Caller code is the non-test part (everything outside `#[cfg(test)]`
+/// items) of each file under `crates/*/src` (bins included), `src/`,
+/// `examples/`, `simcost/src` and the facade's `tests/`. Neither the
+/// `fn NAME` of a declaration nor a `use` declaration is a use: naming an
+/// item in a re-export calls nothing. Per-crate `crates/*/tests/` never
+/// count.
+#[derive(Debug, Default)]
+pub struct Index {
+    used: HashSet<String>,
+}
+
+impl Index {
+    /// Indexes the caller files among `files`.
+    pub fn new(files: &[SourceFile]) -> Self {
+        let mut used = HashSet::new();
+        for file in files.iter().filter(|f| is_caller_file(&f.path)) {
+            let mut in_use = false;
+            for (_, line) in file.non_test_lines() {
+                let mut prev = "";
+                for ident in identifiers(line) {
+                    in_use |= ident == "use";
+                    if prev != "fn" && !in_use {
+                        used.insert(ident.to_string());
+                    }
+                    prev = ident;
+                }
+                if line.contains(';') {
+                    in_use = false;
+                }
+            }
+        }
+        Index { used }
+    }
+
+    /// True if caller code uses `name` anywhere other than `fn name`.
+    pub fn uses(&self, name: &str) -> bool {
+        self.used.contains(name)
+    }
+}
+
+/// Whether a file's non-test code counts as a caller of library items.
+fn is_caller_file(path: &str) -> bool {
+    ["src/", "examples/", "tests/", "simcost/src/"]
+        .iter()
+        .any(|p| path.starts_with(p))
+        || path.starts_with("crates/") && path.split('/').nth(2) == Some("src")
+}
+
+/// The identifier tokens of a code line, in order (keywords included).
+fn identifiers(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|t| t.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
 }
 
 /// Lints a set of files with the given allowlist; returns surviving
 /// findings sorted by (path, line, rule).
 pub fn lint_files(files: &[SourceFile], allows: &[Allow]) -> Vec<Finding> {
+    let index = Index::new(files);
     let mut out = Vec::new();
     for file in files {
         for rule in all_rules() {
-            for finding in (rule.check)(file) {
+            for finding in (rule.check)(file, &index) {
                 let line_text = file.raw_line(finding.line);
                 let allowed = allows.iter().any(|a| {
                     a.rule == finding.rule
@@ -451,9 +557,15 @@ mod tests {
 
     #[test]
     fn test_region_detection() {
-        let f = SourceFile::new("x.rs", "fn a() {}\n#[cfg(test)]\nmod tests {}");
-        assert_eq!(f.test_region_start(), Some(2));
+        let f = SourceFile::new(
+            "x.rs",
+            "fn a() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x() }\n}\nfn b() {}\n\
+             #[cfg(test)]\nuse std::fmt;\nfn c() {}\n\
+             #[cfg(test)]\nfn helper(a: [u8; 4],\n          b: u8) {\n}\nfn d() {}",
+        );
+        let kept: Vec<usize> = f.non_test_lines().map(|(i, _)| i + 1).collect();
+        assert_eq!(kept, [1, 6, 9, 14]);
         let g = SourceFile::new("x.rs", "fn a() {}");
-        assert_eq!(g.test_region_start(), None);
+        assert_eq!(g.non_test_lines().count(), 1);
     }
 }

@@ -1,12 +1,13 @@
 //! The workspace lint rules and their allowlist.
 //!
-//! Each rule is a pure function from a [`SourceFile`] to findings; the
-//! driver in [`super`] applies the [`ALLOWLIST`] afterwards. Rules match
+//! Each rule is a pure function from a [`SourceFile`] and the run's
+//! caller [`Index`] to findings; the driver in [`super`] applies the
+//! [`ALLOWLIST`] afterwards. Rules match
 //! against comment/string-stripped lines (except where raw text is the
 //! point, e.g. locating `// SAFETY:` comments), so prose never trips a
 //! rule and rule pattern strings never trip the linter on itself.
 
-use super::{contains_word, Allow, Finding, SourceFile};
+use super::{contains_word, identifiers, Allow, Finding, Index, SourceFile};
 
 /// A named lint rule.
 pub struct Rule {
@@ -14,8 +15,9 @@ pub struct Rule {
     pub name: &'static str,
     /// One-line statement of the contract the rule enforces.
     pub summary: &'static str,
-    /// The checker.
-    pub check: fn(&SourceFile) -> Vec<Finding>,
+    /// The checker. The [`Index`] of caller code serves cross-file rules;
+    /// single-file rules ignore it.
+    pub check: fn(&SourceFile, &Index) -> Vec<Finding>,
 }
 
 /// All rules, in the order they run.
@@ -54,6 +56,11 @@ pub fn all_rules() -> &'static [Rule] {
             summary: "op-path modules use expect(\"why\") or ?, never bare unwrap()",
             check: no_op_path_unwrap,
         },
+        Rule {
+            name: "no-dead-pub",
+            summary: "every library pub fn has a caller outside test code",
+            check: no_dead_pub,
+        },
     ]
 }
 
@@ -80,7 +87,7 @@ const UNSAFE_HOME: &str = "crates/ec/src/kernels.rs";
 /// under `simd` still denies it outside the explicitly allowed kernels
 /// module, with `unsafe_op_in_unsafe_fn` denied so every unsafe operation
 /// sits in an explicit block.
-fn forbid_unsafe_crate(file: &SourceFile) -> Vec<Finding> {
+fn forbid_unsafe_crate(file: &SourceFile, _: &Index) -> Vec<Finding> {
     if !file.path.ends_with("src/lib.rs") {
         return Vec::new();
     }
@@ -112,7 +119,7 @@ fn forbid_unsafe_crate(file: &SourceFile) -> Vec<Finding> {
 /// `unsafe` (the keyword, not `unsafe_code` in attributes) is confined to
 /// the SIMD kernels file. String/comment contents are already stripped,
 /// so prose and lint patterns do not count.
-fn unsafe_confined(file: &SourceFile) -> Vec<Finding> {
+fn unsafe_confined(file: &SourceFile, _: &Index) -> Vec<Finding> {
     if file.path == UNSAFE_HOME {
         return Vec::new();
     }
@@ -142,7 +149,7 @@ const SAFETY_LOOKBACK: usize = 12;
 /// must have a `SAFETY` comment on the same line or within the preceding
 /// [`SAFETY_LOOKBACK`] raw lines, and the file must gate its SIMD module
 /// on the `simd` feature.
-fn safety_comment(file: &SourceFile) -> Vec<Finding> {
+fn safety_comment(file: &SourceFile, _: &Index) -> Vec<Finding> {
     if file.path != UNSAFE_HOME {
         return Vec::new();
     }
@@ -193,7 +200,7 @@ const WALL_CLOCK_NEEDLES: &[&str] = &[
     "RandomState",
 ];
 
-fn no_wall_clock(file: &SourceFile) -> Vec<Finding> {
+fn no_wall_clock(file: &SourceFile, _: &Index) -> Vec<Finding> {
     if !in_sim_scope(&file.path) {
         return Vec::new();
     }
@@ -235,7 +242,7 @@ const ITER_METHODS: &[&str] = &[
 /// `type Table = HashMap<…>` hides the container type from this rule; the
 /// workspace has none, and `forbid-unsafe-crate`-style review applies to
 /// new ones.
-fn no_unordered_iter(file: &SourceFile) -> Vec<Finding> {
+fn no_unordered_iter(file: &SourceFile, _: &Index) -> Vec<Finding> {
     if !in_sim_scope(&file.path) {
         return Vec::new();
     }
@@ -349,17 +356,13 @@ const OP_PATH_FILES: &[&str] = &["crates/core/src/exec.rs", "crates/core/src/pro
 
 /// Bare `.unwrap()` on the op path hides the violated invariant; the
 /// contract is `expect("…invariant…")` (self-documenting) or `?`.
-/// Test modules (from `#[cfg(test)]` down) are exempt.
-fn no_op_path_unwrap(file: &SourceFile) -> Vec<Finding> {
+/// `#[cfg(test)]` items are exempt.
+fn no_op_path_unwrap(file: &SourceFile, _: &Index) -> Vec<Finding> {
     if !OP_PATH_FILES.contains(&file.path.as_str()) {
         return Vec::new();
     }
-    let stop = file.test_region_start().unwrap_or(usize::MAX);
     let mut out = Vec::new();
-    for (i, line) in file.code_lines().iter().enumerate() {
-        if i + 1 >= stop {
-            break;
-        }
+    for (i, line) in file.non_test_lines() {
         if line.contains(".unwrap()") {
             out.push(Finding {
                 rule: "no-op-path-unwrap",
@@ -373,14 +376,152 @@ fn no_op_path_unwrap(file: &SourceFile) -> Vec<Finding> {
     out
 }
 
+// ---------------------------------------------------------------- rule 7
+
+/// Whether `path` is a library source file: under `crates/*/src`, but
+/// neither a binary (`bin/`, `main.rs`) nor a shim.
+fn is_library_file(path: &str) -> bool {
+    let parts: Vec<&str> = path.split('/').collect();
+    parts.len() >= 4
+        && parts[0] == "crates"
+        && parts[2] == "src"
+        && !parts[3..].contains(&"bin")
+        && !path.ends_with("/main.rs")
+}
+
+/// The name a `pub fn NAME` or `pub const fn NAME` declaration on this
+/// code line introduces. `pub(crate)` and narrower items are `rustc`'s
+/// `dead_code` lint's business, not this rule's.
+fn declared_pub_fn(line: &str) -> Option<&str> {
+    let mut tokens = identifiers(line);
+    while let Some(t) = tokens.next() {
+        if t != "pub" {
+            continue;
+        }
+        let mut next = tokens.next();
+        if next == Some("const") {
+            next = tokens.next();
+        }
+        if next == Some("fn") {
+            return tokens.next();
+        }
+    }
+    None
+}
+
+/// A public function in a library file whose name, as a whole word, no
+/// caller code uses (see [`Index`]): only tests, or nothing, reach it.
+/// Uses in the item's own file count, so a helper its module calls stays
+/// live; whether it should also be private is left to review.
+///
+/// Known blind spot (lexical analysis): a name shared with a live item
+/// (`new`, `len`, a trait method) always looks used.
+fn no_dead_pub(file: &SourceFile, index: &Index) -> Vec<Finding> {
+    if !is_library_file(&file.path) {
+        return Vec::new();
+    }
+    let mut out = Vec::new();
+    for (i, line) in file.non_test_lines() {
+        if let Some(name) = declared_pub_fn(line) {
+            if !index.uses(name) {
+                out.push(Finding {
+                    rule: "no-dead-pub",
+                    path: file.path.clone(),
+                    line: i + 1,
+                    message: format!(
+                        "`pub fn {name}` has no caller outside tests; delete it \
+                         (or allowlist a reference model or test seam)"
+                    ),
+                });
+            }
+        }
+    }
+    out
+}
+
 // ------------------------------------------------------------- allowlist
 
-/// The workspace allowlist. Empty today — every violation the rules found
-/// during bring-up was fixed at the source instead (BTreeMap/BTreeSet
-/// conversions, SAFETY comments, attribute hygiene). Add entries only for
-/// violations with a written justification; `path_suffix` +
-/// `line_contains` keep each exception pinned to one site.
-pub const ALLOWLIST: &[Allow] = &[];
+/// The workspace allowlist. The single-file rules have no entries: every
+/// violation found during bring-up was fixed at the source instead
+/// (BTreeMap/BTreeSet conversions, SAFETY comments, attribute hygiene).
+/// `no-dead-pub` admits only reference models that tests compare against
+/// and test seams that observe state no other public API exposes, each
+/// with its reason. `path_suffix` + `line_contains` keep each exception
+/// pinned to one site.
+pub const ALLOWLIST: &[Allow] = &[
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "bench/src/json.rs",
+        line_contains: "pub fn as_arr(",
+        reason: "test seam: the BENCH_*.json and report schema gates read arrays through it",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "bench/src/json.rs",
+        line_contains: "pub fn as_num(",
+        reason: "test seam: the BENCH_*.json and report schema gates read numbers through it",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "bench/src/json.rs",
+        line_contains: "pub fn as_bool(",
+        reason: "test seam: the BENCH_*.json and report schema gates read flags through it",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "core/src/array.rs",
+        line_contains: "pub fn write_intent(",
+        reason: "test seam: crash_recovery observes the §5.4 bitmap, which no other API exposes",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "core/src/bitmap.rs",
+        line_contains: "pub fn is_dirty(",
+        reason: "test seam: crash_recovery and the bitmap tests query one stripe's intent",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "core/src/datastore.rs",
+        line_contains: "pub fn stored_chunk(",
+        reason: "test seam: datastore_diff compares raw stored chunks against its oracle",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "core/src/protocol.rs",
+        line_contains: "pub fn for_write_mode(",
+        reason: "reference model: dag_shapes builds Algorithm 1's command for each write mode",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "core/src/target.rs",
+        line_contains: "pub fn handle_data_chunk(",
+        reason: "reference model: Algorithm 1, which dag_shapes compares the write builder against",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "core/src/target.rs",
+        line_contains: "pub fn handle_host_parity(",
+        reason: "reference model: Algorithm 2's Parity command, pinned by the target tests",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "core/src/target.rs",
+        line_contains: "pub fn handle_peer_partial(",
+        reason: "reference model: Algorithm 2's peer partials, pinned by the target tests",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "ec/src/gf256.rs",
+        line_contains: "pub fn scale_ref(",
+        reason: "reference model: the scalar scale the SIMD kernels are checked against",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "sim/src/rng.rs",
+        line_contains: "pub fn weighted_index(",
+        reason: "reference model: the draw ReducerSelector::choose must reproduce exactly",
+    },
+];
 
 #[cfg(test)]
 mod tests {
@@ -388,7 +529,11 @@ mod tests {
     use super::*;
 
     fn run_rule(name: &str, file: SourceFile) -> Vec<Finding> {
-        lint_files(&[file], &[])
+        run_rule_on(name, vec![file])
+    }
+
+    fn run_rule_on(name: &str, files: Vec<SourceFile>) -> Vec<Finding> {
+        lint_files(&files, &[])
             .into_iter()
             .filter(|f| f.rule == name)
             .collect()
@@ -593,5 +738,81 @@ mod tests {
             "fn f(r: Result<u32, ()>) -> u32 { r.unwrap() }\n",
         );
         assert!(run_rule("no-op-path-unwrap", other).is_empty());
+    }
+
+    // rule 7: no-dead-pub --------------------------------------------
+
+    const LIB: &str = "crates/foo/src/thing.rs";
+
+    fn lib(text: &str) -> SourceFile {
+        SourceFile::new(LIB, text)
+    }
+
+    #[test]
+    fn pub_fn_used_nowhere_is_flagged() {
+        let hits = run_rule("no-dead-pub", lib("pub fn orphan() {}\n"));
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].line, 1);
+        assert!(hits[0].message.contains("orphan"));
+        let konst = run_rule("no-dead-pub", lib("pub const fn orphan() {}\n"));
+        assert_eq!(konst.len(), 1, "{konst:?}");
+    }
+
+    #[test]
+    fn pub_fn_used_only_by_tests_is_flagged() {
+        let hits =
+            run_rule_on(
+                "no-dead-pub",
+                vec![
+                lib("pub fn probe() {}\n#[cfg(test)]\nmod tests { fn t() { super::probe(); } }\n"),
+                SourceFile::new("crates/foo/tests/it.rs", "fn t() { foo::probe(); }\n"),
+                // Prose, strings and re-exports are no callers either.
+                SourceFile::new("src/lib.rs", "// probe()\nlet s = \"probe\";\n"),
+                SourceFile::new("crates/foo/src/lib.rs", "pub use thing::{\n    probe,\n};\n"),
+            ],
+            );
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].path, LIB);
+    }
+
+    #[test]
+    fn pub_fn_below_a_test_module_is_checked() {
+        let f = lib("#[cfg(test)]\nmod tests {\n    fn t() {}\n}\npub fn late() {}\n");
+        let hits = run_rule("no-dead-pub", f);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].line, 5);
+    }
+
+    #[test]
+    fn pub_fn_with_a_caller_is_clean() {
+        for (path, text) in [
+            ("simcost/src/main.rs", "fn main() { foo::probe(); }\n"),
+            ("examples/demo.rs", "fn main() { draid::probe(); }\n"),
+            ("tests/it.rs", "#[test]\nfn t() { draid::probe(); }\n"),
+            (
+                "crates/bar/src/bin/tool.rs",
+                "fn main() { foo::probe(); }\n",
+            ),
+        ] {
+            let caller = SourceFile::new(path, text);
+            let hits = run_rule_on("no-dead-pub", vec![lib("pub fn probe() {}\n"), caller]);
+            assert!(hits.is_empty(), "caller in {path} missed: {hits:?}");
+        }
+        let own = lib("pub fn probe() {}\npub(crate) fn user() { probe() }\n");
+        assert!(run_rule("no-dead-pub", own).is_empty());
+    }
+
+    #[test]
+    fn binaries_tests_and_narrow_items_are_not_checked() {
+        for (path, text) in [
+            ("crates/foo/src/main.rs", "pub fn orphan() {}\n"),
+            ("crates/foo/src/bin/tool.rs", "pub fn orphan() {}\n"),
+            ("crates/foo/tests/it.rs", "pub fn orphan() {}\n"),
+            (LIB, "pub(crate) fn orphan() {}\n"),
+            (LIB, "#[cfg(test)]\nmod tests { pub fn orphan() {} }\n"),
+        ] {
+            let hits = run_rule("no-dead-pub", SourceFile::new(path, text));
+            assert!(hits.is_empty(), "{path}: {text:?} flagged: {hits:?}");
+        }
     }
 }

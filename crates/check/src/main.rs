@@ -13,7 +13,7 @@
 //!
 //! Options: `--seed N` (determinism scenario seed, default 42),
 //! `--seeds N` (interleaving seed count, default 64, CI floor 64),
-//! `--rules` (print the lint rule table and exit).
+//! `--rules` (print the lint rule table and the allowlist, then exit).
 
 #![forbid(unsafe_code)]
 
@@ -44,6 +44,13 @@ fn main() -> ExitCode {
             "--rules" => {
                 for r in lint::all_rules() {
                     println!("{:22} {}", r.name, r.summary);
+                }
+                println!("\nallowlist ({} entries):", lint::ALLOWLIST.len());
+                for a in lint::ALLOWLIST {
+                    println!(
+                        "{:22} {} `{}`: {}",
+                        a.rule, a.path_suffix, a.line_contains, a.reason
+                    );
                 }
                 return ExitCode::SUCCESS;
             }

@@ -12,7 +12,7 @@ use draid_sim::{DetRng, Engine, SimTime};
 fn reference_scenario_is_byte_identical_across_runs() {
     let report = draid_check::determinism::run(0xD1CE);
     assert!(
-        report.identical(),
+        report.first_divergence.is_none(),
         "double run diverged: {:?}",
         report.first_divergence
     );

@@ -67,7 +67,12 @@ fn seeded_violations_fail_against_real_file_set() {
         "fn f() { unsafe { hint() } }\n\
          fn g() { let t = std::time::Instant::now(); }\n\
          struct S { m: HashMap<u64, u64> }\n\
-         fn h(s: &S) { for v in s.m.values() { use_it(v); } }\n",
+         fn h(s: &S) { for v in s.m.values() { use_it(v); } }\n\
+         pub fn seeded_dead_probe() {}\n",
+    ));
+    files.push(SourceFile::new(
+        "crates/core/tests/seeded.rs",
+        "#[test]\nfn t() { draid_core::seeded_dead_probe(); }\n",
     ));
     files.push(SourceFile::new(
         "crates/core/src/exec_evil.rs",
@@ -79,12 +84,19 @@ fn seeded_violations_fail_against_real_file_set() {
         "unsafe-confined",
         "no-wall-clock",
         "no-unordered-iter",
+        "no-dead-pub",
     ] {
         assert!(
             findings.iter().any(|f| f.rule == rule),
             "seeded {rule} violation not caught: {findings:?}"
         );
     }
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "no-dead-pub" && f.message.contains("seeded_dead_probe")),
+        "a pub fn only crates/*/tests call must be dead: {findings:?}"
+    );
     // The unwrap rule is path-scoped to the real op-path files; prove it
     // on the genuine exec.rs content with one appended bad line.
     let exec = files

@@ -38,8 +38,6 @@ pub(crate) struct UserState {
     pub error: Option<IoError>,
     pub read_buf: Option<Vec<u8>>,
     pub hook: Option<CompletionHook>,
-    /// The volume whose statistics the I/O counts toward, if any.
-    pub volume: Option<crate::volume::VolumeId>,
 }
 
 /// Window-based available-bandwidth probe feeding the §6.2 selector.
@@ -88,12 +86,10 @@ pub struct ArraySim {
     pub(crate) scrub: Option<crate::scrub::ScrubState>,
     pub(crate) tracer: Option<crate::trace::Tracer>,
     pub(crate) bitmap: crate::bitmap::WriteIntentBitmap,
-    pub(crate) volumes: Vec<crate::volume::Volume>,
-    pub(crate) volume_cursor: u64,
     /// Host-controller incarnation, bumped by [`ArraySim::simulate_host_crash`]:
-    /// work the crashed controller had parked for later (volume-shaped
-    /// admissions, fail-fast completions on a failed array) checks it and
-    /// dies with that controller.
+    /// work the crashed controller had parked for later (fail-fast
+    /// completions on a failed array) checks it and dies with that
+    /// controller.
     pub(crate) host_epoch: u64,
     pub(crate) fault_mgr: Option<crate::fault::FaultManagerState>,
     /// Recycled scratch buffers for the op data plane (see
@@ -174,8 +170,6 @@ impl ArraySim {
             scrub: None,
             tracer: None,
             bitmap: crate::bitmap::WriteIntentBitmap::new(),
-            volumes: Vec::new(),
-            volume_cursor: 0,
             host_epoch: 0,
             fault_mgr: None,
             buf_pool: crate::exec::BufPool::new(),
@@ -255,35 +249,12 @@ impl ArraySim {
         io: UserIo,
         hook: Option<CompletionHook>,
     ) -> IoId {
-        let (id, now) = (self.reserve_io_id(), eng.now());
-        self.submit_reserved(eng, id, io, hook, None, now);
-        IoId(id)
-    }
-
-    /// Pre-allocates a user-I/O id (volume admission shaping submits later
-    /// under the id it already returned to the caller).
-    pub(crate) fn reserve_io_id(&mut self) -> u64 {
-        let id = self.next_io;
-        self.next_io += 1;
-        id
-    }
-
-    /// Submits under a previously reserved id. `submitted` is when the
-    /// issuer asked: a volume-shaped admission submits later, and the
-    /// shaping delay is part of the tenant's latency.
-    pub(crate) fn submit_reserved(
-        &mut self,
-        eng: &mut Engine<ArraySim>,
-        id: u64,
-        io: UserIo,
-        hook: Option<CompletionHook>,
-        volume: Option<crate::volume::VolumeId>,
-        submitted: SimTime,
-    ) {
         assert!(io.len > 0, "zero-length I/O");
         if let Some(data) = &io.data {
             assert_eq!(data.len() as u64, io.len, "payload length mismatch");
         }
+        let (id, submitted) = (self.next_io, eng.now());
+        self.next_io += 1;
 
         if self.is_failed() {
             let user = UserState {
@@ -293,7 +264,6 @@ impl ArraySim {
                 error: Some(IoError::ArrayFailed),
                 read_buf: None,
                 hook,
-                volume,
                 io,
             };
             self.users.insert(id, user);
@@ -304,7 +274,7 @@ impl ArraySim {
                     w.complete_user(eng, id);
                 }
             });
-            return;
+            return IoId(id);
         }
 
         let (kind, offset, len) = (io.kind, io.offset, io.len);
@@ -317,7 +287,6 @@ impl ArraySim {
             error: None,
             read_buf: needs_read_buf.then(|| vec![0u8; len as usize]),
             hook,
-            volume,
             io,
         };
         self.users.insert(id, user);
@@ -343,6 +312,7 @@ impl ArraySim {
                 self.launch_op(eng, idx);
             }
         }
+        IoId(id)
     }
 
     /// Whether this configuration serializes reads through stripe locks.
@@ -497,11 +467,6 @@ impl ArraySim {
         let latency = now.saturating_sub(user.submitted);
         let ok = user.error.is_none();
         let (kind, len) = (user.io.kind, user.io.len);
-        if let Some(volume) = user.volume {
-            self.volumes[volume.0 as usize]
-                .stats
-                .record(kind, len, latency, ok);
-        }
         self.stats.record(kind, len, latency, ok);
         if ok && user.degraded {
             self.stats.degraded_ios += 1;
@@ -532,8 +497,7 @@ impl ArraySim {
 
     /// Simulates a host-controller crash and restart (§5.4 "host failures"):
     /// every in-flight operation and queued stripe lock is lost, outstanding
-    /// user I/Os never complete (their issuer is gone), volume admissions
-    /// held back by a tenant's budget are never issued, and the write-intent
+    /// user I/Os never complete (their issuer is gone), and the write-intent
     /// bitmap drives a parity resync of only the dirty stripes — no
     /// full-array scan. Returns the stripes being resynced.
     pub fn simulate_host_crash(&mut self, eng: &mut Engine<ArraySim>) -> Vec<u64> {

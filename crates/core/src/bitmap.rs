@@ -53,11 +53,6 @@ impl WriteIntentBitmap {
         self.dirty.clone()
     }
 
-    /// Number of dirty stripes.
-    pub fn dirty_count(&self) -> usize {
-        self.dirty.len()
-    }
-
     /// Total mark operations (diagnostics).
     pub fn marks(&self) -> u64 {
         self.marks
@@ -79,7 +74,7 @@ mod tests {
         assert_eq!(b.dirty_stripes(), vec![5, 9]);
         b.clear(5);
         assert!(!b.is_dirty(5));
-        assert_eq!(b.dirty_count(), 1);
+        assert_eq!(b.dirty.len(), 1);
         assert_eq!(b.marks(), 3);
     }
 
@@ -87,7 +82,7 @@ mod tests {
     fn clear_unmarked_is_noop() {
         let mut b = WriteIntentBitmap::new();
         b.clear(42);
-        assert_eq!(b.dirty_count(), 0);
+        assert_eq!(b.dirty.len(), 0);
     }
 
     #[test]

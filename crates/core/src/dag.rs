@@ -158,34 +158,6 @@ impl Dag {
     pub fn iter(&self) -> impl Iterator<Item = (usize, Step<'_>)> {
         (0..self.len()).map(|id| (id, self.step(id)))
     }
-
-    /// Total payload bytes moved by `Transfer` steps whose source is `node`
-    /// (DAG-level traffic accounting used in tests).
-    pub fn bytes_sent_by(&self, node: NodeId) -> u64 {
-        self.kinds
-            .iter()
-            .filter_map(|k| match *k {
-                StepKind::Transfer { from, bytes, .. } if from == node => Some(bytes),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Total payload bytes received by `node` via `Transfer` steps.
-    pub fn bytes_received_by(&self, node: NodeId) -> u64 {
-        self.kinds
-            .iter()
-            .filter_map(|k| match *k {
-                StepKind::Transfer { to, bytes, .. } if to == node => Some(bytes),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Counts steps matching a predicate (test helper).
-    pub fn count_steps(&self, pred: impl Fn(&StepKind) -> bool) -> usize {
-        self.kinds.iter().filter(|k| pred(k)).count()
-    }
 }
 
 #[cfg(test)]
@@ -222,12 +194,10 @@ mod tests {
         );
         assert_eq!(dag.len(), 3);
         assert_eq!(dag.step(c).deps, [b as u32]);
-        assert_eq!(dag.bytes_sent_by(host), 1024);
-        assert_eq!(dag.bytes_received_by(host), 1024);
-        assert_eq!(
-            dag.count_steps(|k| matches!(k, StepKind::DriveRead { .. })),
-            1
-        );
+        let kinds: Vec<StepKind> = dag.iter().map(|(_, step)| step.kind).collect();
+        assert!(matches!(kinds[0], StepKind::Transfer { from, .. } if from == host));
+        assert!(matches!(kinds[1], StepKind::DriveRead { bytes: 1024, .. }));
+        assert!(matches!(kinds[2], StepKind::Transfer { to, .. } if to == host));
     }
 
     #[test]

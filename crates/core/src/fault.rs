@@ -235,7 +235,7 @@ pub enum FaultAction {
     LinkDown {
         /// Member whose target's link drops.
         member: usize,
-        /// `None` = until manually restored.
+        /// `None` = for good.
         duration: Option<SimTime>,
     },
     /// Member's link flaps: down/up cycles starting at the event time.
@@ -325,11 +325,6 @@ impl FaultSchedule {
         self.at(at, FaultAction::FailDrive { member })
     }
 
-    /// At `at`, member `member` is declared faulty immediately.
-    pub fn declare_failed(self, at: SimTime, member: usize) -> Self {
-        self.at(at, FaultAction::DeclareFailed { member })
-    }
-
     /// At `at`, member `member` errors for `duration`, then recovers.
     pub fn transient(self, at: SimTime, member: usize, duration: SimTime) -> Self {
         self.at(at, FaultAction::Transient { member, duration })
@@ -393,18 +388,6 @@ impl FaultSchedule {
                 dir,
                 factor,
                 duration,
-            },
-        )
-    }
-
-    /// At `at`, one byte of `(stripe, member)`'s stored chunk flips.
-    pub fn corrupt(self, at: SimTime, stripe: u64, member: usize, byte: usize) -> Self {
-        self.at(
-            at,
-            FaultAction::Corrupt {
-                stripe,
-                member,
-                byte,
             },
         )
     }

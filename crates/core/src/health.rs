@@ -106,11 +106,6 @@ impl MemberHealth {
         SimTime::from_nanos(self.ewma_ns.round() as u64)
     }
 
-    /// Windowed error count toward the §5.4 threshold.
-    pub fn error_count(&self) -> u32 {
-        self.errors
-    }
-
     /// Latency samples recorded so far.
     pub fn samples(&self) -> u64 {
         self.samples
@@ -287,7 +282,7 @@ mod tests {
         for _ in 0..10 {
             h.record_error(0, SimTime::from_micros(1));
         }
-        assert_eq!(h.member(0).error_count(), 1);
+        assert_eq!(h.member(0).errors, 1);
         assert_eq!(h.state(0), HealthState::Transient);
     }
 
@@ -300,7 +295,7 @@ mod tests {
         assert_eq!(h.state(2), HealthState::Quarantined);
         h.record_success(2, SimTime::from_micros(100));
         assert_eq!(h.state(2), HealthState::Healthy);
-        assert_eq!(h.member(2).error_count(), 0);
+        assert_eq!(h.member(2).errors, 0);
     }
 
     #[test]
@@ -338,7 +333,7 @@ mod tests {
         h.set_state(0, HealthState::Rebuilding);
         // Errors against a rebuilding member are ignored.
         assert_eq!(
-            h.record_error(0, SimTime::from_secs(1)),
+            h.record_error(0, SimTime::from_millis(1_000)),
             HealthState::Rebuilding
         );
         h.reset(0);

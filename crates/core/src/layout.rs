@@ -246,11 +246,6 @@ impl Layout {
             WriteMode::ReadModifyWrite
         }
     }
-
-    /// Total array capacity in user bytes given per-member capacity.
-    pub fn user_capacity(&self, member_capacity: u64) -> u64 {
-        (member_capacity / self.chunk_size) * self.stripe_data_bytes()
-    }
 }
 
 #[cfg(test)]
@@ -381,12 +376,5 @@ mod tests {
         let ios = l.map(4096, 8192);
         assert_eq!(l.write_mode(&ios[0]), WriteMode::ReadModifyWrite);
         assert!(!ios[0].segments[0].covers_chunk(l.chunk_size()));
-    }
-
-    #[test]
-    fn user_capacity() {
-        let l = layout(RaidLevel::Raid5, 8, 512);
-        // 10 chunks per member -> 10 stripes of 7 data chunks.
-        assert_eq!(l.user_capacity(10 * 512 * 1024), 70 * 512 * 1024);
     }
 }

@@ -71,7 +71,6 @@ mod stats;
 mod sweep;
 pub mod target;
 pub mod trace;
-mod volume;
 
 pub use array::{ArraySim, CompletionHook};
 pub use bitmap::WriteIntentBitmap;
@@ -91,4 +90,3 @@ pub use measure::{run_measured, MEASURE_SLICES};
 pub use rebuild::RebuildStatus;
 pub use scrub::ScrubStatus;
 pub use stats::ArrayStats;
-pub use volume::{VolumeError, VolumeId};

@@ -36,8 +36,6 @@ struct StripeLock {
 #[derive(Debug, Default)]
 pub struct LockTable {
     stripes: HashMap<u64, StripeLock, BuildHasherDefault<IdHasher>>,
-    acquired: u64,
-    queued: u64,
     waiting: usize,
 }
 
@@ -57,7 +55,6 @@ impl LockTable {
                     holder: ticket,
                     waiters: VecDeque::new(),
                 });
-                self.acquired += 1;
                 true
             }
             Entry::Occupied(slot) => {
@@ -69,7 +66,6 @@ impl LockTable {
                     stripe
                 );
                 lock.waiters.push_back(ticket);
-                self.queued += 1;
                 self.waiting += 1;
                 false
             }
@@ -102,7 +98,6 @@ impl LockTable {
         match next {
             Some(next) => {
                 lock.holder = next;
-                self.acquired += 1;
                 self.waiting -= 1;
             }
             None => {
@@ -132,17 +127,6 @@ impl LockTable {
     pub fn waiting(&self) -> usize {
         self.waiting
     }
-
-    /// Total grants so far (immediate + after queueing).
-    pub fn grants(&self) -> u64 {
-        self.acquired
-    }
-
-    /// Total acquisitions that had to queue — the contention signal behind
-    /// the locked systems' small-I/O penalty (Fig. 9).
-    pub fn contended(&self) -> u64 {
-        self.queued
-    }
 }
 
 #[cfg(test)]
@@ -163,8 +147,6 @@ mod tests {
         assert_eq!(t.release(7, 3), None);
         assert_eq!(t.waiting(), 0);
         assert!(!t.is_locked(7));
-        assert_eq!(t.grants(), 3);
-        assert_eq!(t.contended(), 2);
     }
 
     #[test]

@@ -155,32 +155,6 @@ pub struct Command {
 }
 
 impl Command {
-    /// A baseline NVMe-oF read capsule.
-    pub fn nvme_read(id: u64, nsid: u32, offset: u64, length: u64) -> Self {
-        Command {
-            id,
-            opcode: Opcode::Read,
-            nsid,
-            subtype: None,
-            offset,
-            length,
-            fwd_offset: 0,
-            fwd_length: 0,
-            next_dest: None,
-            wait_num: 0,
-            next_dest2: None,
-            data_idx: 0,
-        }
-    }
-
-    /// A baseline NVMe-oF write capsule.
-    pub fn nvme_write(id: u64, nsid: u32, offset: u64, length: u64) -> Self {
-        Command {
-            opcode: Opcode::Write,
-            ..Self::nvme_read(id, nsid, offset, length)
-        }
-    }
-
     /// Serialized capsule size on the wire. The base NVMe-oF capsule is 64
     /// bytes; dRAID extensions ride in the reserved/command-parameter space,
     /// and RAID-6 adds 16 bytes of "other command data".
@@ -264,16 +238,34 @@ impl Command {
 mod tests {
     use super::*;
 
+    /// A baseline NVMe-oF read capsule: no dRAID field set.
+    fn nvme_read(id: u64, offset: u64, length: u64) -> Command {
+        Command {
+            id,
+            opcode: Opcode::Read,
+            nsid: 0,
+            subtype: None,
+            offset,
+            length,
+            fwd_offset: 0,
+            fwd_length: 0,
+            next_dest: None,
+            wait_num: 0,
+            next_dest2: None,
+            data_idx: 0,
+        }
+    }
+
     #[test]
     fn nvme_capsules_are_64_bytes() {
-        let c = Command::nvme_read(1, 0, 4096, 128 * 1024);
+        let c = nvme_read(1, 4096, 128 * 1024);
         assert_eq!(c.wire_size(), 64);
         assert_eq!(c.encode().len(), 64);
     }
 
     #[test]
     fn raid6_extension_adds_other_command_data() {
-        let mut c = Command::nvme_write(2, 0, 0, 512 * 1024);
+        let mut c = nvme_read(2, 0, 512 * 1024);
         c.opcode = Opcode::PartialWrite;
         c.subtype = Some(Subtype::Rmw);
         c.next_dest = Some(Dest { member: 7 });
@@ -334,7 +326,7 @@ mod tests {
     #[test]
     fn decode_rejects_garbage() {
         assert!(Command::decode(&[0u8; 10]).is_err());
-        let mut buf = Command::nvme_read(1, 0, 0, 1).encode();
+        let mut buf = nvme_read(1, 0, 1).encode();
         buf[8] = 0x77; // invalid opcode
         assert!(Command::decode(&buf).is_err());
     }

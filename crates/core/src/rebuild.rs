@@ -41,17 +41,6 @@ pub struct RebuildStatus {
     pub started: SimTime,
 }
 
-impl RebuildStatus {
-    /// Completion fraction in `[0, 1]`.
-    pub fn progress(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.rebuilt as f64 / self.total as f64
-        }
-    }
-}
-
 pub(crate) struct RebuildState {
     pub member: usize,
     pub spare: ServerId,

@@ -106,16 +106,6 @@ impl ReducerSelector {
         }
     }
 
-    /// Current selection probabilities.
-    pub fn probabilities(&self) -> &[f64] {
-        &self.probs
-    }
-
-    /// Current EWMA of the reconstruction load in bytes/sec.
-    pub fn load_estimate(&self) -> f64 {
-        self.ewma_load
-    }
-
     /// Records `bytes` of reconstruction traffic; call once per degraded
     /// read/rebuild unit.
     pub fn record_load(&mut self, bytes: u64) {
@@ -249,11 +239,11 @@ mod tests {
         let mut sel = ReducerSelector::new(3);
         let mut rng = DetRng::new(1);
         // Before any update: uniform.
-        assert_dist(sel.probabilities());
+        assert_dist(&sel.probs);
         sel.record_load(1_000_000);
         sel.update(SimTime::from_millis(20), &[100.0, 100.0, 10.0]);
-        assert!(sel.load_estimate() > 0.0);
-        assert!(sel.probabilities()[2] < sel.probabilities()[0]);
+        assert!(sel.ewma_load > 0.0);
+        assert!(sel.probs[2] < sel.probs[0]);
         // Eligibility restriction: member 0 failed, never chosen.
         for _ in 0..100 {
             let c = sel.choose(&mut rng, &[1, 2]);
@@ -268,7 +258,7 @@ mod tests {
         sel.update(SimTime::from_millis(20), &[100.0, 40.0, 100.0, 10.0, 70.0]);
         let (mut a, mut b) = (DetRng::new(9), DetRng::new(9));
         for eligible in [&[0, 1, 2, 3, 4][..], &[1, 3, 4], &[2], &[0, 3]] {
-            let weights: Vec<f64> = eligible.iter().map(|&i| sel.probabilities()[i]).collect();
+            let weights: Vec<f64> = eligible.iter().map(|&i| sel.probs[i]).collect();
             for _ in 0..200 {
                 let expect = eligible[b.weighted_index(&weights)];
                 assert_eq!(sel.choose(&mut a, eligible), expect);
@@ -281,7 +271,7 @@ mod tests {
         let mut sel = ReducerSelector::new(2);
         sel.record_load(500);
         sel.update(SimTime::from_micros(10), &[10.0, 10.0]);
-        assert_eq!(sel.load_estimate(), 0.0, "window shorter than period");
+        assert_eq!(sel.ewma_load, 0.0, "window shorter than period");
     }
 
     #[test]

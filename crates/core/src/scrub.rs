@@ -33,7 +33,7 @@ pub(crate) struct ScrubState {
 impl ArraySim {
     /// Starts a scrub pass over stripes `0..stripes` with the given
     /// concurrency. Runs alongside foreground I/O; findings are available
-    /// from [`ArraySim::scrub_status`] when the pass drains.
+    /// from [`ArraySim::take_scrub_report`] when the pass drains.
     ///
     /// # Panics
     ///
@@ -48,16 +48,6 @@ impl ArraySim {
             mismatches: Vec::new(),
         });
         self.pump_scrub(eng);
-    }
-
-    /// Progress of the current or completed scrub pass.
-    pub fn scrub_status(&self) -> Option<ScrubStatus> {
-        self.scrub.as_ref().map(|s| ScrubStatus {
-            checked: s.sweep.done(),
-            total: s.sweep.total,
-            mismatches: s.mismatches.clone(),
-            running: !s.sweep.is_complete(),
-        })
     }
 
     /// Clears a completed scrub's findings; returns them.

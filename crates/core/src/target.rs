@@ -385,6 +385,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "not a PartialWrite")]
     fn wrong_opcode_rejected() {
-        handle_data_chunk(&Command::nvme_read(1, 0, 0, 512));
+        handle_data_chunk(&Command {
+            opcode: Opcode::Read,
+            subtype: None,
+            ..partial_write(Subtype::Rmw, 0, 512, 0, 512)
+        });
     }
 }

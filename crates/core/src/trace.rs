@@ -299,15 +299,6 @@ impl PathBreakdown {
             .map(|(_, t)| *t)
             .unwrap_or(SimTime::ZERO)
     }
-
-    /// Queueing time attributed to one class.
-    pub fn class_queue(&self, class: StepClass) -> SimTime {
-        self.per_class_queue
-            .iter()
-            .find(|(c, _)| *c == class)
-            .map(|(_, t)| *t)
-            .unwrap_or(SimTime::ZERO)
-    }
 }
 
 /// Computes the critical path of a completed operation from its DAG and its

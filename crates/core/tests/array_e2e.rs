@@ -223,7 +223,7 @@ fn persistent_errors_mark_member_faulty() {
     let (mut array, mut eng) = make(SystemKind::Draid, RaidLevel::Raid5);
     // Long transient: errors exceed the fault threshold, member is faulted,
     // the array goes degraded, and the I/O then completes degraded.
-    array.inject_transient(SimTime::ZERO, 0, SimTime::from_secs(3600));
+    array.inject_transient(SimTime::ZERO, 0, SimTime::from_millis(3_600_000));
     array.submit(&mut eng, UserIo::write(0, 8 * KIB));
     eng.run(&mut array);
     let res = array.drain_completions().pop().expect("write");

@@ -2,9 +2,9 @@
 //! bitmap-driven parity resync after a simulated host crash.
 
 use bytes::Bytes;
-use draid_block::{Cluster, TokenBucket};
-use draid_core::{ArrayConfig, ArraySim, DataMode, IoId, SystemKind, UserIo};
-use draid_sim::{ByteRate, DetRng, Engine, SimTime};
+use draid_block::Cluster;
+use draid_core::{ArrayConfig, ArraySim, DataMode, SystemKind, UserIo};
+use draid_sim::{DetRng, Engine, SimTime};
 
 const KIB: u64 = 1024;
 
@@ -22,26 +22,26 @@ fn make() -> (ArraySim, Engine<ArraySim>) {
 #[test]
 fn bitmap_tracks_inflight_writes() {
     let (mut array, mut eng) = make();
-    assert_eq!(array.write_intent().dirty_count(), 0);
+    assert_eq!(array.write_intent().dirty_stripes().len(), 0);
     // Submit writes to three different stripes; while in flight all three
     // stripes are dirty.
     let stripe = array.layout().stripe_data_bytes();
     for s in 0..3u64 {
         array.submit(&mut eng, UserIo::write(s * stripe, 8 * KIB));
     }
-    assert_eq!(array.write_intent().dirty_count(), 3);
+    assert_eq!(array.write_intent().dirty_stripes().len(), 3);
     assert!(array.write_intent().is_dirty(1));
     eng.run(&mut array);
     assert!(array.drain_completions().iter().all(|r| r.is_ok()));
     // Completed writes cleared their intents.
-    assert_eq!(array.write_intent().dirty_count(), 0);
+    assert_eq!(array.write_intent().dirty_stripes().len(), 0);
 }
 
 #[test]
 fn reads_do_not_dirty_the_bitmap() {
     let (mut array, mut eng) = make();
     array.submit(&mut eng, UserIo::read(0, 8 * KIB));
-    assert_eq!(array.write_intent().dirty_count(), 0);
+    assert_eq!(array.write_intent().dirty_stripes().len(), 0);
     eng.run(&mut array);
 }
 
@@ -65,7 +65,7 @@ fn crash_resync_repairs_torn_parity() {
     array.submit(&mut eng, UserIo::write(stripe_bytes, 8 * KIB));
     array.submit(&mut eng, UserIo::write(2 * stripe_bytes, 8 * KIB));
     eng.run_until(&mut array, eng.now() + SimTime::from_micros(20));
-    assert_eq!(array.write_intent().dirty_count(), 2);
+    assert_eq!(array.write_intent().dirty_stripes().len(), 2);
 
     let resynced = array.simulate_host_crash(&mut eng);
     assert_eq!(resynced, vec![1, 2], "only dirty stripes resync");
@@ -75,7 +75,7 @@ fn crash_resync_repairs_torn_parity() {
 
     eng.run(&mut array);
     assert_eq!(
-        array.write_intent().dirty_count(),
+        array.write_intent().dirty_stripes().len(),
         0,
         "resync cleared intents"
     );
@@ -138,36 +138,6 @@ fn crash_with_clean_bitmap_resyncs_nothing() {
     let resynced = array.simulate_host_crash(&mut eng);
     assert!(resynced.is_empty(), "no dirty stripes, no scan needed");
     eng.run(&mut array);
-}
-
-#[test]
-fn crash_drops_budget_shaped_volume_admissions() {
-    // A tenant over its budget has its admissions held back until the
-    // bucket refills. Those belong to the crashed controller: none may be
-    // issued, complete or be counted after the crash.
-    let (mut array, mut eng) = make();
-    let volume = array.create_volume("tenant", 64 * KIB);
-    let budget = TokenBucket::new(ByteRate::from_mb_per_sec(1.0), 8 * KIB);
-    array.set_volume_limit(volume, Some(budget));
-    for i in 0..8 {
-        let io = UserIo::write(i * 8 * KIB, 8 * KIB);
-        array
-            .submit_to_volume(&mut eng, volume, io)
-            .expect("in bounds");
-    }
-    eng.run_until(&mut array, SimTime::from_micros(100));
-    assert!(
-        array.drain_completions().is_empty(),
-        "the first write is in flight"
-    );
-
-    array.simulate_host_crash(&mut eng);
-    eng.run(&mut array);
-    let after: Vec<IoId> = array.drain_completions().iter().map(|r| r.id).collect();
-    assert!(after.is_empty(), "{after:?} completed after the crash");
-    let stats = array.volume_stats(volume);
-    assert_eq!((stats.writes, stats.failed_ios), (0, 0));
-    array.audit_invariants();
 }
 
 #[test]

@@ -68,8 +68,8 @@ fn draid_rmw_host_sends_only_new_data() {
         },
         io,
     );
-    let sent = dag.bytes_sent_by(HOST);
-    let recv = dag.bytes_received_by(HOST);
+    let sent = bytes_sent_by(&dag, HOST);
+    let recv = bytes_received_by(&dag, HOST);
     assert!(
         sent < 128 * KIB + 4 * KIB,
         "host egress {sent} should be ~payload"
@@ -80,7 +80,7 @@ fn draid_rmw_host_sends_only_new_data() {
     );
     // Exactly one peer transfer of the partial parity to the P bdev.
     let p_node = fx.nodes[fx.layout.p_member(0)];
-    let peer_bytes = dag.bytes_received_by(p_node);
+    let peer_bytes = bytes_received_by(&dag, p_node);
     assert_eq!(peer_bytes, 128 * KIB + fx.cfg.command_bytes);
 }
 
@@ -98,8 +98,8 @@ fn centralized_rmw_host_carries_four_copies() {
         io,
     );
     // In: old data + old parity. Out: new data + new parity (+ commands).
-    assert!(dag.bytes_received_by(HOST) >= 2 * 128 * KIB);
-    assert!(dag.bytes_sent_by(HOST) >= 2 * 128 * KIB);
+    assert!(bytes_received_by(&dag, HOST) >= 2 * 128 * KIB);
+    assert!(bytes_sent_by(&dag, HOST) >= 2 * 128 * KIB);
 }
 
 #[test]
@@ -117,12 +117,12 @@ fn draid_raid6_forwards_partials_to_p_and_q() {
     );
     let p_node = fx.nodes[fx.layout.p_member(0)];
     let q_node = fx.nodes[fx.layout.q_member(0).expect("raid6")];
-    assert!(dag.bytes_received_by(p_node) >= 128 * KIB);
-    assert!(dag.bytes_received_by(q_node) >= 128 * KIB);
+    assert!(bytes_received_by(&dag, p_node) >= 128 * KIB);
+    assert!(bytes_received_by(&dag, q_node) >= 128 * KIB);
     // The Q term is scaled by g^i on the data bdev before forwarding.
-    assert!(dag.count_steps(|k| matches!(k, StepKind::GfMul { .. })) >= 1);
+    assert!(count_steps(&dag, |k| matches!(k, StepKind::GfMul { .. })) >= 1);
     // Host still sends only the data (+ capsules) — the RAID-6 advantage.
-    assert!(dag.bytes_sent_by(HOST) < 128 * KIB + 4 * KIB);
+    assert!(bytes_sent_by(&dag, HOST) < 128 * KIB + 4 * KIB);
 }
 
 #[test]
@@ -141,12 +141,12 @@ fn draid_rcw_reads_untouched_chunks_remotely() {
         io,
     );
     // 3 untouched members read full chunks; 4 touched write their segments.
-    let reads = dag.count_steps(|k| matches!(k, StepKind::DriveRead { .. }));
-    let writes = dag.count_steps(|k| matches!(k, StepKind::DriveWrite { .. }));
+    let reads = count_steps(&dag, |k| matches!(k, StepKind::DriveRead { .. }));
+    let writes = count_steps(&dag, |k| matches!(k, StepKind::DriveWrite { .. }));
     assert_eq!(reads, 3, "untouched chunks read locally");
     assert_eq!(writes, 5, "4 data writes + parity write");
     // Untouched chunks never cross the host NIC.
-    assert!(dag.bytes_received_by(HOST) < 4 * KIB);
+    assert!(bytes_received_by(&dag, HOST) < 4 * KIB);
 }
 
 #[test]
@@ -167,10 +167,10 @@ fn degraded_read_normal_segments_bypass_reducer() {
     );
     // Host receives: healthy segment (512 KiB) + reconstructed segment
     // (512 KiB) + nothing else.
-    let recv = dag.bytes_received_by(HOST);
+    let recv = bytes_received_by(&dag, HOST);
     assert_eq!(recv, 1024 * KIB);
     // The reducer receives one partial per other survivor (width-2 of them).
-    let reducer_in = dag.bytes_received_by(fx.nodes[reducer]);
+    let reducer_in = bytes_received_by(&dag, fx.nodes[reducer]);
     assert_eq!(
         reducer_in,
         6 * 512 * KIB + fx.cfg.command_bytes,
@@ -178,7 +178,7 @@ fn degraded_read_normal_segments_bypass_reducer() {
     );
     // The failed member is never touched.
     assert_eq!(
-        dag.count_steps(|k| matches!(
+        count_steps(&dag, |k| matches!(
             k,
             StepKind::DriveRead { server, .. } | StepKind::DriveWrite { server, .. }
             if *server == fx.servers[victim]
@@ -195,7 +195,7 @@ fn centralized_degraded_read_pulls_survivors_to_host() {
     let io = &fx.layout.map(0, 512 * KIB)[0];
     let dag = build_dag(&fx.ctx(&faulty, None), Purpose::Read { degraded: true }, io);
     // Table 1 "Nx": all 7 survivors' extents land on the host.
-    assert_eq!(dag.bytes_received_by(HOST), 7 * 512 * KIB);
+    assert_eq!(bytes_received_by(&dag, HOST), 7 * 512 * KIB);
 }
 
 #[test]
@@ -215,7 +215,7 @@ fn degraded_write_skips_dead_member_and_keeps_parity() {
         );
         // No I/O on the dead drive; the parity drive is written.
         assert_eq!(
-            dag.count_steps(|k| matches!(
+            count_steps(&dag, |k| matches!(
                 k,
                 StepKind::DriveWrite { server, .. } if *server == fx.servers[victim]
             )),
@@ -224,7 +224,7 @@ fn degraded_write_skips_dead_member_and_keeps_parity() {
         );
         let p_server = fx.servers[fx.layout.p_member(0)];
         assert!(
-            dag.count_steps(|k| matches!(
+            count_steps(&dag, |k| matches!(
                 k,
                 StepKind::DriveWrite { server, .. } if *server == p_server
             )) == 1,
@@ -248,14 +248,19 @@ fn full_stripe_write_has_no_remote_reads() {
             io,
         );
         assert_eq!(
-            dag.count_steps(|k| matches!(k, StepKind::DriveRead { .. })),
+            count_steps(&dag, |k| matches!(k, StepKind::DriveRead { .. })),
             0,
             "{system:?}: §3 — full stripe writes read nothing"
         );
         // Host computes parity and ships data + parity.
-        assert!(dag.count_steps(|k| matches!(k, StepKind::Xor { node, .. } if *node == HOST)) == 1);
+        assert!(
+            count_steps(
+                &dag,
+                |k| matches!(k, StepKind::Xor { node, .. } if *node == HOST)
+            ) == 1
+        );
         assert_eq!(
-            dag.count_steps(|k| matches!(k, StepKind::DriveWrite { .. })),
+            count_steps(&dag, |k| matches!(k, StepKind::DriveWrite { .. })),
             8
         );
     }
@@ -279,7 +284,7 @@ fn pipeline_ablation_serializes_and_drops_bdev_callbacks() {
     let serial = build_dag(&fx_serial.ctx(&none, None), purpose, io);
     // Pipelined: data bdev callback + parity callback. Serial: parity only.
     let cbs = |dag: &draid_core::Dag| {
-        dag.count_steps(|k| {
+        count_steps(dag, |k| {
             matches!(k, StepKind::Transfer { to, bytes, .. }
             if *to == HOST && *bytes == fx_pipe.cfg.callback_bytes)
         })
@@ -306,7 +311,7 @@ fn blocking_ablation_adds_barrier() {
         io,
     );
     assert!(
-        dag.count_steps(|k| matches!(k, StepKind::Join)) >= 1,
+        count_steps(&dag, |k| matches!(k, StepKind::Join)) >= 1,
         "barrier join present in blocking mode"
     );
 }
@@ -329,7 +334,7 @@ fn p2p_ablation_routes_partials_through_host() {
         io,
     );
     // The partial parity now crosses the host: ingress grows by its size.
-    assert!(dag.bytes_received_by(HOST) >= 128 * KIB);
+    assert!(bytes_received_by(&dag, HOST) >= 128 * KIB);
 }
 
 #[test]
@@ -347,7 +352,7 @@ fn raid6_degraded_read_uses_q_when_p_is_lost() {
     );
     // Q participates in the reconstruction (its drive is read)...
     assert!(
-        dag.count_steps(|k| matches!(
+        count_steps(&dag, |k| matches!(
             k,
             StepKind::DriveRead { server, .. } if *server == fx.servers[q]
         )) == 1,
@@ -356,7 +361,7 @@ fn raid6_degraded_read_uses_q_when_p_is_lost() {
     // ...and neither failed member is touched.
     for victim in [victim_data, victim_p] {
         assert_eq!(
-            dag.count_steps(|k| matches!(
+            count_steps(&dag, |k| matches!(
                 k,
                 StepKind::DriveRead { server, .. } | StepKind::DriveWrite { server, .. }
                 if *server == fx.servers[victim]
@@ -364,6 +369,31 @@ fn raid6_degraded_read_uses_q_when_p_is_lost() {
             0
         );
     }
+}
+
+/// Total payload bytes of the `Transfer` steps whose endpoints `pick` accepts.
+fn transfer_bytes(dag: &Dag, pick: impl Fn(NodeId, NodeId) -> bool) -> u64 {
+    dag.iter()
+        .filter_map(|(_, step)| match step.kind {
+            StepKind::Transfer { from, to, bytes } if pick(from, to) => Some(bytes),
+            _ => None,
+        })
+        .sum()
+}
+
+/// Total payload bytes `node` sends through `Transfer` steps.
+fn bytes_sent_by(dag: &Dag, node: NodeId) -> u64 {
+    transfer_bytes(dag, |from, _| from == node)
+}
+
+/// Total payload bytes `node` receives through `Transfer` steps.
+fn bytes_received_by(dag: &Dag, node: NodeId) -> u64 {
+    transfer_bytes(dag, |_, to| to == node)
+}
+
+/// Number of steps whose kind satisfies `pred`.
+fn count_steps(dag: &Dag, pred: impl Fn(&StepKind) -> bool) -> usize {
+    dag.iter().filter(|(_, step)| pred(&step.kind)).count()
 }
 
 /// Per-member bytes of a dRAID write DAG, in `DataChunkPlan` terms: drive
@@ -466,7 +496,7 @@ fn rebuild_and_scrub_stream_chunks_to_one_member_in_every_system() {
         let fx = &fxs[0];
         let (l, chunk) = (&fx.layout, fx.layout.chunk_size());
         let p = l.p_member(0);
-        let count = |dag: &Dag, step: StepKind| dag.count_steps(|k| *k == step);
+        let count = |dag: &Dag, step: StepKind| count_steps(dag, |k| *k == step);
         let reads = |dag: &Dag, m: usize| {
             let server = fx.servers[m];
             count(
@@ -523,7 +553,7 @@ fn rebuild_and_scrub_stream_chunks_to_one_member_in_every_system() {
                 let xors = count(dag, StepKind::Xor { node, bytes: chunk });
                 assert_eq!(xors, participants.len(), "{case}: one XOR per participant");
                 assert_eq!(sends(dag, reducer, spare_node), 1, "{case}: to the spare");
-                let writes = dag.count_steps(|k| matches!(k, StepKind::DriveWrite { .. }));
+                let writes = count_steps(dag, |k| matches!(k, StepKind::DriveWrite { .. }));
                 let to_spare = count(
                     dag,
                     StepKind::DriveWrite {

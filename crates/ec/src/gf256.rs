@@ -80,22 +80,6 @@ pub fn inv(x: u8) -> u8 {
     EXP[GROUP_ORDER - LOG[x as usize] as usize]
 }
 
-/// Division `a / b`.
-///
-/// # Panics
-///
-/// Panics if `b == 0`.
-#[inline]
-pub fn div(a: u8, b: u8) -> u8 {
-    assert!(b != 0, "division by zero in GF(256)");
-    if a == 0 {
-        0
-    } else {
-        let i = LOG[a as usize] as isize - LOG[b as usize] as isize;
-        EXP[i.rem_euclid(GROUP_ORDER as isize) as usize]
-    }
-}
-
 /// Builds the 256-entry product table `t[x] = c·x` for a fixed coefficient —
 /// the scalar analogue of ISA-L's per-coefficient tables. One table build
 /// (255 multiplies) amortizes over a whole chunk, leaving a single
@@ -225,7 +209,6 @@ mod tests {
     fn field_axioms() {
         for a in 1..=255u8 {
             assert_eq!(mul(a, inv(a)), 1, "a * a^-1 = 1 for a={a}");
-            assert_eq!(div(a, a), 1);
             assert_eq!(mul(a, 1), a);
             assert_eq!(mul(a, 0), 0);
         }

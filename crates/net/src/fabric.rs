@@ -363,16 +363,10 @@ impl Fabric {
         })
     }
 
-    /// Takes every NIC of `node` administratively down, both directions:
-    /// transfers touching it fail until [`Fabric::set_link_up`].
+    /// Takes every NIC of `node` administratively down, both directions, for
+    /// good: transfers touching it fail from now on.
     pub fn set_link_down(&mut self, node: NodeId) {
         self.for_each_link(node, |l| l.admin_down = true);
-    }
-
-    /// Restores a node's links after [`Fabric::set_link_down`]. Scheduled
-    /// flap windows are unaffected.
-    pub fn set_link_up(&mut self, node: NodeId) {
-        self.for_each_link(node, |l| l.admin_down = false);
     }
 
     /// Whether any of a node's links refuses traffic in `dir` at `now`.
@@ -659,20 +653,19 @@ mod tests {
         assert_eq!(f.bytes_sent(NodeId(0)), 8192);
         assert_eq!(f.bytes_received(NodeId(1)), 8192);
         assert_eq!(f.bytes_sent(NodeId(1)), 0);
-        f.reset_counters(SimTime::from_secs(1));
+        f.reset_counters(SimTime::from_millis(1_000));
         assert_eq!(f.bytes_sent(NodeId(0)), 0);
     }
 
     #[test]
-    fn admin_down_link_refuses_until_restored() {
+    fn admin_down_link_refuses_traffic() {
         let (mut f, conn) = two_node_fabric(8.0);
         f.set_link_down(NodeId(0));
         let err = f.try_transfer(SimTime::ZERO, conn, 4096).unwrap_err();
         assert_eq!(err.node, NodeId(0), "blames the dead sender");
         assert!(f.link_down(NodeId(0), LinkDir::Egress, SimTime::ZERO));
-        f.set_link_up(NodeId(0));
-        assert!(f.try_transfer(SimTime::ZERO, conn, 4096).is_ok());
         // A dead receiver is blamed too.
+        let (mut f, conn) = two_node_fabric(8.0);
         f.set_link_down(NodeId(1));
         let err = f.try_transfer(SimTime::ZERO, conn, 4096).unwrap_err();
         assert_eq!(err.node, NodeId(1));
@@ -684,10 +677,10 @@ mod tests {
         f.transfer(SimTime::ZERO, conn, 4096);
         f.set_link_down(NodeId(1));
         assert!(f.try_transfer(SimTime::ZERO, conn, 1000).is_err());
-        f.set_link_up(NodeId(1));
+        f.for_each_link(NodeId(1), |l| l.admin_down = false);
         f.set_link_down(NodeId(0));
         assert!(f.try_transfer(SimTime::ZERO, conn, 500).is_err());
-        f.set_link_up(NodeId(0));
+        f.for_each_link(NodeId(0), |l| l.admin_down = false);
         f.transfer(SimTime::from_millis(1), conn, 100);
         // offered = served + dropped on every direction.
         f.audit_conservation();
@@ -699,14 +692,14 @@ mod tests {
         assert_eq!(f.bytes_sent(NodeId(0)), 4196);
         assert_eq!(f.bytes_offered(NodeId(1), LinkDir::Ingress), 4196);
         assert_eq!(f.bytes_dropped(NodeId(1), LinkDir::Ingress), 0);
-        f.reset_counters(SimTime::from_secs(1));
+        f.reset_counters(SimTime::from_millis(1_000));
         assert_eq!(f.bytes_offered(NodeId(0), LinkDir::Egress), 0);
         f.audit_conservation();
 
         // A reset in the middle of an in-flight transfer keeps the ledger
         // balanced: the straddling portion stays attributed to the window.
-        f.transfer(SimTime::from_secs(2), conn, 1_000_000); // ~1 ms service
-        f.reset_counters(SimTime::from_secs(2) + SimTime::from_micros(500));
+        f.transfer(SimTime::from_millis(2_000), conn, 1_000_000); // ~1 ms service
+        f.reset_counters(SimTime::from_millis(2_000) + SimTime::from_micros(500));
         f.audit_conservation();
         let kept = f.bytes_offered(NodeId(0), LinkDir::Egress);
         assert!(
@@ -757,14 +750,14 @@ mod tests {
             LinkDir::Egress,
             0.5,
             SimTime::ZERO,
-            SimTime::from_secs(1),
+            SimTime::from_millis(1_000),
         );
         // 1 MB at the degraded 0.5 GB/s: ~2 ms instead of ~1 ms.
         let svc = f.try_transfer(SimTime::ZERO, conn, 1_000_000).unwrap();
         assert!(svc.end >= SimTime::from_millis(2), "degraded: {}", svc.end);
         // Past the window the link is back to full rate.
         let svc = f
-            .try_transfer(SimTime::from_secs(2), conn, 1_000_000)
+            .try_transfer(SimTime::from_millis(2_000), conn, 1_000_000)
             .unwrap();
         let took = svc.end.saturating_sub(svc.start);
         assert!(took < SimTime::from_nanos(1_100_000), "recovered: {took}");
@@ -773,7 +766,7 @@ mod tests {
     #[test]
     fn overlapping_degradations_take_the_worst_factor() {
         let (mut f, conn) = two_node_fabric(8.0);
-        let sec = SimTime::from_secs;
+        let sec = |s: u64| SimTime::from_millis(s * 1000);
         f.degrade_link(NodeId(0), LinkDir::Egress, 0.5, sec(0), sec(10));
         f.degrade_link(NodeId(0), LinkDir::Egress, 0.25, sec(0), sec(10));
         // 1 MB at 0.25 GB/s: ~4 ms.

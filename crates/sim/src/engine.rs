@@ -1364,7 +1364,7 @@ mod tests {
         const OPS: u64 = 10_000;
         const CHAINS: u64 = 4;
         fn arm(eng: &mut Engine<u64>) {
-            let deadline = eng.schedule_timer_in(SimTime::from_secs(1), |_, _| {
+            let deadline = eng.schedule_timer_in(SimTime::from_millis(1_000), |_, _| {
                 panic!("deadline fired despite cancellation")
             });
             eng.schedule_in(SimTime::from_nanos(200), move |done: &mut u64, eng| {
@@ -1402,7 +1402,7 @@ mod tests {
         let end = engine.run(&mut done);
         assert!(engine.lane.is_empty());
         assert_eq!(engine.stats().events_fired, 2 * OPS);
-        assert!(end > SimTime::from_secs(1));
+        assert!(end > SimTime::from_millis(1_000));
     }
 
     /// Records `(now, seq)` of each firing; `push` schedules a follow-up

@@ -20,11 +20,6 @@ impl Counter {
         self.0 += n;
     }
 
-    /// Increments the counter by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
     /// The current value.
     pub fn value(&self) -> u64 {
         self.0
@@ -149,11 +144,6 @@ impl Histogram {
             min_ns: u64::MAX,
             max_ns: 0,
         }
-    }
-
-    /// Whether this histogram uses the bounded-memory bucketed representation.
-    pub fn is_bucketed(&self) -> bool {
-        matches!(self.repr, Repr::Bucketed { .. })
     }
 
     /// Records one latency sample.
@@ -357,7 +347,7 @@ mod tests {
     #[test]
     fn counter_ops() {
         let mut c = Counter::new();
-        c.incr();
+        c.add(1);
         c.add(41);
         assert_eq!(c.value(), 42);
         c.reset();

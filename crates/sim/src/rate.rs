@@ -139,9 +139,10 @@ impl Service {
 ///
 /// ```
 /// use draid_sim::{ByteRate, RateResource, SimTime};
-/// let mut nic = RateResource::new(ByteRate::from_bytes_per_sec(1_000_000_000));
-/// let a = nic.serve(SimTime::ZERO, 1_000_000);            // 1 MB -> 1 ms
-/// let b = nic.serve(SimTime::ZERO, 1_000_000);            // queued behind a
+/// let rate = ByteRate::from_bytes_per_sec(1_000_000_000);
+/// let mut nic = RateResource::new(rate);
+/// let a = nic.serve_at_rate(SimTime::ZERO, 1_000_000, rate); // 1 MB -> 1 ms
+/// let b = nic.serve_at_rate(SimTime::ZERO, 1_000_000, rate); // queued behind a
 /// assert_eq!(a.end, SimTime::from_millis(1));
 /// assert_eq!(b.start, a.end);
 /// assert_eq!(b.end, SimTime::from_millis(2));
@@ -259,13 +260,8 @@ impl RateResource {
         self.window_start
     }
 
-    /// Queues `bytes` at the default rate. See [`RateResource::serve_at_rate`].
-    pub fn serve(&mut self, now: SimTime, bytes: u64) -> Service {
-        self.serve_at_rate(now, bytes, self.rate)
-    }
-
-    /// Queues `bytes` at an explicit rate (used by shared drive channels whose
-    /// read and write rates differ). Returns the service window.
+    /// Queues `bytes` at `rate` (a shared drive channel's read and write
+    /// rates differ). Returns the service window.
     ///
     /// # Panics
     ///
@@ -397,10 +393,10 @@ mod tests {
     #[test]
     fn fifo_queueing() {
         let mut res = RateResource::new(ByteRate::from_bytes_per_sec(1_000));
-        let s1 = res.serve(SimTime::ZERO, 1_000); // 1s
-        let s2 = res.serve(SimTime::from_millis(100), 500); // queued
-        assert_eq!(s1.end, SimTime::from_secs(1));
-        assert_eq!(s2.start, SimTime::from_secs(1));
+        let s1 = res.serve_at_rate(SimTime::ZERO, 1_000, res.rate()); // 1s
+        let s2 = res.serve_at_rate(SimTime::from_millis(100), 500, res.rate()); // queued
+        assert_eq!(s1.end, SimTime::from_millis(1_000));
+        assert_eq!(s2.start, SimTime::from_millis(1_000));
         assert_eq!(s2.end, SimTime::from_millis(1500));
         assert_eq!(res.bytes_served(), 1_500);
         assert_eq!(res.requests(), 2);
@@ -409,10 +405,10 @@ mod tests {
     #[test]
     fn idle_gap_not_counted_busy() {
         let mut res = RateResource::new(ByteRate::from_bytes_per_sec(1_000));
-        res.serve(SimTime::ZERO, 1_000); // busy [0, 1s]
-        res.serve(SimTime::from_secs(5), 1_000); // busy [5s, 6s]
-        assert_eq!(res.busy_time(), SimTime::from_secs(2));
-        assert!((res.utilization(SimTime::from_secs(10)) - 0.2).abs() < 1e-12);
+        res.serve_at_rate(SimTime::ZERO, 1_000, res.rate()); // busy [0, 1s]
+        res.serve_at_rate(SimTime::from_millis(5_000), 1_000, res.rate()); // busy [5s, 6s]
+        assert_eq!(res.busy_time(), SimTime::from_millis(2_000));
+        assert!((res.utilization(SimTime::from_millis(10_000)) - 0.2).abs() < 1e-12);
     }
 
     #[test]
@@ -431,23 +427,27 @@ mod tests {
         // reported utilization(1s) = 100.0; clamped accounting reports 1.0.
         let mut res = RateResource::new(ByteRate::from_bytes_per_sec(1_000));
         for _ in 0..100 {
-            res.serve(SimTime::ZERO, 1_000); // 1 s of service each
+            res.serve_at_rate(SimTime::ZERO, 1_000, res.rate()); // 1 s of service each
         }
-        assert_eq!(res.busy_time(), SimTime::from_secs(100), "demand charge");
+        assert_eq!(
+            res.busy_time(),
+            SimTime::from_millis(100_000),
+            "demand charge"
+        );
         for t in [1u64, 7, 50, 99, 100, 250] {
-            let u = res.utilization(SimTime::from_secs(t));
+            let u = res.utilization(SimTime::from_millis(t * 1000));
             assert!(u <= 1.0 + 1e-12, "utilization({t}s) = {u} exceeds 1");
         }
-        assert!((res.utilization(SimTime::from_secs(50)) - 1.0).abs() < 1e-12);
+        assert!((res.utilization(SimTime::from_millis(50_000)) - 1.0).abs() < 1e-12);
         // Past the backlog, the busy fraction dilutes.
-        assert!((res.utilization(SimTime::from_secs(200)) - 0.5).abs() < 1e-12);
+        assert!((res.utilization(SimTime::from_millis(200_000)) - 0.5).abs() < 1e-12);
         assert_eq!(
-            res.busy_elapsed(SimTime::from_secs(30)),
-            SimTime::from_secs(30)
+            res.busy_elapsed(SimTime::from_millis(30_000)),
+            SimTime::from_millis(30_000)
         );
         assert_eq!(
-            res.busy_elapsed(SimTime::from_secs(500)),
-            SimTime::from_secs(100)
+            res.busy_elapsed(SimTime::from_millis(500_000)),
+            SimTime::from_millis(100_000)
         );
     }
 
@@ -467,17 +467,17 @@ mod tests {
             );
             prev = b;
         };
-        res.serve(SimTime::ZERO, 2_500); // busy [0, 2.5s)
+        res.serve_at_rate(SimTime::ZERO, 2_500, res.rate()); // busy [0, 2.5s)
         for ms in (0..4_000).step_by(250) {
             sample(&res, ms);
         }
-        res.serve(SimTime::from_secs(4), 500); // busy [4s, 4.5s)
+        res.serve_at_rate(SimTime::from_millis(4_000), 500, res.rate()); // busy [4s, 4.5s)
         for ms in (4_000..6_000).step_by(250) {
             sample(&res, ms);
         }
         assert_eq!(
-            res.busy_elapsed(SimTime::from_secs(6)),
-            SimTime::from_secs(3)
+            res.busy_elapsed(SimTime::from_millis(6_000)),
+            SimTime::from_millis(3_000)
         );
     }
 
@@ -485,31 +485,31 @@ mod tests {
     fn reset_attributes_straddling_service_to_measurement_window() {
         // One 10-byte / 10-second service [0, 10s); warm-up ends at 4s.
         let mut res = RateResource::new(ByteRate::from_bytes_per_sec(1));
-        res.serve(SimTime::ZERO, 10);
-        res.reset_counters(SimTime::from_secs(4));
+        res.serve_at_rate(SimTime::ZERO, 10, res.rate());
+        res.reset_counters(SimTime::from_millis(4_000));
         // 6 of 10 seconds (and 6 of 10 bytes) belong to the measurement window.
-        assert_eq!(res.busy_time(), SimTime::from_secs(6));
+        assert_eq!(res.busy_time(), SimTime::from_millis(6_000));
         assert_eq!(res.bytes_served(), 6);
         assert_eq!(
-            res.busy_elapsed(SimTime::from_secs(10)),
-            SimTime::from_secs(6)
+            res.busy_elapsed(SimTime::from_millis(10_000)),
+            SimTime::from_millis(6_000)
         );
-        assert!((res.utilization(SimTime::from_secs(10)) - 1.0).abs() < 1e-12);
-        assert!((res.utilization(SimTime::from_secs(16)) - 0.5).abs() < 1e-12);
+        assert!((res.utilization(SimTime::from_millis(10_000)) - 1.0).abs() < 1e-12);
+        assert!((res.utilization(SimTime::from_millis(16_000)) - 0.5).abs() < 1e-12);
         assert_eq!(res.requests(), 0, "the request itself counted pre-reset");
     }
 
     #[test]
     fn reset_discards_completed_warmup_work() {
         let mut res = RateResource::new(ByteRate::from_bytes_per_sec(1_000));
-        res.serve(SimTime::ZERO, 1_000); // fully inside warm-up
-        res.reset_counters(SimTime::from_secs(2));
+        res.serve_at_rate(SimTime::ZERO, 1_000, res.rate()); // fully inside warm-up
+        res.reset_counters(SimTime::from_millis(2_000));
         assert_eq!(res.busy_time(), SimTime::ZERO);
         assert_eq!(res.bytes_served(), 0);
-        res.serve(SimTime::from_secs(3), 500);
+        res.serve_at_rate(SimTime::from_millis(3_000), 500, res.rate());
         assert_eq!(res.busy_time(), SimTime::from_millis(500));
         assert_eq!(res.bytes_served(), 500);
-        assert!((res.utilization(SimTime::from_secs(4)) - 0.25).abs() < 1e-12);
+        assert!((res.utilization(SimTime::from_millis(4_000)) - 0.25).abs() < 1e-12);
     }
 
     #[test]

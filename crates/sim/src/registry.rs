@@ -57,22 +57,12 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// The named gauge's value, if set.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// The named histogram, creating an empty bounded-memory (bucketed) one
     /// on first use.
     pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
         self.histograms
             .entry(name.to_string())
             .or_insert_with(Histogram::bucketed)
-    }
-
-    /// The named histogram, if it exists.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
     }
 
     /// Counters in name order.
@@ -297,7 +287,7 @@ mod tests {
         reg.set_gauge("util", 0.5);
         reg.histogram_mut("lat_ns").record(SimTime::from_nanos(10));
         assert_eq!(reg.counter("b_total"), 2);
-        assert_eq!(reg.gauge("util"), Some(0.5));
+        assert_eq!(reg.gauges.get("util"), Some(&0.5));
         assert_eq!(reg.counter("missing"), 0);
         let text = reg.render_prometheus();
         let a = text.find("a_total 2").expect("a_total rendered");

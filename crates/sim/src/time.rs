@@ -42,11 +42,6 @@ impl SimTime {
         SimTime(ms * 1_000_000)
     }
 
-    /// Creates a time from seconds.
-    pub const fn from_secs(s: u64) -> Self {
-        SimTime(s * 1_000_000_000)
-    }
-
     /// Creates a time from fractional seconds.
     ///
     /// # Panics
@@ -135,7 +130,6 @@ mod tests {
 
     #[test]
     fn constructors_agree() {
-        assert_eq!(SimTime::from_secs(1), SimTime::from_millis(1000));
         assert_eq!(SimTime::from_millis(1), SimTime::from_micros(1000));
         assert_eq!(SimTime::from_micros(1), SimTime::from_nanos(1000));
         assert_eq!(SimTime::from_secs_f64(0.5), SimTime::from_millis(500));
@@ -156,7 +150,7 @@ mod tests {
         assert!(SimTime::from_micros(2) > SimTime::from_nanos(1999));
         assert_eq!(SimTime::from_nanos(12).to_string(), "12ns");
         assert_eq!(SimTime::from_micros(12).to_string(), "12.000us");
-        assert_eq!(SimTime::from_secs(2).to_string(), "2.000s");
+        assert_eq!(SimTime::from_millis(2_000).to_string(), "2.000s");
     }
 
     #[test]

@@ -18,7 +18,7 @@ fn rate_resource_is_fifo_and_work_conserving() {
         for _ in 0..n {
             clock += SimTime::from_nanos(rng.below(1_000_000));
             let bytes = rng.below(1 << 20);
-            let svc = res.serve(clock, bytes);
+            let svc = res.serve_at_rate(clock, bytes, res.rate());
             // FIFO: service windows never overlap or reorder.
             assert!(svc.start >= prev_end);
             assert!(svc.start >= clock);
@@ -103,7 +103,7 @@ fn timeline_conserves_clamped_busy_under_random_load() {
                 tl.observe("res", boundary, res.busy_elapsed(boundary));
                 boundary += bucket;
             }
-            res.serve(clock, rng.below(1 << 18));
+            res.serve_at_rate(clock, rng.below(1 << 18), res.rate());
         }
         // Keep sampling until every queued service has elapsed.
         let horizon = res.next_free().max(clock) + bucket;

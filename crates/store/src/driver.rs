@@ -30,14 +30,6 @@ pub enum PlanStep {
 }
 
 impl IoPlan {
-    /// A plan with a single I/O.
-    pub fn single(io: UserIo) -> Self {
-        IoPlan {
-            steps: vec![PlanStep::Io(io)],
-            background: Vec::new(),
-        }
-    }
-
     /// A plan that touches no blocks.
     pub fn compute(d: SimTime) -> Self {
         IoPlan {

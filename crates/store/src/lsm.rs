@@ -104,11 +104,6 @@ impl LsmStore {
         Self::new(LsmConfig::default(), 32 << 30)
     }
 
-    /// Completed memtable flushes.
-    pub fn flushes(&self) -> u64 {
-        self.flush_count_total
-    }
-
     /// Completed compaction rounds.
     pub fn compactions(&self) -> u64 {
         self.compactions
@@ -253,7 +248,7 @@ mod tests {
             background += plan.background.len();
         }
         // 256 KiB written with a 64 KiB memtable ⇒ 4 flushes, 2 compactions.
-        assert_eq!(lsm.flushes(), 4);
+        assert_eq!(lsm.flush_count_total, 4);
         assert_eq!(lsm.compactions(), 2);
         assert!(background > 0);
     }

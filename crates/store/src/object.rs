@@ -46,11 +46,6 @@ impl ObjectStore {
         self.object_size
     }
 
-    /// Device bytes the store occupies.
-    pub fn footprint(&self) -> u64 {
-        self.slot_size * self.slots
-    }
-
     /// The device offset of a key's slot (multiplicative hash, then slot
     /// scaling — collisions alias to the same slot, which only recycles the
     /// same blocks and is harmless for I/O behaviour).
@@ -96,14 +91,14 @@ mod tests {
         for key in 0..5000u64 {
             let off = s.slot_offset(key);
             assert_eq!(off % 4096, 0);
-            assert!(off < s.footprint());
+            assert!(off < s.slot_size * s.slots);
         }
     }
 
     #[test]
     fn odd_object_size_rounds_slot_up() {
         let s = ObjectStore::new(5000, 10);
-        assert_eq!(s.footprint(), 10 * 8192);
+        assert_eq!(s.slot_size * s.slots, 10 * 8192);
         assert_eq!(s.object_size(), 5000);
     }
 

@@ -46,15 +46,6 @@ impl YcsbWorkload {
             _ => Distribution::Zipfian,
         }
     }
-
-    /// Fraction of operations that are plain reads.
-    pub fn read_fraction(self) -> f64 {
-        match self {
-            YcsbWorkload::A | YcsbWorkload::F => 0.5,
-            YcsbWorkload::B | YcsbWorkload::D => 0.95,
-            YcsbWorkload::C => 1.0,
-        }
-    }
 }
 
 /// Request-key distributions.
@@ -265,11 +256,6 @@ impl YcsbGen {
             }
         }
     }
-
-    /// Total keys currently in the keyspace (records + inserts).
-    pub fn keyspace(&self) -> u64 {
-        self.records + self.inserted
-    }
 }
 
 #[cfg(test)]
@@ -324,10 +310,12 @@ mod tests {
                 }
             }
             let rf = reads as f64 / 10_000.0;
-            assert!(
-                (rf - w.read_fraction()).abs() < 0.02,
-                "{w:?} read fraction {rf}"
-            );
+            let spec = match w {
+                YcsbWorkload::A | YcsbWorkload::F => 0.5,
+                YcsbWorkload::B | YcsbWorkload::D => 0.95,
+                YcsbWorkload::C => 1.0,
+            };
+            assert!((rf - spec).abs() < 0.02, "{w:?} read fraction {rf}");
             match w {
                 YcsbWorkload::A | YcsbWorkload::B => {
                     assert!(updates > 0 && inserts == 0 && rmws == 0)
@@ -347,7 +335,7 @@ mod tests {
         for _ in 0..20_000 {
             if let YcsbOp::Read(k) = g.next_op() {
                 total_reads += 1;
-                if k >= g.keyspace() * 2 / 3 {
+                if k >= (g.records + g.inserted) * 2 / 3 {
                     newest_third += 1;
                 }
             }
@@ -361,11 +349,11 @@ mod tests {
     #[test]
     fn inserts_extend_keyspace() {
         let mut g = YcsbGen::new(YcsbWorkload::D, 100, 5);
-        let before = g.keyspace();
+        let before = g.records + g.inserted;
         for _ in 0..1000 {
             g.next_op();
         }
-        assert!(g.keyspace() > before);
+        assert!(g.records + g.inserted > before);
     }
 
     #[test]

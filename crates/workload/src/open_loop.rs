@@ -54,19 +54,6 @@ impl ArrivalPattern {
         }
     }
 
-    /// Mean rate over a full cycle.
-    pub fn mean_rate(&self) -> f64 {
-        match *self {
-            ArrivalPattern::Poisson { rate } => rate,
-            ArrivalPattern::Burst {
-                burst_rate,
-                idle_rate,
-                duty,
-                ..
-            } => burst_rate * duty + idle_rate * (1.0 - duty),
-        }
-    }
-
     fn validate(&self) {
         match *self {
             ArrivalPattern::Poisson { rate } => {
@@ -306,7 +293,6 @@ mod tests {
         };
         assert_eq!(p.rate_at(SimTime::from_millis(1)), 10_000.0);
         assert_eq!(p.rate_at(SimTime::from_millis(6)), 1_000.0);
-        assert!((p.mean_rate() - 3_250.0).abs() < 1e-9);
     }
 
     #[test]
