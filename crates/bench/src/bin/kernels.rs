@@ -1,7 +1,9 @@
 //! Kernel-throughput report: measures the erasure-coding data-plane kernels
-//! (XOR, wide vs scalar GF(256) multiply-accumulate, the one-pass RAID-6 Q
-//! syndrome, Reed-Solomon decode) at several buffer sizes and writes
-//! `BENCH_kernels.json`.
+//! (XOR, wide vs scalar GF(256) multiply-accumulate, the one-pass RAID-6 P+Q
+//! encode and small-write update, Reed-Solomon decode) at several buffer
+//! sizes and writes `BENCH_kernels.json`. `encode_pq_6` and
+//! `rs_decode_2_of_6+2` count the six sources' bytes per call;
+//! `update_pq` counts the bytes of data written.
 //!
 //! ```text
 //! cargo run --release -p draid-bench --bin kernels [--quick] [--out PATH]
@@ -115,12 +117,36 @@ fn main() {
 
         let data: Vec<Vec<u8>> = (0..6).map(|i| buf(size, i as u8 * 13 + 1)).collect();
         let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-        let mut q = vec![0u8; size];
-        measure("raid6_q_syndrome_6", size, 6 * size, &mut || {
-            kernels::raid6_q_into(std::hint::black_box(&mut q), std::hint::black_box(&refs))
+        let rs = ReedSolomon::new(6, 2);
+        // RAID-6's P and Q rows: all ones, then g^i.
+        let pq: Vec<u8> = (0..2)
+            .flat_map(|j| (0..6).map(move |i| (j, i)))
+            .map(|(j, i)| rs.coefficient(j, i))
+            .collect();
+        let (mut p, mut q) = (vec![0u8; size], vec![0u8; size]);
+        measure("encode_pq_6", size, 6 * size, &mut || {
+            kernels::encode(
+                std::hint::black_box(&pq),
+                std::hint::black_box(&refs),
+                &mut [&mut p[..], &mut q[..]],
+            )
         });
 
-        let rs = ReedSolomon::new(6, 2);
+        // A small write: one data chunk moves to new bytes and P and Q take
+        // the delta. Alternating two payloads keeps every delta nonzero.
+        let mut chunk = buf(size, 7);
+        let news = [buf(size, 11), buf(size, 19)];
+        let mut turn = 0;
+        measure("update_pq", size, size, &mut || {
+            turn ^= 1;
+            kernels::update(
+                std::hint::black_box(&[pq[2], pq[8]]),
+                std::hint::black_box(&mut chunk),
+                std::hint::black_box(&news[turn]),
+                &mut [&mut p[..], &mut q[..]],
+            )
+        });
+
         let parity = rs.encode(&refs);
         // Built once: the timed closure only drops and rebuilds two shards.
         let mut shards: Vec<Option<Vec<u8>>> = data

@@ -511,12 +511,6 @@ pub const ALLOWLIST: &[Allow] = &[
     },
     Allow {
         rule: "no-dead-pub",
-        path_suffix: "ec/src/gf256.rs",
-        line_contains: "pub fn scale_ref(",
-        reason: "reference model: the scalar scale the SIMD kernels are checked against",
-    },
-    Allow {
-        rule: "no-dead-pub",
         path_suffix: "sim/src/rng.rs",
         line_contains: "pub fn weighted_index(",
         reason: "reference model: the draw ReducerSelector::choose must reproduce exactly",

@@ -20,6 +20,12 @@
 //!   segments' ranges, decoding lost untouched data over those ranges only;
 //! * a resync (no segments) re-encodes the whole chunk.
 //!
+//! Each step is one pass of a fused kernel, so every cold stream is read
+//! once: a decode or an encode is one [`kernels::encode`] call for all its
+//! output rows, and a read-modify-write is one [`kernels::update`] call per
+//! segment that reads the old and new data, P and Q together and writes
+//! each once.
+//!
 //! Every decode happens before the first byte changes, and healthy chunks
 //! are borrowed, never cloned.
 //!
@@ -28,7 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 
-use draid_ec::{gf256, ReedSolomon};
+use draid_ec::{kernels, ReedSolomon};
 
 use crate::layout::{Layout, Segment, StripeIo, WriteMode};
 
@@ -235,12 +241,14 @@ impl ChunkStore {
         }
     }
 
-    /// Read-modify-write: `P ^= D ⊕ D'` and `Q ^= g^i·(D ⊕ D')` over each
-    /// segment's range, on every surviving parity.
+    /// Read-modify-write: one [`kernels::update`] pass per segment sets
+    /// `D = D'` and applies `P ^= D ⊕ D'` and `Q ^= g^i·(D ⊕ D')` over the
+    /// segment's range to every surviving parity.
     fn write_delta(&mut self, io: &StripeIo, payload: &[u8], lost: &[bool]) {
         let stripe = io.stripe;
         let d = self.layout.data_chunks();
-        // Old bytes of lost touched chunks, decoded before anything changes.
+        // Old bytes of lost touched chunks, decoded before anything changes;
+        // the update then advances these scratch copies in place.
         let mut old_lost = std::mem::take(&mut self.scratch);
         old_lost.clear();
         for seg in io.segments.iter().filter(|s| lost[s.data_index]) {
@@ -258,21 +266,25 @@ impl ChunkStore {
             let range = span(seg);
             let new = &payload[cursor..cursor + range.len()];
             cursor += range.len();
-            let old = if lost[seg.data_index] {
+            let coeffs: Vec<u8> = parity
+                .iter()
+                .map(|(row, _)| self.codec.coefficient(row - d, seg.data_index))
+                .collect();
+            let mut dsts: Vec<&mut [u8]> = parity
+                .iter_mut()
+                .map(|(_, chunk)| &mut chunk[range.clone()])
+                .collect();
+            let data = if lost[seg.data_index] {
                 decoded += range.len();
-                &old_lost[decoded - range.len()..decoded]
+                &mut old_lost[decoded - range.len()..decoded]
             } else {
-                self.bytes(stripe, seg.data_index, range.clone())
+                let zeros = &self.zeros;
+                &mut self
+                    .chunks
+                    .entry((stripe, seg.member))
+                    .or_insert_with(|| zeros.clone())[range]
             };
-            for (row, chunk) in parity.iter_mut() {
-                let c = self.codec.coefficient(*row - d, seg.data_index);
-                let dst = &mut chunk[range.clone()];
-                gf256::mul_acc(dst, old, c);
-                gf256::mul_acc(dst, new, c);
-            }
-            if !lost[seg.data_index] {
-                self.store_bytes(stripe, seg.member, range, new);
-            }
+            kernels::update(&coeffs, data, new, &mut dsts);
         }
         for (row, chunk) in parity {
             let member = self.member(stripe, row);
@@ -349,10 +361,11 @@ impl ChunkStore {
                     None => self.bytes(stripe, row, iv.clone()),
                 })
                 .collect();
-            for (row, chunk) in parity.iter_mut() {
-                self.codec
-                    .encode_row_into(*row - d, &sources, &mut chunk[iv.clone()]);
-            }
+            let mut out: Vec<(usize, &mut [u8])> = parity
+                .iter_mut()
+                .map(|(row, chunk)| (*row, &mut chunk[iv.clone()]))
+                .collect();
+            self.codec.encode_into(&sources, &mut out);
         }
         let mut cursor = 0;
         for seg in io.segments.iter() {

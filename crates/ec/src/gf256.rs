@@ -114,15 +114,6 @@ pub fn mul_acc(acc: &mut [u8], src: &[u8], c: u8) {
     }
 }
 
-/// Scale a buffer in place: `buf[i] = c * buf[i]`, on the wide kernel path.
-pub fn scale(buf: &mut [u8], c: u8) {
-    match c {
-        0 => buf.fill(0),
-        1 => {}
-        _ => crate::kernels::scale(buf, crate::kernels::mul_table(c)),
-    }
-}
-
 /// The seed's byte-at-a-time multiply-accumulate, kept as the scalar
 /// reference: differential tests check the wide kernels against it
 /// bit-for-bit, and the kernel benchmarks report speedup relative to it.
@@ -146,21 +137,6 @@ pub fn mul_acc_ref(acc: &mut [u8], src: &[u8], c: u8) {
             let table = product_table(c);
             for (a, &s) in acc.iter_mut().zip(src) {
                 *a ^= table[s as usize];
-            }
-        }
-    }
-}
-
-/// The seed's byte-at-a-time scale, kept as the scalar reference for
-/// differential tests and benchmark baselines.
-pub fn scale_ref(buf: &mut [u8], c: u8) {
-    match c {
-        0 => buf.fill(0),
-        1 => {}
-        _ => {
-            let table = product_table(c);
-            for b in buf.iter_mut() {
-                *b = table[*b as usize];
             }
         }
     }
@@ -222,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn mul_acc_and_scale() {
+    fn mul_acc_cancels() {
         let src = [1u8, 2, 3, 0, 255];
         let mut acc = [0u8; 5];
         mul_acc(&mut acc, &src, 0x1D);
@@ -230,13 +206,6 @@ mod tests {
         assert_eq!(acc.to_vec(), expect);
         mul_acc(&mut acc, &src, 0x1D);
         assert_eq!(acc, [0u8; 5], "xor-accumulating twice cancels");
-
-        let mut buf = src;
-        scale(&mut buf, 7);
-        let expect: Vec<u8> = src.iter().map(|&s| mul(s, 7)).collect();
-        assert_eq!(buf.to_vec(), expect);
-        scale(&mut buf, 0);
-        assert_eq!(buf, [0u8; 5]);
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! The paper's dRAID prototype offloads parity math to ISA-L's SIMD
 //! GF(256) kernels so that erasure coding never throttles the NIC/drive
 //! rate servers. This module is the reproduction's equivalent: the same
-//! split-nibble technique ISA-L drives with `pshufb`, expressed three ways —
+//! split-nibble technique ISA-L drives with `pshufb`.
+//!
+//! [`mul_acc`] multiplies one source into one accumulator, three ways:
 //!
 //! * a **portable u64-lane path** (the default): multiplication by a fixed
 //!   coefficient `c` is GF(2)-linear in the bits of the operand, so
@@ -20,16 +22,30 @@
 //! * a **scalar nibble tail** for the final `len % 8` bytes:
 //!   `c·x = lo[x & 0xF] ⊕ hi[x >> 4]`.
 //!
-//! Per-coefficient tables live in a lazily built, process-wide cache
-//! ([`mul_table`]), so RAID-6 Q generation, partial-Q forwarding (the §4
-//! "other command data" coefficient), and Reed-Solomon decode never rebuild
-//! tables — the seed implementation rebuilt a 256-entry product table on
-//! *every* `mul_acc` call.
+//! Parity work runs on two one-pass kernels built on the same tables, the
+//! analogues of ISA-L's `ec_encode_data` and `ec_encode_data_update`:
 //!
-//! The RAID-6 Q syndrome ([`raid6_q_into`]) needs no tables at all: Horner's
-//! rule `q = q·g ⊕ d` over the data chunks, with the broadcast
-//! multiply-by-`g` bit trick of `linux/lib/raid6/int.uc` applied to whole
-//! `u64` lanes.
+//! * [`encode`], a dot product: `outs[j] = Σᵢ c[j][i]·srcs[i]` — RAID-5/6
+//!   parity, Reed-Solomon decode, any `m`;
+//! * [`update`], Algorithm 1's "ship the diff" at byte level:
+//!   `δ = data ⊕ new`, `data = new`, `parity[j] ^= c_j·δ`.
+//!
+//! Both read every source and write every output once, interleaved. On
+//! chunks that are not in cache, one pass over all streams at once keeps
+//! several cache-line misses in flight, where a pass per source waits on
+//! one stream at a time and re-reads the outputs on every pass. With AVX2
+//! the interleave is 32 bytes (64 for one or two outputs): each source
+//! vector is multiplied into up to four output accumulators held in
+//! registers. Every other configuration
+//! (SSSE3-only CPUs, non-x86 targets, `--no-default-features`) shares one
+//! fallback that runs [`mul_acc`] per source over blocks of at most 512
+//! bytes, so the outputs stay in L1 between sources.
+//!
+//! Per-coefficient tables live in a lazily built, process-wide cache
+//! ([`mul_table`]), so partial-Q forwarding (the §4 "other command data"
+//! coefficient), encode, update and decode never rebuild tables — the seed
+//! implementation rebuilt a 256-entry product table on *every* `mul_acc`
+//! call. A kernel call looks its tables up once and allocates nothing.
 
 use std::sync::OnceLock;
 
@@ -42,10 +58,11 @@ const fn broadcast(b: u8) -> u64 {
 
 /// Bit-plane mask: the least significant bit of every byte lane.
 const LSB: u64 = broadcast(0x01);
-/// The most significant bit of every byte lane.
-const MSB: u64 = broadcast(0x80);
-/// The field polynomial's low byte, broadcast to all lanes.
-const POLY_LANES: u64 = broadcast(0x1D);
+
+/// Bytes per block of the shared [`encode`]/[`update`] fallback: small
+/// enough that a block of every output (and of `update`'s delta) stays in
+/// L1 while each source streams through.
+const BLOCK: usize = 512;
 
 /// Precomputed multiplication tables for one fixed coefficient — the cached
 /// analogue of ISA-L's per-coefficient `gf_vect_mul` tables.
@@ -107,7 +124,7 @@ impl MulTable {
 static TABLES: [OnceLock<MulTable>; 256] = [const { OnceLock::new() }; 256];
 
 /// The process-wide multiplication table for coefficient `c`, built on first
-/// use and shared forever after. Q generation, partial-Q forwarding, and RS
+/// use and shared forever after. Encode, update, partial-Q forwarding and RS
 /// decode all pull from this cache instead of rebuilding tables per call.
 #[inline]
 pub fn mul_table(c: u8) -> &'static MulTable {
@@ -144,16 +161,6 @@ pub fn mul_acc(acc: &mut [u8], src: &[u8], t: &MulTable) {
     mul_acc_portable(acc, src, t);
 }
 
-/// In-place scale with a cached table: `buf[i] = t.c · buf[i]`.
-pub fn scale(buf: &mut [u8], t: &MulTable) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if x86::usable() {
-        x86::scale(buf, t);
-        return;
-    }
-    scale_portable(buf, t);
-}
-
 fn mul_acc_portable(acc: &mut [u8], src: &[u8], t: &MulTable) {
     let mut a = acc.chunks_exact_mut(8);
     let mut s = src.chunks_exact(8);
@@ -167,73 +174,89 @@ fn mul_acc_portable(acc: &mut [u8], src: &[u8], t: &MulTable) {
     }
 }
 
-fn scale_portable(buf: &mut [u8], t: &MulTable) {
-    let mut b = buf.chunks_exact_mut(8);
-    for bc in b.by_ref() {
-        let bv = u64::from_ne_bytes(bc.try_into().expect("chunk is 8 bytes"));
-        bc.copy_from_slice(&t.mul_word(bv).to_ne_bytes());
-    }
-    for bc in b.into_remainder() {
-        *bc = t.mul_byte(*bc);
-    }
-}
-
-/// Lane-wise multiplication by the field generator `g = 2` of eight bytes
-/// packed in a `u64` — the `linux/lib/raid6/int.uc` broadcast trick:
-/// shift every lane left, then XOR the polynomial into lanes whose top bit
-/// overflowed.
-#[inline(always)]
-fn mul2_word(v: u64) -> u64 {
-    let m = (v & MSB) >> 7;
-    let overflow = (m << 8).wrapping_sub(m) & POLY_LANES;
-    // `!LSB` clears each lane's bit 0, where the neighbouring lane's old
-    // top bit lands after the word-wide shift.
-    ((v << 1) & !LSB) ^ overflow
-}
-
-/// Scalar multiplication by `g = 2` (tail bytes).
-#[inline(always)]
-fn mul2_byte(b: u8) -> u8 {
-    (b << 1) ^ if b & 0x80 != 0 { 0x1D } else { 0 }
-}
-
-/// One Horner step over a buffer: `q[i] = 2·q[i] ⊕ d[i]`.
-fn fold_q(q: &mut [u8], d: &[u8]) {
-    let mut qa = q.chunks_exact_mut(8);
-    let mut da = d.chunks_exact(8);
-    for (qc, dc) in qa.by_ref().zip(da.by_ref()) {
-        let qv = u64::from_ne_bytes(qc.try_into().expect("chunk is 8 bytes"));
-        let dv = u64::from_ne_bytes(dc.try_into().expect("chunk is 8 bytes"));
-        qc.copy_from_slice(&(mul2_word(qv) ^ dv).to_ne_bytes());
-    }
-    for (qc, &dc) in qa.into_remainder().iter_mut().zip(da.remainder()) {
-        *qc = mul2_byte(*qc) ^ dc;
-    }
-}
-
-/// One-pass RAID-6 Q syndrome into a caller-provided buffer:
-/// `q = g⁰·d_0 ⊕ g¹·d_1 ⊕ … ⊕ g^{k-1}·d_{k-1}` by Horner's rule
-/// (`q = q·g ⊕ d`, highest index first). Needs no multiplication tables —
-/// only the lane-wise multiply-by-`g` bit trick — and visits every data byte
-/// exactly once.
+/// One-pass dot product (ISA-L's `ec_encode_data`): with `k = srcs.len()`,
+/// `outs[j] = Σᵢ coeffs[j·k + i] · srcs[i]`, overwriting every output.
+/// `coeffs` holds one row of `k` coefficients per output. A coefficient of
+/// 1 is a plain XOR and 0 is skipped.
 ///
 /// # Panics
 ///
-/// Panics if `data` is empty, holds more than 255 chunks, or any chunk's
-/// length differs from `q.len()`.
-pub fn raid6_q_into(q: &mut [u8], data: &[&[u8]]) {
-    assert!(!data.is_empty(), "stripe needs at least one data chunk");
-    assert!(
-        data.len() <= 255,
-        "GF(256) supports at most 255 data chunks"
+/// Panics if `srcs` is empty, `coeffs.len() != k · outs.len()`, or any
+/// buffer's length differs from `srcs[0].len()`.
+pub fn encode(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
+    assert!(!srcs.is_empty(), "encode needs at least one source");
+    assert_eq!(
+        coeffs.len(),
+        srcs.len() * outs.len(),
+        "one coefficient per (output, source)"
     );
-    for d in data {
-        assert_eq!(d.len(), q.len(), "buffer length mismatch");
+    let len = srcs[0].len();
+    for s in srcs {
+        assert_eq!(s.len(), len, "buffer length mismatch");
     }
-    let (last, rest) = data.split_last().expect("non-empty");
-    q.copy_from_slice(last);
-    for d in rest.iter().rev() {
-        fold_q(q, d);
+    for o in outs.iter() {
+        assert_eq!(o.len(), len, "buffer length mismatch");
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if x86::avx2() {
+        x86::encode(coeffs, srcs, outs);
+        return;
+    }
+    encode_blocked(coeffs, srcs, outs);
+}
+
+/// One-pass small-write parity update (ISA-L's `ec_encode_data_update`,
+/// Algorithm 1's "ship the diff"): `δ = data ⊕ new`, then `data = new` and
+/// `parity[j] ^= coeffs[j] · δ`, reading each stream once. A coefficient of
+/// 1 is a plain XOR and 0 is skipped.
+///
+/// # Panics
+///
+/// Panics if `coeffs.len() != parity.len()` or any buffer's length differs
+/// from `data.len()`.
+pub fn update(coeffs: &[u8], data: &mut [u8], new: &[u8], parity: &mut [&mut [u8]]) {
+    assert_eq!(coeffs.len(), parity.len(), "one coefficient per parity");
+    assert_eq!(new.len(), data.len(), "buffer length mismatch");
+    for p in parity.iter() {
+        assert_eq!(p.len(), data.len(), "buffer length mismatch");
+    }
+    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    if x86::avx2() && parity.len() <= x86::MAX_OUTS {
+        x86::update(coeffs, data, new, parity);
+        return;
+    }
+    update_blocked(coeffs, data, new, parity);
+}
+
+/// The shared [`encode`] fallback: per [`BLOCK`], every output is zeroed and
+/// multiply-accumulated source by source.
+fn encode_blocked(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
+    let len = srcs[0].len();
+    for lo in (0..len).step_by(BLOCK) {
+        let r = lo..(lo + BLOCK).min(len);
+        for (out, row) in outs.iter_mut().zip(coeffs.chunks_exact(srcs.len())) {
+            let out = &mut out[r.clone()];
+            out.fill(0);
+            for (src, &c) in srcs.iter().zip(row) {
+                gf256::mul_acc(out, &src[r.clone()], c);
+            }
+        }
+    }
+}
+
+/// The shared [`update`] fallback: per [`BLOCK`], the delta is formed in a
+/// stack buffer and multiply-accumulated into each parity.
+fn update_blocked(coeffs: &[u8], data: &mut [u8], new: &[u8], parity: &mut [&mut [u8]]) {
+    let mut delta = [0u8; BLOCK];
+    for lo in (0..data.len()).step_by(BLOCK) {
+        let r = lo..(lo + BLOCK).min(data.len());
+        let delta = &mut delta[..r.len()];
+        delta.copy_from_slice(&data[r.clone()]);
+        crate::xor_into(delta, &new[r.clone()]);
+        data[r.clone()].copy_from_slice(&new[r.clone()]);
+        for (p, &c) in parity.iter_mut().zip(coeffs) {
+            gf256::mul_acc(&mut p[r.clone()], delta, c);
+        }
     }
 }
 
@@ -247,8 +270,15 @@ pub fn raid6_q_into(q: &mut [u8], data: &[&[u8]]) {
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::MulTable;
+    use super::{mul_table, MulTable};
     use std::arch::x86_64::*;
+
+    /// Outputs whose accumulators one pass of [`encode`] keeps in
+    /// registers; [`update`] takes at most this many parities.
+    pub(super) const MAX_OUTS: usize = 4;
+    /// Sources whose tables one pass of [`encode`] holds on the stack; a
+    /// wider stripe takes a further, accumulating pass per group.
+    const MAX_SRCS: usize = 16;
 
     /// Whether the running CPU has the required shuffle instructions.
     #[inline]
@@ -256,11 +286,18 @@ mod x86 {
         std::arch::is_x86_feature_detected!("ssse3")
     }
 
+    /// Whether the running CPU runs the fused [`encode`] and [`update`]
+    /// kernels.
+    #[inline]
+    pub(super) fn avx2() -> bool {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+
     pub(super) fn mul_acc(acc: &mut [u8], src: &[u8], t: &MulTable) {
         // SAFETY: `usable()` verified SSSE3 (and AVX2 is re-checked here),
         // so the `#[target_feature]` callee's ISA requirement holds.
         unsafe {
-            if std::arch::is_x86_feature_detected!("avx2") {
+            if avx2() {
                 mul_acc_avx2(acc, src, t);
             } else {
                 mul_acc_ssse3(acc, src, t);
@@ -268,13 +305,200 @@ mod x86 {
         }
     }
 
-    pub(super) fn scale(buf: &mut [u8], t: &MulTable) {
-        // SAFETY: as above.
-        unsafe {
-            if std::arch::is_x86_feature_detected!("avx2") {
-                scale_avx2(buf, t);
-            } else {
-                scale_ssse3(buf, t);
+    /// `acc[v] ^= t.c·x[v]` for `V` vectors whose low and high nibbles are
+    /// `nib[v]`, loading the tables once for all of them.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn mul_acc_vectors<const V: usize>(
+        t: &MulTable,
+        acc: &mut [__m256i; V],
+        x: &[__m256i; V],
+        nib: &[(__m256i, __m256i); V],
+    ) {
+        match t.c {
+            0 => {}
+            1 => {
+                for (a, x) in acc.iter_mut().zip(x) {
+                    *a = _mm256_xor_si256(*a, *x);
+                }
+            }
+            _ => {
+                // SAFETY: `lo`/`hi` are 16-byte arrays; the unaligned
+                // 128-bit loads stay in bounds.
+                let (lo, hi) = unsafe {
+                    (
+                        _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo.as_ptr().cast())),
+                        _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast())),
+                    )
+                };
+                for (a, &(lo_n, hi_n)) in acc.iter_mut().zip(nib) {
+                    let prod = _mm256_xor_si256(
+                        _mm256_shuffle_epi8(lo, lo_n),
+                        _mm256_shuffle_epi8(hi, hi_n),
+                    );
+                    *a = _mm256_xor_si256(*a, prod);
+                }
+            }
+        }
+    }
+
+    /// Low and high nibbles of every lane of `x`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn nibbles(x: __m256i) -> (__m256i, __m256i) {
+        let mask = _mm256_set1_epi8(0x0F);
+        (
+            _mm256_and_si256(x, mask),
+            _mm256_and_si256(_mm256_srli_epi64::<4>(x), mask),
+        )
+    }
+
+    /// [`super::encode`] on AVX2: outputs in groups of [`MAX_OUTS`], each
+    /// group one pass over the sources.
+    pub(super) fn encode(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
+        let k = srcs.len();
+        for (rows, outs) in coeffs.chunks(MAX_OUTS * k).zip(outs.chunks_mut(MAX_OUTS)) {
+            // SAFETY: the caller checked AVX2 (`avx2()`), the callee's ISA.
+            // One or two outputs leave registers to step 64 bytes at a time.
+            unsafe {
+                match outs.len() {
+                    1 => encode_group::<1, 2>(rows, srcs, outs),
+                    2 => encode_group::<2, 2>(rows, srcs, outs),
+                    3 => encode_group::<3, 1>(rows, srcs, outs),
+                    _ => encode_group::<4, 1>(rows, srcs, outs),
+                }
+            }
+        }
+    }
+
+    /// `N` outputs over every source, [`MAX_SRCS`] sources per pass, `V`
+    /// vectors per step.
+    #[target_feature(enable = "avx2")]
+    fn encode_group<const N: usize, const V: usize>(
+        rows: &[u8],
+        srcs: &[&[u8]],
+        outs: &mut [&mut [u8]],
+    ) {
+        let k = srcs.len();
+        for (g, group) in srcs.chunks(MAX_SRCS).enumerate() {
+            let mut terms = [[mul_table(0); N]; MAX_SRCS];
+            for (i, col) in terms.iter_mut().take(group.len()).enumerate() {
+                for (j, t) in col.iter_mut().enumerate() {
+                    *t = mul_table(rows[j * k + g * MAX_SRCS + i]);
+                }
+            }
+            let terms = &terms[..group.len()];
+            let accumulate = g > 0;
+            let len = group[0].len();
+            let mut off = 0;
+            while off + 32 * V <= len {
+                // SAFETY: `off + 32·V <= len`, the length of every buffer.
+                unsafe { encode_step::<N, V>(terms, group, outs, off, accumulate) };
+                off += 32 * V;
+            }
+            while off + 32 <= len {
+                // SAFETY: as above, one vector at a time.
+                unsafe { encode_step::<N, 1>(terms, group, outs, off, accumulate) };
+                off += 32;
+            }
+            for x in off..len {
+                for (j, o) in outs.iter_mut().enumerate() {
+                    let init = if accumulate { o[x] } else { 0 };
+                    o[x] = group
+                        .iter()
+                        .zip(terms)
+                        .fold(init, |v, (src, col)| v ^ col[j].mul_byte(src[x]));
+                }
+            }
+        }
+    }
+
+    /// One interleaved step over `32·V` bytes at `off`: every source is
+    /// loaded once and multiplied into `N × V` register accumulators, which
+    /// start from zero or, with `accumulate`, from the outputs.
+    ///
+    /// # Safety
+    ///
+    /// `off + 32·V` must not exceed the length of any source or output.
+    // SAFETY: an `unsafe fn` so the bounds above are the caller's to keep;
+    // every load and store below relies on them.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn encode_step<const N: usize, const V: usize>(
+        terms: &[[&MulTable; N]],
+        srcs: &[&[u8]],
+        outs: &mut [&mut [u8]],
+        off: usize,
+        accumulate: bool,
+    ) {
+        let mut acc = [[_mm256_setzero_si256(); V]; N];
+        if accumulate {
+            for (a, o) in acc.iter_mut().zip(outs.iter()) {
+                for (v, a) in a.iter_mut().enumerate() {
+                    // SAFETY: the caller keeps `off + 32·V` within `o`.
+                    *a = unsafe { _mm256_loadu_si256(o.as_ptr().add(off + 32 * v).cast()) };
+                }
+            }
+        }
+        for (src, col) in srcs.iter().zip(terms) {
+            // SAFETY: the caller keeps `off + 32·V` within `src`.
+            let x: [__m256i; V] = std::array::from_fn(|v| unsafe {
+                _mm256_loadu_si256(src.as_ptr().add(off + 32 * v).cast())
+            });
+            let nib = x.map(|x| nibbles(x));
+            for (a, t) in acc.iter_mut().zip(col) {
+                mul_acc_vectors(t, a, &x, &nib);
+            }
+        }
+        for (a, o) in acc.iter().zip(outs.iter_mut()) {
+            for (v, a) in a.iter().enumerate() {
+                // SAFETY: the caller keeps `off + 32·V` within `o`.
+                unsafe { _mm256_storeu_si256(o.as_mut_ptr().add(off + 32 * v).cast(), *a) };
+            }
+        }
+    }
+
+    /// [`super::update`] on AVX2, for at most [`MAX_OUTS`] parities.
+    pub(super) fn update(coeffs: &[u8], data: &mut [u8], new: &[u8], parity: &mut [&mut [u8]]) {
+        let mut terms = [mul_table(0); MAX_OUTS];
+        for (t, &c) in terms.iter_mut().zip(coeffs) {
+            *t = mul_table(c);
+        }
+        // SAFETY: the caller checked AVX2 (`avx2()`), the callee's ISA.
+        unsafe { update_pass(&terms[..parity.len()], data, new, parity) }
+    }
+
+    /// Per 32 bytes: load the old and new data, store the new, and fold the
+    /// delta into every parity.
+    #[target_feature(enable = "avx2")]
+    fn update_pass(terms: &[&MulTable], data: &mut [u8], new: &[u8], parity: &mut [&mut [u8]]) {
+        let len = data.len();
+        let wide = len / 32 * 32;
+        let mut off = 0;
+        while off < wide {
+            // SAFETY: `off + 32 <= wide <= len`, and `new` and every parity
+            // are `len` long (the public entry point asserts it), so every
+            // unaligned 256-bit load/store stays in bounds.
+            unsafe {
+                let old = _mm256_loadu_si256(data.as_ptr().add(off).cast());
+                let n = _mm256_loadu_si256(new.as_ptr().add(off).cast());
+                _mm256_storeu_si256(data.as_mut_ptr().add(off).cast(), n);
+                let delta = [_mm256_xor_si256(old, n)];
+                let nib = [nibbles(delta[0])];
+                for (p, t) in parity.iter_mut().zip(terms) {
+                    let at = p.as_mut_ptr().add(off).cast();
+                    let mut acc = [_mm256_loadu_si256(at)];
+                    mul_acc_vectors(t, &mut acc, &delta, &nib);
+                    _mm256_storeu_si256(at, acc[0]);
+                }
+            }
+            off += 32;
+        }
+        for x in wide..len {
+            let delta = data[x] ^ new[x];
+            data[x] = new[x];
+            for (p, t) in parity.iter_mut().zip(terms) {
+                p[x] ^= t.mul_byte(delta);
             }
         }
     }
@@ -284,9 +508,8 @@ mod x86 {
     /// AVX2 statically enabled (target-feature 1.1 rules).
     #[inline]
     #[target_feature(enable = "avx2")]
-    fn mul256(lo: __m256i, hi: __m256i, mask: __m256i, x: __m256i) -> __m256i {
-        let lo_n = _mm256_and_si256(x, mask);
-        let hi_n = _mm256_and_si256(_mm256_srli_epi64::<4>(x), mask);
+    fn mul256(lo: __m256i, hi: __m256i, x: __m256i) -> __m256i {
+        let (lo_n, hi_n) = nibbles(x);
         _mm256_xor_si256(_mm256_shuffle_epi8(lo, lo_n), _mm256_shuffle_epi8(hi, hi_n))
     }
 
@@ -308,7 +531,6 @@ mod x86 {
                 _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast())),
             )
         };
-        let mask = _mm256_set1_epi8(0x0F);
         let wide = acc.len() / 32 * 32;
         let mut i = 0;
         while i < wide {
@@ -318,7 +540,7 @@ mod x86 {
             unsafe {
                 let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
                 let a = _mm256_loadu_si256(acc.as_ptr().add(i).cast());
-                let r = _mm256_xor_si256(a, mul256(lo, hi, mask, s));
+                let r = _mm256_xor_si256(a, mul256(lo, hi, s));
                 _mm256_storeu_si256(acc.as_mut_ptr().add(i).cast(), r);
             }
             i += 32;
@@ -352,56 +574,6 @@ mod x86 {
             i += 16;
         }
         super::mul_acc_portable(&mut acc[wide..], &src[wide..], t);
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn scale_avx2(buf: &mut [u8], t: &MulTable) {
-        // SAFETY: `t.lo`/`t.hi` are 16-byte arrays; the unaligned 128-bit
-        // loads stay in bounds.
-        let (lo, hi) = unsafe {
-            (
-                _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo.as_ptr().cast())),
-                _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast())),
-            )
-        };
-        let mask = _mm256_set1_epi8(0x0F);
-        let wide = buf.len() / 32 * 32;
-        let mut i = 0;
-        while i < wide {
-            // SAFETY: `i + 32 <= wide <= buf.len()`, so the unaligned
-            // 256-bit load/store stays in bounds.
-            unsafe {
-                let b = _mm256_loadu_si256(buf.as_ptr().add(i).cast());
-                _mm256_storeu_si256(buf.as_mut_ptr().add(i).cast(), mul256(lo, hi, mask, b));
-            }
-            i += 32;
-        }
-        super::scale_portable(&mut buf[wide..], t);
-    }
-
-    #[target_feature(enable = "ssse3")]
-    fn scale_ssse3(buf: &mut [u8], t: &MulTable) {
-        // SAFETY: `t.lo`/`t.hi` are 16-byte arrays; the unaligned 128-bit
-        // loads stay in bounds.
-        let (lo, hi) = unsafe {
-            (
-                _mm_loadu_si128(t.lo.as_ptr().cast()),
-                _mm_loadu_si128(t.hi.as_ptr().cast()),
-            )
-        };
-        let mask = _mm_set1_epi8(0x0F);
-        let wide = buf.len() / 16 * 16;
-        let mut i = 0;
-        while i < wide {
-            // SAFETY: `i + 16 <= wide <= buf.len()`, so the unaligned
-            // 128-bit load/store stays in bounds.
-            unsafe {
-                let b = _mm_loadu_si128(buf.as_ptr().add(i).cast());
-                _mm_storeu_si128(buf.as_mut_ptr().add(i).cast(), mul128(lo, hi, mask, b));
-            }
-            i += 16;
-        }
-        super::scale_portable(&mut buf[wide..], t);
     }
 }
 
@@ -447,29 +619,41 @@ mod tests {
     }
 
     #[test]
-    fn mul2_word_matches_bytewise() {
-        let src = buf(8, 0x91);
-        let w = u64::from_ne_bytes(src[..8].try_into().expect("8 bytes"));
-        let got = mul2_word(w).to_ne_bytes();
-        for (i, &s) in src.iter().enumerate() {
-            assert_eq!(got[i], gf256::mul(2, s), "lane={i}");
-        }
-    }
-
-    #[test]
-    fn q_syndrome_matches_mul_acc_construction() {
-        for width in [1usize, 2, 3, 7, 16] {
-            for len in [1usize, 7, 8, 9, 64, 100] {
-                let data: Vec<Vec<u8>> = (0..width).map(|d| buf(len, d as u8 ^ 0x5A)).collect();
-                let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-                let mut q = vec![0u8; len];
-                raid6_q_into(&mut q, &refs);
+    fn blocked_fallbacks_match_scalar_across_block_edges() {
+        // The fused kernels serve `encode`/`update` on AVX2 machines, so
+        // drive the shared fallback directly, across BLOCK boundaries.
+        for len in [1usize, BLOCK - 1, BLOCK, BLOCK + 33, 3 * BLOCK + 7] {
+            let srcs: Vec<Vec<u8>> = (0..3).map(|i| buf(len, 40 * i)).collect();
+            let refs: Vec<&[u8]> = srcs.iter().map(|s| &s[..]).collect();
+            let coeffs = [1u8, 0, 0x8E, 0x1D, 2, 1];
+            let mut outs = vec![vec![0xA5u8; len]; 2];
+            encode_blocked(
+                &coeffs,
+                &refs,
+                &mut outs.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
+            );
+            for (j, out) in outs.iter().enumerate() {
                 let mut expect = vec![0u8; len];
-                for (i, d) in refs.iter().enumerate() {
-                    gf256::mul_acc_ref(&mut expect, d, gf256::exp(i));
+                for (i, s) in refs.iter().enumerate() {
+                    gf256::mul_acc_ref(&mut expect, s, coeffs[j * 3 + i]);
                 }
-                assert_eq!(q, expect, "width={width} len={len}");
+                assert_eq!(*out, expect, "encode len={len} out={j}");
             }
+
+            let (mut data, new) = (srcs[0].clone(), srcs[1].clone());
+            let mut expect = outs.clone();
+            for (p, c) in expect.iter_mut().zip([1u8, 0x53]) {
+                gf256::mul_acc_ref(p, &data, c);
+                gf256::mul_acc_ref(p, &new, c);
+            }
+            update_blocked(
+                &[1, 0x53],
+                &mut data,
+                &new,
+                &mut outs.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
+            );
+            assert_eq!(data, new, "update len={len}: data takes the new bytes");
+            assert_eq!(outs, expect, "update len={len}");
         }
     }
 

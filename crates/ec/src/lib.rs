@@ -8,10 +8,12 @@
 //!   polynomial used by `linux/lib/raid6` and ISA-L.
 //! * [`kernels`] — wide GF(256) kernels (eight bytes per step in `u64`
 //!   lanes, or SSSE3/AVX2 `pshufb` with the `simd` feature), the
-//!   process-wide coefficient-table cache, and the table-free one-pass
-//!   RAID-6 Q syndrome.
-//! * [`xor_into`] / [`xor_of_into`] — wide XOR kernels (RAID-5 parity,
-//!   partial-parity reduction).
+//!   process-wide coefficient-table cache, and the two one-pass parity
+//!   kernels every encode, decode and read-modify-write runs on:
+//!   [`kernels::encode`] (a dot product, like ISA-L's `ec_encode_data`) and
+//!   [`kernels::update`] (the small-write delta, like
+//!   `ec_encode_data_update`).
+//! * [`xor_into`] — the wide XOR kernel (partial-parity reduction).
 //! * [`ReedSolomon`] — the systematic Vandermonde `(k, m)` codec behind
 //!   every RAID level: its parity row 0 is RAID-5's P (a plain XOR) and row
 //!   1 is RAID-6's Q (H. P. Anvin's *The mathematics of RAID-6*), so
@@ -54,4 +56,4 @@ mod xor;
 
 pub use matrix::Matrix;
 pub use rs::{CodecError, ReedSolomon};
-pub use xor::{xor_into, xor_of_into};
+pub use xor::xor_into;

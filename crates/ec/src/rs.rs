@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::gf256;
+use crate::kernels;
 use crate::Matrix;
 
 /// Errors returned by [`ReedSolomon`] operations.
@@ -156,34 +157,33 @@ impl ReedSolomon {
     ///
     /// Panics if `data.len() != k` or chunk lengths differ.
     pub fn encode(&self, data: &[&[u8]]) -> Vec<Vec<u8>> {
-        (0..self.m)
-            .map(|j| {
-                let mut p = vec![0u8; data.first().map_or(0, |d| d.len())];
-                self.encode_row_into(j, data, &mut p);
-                p
-            })
-            .collect()
+        let mut parity = vec![vec![0u8; data.first().map_or(0, |d| d.len())]; self.m];
+        let mut out: Vec<(usize, &mut [u8])> = parity
+            .iter_mut()
+            .enumerate()
+            .map(|(j, p)| (self.k + j, &mut p[..]))
+            .collect();
+        self.encode_into(data, &mut out);
+        parity
     }
 
-    /// Encodes parity row `parity_row` of `data` into `out` (overwritten).
-    /// Row 0 is a wide XOR and row 1 the one-pass Q syndrome; further rows
-    /// multiply-accumulate. Works on any equal-length sub-range.
+    /// Encodes the parity rows named in `out` in one pass over `data`: each
+    /// `(row, buf)` names a parity shard (`k..k + m`) and receives its bytes
+    /// (overwritten). Works on any equal-length sub-range.
     ///
     /// # Panics
     ///
-    /// Panics if `data.len() != k`, `parity_row >= m`, or a chunk's length
-    /// differs from `out.len()`.
-    pub fn encode_row_into(&self, parity_row: usize, data: &[&[u8]], out: &mut [u8]) {
+    /// Panics if `data.len() != k`, a row is not a parity row, or a chunk's
+    /// length differs from a buffer's.
+    pub fn encode_into(&self, data: &[&[u8]], out: &mut [(usize, &mut [u8])]) {
         assert_eq!(data.len(), self.k, "expected {} data chunks", self.k);
-        assert!(parity_row < self.m, "parity row out of range");
-        for d in data {
-            assert_eq!(d.len(), out.len(), "chunk length mismatch");
+        for (row, _) in out.iter() {
+            assert!(
+                (self.k..self.k + self.m).contains(row),
+                "parity row out of range"
+            );
         }
-        match parity_row {
-            0 => crate::xor_of_into(out, data),
-            1 => crate::kernels::raid6_q_into(out, data),
-            j => combine_into(out, data, self.generator.row(self.k + j)),
-        }
+        dot(data, out, |row| self.generator.row(row));
     }
 
     /// Decodes the requested missing rows over equal-length borrowed slices.
@@ -236,19 +236,15 @@ impl ReedSolomon {
             .iter()
             .map(|&r| shards[r].expect("survivor present"))
             .collect();
-        // With every data shard present, a missing row is a parity row and
-        // the survivors are the data: encode it on the fast kernels.
-        let data_intact = decoder.survivors[self.k - 1] == self.k - 1;
-        for (row, buf) in out.iter_mut() {
-            let row = *row;
-            assert!(shards[row].is_none(), "row {row} is not missing");
+        for (row, buf) in out.iter() {
+            assert!(shards[*row].is_none(), "row {row} is not missing");
             assert_eq!(buf.len(), len, "chunk length mismatch");
-            if data_intact {
-                self.encode_row_into(row - self.k, &sources, buf);
-            } else {
-                combine_into(buf, &sources, &decoder.coeffs[row * self.k..][..self.k]);
-            }
         }
+        // With every data shard present the survivors are the data and each
+        // missing parity row's coefficients are its generator row.
+        dot(&sources, out, |row| {
+            &decoder.coeffs[row * self.k..][..self.k]
+        });
         Ok(())
     }
 
@@ -339,19 +335,16 @@ impl ReedSolomon {
     }
 }
 
-/// `out = Σ coeffs[j] · sources[j]`, overwriting `out`.
-fn combine_into(out: &mut [u8], sources: &[&[u8]], coeffs: &[u8]) {
-    let mut terms = sources.iter().zip(coeffs).filter(|(_, &c)| c != 0);
-    match terms.next() {
-        Some((src, &c)) => {
-            out.copy_from_slice(src);
-            gf256::scale(out, c);
-        }
-        None => out.fill(0),
-    }
-    for (src, &c) in terms {
-        gf256::mul_acc(out, src, c);
-    }
+/// One [`kernels::encode`] pass over `sources` writing every `(row, buf)`
+/// of `out` as `Σᵢ coeffs(row)[i] · sources[i]`.
+fn dot<'c>(sources: &[&[u8]], out: &mut [(usize, &mut [u8])], coeffs: impl Fn(usize) -> &'c [u8]) {
+    let rows: Vec<u8> = out
+        .iter()
+        .flat_map(|(row, _)| coeffs(*row))
+        .copied()
+        .collect();
+    let mut bufs: Vec<&mut [u8]> = out.iter_mut().map(|(_, buf)| &mut **buf).collect();
+    kernels::encode(&rows, sources, &mut bufs);
 }
 
 #[cfg(test)]
@@ -371,7 +364,7 @@ mod tests {
     #[test]
     fn rows_are_raid5_p_and_raid6_q() {
         // P = Σ 1·d_i and Q = Σ g^i·d_i, built on the scalar reference, at
-        // widths and lengths that reach every kernel tail; `encode_row_into`
+        // widths and lengths that reach every kernel tail; `encode_into`
         // overwrites whatever its buffer held.
         for k in [1usize, 2, 5, 6, 11] {
             for len in [1usize, 9, 64, 100, 4096] {
@@ -387,7 +380,7 @@ mod tests {
                     }
                     assert_eq!(*encoded, expect, "row {row} k={k} len={len}");
                     let mut out = vec![0xA5u8; len];
-                    rs.encode_row_into(row, &refs, &mut out);
+                    rs.encode_into(&refs, &mut [(k + row, &mut out[..])]);
                     assert_eq!(out, expect, "row {row} k={k} len={len}");
                 }
             }

@@ -1,4 +1,4 @@
-//! Wide XOR kernels.
+//! Wide XOR kernel.
 //!
 //! XOR is the parity operation of RAID-5 and the reduction operator of
 //! dRAID's distributed partial-parity aggregation (§5.2). The kernel works on
@@ -28,29 +28,6 @@ pub fn xor_into(acc: &mut [u8], src: &[u8]) {
     }
     for (ac, sc) in a.into_remainder().iter_mut().zip(s.remainder()) {
         *ac ^= sc;
-    }
-}
-
-/// XOR-reduces a set of equally sized buffers into a caller-provided buffer:
-/// `out = s_0 ⊕ s_1 ⊕ …`. The buffer's previous contents are overwritten,
-/// not accumulated.
-///
-/// # Panics
-///
-/// Panics if `sources` is empty or any buffer's length differs from
-/// `out.len()`.
-///
-/// ```
-/// use draid_ec::xor_of_into;
-/// let mut p = vec![0xFFu8; 2];
-/// xor_of_into(&mut p, &[&[1u8, 2][..], &[3u8, 4][..]]);
-/// assert_eq!(p, vec![2, 6]);
-/// ```
-pub fn xor_of_into(out: &mut [u8], sources: &[&[u8]]) {
-    assert!(!sources.is_empty(), "xor_of_into needs at least one source");
-    out.copy_from_slice(sources[0]);
-    for src in &sources[1..] {
-        xor_into(out, src);
     }
 }
 

@@ -1,10 +1,11 @@
 //! Differential tests of the wide GF(256) kernels against the scalar
-//! reference (`gf256::mul_acc_ref`/`scale_ref`, the seed's byte-at-a-time
-//! path): every one of the 256 coefficients, at odd buffer lengths including
-//! non-multiple-of-8 tails, must be bit-identical — plus Reed-Solomon
+//! reference (`gf256::mul_acc_ref`, the seed's byte-at-a-time path): every
+//! one of the 256 coefficients, at odd buffer lengths including
+//! non-multiple-of-8 tails, must be bit-identical for `mul_acc` and for the
+//! one-pass `encode` and `update` — plus Reed-Solomon
 //! encode→corrupt→decode round-trips running through the new paths.
 
-use draid_ec::{gf256, kernels, xor_into, xor_of_into, ReedSolomon};
+use draid_ec::{gf256, kernels, ReedSolomon};
 
 /// Lengths that exercise the empty case, the scalar tail alone, one wide
 /// step, wide + tail, SIMD-register multiples (16/32), and sizes past them.
@@ -38,22 +39,9 @@ fn mul_acc_matches_scalar_for_all_coefficients_and_tails() {
 }
 
 #[test]
-fn scale_matches_scalar_for_all_coefficients_and_tails() {
-    for c in 0..=255u8 {
-        for &len in LENGTHS {
-            let mut wide = pattern(len, c.wrapping_mul(3));
-            let mut scalar = wide.clone();
-            gf256::scale(&mut wide, c);
-            gf256::scale_ref(&mut scalar, c);
-            assert_eq!(wide, scalar, "scale c={c} len={len}");
-        }
-    }
-}
-
-#[test]
 fn kernel_entry_points_match_scalar_directly() {
-    // Drive `kernels::{mul_acc, scale}` through the `MulTable` API too, so
-    // the cache handles and the gf256 wrappers are both covered.
+    // Drive `kernels::mul_acc` through the `MulTable` API too, so the cache
+    // handles and the gf256 wrapper are both covered.
     for c in 1..=255u8 {
         let t = kernels::mul_table(c);
         assert_eq!(t.c, c);
@@ -63,49 +51,139 @@ fn kernel_entry_points_match_scalar_directly() {
         kernels::mul_acc(&mut wide, &src, t);
         gf256::mul_acc_ref(&mut scalar, &src, c);
         assert_eq!(wide, scalar, "kernels::mul_acc c={c}");
-
-        let mut wide = src.clone();
-        let mut scalar = src.clone();
-        kernels::scale(&mut wide, t);
-        gf256::scale_ref(&mut scalar, c);
-        assert_eq!(wide, scalar, "kernels::scale c={c}");
     }
 }
 
+/// A coefficient other than the swept one: cycles through 0 (skipped),
+/// 1 (plain XOR) and general multipliers.
+fn background(j: usize, i: usize) -> u8 {
+    [0u8, 1, 2, 0x8E, 1, 0xFF, 0x1D][(3 * j + i) % 7]
+}
+
+/// `Σᵢ coeffs[i]·srcs[i]` on the scalar reference.
+fn dot_ref(coeffs: &[u8], srcs: &[&[u8]], len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; len];
+    for (s, &c) in srcs.iter().zip(coeffs) {
+        gf256::mul_acc_ref(&mut out, s, c);
+    }
+    out
+}
+
 #[test]
-fn q_syndrome_matches_scalar_construction() {
-    for width in [1usize, 2, 5, 8, 17] {
-        for &len in LENGTHS {
-            if len == 0 {
-                continue;
+fn encode_matches_scalar_for_every_coefficient_in_every_position() {
+    // 1, 2, 6 and 7 sources into 1–3 outputs: every coefficient 0–255 in
+    // every source position of every output row, the buffer length cycling
+    // through all of LENGTHS as the coefficient sweeps.
+    for k in [1usize, 2, 6, 7] {
+        for m in 1..=3usize {
+            for pos in 0..k {
+                for c in 0..=255u8 {
+                    let len = LENGTHS[(c as usize + pos) % LENGTHS.len()];
+                    let srcs: Vec<Vec<u8>> = (0..k)
+                        .map(|i| pattern(len, (i as u8).wrapping_mul(53) ^ c))
+                        .collect();
+                    let refs: Vec<&[u8]> = srcs.iter().map(|s| &s[..]).collect();
+                    let coeffs: Vec<u8> = (0..m)
+                        .flat_map(|j| {
+                            (0..k).map(move |i| {
+                                if i == pos {
+                                    c.wrapping_add(85 * j as u8)
+                                } else {
+                                    background(j, i)
+                                }
+                            })
+                        })
+                        .collect();
+                    let mut outs = vec![pattern(len, 0xC3); m];
+                    kernels::encode(
+                        &coeffs,
+                        &refs,
+                        &mut outs.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
+                    );
+                    for (j, out) in outs.iter().enumerate() {
+                        let row = &coeffs[j * k..][..k];
+                        assert_eq!(
+                            *out,
+                            dot_ref(row, &refs, len),
+                            "k={k} m={m} pos={pos} c={c} len={len} out={j}"
+                        );
+                    }
+                }
             }
-            let data: Vec<Vec<u8>> = (0..width)
-                .map(|d| pattern(len, (d as u8).wrapping_mul(29) ^ 0xA5))
-                .collect();
-            let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
-            let mut q = vec![0xEEu8; len];
-            kernels::raid6_q_into(&mut q, &refs);
-            let mut expect = vec![0u8; len];
-            for (i, d) in refs.iter().enumerate() {
-                gf256::mul_acc_ref(&mut expect, d, gf256::exp(i));
-            }
-            assert_eq!(q, expect, "q width={width} len={len}");
         }
     }
 }
 
 #[test]
-fn xor_of_into_matches_xor_of() {
-    for &len in LENGTHS {
-        let bufs: Vec<Vec<u8>> = (0..5).map(|i| pattern(len, i * 41)).collect();
-        let refs: Vec<&[u8]> = bufs.iter().map(|b| &b[..]).collect();
-        let mut out = vec![0xABu8; len];
-        xor_of_into(&mut out, &refs);
-        let folded = refs[1..].iter().fold(bufs[0].clone(), |mut acc, b| {
-            xor_into(&mut acc, b);
-            acc
-        });
-        assert_eq!(out, folded, "len={len}");
+fn update_matches_scalar_for_every_coefficient_in_every_position() {
+    // 1–3 parities: every coefficient 0–255 on every parity, the length
+    // cycling through LENGTHS. The parities move by `c·old ⊕ c·new` and
+    // the data ends up equal to the new bytes.
+    for m in 1..=3usize {
+        for pos in 0..m {
+            for c in 0..=255u8 {
+                let len = LENGTHS[(c as usize + pos) % LENGTHS.len()];
+                let coeffs: Vec<u8> = (0..m)
+                    .map(|j| if j == pos { c } else { background(j, 5) })
+                    .collect();
+                let mut data = pattern(len, c);
+                let new = pattern(len, c ^ 0x5A);
+                let mut parity: Vec<Vec<u8>> =
+                    (0..m).map(|j| pattern(len, 17 * j as u8 + 3)).collect();
+                let mut expect = parity.clone();
+                for (p, &cj) in expect.iter_mut().zip(&coeffs) {
+                    gf256::mul_acc_ref(p, &data, cj);
+                    gf256::mul_acc_ref(p, &new, cj);
+                }
+                kernels::update(
+                    &coeffs,
+                    &mut data,
+                    &new,
+                    &mut parity.iter_mut().map(|p| &mut p[..]).collect::<Vec<_>>(),
+                );
+                assert_eq!(data, new, "m={m} pos={pos} c={c} len={len}: data = new");
+                assert_eq!(parity, expect, "m={m} pos={pos} c={c} len={len}");
+            }
+        }
+    }
+}
+
+#[test]
+fn kernels_match_scalar_on_wide_stripes() {
+    // Past any per-pass register or table budget: up to 33 sources and 9
+    // outputs, where encode takes several passes and update its fallback.
+    let len = 100;
+    for k in [16usize, 17, 33] {
+        for m in [4usize, 5, 9] {
+            let srcs: Vec<Vec<u8>> = (0..k).map(|i| pattern(len, i as u8)).collect();
+            let refs: Vec<&[u8]> = srcs.iter().map(|s| &s[..]).collect();
+            let coeffs: Vec<u8> = (0..m * k).map(|t| (t * 37 % 256) as u8).collect();
+            let mut outs = vec![vec![0xEEu8; len]; m];
+            kernels::encode(
+                &coeffs,
+                &refs,
+                &mut outs.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
+            );
+            for (j, out) in outs.iter().enumerate() {
+                let row = &coeffs[j * k..][..k];
+                assert_eq!(*out, dot_ref(row, &refs, len), "k={k} m={m} out={j}");
+            }
+
+            let mut data = srcs[0].clone();
+            let mut expect = outs.clone();
+            for (p, &c) in expect.iter_mut().zip(&coeffs) {
+                gf256::mul_acc_ref(p, &data, c);
+                gf256::mul_acc_ref(p, &srcs[1], c);
+            }
+            kernels::update(
+                &coeffs[..m],
+                &mut data,
+                &srcs[1],
+                &mut outs.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
+            );
+            assert_eq!(data, srcs[1], "k={k} m={m}: data = new");
+            assert_eq!(outs, expect, "k={k} m={m}");
+        }
     }
 }
 
