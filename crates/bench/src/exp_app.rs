@@ -5,6 +5,9 @@ use draid_core::SystemKind;
 use draid_sim::SimTime;
 use draid_store::{AppRunner, Distribution, LsmStore, ObjectStore, YcsbGen, YcsbWorkload};
 
+use crate::claim::Band::{Above, Below};
+use crate::claim::Kind::{Gated, KnownGap};
+use crate::claim::Value::Times;
 use crate::figure::{Figure, Point, Series};
 use crate::parallel;
 use crate::setup::{build_array, Scenario};
@@ -77,17 +80,7 @@ fn run_app_sweep(app: App, degraded: bool) -> Vec<Series> {
             },
         )
     });
-    let mut series: Vec<Series> = Vec::new();
-    for (label, point) in results {
-        match series.iter_mut().find(|s| s.label == label) {
-            Some(s) => s.points.push(point),
-            None => series.push(Series {
-                label,
-                points: vec![point],
-            }),
-        }
-    }
-    series
+    Series::group(results)
 }
 
 fn workload_axis_note(fig: &mut Figure) {
@@ -105,14 +98,14 @@ pub(crate) fn lsm_ycsb(id: &str, degraded: bool) -> Figure {
     );
     fig.series = run_app_sweep(App::Lsm, degraded);
     workload_axis_note(&mut fig);
-    if let Some(r) = fig.ratio_at("dRAID", "SPDK", ycsb_x(YcsbWorkload::A)) {
-        let paper = if degraded {
-            "paper: further improvement for all workloads in degraded state"
-        } else {
-            "paper: 1.27x on YCSB-A, 1.28x on YCSB-F; ~1x on read-heavy B/C/D"
-        };
-        fig.note(format!("{paper}; measured YCSB-A = {r:.2}x"));
-    }
+    let r = Times(fig.ratio_at("dRAID", "SPDK", ycsb_x(YcsbWorkload::A)));
+    #[rustfmt::skip]
+    let (band, paper) = if degraded {
+        (Above(1.27), "further improvement over normal state's 1.27x for all workloads (dRAID/SPDK on YCSB-A)")
+    } else {
+        (Above(1.2), "1.27x on YCSB-A, 1.28x on YCSB-F; ~1x on read-heavy B/C/D (dRAID/SPDK on YCSB-A)")
+    };
+    fig.claim([(KnownGap, format!("{id}-ycsb-a"), band, r, paper)]);
     fig.note(
         "paper: a single locked KV instance uses <5% of array bandwidth, compressing the gain"
             .to_string(),
@@ -131,21 +124,18 @@ pub(crate) fn object_ycsb(id: &str, degraded: bool) -> Figure {
     );
     fig.series = run_app_sweep(App::Object, degraded);
     workload_axis_note(&mut fig);
-    let a = fig.ratio_at("dRAID", "SPDK", ycsb_x(YcsbWorkload::A));
-    let f = fig.ratio_at("dRAID", "SPDK", ycsb_x(YcsbWorkload::F));
-    let b = fig.ratio_at("dRAID", "SPDK", ycsb_x(YcsbWorkload::B));
-    match (degraded, a, f, b) {
-        (false, Some(a), Some(f), _) => {
-            fig.note(format!(
-                "paper: 1.7x on YCSB-A and 1.5x on YCSB-F, limited gain on read-heavy; measured A = {a:.2}x, F = {f:.2}x"
-            ));
-        }
-        (true, _, _, Some(b)) => {
-            fig.note(format!(
-                "paper: ~2.35x on read-heavy B/C/D in degraded state; measured B = {b:.2}x"
-            ));
-        }
-        _ => {}
-    }
+    let n = |s| format!("{id}-{s}");
+    let r = |w| Times(fig.ratio_at("dRAID", "SPDK", ycsb_x(w)));
+    #[rustfmt::skip]
+    let claims = if degraded {
+        vec![(Gated, n("ycsb-b"), Above(1.5), r(YcsbWorkload::B), "~2.35x on read-heavy B/C/D in degraded state (dRAID/SPDK on YCSB-B)")]
+    } else {
+        vec![
+            (KnownGap, n("ycsb-a"), Above(1.6), r(YcsbWorkload::A), "1.7x on YCSB-A (dRAID/SPDK)"),
+            (KnownGap, n("ycsb-f"), Above(1.4), r(YcsbWorkload::F), "1.5x on YCSB-F (dRAID/SPDK)"),
+            (Gated, n("ycsb-c"), Below(1.2), r(YcsbWorkload::C), "limited gain on read-heavy B/C/D (dRAID/SPDK on YCSB-C)"),
+        ]
+    };
+    fig.claim(claims);
     fig
 }

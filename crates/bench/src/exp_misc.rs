@@ -8,8 +8,11 @@ use draid_core::trace::StepClass;
 use draid_core::{ArrayConfig, ArraySim, DraidOptions, ReducerPolicy, SystemKind, UserIo};
 use draid_net::NicSpec;
 use draid_sim::{Engine, SimTime};
-use draid_workload::{ArrivalPattern, FioJob, OpenLoopRunner, RunReport, Runner};
+use draid_workload::{ArrivalPattern, FioJob, OpenLoopRunner, Runner};
 
+use crate::claim::Band::{Above, Below};
+use crate::claim::Kind::Gated;
+use crate::claim::Value::{Share, Times};
 use crate::figure::{Figure, Point, Series};
 use crate::parallel;
 use crate::setup::{build_array, build_hetero_array, Scenario};
@@ -19,7 +22,7 @@ use crate::setup::{build_array, build_hetero_array, Scenario};
 /// The paper's table is architectural (fault tolerance, hot spare, scaling,
 /// write overhead, degraded-read overhead). The static rows are reproduced
 /// in the notes; the overhead rows are *measured* from simulation as host
-/// NIC bytes per user byte.
+/// NIC bytes per user byte and checked as the table's claims.
 pub(crate) fn table1(id: &str) -> Figure {
     let mut fig = Figure::new(
         id,
@@ -55,12 +58,16 @@ pub(crate) fn table1(id: &str) -> Figure {
         fig.series
             .push(rows(label, &[write_overhead, dread_overhead]));
     }
-    fig.note(
-        "paper Table 1: write overhead — single-machine 1x, distributed 1-4x, dRAID 1x".to_string(),
-    );
-    fig.note(
-        "paper Table 1: D-read overhead — single-machine 1x, distributed Nx, dRAID 1x".to_string(),
-    );
+    let n = |s| format!("{id}-{s}");
+    let copies = |label, row| Times(fig.y(label, row));
+    #[rustfmt::skip]
+    let claims = [
+        (Gated, n("host-copies"), Below(1.2), copies("dRAID", 0.0), "write overhead: dRAID 1x"),
+        (Gated, n("host-copies"), Above(3.5), copies("Distributed", 0.0), "write overhead: distributed 1-4x (4x on sub-chunk writes)"),
+        (Gated, n("dread-copies"), Below(1.2), copies("dRAID", 1.0), "D-read overhead: dRAID 1x"),
+        (Gated, n("dread-copies"), Above(6.0), copies("Distributed", 1.0), "D-read overhead: distributed Nx (N-1 = 7 survivors at width 8)"),
+    ];
+    fig.claim(claims);
     fig.note("static rows: fault tolerance — single-machine: disk only; distributed & dRAID: disk & server".to_string());
     fig.note("static rows: hot spare — single-machine: dedicated; distributed & dRAID: shared storage pool".to_string());
     fig.note(
@@ -179,6 +186,7 @@ pub(crate) fn ablation(id: &str) -> Figure {
             (x, report.bandwidth_mb_per_sec, report.mean_latency_us)
         },
     );
+    let no_p2p = Times(wide[3].1 / wide[0].1);
     fig.series.push(Series {
         label: "dRAID variant (width 18)".to_string(),
         points: wide
@@ -220,10 +228,17 @@ pub(crate) fn ablation(id: &str) -> Figure {
             (name, report.mean_latency_us)
         },
     );
+    let serial = Times(low_qd[1].1 / low_qd[0].1);
     for (name, lat) in low_qd {
         fig.notes
             .push(format!("unloaded 1 MiB write latency, {name}: {lat:.0} us"));
     }
+    #[rustfmt::skip]
+    let claims = [
+        (Gated, format!("{id}-p2p"), Below(0.7), no_p2p, "peer-to-peer partials are load-bearing where the host NIC binds (no-p2p / full @ width 18)"),
+        (Gated, format!("{id}-pipeline"), Above(1.1), serial, "the Fig. 7 pipeline shortens the op (unloaded 1 MiB write latency, serial / pipelined)"),
+    ];
+    fig.claim(claims);
 
     // Reducer-policy ablation on the heterogeneous network.
     let hetero = parallel::map(
@@ -279,16 +294,6 @@ fn rows(label: &str, values: &[f64]) -> Series {
     )
 }
 
-/// The §7 load point: saturated 128 KiB writes at queue depth 48 on the
-/// paper-default array. The `sec7-member-cpu` reproduction gate reads the
-/// same run.
-pub(crate) fn saturated_write(runner: &Runner, system: SystemKind) -> RunReport {
-    runner.run(
-        build_array(&Scenario::paper(system)),
-        &FioJob::random_write(128 * 1024).queue_depth(48),
-    )
-}
-
 /// §7 server-CPU claim: "we strictly limit dRAID to use only one core per
 /// SSD on the storage server … dRAID uses <25% of the CPU cycles", measured
 /// at each system's peak partial-stripe-write load.
@@ -300,9 +305,12 @@ pub(crate) fn cpu_util(id: &str) -> Figure {
         "value",
     );
     let runner = Runner::new();
+    let job = FioJob::random_write(128 * 1024).queue_depth(48);
     let results = parallel::map(vec![SystemKind::SpdkRaid, SystemKind::Draid], |system| {
-        (system, saturated_write(&runner, system))
+        let report = runner.run(build_array(&Scenario::paper(system)), &job);
+        (system, report)
     });
+    let member_cpu = results[1].1.max_member_cpu;
     for (system, r) in results {
         let (bw, member, host) = (
             r.bandwidth_mb_per_sec,
@@ -315,9 +323,9 @@ pub(crate) fn cpu_util(id: &str) -> Figure {
             system.label()
         ));
     }
-    fig.note(
-        "paper (§7): dRAID uses <25% of one core per SSD — offloaded parity generation is resource-conservative even at peak write bandwidth",
-    );
+    #[rustfmt::skip]
+    let claim = (Gated, "sec7-member-cpu".into(), Below(0.25), Share(member_cpu), "§7: dRAID uses <25% of one core per SSD at peak write bandwidth (max member core)");
+    fig.claim([claim]);
     fig
 }
 
@@ -538,7 +546,7 @@ pub(crate) fn oversubscription(id: &str) -> Figure {
             .push(series(system.label(), FACTORS.into_iter().zip(bw.to_vec())));
     }
     for x in FACTORS {
-        let ratio = fig.ratio_at("dRAID", "SPDK", x).unwrap_or(0.0);
+        let ratio = fig.ratio_at("dRAID", "SPDK", x);
         fig.note(format!("dRAID/SPDK at {x:.0}:1 = {ratio:.2}x"));
     }
     fig.note(

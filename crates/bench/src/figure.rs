@@ -2,8 +2,10 @@
 
 use std::fmt;
 
+use crate::claim::{Band, Claim, Kind, Value};
+
 /// One measured point of a series.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Point {
     /// Sweep-variable value (I/O size in KiB, stripe width, read %, …) — or
     /// bandwidth for latency-vs-bandwidth figures.
@@ -15,7 +17,7 @@ pub struct Point {
 }
 
 /// One line of a figure (a system or configuration).
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Series {
     /// Legend label ("Linux", "SPDK", "dRAID", …).
     pub label: String,
@@ -24,6 +26,21 @@ pub struct Series {
 }
 
 impl Series {
+    /// Groups `(label, point)` results into series, in first-seen order.
+    pub(crate) fn group(results: impl IntoIterator<Item = (String, Point)>) -> Vec<Series> {
+        let mut series: Vec<Series> = Vec::new();
+        for (label, point) in results {
+            match series.iter_mut().find(|s| s.label == label) {
+                Some(s) => s.points.push(point),
+                None => series.push(Series {
+                    label,
+                    points: vec![point],
+                }),
+            }
+        }
+        series
+    }
+
     /// The point at sweep value `x`, if measured.
     pub fn at(&self, x: f64) -> Option<&Point> {
         self.points.iter().find(|p| (p.x - x).abs() < 1e-9)
@@ -36,7 +53,7 @@ impl Series {
 }
 
 /// A regenerated table/figure of the paper.
-#[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Figure {
     /// Paper identifier ("fig10", "table1", …).
     pub id: String,
@@ -48,8 +65,10 @@ pub struct Figure {
     pub y_label: String,
     /// Measured series.
     pub series: Vec<Series>,
-    /// Paper-vs-measured observations appended to the rendering.
+    /// Observations appended to the rendering.
     pub notes: Vec<String>,
+    /// The paper's claims, checked against this figure's data.
+    pub claims: Vec<Claim>,
 }
 
 impl Figure {
@@ -67,6 +86,7 @@ impl Figure {
             y_label: y_label.into(),
             series: Vec::new(),
             notes: Vec::new(),
+            claims: Vec::new(),
         }
     }
 
@@ -75,17 +95,56 @@ impl Figure {
         self.series.iter().find(|s| s.label == label)
     }
 
-    /// Ratio of two series' primary metric at sweep value `x` (e.g.
-    /// dRAID/SPDK at 128 KiB — the paper's "×" claims).
-    pub fn ratio_at(&self, num: &str, den: &str, x: f64) -> Option<f64> {
-        let n = self.series(num)?.at(x)?.y;
-        let d = self.series(den)?.at(x)?.y;
-        (d > 0.0).then(|| n / d)
+    /// The union of every series' sweep values, in first-seen order.
+    fn xs(&self) -> Vec<f64> {
+        let all = self
+            .series
+            .iter()
+            .flat_map(|s| s.points.iter().map(|p| p.x));
+        all.fold(Vec::new(), |mut acc, x| {
+            if !acc.iter().any(|&v: &f64| (v - x).abs() < 1e-9) {
+                acc.push(x);
+            }
+            acc
+        })
     }
 
-    /// Adds a paper-vs-measured note.
+    /// The primary metric of series `label` at sweep value `x`; NaN when
+    /// not measured, which fails any claim that reads it.
+    pub fn y(&self, label: &str, x: f64) -> f64 {
+        self.series(label)
+            .and_then(|s| s.at(x))
+            .map_or(f64::NAN, |p| p.y)
+    }
+
+    /// Ratio of two series' primary metric at sweep value `x` (e.g.
+    /// dRAID/SPDK at 128 KiB — the paper's "×" claims); NaN when either
+    /// point is missing.
+    pub fn ratio_at(&self, num: &str, den: &str, x: f64) -> f64 {
+        self.y(num, x) / self.y(den, x)
+    }
+
+    /// Adds a note.
     pub fn note(&mut self, text: impl Into<String>) {
         self.notes.push(text.into());
+    }
+
+    /// Records the paper's claims, each checked against a number this
+    /// figure measured, as `(kind, name, band, measured, paper)` rows.
+    pub fn claim(
+        &mut self,
+        rows: impl IntoIterator<Item = (Kind, String, Band, Value, &'static str)>,
+    ) {
+        for (kind, name, band, measured, paper) in rows {
+            let paper = paper.to_string();
+            self.claims.push(Claim {
+                name,
+                paper,
+                measured,
+                band,
+                kind,
+            });
+        }
     }
 
     /// Renders as a Markdown table (also what `Display` prints).
@@ -114,17 +173,7 @@ impl Figure {
         let cols = self.series.len() * if has_latency { 2 } else { 1 } + 1;
         out.push_str(&format!("|{}\n", "---|".repeat(cols)));
         // Rows: union of x values in first-series order.
-        let xs: Vec<f64> = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|p| p.x))
-            .fold(Vec::new(), |mut acc, x| {
-                if !acc.iter().any(|&v: &f64| (v - x).abs() < 1e-9) {
-                    acc.push(x);
-                }
-                acc
-            });
-        for x in xs {
+        for x in self.xs() {
             out.push_str(&format!("| {} |", trim_float(x)));
             for s in &self.series {
                 match s.at(x) {
@@ -142,9 +191,10 @@ impl Figure {
             }
             out.push('\n');
         }
-        if !self.notes.is_empty() {
+        if !self.notes.is_empty() || !self.claims.is_empty() {
             out.push('\n');
-            for n in &self.notes {
+            let claims = self.claims.iter().map(Claim::note);
+            for n in self.notes.iter().cloned().chain(claims) {
                 out.push_str(&format!("- {n}\n"));
             }
         }
@@ -167,17 +217,7 @@ impl Figure {
             "{} — {} ({}, max {:.0})\n",
             self.id, self.title, self.y_label, max
         ));
-        let xs: Vec<f64> = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|p| p.x))
-            .fold(Vec::new(), |mut acc, x| {
-                if !acc.iter().any(|&v: &f64| (v - x).abs() < 1e-9) {
-                    acc.push(x);
-                }
-                acc
-            });
-        for x in xs {
+        for x in self.xs() {
             out.push_str(&format!("{} {}\n", trim_float(x), self.x_label));
             for s in &self.series {
                 if let Some(p) = s.at(x) {
@@ -251,21 +291,28 @@ mod tests {
     #[test]
     fn ratio_and_peak() {
         let fig = sample();
-        let r = fig.ratio_at("dRAID", "SPDK", 128.0).expect("both present");
+        let r = fig.ratio_at("dRAID", "SPDK", 128.0);
         assert!((r - 1.7).abs() < 0.01);
         assert_eq!(fig.series("dRAID").expect("exists").peak(), 5100.0);
-        assert!(fig.ratio_at("dRAID", "missing", 128.0).is_none());
+        assert!(fig.ratio_at("dRAID", "missing", 128.0).is_nan());
+        assert!(fig.y("dRAID", 64.0).is_nan());
     }
 
     #[test]
     fn markdown_contains_all_cells() {
         let mut fig = sample();
-        fig.note("dRAID/SPDK at 128 KiB: paper 1.7x, measured 1.70x");
+        fig.note("x axis: I/O size");
+        let r = fig.ratio_at("dRAID", "SPDK", 128.0);
+        let name = "figX-ratio".to_string();
+        fig.claim([(Kind::Gated, name, Band::Above(1.5), Value::Times(r), "1.7x")]);
         let md = fig.to_markdown();
         assert!(md.contains("| 4 |"));
         assert!(md.contains("5100"));
         assert!(md.contains("lat (us)"));
-        assert!(md.contains("paper 1.7x"));
+        // Plain notes first, then the claims.
+        assert!(md.ends_with(
+            "- x axis: I/O size\n- ✅ figX-ratio: paper: 1.7x; measured 1.70x (band > 1.50x)\n"
+        ));
     }
 
     #[test]

@@ -217,6 +217,7 @@ pub fn by_id(id: &str) -> Option<FigureSpec> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Band, Kind};
 
     #[test]
     fn registry_ids_unique_and_ordered() {
@@ -258,6 +259,44 @@ mod tests {
             draid <= 0.55 * spdk,
             "dRAID {draid} vs SPDK {spdk} net bytes/op"
         );
+    }
+
+    /// The eight checks the former `draid-check repro` ran are gated rows
+    /// of the figures that measure them, each with its old threshold.
+    #[test]
+    fn former_reproduction_gates_stay_gated() {
+        use crate::Band::{Above, Below, Within};
+        let gates: [(&str, &str, &[Band]); 8] = [
+            ("fig09", "fig09-read-goodput", &[Above(10_500.0); 3]),
+            ("fig10", "fig10-draid-plateau", &[Within(4_500.0, 5_600.0)]),
+            (
+                "fig12",
+                "fig12-scaling",
+                &[Above(9_000.0), Below(6_000.0), Above(1.8)],
+            ),
+            (
+                "fig15",
+                "fig15-degraded-read",
+                &[Above(0.9), Below(0.7), Below(2_000.0)],
+            ),
+            ("table1", "table1-host-copies", &[Below(1.2), Above(3.5)]),
+            ("fig17b", "fig17b-bw-aware", &[Above(1.2)]),
+            ("fig23", "fig23-raid6-margin", &[Above(1.5)]),
+            ("cpu_util", "sec7-member-cpu", &[Below(0.25)]),
+        ];
+        for (id, name, bands) in gates {
+            let fig = by_id(id).expect("registered").build();
+            let rows: Vec<_> = fig.claims.iter().filter(|c| c.name == name).collect();
+            assert_eq!(
+                rows.iter().map(|c| c.band).collect::<Vec<_>>(),
+                bands,
+                "{name}"
+            );
+            for c in rows {
+                assert_eq!(c.kind, Kind::Gated, "{name}");
+                assert!(c.holds(), "{}", c.note());
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! One experiment per table and figure of §9 and Appendix A of
 //! *Disaggregated RAID Storage in Modern Datacenters* (ASPLOS '23). Each
 //! figure is a [`Figure`]: a set of series over a sweep variable, printed as
-//! the same rows the paper plots, together with the paper's headline claims
-//! for that figure so a run is immediately comparable.
+//! the same rows the paper plots, together with the paper's claims for that
+//! figure as checked [`Claim`] rows: a gated claim outside its band fails
+//! `all_figures`, and a known gap renders ⚠️.
 //!
 //! `all_figures` runs the whole evaluation and emits a Markdown report;
 //! `all_figures <id>...` regenerates individual figures (`fig09` … `fig30`,
@@ -15,8 +16,7 @@
 //!
 //! The `report` binary is the observability plane's front end: it runs a
 //! reference scenario and attributes the bottleneck per phase, with JSON,
-//! aligned-text and Prometheus outputs (see [`report`]). The reproduction
-//! gates live in [`repro`] and run as `draid-check repro`.
+//! aligned-text and Prometheus outputs (see [`report`]).
 //!
 //! ## Example
 //!
@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod baseline;
+mod claim;
 mod exp_app;
 mod exp_fio;
 mod exp_misc;
@@ -37,9 +38,9 @@ pub mod figures;
 pub mod json;
 pub mod parallel;
 pub mod report;
-pub mod repro;
 mod setup;
 
+pub use claim::{headline_table, Band, Claim, Kind, Value};
 pub use figure::{Figure, Point, Series};
 pub use report::{run_report, BottleneckReport, ReportConfig};
 pub use setup::{build_array, build_hetero_array, Scenario};

@@ -1,7 +1,7 @@
 //! # draid-check — the workspace verification plane
 //!
-//! Four subcommands, one binary (`cargo run -p draid-check -- <subcommand>`).
-//! `all` runs the first three legs:
+//! Three subcommands, one binary (`cargo run -p draid-check -- <subcommand>`);
+//! `all` runs them together:
 //!
 //! * [`lint`] — a file-walking lexical lint driver enforcing the workspace's
 //!   source-hygiene contract: `unsafe` confined to the SIMD kernels with
@@ -14,9 +14,6 @@
 //! * [`interleave`] — a seeded bounded-interleaving stress harness for the
 //!   `draid_bench::parallel` atomic-cursor claiming discipline and the
 //!   executor's [`draid_core::BufPool`].
-//! * `repro` — the paper's 8 headline claims as tolerance gates
-//!   ([`draid_bench::repro`]). It needs a release build
-//!   (`cargo run --release -p draid-check -- repro`), so `all` leaves it out.
 //!
 //! The runtime legs lean on the `draid_invariant!` checkers compiled into
 //! the simulation crates under `debug_assertions` (or the opt-in
