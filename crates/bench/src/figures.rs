@@ -261,8 +261,8 @@ mod tests {
         );
     }
 
-    /// The eight checks the former `draid-check repro` ran are gated rows
-    /// of the figures that measure them, each with its old threshold.
+    /// The eight reproduction gates are gated rows of the figures that
+    /// measure them, each with its threshold, so none can silently go.
     #[test]
     fn former_reproduction_gates_stay_gated() {
         use crate::Band::{Above, Below, Within};

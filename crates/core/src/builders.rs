@@ -616,9 +616,14 @@ impl<'a, 'c> Builder<'a, 'c> {
                 // forward, no per-bdev callback.
                 write
             };
-            let bytes = if rmw { seg.len } else { chunk };
-            let delta = self.combine(false, self.node(m), bytes, &[src]);
-            self.contribute(m, bytes, delta, parity, fwds);
+            // RMW's partial is old ⊕ new data (Alg. 1 l.2-4); a
+            // reconstruct-write forwards the new chunk as is (l.5-6).
+            if rmw {
+                let delta = self.combine(false, self.node(m), seg.len, &[src]);
+                self.contribute(m, seg.len, delta, parity, fwds);
+            } else {
+                self.contribute(m, chunk, src, parity, fwds);
+            }
         }
         if !rmw {
             self.contribute_untouched(io, parity, fwds);

@@ -948,9 +948,10 @@ mod tests {
 
     #[test]
     fn builder_dags_match_recorded_digest() {
-        // FNV-1a over every shape's step kinds and dependencies, recorded
-        // from the builders as they stood before they shared primitives: any
-        // change to a step's kind, order or dependencies changes it.
+        // FNV-1a over every shape's step kinds and dependencies: any change
+        // to a step's kind, order or dependencies changes it. Re-recorded
+        // when dRAID's reconstruct-write stopped charging each touched
+        // member an XOR pass its RW_WRITE partial does not make.
         let mut hash = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |bytes: &[u8]| {
             for &b in bytes {
@@ -970,7 +971,7 @@ mod tests {
             shapes += 1;
         });
         assert_eq!(shapes, 13_440);
-        assert_eq!(hash, 0x99c6_498e_e1b9_9d2d);
+        assert_eq!(hash, 0x681d_7aa1_84ee_791f);
     }
 
     #[test]

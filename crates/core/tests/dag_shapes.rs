@@ -397,10 +397,11 @@ fn count_steps(dag: &Dag, pred: impl Fn(&StepKind) -> bool) -> usize {
 }
 
 /// Per-member bytes of a dRAID write DAG, in `DataChunkPlan` terms: drive
-/// read, drive write, fetched payload, and partials forwarded to P and Q.
-fn member_bytes(fx: &Fixture, dag: &Dag, m: usize, p: usize, q: Option<usize>) -> [u64; 5] {
+/// read, drive write, fetched payload, partials forwarded to P and Q, and
+/// the member core's XOR and GF(256) passes.
+fn member_bytes(fx: &Fixture, dag: &Dag, m: usize, p: usize, q: Option<usize>) -> [u64; 7] {
     let (node, server) = (fx.nodes[m], fx.servers[m]);
-    let mut out = [0; 5];
+    let mut out = [0; 7];
     for (_, step) in dag.iter() {
         match step.kind {
             StepKind::DriveRead { server: s, bytes } if s == server => out[0] += bytes,
@@ -416,6 +417,8 @@ fn member_bytes(fx: &Fixture, dag: &Dag, m: usize, p: usize, q: Option<usize>) -
             {
                 out[4] += bytes;
             }
+            StepKind::Xor { node: n, bytes } if n == node => out[5] += bytes,
+            StepKind::GfMul { node: n, bytes } if n == node => out[6] += bytes,
             _ => {}
         }
     }
@@ -426,27 +429,43 @@ fn member_bytes(fx: &Fixture, dag: &Dag, m: usize, p: usize, q: Option<usize>) -
 fn draid_write_members_follow_algorithm_1() {
     // One stripe write touching data chunk 0 partly (its last 64 KiB), chunk
     // 1 fully and chunk 2 partly (its first 32 KiB); the rest are untouched.
+    // With data chunk 5's member dead the write is degraded, which is
+    // reconstruction-shaped whatever the mode, and the dead member is idle.
+    let cases = [
+        (WriteMode::ReadModifyWrite, None),
+        (WriteMode::ReconstructWrite, None),
+        (WriteMode::ReadModifyWrite, Some(5)),
+    ];
     for level in [RaidLevel::Raid5, RaidLevel::Raid6] {
-        for mode in [WriteMode::ReadModifyWrite, WriteMode::ReconstructWrite] {
+        for (mode, dead) in cases {
             for pipeline in [true, false] {
                 let mut fx = Fixture::new(SystemKind::Draid, level);
                 fx.cfg.draid.pipeline = pipeline;
                 let chunk = fx.layout.chunk_size();
                 let io = &fx.layout.map(chunk - 64 * KIB, 64 * KIB + chunk + 32 * KIB)[0];
-                let none = BTreeSet::new();
+                let faulty: BTreeSet<usize> = dead
+                    .map(|k| fx.layout.data_member(0, k))
+                    .into_iter()
+                    .collect();
                 let purpose = Purpose::Write {
                     mode,
-                    degraded: false,
+                    degraded: dead.is_some(),
                 };
-                let dag = build_dag(&fx.ctx(&none, None), purpose, io);
+                let dag = build_dag(&fx.ctx(&faulty, None), purpose, io);
+                let mode = dead.map_or(mode, |_| WriteMode::ReconstructWrite);
                 let (p, q) = (fx.layout.p_member(0), fx.layout.q_member(0));
                 for k in 0..fx.layout.data_chunks() {
                     let m = fx.layout.data_member(0, k);
                     let seg = io.segments.iter().find(|s| s.member == m);
                     let got = member_bytes(&fx, &dag, m, p, q);
-                    let case = format!("{level:?} {mode:?} pipeline={pipeline} chunk {k}");
+                    let case =
+                        format!("{level:?} {mode:?} dead={dead:?} pipeline={pipeline} chunk {k}");
+                    if dead == Some(k) {
+                        assert_eq!(got, [0; 7], "{case}: the dead member is idle");
+                        continue;
+                    }
                     if mode == WriteMode::ReadModifyWrite && seg.is_none() {
-                        assert_eq!(got, [0; 5], "{case}: untouched in RMW");
+                        assert_eq!(got, [0; 7], "{case}: untouched in RMW");
                         continue;
                     }
                     let (offset, length) = seg.map_or((0, 0), |s| (s.offset, s.len));
@@ -470,14 +489,19 @@ fn draid_write_members_follow_algorithm_1() {
                     });
                     let len = |extent: Option<(u64, u64)>| extent.map_or(0, |(_, len)| len);
                     let fwd = plan.forward.expect("every data member forwards").fwd_length;
+                    // The Q partial is the P partial scaled by g^i on the member.
+                    let to_q = if q.is_some() { fwd } else { 0 };
                     let want = [
                         len(plan.drive_read),
                         len(plan.drive_write),
                         len(plan.fetch),
                         fwd,
-                        if q.is_some() { fwd } else { 0 },
+                        to_q,
+                        if plan.xor_needed { len(plan.fetch) } else { 0 },
+                        to_q,
                     ];
-                    assert_eq!(got, want, "{case}: [read, write, fetch, to P, to Q]");
+                    let cells = "[read, write, fetch, to P, to Q, xor, gf]";
+                    assert_eq!(got, want, "{case}: {cells}");
                 }
             }
         }
