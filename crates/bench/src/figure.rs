@@ -119,9 +119,14 @@ impl Figure {
 
     /// Ratio of two series' primary metric at sweep value `x` (e.g.
     /// dRAID/SPDK at 128 KiB — the paper's "×" claims); NaN when either
-    /// point is missing.
+    /// point is missing or the denominator is not positive.
     pub fn ratio_at(&self, num: &str, den: &str, x: f64) -> f64 {
-        self.y(num, x) / self.y(den, x)
+        let d = self.y(den, x);
+        if d > 0.0 {
+            self.y(num, x) / d
+        } else {
+            f64::NAN
+        }
     }
 
     /// Adds a note.
@@ -290,11 +295,13 @@ mod tests {
 
     #[test]
     fn ratio_and_peak() {
-        let fig = sample();
+        let mut fig = sample();
         let r = fig.ratio_at("dRAID", "SPDK", 128.0);
         assert!((r - 1.7).abs() < 0.01);
         assert_eq!(fig.series("dRAID").expect("exists").peak(), 5100.0);
         assert!(fig.ratio_at("dRAID", "missing", 128.0).is_nan());
+        fig.series[0].points[1].y = 0.0;
+        assert!(fig.ratio_at("dRAID", "SPDK", 128.0).is_nan());
         assert!(fig.y("dRAID", 64.0).is_nan());
     }
 
