@@ -5,6 +5,13 @@
 //! `rs_decode_2_of_6+2` count the six sources' bytes per call;
 //! `update_pq` counts the bytes of data written.
 //!
+//! The `_cold` rows run `update_pq`, `rs_decode_2_of_6+2` and `copy` at
+//! 128 KiB (the chunk store's I/O size) on buffers drawn at random from a
+//! 256 MiB pool (64 MiB with `--quick`), far past the last-level cache, as
+//! the chunk store's are. Streams of 64 KiB and more are split between two
+//! cores when the machine has them, so these rows and the 64 KiB and 1 MiB
+//! rows measure both.
+//!
 //! ```text
 //! cargo run --release -p draid-bench --bin kernels [--quick] [--out PATH]
 //! ```
@@ -21,6 +28,9 @@ use draid_bench::json::Json;
 use draid_ec::{gf256, kernels, xor_into, ReedSolomon};
 
 const SIZES: &[usize] = &[4 * 1024, 64 * 1024, 1024 * 1024];
+
+/// Buffer size of the cold rows: one chunk-store I/O.
+const COLD_SIZE: usize = 128 * 1024;
 
 struct Measurement {
     kernel: &'static str,
@@ -52,6 +62,38 @@ fn time_for(budget: Duration, mut f: impl FnMut()) -> f64 {
         }
     }
     start.elapsed().as_nanos() as f64 / calls as f64
+}
+
+/// Draws distinct [`COLD_SIZE`] blocks of a pool at random (xorshift64).
+struct ColdBlocks {
+    blocks: usize,
+    rng: u64,
+}
+
+impl ColdBlocks {
+    fn new(blocks: usize) -> ColdBlocks {
+        ColdBlocks {
+            blocks,
+            rng: 0x9E37_79B9_7F4A_7C15,
+        }
+    }
+
+    /// The byte ranges of `N` distinct blocks.
+    fn pick<const N: usize>(&mut self) -> [std::ops::Range<usize>; N] {
+        let mut picked = [0; N];
+        let mut n = 0;
+        while n < N {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            let b = (self.rng % self.blocks as u64) as usize;
+            if !picked[..n].contains(&b) {
+                picked[n] = b;
+                n += 1;
+            }
+        }
+        picked.map(|b| b * COLD_SIZE..(b + 1) * COLD_SIZE)
+    }
 }
 
 fn buf(len: usize, seed: u8) -> Vec<u8> {
@@ -162,6 +204,35 @@ fn main() {
                 .expect("decodable");
         });
     }
+
+    // Cold rows: every call takes fresh, distinct blocks of the pool.
+    let pool_bytes = if quick { 64 << 20 } else { 256 << 20 };
+    let mut pool = buf(pool_bytes, 23);
+    let mut blocks = ColdBlocks::new(pool_bytes / COLD_SIZE);
+    let rs = ReedSolomon::new(6, 2);
+    let pq = [rs.coefficient(0, 2), rs.coefficient(1, 2)];
+    measure("update_pq_cold", COLD_SIZE, COLD_SIZE, &mut || {
+        let [data, new, p, q] = pool.get_disjoint_mut(blocks.pick()).expect("distinct");
+        kernels::update(std::hint::black_box(&pq), data, new, &mut [p, q]);
+    });
+    measure(
+        "rs_decode_2_of_6+2_cold",
+        COLD_SIZE,
+        6 * COLD_SIZE,
+        &mut || {
+            let [s0, d1, s2, s3, d4, s5, s6, s7] =
+                pool.get_disjoint_mut(blocks.pick()).expect("distinct");
+            let shards =
+                [s0, &mut [], s2, s3, &mut [], s5, s6, s7].map(|s| (!s.is_empty()).then_some(&*s));
+            rs.decode_rows(std::hint::black_box(&shards), &mut [(1, d1), (4, d4)])
+                .expect("decodable");
+        },
+    );
+    measure("copy_cold", COLD_SIZE, COLD_SIZE, &mut || {
+        let [dst, src] = pool.get_disjoint_mut(blocks.pick()).expect("distinct");
+        kernels::copy(dst, std::hint::black_box(src));
+    });
+    drop(pool);
 
     let speedup = {
         let at = |kernel: &str| {

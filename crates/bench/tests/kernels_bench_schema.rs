@@ -1,7 +1,7 @@
 //! The checked-in `BENCH_kernels.json` kernel-throughput report must parse,
-//! name the machine it was measured on, cover every kernel at every size,
-//! and keep Reed-Solomon decode within reach of the raw multiply-accumulate
-//! it is built from.
+//! name the machine it was measured on, cover every kernel at every size
+//! and every cold row at its one size, and keep Reed-Solomon decode within
+//! reach of the raw multiply-accumulate it is built from.
 
 use draid_bench::json::{self, Json};
 
@@ -17,6 +17,11 @@ const KERNELS: [&str; 6] = [
 ];
 
 const SIZES: [f64; 3] = [4096.0, 65536.0, 1048576.0];
+
+/// Rows measured once, at 128 KiB, on buffers drawn from a pool far larger
+/// than the last-level cache.
+const COLD: [&str; 3] = ["update_pq_cold", "rs_decode_2_of_6+2_cold", "copy_cold"];
+const COLD_SIZE: f64 = 131072.0;
 
 fn gb_per_sec(results: &[Json], kernel: &str, size: f64) -> f64 {
     let rows: Vec<&Json> = results
@@ -56,12 +61,16 @@ fn checked_in_kernel_bench_has_expected_shape() {
         .get("results")
         .and_then(Json::as_arr)
         .expect("results array");
-    assert_eq!(results.len(), KERNELS.len() * SIZES.len());
+    assert_eq!(results.len(), KERNELS.len() * SIZES.len() + COLD.len());
     for kernel in KERNELS {
         for size in SIZES {
             let rate = gb_per_sec(results, kernel, size);
             assert!(rate > 0.0, "{kernel} at {size} B: non-positive rate");
         }
+    }
+    for kernel in COLD {
+        let rate = gb_per_sec(results, kernel, COLD_SIZE);
+        assert!(rate > 0.0, "{kernel}: non-positive rate");
     }
 
     let speedup = doc

@@ -218,7 +218,12 @@ impl Drive {
         rate.scaled(1.0 / self.slow_factor)
     }
 
+    /// `latency` stretched by the fail-slow factor; a healthy drive's factor
+    /// of exactly 1 skips the float math (bit-identical below 2^53 ns).
     fn stretch(&self, latency: SimTime) -> SimTime {
+        if self.slow_factor == 1.0 {
+            return latency;
+        }
         SimTime::from_nanos((latency.as_nanos() as f64 * self.slow_factor).round() as u64)
     }
 
@@ -318,6 +323,21 @@ mod tests {
             write_latency: SimTime::from_micros(20),
             capacity: 1 << 30,
         })
+    }
+
+    #[test]
+    fn healthy_stretch_is_the_identity_the_float_path_computes() {
+        let mut d = drive();
+        for ns in [0, 1, 20_000, 80_000, 123_456_789, (1 << 53) - 1] {
+            let t = SimTime::from_nanos(ns);
+            let float = SimTime::from_nanos((ns as f64 * 1.0).round() as u64);
+            assert_eq!(d.stretch(t), float, "{ns} ns");
+        }
+        d.set_fail_slow(2.5);
+        assert_eq!(
+            d.stretch(SimTime::from_nanos(1_000)),
+            SimTime::from_nanos(2_500)
+        );
     }
 
     #[test]

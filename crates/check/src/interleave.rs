@@ -12,15 +12,19 @@
 //! * `map_chunked` upholds the same contract for every claim-chunk size,
 //!   including partial final chunks;
 //! * a shared [`BufPool`] hands out only cleared buffers, never exceeds
-//!   its pooling bound, and survives concurrent take/put cycles.
+//!   its pooling bound, and survives concurrent take/put cycles;
+//! * [`ChunkStore`]s driven from several threads at once, each splitting
+//!   its long streams with the one helper thread of `draid-ec`'s kernels,
+//!   return exactly the bytes written and keep their parity consistent.
 //!
 //! Panics on the first violated assertion; the driver maps that to a
 //! failing exit.
 
-use std::sync::Mutex;
+use std::collections::BTreeSet;
+use std::sync::{Mutex, OnceLock};
 
 use draid_bench::parallel;
-use draid_core::BufPool;
+use draid_core::{ArrayConfig, BufPool, ChunkStore, Layout, RaidLevel, SystemKind, WriteMode};
 
 /// Default number of seeds (the CI gate requires at least 64).
 pub const DEFAULT_SEEDS: u64 = 64;
@@ -36,6 +40,9 @@ pub struct Report {
     pub chunked_items: u64,
     /// Total BufPool take/put cycles executed under contention.
     pub pool_cycles: u64,
+    /// Total chunk-store writes and checked reads executed under
+    /// contention for the kernels' helper thread.
+    pub store_cycles: u64,
 }
 
 /// splitmix64: tiny, seedable, statistically fine for schedule jitter.
@@ -66,6 +73,7 @@ pub fn run(seeds: u64) -> Report {
         report.mapped_items += stress_map_order(seed);
         report.chunked_items += stress_chunked_claiming(seed);
         report.pool_cycles += stress_bufpool(seed);
+        report.store_cycles += stress_chunk_stores(seed);
         report.seeds += 1;
     }
     report
@@ -149,6 +157,121 @@ fn stress_bufpool(seed: u64) -> u64 {
     cycles
 }
 
+/// Threads per seed that drive chunk stores at once.
+const STORE_THREADS: u64 = 3;
+/// The paper's default chunk size: long enough that every full-chunk
+/// stream is split between two cores.
+const STORE_CHUNK: u64 = 512 * 1024;
+/// Members per store: four data chunks per RAID-5 stripe, three per RAID-6
+/// stripe.
+const STORE_WIDTH: usize = 5;
+/// Writes per thread; each is followed by a checked read, and a member is
+/// lost before the middle one.
+const STORE_WRITES: u64 = 4;
+
+/// One seed of chunk-store contention: [`STORE_THREADS`] threads, each
+/// with its own one-stripe RAID-5 or RAID-6 store of 512 KiB chunks, mix
+/// read-modify-write, reconstruct-write and full-stripe writes, losing a
+/// member halfway. Their kernels contend for the one helper thread. Every
+/// read must return the shadow copy's bytes, and parity must check out as
+/// far as the surviving redundancy allows.
+fn stress_chunk_stores(seed: u64) -> u64 {
+    std::thread::scope(|s| {
+        let threads: Vec<_> = (0..STORE_THREADS)
+            .map(|t| s.spawn(move || drive_store(seed, t)))
+            .collect();
+        threads
+            .into_iter()
+            .map(|t| t.join().expect("a chunk-store thread panicked"))
+            .sum()
+    })
+}
+
+/// Payload bytes: a splitmix64 stream, built once; each write takes a
+/// seed-derived window of it.
+fn payload_pool() -> &'static [u8] {
+    static POOL: OnceLock<Vec<u8>> = OnceLock::new();
+    POOL.get_or_init(|| {
+        (0..(2 * STORE_CHUNK * STORE_WIDTH as u64) / 8)
+            .flat_map(|i| splitmix64(i).to_le_bytes())
+            .collect()
+    })
+}
+
+/// Thread `t`'s share of [`stress_chunk_stores`]; returns its cycles.
+fn drive_store(seed: u64, t: u64) -> u64 {
+    let mut cfg = ArrayConfig::paper_default(SystemKind::Draid);
+    cfg.level = if (seed + t).is_multiple_of(2) {
+        RaidLevel::Raid6
+    } else {
+        RaidLevel::Raid5
+    };
+    cfg.width = STORE_WIDTH;
+    cfg.chunk_size = STORE_CHUNK;
+    let layout = Layout::new(&cfg);
+    let mut store = ChunkStore::new(layout);
+    let stripe_bytes = layout.stripe_data_bytes();
+    let mut shadow = vec![0u8; stripe_bytes as usize];
+    let mut failed = BTreeSet::new();
+    let mut cycles = 0;
+    for w in 0..STORE_WRITES {
+        let h = splitmix64(seed.wrapping_mul(0x5851_F42D) ^ (t << 40) ^ (w << 20));
+        jitter(h);
+        if w == STORE_WRITES / 2 {
+            assert!(
+                store.verify_all().is_empty(),
+                "parity inconsistent before the loss under seed {seed} (thread {t})"
+            );
+            let member = (h % STORE_WIDTH as u64) as usize;
+            store.drop_member(member);
+            failed.insert(member);
+        }
+        // The full stripe, one or two whole chunks, or an unaligned range
+        // long enough to split.
+        let (off, len) = match (h >> 12) % 3 {
+            0 => (0, stripe_bytes),
+            1 => {
+                let chunks = 1 + (h >> 16) % 2;
+                let first = (h >> 20) % (layout.data_chunks() as u64 - chunks + 1);
+                (first * STORE_CHUNK, chunks * STORE_CHUNK)
+            }
+            _ => {
+                let len = 128 * 1024 + 1 + (h >> 16) % STORE_CHUNK;
+                ((h >> 40) % (stripe_bytes - len), len)
+            }
+        };
+        let from = ((h >> 24) % (payload_pool().len() as u64 - len)) as usize;
+        let payload = &payload_pool()[from..from + len as usize];
+        for io in layout.map(off, len) {
+            let at = io.buf_offset as usize;
+            let bytes = &payload[at..at + io.bytes() as usize];
+            let mode = match layout.write_mode(&io) {
+                WriteMode::FullStripe => WriteMode::FullStripe,
+                _ if h & 0x10 != 0 => WriteMode::ReconstructWrite,
+                _ => WriteMode::ReadModifyWrite,
+            };
+            store.apply_write(&io, bytes, mode, &failed);
+        }
+        shadow[off as usize..(off + len) as usize].copy_from_slice(payload);
+        cycles += 1;
+
+        jitter(h.rotate_left(17));
+        for io in layout.map(0, stripe_bytes) {
+            let at = io.buf_offset as usize;
+            assert!(
+                store.read(&io, &failed) == shadow[at..at + io.bytes() as usize],
+                "read back wrong bytes under seed {seed} (thread {t}, write {w})"
+            );
+        }
+        cycles += 1;
+    }
+    assert!(
+        store.verify_survivors(0, &failed),
+        "surviving parity inconsistent under seed {seed} (thread {t})"
+    );
+    cycles
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -160,6 +283,7 @@ mod tests {
         assert!(r.mapped_items >= 4 * 16);
         assert!(r.chunked_items >= 4 * 16);
         assert_eq!(r.pool_cycles, 4 * 48);
+        assert_eq!(r.store_cycles, 4 * STORE_THREADS * 2 * STORE_WRITES);
     }
 
     #[test]

@@ -141,8 +141,13 @@ fn run_interleave(seeds: u64) -> bool {
     // message; a clean return means every assertion held on every seed.
     let report = interleave::run(seeds);
     println!(
-        "interleave: OK ({} seeds, {} ordered map items, {} chunked items, {} pool cycles)",
-        report.seeds, report.mapped_items, report.chunked_items, report.pool_cycles
+        "interleave: OK ({} seeds, {} ordered map items, {} chunked items, {} pool cycles, \
+         {} chunk-store cycles)",
+        report.seeds,
+        report.mapped_items,
+        report.chunked_items,
+        report.pool_cycles,
+        report.store_cycles
     );
     true
 }

@@ -12,7 +12,8 @@
 //!   kernels every encode, decode and read-modify-write runs on:
 //!   [`kernels::encode`] (a dot product, like ISA-L's `ec_encode_data`) and
 //!   [`kernels::update`] (the small-write delta, like
-//!   `ec_encode_data_update`).
+//!   `ec_encode_data_update`). With `simd` they and [`kernels::copy`] run
+//!   the upper half of a long stream on one persistent helper thread.
 //! * [`xor_into`] — the wide XOR kernel (partial-parity reduction).
 //! * [`ReedSolomon`] — the systematic Vandermonde `(k, m)` codec behind
 //!   every RAID level: its parity row 0 is RAID-5's P (a plain XOR) and row
@@ -41,8 +42,9 @@
 //! ```
 
 // With the `simd` feature the `kernels::x86` module uses raw SIMD
-// intrinsics (the only unsafe in the crate, behind a runtime CPU check);
-// without it the whole crate forbids unsafe outright.
+// intrinsics (behind a runtime CPU check) and `kernels::fork` hands borrowed
+// halves to its helper thread: the only unsafe in the crate. Without it the
+// whole crate forbids unsafe outright.
 #![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

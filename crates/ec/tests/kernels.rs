@@ -257,3 +257,90 @@ fn raid6_full_recovery_matrix_through_wide_kernels() {
         }
     }
 }
+
+/// Mirrors the private `kernels::SPLIT_MIN`: streams of at least twice this
+/// many bytes are split between two cores (with the `simd` feature on a
+/// machine with two hardware threads), shorter ones run serially.
+const SPLIT_MIN: usize = 32 * 1024;
+
+/// Lengths around the split threshold, odd lengths past it, and 1 MiB.
+const SPLIT_LENGTHS: &[usize] = &[
+    2 * SPLIT_MIN - 1,
+    2 * SPLIT_MIN,
+    2 * SPLIT_MIN + 1,
+    2 * SPLIT_MIN + 63,
+    3 * SPLIT_MIN + 7,
+    100_001,
+    1 << 20,
+];
+
+#[test]
+fn split_encode_matches_scalar_for_up_to_four_outputs_and_beyond() {
+    // 1–4 outputs split; 5 and 6 stay serial. Six sources, as in a
+    // width-8 RAID-6 decode.
+    let k = 6;
+    for &len in SPLIT_LENGTHS {
+        let srcs: Vec<Vec<u8>> = (0..k).map(|i| pattern(len, 29 * i as u8 + 1)).collect();
+        let refs: Vec<&[u8]> = srcs.iter().map(|s| &s[..]).collect();
+        for m in 1..=6usize {
+            let coeffs: Vec<u8> = (0..m * k)
+                .map(|t| background(t / k, t % k) ^ t as u8)
+                .collect();
+            let mut outs = vec![pattern(len, 0x3C); m];
+            kernels::encode(
+                &coeffs,
+                &refs,
+                &mut outs.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
+            );
+            for (j, out) in outs.iter().enumerate() {
+                let row = &coeffs[j * k..][..k];
+                assert!(*out == dot_ref(row, &refs, len), "len={len} m={m} out={j}");
+            }
+        }
+    }
+}
+
+#[test]
+fn split_update_matches_scalar_for_one_and_two_parities() {
+    // Coefficient 0 (skipped), 1 (plain XOR) and a general multiplier on
+    // P and on Q.
+    for &len in SPLIT_LENGTHS {
+        for coeffs in [[1u8, 0], [1, 1], [0, 0x8E], [1, 0x1D], [0xFF, 2]] {
+            for m in 1..=2 {
+                let coeffs = &coeffs[..m];
+                let mut data = pattern(len, 0x11);
+                let new = pattern(len, 0x6B);
+                let mut parity: Vec<Vec<u8>> = (0..m).map(|j| pattern(len, 90 + j as u8)).collect();
+                let mut expect = parity.clone();
+                for (p, &c) in expect.iter_mut().zip(coeffs) {
+                    gf256::mul_acc_ref(p, &data, c);
+                    gf256::mul_acc_ref(p, &new, c);
+                }
+                kernels::update(
+                    coeffs,
+                    &mut data,
+                    &new,
+                    &mut parity.iter_mut().map(|p| &mut p[..]).collect::<Vec<_>>(),
+                );
+                assert!(data == new, "len={len} coeffs={coeffs:?}: data = new");
+                assert!(parity == expect, "len={len} coeffs={coeffs:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn split_copy_matches_a_plain_copy() {
+    for &len in SPLIT_LENGTHS.iter().chain(&[0, 1, 4095]) {
+        let src = pattern(len, 0x77);
+        let mut dst = pattern(len, 0x01);
+        kernels::copy(&mut dst, &src);
+        assert!(dst == src, "len={len}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "length mismatch")]
+fn copy_length_mismatch_panics() {
+    kernels::copy(&mut [0u8; 3], &[0u8; 4]);
+}

@@ -65,11 +65,16 @@ impl ByteRate {
     }
 
     /// This rate scaled by `factor` (degraded links, fail-slow devices).
+    /// A factor of exactly 1 returns the rate unchanged without float math,
+    /// as rounding would (every rate below 2^53 B/s is exact in an `f64`).
     ///
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
     pub fn scaled(self, factor: f64) -> Self {
+        if factor == 1.0 {
+            return self;
+        }
         assert!(
             factor.is_finite() && factor >= 0.0,
             "invalid factor: {factor}"
@@ -375,6 +380,28 @@ mod tests {
             ByteRate::from_bytes_per_sec(125_000_000).as_gbps(),
             1.0 // 1 Gbps
         );
+    }
+
+    #[test]
+    fn unit_factor_is_the_identity_the_float_path_computes() {
+        // `round(x · 1.0) = x` for every `x < 2^53`, so skipping the float
+        // math at a factor of exactly 1 changes no result.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let samples = (0..1000).map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x >> 11
+        });
+        for bps in [0, 1, 3, 125_000_000, 11_500_000_000, (1 << 53) - 1]
+            .into_iter()
+            .chain(samples)
+        {
+            let float = ((bps as f64) * 1.0).round() as u64;
+            assert_eq!(float, bps);
+            assert_eq!(ByteRate(bps).scaled(1.0), ByteRate(float));
+        }
+        assert_eq!(ByteRate(1000).scaled(0.5), ByteRate(500));
     }
 
     #[test]
