@@ -10,21 +10,25 @@
 //! Ids are those of `draid_bench::figures::all`: `table1`, `fig09` …
 //! `fig30`, `ablation`, and the extensions `cpu_util`, `breakdown`,
 //! `openloop` and `oversubscription`. When ids are named, each figure is
-//! followed by its terminal bar chart. The run exits 1 when a gated claim
+//! followed by its terminal bar chart. An argument that names no figure
+//! exits 2 before any figure runs. The run exits 1 when a gated claim
 //! misses its band.
 
 use std::time::Instant;
 
 fn main() {
     let filter: Vec<String> = std::env::args().skip(1).collect();
-    let specs: Vec<_> = draid_bench::figures::all()
+    let all = draid_bench::figures::all();
+    if let Some(unknown) = filter.iter().find(|f| all.iter().all(|s| s.id != *f)) {
+        let ids: Vec<&str> = all.iter().map(|s| s.id).collect();
+        eprintln!("unknown figure: {unknown}");
+        eprintln!("usage: all_figures [ID ...], ID one of {}", ids.join(" "));
+        std::process::exit(2);
+    }
+    let specs: Vec<_> = all
         .into_iter()
         .filter(|s| filter.is_empty() || filter.iter().any(|f| f == s.id))
         .collect();
-    if specs.is_empty() {
-        eprintln!("no figures matched {filter:?}");
-        std::process::exit(1);
-    }
     let total = Instant::now();
     let figs: Vec<_> = specs
         .iter()

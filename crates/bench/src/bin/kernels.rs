@@ -1,31 +1,34 @@
 //! Kernel-throughput report: measures the erasure-coding data-plane kernels
-//! (XOR, wide vs scalar GF(256) multiply-accumulate, the one-pass RAID-6 P+Q
-//! encode and small-write update, Reed-Solomon decode) at several buffer
-//! sizes and writes `BENCH_kernels.json`. `encode_pq_6` and
-//! `rs_decode_2_of_6+2` count the six sources' bytes per call;
-//! `update_pq` counts the bytes of data written.
+//! (a one-source GF(256) multiply through `kernels::encode` against the
+//! seed's scalar multiply-accumulate, the one-pass RAID-6 P+Q encode and
+//! small-write update, Reed-Solomon decode) at several buffer sizes and
+//! writes `BENCH_kernels.json`. `mul_wide` and `mul_acc_scalar_ref` count
+//! the source's bytes per call, `encode_pq_6` and `rs_decode_2_of_6+2` the
+//! six sources' bytes; `update_pq` counts the bytes of data written.
 //!
 //! The `_cold` rows run `update_pq`, `rs_decode_2_of_6+2` and `copy` at
 //! 128 KiB (the chunk store's I/O size) on buffers drawn at random from a
 //! 256 MiB pool (64 MiB with `--quick`), far past the last-level cache, as
 //! the chunk store's are. Streams of 64 KiB and more are split between two
-//! cores when the machine has them, so these rows and the 64 KiB and 1 MiB
-//! rows measure both.
+//! cores when the machine has them, so these rows and every 64 KiB and
+//! 1 MiB row except `mul_acc_scalar_ref` (`mul_wide` included) measure two
+//! cores.
 //!
 //! ```text
 //! cargo run --release -p draid-bench --bin kernels [--quick] [--out PATH]
 //! ```
 //!
 //! `--quick` shortens each measurement (CI smoke); `--out` overrides the
-//! output path. The JSON records the machine (core count, CPU model,
-//! whether the SIMD kernels are active) and carries GB/s per (kernel, size)
-//! plus the wide-vs-scalar `mul_acc` speedup at 64 KiB — the number the
+//! output path; any other argument exits 2 before anything is measured.
+//! The JSON records the machine (core count, CPU model, whether the SIMD
+//! kernels are active) and carries GB/s per (kernel, size) plus the
+//! `mul_wide` / `mul_acc_scalar_ref` speedup at 64 KiB — the number the
 //! acceptance bar (≥ 5×) checks.
 
 use std::time::{Duration, Instant};
 
 use draid_bench::json::Json;
-use draid_ec::{gf256, kernels, xor_into, ReedSolomon};
+use draid_ec::{gf256, kernels, ReedSolomon};
 
 const SIZES: &[usize] = &[4 * 1024, 64 * 1024, 1024 * 1024];
 
@@ -103,14 +106,10 @@ fn buf(len: usize, seed: u8) -> Vec<u8> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_kernels.json".to_string());
+    let (quick, out_path) = draid_bench::bench_args(
+        "usage: kernels [--quick] [--out PATH]",
+        "BENCH_kernels.json",
+    );
     let budget = if quick {
         Duration::from_millis(5)
     } else {
@@ -139,14 +138,11 @@ fn main() {
     for &size in SIZES {
         let src = buf(size, 3);
         let mut acc = buf(size, 5);
-        measure("xor_into", size, size, &mut || {
-            xor_into(std::hint::black_box(&mut acc), std::hint::black_box(&src))
-        });
-        measure("mul_acc_wide", size, size, &mut || {
-            gf256::mul_acc(
-                std::hint::black_box(&mut acc),
-                std::hint::black_box(&src),
-                0x1D,
+        measure("mul_wide", size, size, &mut || {
+            kernels::encode(
+                std::hint::black_box(&[0x1D]),
+                &[std::hint::black_box(&src)],
+                &mut [&mut acc[..]],
             )
         });
         measure("mul_acc_scalar_ref", size, size, &mut || {
@@ -242,9 +238,9 @@ fn main() {
                 .expect("64 KiB point measured")
                 .gb_per_sec()
         };
-        at("mul_acc_wide") / at("mul_acc_scalar_ref")
+        at("mul_wide") / at("mul_acc_scalar_ref")
     };
-    println!("mul_acc wide/scalar speedup at 64 KiB: {speedup:.1}x");
+    println!("mul_wide/mul_acc_scalar_ref speedup at 64 KiB: {speedup:.1}x");
 
     let (cores, cpu_model) = draid_bench::machine();
     let doc = Json::obj([
@@ -254,7 +250,7 @@ fn main() {
         ("cores", cores.into()),
         ("cpu_model", cpu_model.as_str().into()),
         ("simd_active", kernels::simd_active().into()),
-        ("mul_acc_speedup_at_64KiB", Json::rounded(speedup, 2)),
+        ("mul_speedup_at_64KiB", Json::rounded(speedup, 2)),
         (
             "results",
             results

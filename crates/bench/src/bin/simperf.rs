@@ -259,14 +259,8 @@ fn timer_cancel_baseline(n: u64, inflight: u64, deadline: SimTime) -> (u64, Dura
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_sim.json".to_string());
+    let (quick, out_path) =
+        draid_bench::bench_args("usage: simperf [--quick] [--out PATH]", "BENCH_sim.json");
     let (repeats, scale) = if quick { (2, 10) } else { (5, 1) };
     let heap_n = 200_000 / scale;
     let chain_n = 200_000 / scale;

@@ -60,3 +60,25 @@ pub fn machine() -> (usize, String) {
         .unwrap_or_else(|| "unknown".to_string());
     (cores, model)
 }
+
+/// The arguments of a timing binary, `[--quick] [--out PATH]`: whether to
+/// run the short smoke, and where to write the report (`default_out` unless
+/// `--out` names a path). Any other argument prints `usage` and exits 2,
+/// before anything is measured.
+pub fn bench_args(usage: &str, default_out: &str) -> (bool, String) {
+    let mut quick = false;
+    let mut out = default_out.to_string();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        if arg == "--quick" {
+            quick = true;
+        } else if let Some(path) = (arg == "--out").then(|| args.next()).flatten() {
+            out = path;
+        } else {
+            eprintln!("unexpected argument: {arg}");
+            eprintln!("{usage}");
+            std::process::exit(2);
+        }
+    }
+    (quick, out)
+}

@@ -1,15 +1,14 @@
 //! The checked-in `BENCH_kernels.json` kernel-throughput report must parse,
 //! name the machine it was measured on, cover every kernel at every size
 //! and every cold row at its one size, and keep Reed-Solomon decode within
-//! reach of the raw multiply-accumulate it is built from.
+//! reach of the one-source multiply it is built from.
 
 use draid_bench::json::{self, Json};
 
 const BENCH: &str = include_str!("../../../BENCH_kernels.json");
 
-const KERNELS: [&str; 6] = [
-    "xor_into",
-    "mul_acc_wide",
+const KERNELS: [&str; 5] = [
+    "mul_wide",
     "mul_acc_scalar_ref",
     "encode_pq_6",
     "update_pq",
@@ -74,20 +73,20 @@ fn checked_in_kernel_bench_has_expected_shape() {
     }
 
     let speedup = doc
-        .get("mul_acc_speedup_at_64KiB")
+        .get("mul_speedup_at_64KiB")
         .and_then(Json::as_num)
-        .expect("mul_acc speedup");
-    assert!(speedup >= 5.0, "wide mul_acc only {speedup}x over scalar");
+        .expect("mul speedup");
+    assert!(speedup >= 5.0, "mul_wide only {speedup}x over scalar");
 
     // Decoding two lost shards of a 6+2 stripe reads six survivors once,
     // for both restored rows together; with cached decode matrices and no
-    // shard copies it stays a fixed fraction of one multiply-accumulate
+    // shard copies it stays a fixed fraction of one one-source multiply
     // pass. Same-file ratio, so the machine cancels out.
     let mib = 1048576.0;
     let ratio =
-        gb_per_sec(results, "rs_decode_2_of_6+2", mib) / gb_per_sec(results, "mul_acc_wide", mib);
+        gb_per_sec(results, "rs_decode_2_of_6+2", mib) / gb_per_sec(results, "mul_wide", mib);
     assert!(
         ratio >= 0.2,
-        "rs_decode_2_of_6+2 / mul_acc_wide at 1 MiB is {ratio:.3}, below 0.2"
+        "rs_decode_2_of_6+2 / mul_wide at 1 MiB is {ratio:.3}, below 0.2"
     );
 }

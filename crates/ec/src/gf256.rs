@@ -94,32 +94,14 @@ fn product_table(c: u8) -> [u8; 256] {
     table
 }
 
-/// Multiply-accumulate over a buffer: `acc[i] ^= c * src[i]`.
+/// The seed's byte-at-a-time multiply-accumulate, `acc[i] ^= c·src[i]`,
+/// kept as the scalar reference: differential tests check the
+/// [`crate::kernels`] against it bit-for-bit, and the kernel benchmarks
+/// report speedup relative to it.
 ///
-/// This is the workhorse of RAID-6 Q generation and of partial-Q forwarding
-/// (the "other command data" coefficient in the dRAID protocol, §4). It runs
-/// on the wide [`crate::kernels`] path — eight bytes per step in `u64` lanes
-/// (or a whole SIMD register on x86) — with the per-coefficient tables
-/// served by the process-wide cache, so no call ever rebuilds them.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn mul_acc(acc: &mut [u8], src: &[u8], c: u8) {
-    assert_eq!(acc.len(), src.len(), "buffer length mismatch");
-    match c {
-        0 => {}
-        1 => crate::xor_into(acc, src),
-        _ => crate::kernels::mul_acc(acc, src, crate::kernels::mul_table(c)),
-    }
-}
-
-/// The seed's byte-at-a-time multiply-accumulate, kept as the scalar
-/// reference: differential tests check the wide kernels against it
-/// bit-for-bit, and the kernel benchmarks report speedup relative to it.
-///
-/// Unlike [`mul_acc`] it rebuilds its 256-entry product table on every call,
-/// exactly as the seed implementation did.
+/// Unlike the kernels, whose tables are cached per process, it rebuilds its
+/// 256-entry product table on every call, exactly as the seed
+/// implementation did.
 ///
 /// # Panics
 ///
@@ -195,17 +177,6 @@ mod tests {
                 assert_eq!(mul(c, add(a, b)), add(mul(c, a), mul(c, b)));
             }
         }
-    }
-
-    #[test]
-    fn mul_acc_cancels() {
-        let src = [1u8, 2, 3, 0, 255];
-        let mut acc = [0u8; 5];
-        mul_acc(&mut acc, &src, 0x1D);
-        let expect: Vec<u8> = src.iter().map(|&s| mul(s, 0x1D)).collect();
-        assert_eq!(acc.to_vec(), expect);
-        mul_acc(&mut acc, &src, 0x1D);
-        assert_eq!(acc, [0u8; 5], "xor-accumulating twice cancels");
     }
 
     #[test]

@@ -3,60 +3,58 @@
 //! The paper's dRAID prototype offloads parity math to ISA-L's SIMD
 //! GF(256) kernels so that erasure coding never throttles the NIC/drive
 //! rate servers. This module is the reproduction's equivalent: the same
-//! split-nibble technique ISA-L drives with `pshufb`.
-//!
-//! [`mul_acc`] multiplies one source into one accumulator, three ways:
-//!
-//! * a **portable u64-lane path** (the default): multiplication by a fixed
-//!   coefficient `c` is GF(2)-linear in the bits of the operand, so
-//!   `c·x = ⊕_{j : bit j of x set} c·2^j`. For eight bytes packed in a `u64`
-//!   we extract bit-plane `j` of every byte lane at once
-//!   (`(w >> j) & 0x0101…01`), widen each set bit to a full-byte mask, and
-//!   AND it with a broadcast of the precomputed constant `c·2^j`. Eight
-//!   shift/mask/xor rounds multiply eight bytes — branch-free, load-free,
-//!   and shaped so LLVM auto-vectorizes it to SSE2/AVX2/NEON lanes;
-//! * an explicit **SSSE3/AVX2 `pshufb` path** behind the `simd` feature
-//!   (on by default, runtime-detected): the classic two-16-entry-table
-//!   shuffle, 16 or 32 products per instruction — bit-identical to the
-//!   portable path because both implement the same linear map;
-//! * a **scalar nibble tail** for the final `len % 8` bytes:
-//!   `c·x = lo[x & 0xF] ⊕ hi[x >> 4]`.
-//!
-//! Parity work runs on two one-pass kernels built on the same tables, the
-//! analogues of ISA-L's `ec_encode_data` and `ec_encode_data_update`:
+//! split-nibble technique ISA-L drives with `pshufb`, behind three entry
+//! points, the analogues of ISA-L's `ec_encode_data` and
+//! `ec_encode_data_update` plus a copy:
 //!
 //! * [`encode`], a dot product: `outs[j] = Σᵢ c[j][i]·srcs[i]` — RAID-5/6
 //!   parity, Reed-Solomon decode, any `m`;
 //! * [`update`], Algorithm 1's "ship the diff" at byte level:
-//!   `δ = data ⊕ new`, `data = new`, `parity[j] ^= c_j·δ`.
+//!   `δ = data ⊕ new`, `data = new`, `parity[j] ^= c_j·δ`;
+//! * [`copy`], the healthy segments of a read.
 //!
-//! Both read every source and write every output once, interleaved. On
-//! chunks that are not in cache, one pass over all streams at once keeps
-//! several cache-line misses in flight, where a pass per source waits on
-//! one stream at a time and re-reads the outputs on every pass. With AVX2
-//! the interleave is 32 bytes (64 for one or two outputs): each source
-//! vector is multiplied into up to four output accumulators held in
-//! registers. Every other configuration
-//! (SSSE3-only CPUs, non-x86 targets, `--no-default-features`) shares one
-//! fallback that runs [`mul_acc`] per source over blocks of at most 512
-//! bytes, so the outputs stay in L1 between sources.
+//! [`encode`] and [`update`] read every source and write every output once,
+//! interleaved. On chunks that are not in cache, one pass over all streams
+//! at once keeps several cache-line misses in flight, where a pass per
+//! source waits on one stream at a time and re-reads the outputs on every
+//! pass. Each has two implementations:
 //!
-//! With the `simd` feature, [`encode`], [`update`] and [`copy`] (the
-//! healthy segments of a read) split every stream of at least 64 KiB at a
-//! 64-byte-aligned midpoint and run the upper half on one persistent helper
-//! thread, spawned on first use on a machine with two or more hardware
-//! threads. A core streaming cold chunks is bound by the misses it keeps in
-//! flight, so a second core nearly doubles the rate. GF(256) math is
-//! per-byte, so the halves produce exactly the serial bytes. Shorter
-//! streams, a busy helper, and `--no-default-features` builds run on the
-//! calling thread.
+//! * an **AVX2 `pshufb` path** behind the `simd` feature (on by default,
+//!   runtime-detected): the classic two-16-entry-table shuffle, 32 products
+//!   per instruction, interleaved 32 bytes at a time (64 for one or two
+//!   outputs); each source vector is multiplied into up to four output
+//!   accumulators held in registers;
+//! * a **portable blocked fallback** for every other configuration (CPUs
+//!   without AVX2, non-x86 targets, `--no-default-features`, and [`update`]
+//!   with more than four parities): one multiply-accumulate per source over
+//!   blocks of at most 512 bytes, so the outputs stay in L1 between
+//!   sources. Multiplication by a fixed coefficient `c` is GF(2)-linear in
+//!   the bits of the operand, so
+//!   `c·x = ⊕_{j : bit j of x set} c·2^j`. For eight bytes packed in a `u64`
+//!   it extracts bit-plane `j` of every byte lane at once
+//!   (`(w >> j) & 0x0101…01`), widens each set bit to a full-byte mask, and
+//!   ANDs it with a broadcast of the precomputed constant `c·2^j`: eight
+//!   shift/mask/xor rounds multiply eight bytes, branch-free and load-free.
+//!   The final `len % 8` bytes take the nibble tables,
+//!   `c·x = lo[x & 0xF] ⊕ hi[x >> 4]`.
 //!
-//! Per-coefficient tables live in a lazily built, process-wide cache
-//! ([`mul_table`]), so partial-Q forwarding (the §4 "other command data"
-//! coefficient), encode, update and decode never rebuild tables — the seed
-//! implementation rebuilt a 256-entry product table on *every* `mul_acc`
-//! call. A kernel call looks its tables up once and allocates nothing, on
-//! the split path too.
+//! Both evaluate the same per-coefficient linear map, so they are
+//! bit-identical.
+//!
+//! With the `simd` feature, [`encode`], [`update`] and [`copy`] split every
+//! stream of at least 64 KiB at a 64-byte-aligned midpoint and run the upper
+//! half on one persistent helper thread, spawned on first use on a machine
+//! with two or more hardware threads. A core streaming cold chunks is bound
+//! by the misses it keeps in flight, so a second core nearly doubles the
+//! rate. GF(256) math is per-byte, so the halves produce exactly the serial
+//! bytes. Shorter streams, a busy helper, and `--no-default-features` builds
+//! run on the calling thread.
+//!
+//! Per-coefficient tables live in a lazily built, process-wide cache, so
+//! encode, update and decode never rebuild tables — the seed implementation
+//! rebuilt a 256-entry product table on *every* multiply-accumulate call. A
+//! kernel call looks its tables up once and allocates nothing, on the split
+//! path too.
 
 use std::sync::OnceLock;
 
@@ -70,21 +68,20 @@ const fn broadcast(b: u8) -> u64 {
 /// Bit-plane mask: the least significant bit of every byte lane.
 const LSB: u64 = broadcast(0x01);
 
-/// Bytes per block of the shared [`encode`]/[`update`] fallback: small
-/// enough that a block of every output (and of `update`'s delta) stays in
-/// L1 while each source streams through.
+/// Bytes per block of the [`encode`]/[`update`] fallback: small enough that
+/// a block of every output (and of `update`'s delta) stays in L1 while each
+/// source streams through.
 const BLOCK: usize = 512;
 
 /// Precomputed multiplication tables for one fixed coefficient — the cached
 /// analogue of ISA-L's per-coefficient `gf_vect_mul` tables.
-#[derive(Clone, Debug)]
-pub struct MulTable {
+struct MulTable {
     /// The coefficient these tables multiply by.
-    pub c: u8,
+    c: u8,
     /// `lo[n] = c·n` for `n in 0..16` — the `pshufb` low-nibble table.
-    pub lo: [u8; 16],
+    lo: [u8; 16],
     /// `hi[n] = c·(n << 4)` for `n in 0..16` — the high-nibble table.
-    pub hi: [u8; 16],
+    hi: [u8; 16],
     /// `bits[j] = c·2^j` broadcast into all eight byte lanes — the
     /// bit-plane constants of the portable u64 path.
     bits: [u64; 8],
@@ -108,7 +105,7 @@ impl MulTable {
     /// Multiplies a single byte: `c·x` via the two nibble tables (the same
     /// lookup the SIMD shuffle performs per lane).
     #[inline]
-    pub fn mul_byte(&self, x: u8) -> u8 {
+    fn mul_byte(&self, x: u8) -> u8 {
         self.lo[(x & 0x0F) as usize] ^ self.hi[(x >> 4) as usize]
     }
 
@@ -135,53 +132,24 @@ impl MulTable {
 static TABLES: [OnceLock<MulTable>; 256] = [const { OnceLock::new() }; 256];
 
 /// The process-wide multiplication table for coefficient `c`, built on first
-/// use and shared forever after. Encode, update, partial-Q forwarding and RS
-/// decode all pull from this cache instead of rebuilding tables per call.
+/// use and shared forever after.
 #[inline]
-pub fn mul_table(c: u8) -> &'static MulTable {
+fn mul_table(c: u8) -> &'static MulTable {
     TABLES[c as usize].get_or_init(|| MulTable::build(c))
 }
 
-/// Whether the explicit SIMD (`pshufb`) path is compiled in *and* usable on
-/// the running CPU. `false` means the portable u64-lane path serves every
-/// call (either the `simd` feature is off, the target is not x86-64, or the
-/// CPU lacks SSSE3).
+/// Whether the AVX2 [`encode`]/[`update`] kernels are compiled in *and*
+/// usable on the running CPU. `false` means the portable blocked fallback
+/// serves every call (the `simd` feature is off, the target is not x86-64,
+/// or the CPU lacks AVX2).
 pub fn simd_active() -> bool {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
-        x86::usable()
+        x86::avx2()
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
         false
-    }
-}
-
-/// Multiply-accumulate with a cached table: `acc[i] ^= t.c · src[i]`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn mul_acc(acc: &mut [u8], src: &[u8], t: &MulTable) {
-    assert_eq!(acc.len(), src.len(), "buffer length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
-    if x86::usable() {
-        x86::mul_acc(acc, src, t);
-        return;
-    }
-    mul_acc_portable(acc, src, t);
-}
-
-fn mul_acc_portable(acc: &mut [u8], src: &[u8], t: &MulTable) {
-    let mut a = acc.chunks_exact_mut(8);
-    let mut s = src.chunks_exact(8);
-    for (ac, sc) in a.by_ref().zip(s.by_ref()) {
-        let av = u64::from_ne_bytes(ac.try_into().expect("chunk is 8 bytes"));
-        let sv = u64::from_ne_bytes(sc.try_into().expect("chunk is 8 bytes"));
-        ac.copy_from_slice(&(av ^ t.mul_word(sv)).to_ne_bytes());
-    }
-    for (ac, &sc) in a.into_remainder().iter_mut().zip(s.remainder()) {
-        *ac ^= t.mul_byte(sc);
     }
 }
 
@@ -300,7 +268,7 @@ pub fn copy(dst: &mut [u8], src: &[u8]) {
     dst.copy_from_slice(src);
 }
 
-/// The shared [`encode`] fallback: per [`BLOCK`], every output is zeroed and
+/// The [`encode`] fallback: per [`BLOCK`], every output is zeroed and
 /// multiply-accumulated source by source.
 fn encode_blocked(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
     let len = srcs[0].len();
@@ -310,25 +278,52 @@ fn encode_blocked(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
             let out = &mut out[r.clone()];
             out.fill(0);
             for (src, &c) in srcs.iter().zip(row) {
-                gf256::mul_acc(out, &src[r.clone()], c);
+                mul_acc(out, &src[r.clone()], mul_table(c));
             }
         }
     }
 }
 
-/// The shared [`update`] fallback: per [`BLOCK`], the delta is formed in a
-/// stack buffer and multiply-accumulated into each parity.
+/// The [`update`] fallback: per [`BLOCK`], the delta is formed in a stack
+/// buffer and multiply-accumulated into each parity.
 fn update_blocked(coeffs: &[u8], data: &mut [u8], new: &[u8], parity: &mut [&mut [u8]]) {
     let mut delta = [0u8; BLOCK];
     for lo in (0..data.len()).step_by(BLOCK) {
         let r = lo..(lo + BLOCK).min(data.len());
         let delta = &mut delta[..r.len()];
         delta.copy_from_slice(&data[r.clone()]);
-        crate::xor_into(delta, &new[r.clone()]);
+        mul_acc(delta, &new[r.clone()], mul_table(1));
         data[r.clone()].copy_from_slice(&new[r.clone()]);
         for (p, &c) in parity.iter_mut().zip(coeffs) {
-            gf256::mul_acc(&mut p[r.clone()], delta, c);
+            mul_acc(&mut p[r.clone()], delta, mul_table(c));
         }
+    }
+}
+
+/// The fallback's multiply-accumulate, `acc[i] ^= t.c·src[i]`, on `u64`
+/// lanes. A coefficient of 1 is a plain XOR and 0 is skipped.
+fn mul_acc(acc: &mut [u8], src: &[u8], t: &MulTable) {
+    debug_assert_eq!(acc.len(), src.len(), "buffer length mismatch");
+    match t.c {
+        0 => {}
+        1 => xor_lanes(acc, src, |w| w, |b| b),
+        _ => xor_lanes(acc, src, |w| t.mul_word(w), |b| t.mul_byte(b)),
+    }
+}
+
+/// `acc[i] ^= f(src[i])`: `word` maps eight bytes at a time, `byte` the
+/// final `len % 8`.
+#[inline(always)]
+fn xor_lanes(acc: &mut [u8], src: &[u8], word: impl Fn(u64) -> u64, byte: impl Fn(u8) -> u8) {
+    let mut a = acc.chunks_exact_mut(8);
+    let mut s = src.chunks_exact(8);
+    for (ac, sc) in a.by_ref().zip(s.by_ref()) {
+        let av = u64::from_ne_bytes(ac.try_into().expect("chunk is 8 bytes"));
+        let sv = u64::from_ne_bytes(sc.try_into().expect("chunk is 8 bytes"));
+        ac.copy_from_slice(&(av ^ word(sv)).to_ne_bytes());
+    }
+    for (ac, &sc) in a.into_remainder().iter_mut().zip(s.remainder()) {
+        *ac ^= byte(sc);
     }
 }
 
@@ -684,10 +679,10 @@ mod fork {
     }
 }
 
-/// Explicit SSSE3/AVX2 `pshufb` kernels — the instruction ISA-L builds its
-/// GF(256) routines around. Semantically identical to the portable path:
-/// both evaluate the same per-coefficient linear map, the shuffle just
-/// evaluates 16 (SSSE3) or 32 (AVX2) nibble lookups per instruction.
+/// Explicit AVX2 `pshufb` kernels — the instruction ISA-L builds its
+/// GF(256) routines around. Semantically identical to the portable
+/// fallback: both evaluate the same per-coefficient linear map, the shuffle
+/// just evaluates 32 nibble lookups per instruction.
 ///
 /// Raw SIMD intrinsics are, with the [`fork`] helper's hand-off, the only
 /// `unsafe` in the crate, gated behind the `simd` feature and a runtime CPU
@@ -705,29 +700,11 @@ mod x86 {
     /// wider stripe takes a further, accumulating pass per group.
     const MAX_SRCS: usize = 16;
 
-    /// Whether the running CPU has the required shuffle instructions.
-    #[inline]
-    pub(super) fn usable() -> bool {
-        std::arch::is_x86_feature_detected!("ssse3")
-    }
-
     /// Whether the running CPU runs the fused [`encode`] and [`update`]
     /// kernels.
     #[inline]
     pub(super) fn avx2() -> bool {
         std::arch::is_x86_feature_detected!("avx2")
-    }
-
-    pub(super) fn mul_acc(acc: &mut [u8], src: &[u8], t: &MulTable) {
-        // SAFETY: `usable()` verified SSSE3 (and AVX2 is re-checked here),
-        // so the `#[target_feature]` callee's ISA requirement holds.
-        unsafe {
-            if avx2() {
-                mul_acc_avx2(acc, src, t);
-            } else {
-                mul_acc_ssse3(acc, src, t);
-            }
-        }
     }
 
     /// `acc[v] ^= t.c·x[v]` for `V` vectors whose low and high nibbles are
@@ -927,79 +904,6 @@ mod x86 {
             }
         }
     }
-
-    /// Splits `x` into per-lane nibble indices and shuffles both tables:
-    /// one 32-lane GF multiply. Safe to call from any context that has
-    /// AVX2 statically enabled (target-feature 1.1 rules).
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn mul256(lo: __m256i, hi: __m256i, x: __m256i) -> __m256i {
-        let (lo_n, hi_n) = nibbles(x);
-        _mm256_xor_si256(_mm256_shuffle_epi8(lo, lo_n), _mm256_shuffle_epi8(hi, hi_n))
-    }
-
-    #[inline]
-    #[target_feature(enable = "ssse3")]
-    fn mul128(lo: __m128i, hi: __m128i, mask: __m128i, x: __m128i) -> __m128i {
-        let lo_n = _mm_and_si128(x, mask);
-        let hi_n = _mm_and_si128(_mm_srli_epi64::<4>(x), mask);
-        _mm_xor_si128(_mm_shuffle_epi8(lo, lo_n), _mm_shuffle_epi8(hi, hi_n))
-    }
-
-    #[target_feature(enable = "avx2")]
-    fn mul_acc_avx2(acc: &mut [u8], src: &[u8], t: &MulTable) {
-        // SAFETY: `t.lo`/`t.hi` are 16-byte arrays; the unaligned 128-bit
-        // loads stay in bounds.
-        let (lo, hi) = unsafe {
-            (
-                _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo.as_ptr().cast())),
-                _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast())),
-            )
-        };
-        let wide = acc.len() / 32 * 32;
-        let mut i = 0;
-        while i < wide {
-            // SAFETY: `i + 32 <= wide <= acc.len() == src.len()` (the public
-            // entry point asserts equal lengths), so every unaligned 256-bit
-            // load/store stays in bounds.
-            unsafe {
-                let s = _mm256_loadu_si256(src.as_ptr().add(i).cast());
-                let a = _mm256_loadu_si256(acc.as_ptr().add(i).cast());
-                let r = _mm256_xor_si256(a, mul256(lo, hi, s));
-                _mm256_storeu_si256(acc.as_mut_ptr().add(i).cast(), r);
-            }
-            i += 32;
-        }
-        super::mul_acc_portable(&mut acc[wide..], &src[wide..], t);
-    }
-
-    #[target_feature(enable = "ssse3")]
-    fn mul_acc_ssse3(acc: &mut [u8], src: &[u8], t: &MulTable) {
-        // SAFETY: `t.lo`/`t.hi` are 16-byte arrays; the unaligned 128-bit
-        // loads stay in bounds.
-        let (lo, hi) = unsafe {
-            (
-                _mm_loadu_si128(t.lo.as_ptr().cast()),
-                _mm_loadu_si128(t.hi.as_ptr().cast()),
-            )
-        };
-        let mask = _mm_set1_epi8(0x0F);
-        let wide = acc.len() / 16 * 16;
-        let mut i = 0;
-        while i < wide {
-            // SAFETY: `i + 16 <= wide <= acc.len() == src.len()` (the public
-            // entry point asserts equal lengths), so every unaligned 128-bit
-            // load/store stays in bounds.
-            unsafe {
-                let s = _mm_loadu_si128(src.as_ptr().add(i).cast());
-                let a = _mm_loadu_si128(acc.as_ptr().add(i).cast());
-                let r = _mm_xor_si128(a, mul128(lo, hi, mask, s));
-                _mm_storeu_si128(acc.as_mut_ptr().add(i).cast(), r);
-            }
-            i += 16;
-        }
-        super::mul_acc_portable(&mut acc[wide..], &src[wide..], t);
-    }
 }
 
 #[cfg(test)]
@@ -1046,45 +950,67 @@ mod tests {
     #[test]
     fn blocked_fallbacks_match_scalar_across_block_edges() {
         // The fused kernels serve `encode`/`update` on AVX2 machines, so
-        // drive the shared fallback directly, across BLOCK boundaries.
-        for len in [1usize, BLOCK - 1, BLOCK, BLOCK + 33, 3 * BLOCK + 7] {
-            let srcs: Vec<Vec<u8>> = (0..3).map(|i| buf(len, 40 * i)).collect();
-            let refs: Vec<&[u8]> = srcs.iter().map(|s| &s[..]).collect();
-            let coeffs = [1u8, 0, 0x8E, 0x1D, 2, 1];
-            let mut outs = vec![vec![0xA5u8; len]; 2];
-            encode_blocked(
-                &coeffs,
-                &refs,
-                &mut outs.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
-            );
-            for (j, out) in outs.iter().enumerate() {
-                let mut expect = vec![0u8; len];
-                for (i, s) in refs.iter().enumerate() {
-                    gf256::mul_acc_ref(&mut expect, s, coeffs[j * 3 + i]);
+        // drive the fallback directly: every coefficient (0 skipped, 1 a
+        // plain XOR, the rest through `mul_word`), at lengths with every
+        // `len % 8` tail and across BLOCK boundaries.
+        let lengths = [
+            0usize,
+            1,
+            3,
+            7,
+            8,
+            9,
+            15,
+            17,
+            33,
+            63,
+            65,
+            100,
+            255,
+            BLOCK - 1,
+            BLOCK,
+            BLOCK + 33,
+            3 * BLOCK + 7,
+        ];
+        for c in 0..=255u8 {
+            for len in lengths {
+                let srcs: Vec<Vec<u8>> = (0..3u8)
+                    .map(|i| buf(len, (40 * i).wrapping_add(c)))
+                    .collect();
+                let refs: Vec<&[u8]> = srcs.iter().map(|s| &s[..]).collect();
+                let coeffs = [c, 1, 0, 0x8E, c, 2];
+                let mut outs = vec![vec![0xA5u8; len]; 2];
+                encode_blocked(
+                    &coeffs,
+                    &refs,
+                    &mut outs.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
+                );
+                for (j, out) in outs.iter().enumerate() {
+                    let mut expect = vec![0u8; len];
+                    for (i, s) in refs.iter().enumerate() {
+                        gf256::mul_acc_ref(&mut expect, s, coeffs[j * 3 + i]);
+                    }
+                    assert_eq!(*out, expect, "encode c={c} len={len} out={j}");
                 }
-                assert_eq!(*out, expect, "encode len={len} out={j}");
-            }
 
-            let (mut data, new) = (srcs[0].clone(), srcs[1].clone());
-            let mut expect = outs.clone();
-            for (p, c) in expect.iter_mut().zip([1u8, 0x53]) {
-                gf256::mul_acc_ref(p, &data, c);
-                gf256::mul_acc_ref(p, &new, c);
+                let (mut data, new) = (srcs[0].clone(), srcs[1].clone());
+                let mut expect = outs.clone();
+                for (p, c) in expect.iter_mut().zip([c, 1]) {
+                    gf256::mul_acc_ref(p, &data, c);
+                    gf256::mul_acc_ref(p, &new, c);
+                }
+                update_blocked(
+                    &[c, 1],
+                    &mut data,
+                    &new,
+                    &mut outs.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
+                );
+                assert_eq!(
+                    data, new,
+                    "update c={c} len={len}: data takes the new bytes"
+                );
+                assert_eq!(outs, expect, "update c={c} len={len}");
             }
-            update_blocked(
-                &[1, 0x53],
-                &mut data,
-                &new,
-                &mut outs.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
-            );
-            assert_eq!(data, new, "update len={len}: data takes the new bytes");
-            assert_eq!(outs, expect, "update len={len}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn mul_acc_length_mismatch_panics() {
-        mul_acc(&mut [0u8; 3], &[0u8; 4], mul_table(3));
     }
 }

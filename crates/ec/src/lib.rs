@@ -6,15 +6,13 @@
 //!
 //! * [`gf256`] — arithmetic over GF(2⁸) with the `x⁸+x⁴+x³+x²+1` (0x11D)
 //!   polynomial used by `linux/lib/raid6` and ISA-L.
-//! * [`kernels`] — wide GF(256) kernels (eight bytes per step in `u64`
-//!   lanes, or SSSE3/AVX2 `pshufb` with the `simd` feature), the
-//!   process-wide coefficient-table cache, and the two one-pass parity
-//!   kernels every encode, decode and read-modify-write runs on:
-//!   [`kernels::encode`] (a dot product, like ISA-L's `ec_encode_data`) and
-//!   [`kernels::update`] (the small-write delta, like
-//!   `ec_encode_data_update`). With `simd` they and [`kernels::copy`] run
-//!   the upper half of a long stream on one persistent helper thread.
-//! * [`xor_into`] — the wide XOR kernel (partial-parity reduction).
+//! * [`kernels`] — the one-pass parity kernels every encode, decode and
+//!   read-modify-write runs on: [`kernels::encode`] (a dot product, like
+//!   ISA-L's `ec_encode_data`) and [`kernels::update`] (the small-write
+//!   delta, like `ec_encode_data_update`), on AVX2 `pshufb` with the `simd`
+//!   feature or a portable u64-lane fallback, with per-coefficient tables
+//!   cached per process. With `simd` they and [`kernels::copy`] run the
+//!   upper half of a long stream on one persistent helper thread.
 //! * [`ReedSolomon`] — the systematic Vandermonde `(k, m)` codec behind
 //!   every RAID level: its parity row 0 is RAID-5's P (a plain XOR) and row
 //!   1 is RAID-6's Q (H. P. Anvin's *The mathematics of RAID-6*), so
@@ -54,8 +52,5 @@ pub mod gf256;
 pub mod kernels;
 mod matrix;
 mod rs;
-mod xor;
 
-pub use matrix::Matrix;
 pub use rs::{CodecError, ReedSolomon};
-pub use xor::xor_into;

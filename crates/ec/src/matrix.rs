@@ -6,7 +6,7 @@ use crate::gf256;
 
 /// A row-major dense matrix over GF(2⁸).
 #[derive(Clone, PartialEq, Eq)]
-pub struct Matrix {
+pub(crate) struct Matrix {
     rows: usize,
     cols: usize,
     data: Vec<u8>,
@@ -18,7 +18,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn zero(rows: usize, cols: usize) -> Self {
+    fn zero(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be positive");
         Matrix {
             rows,
@@ -28,7 +28,7 @@ impl Matrix {
     }
 
     /// Creates the identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
+    fn identity(n: usize) -> Self {
         let mut m = Matrix::zero(n, n);
         for i in 0..n {
             m.set(i, i, 1);
@@ -41,7 +41,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `rows` is empty or ragged.
-    pub fn from_rows(rows: &[Vec<u8>]) -> Self {
+    pub(crate) fn from_rows(rows: &[Vec<u8>]) -> Self {
         assert!(!rows.is_empty(), "matrix needs at least one row");
         let cols = rows[0].len();
         assert!(cols > 0, "matrix needs at least one column");
@@ -53,37 +53,29 @@ impl Matrix {
         m
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Element accessor.
-    pub fn get(&self, r: usize, c: usize) -> u8 {
+    pub(crate) fn get(&self, r: usize, c: usize) -> u8 {
         self.data[r * self.cols + c]
     }
 
     /// Element mutator.
-    pub fn set(&mut self, r: usize, c: usize, v: u8) {
+    fn set(&mut self, r: usize, c: usize, v: u8) {
         self.data[r * self.cols + c] = v;
     }
 
     /// A view of row `r`.
-    pub fn row(&self, r: usize) -> &[u8] {
+    pub(crate) fn row(&self, r: usize) -> &[u8] {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Matrix product `self × rhs`.
+    /// Matrix product `self × rhs`: the tests check [`Matrix::inverse`]
+    /// with it.
     ///
     /// # Panics
     ///
     /// Panics if the inner dimensions disagree.
-    pub fn mul(&self, rhs: &Matrix) -> Matrix {
+    #[cfg(test)]
+    fn mul(&self, rhs: &Matrix) -> Matrix {
         assert_eq!(self.cols, rhs.rows, "dimension mismatch in matrix product");
         let mut out = Matrix::zero(self.rows, rhs.cols);
         for r in 0..self.rows {
@@ -108,7 +100,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if the matrix is not square.
-    pub fn inverse(&self) -> Option<Matrix> {
+    pub(crate) fn inverse(&self) -> Option<Matrix> {
         assert_eq!(self.rows, self.cols, "only square matrices invert");
         let n = self.rows;
         let mut work = self.clone();

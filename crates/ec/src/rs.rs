@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 
 use crate::gf256;
 use crate::kernels;
-use crate::Matrix;
+use crate::matrix::Matrix;
 
 /// Errors returned by [`ReedSolomon`] operations.
 #[derive(Clone, Debug, PartialEq, Eq)]

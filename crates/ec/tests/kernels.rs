@@ -1,9 +1,9 @@
-//! Differential tests of the wide GF(256) kernels against the scalar
-//! reference (`gf256::mul_acc_ref`, the seed's byte-at-a-time path): every
-//! one of the 256 coefficients, at odd buffer lengths including
-//! non-multiple-of-8 tails, must be bit-identical for `mul_acc` and for the
-//! one-pass `encode` and `update` — plus Reed-Solomon
-//! encode→corrupt→decode round-trips running through the new paths.
+//! Differential tests of the GF(256) kernels against the scalar reference
+//! (`gf256::mul_acc_ref`, the seed's byte-at-a-time path): every one of the
+//! 256 coefficients, at odd buffer lengths including non-multiple-of-8
+//! tails, must be bit-identical for the one-pass `encode` and `update` —
+//! plus Reed-Solomon encode→corrupt→decode round-trips running through
+//! them.
 
 use draid_ec::{gf256, kernels, ReedSolomon};
 
@@ -22,36 +22,6 @@ fn pattern(len: usize, seed: u8) -> Vec<u8> {
                 .rotate_left(3)
         })
         .collect()
-}
-
-#[test]
-fn mul_acc_matches_scalar_for_all_coefficients_and_tails() {
-    for c in 0..=255u8 {
-        for &len in LENGTHS {
-            let src = pattern(len, c);
-            let mut wide = pattern(len, c.wrapping_add(91));
-            let mut scalar = wide.clone();
-            gf256::mul_acc(&mut wide, &src, c);
-            gf256::mul_acc_ref(&mut scalar, &src, c);
-            assert_eq!(wide, scalar, "mul_acc c={c} len={len}");
-        }
-    }
-}
-
-#[test]
-fn kernel_entry_points_match_scalar_directly() {
-    // Drive `kernels::mul_acc` through the `MulTable` API too, so the cache
-    // handles and the gf256 wrapper are both covered.
-    for c in 1..=255u8 {
-        let t = kernels::mul_table(c);
-        assert_eq!(t.c, c);
-        let src = pattern(77, c);
-        let mut wide = pattern(77, 7);
-        let mut scalar = wide.clone();
-        kernels::mul_acc(&mut wide, &src, t);
-        gf256::mul_acc_ref(&mut scalar, &src, c);
-        assert_eq!(wide, scalar, "kernels::mul_acc c={c}");
-    }
 }
 
 /// A coefficient other than the swept one: cycles through 0 (skipped),
@@ -343,4 +313,16 @@ fn split_copy_matches_a_plain_copy() {
 #[should_panic(expected = "length mismatch")]
 fn copy_length_mismatch_panics() {
     kernels::copy(&mut [0u8; 3], &[0u8; 4]);
+}
+
+#[test]
+#[should_panic(expected = "length mismatch")]
+fn encode_length_mismatch_panics() {
+    kernels::encode(&[1, 2], &[&[0u8; 4], &[0u8; 3]], &mut [&mut [0u8; 4]]);
+}
+
+#[test]
+#[should_panic(expected = "length mismatch")]
+fn update_length_mismatch_panics() {
+    kernels::update(&[1], &mut [0u8; 4], &[0u8; 4], &mut [&mut [0u8; 3]]);
 }

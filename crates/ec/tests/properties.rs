@@ -3,7 +3,7 @@
 //! so these are plain loops rather than `proptest` strategies — same
 //! invariants, reproducible cases).
 
-use draid_ec::{gf256, xor_into, ReedSolomon};
+use draid_ec::{gf256, ReedSolomon};
 
 /// Minimal deterministic generator (splitmix64).
 struct TestRng(u64);
@@ -71,9 +71,9 @@ fn parity_deltas_any_arrival_order() {
         }
         for (i, new) in &updates {
             let mut delta = data[*i].clone();
-            xor_into(&mut delta, new);
+            gf256::mul_acc_ref(&mut delta, new, 1);
             for (row, p) in parity.iter_mut().enumerate() {
-                gf256::mul_acc(p, &delta, rs.coefficient(row, *i));
+                gf256::mul_acc_ref(p, &delta, rs.coefficient(row, *i));
             }
         }
         for (i, new) in updates {
