@@ -4,12 +4,16 @@
 //! small-write update, Reed-Solomon decode) at several buffer sizes and
 //! writes `BENCH_kernels.json`. `mul_wide` and `mul_acc_scalar_ref` count
 //! the source's bytes per call, `encode_pq_6` and `rs_decode_2_of_6+2` the
-//! six sources' bytes; `update_pq` counts the bytes of data written.
+//! six sources' bytes; `update_pq` counts the bytes of data written. The
+//! five rows of one size are timed five times over, round-robin, and each
+//! reports its median: a change in the shared host's speed then lands on
+//! every row of the size alike, instead of on whichever row ran during
+//! it, so same-size ratios such as decode / `mul_wide` at 1 MiB hold still.
 //!
-//! The `_cold` rows run `update_pq`, `rs_decode_2_of_6+2` and `copy` at
-//! 128 KiB (the chunk store's I/O size) on buffers drawn at random from a
-//! 256 MiB pool (64 MiB with `--quick`), far past the last-level cache, as
-//! the chunk store's are. Streams of 64 KiB and more are split between two
+//! The `_cold` rows, timed once each, run `update_pq`, `rs_decode_2_of_6+2`
+//! and `copy` at 128 KiB (the chunk store's I/O size) on buffers drawn at
+//! random from a 256 MiB pool (64 MiB with `--quick`), far past the
+//! last-level cache, as the chunk store's are. Streams of 64 KiB and more are split between two
 //! cores when the machine has them, so these rows and every 64 KiB and
 //! 1 MiB row except `mul_acc_scalar_ref` (`mul_wide` included) measure two
 //! cores.
@@ -47,6 +51,46 @@ impl Measurement {
     fn gb_per_sec(&self) -> f64 {
         self.bytes_per_call as f64 / self.ns_per_call
     }
+}
+
+/// Timings per sized row; each reports the median.
+const REPEATS: usize = 5;
+
+/// One sized row: a kernel call on buffers the closure owns or borrows.
+struct Row<'a> {
+    kernel: &'static str,
+    /// Bytes of payload the kernel processes per call.
+    bytes_per_call: usize,
+    call: Box<dyn FnMut() + 'a>,
+}
+
+impl<'a> Row<'a> {
+    fn new(kernel: &'static str, bytes_per_call: usize, call: impl FnMut() + 'a) -> Self {
+        Row {
+            kernel,
+            bytes_per_call,
+            call: Box::new(call),
+        }
+    }
+}
+
+/// Times every row [`REPEATS`] times, round-robin, so a change in the
+/// host's speed lands on all of them alike (the decode bar compares two of
+/// them); returns each row's median nanoseconds per call.
+fn median_round_robin(budget: Duration, rows: &mut [Row]) -> Vec<f64> {
+    let mut samples = vec![Vec::with_capacity(REPEATS); rows.len()];
+    for _ in 0..REPEATS {
+        for (row, times) in rows.iter_mut().zip(&mut samples) {
+            times.push(time_for(budget, &mut row.call));
+        }
+    }
+    samples
+        .into_iter()
+        .map(|mut times| {
+            times.sort_by(f64::total_cmp);
+            times[REPEATS / 2]
+        })
+        .collect()
 }
 
 /// Times `f` by running it repeatedly for at least `budget`, after a short
@@ -110,72 +154,77 @@ fn main() {
         "usage: kernels [--quick] [--out PATH]",
         "BENCH_kernels.json",
     );
-    let budget = if quick {
-        Duration::from_millis(5)
+    // Each sized row is timed `REPEATS` times at `budget`; each cold row
+    // once, at `cold_budget`.
+    let (budget, cold_budget) = if quick {
+        (Duration::from_millis(2), Duration::from_millis(5))
     } else {
-        Duration::from_millis(150)
+        (Duration::from_millis(60), Duration::from_millis(150))
     };
 
     let mut results: Vec<Measurement> = Vec::new();
-    let mut measure =
-        |kernel: &'static str, size: usize, bytes_per_call: usize, f: &mut dyn FnMut()| {
-            let ns = time_for(budget, f);
-            let m = Measurement {
-                kernel,
-                size,
-                bytes_per_call,
-                ns_per_call: ns,
-            };
-            println!(
-                "{:<28} {:>8} B  {:>10.2} GB/s",
-                kernel,
-                size,
-                m.gb_per_sec()
-            );
-            results.push(m);
+    let mut record = |kernel: &'static str, size: usize, bytes_per_call: usize, ns: f64| {
+        let m = Measurement {
+            kernel,
+            size,
+            bytes_per_call,
+            ns_per_call: ns,
         };
+        println!(
+            "{:<28} {:>8} B  {:>10.2} GB/s",
+            kernel,
+            size,
+            m.gb_per_sec()
+        );
+        results.push(m);
+    };
 
     for &size in SIZES {
-        let src = buf(size, 3);
-        let mut acc = buf(size, 5);
-        measure("mul_wide", size, size, &mut || {
-            kernels::encode(
-                std::hint::black_box(&[0x1D]),
-                &[std::hint::black_box(&src)],
-                &mut [&mut acc[..]],
-            )
-        });
-        measure("mul_acc_scalar_ref", size, size, &mut || {
-            gf256::mul_acc_ref(
-                std::hint::black_box(&mut acc),
-                std::hint::black_box(&src),
-                0x1D,
-            )
-        });
-
-        let data: Vec<Vec<u8>> = (0..6).map(|i| buf(size, i as u8 * 13 + 1)).collect();
-        let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
         let rs = ReedSolomon::new(6, 2);
         // RAID-6's P and Q rows: all ones, then g^i.
         let pq: Vec<u8> = (0..2)
             .flat_map(|j| (0..6).map(move |i| (j, i)))
             .map(|(j, i)| rs.coefficient(j, i))
             .collect();
-        let (mut p, mut q) = (vec![0u8; size], vec![0u8; size]);
-        measure("encode_pq_6", size, 6 * size, &mut || {
+        let data: Vec<Vec<u8>> = (0..6).map(|i| buf(size, i as u8 * 13 + 1)).collect();
+        let refs: Vec<&[u8]> = data.iter().map(|d| &d[..]).collect();
+        let parity = rs.encode(&refs);
+        let (rs, pq, refs) = (&rs, &pq, &refs);
+        let mut rows: Vec<Row> = Vec::new();
+
+        let (src, mut acc) = (buf(size, 3), buf(size, 5));
+        rows.push(Row::new("mul_wide", size, move || {
             kernels::encode(
-                std::hint::black_box(&pq),
-                std::hint::black_box(&refs),
+                std::hint::black_box(&[0x1D]),
+                &[std::hint::black_box(&src)],
+                &mut [&mut acc[..]],
+            )
+        }));
+        let (src, mut acc) = (buf(size, 3), buf(size, 5));
+        rows.push(Row::new("mul_acc_scalar_ref", size, move || {
+            gf256::mul_acc_ref(
+                std::hint::black_box(&mut acc),
+                std::hint::black_box(&src),
+                0x1D,
+            )
+        }));
+
+        let (mut p, mut q) = (vec![0u8; size], vec![0u8; size]);
+        rows.push(Row::new("encode_pq_6", 6 * size, move || {
+            kernels::encode(
+                std::hint::black_box(pq),
+                std::hint::black_box(refs),
                 &mut [&mut p[..], &mut q[..]],
             )
-        });
+        }));
 
         // A small write: one data chunk moves to new bytes and P and Q take
         // the delta. Alternating two payloads keeps every delta nonzero.
         let mut chunk = buf(size, 7);
         let news = [buf(size, 11), buf(size, 19)];
+        let (mut p, mut q) = (vec![0u8; size], vec![0u8; size]);
         let mut turn = 0;
-        measure("update_pq", size, size, &mut || {
+        rows.push(Row::new("update_pq", size, move || {
             turn ^= 1;
             kernels::update(
                 std::hint::black_box(&[pq[2], pq[8]]),
@@ -183,22 +232,32 @@ fn main() {
                 std::hint::black_box(&news[turn]),
                 &mut [&mut p[..], &mut q[..]],
             )
-        });
+        }));
 
-        let parity = rs.encode(&refs);
-        // Built once: the timed closure only drops and rebuilds two shards.
-        let mut shards: Vec<Option<Vec<u8>>> = data
+        // Shards 1 and 4 are lost; the decode writes them into buffers
+        // allocated once, as the chunk store's decode does. (`reconstruct`
+        // would allocate both afresh on every call, and at 1 MiB the page
+        // faults of that fresh memory, not the decode, would set the rate.)
+        let survivors: Vec<Option<&[u8]>> = refs
             .iter()
-            .cloned()
-            .map(Some)
-            .chain(parity.into_iter().map(Some))
+            .copied()
+            .chain(parity.iter().map(|p| &p[..]))
+            .enumerate()
+            .map(|(i, shard)| (i != 1 && i != 4).then_some(shard))
             .collect();
-        measure("rs_decode_2_of_6+2", size, 6 * size, &mut || {
-            shards[1] = None;
-            shards[4] = None;
-            rs.reconstruct(std::hint::black_box(&mut shards))
-                .expect("decodable");
-        });
+        let (mut d1, mut d4) = (vec![0u8; size], vec![0u8; size]);
+        rows.push(Row::new("rs_decode_2_of_6+2", 6 * size, move || {
+            rs.decode_rows(
+                std::hint::black_box(&survivors),
+                &mut [(1, &mut d1[..]), (4, &mut d4[..])],
+            )
+            .expect("decodable");
+        }));
+
+        let medians = median_round_robin(budget, &mut rows);
+        for (row, ns) in rows.iter().zip(medians) {
+            record(row.kernel, size, row.bytes_per_call, ns);
+        }
     }
 
     // Cold rows: every call takes fresh, distinct blocks of the pool.
@@ -207,27 +266,25 @@ fn main() {
     let mut blocks = ColdBlocks::new(pool_bytes / COLD_SIZE);
     let rs = ReedSolomon::new(6, 2);
     let pq = [rs.coefficient(0, 2), rs.coefficient(1, 2)];
-    measure("update_pq_cold", COLD_SIZE, COLD_SIZE, &mut || {
+    let ns = time_for(cold_budget, || {
         let [data, new, p, q] = pool.get_disjoint_mut(blocks.pick()).expect("distinct");
         kernels::update(std::hint::black_box(&pq), data, new, &mut [p, q]);
     });
-    measure(
-        "rs_decode_2_of_6+2_cold",
-        COLD_SIZE,
-        6 * COLD_SIZE,
-        &mut || {
-            let [s0, d1, s2, s3, d4, s5, s6, s7] =
-                pool.get_disjoint_mut(blocks.pick()).expect("distinct");
-            let shards =
-                [s0, &mut [], s2, s3, &mut [], s5, s6, s7].map(|s| (!s.is_empty()).then_some(&*s));
-            rs.decode_rows(std::hint::black_box(&shards), &mut [(1, d1), (4, d4)])
-                .expect("decodable");
-        },
-    );
-    measure("copy_cold", COLD_SIZE, COLD_SIZE, &mut || {
+    record("update_pq_cold", COLD_SIZE, COLD_SIZE, ns);
+    let ns = time_for(cold_budget, || {
+        let [s0, d1, s2, s3, d4, s5, s6, s7] =
+            pool.get_disjoint_mut(blocks.pick()).expect("distinct");
+        let shards =
+            [s0, &mut [], s2, s3, &mut [], s5, s6, s7].map(|s| (!s.is_empty()).then_some(&*s));
+        rs.decode_rows(std::hint::black_box(&shards), &mut [(1, d1), (4, d4)])
+            .expect("decodable");
+    });
+    record("rs_decode_2_of_6+2_cold", COLD_SIZE, 6 * COLD_SIZE, ns);
+    let ns = time_for(cold_budget, || {
         let [dst, src] = pool.get_disjoint_mut(blocks.pick()).expect("distinct");
         kernels::copy(dst, std::hint::black_box(src));
     });
+    record("copy_cold", COLD_SIZE, COLD_SIZE, ns);
     drop(pool);
 
     let speedup = {

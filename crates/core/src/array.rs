@@ -40,6 +40,16 @@ pub(crate) struct UserState {
     pub hook: Option<CompletionHook>,
 }
 
+/// A change to one member, made through [`ArraySim::change_member`].
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum MemberChange {
+    /// The member becomes faulty.
+    Fail,
+    /// The member is remapped to this spare server and leaves the faulty
+    /// set (the end of a rebuild).
+    Replace(ServerId),
+}
+
 /// Window-based available-bandwidth probe feeding the §6.2 selector.
 struct BwProbe {
     prev_busy: Vec<SimTime>,
@@ -98,6 +108,8 @@ pub struct ArraySim {
     /// Step buffers of finished ops, reused by the next launches (see
     /// [`crate::exec::Steps`]).
     pub(crate) step_pool: Vec<crate::exec::Steps>,
+    /// Compiled op shapes, cleared by [`ArraySim::change_member`].
+    pub(crate) shapes: crate::exec::ShapeCache,
     /// Emptied segment buffers of finished ops, which the next stripe ops
     /// map into (see [`Layout::map_stripe_into`]).
     pub(crate) segment_pool: Vec<Vec<crate::layout::Segment>>,
@@ -174,6 +186,7 @@ impl ArraySim {
             fault_mgr: None,
             buf_pool: crate::exec::BufPool::new(),
             step_pool: Vec::new(),
+            shapes: crate::exec::ShapeCache::default(),
             segment_pool: Vec::new(),
             reducer_candidates: Vec::new(),
             ops_since_audit: 0,
@@ -346,7 +359,7 @@ impl ArraySim {
     }
 
     pub(crate) fn mark_faulty(&mut self, member: usize) {
-        if self.faulty.insert(member) {
+        if self.change_member(member, MemberChange::Fail) {
             self.health.set_state(member, HealthState::Faulty);
             self.cluster
                 .drive_mut(self.member_servers[member])
@@ -355,6 +368,26 @@ impl ArraySim {
                 store.drop_member(member);
             }
         }
+    }
+
+    /// The one place the builders' array-level inputs (`faulty`,
+    /// `member_nodes`, `member_servers`) change. Returns whether anything
+    /// changed; if so, drops the op-shape templates compiled against the
+    /// old state.
+    pub(crate) fn change_member(&mut self, member: usize, change: MemberChange) -> bool {
+        let changed = match change {
+            MemberChange::Fail => self.faulty.insert(member),
+            MemberChange::Replace(spare) => {
+                self.member_servers[member] = spare;
+                self.member_nodes[member] = self.cluster.server_node(spare);
+                self.faulty.remove(&member);
+                true
+            }
+        };
+        if changed {
+            self.shapes.clear();
+        }
+        changed
     }
 
     /// Per-member health: states, latency EWMAs, and error evidence.

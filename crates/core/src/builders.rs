@@ -31,9 +31,11 @@
 //! * `untouched` and `pull_complements`: the healthy chunks a
 //!   reconstruct-write needs besides the new data.
 //!
-//! Builders are pure functions of `(BuildCtx, Purpose, StripeIo)`. Only the
-//! executor calls them for a running array; while tracing is on it hands
-//! each launched graph to the tracer, so [`crate::trace::Tracer::critical_path`]
+//! Builders are pure functions of `(BuildCtx, Purpose, StripeIo)`. For a
+//! running array only the executor calls them, once per op shape: it
+//! caches each built graph as a template (`exec::ShapeCache`) and launches
+//! every later op of that shape from it. While tracing is on it hands each
+//! launched graph to the tracer, so [`crate::trace::Tracer::critical_path`]
 //! re-associates recorded events with steps without rebuilding anything.
 
 use std::collections::BTreeSet;
@@ -65,7 +67,7 @@ pub struct BuildCtx<'a> {
 }
 
 /// What the operation is for, decided at launch from the array's health.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Purpose {
     /// A user read; `degraded` when any touched segment sits on a faulty
     /// member and must be reconstructed.
@@ -95,38 +97,16 @@ pub enum Purpose {
 /// Builds the operation DAG for `purpose` over the stripe portion `io`.
 pub fn build(ctx: &BuildCtx, purpose: Purpose, io: &StripeIo) -> Dag {
     let mut dag = Dag::new();
-    build_into(ctx, purpose, io, &mut dag, &mut Scratch::default());
-    dag
-}
-
-/// The builders' working lists, recycled with the op's DAG: each builder
-/// clears the ones it uses before filling them, so a warm build allocates
-/// nothing.
-#[derive(Debug, Default)]
-pub(crate) struct Scratch {
-    /// Contributions forwarded to the P and Q members: `(data member,
-    /// arrival step)`.
-    fwds: [Vec<(usize, usize)>; 2],
-    /// Dependency list of one join, reduction or write step.
-    deps: Vec<usize>,
-    /// Reconstruction set of a degraded read.
-    set: Vec<usize>,
-}
-
-/// [`build`] into a caller-owned DAG and scratch, replacing the DAG's steps
-/// but keeping both capacities: the executor rebuilds into recycled buffers
-/// without allocating.
-pub(crate) fn build_into(
-    ctx: &BuildCtx,
-    purpose: Purpose,
-    io: &StripeIo,
-    dag: &mut Dag,
-    scratch: &mut Scratch,
-) {
-    dag.clear();
-    let mut b = Builder::new(ctx, purpose, io, dag);
+    let mut b = Builder::new(ctx, purpose, io, &mut dag);
     let draid = ctx.cfg.system == SystemKind::Draid;
-    let Scratch { fwds, deps, set } = scratch;
+    // Working lists: the contributions forwarded to the P and Q members as
+    // `(data member, arrival step)`, the dependency list of one join,
+    // reduction or write step, and a degraded read's reconstruction set.
+    let (fwds, deps, set) = (
+        &mut [Vec::new(), Vec::new()],
+        &mut Vec::new(),
+        &mut Vec::new(),
+    );
     match purpose {
         // Segment health comes from `ctx.faulty`, as the read's `degraded`
         // flag does.
@@ -141,6 +121,7 @@ pub(crate) fn build_into(
         Purpose::Rebuild { spare, spare_node } => b.rebuild(io, spare, spare_node, deps),
         Purpose::Scrub => b.scrub(io, deps),
     }
+    dag
 }
 
 /// Internal builder state: the DAG under construction plus the admission
@@ -390,19 +371,6 @@ impl<'a, 'c> Builder<'a, 'c> {
         pulled
     }
 
-    /// Byte extent `[lo, hi)` within the chunk covering every touched
-    /// segment — the region a parity read-modify-write must cover.
-    fn parity_extent(&self, io: &StripeIo) -> u64 {
-        let lo = io.segments.iter().map(|s| s.offset).min().unwrap_or(0);
-        let hi = io
-            .segments
-            .iter()
-            .map(|s| s.offset + s.len)
-            .max()
-            .unwrap_or(0);
-        hi - lo
-    }
-
     /// Fills `set` with the healthy members able to reconstruct `victim`'s
     /// chunk of `stripe`: the surviving data members plus as many parity
     /// members as the losses require (P first, then Q), in member order.
@@ -577,7 +545,7 @@ impl<'a, 'c> Builder<'a, 'c> {
         let pipeline = self.ctx.cfg.draid.pipeline;
         let parity = self.parity(io.stripe);
         let rmw = mode == WriteMode::ReadModifyWrite;
-        let extent = if rmw { self.parity_extent(io) } else { chunk };
+        let extent = if rmw { io.extent() } else { chunk };
 
         // Parity-side admission; RMW additionally reads the old parity.
         let old_reads = parity.map(|pm| {
@@ -760,7 +728,7 @@ impl<'a, 'c> Builder<'a, 'c> {
         let chunk = self.ctx.layout.chunk_size();
         let [p, q] = self.parity(io.stripe);
         let rmw = mode == WriteMode::ReadModifyWrite && !degraded;
-        let extent = if rmw { self.parity_extent(io) } else { chunk };
+        let extent = if rmw { io.extent() } else { chunk };
 
         arrivals.clear();
         let pulled = if rmw {

@@ -88,8 +88,7 @@ pub struct Step<'a> {
 ///
 /// Stored flat (compressed sparse rows): step `i`'s dependencies are
 /// `deps[dep_end[i - 1]..dep_end[i]]`. Building a DAG costs three growing
-/// `Vec`s instead of one allocation per step, and [`Dag::clear`] keeps their
-/// capacity, so the executor rebuilds into recycled DAGs without allocating.
+/// `Vec`s instead of one allocation per step.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Dag {
     kinds: Vec<StepKind>,
@@ -101,13 +100,6 @@ impl Dag {
     /// Creates an empty DAG.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Removes every step, keeping the allocated capacity.
-    pub fn clear(&mut self) {
-        self.kinds.clear();
-        self.dep_end.clear();
-        self.deps.clear();
     }
 
     /// Adds a step depending on earlier steps; returns its index.

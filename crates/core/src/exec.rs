@@ -1,12 +1,36 @@
 //! The DAG executor: runs stripe-operation DAGs on the cluster's resources,
 //! with per-op deadlines, failure propagation, and full-stripe retry (§5.4).
+//!
+//! Each stripe-op shape is compiled once. Ops of one kind follow a fixed
+//! command pattern (§4–§5): a 128 KiB read-modify-write on one data member
+//! under one parity rotation always sends the same messages. So the
+//! executor keeps a [`Template`] per shape in the array's [`ShapeCache`]:
+//! the built [`Dag`], its dependents in CSR form and each step's initial
+//! dependency count. A launch looks its shape up and copies the counts
+//! into the op's [`Steps`]; only a miss calls the builders.
+//!
+//! The cache key ([`ShapeKey`]) is everything a builder can see, normalized:
+//! the purpose, `stripe % width`, the reducer, the parity extent and each
+//! segment's member and length. Offsets within the chunk are normalized
+//! away, since the builders read them only through the extent and
+//! `Segment::covers_chunk`; keyed on raw offsets, a 4 KiB random workload
+//! would compile a shape per position. The array-level inputs (`faulty`,
+//! member nodes and servers) are not in the key: they change only through
+//! `ArraySim::change_member` (a member fails; a rebuild swaps in its
+//! spare), which clears the cache. Under `invariants_enabled()` every 64th
+//! cached launch is checked against a fresh build.
+
+use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::rc::Rc;
 
 use draid_block::ServerId;
 use draid_sim::{Engine, SimTime, TimerHandle};
 
 use crate::array::ArraySim;
-use crate::builders::{self, BuildCtx, Purpose, Scratch};
+use crate::builders::{self, BuildCtx, Purpose};
 use crate::dag::{Dag, StepKind};
+use crate::idhash::IdHasher;
 use crate::io::{IoError, IoKind};
 use crate::layout::{Segment, StripeIo, WriteMode};
 
@@ -139,46 +163,37 @@ impl OpState {
     }
 }
 
-/// An op's DAG and its execution state. Recycled across ops through
-/// `ArraySim::step_pool`, so a steady-state launch reuses the buffers of an
-/// op that already finished instead of allocating.
-#[derive(Debug, Default)]
-pub(crate) struct Steps {
+/// One compiled op shape: the DAG the builders produce for a [`ShapeKey`],
+/// each step's dependents in CSR form and each step's dependency count.
+/// Every op of the shape shares it; an op copies only the counts.
+#[derive(Debug)]
+pub(crate) struct Template {
     pub dag: Dag,
-    /// The builders' working lists for `dag`.
-    scratch: Scratch,
     /// Dependents of step `i` are `dependents[dependents_start[i]..
     /// dependents_start[i + 1]]`, in increasing step order.
     dependents_start: Vec<u32>,
     dependents: Vec<u32>,
-    /// Dependencies of each step that have not completed yet.
+    /// Each step's number of dependencies: an op's initial `unmet`.
     unmet: Vec<u32>,
-    done: Vec<bool>,
 }
 
-impl Steps {
-    /// Derives the execution state of a freshly built `self.dag`, reusing
-    /// the buffers' capacity.
-    fn install(&mut self) {
-        let (dep_end, deps) = self.dag.csr();
+impl Template {
+    /// Derives the execution tables of `dag`.
+    fn new(dag: Dag) -> Self {
+        let (dep_end, deps) = dag.csr();
         let n = dep_end.len();
-        self.unmet.clear();
-        self.unmet.resize(n, 0);
-        self.done.clear();
-        self.done.resize(n, false);
-        self.dependents_start.clear();
-        self.dependents_start.resize(n + 1, 0);
+        let mut unmet = vec![0; n];
+        let mut dependents_start = vec![0u32; n + 1];
         for &d in deps {
-            self.dependents_start[d as usize] += 1;
+            dependents_start[d as usize] += 1;
         }
         // Prefix sums turn each count into the end of that step's range...
         let mut total = 0;
-        for end in &mut self.dependents_start {
+        for end in &mut dependents_start {
             total += *end;
             *end = total;
         }
-        self.dependents.clear();
-        self.dependents.resize(total as usize, 0);
+        let mut dependents = vec![0; total as usize];
         // ...and filling back to front moves each end down to its range's
         // start, leaving every step's dependents in increasing order. Step
         // `id`'s own dependencies are `deps[lo..end]`, so their count is
@@ -186,13 +201,19 @@ impl Steps {
         let mut end = deps.len();
         for id in (0..n).rev() {
             let lo = id.checked_sub(1).map_or(0, |prev| dep_end[prev] as usize);
-            self.unmet[id] = (end - lo) as u32;
+            unmet[id] = (end - lo) as u32;
             for &d in deps[lo..end].iter().rev() {
-                let start = &mut self.dependents_start[d as usize];
+                let start = &mut dependents_start[d as usize];
                 *start -= 1;
-                self.dependents[*start as usize] = id as u32;
+                dependents[*start as usize] = id as u32;
             }
             end = lo;
+        }
+        Template {
+            dag,
+            dependents_start,
+            dependents,
+            unmet,
         }
     }
 
@@ -201,15 +222,130 @@ impl Steps {
     }
 }
 
+/// Everything a builder reads about one op, normalized (see the module
+/// doc): the builders see the stripe only through `Layout`'s member
+/// functions, so `rotation` is `stripe % width`, and a segment only through
+/// its member, its length and the parity extent.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+struct ShapeKey {
+    purpose: Purpose,
+    rotation: u64,
+    reducer: Option<usize>,
+    extent: u64,
+    segments: Vec<(usize, u64)>,
+}
+
+impl ShapeKey {
+    /// Replaces the key with the one of `(ctx, purpose, io)`, keeping the
+    /// segment list's capacity.
+    fn fill(&mut self, ctx: &BuildCtx, purpose: Purpose, io: &StripeIo) {
+        self.purpose = purpose;
+        self.rotation = io.stripe % ctx.layout.width() as u64;
+        self.reducer = ctx.reducer;
+        self.extent = io.extent();
+        self.segments.clear();
+        self.segments
+            .extend(io.segments.iter().map(|s| (s.member, s.len)));
+    }
+}
+
+/// The array's compiled op shapes, one [`Template`] per [`ShapeKey`]. A
+/// miss builds through [`builders::build`], the one builder path.
+#[derive(Debug)]
+pub(crate) struct ShapeCache {
+    templates: HashMap<ShapeKey, Rc<Template>, BuildHasherDefault<IdHasher>>,
+    /// The key of the op being launched, refilled in place so a hit
+    /// allocates nothing.
+    probe: ShapeKey,
+    /// Launches served from the cache, for the sampled template audit.
+    hits: u64,
+}
+
+impl Default for ShapeCache {
+    fn default() -> Self {
+        ShapeCache {
+            templates: HashMap::default(),
+            probe: ShapeKey {
+                purpose: Purpose::Scrub,
+                rotation: 0,
+                reducer: None,
+                extent: 0,
+                segments: Vec::new(),
+            },
+            hits: 0,
+        }
+    }
+}
+
+impl ShapeCache {
+    /// The template of `(ctx, purpose, io)`, compiled on first use.
+    fn get(&mut self, ctx: &BuildCtx, purpose: Purpose, io: &StripeIo) -> Rc<Template> {
+        self.probe.fill(ctx, purpose, io);
+        if let Some(template) = self.templates.get(&self.probe) {
+            // Sampled audit: every 64th cached launch must equal a fresh
+            // build, which catches a key that drops a builder input or a
+            // missed invalidation. No-op unless invariants are on.
+            self.hits += 1;
+            if draid_sim::invariants_enabled() && self.hits.is_multiple_of(64) {
+                draid_sim::draid_invariant!(
+                    template.dag == builders::build(ctx, purpose, io),
+                    "cached template differs from a fresh build: {purpose:?} on stripe {}",
+                    io.stripe
+                );
+            }
+            return Rc::clone(template);
+        }
+        let template = Rc::new(Template::new(builders::build(ctx, purpose, io)));
+        self.templates
+            .insert(self.probe.clone(), Rc::clone(&template));
+        template
+    }
+
+    /// Drops every template: the array-level builder inputs changed.
+    pub(crate) fn clear(&mut self) {
+        self.templates.clear();
+    }
+}
+
+/// An op's execution state: its shape's template and one counter per step.
+/// Recycled across ops through `ArraySim::step_pool`, so a steady-state
+/// launch reuses the counter buffer of an op that already finished.
+#[derive(Debug, Default)]
+pub(crate) struct Steps {
+    /// `None` until launch.
+    template: Option<Rc<Template>>,
+    /// Dependencies of each step that have not completed yet; [`DONE`]
+    /// once the step itself completed.
+    unmet: Vec<u32>,
+}
+
+/// `Steps::unmet` of a completed step.
+const DONE: u32 = u32::MAX;
+
+impl Steps {
+    /// Starts the execution of `template`: every step's full dependency
+    /// count.
+    fn install(&mut self, template: Rc<Template>) {
+        self.unmet.clear();
+        self.unmet.extend_from_slice(&template.unmet);
+        self.template = Some(template);
+    }
+
+    fn template(&self) -> &Template {
+        self.template.as_deref().expect("steps of a launched op")
+    }
+}
+
 impl ArraySim {
     /// Admits an op: decides the purpose from its kind and current array
-    /// health, builds the DAG, arms the deadline, and starts the root steps.
+    /// health, takes the DAG from its shape's template, arms the deadline,
+    /// and starts the root steps.
     pub(crate) fn launch_op(&mut self, eng: &mut Engine<ArraySim>, idx: usize) {
         let now = eng.now();
         let (io, kind, retries) = {
             let op = self.ops[idx].as_mut().expect("launch of missing op");
-            // The stripe I/O leaves the op for the build and goes back with
-            // the built steps: moved, never cloned.
+            // The stripe I/O leaves the op for the template lookup and goes
+            // back with the steps: moved, never cloned.
             (std::mem::take(&mut op.io), op.kind, op.retries)
         };
         // Background sweeps keep going on a failed array; they stop on
@@ -270,13 +406,13 @@ impl ArraySim {
             faulty: &self.faulty,
             reducer,
         };
-        builders::build_into(&ctx, purpose, &io, &mut steps.dag, &mut steps.scratch);
-        steps.install();
-        let n = steps.dag.len();
+        steps.install(self.shapes.get(&ctx, purpose, &io));
+        let n = steps.unmet.len();
         let gen = {
             let op = self.ops[idx].as_mut().expect("op vanished");
             if let Some(tracer) = &mut self.tracer {
-                tracer.record_launch(op.user, idx, &steps.dag);
+                let dag = &steps.template().dag;
+                tracer.record_launch((op.user, idx), purpose, reducer, &io, dag);
             }
             op.io = io;
             op.purpose = Some(purpose);
@@ -333,7 +469,7 @@ impl ArraySim {
         let now = eng.now();
         let (kind, gen) = {
             let op = self.ops[idx].as_ref().expect("step of missing op");
-            (op.steps.dag.step(sid).kind, op.gen)
+            (op.steps.template().dag.step(sid).kind, op.gen)
         };
         // Each arm yields (service start, completion): `now..start` is the
         // step's resource queueing, `start..end` its service time.
@@ -428,12 +564,12 @@ impl ArraySim {
             let Some(op) = self.ops[idx].as_mut() else {
                 return; // op already finished/retried
             };
-            if op.gen != gen || op.steps.done[sid] {
+            if op.gen != gen || op.steps.unmet[sid] == DONE {
                 return;
             }
-            op.steps.done[sid] = true;
+            op.steps.unmet[sid] = DONE;
             op.remaining -= 1;
-            (op.remaining == 0, op.steps.dependents(sid))
+            (op.remaining == 0, op.steps.template().dependents(sid))
         };
         if finished {
             self.finish_op(eng, idx, None, false);
@@ -442,7 +578,7 @@ impl ArraySim {
         for k in dependents {
             let ready = {
                 let steps = &mut self.ops[idx].as_mut().expect("op checked live").steps;
-                let dep = steps.dependents[k] as usize;
+                let dep = steps.template().dependents[k] as usize;
                 steps.unmet[dep] -= 1;
                 (steps.unmet[dep] == 0).then_some(dep)
             };
@@ -499,7 +635,9 @@ impl ArraySim {
     ) {
         let mut op = self.ops[idx].take().expect("finish of missing op");
         self.free_ops.push(idx);
-        self.step_pool.push(std::mem::take(&mut op.steps));
+        let mut steps = std::mem::take(&mut op.steps);
+        steps.template = None;
+        self.step_pool.push(steps);
         // Disarm the §5.4 deadline: the op reached a final state, so the
         // timer must not linger in the queue. (A no-op if the timer itself
         // expired and brought us here.)
@@ -709,9 +847,9 @@ mod tests {
     use draid_net::NodeId;
     use draid_sim::{Engine, SimTime};
 
-    use super::{retry_backoff, Steps};
+    use super::{retry_backoff, ShapeCache, Steps, Template};
     use crate::array::ArraySim;
-    use crate::builders::{build, build_into, BuildCtx, Purpose, Scratch};
+    use crate::builders::{build, BuildCtx, Purpose};
     use crate::config::{ArrayConfig, DraidOptions, RaidLevel, SystemKind};
     use crate::dag::{Dag, StepKind};
     use crate::io::UserIo;
@@ -903,7 +1041,7 @@ mod tests {
         for_each_shape(|ctx, purpose, io| dags.push(build(ctx, purpose, io)));
         assert!(dags.len() > 100);
         // One `Steps` for every DAG: each install starts from the previous
-        // DAG's state, as a recycled buffer does.
+        // DAG's counts, as a recycled buffer does.
         let mut steps = Steps::default();
         for dag in dags {
             let n = dag.len();
@@ -916,34 +1054,48 @@ mod tests {
                     nested[d as usize].push(id);
                 }
             }
-            steps.dag = dag;
-            steps.install();
+            steps.install(Rc::new(Template::new(dag)));
+            let template = steps.template();
             let flat: Vec<Vec<usize>> = (0..n)
                 .map(|sid| {
-                    steps
+                    template
                         .dependents(sid)
-                        .map(|k| steps.dependents[k] as usize)
+                        .map(|k| template.dependents[k] as usize)
                         .collect()
                 })
                 .collect();
             assert_eq!(flat, nested);
             assert_eq!(steps.unmet, unmet);
-            assert_eq!(steps.done, vec![false; n]);
         }
     }
 
     #[test]
-    fn build_into_a_dirty_dag_equals_a_fresh_build() {
-        let (mut dirty, mut scratch) = (Dag::new(), Scratch::default());
-        let mut shapes = 0;
+    fn the_shape_key_drops_only_what_builders_ignore() {
+        let (mut shapes, mut moved_offsets) = (0, 0);
         for_each_shape(|ctx, purpose, io| {
-            // `dirty` still holds the previous shape, built for a different
-            // purpose.
-            build_into(ctx, purpose, io, &mut dirty, &mut scratch);
-            assert_eq!(dirty, build(ctx, purpose, io), "{purpose:?}");
+            // The same op shape elsewhere: `k` parity rotations later, each
+            // segment mirrored inside its chunk (same length, same extent),
+            // from another place in the user buffer.
+            let (width, chunk) = (ctx.layout.width() as u64, ctx.layout.chunk_size());
+            let mut segments = io.segments.clone();
+            for s in &mut segments {
+                s.offset = chunk - s.offset - s.len;
+            }
+            moved_offsets += usize::from(segments != io.segments);
+            let moved = StripeIo::new(io.stripe + 3 * width, io.buf_offset + 4096, segments);
+            assert_eq!(moved.extent(), io.extent());
+
+            let mut cache = ShapeCache::default();
+            let template = cache.get(ctx, purpose, io);
+            assert!(
+                Rc::ptr_eq(&template, &cache.get(ctx, purpose, &moved)),
+                "{purpose:?}: one shape, two keys"
+            );
+            assert_eq!(build(ctx, purpose, &moved), template.dag, "{purpose:?}");
             shapes += 1;
         });
-        assert!(shapes > 100);
+        assert_eq!(shapes, 13_440);
+        assert!(moved_offsets > shapes / 2, "{moved_offsets} of {shapes}");
     }
 
     #[test]
@@ -974,6 +1126,44 @@ mod tests {
         assert_eq!(hash, 0x681d_7aa1_84ee_791f);
     }
 
+    /// Starts a closed loop of `ios` aligned 128 KiB reads and writes at
+    /// queue depth `depth`, over the first `blocks` 128 KiB blocks: each
+    /// I/O is one stripe op.
+    fn closed_loop(
+        array: &mut ArraySim,
+        eng: &mut Engine<ArraySim>,
+        ios: u32,
+        depth: u32,
+        blocks: u64,
+    ) {
+        fn submit_next(
+            array: &mut ArraySim,
+            eng: &mut Engine<ArraySim>,
+            left: Rc<Cell<u32>>,
+            blocks: u64,
+        ) {
+            let n = left.get();
+            if n == 0 {
+                return;
+            }
+            left.set(n - 1);
+            let offset = u64::from(n).wrapping_mul(2_654_435_761) % blocks * 128 * KIB;
+            let io = if n.is_multiple_of(2) {
+                UserIo::write(offset, 128 * KIB)
+            } else {
+                UserIo::read(offset, 128 * KIB)
+            };
+            let hook = Box::new(move |a: &mut ArraySim, e: &mut Engine<ArraySim>, _: &_| {
+                submit_next(a, e, left, blocks)
+            });
+            array.submit_with_hook(eng, io, Some(hook));
+        }
+        let left = Rc::new(Cell::new(ios));
+        for _ in 0..depth {
+            submit_next(array, eng, Rc::clone(&left), blocks);
+        }
+    }
+
     #[test]
     fn step_buffers_are_recycled_across_ops() {
         const IOS: u32 = 10_000;
@@ -981,46 +1171,128 @@ mod tests {
         let cfg = ArrayConfig::paper_default(SystemKind::Draid);
         let mut array = ArraySim::new(Cluster::homogeneous(cfg.width), cfg).expect("valid config");
         let mut eng = Engine::new();
-        // A closed loop of aligned 128 KiB reads and writes: each I/O is one
-        // stripe op.
-        fn submit_next(array: &mut ArraySim, eng: &mut Engine<ArraySim>, left: Rc<Cell<u32>>) {
-            let n = left.get();
-            if n == 0 {
-                return;
+        let mut pools = None;
+        for round in 0..2 {
+            closed_loop(&mut array, &mut eng, IOS, QUEUE_DEPTH, 8192);
+            eng.run(&mut array);
+            assert_eq!(array.drain_completions().len(), IOS as usize);
+            assert_eq!(array.inflight_ops(), 0);
+            // Op slots are reused, so their count is the peak number of ops
+            // in flight. Every op returned its buffers on finishing (no
+            // crash drops any), so the pools now hold every `Steps` and
+            // every segment buffer ever created: one of each per op in
+            // flight at the peak.
+            let peak_inflight = array.ops.len();
+            assert!(peak_inflight <= QUEUE_DEPTH as usize);
+            assert!(!array.step_pool.is_empty());
+            assert!(
+                array.step_pool.len() <= peak_inflight,
+                "{} step buffers for at most {peak_inflight} ops in flight",
+                array.step_pool.len()
+            );
+            assert_eq!(array.segment_pool.len(), array.step_pool.len());
+            assert!(array.segment_pool.iter().all(Vec::is_empty));
+            // A pooled `Steps` holds only its counters; its template went
+            // back with the op.
+            assert!(array.step_pool.iter().all(|s| s.template.is_none()));
+            // One shape per (read or write, parity rotation, data member).
+            let shapes = array.shapes.templates.len();
+            assert!(
+                shapes <= 2 * cfg.width * array.layout.data_chunks(),
+                "{shapes} shapes"
+            );
+            // The warm round compiled nothing and created no buffers: its
+            // launches copied counters into recycled `Steps`.
+            let now = (shapes, array.ops.len(), array.step_pool.len());
+            if round == 1 {
+                assert_eq!(Some(now), pools, "the warm round allocated");
             }
-            left.set(n - 1);
-            let offset = u64::from(n).wrapping_mul(2_654_435_761) % 8192 * 128 * KIB;
-            let io = if n.is_multiple_of(2) {
-                UserIo::write(offset, 128 * KIB)
-            } else {
-                UserIo::read(offset, 128 * KIB)
-            };
-            let hook = Box::new(move |a: &mut ArraySim, e: &mut Engine<ArraySim>, _: &_| {
-                submit_next(a, e, left)
-            });
-            array.submit_with_hook(eng, io, Some(hook));
+            pools = Some(now);
         }
-        let left = Rc::new(Cell::new(IOS));
-        for _ in 0..QUEUE_DEPTH {
-            submit_next(&mut array, &mut eng, Rc::clone(&left));
+    }
+
+    #[test]
+    fn launches_match_fresh_builds_across_member_changes() {
+        // Linux MD's healthy reads pay the stripe cache once any member is
+        // faulty, so its templates go stale at the failure as well as at
+        // the swap.
+        for system in [SystemKind::Draid, SystemKind::SpdkRaid, SystemKind::LinuxMd] {
+            launches_match_fresh_builds_on(system);
         }
+    }
+
+    /// Runs a closed loop on a healthy `system` array, fails a member
+    /// mid-run, rebuilds it onto a spare and runs again, then rebuilds
+    /// every launched DAG from scratch against the state of its phase.
+    fn launches_match_fresh_builds_on(system: SystemKind) {
+        const BLOCKS: u64 = 16 * 28; // 16 stripes
+        let cfg = ArrayConfig::paper_default(system);
+        let (victim, spare) = (3, ServerId(cfg.width));
+        let mut array =
+            ArraySim::new(Cluster::homogeneous(cfg.width + 1), cfg).expect("valid config");
+        array.enable_tracing(1 << 20);
+        let mut eng = Engine::new();
+        // Each phase: the launches before its end, and the builder inputs
+        // the array had.
+        let phase = |a: &ArraySim| {
+            (
+                a.trace().expect("tracing").ops().len(),
+                a.faulty.clone(),
+                a.member_nodes.clone(),
+                a.member_servers.clone(),
+            )
+        };
+        // Healthy, until the victim fails with ops in flight; they fail
+        // and retry on the degraded array.
+        closed_loop(&mut array, &mut eng, 400, 8, BLOCKS);
+        eng.run_until(&mut array, SimTime::from_millis(5));
+        assert!(array.inflight_ops() > 0);
+        let mut phases = vec![phase(&array)];
+        array.fail_member(victim);
+        let degraded = phase(&array);
         eng.run(&mut array);
-        assert_eq!(left.get(), 0);
-        assert_eq!(array.drain_completions().len(), IOS as usize);
-        assert_eq!(array.inflight_ops(), 0);
-        // Op slots are reused, so their count is the peak number of ops in
-        // flight. Every op returned its buffers on finishing (no crash drops
-        // any), so the pools now hold every `Steps` and every segment buffer
-        // ever created: one of each per op in flight at the peak.
-        let peak_inflight = array.ops.len();
-        assert!(peak_inflight <= QUEUE_DEPTH as usize);
-        assert!(!array.step_pool.is_empty());
-        assert!(
-            array.step_pool.len() <= peak_inflight,
-            "{} step buffers for at most {peak_inflight} ops in flight",
-            array.step_pool.len()
-        );
-        assert_eq!(array.segment_pool.len(), array.step_pool.len());
-        assert!(array.segment_pool.iter().all(Vec::is_empty));
+        // Rebuild onto the spare; the last stripe swaps it in.
+        array.start_rebuild(&mut eng, victim, spare, 16, 4);
+        eng.run(&mut array);
+        assert!(!array.is_degraded());
+        phases.push((phase(&array).0, degraded.1, degraded.2, degraded.3));
+        // Healthy again, with the spare in the victim's place.
+        closed_loop(&mut array, &mut eng, 400, 8, BLOCKS);
+        eng.run(&mut array);
+        phases.push(phase(&array));
+        assert_eq!(array.member_servers[victim], spare);
+        assert_eq!(array.drain_completions().len(), 800);
+
+        let trace = array.trace().expect("tracing");
+        let (mut at, mut per_phase) = (0, [0; 3]);
+        for (i, op) in trace.ops().iter().enumerate() {
+            while i >= phases[at].0 {
+                at += 1;
+            }
+            let (_, faulty, nodes, servers) = &phases[at];
+            let ctx = BuildCtx {
+                cfg: &cfg,
+                layout: &array.layout,
+                host: array.cluster.host_node(),
+                nodes,
+                servers,
+                faulty,
+                reducer: op.reducer,
+            };
+            assert_eq!(
+                op.dag,
+                build(&ctx, op.purpose, &op.io),
+                "{system:?} launch {i} in phase {at}: {:?}",
+                op.purpose
+            );
+            per_phase[at] += 1;
+        }
+        // Each phase launched ops, among them degraded reads and rebuild
+        // stripes while the victim was out.
+        assert!(per_phase.iter().all(|&n| n > 0), "{per_phase:?}");
+        let count =
+            |f: fn(&Purpose) -> bool| trace.ops().iter().filter(|op| f(&op.purpose)).count();
+        assert!(count(|p| matches!(p, Purpose::Read { degraded: true })) > 0);
+        assert_eq!(count(|p| matches!(p, Purpose::Rebuild { .. })), 16);
     }
 }

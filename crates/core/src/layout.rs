@@ -69,6 +69,14 @@ impl StripeIo {
     pub fn bytes(&self) -> u64 {
         self.segments.iter().map(|s| s.len).sum()
     }
+
+    /// Length of the byte range within the chunk that covers every
+    /// segment: the region a parity read-modify-write must cover.
+    pub(crate) fn extent(&self) -> u64 {
+        let lo = self.segments.iter().map(|s| s.offset).min().unwrap_or(0);
+        let hi = self.segments.iter().map(|s| s.offset + s.len).max();
+        hi.unwrap_or(0) - lo
+    }
 }
 
 /// Write mode for a partial or full stripe write (§2.1).

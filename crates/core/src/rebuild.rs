@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 use draid_block::ServerId;
 use draid_sim::{Engine, SimTime, TimerHandle};
 
-use crate::array::ArraySim;
+use crate::array::{ArraySim, MemberChange};
 use crate::exec::OpKind;
 use crate::sweep::Sweep;
 
@@ -219,9 +219,7 @@ impl ArraySim {
         for h in &r.backoff_timers {
             eng.cancel(*h);
         }
-        self.member_servers[r.member] = r.spare;
-        self.member_nodes[r.member] = self.cluster.server_node(r.spare);
-        self.faulty.remove(&r.member);
+        self.change_member(r.member, MemberChange::Replace(r.spare));
         self.reset_member_errors(r.member);
     }
 }

@@ -6,7 +6,9 @@ use std::ops::Range;
 
 use draid_sim::SimTime;
 
+use crate::builders::Purpose;
 use crate::dag::{Dag, StepKind};
+use crate::layout::StripeIo;
 
 /// Resource category of a step, for breakdown aggregation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -108,6 +110,12 @@ pub struct TracedOp {
     pub user: u64,
     /// Op slot index, as in [`TraceEvent::op`].
     pub op: usize,
+    /// What the op was for.
+    pub purpose: Purpose,
+    /// The reducer the DAG was built with (§6), if it has one.
+    pub reducer: Option<usize>,
+    /// The stripe portion the op covered.
+    pub io: StripeIo,
     /// The DAG the executor launched.
     pub dag: Dag,
     /// The trace events between this launch and the op's last recorded
@@ -164,9 +172,17 @@ impl Tracer {
         }
     }
 
-    /// Notes that op slot `op` launched `dag` on behalf of `user`. The DAG
-    /// is kept while the kept DAGs total at most `capacity` steps.
-    pub(crate) fn record_launch(&mut self, user: u64, op: usize, dag: &Dag) {
+    /// Notes that op slot `op` launched `dag`, built for `purpose` over `io`
+    /// with `reducer`, on behalf of `user`. The DAG is kept while the kept
+    /// DAGs total at most `capacity` steps.
+    pub(crate) fn record_launch(
+        &mut self,
+        (user, op): (u64, usize),
+        purpose: Purpose,
+        reducer: Option<usize>,
+        io: &StripeIo,
+        dag: &Dag,
+    ) {
         if self.live.len() <= op {
             self.live.resize(op + 1, None);
         }
@@ -176,6 +192,9 @@ impl Tracer {
             self.ops.push(TracedOp {
                 user,
                 op,
+                purpose,
+                reducer,
+                io: io.clone(),
                 dag: dag.clone(),
                 events: at..at,
             });
@@ -575,12 +594,12 @@ mod path_tests {
         let root = dag.add(transfer(), &[]);
         dag.add(dread(), &[root]);
         let mut t = Tracer::new(3);
-        t.record_launch(1, 0, &dag);
+        t.record_launch((1, 0), Purpose::Scrub, None, &StripeIo::default(), &dag);
         t.record(event(0, 0, 10, transfer()));
         t.record(event(1, 10, 40, dread()));
         // Slot 0 relaunches with a DAG that no longer fits: it is not kept,
         // and its step 0 must not be read as the first launch's.
-        t.record_launch(1, 0, &dag);
+        t.record_launch((1, 0), Purpose::Scrub, None, &StripeIo::default(), &dag);
         t.record(event(0, 40, 45, transfer()));
         let [op] = t.ops() else {
             panic!("only the first DAG fits: {:?}", t.ops());
