@@ -16,7 +16,7 @@ use draid_net::NodeId;
 use draid_sim::{DetRng, Engine, SimTime};
 
 use crate::config::{ArrayConfig, DataMode, ReducerPolicy, SystemKind};
-use crate::datastore::ChunkStore;
+use crate::datastore::{ChunkStore, WriteBehind};
 use crate::exec::{OpKind, OpState};
 use crate::health::{HealthConfig, HealthMonitor, HealthState};
 use crate::idhash::IdHasher;
@@ -85,7 +85,7 @@ pub struct ArraySim {
     pub(crate) next_gen: u64,
     pub(crate) users: HashMap<u64, UserState, BuildHasherDefault<IdHasher>>,
     next_io: u64,
-    pub(crate) store: Option<ChunkStore>,
+    pub(crate) store: Option<Box<WriteBehind>>,
     pub(crate) selector: ReducerSelector,
     bw_probe: BwProbe,
     pub(crate) rng: DetRng,
@@ -155,7 +155,7 @@ impl ArraySim {
             .iter()
             .map(|&s| cluster.server_node(s))
             .collect();
-        let store = (cfg.data_mode == DataMode::Full).then(|| ChunkStore::new(layout));
+        let store = (cfg.data_mode == DataMode::Full).then(|| Box::new(WriteBehind::new(layout)));
         Ok(ArraySim {
             cluster,
             layout,
@@ -234,14 +234,16 @@ impl ArraySim {
         v
     }
 
-    /// The chunk store, when running with a full data plane.
-    pub fn store(&self) -> Option<&ChunkStore> {
-        self.store.as_ref()
+    /// The chunk store, when running with a full data plane, once every
+    /// queued write has applied.
+    pub fn store(&mut self) -> Option<&ChunkStore> {
+        self.store.as_mut().map(|s| &*s.settled_all())
     }
 
-    /// Mutable chunk-store access (fault injection in tests and examples).
+    /// Mutable chunk-store access (fault injection in tests and examples),
+    /// once every queued write has applied.
     pub fn store_mut(&mut self) -> Option<&mut ChunkStore> {
-        self.store.as_mut()
+        self.store.as_mut().map(|s| s.settled_all())
     }
 
     /// Submits a user I/O; the result is later available via
@@ -365,7 +367,7 @@ impl ArraySim {
                 .drive_mut(self.member_servers[member])
                 .fail_permanently();
             if let Some(store) = &mut self.store {
-                store.drop_member(member);
+                store.settled_all().drop_member(member);
             }
         }
     }

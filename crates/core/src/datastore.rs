@@ -32,11 +32,25 @@
 //! Every decode happens before the first byte changes, and healthy chunks
 //! are borrowed, never cloned.
 //!
+//! The array's store is a [`WriteBehind`]: each stripe write moves that
+//! stripe's chunks, with the payload, to an applier thread that runs
+//! [`ChunkStore::apply_write`] on them and hands them back, while the
+//! simulation runs on. Every later access to the stripe (a read, the next
+//! write, rebuild, scrub, fault injection, dropping a member, or the whole
+//! store through `ArraySim::store`) first takes the chunks back. A stripe
+//! has at most one write out, so its writes apply in order and every byte
+//! is what the synchronous store holds.
+//!
 //! [`DataMode::Full`]: crate::DataMode::Full
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::any::Any;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 
+use bytes::Bytes;
 use draid_ec::{kernels, ReedSolomon};
 
 use crate::layout::{Layout, Segment, StripeIo, WriteMode};
@@ -166,6 +180,54 @@ impl ChunkStore {
             .copy_from_slice(bytes);
     }
 
+    /// Materializes every chunk a write of `io` stores: each surviving
+    /// parity row and each surviving row a segment writes. `lost` marks the
+    /// stripe's lost rows.
+    fn materialize_write(&mut self, io: &StripeIo, lost: &[bool]) {
+        let d = self.layout.data_chunks();
+        let rows = io
+            .segments
+            .iter()
+            .map(|s| s.data_index)
+            .chain(d..self.rows());
+        for row in rows.filter(|&r| !lost[r]) {
+            let member = self.member(io.stripe, row);
+            let zeros = &self.zeros;
+            self.chunks
+                .entry((io.stripe, member))
+                .or_insert_with(|| zeros.clone());
+        }
+    }
+
+    /// Moves every stored chunk of `stripe` into `out`, as
+    /// `(member, chunk)`.
+    fn take_stripe(&mut self, stripe: u64, out: &mut Vec<(usize, Vec<u8>)>) {
+        for row in 0..self.rows() {
+            let member = self.member(stripe, row);
+            if let Some(chunk) = self.chunks.remove(&(stripe, member)) {
+                out.push((member, chunk));
+            }
+        }
+    }
+
+    /// Applies `job`'s write to its chunks, in this store, and hands them
+    /// back in `job.chunks`: the applier's half of [`WriteBehind`]. The
+    /// store holds no chunk before or after.
+    fn apply_job(&mut self, job: &mut Job) {
+        let stripe = job.io.stripe;
+        for (member, chunk) in job.chunks.drain(..) {
+            self.put_chunk(stripe, member, chunk);
+        }
+        let payload = job.payload.as_deref().expect("a queued job has a payload");
+        self.apply_write(&job.io, payload, job.mode, &job.failed);
+        let chunks = std::mem::take(&mut self.chunks);
+        job.chunks.extend(
+            chunks
+                .into_iter()
+                .map(|((_, member), chunk)| (member, chunk)),
+        );
+    }
+
     /// Discards every chunk stored on `member` — the drive is gone (§5.4
     /// prolonged failure). Parity on the surviving members still encodes the
     /// lost contents.
@@ -231,17 +293,29 @@ impl ChunkStore {
         mode: WriteMode,
         failed: &BTreeSet<usize>,
     ) {
-        assert_eq!(payload.len() as u64, io.bytes(), "payload size mismatch");
-        let lost = self.lost_rows(io.stripe, failed);
-        assert!(
-            lost.iter().filter(|&&l| l).count() <= self.codec.parity_chunks(),
-            "failures exceed the RAID level's tolerance"
-        );
+        let lost = self.check_write(io, payload.len(), failed);
         if mode == WriteMode::ReadModifyWrite && !io.segments.is_empty() {
             self.write_delta(io, payload, &lost);
         } else {
             self.write_encode(io, payload, &lost);
         }
+    }
+
+    /// The rows of `io`'s stripe lost to `failed`, after checking that a
+    /// write of `len` payload bytes can apply.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` differs from the stripe I/O size, or more members
+    /// failed than tolerated.
+    fn check_write(&self, io: &StripeIo, len: usize, failed: &BTreeSet<usize>) -> Vec<bool> {
+        assert_eq!(len as u64, io.bytes(), "payload size mismatch");
+        let lost = self.lost_rows(io.stripe, failed);
+        assert!(
+            lost.iter().filter(|&&l| l).count() <= self.codec.parity_chunks(),
+            "failures exceed the RAID level's tolerance"
+        );
+        lost
     }
 
     /// Read-modify-write: one [`kernels::update`] pass per segment sets
@@ -469,6 +543,366 @@ impl ChunkStore {
     }
 }
 
+/// Stripe writes that may be out with the applier at once.
+const QUEUE_JOBS: usize = 8;
+
+/// Payload bytes the writes out with the applier may hold at once: eight
+/// 128 KiB writes. A queued write keeps its payload alive until it is taken
+/// back, so this bounds the memory write-behind adds; a larger write
+/// applies on the caller.
+const QUEUE_BYTES: usize = 1 << 20;
+
+/// One stripe write on its way through the applier: the stripe's chunks,
+/// moved out of the store, and the arguments of
+/// [`ChunkStore::apply_write`]. A finished job keeps its buffers for the
+/// next write.
+struct Job {
+    io: StripeIo,
+    payload: Option<Bytes>,
+    mode: WriteMode,
+    failed: BTreeSet<usize>,
+    chunks: Vec<(usize, Vec<u8>)>,
+}
+
+/// What the caller and the applier share, under one lock.
+#[derive(Default)]
+struct Queue {
+    /// Writes the applier has not started, oldest first.
+    queued: VecDeque<Job>,
+    /// The stripe of the write the applier is applying.
+    applying: Option<u64>,
+    /// Applied writes the caller has not taken back.
+    done: Vec<Job>,
+    /// The applier waits for work.
+    idle: bool,
+    /// The caller waits for a write to finish.
+    waiting: bool,
+    /// The store is dropping: the applier stops after its current write.
+    closed: bool,
+    /// The applier's panic, raised on the caller.
+    panic: Option<Box<dyn Any + Send>>,
+    /// The applier panicked: the chunks of the write it was applying are
+    /// gone.
+    died: bool,
+}
+
+struct Shared {
+    queue: Mutex<Queue>,
+    /// Signals the applier: a write was queued, or the store closed.
+    work: Condvar,
+    /// Signals the caller: a write finished.
+    finished: Condvar,
+}
+
+impl Shared {
+    /// Every update of the queue leaves it valid (the applier applies with
+    /// the lock released, under `catch_unwind`), so a poisoned lock is
+    /// recovered.
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The applier thread and its queue.
+struct Applier {
+    shared: Arc<Shared>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Applier {
+    fn spawn(layout: Layout) -> Applier {
+        let shared = Arc::new(Shared {
+            queue: Mutex::new(Queue::default()),
+            work: Condvar::new(),
+            finished: Condvar::new(),
+        });
+        // Built here, so the chunk of zeros and the decode scratch of the
+        // applier's store come from the caller's heap.
+        let mut one_stripe = ChunkStore::new(layout);
+        let parity = layout.level().parity_count();
+        one_stripe.scratch = Vec::with_capacity(parity * one_stripe.zeros.len());
+        let theirs = Arc::clone(&shared);
+        let thread = std::thread::Builder::new()
+            .name("draid-applier".into())
+            .spawn(move || serve(&theirs, one_stripe))
+            .expect("spawn the write-behind applier");
+        Applier {
+            shared,
+            thread: Some(thread),
+        }
+    }
+}
+
+impl Drop for Applier {
+    fn drop(&mut self) {
+        // Queued writes die with the store; only the one being applied
+        // finishes.
+        let mut q = self.shared.lock();
+        q.closed = true;
+        if q.idle {
+            self.shared.work.notify_one();
+        }
+        drop(q);
+        if let Some(thread) = self.thread.take() {
+            // `serve` catches the panics of the writes it applies; one the
+            // caller never took back dies with the store, as a drop must
+            // not panic.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// The applier's loop: apply queued writes in order, in a one-stripe store.
+fn serve(shared: &Shared, mut one_stripe: ChunkStore) {
+    let mut q = shared.lock();
+    loop {
+        if q.closed {
+            return;
+        }
+        let Some(mut job) = q.queued.pop_front() else {
+            q.idle = true;
+            q = shared.work.wait(q).unwrap_or_else(PoisonError::into_inner);
+            q.idle = false;
+            continue;
+        };
+        q.applying = Some(job.io.stripe);
+        drop(q);
+        let applied = panic::catch_unwind(AssertUnwindSafe(|| one_stripe.apply_job(&mut job)));
+        q = shared.lock();
+        q.applying = None;
+        if q.waiting {
+            shared.finished.notify_one();
+        }
+        match applied {
+            Ok(()) => q.done.push(job),
+            Err(panic) => {
+                q.panic = Some(panic);
+                q.died = true;
+                return;
+            }
+        }
+    }
+}
+
+/// The caller's side of a [`WriteBehind`]: the store and the bookkeeping of
+/// the chunks that are out.
+struct Home {
+    store: ChunkStore,
+    /// Stripes whose chunks are out with a queued, applying or applied
+    /// write.
+    out: Vec<u64>,
+    /// Payload bytes of the writes out.
+    out_bytes: usize,
+    /// Finished jobs, reused by the next writes.
+    idle: Vec<Job>,
+}
+
+impl Home {
+    /// Materializes every chunk the write will store and moves the
+    /// stripe's chunks into a job.
+    fn prepare(
+        &mut self,
+        io: &StripeIo,
+        payload: Bytes,
+        mode: WriteMode,
+        failed: BTreeSet<usize>,
+        lost: &[bool],
+    ) -> Job {
+        let mut job = self.idle.pop().unwrap_or_else(|| Job {
+            io: StripeIo::default(),
+            payload: None,
+            mode,
+            failed: BTreeSet::new(),
+            chunks: Vec::new(),
+        });
+        self.store.materialize_write(io, lost);
+        self.store.take_stripe(io.stripe, &mut job.chunks);
+        job.io.stripe = io.stripe;
+        job.io.buf_offset = io.buf_offset;
+        job.io.segments.clear();
+        job.io.segments.extend_from_slice(&io.segments);
+        job.payload = Some(payload);
+        job.mode = mode;
+        job.failed = failed;
+        job
+    }
+
+    /// Puts a job's chunks back in the store.
+    fn put_back(&mut self, job: &mut Job) {
+        let stripe = job.io.stripe;
+        for (member, chunk) in job.chunks.drain(..) {
+            self.store.put_chunk(stripe, member, chunk);
+        }
+        if let Some(at) = self.out.iter().position(|&s| s == stripe) {
+            self.out.swap_remove(at);
+            self.out_bytes -= job.payload.as_ref().map_or(0, Bytes::len);
+        }
+    }
+
+    /// Keeps a finished job's buffers for the next write.
+    fn recycle(&mut self, mut job: Job) {
+        job.payload = None;
+        job.failed.clear();
+        self.idle.push(job);
+    }
+
+    /// Applies a queued job the applier has not started, here.
+    fn apply_here(&mut self, mut job: Job) {
+        self.put_back(&mut job);
+        let payload = job
+            .payload
+            .as_deref()
+            .expect("an unapplied job has a payload");
+        self.store
+            .apply_write(&job.io, payload, job.mode, &job.failed);
+        self.recycle(job);
+    }
+
+    /// Takes back every write the applier has finished.
+    ///
+    /// # Panics
+    ///
+    /// Resumes the applier's panic if it had one, and panics on every
+    /// later call.
+    fn take_back(&mut self, q: &mut Queue) {
+        if let Some(panic) = q.panic.take() {
+            std::panic::resume_unwind(panic);
+        }
+        assert!(!q.died, "the write-behind applier panicked");
+        while let Some(mut job) = q.done.pop() {
+            self.put_back(&mut job);
+            self.recycle(job);
+        }
+    }
+}
+
+/// A [`ChunkStore`] whose stripe writes apply on an applier thread while
+/// the caller runs on: the write-behind data plane of
+/// [`DataMode::Full`](crate::DataMode::Full).
+///
+/// [`WriteBehind::write`] checks the write, materializes on the calling
+/// thread every chunk the write will store, moves the stripe's chunks out
+/// of the store and queues them with the payload. The applier runs
+/// [`ChunkStore::apply_write`] on them in a one-stripe store of its own and
+/// hands them back. Any later access to a stripe first takes its chunks
+/// back ([`WriteBehind::settled`] for one stripe,
+/// [`WriteBehind::settled_all`] for the whole store): it waits for a write
+/// the applier is applying, and applies one still queued itself. A stripe
+/// has at most one write out at a time, so writes to one stripe apply one
+/// by one in the order they were made, and every stored and every read
+/// byte is what the synchronous store would hold.
+///
+/// At most eight writes with 1 MiB of payload are out at once; a write
+/// beyond either applies on the caller. The applier allocates no chunk
+/// memory: the chunks it writes exist before they are queued, and its
+/// store's buffers are built by the caller. The thread starts with the
+/// first write, and dropping the store drops the writes still queued and
+/// joins it.
+pub struct WriteBehind {
+    home: Home,
+    applier: Option<Applier>,
+}
+
+impl WriteBehind {
+    /// Creates an empty store for the given geometry.
+    pub fn new(layout: Layout) -> Self {
+        WriteBehind {
+            home: Home {
+                store: ChunkStore::new(layout),
+                out: Vec::with_capacity(QUEUE_JOBS),
+                out_bytes: 0,
+                idle: Vec::new(),
+            },
+            applier: None,
+        }
+    }
+
+    /// Queues a stripe write (see [`ChunkStore::apply_write`]) to the
+    /// applier, once an earlier write to the stripe has applied. When the
+    /// writes out would exceed eight or 1 MiB of payload with it, the write
+    /// applies here instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics here, on the caller, if `payload` length differs from the
+    /// stripe I/O size or more members failed than tolerated; panics if the
+    /// applier thread cannot be spawned.
+    pub fn write(
+        &mut self,
+        io: &StripeIo,
+        payload: Bytes,
+        mode: WriteMode,
+        failed: BTreeSet<usize>,
+    ) {
+        let lost = self.home.store.check_write(io, payload.len(), &failed);
+        self.settle(io.stripe);
+        let layout = self.home.store.layout;
+        let shared = &self
+            .applier
+            .get_or_insert_with(|| Applier::spawn(layout))
+            .shared;
+        let mut q = shared.lock();
+        self.home.take_back(&mut q);
+        let home = &mut self.home;
+        if home.out.len() == QUEUE_JOBS || home.out_bytes + payload.len() > QUEUE_BYTES {
+            drop(q);
+            home.store.apply_write(io, &payload, mode, &failed);
+            return;
+        }
+        home.out.push(io.stripe);
+        home.out_bytes += payload.len();
+        q.queued
+            .push_back(home.prepare(io, payload, mode, failed, &lost));
+        if q.idle {
+            shared.work.notify_one();
+        }
+    }
+
+    /// The store, with `stripe`'s chunks back: valid for accesses to
+    /// `stripe` only.
+    pub fn settled(&mut self, stripe: u64) -> &mut ChunkStore {
+        self.settle(stripe);
+        &mut self.home.store
+    }
+
+    /// The store, with every write applied and back.
+    pub fn settled_all(&mut self) -> &mut ChunkStore {
+        while let Some(&stripe) = self.home.out.first() {
+            self.settle(stripe);
+        }
+        &mut self.home.store
+    }
+
+    /// Takes `stripe`'s chunks back: waits while the applier applies its
+    /// write, or applies it here if it is still queued.
+    fn settle(&mut self, stripe: u64) {
+        if !self.home.out.contains(&stripe) {
+            return;
+        }
+        let shared = &self.applier.as_ref().expect("a write is out").shared;
+        let mut q = shared.lock();
+        loop {
+            self.home.take_back(&mut q);
+            if !self.home.out.contains(&stripe) {
+                return;
+            }
+            if let Some(at) = q.queued.iter().position(|j| j.io.stripe == stripe) {
+                let job = q.queued.remove(at).expect("found above");
+                drop(q);
+                self.home.apply_here(job);
+                return;
+            }
+            debug_assert_eq!(q.applying, Some(stripe), "an out write is somewhere");
+            q.waiting = true;
+            q = shared
+                .finished
+                .wait(q)
+                .unwrap_or_else(PoisonError::into_inner);
+            q.waiting = false;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,6 +1024,80 @@ mod tests {
         segments[0].member = 0;
         let io = StripeIo::new(io.stripe, io.buf_offset, segments);
         store.read(&io, &failed);
+    }
+
+    /// Applies the same write to both stores.
+    fn write_both(wb: &mut WriteBehind, sync: &mut ChunkStore, io: &StripeIo, data: Vec<u8>) {
+        let (mode, healthy) = (wb.home.store.layout.write_mode(io), BTreeSet::new());
+        sync.apply_write(io, &data, mode, &healthy);
+        wb.write(io, Bytes::from(data), mode, healthy);
+    }
+
+    #[test]
+    fn write_behind_matches_the_synchronous_store() {
+        // Sixteen stripes let more than eight writes be out at once, and
+        // 64 KiB chunks let the writes out exceed 1 MiB of payload, so
+        // every path runs: queued, applied on the caller when the queue is
+        // full, settled by waiting and by taking a queued write back.
+        for level in [RaidLevel::Raid5, RaidLevel::Raid6] {
+            let mut cfg = ArrayConfig::paper_default(SystemKind::Draid);
+            cfg.level = level;
+            cfg.width = 5;
+            cfg.chunk_size = 64 * 1024;
+            let layout = Layout::new(&cfg);
+            let mut wb = WriteBehind::new(layout);
+            let mut sync = ChunkStore::new(layout);
+            let mut rng = draid_sim::DetRng::new(level.parity_count() as u64);
+            let mut failed = BTreeSet::new();
+            let (stripes, granule) = (16, 4096);
+            let stripe_bytes = layout.stripe_data_bytes();
+            // Back-to-back writes to every stripe, payloads drawn first:
+            // full-stripe ones pass the payload bound, one-granule ones the
+            // job bound.
+            for len in [stripe_bytes, granule] {
+                let mut data = vec![0u8; (stripes * len) as usize];
+                rng.fill_bytes(&mut data);
+                for (s, data) in (0..stripes).zip(data.chunks(len as usize)) {
+                    let io = &layout.map(s * stripe_bytes, len)[0];
+                    write_both(&mut wb, &mut sync, io, data.to_vec());
+                }
+            }
+            for step in 0..1000 {
+                let len = granule * (1 + rng.below(stripe_bytes / granule));
+                let at = granule * rng.below((stripe_bytes - len) / granule + 1);
+                let io = &layout.map(rng.below(stripes) * stripe_bytes + at, len)[0];
+                match rng.below(10) {
+                    0..=5 => {
+                        let mut data = vec![0u8; len as usize];
+                        rng.fill_bytes(&mut data);
+                        let mode = layout.write_mode(io);
+                        sync.apply_write(io, &data, mode, &failed);
+                        wb.write(io, Bytes::from(data), mode, failed.clone());
+                    }
+                    6..=8 => assert_eq!(
+                        wb.settled(io.stripe).read(io, &failed),
+                        sync.read(io, &failed),
+                        "{level:?} step {step}"
+                    ),
+                    _ => match failed.pop_first() {
+                        None => {
+                            let member = rng.below(5) as usize;
+                            failed.insert(member);
+                            wb.settled_all().drop_member(member);
+                            sync.drop_member(member);
+                        }
+                        Some(member) => {
+                            let lost = [member].into();
+                            for s in 0..stripes {
+                                wb.settled(s).rebuild_chunk(s, member, &lost);
+                                sync.rebuild_chunk(s, member, &lost);
+                            }
+                        }
+                    },
+                }
+            }
+            assert!(wb.settled_all().chunks == sync.chunks, "{level:?}");
+        }
     }
 
     #[test]

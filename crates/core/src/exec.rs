@@ -706,7 +706,7 @@ impl ArraySim {
         // than the level tolerates has no consistent place to land — surface
         // the array failure rather than acknowledging a lost write.
         let array_failed = self.is_failed();
-        if !failed && !array_failed {
+        if !failed && !array_failed && self.store.is_some() {
             self.apply_effect(&op);
         }
         self.recycle_segments(op.io.segments);
@@ -748,16 +748,26 @@ impl ArraySim {
     }
 
     /// Applies the operation's semantic effect to the chunk store (full data
-    /// mode only): writes store data + parity, reads gather (possibly
-    /// reconstructed) bytes straight into the user buffer.
+    /// mode only): writes queue to the write-behind applier, reads gather
+    /// (possibly reconstructed) bytes straight into the user buffer. Kept
+    /// out of line, so the data plane adds no code to the op path that
+    /// `DataMode::Timing` runs.
+    #[inline(never)]
     fn apply_effect(&mut self, op: &OpState) {
-        if self.store.is_none() {
-            return;
-        }
         if self.faulty.len() > self.cfg.level.parity_count() {
             return; // array failed; nothing consistent to apply
         }
         let lost = self.lost_members(op.io.stripe);
+        // Sampled post-write parity re-verification: every 8th stripe write
+        // on a stripe with no effectively-lost member is checked against
+        // its stored parity once it has applied. (A stripe with a lost
+        // member is skipped: its dropped chunks read back as zeros by
+        // design, and only parity encodes the data.) No-op unless
+        // invariants are on.
+        let verify = draid_sim::invariants_enabled()
+            && lost.is_empty()
+            && matches!(op.purpose, Some(Purpose::Write { .. }))
+            && op.io.stripe.is_multiple_of(8);
         let Some(store) = &mut self.store else {
             return;
         };
@@ -774,11 +784,11 @@ impl ArraySim {
                     Some(data) => {
                         let lo = op.io.buf_offset as usize;
                         let hi = lo + op.io.bytes() as usize;
-                        let sub = data.slice(lo..hi);
-                        store.apply_write(&op.io, &sub, mode, &lost);
+                        store.write(&op.io, data.slice(lo..hi), mode, lost);
                     }
                     None => {
                         let zeros = self.buf_pool.take_zeroed(op.io.bytes() as usize);
+                        let store = store.settled(op.io.stripe);
                         store.apply_write(&op.io, &zeros, mode, &lost);
                         self.buf_pool.put(zeros);
                     }
@@ -788,29 +798,18 @@ impl ArraySim {
                 let user = self.users.get_mut(&op.user);
                 if let Some(buf) = user.and_then(|u| u.read_buf.as_mut()) {
                     let lo = op.io.buf_offset as usize;
-                    store.read_to(&mut buf[lo..lo + op.io.bytes() as usize], &op.io, &lost);
+                    let dst = &mut buf[lo..lo + op.io.bytes() as usize];
+                    store.settled(op.io.stripe).read_to(dst, &op.io, &lost);
                 }
             }
             _ => {}
         }
-
-        // Sampled post-write parity re-verification: every 8th stripe write
-        // on a stripe with no effectively-lost member is immediately checked
-        // against its freshly stored parity. (A stripe with a lost member is
-        // skipped: its dropped chunks read back as zeros by design, and only
-        // parity encodes the data.) No-op unless invariants are on.
-        if draid_sim::invariants_enabled()
-            && lost.is_empty()
-            && matches!(op.purpose, Some(Purpose::Write { .. }))
-            && op.io.stripe.is_multiple_of(8)
-        {
-            if let Some(store) = &self.store {
-                draid_sim::draid_invariant!(
-                    store.verify_stripe(op.io.stripe),
-                    "post-write parity mismatch on stripe {}",
-                    op.io.stripe
-                );
-            }
+        if verify {
+            draid_sim::draid_invariant!(
+                store.settled(op.io.stripe).verify_stripe(op.io.stripe),
+                "post-write parity mismatch on stripe {}",
+                op.io.stripe
+            );
         }
     }
 }

@@ -197,7 +197,7 @@ impl ArraySim {
                 byte,
             } => {
                 if let Some(store) = self.store.as_mut() {
-                    store.corrupt_chunk(stripe, member, byte);
+                    store.settled(stripe).corrupt_chunk(stripe, member, byte);
                 }
             }
         }

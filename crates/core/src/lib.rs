@@ -79,7 +79,7 @@ pub use config::{
     ArrayConfig, DataMode, DraidOptions, LinuxTuning, RaidLevel, ReducerPolicy, SystemKind,
 };
 pub use dag::{Dag, Step, StepKind};
-pub use datastore::ChunkStore;
+pub use datastore::{ChunkStore, WriteBehind};
 pub use exec::BufPool;
 pub use fault::{FaultAction, FaultManagerConfig, FaultSchedule};
 pub use health::{HealthConfig, HealthMonitor, HealthState, MemberHealth};

@@ -162,7 +162,9 @@ impl ArraySim {
         // Materialize the reconstructed chunk in the data plane.
         if !failed {
             if let Some(store) = &mut self.store {
-                store.rebuild_chunk(stripe, member, &self.faulty);
+                store
+                    .settled(stripe)
+                    .rebuild_chunk(stripe, member, &self.faulty);
             }
         }
         let Some(r) = &mut self.rebuild else {

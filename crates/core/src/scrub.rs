@@ -85,9 +85,10 @@ impl ArraySim {
         // Verify against the data plane (when present) at completion time,
         // checking only what the surviving chunks can: a lost chunk is
         // absent by design, not corrupt.
-        let clean = match &self.store {
-            Some(store) => store.verify_survivors(stripe, &self.lost_members(stripe)),
-            None => true,
+        let clean = self.store.is_none() || {
+            let lost = self.lost_members(stripe);
+            let store = self.store.as_mut().expect("checked above");
+            store.settled(stripe).verify_survivors(stripe, &lost)
         };
         let Some(s) = &mut self.scrub else {
             return;

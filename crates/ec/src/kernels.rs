@@ -948,6 +948,81 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_callers_of_split_kernels_get_the_reference_bytes() {
+        // Two threads race for the one fork helper: each makes hundreds of
+        // split-size calls of all three kernels, and the caller that loses
+        // the slot runs both halves inline. Every result must still be the
+        // portable reference's, whichever thread ran which half.
+        struct Case {
+            coeffs: Vec<u8>,
+            srcs: Vec<Vec<u8>>,
+            encoded: Vec<Vec<u8>>,
+            updated: Vec<Vec<u8>>,
+        }
+        let cases: Vec<Case> = [64 * 1024, 64 * 1024 + 37, 100_000, 128 * 1024]
+            .into_iter()
+            .enumerate()
+            .map(|(n, len)| {
+                let srcs: Vec<Vec<u8>> = (0..6u8).map(|i| buf(len, 29 * i + n as u8)).collect();
+                let refs: Vec<&[u8]> = srcs.iter().map(|s| &s[..]).collect();
+                let coeffs: Vec<u8> = (0..12u8).map(|c| c.wrapping_mul(37) ^ n as u8).collect();
+                let mut encoded = vec![vec![0u8; len]; 2];
+                encode_blocked(
+                    &coeffs,
+                    &refs,
+                    &mut encoded.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
+                );
+                // `update(data = srcs[0], new = srcs[1])` into the encoded
+                // rows: parity ^= c·(data ⊕ new).
+                let mut updated = encoded.clone();
+                for (p, &c) in updated.iter_mut().zip(&coeffs[..2]) {
+                    gf256::mul_acc_ref(p, &srcs[0], c);
+                    gf256::mul_acc_ref(p, &srcs[1], c);
+                }
+                Case {
+                    coeffs,
+                    srcs,
+                    encoded,
+                    updated,
+                }
+            })
+            .collect();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2usize {
+                let (cases, start) = (&cases, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for call in 0..300 {
+                        let case = &cases[(call + t) % cases.len()];
+                        let len = case.srcs[0].len();
+                        let refs: Vec<&[u8]> = case.srcs.iter().map(|s| &s[..]).collect();
+                        let mut outs = vec![vec![0xA5u8; len]; 2];
+                        encode(
+                            &case.coeffs,
+                            &refs,
+                            &mut outs.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
+                        );
+                        assert_eq!(outs, case.encoded, "encode: thread {t} call {call}");
+                        let mut data = case.srcs[0].clone();
+                        update(
+                            &case.coeffs[..2],
+                            &mut data,
+                            &case.srcs[1],
+                            &mut outs.iter_mut().map(|o| &mut o[..]).collect::<Vec<_>>(),
+                        );
+                        assert_eq!(data, case.srcs[1], "update data: thread {t} call {call}");
+                        assert_eq!(outs, case.updated, "update: thread {t} call {call}");
+                        let mut copied = vec![0u8; len];
+                        copy(&mut copied, &case.srcs[2]);
+                        assert_eq!(copied, case.srcs[2], "copy: thread {t} call {call}");
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
     fn blocked_fallbacks_match_scalar_across_block_edges() {
         // The fused kernels serve `encode`/`update` on AVX2 machines, so
         // drive the fallback directly: every coefficient (0 skipped, 1 a

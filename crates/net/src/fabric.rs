@@ -337,7 +337,9 @@ impl Fabric {
         if src_rack != dst_rack {
             if let Some(r) = src_rack {
                 let rack = &mut self.racks[r];
-                let svc = rack.up.serve_at_rate(arrive, bytes.max(1), rack.spec.rate);
+                let svc = rack
+                    .up
+                    .serve_after(now, arrive, bytes.max(1), rack.spec.rate);
                 arrive = svc.start + rack.spec.propagation;
                 stage_end = stage_end.max(svc.end);
             }
@@ -345,7 +347,7 @@ impl Fabric {
                 let rack = &mut self.racks[r];
                 let svc = rack
                     .down
-                    .serve_at_rate(arrive, bytes.max(1), rack.spec.rate);
+                    .serve_after(now, arrive, bytes.max(1), rack.spec.rate);
                 arrive = svc.start + rack.spec.propagation;
                 stage_end = stage_end.max(svc.end);
             }
@@ -356,7 +358,7 @@ impl Fabric {
         self.nics[c.to_nic].ingress_ledger.offered += bytes.max(1);
         let ing = self.nics[c.to_nic]
             .ingress
-            .serve_at_rate(arrive, bytes.max(1), in_rate);
+            .serve_after(now, arrive, bytes.max(1), in_rate);
         Ok(Service {
             start: eg.start,
             end: ing.end.max(stage_end),
@@ -597,6 +599,27 @@ mod tests {
         let svc = f.transfer(SimTime::ZERO, conn, 1_000_000); // 1 MB -> 1 ms
                                                               // per_message (0.5us) + propagation (2us) + serialization (1ms)
         assert_eq!(svc.end, SimTime::from_nanos(1_000_000 + 2_500));
+    }
+
+    #[test]
+    fn ingress_busy_time_never_runs_ahead_of_the_sample_instant() {
+        // Two back-to-back 1 MB sends at t = 0: the second reaches the
+        // receiver only once the first has left the sender, about 80 µs on.
+        // Folding its ingress charge at that future instant once reported
+        // 80 µs busy by t = 10 µs.
+        let (mut f, conn) = two_node_fabric(100.0);
+        f.transfer(SimTime::ZERO, conn, 1_000_000);
+        let last = f.transfer(SimTime::ZERO, conn, 1_000_000);
+        let mut prev = SimTime::ZERO;
+        for us in (0..=200).step_by(10) {
+            let at = SimTime::from_micros(us);
+            let busy = f.busy_elapsed(NodeId(1), LinkDir::Ingress, at);
+            assert!(busy <= at, "{busy} busy by {at}");
+            assert!(busy - prev <= SimTime::from_micros(10), "at {at}");
+            prev = busy;
+        }
+        let total = f.busy_elapsed(NodeId(1), LinkDir::Ingress, last.end);
+        assert_eq!(total, f.nics[1].ingress.busy_time(), "all of it by the end");
     }
 
     #[test]

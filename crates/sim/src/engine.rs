@@ -357,7 +357,10 @@ impl<W> Engine<W> {
 
     /// Pushes onto the event heap. A spent top is overwritten in place, so
     /// a handler's first heap push costs one sift-down and the spent entry's
-    /// pop costs nothing.
+    /// pop costs nothing. Always inlined into `push` and `push_timer`, the
+    /// per-event hot path: left to the inliner it was outlined in some
+    /// builds, and `small_read_4k` read about 3% slower in simcost.
+    #[inline(always)]
     fn heap_push(&mut self, entry: HeapEntry) {
         if std::mem::take(&mut self.spent_top) {
             *self.heap.peek_mut().expect("spent top vanished") = entry;

@@ -157,14 +157,15 @@ pub struct RateResource {
     rate: ByteRate,
     next_free: SimTime,
     /// Busy time of service runs already folded out of `tail` (every folded
-    /// run ended at or before some submission instant, hence lies entirely in
-    /// the past of any later sample).
+    /// run ended at or before the submitting clock of some request, hence
+    /// lies entirely in the past of any later sample).
     busy_folded: SimTime,
     bytes_folded: u64,
     /// Pending and in-flight service runs in chronological order. Contiguous
     /// runs are merged, so a saturated resource holds a single entry and the
     /// deque length is bounded by the number of idle gaps among outstanding
-    /// requests.
+    /// requests (several, when requests start after their submission; see
+    /// [`RateResource::serve_after`]).
     tail: VecDeque<BusyRun>,
     requests: u64,
     /// Start of the current measurement window (set by
@@ -272,9 +273,27 @@ impl RateResource {
     ///
     /// Panics if `rate` is zero.
     pub fn serve_at_rate(&mut self, now: SimTime, bytes: u64, rate: ByteRate) -> Service {
-        let start = self.next_free.max(now);
-        let duration = rate.time_for(bytes);
-        let end = start + duration;
+        self.serve_after(now, now, bytes, rate)
+    }
+
+    /// Queues `bytes` at `rate`, submitted at clock `now`, for service that
+    /// starts no earlier than `not_before` (a stream reaching a receiver
+    /// after the sender starts emitting). Accounting folds against `now`,
+    /// so [`RateResource::busy_elapsed`] never counts service that has not
+    /// happened by its sample instant.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is zero.
+    pub fn serve_after(
+        &mut self,
+        now: SimTime,
+        not_before: SimTime,
+        bytes: u64,
+        rate: ByteRate,
+    ) -> Service {
+        let start = self.next_free.max(now).max(not_before);
+        let end = start + rate.time_for(bytes);
         self.next_free = end;
         self.charge(now, start, end, bytes);
         Service { start, end }
@@ -316,10 +335,13 @@ impl RateResource {
         Service { start, end }
     }
 
-    /// Records the service run `[start, end)` submitted at `now`, folding
-    /// runs that finished by `now` into the scalar totals. Folding only ever
-    /// uses true submission instants, so a later `busy_elapsed(at)` query
-    /// (with monotone `at >= now`) sees every folded run as fully elapsed.
+    /// Records the service run `[start, end)` submitted at clock `now`,
+    /// folding runs that finished by `now` into the scalar totals. Folding
+    /// only ever uses the submitting clock, never a later start instant, so
+    /// a later `busy_elapsed(at)` query (with monotone `at >= now`) sees
+    /// every folded run as fully elapsed, and a later
+    /// [`RateResource::reset_counters`] never finds a folded run that ends
+    /// after its boundary.
     fn charge(&mut self, now: SimTime, start: SimTime, end: SimTime, bytes: u64) {
         while let Some(front) = self.tail.front() {
             if front.end > now {
@@ -537,6 +559,44 @@ mod tests {
         assert_eq!(res.busy_time(), SimTime::from_millis(500));
         assert_eq!(res.bytes_served(), 500);
         assert!((res.utilization(SimTime::from_millis(4_000)) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn deferred_service_folds_against_the_clock() {
+        // Submitted at t = 0 for service from 5 s and from 8 s: neither run
+        // has happened by 1 s, and the later submission (still at the
+        // clock's t = 0) folds nothing.
+        let mut res = RateResource::new(ByteRate::from_bytes_per_sec(1_000));
+        let a = res.serve_after(
+            SimTime::ZERO,
+            SimTime::from_millis(5_000),
+            1_000,
+            res.rate(),
+        );
+        let b = res.serve_after(
+            SimTime::ZERO,
+            SimTime::from_millis(8_000),
+            1_000,
+            res.rate(),
+        );
+        assert_eq!(
+            (a.start, b.start),
+            (SimTime::from_millis(5_000), SimTime::from_millis(8_000))
+        );
+        assert_eq!(res.busy_elapsed(SimTime::from_millis(1_000)), SimTime::ZERO);
+        assert_eq!(
+            res.busy_elapsed(SimTime::from_millis(5_500)),
+            SimTime::from_millis(500)
+        );
+        // A reset at 5.5 s keeps the second half of the first run and all
+        // of the second: the runs still queued ahead of the clock.
+        res.reset_counters(SimTime::from_millis(5_500));
+        assert_eq!(res.busy_time(), SimTime::from_millis(1_500));
+        assert_eq!(res.bytes_served(), 1_500);
+        assert_eq!(
+            res.busy_elapsed(SimTime::from_millis(9_000)),
+            SimTime::from_millis(1_500)
+        );
     }
 
     #[test]

@@ -92,7 +92,7 @@ fn chaos_raid5_stays_live_and_consistent() {
 
 #[test]
 fn chaos_raid6_stays_live_and_consistent() {
-    let (array, _engine, _) = run_chaos(RaidLevel::Raid6, 0xC4A06, 10);
+    let (mut array, _engine, _) = run_chaos(RaidLevel::Raid6, 0xC4A06, 10);
     let bad = array.store().expect("full mode").verify_all();
     assert!(bad.is_empty(), "inconsistent stripes: {bad:?}");
     // Short transients must not fault members permanently.
