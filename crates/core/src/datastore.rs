@@ -785,9 +785,9 @@ impl Home {
 /// of the store and queues them with the payload. The applier runs
 /// [`ChunkStore::apply_write`] on them in a one-stripe store of its own and
 /// hands them back. Any later access to a stripe first takes its chunks
-/// back ([`WriteBehind::settled`] for one stripe,
-/// [`WriteBehind::settled_all`] for the whole store): it waits for a write
-/// the applier is applying, and applies one still queued itself. A stripe
+/// back (`settled` for one stripe, `settled_all` for the whole store): it
+/// waits for a write the applier is applying, and applies one still queued
+/// itself. A stripe
 /// has at most one write out at a time, so writes to one stripe apply one
 /// by one in the order they were made, and every stored and every read
 /// byte is what the synchronous store would hold.
@@ -860,13 +860,13 @@ impl WriteBehind {
 
     /// The store, with `stripe`'s chunks back: valid for accesses to
     /// `stripe` only.
-    pub fn settled(&mut self, stripe: u64) -> &mut ChunkStore {
+    pub(crate) fn settled(&mut self, stripe: u64) -> &mut ChunkStore {
         self.settle(stripe);
         &mut self.home.store
     }
 
     /// The store, with every write applied and back.
-    pub fn settled_all(&mut self) -> &mut ChunkStore {
+    pub(crate) fn settled_all(&mut self) -> &mut ChunkStore {
         while let Some(&stripe) = self.home.out.first() {
             self.settle(stripe);
         }
