@@ -11,12 +11,11 @@
 //! it, so same-size ratios such as decode / `mul_wide` at 1 MiB hold still.
 //!
 //! The `_cold` rows, timed once each, run `update_pq`, `rs_decode_2_of_6+2`
-//! and `copy` at 128 KiB (the chunk store's I/O size) on buffers drawn at
-//! random from a 256 MiB pool (64 MiB with `--quick`), far past the
-//! last-level cache, as the chunk store's are. Streams of 64 KiB and more are split between two
-//! cores when the machine has them, so these rows and every 64 KiB and
-//! 1 MiB row except `mul_acc_scalar_ref` (`mul_wide` included) measure two
-//! cores.
+//! and a slice copy (`copy_cold`, how the chunk store fills a read from a
+//! healthy chunk) at 128 KiB (the chunk store's I/O size) on buffers drawn
+//! at random from a 256 MiB pool (64 MiB with `--quick`), far past the
+//! last-level cache, as the chunk store's are. Every row runs on the
+//! calling thread.
 //!
 //! ```text
 //! cargo run --release -p draid-bench --bin kernels [--quick] [--out PATH]
@@ -282,7 +281,7 @@ fn main() {
     record("rs_decode_2_of_6+2_cold", COLD_SIZE, 6 * COLD_SIZE, ns);
     let ns = time_for(cold_budget, || {
         let [dst, src] = pool.get_disjoint_mut(blocks.pick()).expect("distinct");
-        kernels::copy(dst, std::hint::black_box(src));
+        dst.copy_from_slice(std::hint::black_box(src));
     });
     record("copy_cold", COLD_SIZE, COLD_SIZE, ns);
     drop(pool);

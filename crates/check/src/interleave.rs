@@ -13,9 +13,9 @@
 //!   including partial final chunks;
 //! * a shared [`BufPool`] hands out only cleared buffers, never exceeds
 //!   its pooling bound, and survives concurrent take/put cycles;
-//! * [`ChunkStore`]s driven from several threads at once, each splitting
-//!   its long streams with the one helper thread of `draid-ec`'s kernels,
-//!   return exactly the bytes written and keep their parity consistent.
+//! * [`ChunkStore`]s driven from several threads at once, sharing the
+//!   kernels' process-wide coefficient-table cache, return exactly the
+//!   bytes written and keep their parity consistent.
 //!
 //! Panics on the first violated assertion; the driver maps that to a
 //! failing exit.
@@ -40,8 +40,8 @@ pub struct Report {
     pub chunked_items: u64,
     /// Total BufPool take/put cycles executed under contention.
     pub pool_cycles: u64,
-    /// Total chunk-store writes and checked reads executed under
-    /// contention for the kernels' helper thread.
+    /// Total chunk-store writes and checked reads executed from several
+    /// threads at once.
     pub store_cycles: u64,
 }
 
@@ -159,8 +159,7 @@ fn stress_bufpool(seed: u64) -> u64 {
 
 /// Threads per seed that drive chunk stores at once.
 const STORE_THREADS: u64 = 3;
-/// The paper's default chunk size: long enough that every full-chunk
-/// stream is split between two cores.
+/// The paper's default chunk size: every full-chunk stream is a long one.
 const STORE_CHUNK: u64 = 512 * 1024;
 /// Members per store: four data chunks per RAID-5 stripe, three per RAID-6
 /// stripe.
@@ -172,9 +171,10 @@ const STORE_WRITES: u64 = 4;
 /// One seed of chunk-store contention: [`STORE_THREADS`] threads, each
 /// with its own one-stripe RAID-5 or RAID-6 store of 512 KiB chunks, mix
 /// read-modify-write, reconstruct-write and full-stripe writes, losing a
-/// member halfway. Their kernels contend for the one helper thread. Every
-/// read must return the shadow copy's bytes, and parity must check out as
-/// far as the surviving redundancy allows.
+/// member halfway. The threads share the kernels' process-wide table cache;
+/// each store keeps its own decoder cache. Every read must return the shadow
+/// copy's bytes, and parity must check out as far as the surviving
+/// redundancy allows.
 fn stress_chunk_stores(seed: u64) -> u64 {
     std::thread::scope(|s| {
         let threads: Vec<_> = (0..STORE_THREADS)
@@ -227,7 +227,7 @@ fn drive_store(seed: u64, t: u64) -> u64 {
             failed.insert(member);
         }
         // The full stripe, one or two whole chunks, or an unaligned range
-        // long enough to split.
+        // longer than 128 KiB.
         let (off, len) = match (h >> 12) % 3 {
             0 => (0, stripe_bytes),
             1 => {

@@ -32,13 +32,13 @@ pub fn all_rules() -> &'static [Rule] {
         Rule {
             name: "unsafe-confined",
             summary: "the unsafe keyword appears only in crates/ec/src/kernels.rs \
-                      (SIMD kernels and the two-core join helper)",
+                      (the SIMD kernels)",
             check: unsafe_confined,
         },
         Rule {
             name: "safety-comment",
-            summary: "every unsafe block in the SIMD kernels and the join \
-                      helper is preceded by a SAFETY comment and feature-gated",
+            summary: "every unsafe block in the SIMD kernels is preceded by a \
+                      SAFETY comment and feature-gated",
             check: safety_comment,
         },
         Rule {
@@ -78,8 +78,7 @@ fn in_sim_scope(path: &str) -> bool {
     SIM_CRATES.iter().any(|p| path.starts_with(p))
 }
 
-/// The one file allowed to contain `unsafe` (SIMD kernels and the
-/// two-core join helper).
+/// The one file allowed to contain `unsafe` (the SIMD kernels).
 const UNSAFE_HOME: &str = "crates/ec/src/kernels.rs";
 
 // ---------------------------------------------------------------- rule 1

@@ -24,10 +24,8 @@
 //! once: a decode or an encode is one [`kernels::encode`] call for all its
 //! output rows, a read-modify-write is one [`kernels::update`] call per
 //! segment that reads the old and new data, P and Q together and writes
-//! each once, and a healthy read segment is one [`kernels::copy`]. With
-//! `draid-ec`'s `simd` feature each of those calls runs half of a stream of
-//! 64 KiB or more on a second core; the store itself stays single-threaded
-//! and its bytes are the same either way.
+//! each once, and a healthy read segment is one slice copy. Every kernel
+//! call runs on the thread that calls the store.
 //!
 //! Every decode happens before the first byte changes, and healthy chunks
 //! are borrowed, never cloned.
@@ -270,7 +268,7 @@ impl ChunkStore {
             if lost[seg.data_index] {
                 self.decode(io.stripe, &lost, seg.data_index, span(seg), dst);
             } else {
-                kernels::copy(dst, self.bytes(io.stripe, seg.data_index, span(seg)));
+                dst.copy_from_slice(self.bytes(io.stripe, seg.data_index, span(seg)));
             }
         }
     }

@@ -3,21 +3,20 @@
 //! The paper's dRAID prototype offloads parity math to ISA-L's SIMD
 //! GF(256) kernels so that erasure coding never throttles the NIC/drive
 //! rate servers. This module is the reproduction's equivalent: the same
-//! split-nibble technique ISA-L drives with `pshufb`, behind three entry
+//! split-nibble technique ISA-L drives with `pshufb`, behind two entry
 //! points, the analogues of ISA-L's `ec_encode_data` and
-//! `ec_encode_data_update` plus a copy:
+//! `ec_encode_data_update`:
 //!
 //! * [`encode`], a dot product: `outs[j] = Σᵢ c[j][i]·srcs[i]` — RAID-5/6
 //!   parity, Reed-Solomon decode, any `m`;
 //! * [`update`], Algorithm 1's "ship the diff" at byte level:
-//!   `δ = data ⊕ new`, `data = new`, `parity[j] ^= c_j·δ`;
-//! * [`copy`], the healthy segments of a read.
+//!   `δ = data ⊕ new`, `data = new`, `parity[j] ^= c_j·δ`.
 //!
-//! [`encode`] and [`update`] read every source and write every output once,
-//! interleaved. On chunks that are not in cache, one pass over all streams
-//! at once keeps several cache-line misses in flight, where a pass per
-//! source waits on one stream at a time and re-reads the outputs on every
-//! pass. Each has two implementations:
+//! Both read every source and write every output once, interleaved. On
+//! chunks that are not in cache, one pass over all streams at once keeps
+//! several cache-line misses in flight, where a pass per source waits on one
+//! stream at a time and re-reads the outputs on every pass. Each has two
+//! implementations:
 //!
 //! * an **AVX2 `pshufb` path** behind the `simd` feature (on by default,
 //!   runtime-detected): the classic two-16-entry-table shuffle, 32 products
@@ -41,20 +40,12 @@
 //! Both evaluate the same per-coefficient linear map, so they are
 //! bit-identical.
 //!
-//! With the `simd` feature, [`encode`], [`update`] and [`copy`] split every
-//! stream of at least 64 KiB at a 64-byte-aligned midpoint and run the upper
-//! half on one persistent helper thread, spawned on first use on a machine
-//! with two or more hardware threads. A core streaming cold chunks is bound
-//! by the misses it keeps in flight, so a second core nearly doubles the
-//! rate. GF(256) math is per-byte, so the halves produce exactly the serial
-//! bytes. Shorter streams, a busy helper, and `--no-default-features` builds
-//! run on the calling thread.
+//! Every call runs on the calling thread, as ISA-L does on one core.
 //!
 //! Per-coefficient tables live in a lazily built, process-wide cache, so
 //! encode, update and decode never rebuild tables — the seed implementation
 //! rebuilt a 256-entry product table on *every* multiply-accumulate call. A
-//! kernel call looks its tables up once and allocates nothing, on the split
-//! path too.
+//! kernel call looks its tables up once and allocates nothing.
 
 use std::sync::OnceLock;
 
@@ -176,28 +167,6 @@ pub fn encode(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
     for o in outs.iter() {
         assert_eq!(o.len(), len, "buffer length mismatch");
     }
-    #[cfg(feature = "simd")]
-    if let Some(mid) = fork::split(len)
-        .filter(|_| srcs.len() <= fork::SPLIT_SRCS && outs.len() <= fork::SPLIT_OUTS)
-    {
-        let (k, m) = (srcs.len(), outs.len());
-        let mut lo_srcs = [&[][..]; fork::SPLIT_SRCS];
-        let mut hi_srcs = lo_srcs;
-        for ((s, lo), hi) in srcs.iter().zip(&mut lo_srcs).zip(&mut hi_srcs) {
-            (*lo, *hi) = s.split_at(mid);
-        }
-        let [mut lo_outs, mut hi_outs] = fork::split_outs(outs, mid);
-        fork::join(
-            || encode_serial(coeffs, &lo_srcs[..k], &mut lo_outs[..m]),
-            || encode_serial(coeffs, &hi_srcs[..k], &mut hi_outs[..m]),
-        );
-        return;
-    }
-    encode_serial(coeffs, srcs, outs);
-}
-
-/// [`encode`] on the calling thread.
-fn encode_serial(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if x86::avx2() {
         x86::encode(coeffs, srcs, outs);
@@ -221,51 +190,12 @@ pub fn update(coeffs: &[u8], data: &mut [u8], new: &[u8], parity: &mut [&mut [u8
     for p in parity.iter() {
         assert_eq!(p.len(), data.len(), "buffer length mismatch");
     }
-    #[cfg(feature = "simd")]
-    if let Some(mid) = fork::split(data.len()).filter(|_| parity.len() <= fork::SPLIT_OUTS) {
-        let m = parity.len();
-        let (lo_data, hi_data) = data.split_at_mut(mid);
-        let (lo_new, hi_new) = new.split_at(mid);
-        let [mut lo_par, mut hi_par] = fork::split_outs(parity, mid);
-        fork::join(
-            || update_serial(coeffs, lo_data, lo_new, &mut lo_par[..m]),
-            || update_serial(coeffs, hi_data, hi_new, &mut hi_par[..m]),
-        );
-        return;
-    }
-    update_serial(coeffs, data, new, parity);
-}
-
-/// [`update`] on the calling thread.
-fn update_serial(coeffs: &[u8], data: &mut [u8], new: &[u8], parity: &mut [&mut [u8]]) {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     if x86::avx2() && parity.len() <= x86::MAX_OUTS {
         x86::update(coeffs, data, new, parity);
         return;
     }
     update_blocked(coeffs, data, new, parity);
-}
-
-/// `dst.copy_from_slice(src)`, a long slice split between two cores like
-/// the streams of [`encode`]: the chunk store copies a healthy read segment
-/// with it, a cold stream like any parity source.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn copy(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(dst.len(), src.len(), "buffer length mismatch");
-    #[cfg(feature = "simd")]
-    if let Some(mid) = fork::split(dst.len()) {
-        let (lo_dst, hi_dst) = dst.split_at_mut(mid);
-        let (lo_src, hi_src) = src.split_at(mid);
-        fork::join(
-            || lo_dst.copy_from_slice(lo_src),
-            || hi_dst.copy_from_slice(hi_src),
-        );
-        return;
-    }
-    dst.copy_from_slice(src);
 }
 
 /// The [`encode`] fallback: per [`BLOCK`], every output is zeroed and
@@ -327,366 +257,13 @@ fn xor_lanes(acc: &mut [u8], src: &[u8], word: impl Fn(u64) -> u64, byte: impl F
     }
 }
 
-/// A two-way fork-join over one persistent helper thread: [`encode`],
-/// [`update`] and [`copy`] hand the upper half of a long stream to it.
-///
-/// One core streaming cold chunks is limited by the cache-line misses it
-/// can keep in flight, not by DRAM bandwidth, so a second core on the other
-/// half nearly doubles the rate. A `thread::scope` spawn per call costs
-/// tens of microseconds, as much as the half it would run; this helper is
-/// spawned once, lazily, and only on a machine with at least two hardware
-/// threads.
-///
-/// The protocol is a state machine on one atomic, `IDLE → OWNED → POSTED`,
-/// then either `→ CLAIMED → DONE → IDLE` (the helper ran the half) or
-/// `→ IDLE` (the caller took it back unrun):
-///
-/// * a caller takes the slot (`IDLE → OWNED`), writes a pointer to its
-///   second half, which lives on its own stack, and posts it; a caller that
-///   finds the slot taken runs both halves itself;
-/// * the helper claims a posted half (`POSTED → CLAIMED`), runs it under
-///   `catch_unwind`, stores any panic next to it and marks it `DONE`;
-/// * the caller runs its first half under `catch_unwind`, then steals the
-///   second half back if it is still unclaimed (`POSTED → IDLE`) or waits
-///   for `DONE`. Only then does it return or resume a panic, so the helper
-///   is finished with every borrow before the caller's frame goes away.
-///
-/// The helper spins a bounded number of iterations (no clock reads) after
-/// each half, then parks on a `Condvar` until the next post. It is never
-/// joined: it lives as long as the process, and it runs every half under
-/// `catch_unwind`, so no panic is lost with it.
-#[cfg(feature = "simd")]
-#[allow(unsafe_code)]
-mod fork {
-    use std::any::Any;
-    use std::cell::UnsafeCell;
-    use std::hint::spin_loop;
-    use std::panic::{self, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-    use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
-
-    /// Streams shorter than twice this run on the calling thread: below it,
-    /// handing a half over costs more than it saves.
-    pub(super) const SPLIT_MIN: usize = 32 * 1024;
-    /// Outputs a split call carries (on the stack, without allocating);
-    /// wider calls stay serial.
-    pub(super) const SPLIT_OUTS: usize = 4;
-    /// Sources a split [`super::encode`] carries; wider calls stay serial.
-    pub(super) const SPLIT_SRCS: usize = 32;
-    /// Iterations the helper spins on the slot before parking: about 40 µs
-    /// on a 2-vCPU Xeon VM, longer than most gaps between the chunk
-    /// store's kernel calls.
-    const SPIN: u32 = 2048;
-    /// The spinning helper yields every this many iterations, and a caller
-    /// waiting on a claimed half spins this many before it yields. When the
-    /// scheduler has put both threads on one core (it may keep them there
-    /// for a second after the helper starts), a yield hands the core to the
-    /// thread with work instead of burning its time slice.
-    const YIELD_EVERY: u32 = 64;
-
-    const IDLE: u8 = 0;
-    const OWNED: u8 = 1;
-    const POSTED: u8 = 2;
-    const CLAIMED: u8 = 3;
-    const DONE: u8 = 4;
-
-    type Panic = Box<dyn Any + Send>;
-
-    /// Where a stream of `len` bytes splits: a 64-byte-aligned midpoint,
-    /// or `None` for a stream too short to split.
-    pub(super) fn split(len: usize) -> Option<usize> {
-        (len >= 2 * SPLIT_MIN).then_some((len / 2) & !63)
-    }
-
-    /// Each of up to [`SPLIT_OUTS`] buffers cut at `mid`, the low and the
-    /// high parts in two stack arrays (unused entries empty).
-    pub(super) fn split_outs<'a>(
-        outs: &'a mut [&mut [u8]],
-        mid: usize,
-    ) -> [[&'a mut [u8]; SPLIT_OUTS]; 2] {
-        let mut lo: [&mut [u8]; SPLIT_OUTS] = Default::default();
-        let mut hi: [&mut [u8]; SPLIT_OUTS] = Default::default();
-        for ((o, lo), hi) in outs.iter_mut().zip(&mut lo).zip(&mut hi) {
-            (*lo, *hi) = o.split_at_mut(mid);
-        }
-        [lo, hi]
-    }
-
-    /// A posted half, type-erased: a pointer to a [`Half`] on the caller's
-    /// stack and the function that runs it.
-    #[derive(Clone, Copy)]
-    struct HalfRef {
-        half: *const (),
-        // SAFETY: `run` is only ever `run::<F>` for the `F` of `half`, or
-        // `run_nothing`; see `run` for its contract.
-        run: unsafe fn(*const ()),
-    }
-
-    /// The second half of a `join`, and its panic if it had one.
-    struct Half<F> {
-        f: UnsafeCell<Option<F>>,
-        panic: UnsafeCell<Option<Panic>>,
-    }
-
-    /// Runs the [`Half<F>`] at `half` and records its panic.
-    ///
-    /// # Safety
-    ///
-    /// `half` must point to a live `Half<F>` that no other thread touches
-    /// until this returns.
-    // SAFETY: an `unsafe fn` so the exclusivity above is the caller's to
-    // keep; the helper keeps it by claiming the half first.
-    unsafe fn run<F: FnOnce()>(half: *const ()) {
-        // SAFETY: the caller guarantees a live, unshared `Half<F>`.
-        let half = unsafe { &*half.cast::<Half<F>>() };
-        // SAFETY: as above, nothing else touches the cells meanwhile.
-        let f = unsafe { (*half.f.get()).take() }.expect("a half runs once");
-        if let Err(p) = panic::catch_unwind(AssertUnwindSafe(f)) {
-            // SAFETY: as above.
-            unsafe { *half.panic.get() = Some(p) };
-        }
-    }
-
-    /// Placeholder in the slot before the first post.
-    // SAFETY: never called (nothing is claimed before the first post), and
-    // touches nothing if it were.
-    unsafe fn run_nothing(_: *const ()) {}
-
-    struct Helper {
-        state: AtomicU8,
-        slot: UnsafeCell<HalfRef>,
-        sleeping: AtomicBool,
-        lock: Mutex<()>,
-        wake: Condvar,
-    }
-
-    // SAFETY: `slot` is written only by the thread that moved `state` from
-    // IDLE to OWNED, before its release store of POSTED, and read only by
-    // the helper after its acquire `POSTED → CLAIMED`; the pointee is a
-    // `Half<F>` with `F: Send`. Every other field is thread-safe.
-    unsafe impl Sync for Helper {}
-
-    static HELPER: Helper = Helper {
-        state: AtomicU8::new(IDLE),
-        slot: UnsafeCell::new(HalfRef {
-            half: std::ptr::null(),
-            run: run_nothing,
-        }),
-        sleeping: AtomicBool::new(false),
-        lock: Mutex::new(()),
-        wake: Condvar::new(),
-    };
-
-    /// The helper, spawned on first use if the machine has at least two
-    /// hardware threads.
-    fn helper() -> Option<&'static Helper> {
-        static UP: OnceLock<bool> = OnceLock::new();
-        let up = *UP.get_or_init(|| {
-            std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2)
-                && std::thread::Builder::new()
-                    .name("draid-ec-helper".into())
-                    .spawn(|| serve(&HELPER))
-                    .is_ok()
-        });
-        up.then_some(&HELPER)
-    }
-
-    /// The helper's loop: wait for a posted half, claim it, run it.
-    fn serve(h: &Helper) {
-        loop {
-            let mut spins = 0;
-            while h.state.load(Ordering::Relaxed) != POSTED {
-                if spins < SPIN {
-                    spins += 1;
-                    spin_loop();
-                    if spins % YIELD_EVERY == 0 {
-                        std::thread::yield_now();
-                    }
-                    continue;
-                }
-                let mut guard = h.lock.lock().unwrap_or_else(PoisonError::into_inner);
-                // Paired with `join`'s SeqCst post and `sleeping` load:
-                // either it sees this flag and notifies under the lock, or
-                // the check below sees its post.
-                h.sleeping.store(true, Ordering::SeqCst);
-                while h.state.load(Ordering::SeqCst) != POSTED {
-                    guard = h.wake.wait(guard).unwrap_or_else(PoisonError::into_inner);
-                }
-                h.sleeping.store(false, Ordering::Relaxed);
-            }
-            if h.state
-                .compare_exchange(POSTED, CLAIMED, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                // SAFETY: the claim makes this thread the slot's only
-                // reader, and its acquire orders the poster's write first.
-                let half = unsafe { *h.slot.get() };
-                // SAFETY: the poster keeps the half alive and untouched
-                // until it sees DONE.
-                unsafe { (half.run)(half.half) };
-                h.state.store(DONE, Ordering::Release);
-            }
-        }
-    }
-
-    /// Runs `a` and `b`, `b` on the helper when it is free, and returns
-    /// once both are done. A panic in either is resumed here, `a`'s first.
-    pub(super) fn join<A: FnOnce(), B: FnOnce() + Send>(a: A, b: B) {
-        let Some(h) = helper().filter(|h| {
-            h.state
-                .compare_exchange(IDLE, OWNED, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-        }) else {
-            a();
-            b();
-            return;
-        };
-        let half = Half {
-            f: UnsafeCell::new(Some(b)),
-            panic: UnsafeCell::new(None),
-        };
-        // SAFETY: OWNED makes this thread the slot's only writer, and the
-        // helper reads it only after the post below.
-        unsafe {
-            *h.slot.get() = HalfRef {
-                half: (&half as *const Half<B>).cast(),
-                run: run::<B>,
-            }
-        };
-        h.state.store(POSTED, Ordering::SeqCst);
-        if h.sleeping.load(Ordering::SeqCst) {
-            let _guard = h.lock.lock().unwrap_or_else(PoisonError::into_inner);
-            h.wake.notify_one();
-        }
-        let a_done = panic::catch_unwind(AssertUnwindSafe(a));
-        let b_done = if h
-            .state
-            .compare_exchange(POSTED, IDLE, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            // Never claimed: the helper will not touch `half` again.
-            let f = half.f.into_inner().expect("an unclaimed half is unrun");
-            panic::catch_unwind(AssertUnwindSafe(f))
-        } else {
-            let mut spins = 0;
-            while h.state.load(Ordering::Acquire) != DONE {
-                if spins < YIELD_EVERY {
-                    spins += 1;
-                    spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-            // The acquire load of DONE orders the helper's panic write
-            // before this read, and the helper is done with `half`.
-            let p = half.panic.into_inner();
-            h.state.store(IDLE, Ordering::Release);
-            p.map_or(Ok(()), Err)
-        };
-        if let Err(p) = a_done.and(b_done) {
-            panic::resume_unwind(p);
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-        use std::thread::{self, ThreadId};
-        use std::time::{Duration, Instant};
-
-        #[test]
-        fn split_points_are_aligned_and_leave_short_streams_whole() {
-            assert_eq!(split(2 * SPLIT_MIN - 1), None);
-            for len in [
-                2 * SPLIT_MIN,
-                2 * SPLIT_MIN + 1,
-                2 * SPLIT_MIN + 63,
-                1 << 20,
-                999_999,
-            ] {
-                let mid = split(len).expect("long enough to split");
-                assert_eq!(mid % 64, 0, "len {len}");
-                assert!(
-                    mid >= SPLIT_MIN - 64 && mid <= len / 2,
-                    "len {len}: mid {mid}"
-                );
-            }
-        }
-
-        #[test]
-        fn join_runs_both_halves() {
-            for n in 0..200u64 {
-                let (mut x, mut y) = (0, 0);
-                join(|| x = n * 3, || y = n * 5);
-                assert_eq!((x, y), (n * 3, n * 5));
-            }
-        }
-
-        #[test]
-        fn a_panic_in_either_half_reaches_the_caller_and_join_still_works() {
-            for first in [true, false] {
-                let hit = panic::catch_unwind(|| {
-                    join(
-                        || assert!(!first, "first half"),
-                        || assert!(first, "second half"),
-                    )
-                });
-                let msg = hit.expect_err("the panic propagates");
-                let msg = msg.downcast_ref::<&str>().copied().unwrap_or_default();
-                let want = if first { "first half" } else { "second half" };
-                assert!(msg.contains(want), "{msg:?}");
-                let mut y = 0;
-                join(|| {}, || y = 7);
-                assert_eq!(y, 7, "join works after a panic");
-            }
-        }
-
-        #[test]
-        fn a_join_while_the_helper_is_busy_runs_inline() {
-            let Some(_) = helper() else {
-                return; // one hardware thread: every join is inline
-            };
-            let me = thread::current().id();
-            // Retry until the outer half lands on the helper: another test
-            // may hold the slot when this one posts.
-            for _ in 0..100 {
-                let outer: Mutex<Option<ThreadId>> = Mutex::new(None);
-                let mut nested: Vec<ThreadId> = Vec::new();
-                join(
-                    || {
-                        let t = Instant::now();
-                        while outer.lock().expect("lock").is_none()
-                            && t.elapsed() < Duration::from_millis(200)
-                        {
-                            thread::yield_now();
-                        }
-                        let (mut x, mut y) = (None, None);
-                        join(
-                            || x = Some(thread::current().id()),
-                            || y = Some(thread::current().id()),
-                        );
-                        nested.extend(x.into_iter().chain(y));
-                    },
-                    || *outer.lock().expect("lock") = Some(thread::current().id()),
-                );
-                if outer.into_inner().expect("lock") != Some(me) {
-                    assert_eq!(nested, [me, me], "a busy helper runs both halves inline");
-                    return;
-                }
-            }
-            panic!("the helper never claimed a half");
-        }
-    }
-}
-
 /// Explicit AVX2 `pshufb` kernels — the instruction ISA-L builds its
 /// GF(256) routines around. Semantically identical to the portable
 /// fallback: both evaluate the same per-coefficient linear map, the shuffle
 /// just evaluates 32 nibble lookups per instruction.
 ///
-/// Raw SIMD intrinsics are, with the [`fork`] helper's hand-off, the only
-/// `unsafe` in the crate, gated behind the `simd` feature and a runtime CPU
-/// check.
+/// Raw SIMD intrinsics are the only `unsafe` in the crate, gated behind the
+/// `simd` feature and a runtime CPU check.
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 #[allow(unsafe_code)]
 mod x86 {
@@ -948,11 +525,11 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_callers_of_split_kernels_get_the_reference_bytes() {
-        // Two threads race for the one fork helper: each makes hundreds of
-        // split-size calls of all three kernels, and the caller that loses
-        // the slot runs both halves inline. Every result must still be the
-        // portable reference's, whichever thread ran which half.
+    fn concurrent_kernel_callers_get_the_reference_bytes() {
+        // Two threads each make hundreds of long-stream calls of both
+        // kernels at once, sharing the process-wide coefficient-table cache
+        // (and racing to build any table neither has used yet). Every result
+        // must still be the portable reference's.
         struct Case {
             coeffs: Vec<u8>,
             srcs: Vec<Vec<u8>>,
@@ -1013,9 +590,6 @@ mod tests {
                         );
                         assert_eq!(data, case.srcs[1], "update data: thread {t} call {call}");
                         assert_eq!(outs, case.updated, "update: thread {t} call {call}");
-                        let mut copied = vec![0u8; len];
-                        copy(&mut copied, &case.srcs[2]);
-                        assert_eq!(copied, case.srcs[2], "copy: thread {t} call {call}");
                     }
                 });
             }

@@ -11,8 +11,7 @@
 //!   ISA-L's `ec_encode_data`) and [`kernels::update`] (the small-write
 //!   delta, like `ec_encode_data_update`), on AVX2 `pshufb` with the `simd`
 //!   feature or a portable u64-lane fallback, with per-coefficient tables
-//!   cached per process. With `simd` they and [`kernels::copy`] run the
-//!   upper half of a long stream on one persistent helper thread.
+//!   cached per process. Every call runs on the calling thread.
 //! * [`ReedSolomon`] — the systematic Vandermonde `(k, m)` codec behind
 //!   every RAID level: its parity row 0 is RAID-5's P (a plain XOR) and row
 //!   1 is RAID-6's Q (H. P. Anvin's *The mathematics of RAID-6*), so
@@ -40,9 +39,8 @@
 //! ```
 
 // With the `simd` feature the `kernels::x86` module uses raw SIMD
-// intrinsics (behind a runtime CPU check) and `kernels::fork` hands borrowed
-// halves to its helper thread: the only unsafe in the crate. Without it the
-// whole crate forbids unsafe outright.
+// intrinsics (behind a runtime CPU check): the only unsafe in the crate.
+// Without it the whole crate forbids unsafe outright.
 #![cfg_attr(not(feature = "simd"), forbid(unsafe_code))]
 #![deny(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

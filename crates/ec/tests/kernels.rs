@@ -228,28 +228,16 @@ fn raid6_full_recovery_matrix_through_wide_kernels() {
     }
 }
 
-/// Mirrors the private `kernels::SPLIT_MIN`: streams of at least twice this
-/// many bytes are split between two cores (with the `simd` feature on a
-/// machine with two hardware threads), shorter ones run serially.
-const SPLIT_MIN: usize = 32 * 1024;
-
-/// Lengths around the split threshold, odd lengths past it, and 1 MiB.
-const SPLIT_LENGTHS: &[usize] = &[
-    2 * SPLIT_MIN - 1,
-    2 * SPLIT_MIN,
-    2 * SPLIT_MIN + 1,
-    2 * SPLIT_MIN + 63,
-    3 * SPLIT_MIN + 7,
-    100_001,
-    1 << 20,
-];
+/// Long streams: 64 KiB and lengths beside it (tails of 1, 31 and 63 bytes
+/// past the last 32-byte vector), two odd lengths beyond, and 1 MiB.
+const LONG_LENGTHS: &[usize] = &[65_535, 65_536, 65_537, 65_599, 98_311, 100_001, 1 << 20];
 
 #[test]
-fn split_encode_matches_scalar_for_up_to_four_outputs_and_beyond() {
-    // 1–4 outputs split; 5 and 6 stay serial. Six sources, as in a
-    // width-8 RAID-6 decode.
+fn long_encode_matches_scalar_for_one_to_six_outputs() {
+    // 1–4 outputs take one pass of the AVX2 kernel, 5 and 6 a second. Six
+    // sources, as in a width-8 RAID-6 decode.
     let k = 6;
-    for &len in SPLIT_LENGTHS {
+    for &len in LONG_LENGTHS {
         let srcs: Vec<Vec<u8>> = (0..k).map(|i| pattern(len, 29 * i as u8 + 1)).collect();
         let refs: Vec<&[u8]> = srcs.iter().map(|s| &s[..]).collect();
         for m in 1..=6usize {
@@ -271,10 +259,10 @@ fn split_encode_matches_scalar_for_up_to_four_outputs_and_beyond() {
 }
 
 #[test]
-fn split_update_matches_scalar_for_one_and_two_parities() {
+fn long_update_matches_scalar_for_one_and_two_parities() {
     // Coefficient 0 (skipped), 1 (plain XOR) and a general multiplier on
     // P and on Q.
-    for &len in SPLIT_LENGTHS {
+    for &len in LONG_LENGTHS {
         for coeffs in [[1u8, 0], [1, 1], [0, 0x8E], [1, 0x1D], [0xFF, 2]] {
             for m in 1..=2 {
                 let coeffs = &coeffs[..m];
@@ -297,22 +285,6 @@ fn split_update_matches_scalar_for_one_and_two_parities() {
             }
         }
     }
-}
-
-#[test]
-fn split_copy_matches_a_plain_copy() {
-    for &len in SPLIT_LENGTHS.iter().chain(&[0, 1, 4095]) {
-        let src = pattern(len, 0x77);
-        let mut dst = pattern(len, 0x01);
-        kernels::copy(&mut dst, &src);
-        assert!(dst == src, "len={len}");
-    }
-}
-
-#[test]
-#[should_panic(expected = "length mismatch")]
-fn copy_length_mismatch_panics() {
-    kernels::copy(&mut [0u8; 3], &[0u8; 4]);
 }
 
 #[test]

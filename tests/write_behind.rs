@@ -24,8 +24,7 @@ use draid::sim::{DetRng, Engine, SimTime};
 
 const KIB: u64 = 1024;
 const WIDTH: usize = 6;
-/// 64 KiB chunks: a whole-chunk segment is long enough for the kernels to
-/// split it with their helper thread.
+/// 64 KiB chunks: a whole-chunk segment is a long kernel stream.
 const CHUNK: u64 = 64 * KIB;
 /// The hot set: every I/O lands in one of these stripes.
 const HOT: u64 = 3;
