@@ -28,10 +28,9 @@ const KIB: u64 = 1024;
 /// Outcome of a double run.
 #[derive(Debug)]
 pub struct Report {
-    /// Artifact size in bytes (identical for both runs when deterministic).
-    pub artifact_bytes: usize,
-    /// Artifact line count.
-    pub artifact_lines: usize,
+    /// The first run's artifact (identical for both runs when
+    /// deterministic).
+    pub artifact: String,
     /// First diverging line, as (1-based line, run-A text, run-B text).
     pub first_divergence: Option<(usize, String, String)>,
 }
@@ -61,8 +60,7 @@ pub fn run(seed: u64) -> Report {
         }
     };
     Report {
-        artifact_bytes: a.len(),
-        artifact_lines: a.lines().count(),
+        artifact: a,
         first_divergence,
     }
 }

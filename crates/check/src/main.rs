@@ -12,7 +12,9 @@
 //!
 //! Options: `--seed N` (determinism scenario seed, default 42),
 //! `--seeds N` (interleaving seed count, default 64, CI floor 64),
-//! `--rules` (print the lint rule table and the allowlist, then exit).
+//! `--out PATH` (determinism also writes its artifact to `PATH`, so two
+//! builds compare with `cmp`), `--rules` (print the lint rule table and
+//! the allowlist, then exit).
 
 #![forbid(unsafe_code)]
 
@@ -25,6 +27,7 @@ fn main() -> ExitCode {
     let mut cmd = None;
     let mut seed = 42u64;
     let mut seeds = interleave::DEFAULT_SEEDS;
+    let mut out = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -38,6 +41,14 @@ fn main() -> ExitCode {
             "--seeds" => {
                 i += 1;
                 seeds = parse_u64(&args, i, "--seeds");
+            }
+            "--out" => {
+                i += 1;
+                let Some(path) = args.get(i) else {
+                    eprintln!("--out requires a path");
+                    std::process::exit(2);
+                };
+                out = Some(path.clone());
             }
             "--rules" => {
                 for r in lint::all_rules() {
@@ -54,8 +65,8 @@ fn main() -> ExitCode {
             }
             other => {
                 eprintln!("unknown argument `{other}`");
-                eprintln!("usage: draid-check [lint|determinism|interleave|all] [--seed N] [--seeds N] [--rules]");
-                eprintln!("`all` runs lint, determinism and interleave");
+                eprintln!("usage: draid-check [lint|determinism|interleave|all] [--seed N] [--seeds N] [--out PATH] [--rules]");
+                eprintln!("`all` runs lint, determinism and interleave; `--out` writes the determinism artifact to PATH");
                 return ExitCode::FAILURE;
             }
         }
@@ -68,7 +79,7 @@ fn main() -> ExitCode {
         failed |= !run_lint();
     }
     if cmd == "determinism" || cmd == "all" {
-        failed |= !run_determinism(seed);
+        failed |= !run_determinism(seed, out.as_deref());
     }
     if cmd == "interleave" || cmd == "all" {
         failed |= !run_interleave(seeds);
@@ -115,13 +126,20 @@ fn run_lint() -> bool {
     }
 }
 
-fn run_determinism(seed: u64) -> bool {
+fn run_determinism(seed: u64, out: Option<&str>) -> bool {
     let report = determinism::run(seed);
+    if let Some(path) = out {
+        if let Err(e) = std::fs::write(path, &report.artifact) {
+            eprintln!("determinism: could not write the artifact to {path}: {e}");
+            return false;
+        }
+    }
     match &report.first_divergence {
         None => {
             println!(
                 "determinism: OK (seed {seed}, artifact {} bytes / {} lines, two runs byte-identical)",
-                report.artifact_bytes, report.artifact_lines
+                report.artifact.len(),
+                report.artifact.lines().count()
             );
             true
         }

@@ -16,7 +16,10 @@ fn reference_scenario_is_byte_identical_across_runs() {
         "double run diverged: {:?}",
         report.first_divergence
     );
-    assert!(report.artifact_lines > 50, "artifact suspiciously small");
+    assert!(
+        report.artifact.lines().count() > 50,
+        "artifact suspiciously small"
+    );
 }
 
 #[test]

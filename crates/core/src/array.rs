@@ -16,7 +16,7 @@ use draid_net::NodeId;
 use draid_sim::{DetRng, Engine, SimTime};
 
 use crate::config::{ArrayConfig, DataMode, ReducerPolicy, SystemKind};
-use crate::datastore::{ChunkStore, WriteBehind};
+use crate::datastore::{ChunkStore, ReadBuf, WriteBehind};
 use crate::exec::{OpKind, OpState};
 use crate::health::{HealthConfig, HealthMonitor, HealthState};
 use crate::idhash::IdHasher;
@@ -36,7 +36,6 @@ pub(crate) struct UserState {
     pub pending: usize,
     pub degraded: bool,
     pub error: Option<IoError>,
-    pub read_buf: Option<Vec<u8>>,
     pub hook: Option<CompletionHook>,
 }
 
@@ -84,6 +83,9 @@ pub struct ArraySim {
     pub(crate) free_ops: Vec<usize>,
     pub(crate) next_gen: u64,
     pub(crate) users: HashMap<u64, UserState, BuildHasherDefault<IdHasher>>,
+    /// The bytes of the Full-mode reads in flight, by user I/O id; empty in
+    /// `DataMode::Timing`. A read submitted to a failed array has none.
+    pub(crate) reads: HashMap<u64, ReadBuf, BuildHasherDefault<IdHasher>>,
     next_io: u64,
     pub(crate) store: Option<Box<WriteBehind>>,
     pub(crate) selector: ReducerSelector,
@@ -171,6 +173,7 @@ impl ArraySim {
             free_ops: Vec::new(),
             next_gen: 1,
             users: HashMap::default(),
+            reads: HashMap::default(),
             next_io: 1,
             store,
             selector: ReducerSelector::new(cfg.width),
@@ -277,7 +280,6 @@ impl ArraySim {
                 pending: 0,
                 degraded: false,
                 error: Some(IoError::ArrayFailed),
-                read_buf: None,
                 hook,
                 io,
             };
@@ -294,17 +296,18 @@ impl ArraySim {
 
         let (kind, offset, len) = (io.kind, io.offset, io.len);
         let stripes = self.layout.stripes(offset, len);
-        let needs_read_buf = kind == IoKind::Read && self.cfg.data_mode == DataMode::Full;
         let user = UserState {
             submitted,
             pending: (stripes.end - stripes.start) as usize,
             degraded: false,
             error: None,
-            read_buf: needs_read_buf.then(|| vec![0u8; len as usize]),
             hook,
             io,
         };
         self.users.insert(id, user);
+        if kind == IoKind::Read && self.store.is_some() {
+            self.start_read(id, len);
+        }
 
         for stripe in stripes {
             if kind == IoKind::Write {
@@ -328,6 +331,19 @@ impl ArraySim {
             }
         }
         IoId(id)
+    }
+
+    /// Records a Full-mode read, whose bytes its stripe ops fill in (see
+    /// [`ReadBuf`]). Kept out of line, like the rest of the data plane.
+    #[inline(never)]
+    fn start_read(&mut self, id: u64, len: u64) {
+        self.reads.insert(id, ReadBuf::Empty(len as usize));
+    }
+
+    /// The bytes of Full-mode read `id`, if it has a record.
+    #[inline(never)]
+    fn finish_read(&mut self, id: u64) -> Option<bytes::Bytes> {
+        self.reads.remove(&id).map(ReadBuf::into_bytes)
     }
 
     /// Whether this configuration serializes reads through stripe locks.
@@ -513,10 +529,14 @@ impl ArraySim {
             len: user.io.len,
             submitted: user.submitted,
             completed: now,
-            // O(1): `Bytes::from(Vec)` takes ownership of the gathered read
-            // buffer without copying it, so completion delivery costs no
-            // per-byte work regardless of I/O size.
-            data: user.read_buf.map(bytes::Bytes::from),
+            // O(1): a healthy one-segment read already is a view of its
+            // chunk, and `Bytes::from(Vec)` takes a gathered buffer without
+            // copying it.
+            data: if self.reads.is_empty() {
+                None
+            } else {
+                self.finish_read(id)
+            },
             error: user.error,
         };
         if let Some(hook) = user.hook {
@@ -553,6 +573,7 @@ impl ArraySim {
         }
         self.free_ops = (0..self.ops.len()).rev().collect();
         self.users.clear();
+        self.reads.clear();
         self.host_epoch += 1;
         self.locks = LockTable::new();
         if let Some(r) = self.rebuild.take() {

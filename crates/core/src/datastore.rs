@@ -12,7 +12,8 @@
 //! touches only the byte ranges it changes:
 //!
 //! * a degraded read decodes each lost segment's `[offset, offset + len)`
-//!   straight into the destination, reading `k` survivors over that range;
+//!   straight into the read's buffer, reading `k` survivors over that
+//!   range;
 //! * a read-modify-write applies parity deltas (`P ^= D ⊕ D'`, `Q ^=
 //!   g^i·(D ⊕ D')`) over each segment's range to every surviving parity,
 //!   decoding a lost touched chunk's old bytes over that range only;
@@ -27,8 +28,13 @@
 //! each once, and a healthy read segment is one slice copy. Every kernel
 //! call runs on the thread that calls the store.
 //!
-//! Every decode happens before the first byte changes, and healthy chunks
-//! are borrowed, never cloned.
+//! Every decode happens before the first byte changes. Each chunk is a
+//! shared copy-on-write buffer (`Arc<Vec<u8>>`): a read that is one healthy
+//! segment returns a [`Bytes`] view of the stored chunk and copies nothing
+//! ([`ChunkStore::read_shared`]), and every change goes through
+//! `Arc::make_mut`, which changes a chunk no read result holds in place and
+//! copies one that is still held, once. Any other read is gathered into a
+//! fresh buffer by appending slices and decodes ([`ReadBuf`]).
 //!
 //! The array's store is a [`WriteBehind`]: each stripe write moves that
 //! stripe's chunks, with the payload, to an applier thread that runs
@@ -37,7 +43,9 @@
 //! write, rebuild, scrub, fault injection, dropping a member, or the whole
 //! store through `ArraySim::store`) first takes the chunks back. A stripe
 //! has at most one write out, so its writes apply in order and every byte
-//! is what the synchronous store holds.
+//! is what the synchronous store holds. The chunks a queued write stores
+//! are made unique on the caller before it queues, so the applier changes
+//! only chunks no read result shares, and copies none.
 //!
 //! [`DataMode::Full`]: crate::DataMode::Full
 
@@ -56,6 +64,10 @@ use crate::layout::{Layout, Segment, StripeIo, WriteMode};
 /// Bytes verified per decode call when checking a stripe's parity.
 const VERIFY_WINDOW: usize = 64 * 1024;
 
+/// A stored chunk: shared with the read results that view it, and copied
+/// on the first change while one is held (`Arc::make_mut`).
+type Chunk = Arc<Vec<u8>>;
+
 /// Per-array chunk contents keyed by `(stripe, member)`.
 ///
 /// Unwritten chunks read as zeros, like a freshly created (and implicitly
@@ -70,9 +82,9 @@ const VERIFY_WINDOW: usize = 64 * 1024;
 pub struct ChunkStore {
     layout: Layout,
     codec: ReedSolomon,
-    chunks: BTreeMap<(u64, usize), Vec<u8>>,
-    /// One chunk of zeros: what an unwritten chunk reads as, borrowed.
-    zeros: Vec<u8>,
+    chunks: BTreeMap<(u64, usize), Chunk>,
+    /// One chunk of zeros: what an unwritten chunk reads as, shared.
+    zeros: Chunk,
     /// Decoded bytes of a write, reused across writes.
     scratch: Vec<u8>,
 }
@@ -82,6 +94,33 @@ fn span(seg: &Segment) -> Range<usize> {
     seg.offset as usize..(seg.offset + seg.len) as usize
 }
 
+/// The rows a write of `io` stores: each surviving row a segment writes and
+/// each surviving parity row. `lost` marks the stripe's lost rows, of which
+/// the first `d` are data.
+fn written_rows<'a>(
+    io: &'a StripeIo,
+    lost: &'a [bool],
+    d: usize,
+) -> impl Iterator<Item = usize> + 'a {
+    io.segments
+        .iter()
+        .map(|s| s.data_index)
+        .chain(d..lost.len())
+        .filter(|&r| !lost[r])
+}
+
+/// Writes `src` at `at` in `out`, extending it. A gap before `at` (a later
+/// part of a read that arrived first) is zero-filled until its own part
+/// overwrites it.
+fn put_at(out: &mut Vec<u8>, at: usize, src: &[u8]) {
+    if out.len() < at {
+        out.resize(at, 0);
+    }
+    let overlap = (out.len() - at).min(src.len());
+    out[at..at + overlap].copy_from_slice(&src[..overlap]);
+    out.extend_from_slice(&src[overlap..]);
+}
+
 impl ChunkStore {
     /// Creates an empty store for the given geometry.
     pub fn new(layout: Layout) -> Self {
@@ -89,7 +128,7 @@ impl ChunkStore {
             layout,
             codec: ReedSolomon::new(layout.data_chunks(), layout.level().parity_count()),
             chunks: BTreeMap::new(),
-            zeros: vec![0; layout.chunk_size() as usize],
+            zeros: Arc::new(vec![0; layout.chunk_size() as usize]),
             scratch: Vec::new(),
         }
     }
@@ -102,7 +141,7 @@ impl ChunkStore {
     /// The stored bytes of `member`'s chunk in `stripe`, or `None` if the
     /// chunk was never written or its drive was lost (test/diagnostic aid).
     pub fn stored_chunk(&self, stripe: u64, member: usize) -> Option<&[u8]> {
-        self.chunks.get(&(stripe, member)).map(Vec::as_slice)
+        self.chunks.get(&(stripe, member)).map(|c| c.as_slice())
     }
 
     fn rows(&self) -> usize {
@@ -155,51 +194,54 @@ impl ChunkStore {
             .expect("failures exceed the RAID level's tolerance");
     }
 
-    /// `row`'s chunk, taken out of the map for in-place update (zeros if
+    /// `row`'s chunk, taken out of the map for update (the shared zeros if
     /// unwritten); [`ChunkStore::put_chunk`] returns it.
-    fn take_chunk(&mut self, stripe: u64, row: usize) -> Vec<u8> {
+    fn take_chunk(&mut self, stripe: u64, row: usize) -> Chunk {
         let member = self.member(stripe, row);
         self.chunks
             .remove(&(stripe, member))
-            .unwrap_or_else(|| self.zeros.clone())
+            .unwrap_or_else(|| Arc::clone(&self.zeros))
     }
 
-    fn put_chunk(&mut self, stripe: u64, member: usize, data: Vec<u8>) {
+    /// `member`'s chunk of `stripe`, materialized and unshared for update.
+    fn chunk_mut(&mut self, stripe: u64, member: usize) -> &mut Vec<u8> {
+        let zeros = &self.zeros;
+        Arc::make_mut(
+            self.chunks
+                .entry((stripe, member))
+                .or_insert_with(|| Arc::clone(zeros)),
+        )
+    }
+
+    fn put_chunk(&mut self, stripe: u64, member: usize, data: Chunk) {
         debug_assert_eq!(data.len() as u64, self.layout.chunk_size());
         self.chunks.insert((stripe, member), data);
     }
 
-    /// Writes `bytes` at `range` of `member`'s chunk, materializing it.
-    fn store_bytes(&mut self, stripe: u64, member: usize, range: Range<usize>, bytes: &[u8]) {
-        let zeros = &self.zeros;
-        self.chunks
-            .entry((stripe, member))
-            .or_insert_with(|| zeros.clone())[range]
-            .copy_from_slice(bytes);
+    /// Materializes every chunk a write of `io` stores (see
+    /// [`written_rows`]) and makes it unshared, copying one a read result
+    /// still holds. `lost` marks the stripe's lost rows.
+    fn materialize_write(&mut self, io: &StripeIo, lost: &[bool]) {
+        for row in written_rows(io, lost, self.layout.data_chunks()) {
+            let member = self.member(io.stripe, row);
+            self.chunk_mut(io.stripe, member);
+        }
     }
 
-    /// Materializes every chunk a write of `io` stores: each surviving
-    /// parity row and each surviving row a segment writes. `lost` marks the
-    /// stripe's lost rows.
-    fn materialize_write(&mut self, io: &StripeIo, lost: &[bool]) {
-        let d = self.layout.data_chunks();
-        let rows = io
-            .segments
-            .iter()
-            .map(|s| s.data_index)
-            .chain(d..self.rows());
-        for row in rows.filter(|&r| !lost[r]) {
-            let member = self.member(io.stripe, row);
-            let zeros = &self.zeros;
-            self.chunks
-                .entry((io.stripe, member))
-                .or_insert_with(|| zeros.clone());
-        }
+    /// Whether every chunk a write of `io` stores exists and no read result
+    /// shares it, so that the write changes each in place and copies none.
+    fn stores_unshared(&self, io: &StripeIo, failed: &BTreeSet<usize>) -> bool {
+        let lost = self.lost_rows(io.stripe, failed);
+        let unshared = written_rows(io, &lost, self.layout.data_chunks()).all(|row| {
+            let chunk = self.chunks.get(&(io.stripe, self.member(io.stripe, row)));
+            chunk.is_some_and(|c| Arc::strong_count(c) == 1)
+        });
+        unshared
     }
 
     /// Moves every stored chunk of `stripe` into `out`, as
     /// `(member, chunk)`.
-    fn take_stripe(&mut self, stripe: u64, out: &mut Vec<(usize, Vec<u8>)>) {
+    fn take_stripe(&mut self, stripe: u64, out: &mut Vec<(usize, Chunk)>) {
         for row in 0..self.rows() {
             let member = self.member(stripe, row);
             if let Some(chunk) = self.chunks.remove(&(stripe, member)) {
@@ -217,6 +259,10 @@ impl ChunkStore {
             self.put_chunk(stripe, member, chunk);
         }
         let payload = job.payload.as_deref().expect("a queued job has a payload");
+        draid_sim::draid_invariant!(
+            self.stores_unshared(&job.io, &job.failed),
+            "the applier would change a missing or shared chunk of stripe {stripe}"
+        );
         self.apply_write(&job.io, payload, job.mode, &job.failed);
         let chunks = std::mem::take(&mut self.chunks);
         job.chunks.extend(
@@ -242,33 +288,51 @@ impl ChunkStore {
     }
 
     /// Gathers the bytes a read of `io` must produce into a caller-provided
-    /// buffer (cleared first, then sized to `io.bytes()`).
+    /// buffer (cleared first, then `io.bytes()` long).
     pub fn read_into(&self, out: &mut Vec<u8>, io: &StripeIo, failed: &BTreeSet<usize>) {
         out.clear();
-        out.resize(io.bytes() as usize, 0);
-        self.read_to(out, io, failed);
+        self.gather(out, 0, io, failed);
     }
 
-    /// Gathers the bytes a read of `io` must produce into a slice of exactly
-    /// `io.bytes()`: the form that fills a user's read buffer in place.
-    /// Healthy segments are copied once from the stored chunk; a lost
-    /// segment is decoded over its own range only.
+    /// A read of `io` that copies nothing: a view of the stored chunk (the
+    /// shared zeros if unwritten), if `io` is one segment on a member not
+    /// in `failed`.
+    pub(crate) fn read_shared(&self, io: &StripeIo, failed: &BTreeSet<usize>) -> Option<Bytes> {
+        let [seg] = &io.segments[..] else {
+            return None;
+        };
+        let member = self.member(io.stripe, seg.data_index);
+        if failed.contains(&member) {
+            return None;
+        }
+        let chunk = self.chunks.get(&(io.stripe, member)).unwrap_or(&self.zeros);
+        Some(Bytes::from_owner(Arc::clone(chunk)).slice(span(seg)))
+    }
+
+    /// Writes the bytes a read of `io` must produce at `out[at..]`,
+    /// extending `out`: each healthy segment is appended from the stored
+    /// chunk, and only a lost segment's range is sized before it is decoded
+    /// in place.
     ///
     /// # Panics
     ///
-    /// Panics if `dst.len()` differs from the stripe I/O size, or a lost
-    /// segment cannot be decoded.
-    pub(crate) fn read_to(&self, dst: &mut [u8], io: &StripeIo, failed: &BTreeSet<usize>) {
-        assert_eq!(dst.len() as u64, io.bytes(), "read buffer size mismatch");
+    /// Panics if a lost segment cannot be decoded.
+    fn gather(&self, out: &mut Vec<u8>, mut at: usize, io: &StripeIo, failed: &BTreeSet<usize>) {
         let lost = self.lost_rows(io.stripe, failed);
-        let mut at = 0;
         for seg in io.segments.iter() {
-            let dst = &mut dst[at..at + seg.len as usize];
-            at += seg.len as usize;
+            let range = at..at + seg.len as usize;
+            at = range.end;
             if lost[seg.data_index] {
-                self.decode(io.stripe, &lost, seg.data_index, span(seg), dst);
+                if out.len() < range.end {
+                    out.resize(range.end, 0);
+                }
+                self.decode(io.stripe, &lost, seg.data_index, span(seg), &mut out[range]);
             } else {
-                dst.copy_from_slice(self.bytes(io.stripe, seg.data_index, span(seg)));
+                put_at(
+                    out,
+                    range.start,
+                    self.bytes(io.stripe, seg.data_index, span(seg)),
+                );
             }
         }
     }
@@ -332,7 +396,7 @@ impl ChunkStore {
             self.decode(stripe, lost, seg.data_index, span(seg), &mut old_lost[at..]);
         }
 
-        let mut parity: Vec<(usize, Vec<u8>)> = (d..self.rows())
+        let mut parity: Vec<(usize, Chunk)> = (d..self.rows())
             .filter(|&r| !lost[r])
             .map(|r| (r, self.take_chunk(stripe, r)))
             .collect();
@@ -347,17 +411,13 @@ impl ChunkStore {
                 .collect();
             let mut dsts: Vec<&mut [u8]> = parity
                 .iter_mut()
-                .map(|(_, chunk)| &mut chunk[range.clone()])
+                .map(|(_, chunk)| &mut Arc::make_mut(chunk)[range.clone()])
                 .collect();
             let data = if lost[seg.data_index] {
                 decoded += range.len();
                 &mut old_lost[decoded - range.len()..decoded]
             } else {
-                let zeros = &self.zeros;
-                &mut self
-                    .chunks
-                    .entry((stripe, seg.member))
-                    .or_insert_with(|| zeros.clone())[range]
+                &mut self.chunk_mut(stripe, seg.member)[range]
             };
             kernels::update(&coeffs, data, new, &mut dsts);
         }
@@ -420,7 +480,7 @@ impl ChunkStore {
             }
         }
 
-        let mut parity: Vec<(usize, Vec<u8>)> = (d..self.rows())
+        let mut parity: Vec<(usize, Chunk)> = (d..self.rows())
             .filter(|&r| !lost[r])
             .map(|r| (r, self.take_chunk(stripe, r)))
             .collect();
@@ -438,7 +498,7 @@ impl ChunkStore {
                 .collect();
             let mut out: Vec<(usize, &mut [u8])> = parity
                 .iter_mut()
-                .map(|(row, chunk)| (*row, &mut chunk[iv.clone()]))
+                .map(|(row, chunk)| (*row, &mut Arc::make_mut(chunk)[iv.clone()]))
                 .collect();
             self.codec.encode_into(&sources, &mut out);
         }
@@ -447,7 +507,7 @@ impl ChunkStore {
             let new = &payload[cursor..cursor + seg.len as usize];
             cursor += seg.len as usize;
             if !lost[seg.data_index] {
-                self.store_bytes(stripe, seg.member, span(seg), new);
+                self.chunk_mut(stripe, seg.member)[span(seg)].copy_from_slice(new);
             }
         }
         for (row, chunk) in parity {
@@ -471,9 +531,9 @@ impl ChunkStore {
             .expect("every member holds a row of every stripe");
         let mut lost = self.lost_rows(stripe, failed);
         lost[row] = true;
-        let mut chunk = self.zeros.clone();
+        let mut chunk = vec![0; self.zeros.len()];
         self.decode(stripe, &lost, row, 0..chunk.len(), &mut chunk);
-        self.put_chunk(stripe, member, chunk);
+        self.put_chunk(stripe, member, Arc::new(chunk));
     }
 
     /// Fault injection for tests: flips one byte of a stored chunk (e.g. a
@@ -483,10 +543,11 @@ impl ChunkStore {
     ///
     /// Panics if the chunk was never written.
     pub fn corrupt_chunk(&mut self, stripe: u64, member: usize, byte: usize) {
-        let chunk = self
-            .chunks
-            .get_mut(&(stripe, member))
-            .expect("cannot corrupt an unwritten chunk");
+        let chunk = Arc::make_mut(
+            self.chunks
+                .get_mut(&(stripe, member))
+                .expect("cannot corrupt an unwritten chunk"),
+        );
         let idx = byte % chunk.len();
         chunk[idx] ^= 0xFF;
     }
@@ -541,6 +602,53 @@ impl ChunkStore {
     }
 }
 
+/// A Full-mode user read's bytes, built as its stripe ops complete. Nothing
+/// is allocated when the read is submitted.
+#[derive(Debug)]
+pub(crate) enum ReadBuf {
+    /// No stripe op has applied yet; the read is this many bytes long.
+    Empty(usize),
+    /// The whole read is one healthy segment: a view of its stored chunk
+    /// ([`ChunkStore::read_shared`]).
+    Shared(Bytes),
+    /// The bytes gathered so far, and the read's length.
+    Gathered(Vec<u8>, usize),
+}
+
+impl ReadBuf {
+    /// Adds the bytes of `io`, one stripe op of the read, from `store`.
+    /// The first op to apply allocates, unless it is the whole read and
+    /// `store` can share it.
+    pub(crate) fn fill(&mut self, store: &ChunkStore, io: &StripeIo, failed: &BTreeSet<usize>) {
+        if let ReadBuf::Empty(len) = *self {
+            if io.bytes() == len as u64 {
+                if let Some(view) = store.read_shared(io, failed) {
+                    *self = ReadBuf::Shared(view);
+                    return;
+                }
+            }
+            *self = ReadBuf::Gathered(Vec::with_capacity(len), len);
+        }
+        let ReadBuf::Gathered(buf, _) = self else {
+            unreachable!("a shared read is one stripe op");
+        };
+        store.gather(buf, io.buf_offset as usize, io, failed);
+    }
+
+    /// The read's bytes. Ranges no stripe op filled (the op failed, or
+    /// completed after the array failed) read as zeros.
+    pub(crate) fn into_bytes(self) -> Bytes {
+        match self {
+            ReadBuf::Empty(len) => Bytes::from(vec![0; len]),
+            ReadBuf::Shared(view) => view,
+            ReadBuf::Gathered(mut buf, len) => {
+                buf.resize(len, 0);
+                Bytes::from(buf)
+            }
+        }
+    }
+}
+
 /// Stripe writes that may be out with the applier at once.
 const QUEUE_JOBS: usize = 8;
 
@@ -559,7 +667,7 @@ struct Job {
     payload: Option<Bytes>,
     mode: WriteMode,
     failed: BTreeSet<usize>,
-    chunks: Vec<(usize, Vec<u8>)>,
+    chunks: Vec<(usize, Chunk)>,
 }
 
 /// What the caller and the applier share, under one lock.
@@ -696,8 +804,8 @@ struct Home {
 }
 
 impl Home {
-    /// Materializes every chunk the write will store and moves the
-    /// stripe's chunks into a job.
+    /// Materializes every chunk the write will store, unshared, and moves
+    /// the stripe's chunks into a job.
     fn prepare(
         &mut self,
         io: &StripeIo,
@@ -779,7 +887,8 @@ impl Home {
 /// [`DataMode::Full`](crate::DataMode::Full).
 ///
 /// [`WriteBehind::write`] checks the write, materializes on the calling
-/// thread every chunk the write will store, moves the stripe's chunks out
+/// thread every chunk the write will store and makes it unshared (copying
+/// one a held read result views), moves the stripe's chunks out
 /// of the store and queues them with the payload. The applier runs
 /// [`ChunkStore::apply_write`] on them in a one-stripe store of its own and
 /// hands them back. Any later access to a stripe first takes its chunks

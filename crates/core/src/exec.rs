@@ -748,10 +748,12 @@ impl ArraySim {
     }
 
     /// Applies the operation's semantic effect to the chunk store (full data
-    /// mode only): writes queue to the write-behind applier, reads gather
-    /// (possibly reconstructed) bytes straight into the user buffer. Kept
-    /// out of line, so the data plane adds no code to the op path that
-    /// `DataMode::Timing` runs.
+    /// mode only): writes queue to the write-behind applier; reads add their
+    /// bytes to the user read's [`ReadBuf`](crate::datastore::ReadBuf),
+    /// which shares the stored chunk when the read is one healthy segment
+    /// and otherwise gathers (possibly reconstructed) bytes into a buffer
+    /// the first op allocates. Kept out of line, so the data plane adds no
+    /// code to the op path that `DataMode::Timing` runs.
     #[inline(never)]
     fn apply_effect(&mut self, op: &OpState) {
         if self.faulty.len() > self.cfg.level.parity_count() {
@@ -795,11 +797,8 @@ impl ArraySim {
                 }
             }
             Some(Purpose::Read { .. }) => {
-                let user = self.users.get_mut(&op.user);
-                if let Some(buf) = user.and_then(|u| u.read_buf.as_mut()) {
-                    let lo = op.io.buf_offset as usize;
-                    let dst = &mut buf[lo..lo + op.io.bytes() as usize];
-                    store.settled(op.io.stripe).read_to(dst, &op.io, &lost);
+                if let Some(read) = self.reads.get_mut(&op.user) {
+                    read.fill(store.settled(op.io.stripe), &op.io, &lost);
                 }
             }
             _ => {}

@@ -103,7 +103,14 @@ pub struct IoResult {
     pub submitted: SimTime,
     /// Completion time.
     pub completed: SimTime,
-    /// Bytes returned by a read in full data mode.
+    /// Bytes returned by a read in full data mode: always `len` bytes,
+    /// also when the read failed, where the ranges of the stripe ops that
+    /// failed (or completed after the array failed) read as zeros. `None`
+    /// for a write, for any I/O in timing mode, and for a read submitted to
+    /// an array that had already failed. A read inside one healthy chunk
+    /// shares that chunk's stored bytes: a later change to the chunk copies
+    /// it first, so the result never changes, and a held result keeps the
+    /// old chunk alive.
     pub data: Option<Bytes>,
     /// Failure, if the I/O could not be completed.
     pub error: Option<IoError>,

@@ -390,3 +390,113 @@ fn tracing_captures_step_timelines() {
     assert!(events.iter().all(|e| e.user == 1));
     assert!(trace.summary().contains("drive"));
 }
+
+/// Reads of every shape a Full-mode array serves: inside one chunk (the
+/// stored chunk is shared), across two chunks, across two stripes, at an
+/// unaligned offset, over unwritten space (the store's zeros are shared)
+/// and half over it.
+fn read_shapes(stripe: u64) -> [(u64, u64); 7] {
+    [
+        (16 * KIB, 16 * KIB),
+        (20 * KIB, 4 * KIB),
+        (8 * KIB, 16 * KIB),
+        (stripe - 4 * KIB, 12 * KIB),
+        (5 * KIB + 3, 17 * KIB + 11),
+        (3 * stripe + 16 * KIB, 8 * KIB),
+        (3 * stripe - 6 * KIB, 12 * KIB),
+    ]
+}
+
+#[test]
+fn full_mode_reads_equal_the_shadow_healthy_and_degraded() {
+    for level in [RaidLevel::Raid5, RaidLevel::Raid6] {
+        let (mut array, mut eng) = make(SystemKind::Draid, level);
+        let stripe = array.layout().stripe_data_bytes();
+        // Three written stripes, then unwritten space that reads as zeros.
+        let mut shadow = vec![0u8; 4 * stripe as usize];
+        let written = rand_bytes(&mut DetRng::new(19), 3 * stripe);
+        shadow[..written.len()].copy_from_slice(&written);
+        array.submit(&mut eng, UserIo::write_bytes(0, written));
+        eng.run(&mut array);
+        assert!(array.drain_completions().iter().all(|r| r.is_ok()));
+
+        let lose = level.parity_count();
+        for failed in 0..=lose {
+            if failed > 0 {
+                array.fail_member(failed);
+            }
+            for (off, len) in read_shapes(stripe) {
+                array.submit(&mut eng, UserIo::read(off, len));
+                eng.run(&mut array);
+                let res = array.drain_completions().pop().expect("read");
+                assert!(res.is_ok(), "{level:?}, {failed} lost, at {off}+{len}");
+                assert_eq!(
+                    res.data.as_deref(),
+                    Some(&shadow[off as usize..(off + len) as usize]),
+                    "{level:?}, {failed} lost, at {off}+{len}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_read_whose_op_failed_is_zeros_where_the_op_failed() {
+    // No retries: the first drive error fails the stripe op for good.
+    let mut cfg = small_cfg(SystemKind::Draid, RaidLevel::Raid5);
+    cfg.max_retries = 0;
+    let mut array = ArraySim::new(Cluster::homogeneous(cfg.width), cfg).expect("valid");
+    let mut eng = Engine::new();
+    let stripe = array.layout().stripe_data_bytes();
+    let data = rand_bytes(&mut DetRng::new(23), 2 * stripe);
+    array.submit(&mut eng, UserIo::write_bytes(0, data.clone()));
+    eng.run(&mut array);
+    assert!(array.drain_completions().iter().all(|r| r.is_ok()));
+
+    // The member holding the second stripe's first chunk errors: of a read
+    // across both stripes, the first stripe op succeeds and the second
+    // fails, and a read of that chunk alone fails whole.
+    let victim = array.layout().data_member(1, 0);
+    let now = eng.now();
+    array.inject_transient(now, victim, SimTime::from_millis(1));
+    array.submit(&mut eng, UserIo::read(stripe - 8 * KIB, 16 * KIB));
+    array.submit(&mut eng, UserIo::read(stripe, 8 * KIB));
+    eng.run(&mut array);
+    let mut done = array.drain_completions();
+    done.sort_by_key(|r| r.offset);
+    assert_eq!(done.len(), 2);
+    for res in &done {
+        assert_eq!(
+            res.error,
+            Some(IoError::RetriesExhausted),
+            "at {}",
+            res.offset
+        );
+    }
+    let mut want = data[(stripe - 8 * KIB) as usize..stripe as usize].to_vec();
+    want.resize(16 * KIB as usize, 0);
+    assert_eq!(done[0].data.as_deref(), Some(&want[..]));
+    assert_eq!(done[1].data.as_deref(), Some(&[0u8; 8 * KIB as usize][..]));
+}
+
+#[test]
+fn a_read_submitted_to_a_failed_array_carries_no_data() {
+    let (mut array, mut eng) = make(SystemKind::Draid, RaidLevel::Raid5);
+    array.submit(
+        &mut eng,
+        UserIo::write_bytes(0, Bytes::from(vec![7u8; 4096])),
+    );
+    eng.run(&mut array);
+    array.fail_member(0);
+    array.fail_member(1);
+    array.submit(&mut eng, UserIo::read(0, 4 * KIB));
+    eng.run(&mut array);
+    let done = array.drain_completions();
+    let (write, read) = (&done[0], &done[1]);
+    assert!(
+        write.is_ok() && write.data.is_none(),
+        "a write carries no data"
+    );
+    assert_eq!(read.error, Some(IoError::ArrayFailed));
+    assert_eq!(read.data, None);
+}

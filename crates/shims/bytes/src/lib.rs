@@ -5,7 +5,8 @@
 //! static slices, dereferencing to `[u8]`. Backed by a shared `Arc` plus an
 //! `(offset, len)` view, so — like the real `Bytes` — clones are
 //! reference-count bumps, `From<Vec<u8>>` takes ownership without copying,
-//! and [`Bytes::slice`] carves O(1) sub-views off the same allocation.
+//! [`Bytes::from_owner`] shares a buffer someone else also holds, and
+//! [`Bytes::slice`] carves O(1) sub-views off the same allocation.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
@@ -44,6 +45,20 @@ impl Bytes {
         Bytes {
             len: data.len(),
             data: Arc::new(data.to_vec()),
+            off: 0,
+        }
+    }
+
+    /// A view of a buffer the caller keeps sharing: no byte is copied, and
+    /// the view holds one strong count of `owner` until it drops.
+    ///
+    /// The real crate takes any `AsRef<[u8]> + Send + 'static` owner; every
+    /// buffer of this stub is an `Arc<Vec<u8>>`, so it takes that owner
+    /// alone.
+    pub fn from_owner(owner: Arc<Vec<u8>>) -> Self {
+        Bytes {
+            len: owner.len(),
+            data: owner,
             off: 0,
         }
     }
@@ -202,6 +217,16 @@ mod tests {
         assert_eq!(b.slice(..4).len(), 4);
         assert_eq!(b.slice(30..).len(), 2);
         assert_eq!(b.slice(..), b);
+    }
+
+    #[test]
+    fn from_owner_shares_the_owner() {
+        let owner = Arc::new(vec![5u8, 6, 7]);
+        let b = Bytes::from_owner(Arc::clone(&owner)).slice(1..);
+        assert_eq!(&b[..], &[6, 7]);
+        assert_eq!(Arc::strong_count(&owner), 2);
+        drop(b);
+        assert_eq!(Arc::strong_count(&owner), 1);
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! mid-run and is rebuilt onto a spare, and every read must equal a shadow
 //! copy. At the end every stored chunk must equal a synchronous
 //! `ChunkStore` that replayed the same writes in completion order.
+//!
+//! A read that is one healthy segment shares the stored chunk, so the loop
+//! also runs holding its read results: every later change to a chunk a
+//! held result views (a queued or caller-applied write, a rebuild, a
+//! `Corrupt` injection) must copy it first, leaving the result as it was.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -17,8 +22,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use draid::block::{Cluster, ServerId};
 use draid::core::{
-    ArrayConfig, ArraySim, ChunkStore, DataMode, IoKind, IoResult, Layout, RaidLevel, SystemKind,
-    UserIo, WriteBehind, WriteMode,
+    ArrayConfig, ArraySim, ChunkStore, DataMode, FaultAction, FaultSchedule, IoKind, IoResult,
+    Layout, RaidLevel, SystemKind, UserIo, WriteBehind, WriteMode,
 };
 use draid::sim::{DetRng, Engine, SimTime};
 
@@ -50,6 +55,10 @@ struct Driver {
     writes: Vec<(u64, Bytes)>,
     reads_checked: u64,
     failures: Vec<String>,
+    /// Whether to keep the results of reads within one chunk.
+    hold: bool,
+    /// Kept read results, each with the bytes it returned.
+    held: Vec<(Bytes, Vec<u8>)>,
 }
 
 impl Driver {
@@ -98,9 +107,15 @@ impl Driver {
             IoKind::Write => self.writes.push((r.offset, Bytes::copy_from_slice(expect))),
             IoKind::Read => {
                 self.reads_checked += 1;
-                if r.data.as_deref() != Some(expect) {
-                    self.failures
-                        .push(format!("read at {} returned wrong bytes", r.offset));
+                match &r.data {
+                    Some(got) if got[..] == *expect => {
+                        if self.hold && r.len <= CHUNK {
+                            self.held.push((got.clone(), expect.to_vec()));
+                        }
+                    }
+                    _ => self
+                        .failures
+                        .push(format!("read at {} returned wrong bytes", r.offset)),
                 }
             }
         }
@@ -154,74 +169,143 @@ fn replay(layout: Layout, writes: &[(u64, Bytes)]) -> ChunkStore {
     store
 }
 
+/// Prefills the hot set and runs the closed loops to the end, through the
+/// member's failure and its rebuild onto the spare; `hold` keeps the
+/// results of reads within one chunk.
+fn run_hot_loops(level: RaidLevel, hold: bool) -> (ArraySim, Engine<ArraySim>, Driver) {
+    let mut array = full_array(level, CHUNK);
+    let mut eng: Engine<ArraySim> = Engine::new();
+    let stripe_bytes = array.layout().stripe_data_bytes();
+
+    // Prefill every hot stripe with a full-stripe write, so every chunk
+    // exists in both stores.
+    let mut rng = DetRng::new(0xB0B + level.parity_count() as u64);
+    let mut shadow = vec![0u8; (HOT * stripe_bytes) as usize];
+    rng.fill_bytes(&mut shadow);
+    let prefill = Bytes::copy_from_slice(&shadow);
+    array.submit(&mut eng, UserIo::write_bytes(0, prefill.clone()));
+    eng.run(&mut array);
+    assert!(array.drain_completions().iter().all(IoResult::is_ok));
+
+    let d = Rc::new(RefCell::new(Driver {
+        rng,
+        stripe_bytes,
+        shadow,
+        inflight: Vec::new(),
+        issued: 0,
+        writes: vec![(0, prefill)],
+        reads_checked: 0,
+        failures: Vec::new(),
+        hold,
+        held: Vec::new(),
+    }));
+    for _ in 0..QUEUE_DEPTH {
+        issue(&mut array, &mut eng, &d);
+    }
+    eng.schedule_in(FAIL_AT, |array: &mut ArraySim, _| {
+        array.fail_member(FAILED_MEMBER)
+    });
+    eng.schedule_in(REBUILD_AT, |array: &mut ArraySim, eng| {
+        array.start_rebuild(eng, FAILED_MEMBER, ServerId(WIDTH), HOT, 1)
+    });
+    eng.run(&mut array);
+    array.drain_completions();
+    let drv = Rc::try_unwrap(d).ok().expect("the loop ended").into_inner();
+
+    assert_eq!(drv.failures, Vec::<String>::new(), "{level:?}");
+    assert_eq!(drv.issued, IOS, "{level:?}: the loop ran to the end");
+    assert!(drv.reads_checked > IOS / 4, "{level:?}: reads checked");
+    assert!(array.stats.degraded_ios > 0, "{level:?}: I/Os ran degraded");
+    assert!(
+        !array.is_degraded() && array.rebuild_status().is_none(),
+        "{level:?}: the rebuild finished"
+    );
+    (array, eng, drv)
+}
+
+/// Every stored chunk of the hot set equals a synchronous replay of
+/// `writes`, and parity checks.
+fn assert_matches_replay(array: &mut ArraySim, writes: &[(u64, Bytes)], level: RaidLevel) {
+    let sync = replay(*array.layout(), writes);
+    let store = array.store().expect("full mode");
+    for stripe in 0..HOT {
+        for member in 0..WIDTH {
+            let (got, want) = (
+                store.stored_chunk(stripe, member),
+                sync.stored_chunk(stripe, member),
+            );
+            assert!(
+                got.is_some(),
+                "{level:?}: stripe {stripe} member {member} stored"
+            );
+            assert!(
+                got == want,
+                "{level:?}: stripe {stripe} member {member} differs"
+            );
+        }
+    }
+    assert_eq!(store.chunk_count(), sync.chunk_count(), "{level:?}");
+    assert_eq!(store.verify_all(), Vec::<u64>::new(), "{level:?}");
+}
+
 #[test]
 fn closed_loops_through_failure_and_rebuild_match_a_synchronous_replay() {
     for level in [RaidLevel::Raid5, RaidLevel::Raid6] {
-        let mut array = full_array(level, CHUNK);
-        let mut eng: Engine<ArraySim> = Engine::new();
-        let layout = *array.layout();
-        let stripe_bytes = layout.stripe_data_bytes();
+        let (mut array, _, drv) = run_hot_loops(level, false);
+        assert_matches_replay(&mut array, &drv.writes, level);
+    }
+}
 
-        // Prefill every hot stripe with a full-stripe write, so every chunk
-        // exists in both stores.
-        let mut rng = DetRng::new(0xB0B + level.parity_count() as u64);
-        let mut shadow = vec![0u8; (HOT * stripe_bytes) as usize];
-        rng.fill_bytes(&mut shadow);
-        let prefill = Bytes::copy_from_slice(&shadow);
-        array.submit(&mut eng, UserIo::write_bytes(0, prefill.clone()));
-        eng.run(&mut array);
-        assert!(array.drain_completions().iter().all(IoResult::is_ok));
+/// Reads `len` bytes at `offset` and returns what the read returned.
+fn read_now(array: &mut ArraySim, eng: &mut Engine<ArraySim>, offset: u64, len: u64) -> Bytes {
+    array.submit(eng, UserIo::read(offset, len));
+    eng.run(array);
+    let res = array.drain_completions().pop().expect("one read");
+    assert!(res.is_ok(), "read at {offset}: {:?}", res.error);
+    res.data.expect("full mode returns bytes")
+}
 
-        let d = Rc::new(RefCell::new(Driver {
-            rng,
-            stripe_bytes,
-            shadow,
-            inflight: Vec::new(),
-            issued: 0,
-            writes: vec![(0, prefill)],
-            reads_checked: 0,
-            failures: Vec::new(),
-        }));
-        for _ in 0..QUEUE_DEPTH {
-            issue(&mut array, &mut eng, &d);
+/// Flips `byte` of `member`'s chunk of stripe 0 through the fault
+/// schedule.
+fn corrupt(array: &mut ArraySim, eng: &mut Engine<ArraySim>, member: usize, byte: usize) {
+    let action = FaultAction::Corrupt {
+        stripe: 0,
+        member,
+        byte,
+    };
+    FaultSchedule::new()
+        .at(eng.now() + SimTime::from_micros(1), action)
+        .install(eng);
+    eng.run(array);
+}
+
+#[test]
+fn held_read_results_keep_their_bytes_through_writes_rebuild_and_corruption() {
+    for level in [RaidLevel::Raid5, RaidLevel::Raid6] {
+        let (mut array, mut eng, mut drv) = run_hot_loops(level, true);
+        assert!(drv.held.len() > 20, "{level:?}: reads held");
+
+        // A fresh view of stripe 0's first chunk, then a `Corrupt` of that
+        // chunk: the store changes, the view does not. A second flip of the
+        // same byte restores the chunk.
+        let (len, byte) = (GRANULE, 5);
+        let want = drv.shadow[..len as usize].to_vec();
+        let view = read_now(&mut array, &mut eng, 0, len);
+        assert_eq!(view[..], want[..], "{level:?}");
+        let member = array.layout().data_member(0, 0);
+        corrupt(&mut array, &mut eng, member, byte);
+        assert_eq!(view[..], want[..], "{level:?}: the held view changed");
+        let torn = read_now(&mut array, &mut eng, 0, len);
+        assert_eq!(torn[byte], want[byte] ^ 0xFF, "{level:?}: corrupted");
+        corrupt(&mut array, &mut eng, member, byte);
+        assert_eq!(read_now(&mut array, &mut eng, 0, len)[..], want[..]);
+        assert_eq!(torn[byte], want[byte] ^ 0xFF, "{level:?}: torn read kept");
+        drv.held.push((view, want));
+
+        for (i, (got, want)) in drv.held.iter().enumerate() {
+            assert!(got[..] == want[..], "{level:?}: held read {i} changed");
         }
-        eng.schedule_in(FAIL_AT, |array: &mut ArraySim, _| {
-            array.fail_member(FAILED_MEMBER)
-        });
-        eng.schedule_in(REBUILD_AT, |array: &mut ArraySim, eng| {
-            array.start_rebuild(eng, FAILED_MEMBER, ServerId(WIDTH), HOT, 1)
-        });
-        eng.run(&mut array);
-
-        let drv = d.borrow();
-        assert_eq!(drv.failures, Vec::<String>::new(), "{level:?}");
-        assert_eq!(drv.issued, IOS, "{level:?}: the loop ran to the end");
-        assert!(drv.reads_checked > IOS / 4, "{level:?}: reads checked");
-        assert!(array.stats.degraded_ios > 0, "{level:?}: I/Os ran degraded");
-        assert!(
-            !array.is_degraded() && array.rebuild_status().is_none(),
-            "{level:?}: the rebuild finished"
-        );
-        let sync = replay(layout, &drv.writes);
-        let store = array.store().expect("full mode");
-        for stripe in 0..HOT {
-            for member in 0..WIDTH {
-                let (got, want) = (
-                    store.stored_chunk(stripe, member),
-                    sync.stored_chunk(stripe, member),
-                );
-                assert!(
-                    got.is_some(),
-                    "{level:?}: stripe {stripe} member {member} stored"
-                );
-                assert!(
-                    got == want,
-                    "{level:?}: stripe {stripe} member {member} differs"
-                );
-            }
-        }
-        assert_eq!(store.chunk_count(), sync.chunk_count(), "{level:?}");
-        assert_eq!(store.verify_all(), Vec::<u64>::new(), "{level:?}");
+        assert_matches_replay(&mut array, &drv.writes, level);
     }
 }
 
