@@ -10,12 +10,13 @@
 //! every row of the size alike, instead of on whichever row ran during
 //! it, so same-size ratios such as decode / `mul_wide` at 1 MiB hold still.
 //!
-//! The `_cold` rows, timed once each, run `update_pq`, `rs_decode_2_of_6+2`
-//! and a slice copy (`copy_cold`, how the chunk store fills a read from a
-//! healthy chunk) at 128 KiB (the chunk store's I/O size) on buffers drawn
-//! at random from a 256 MiB pool (64 MiB with `--quick`), far past the
-//! last-level cache, as the chunk store's are. Every row runs on the
-//! calling thread.
+//! The `_cold` rows run `update_pq`, a one-parity update (`update_p_cold`,
+//! what a RAID-6 write runs when one parity is lost),
+//! `rs_decode_2_of_6+2` and a slice copy (`copy_cold`, how the chunk store
+//! gathers a healthy segment) at 128 KiB (the chunk store's I/O size) on
+//! buffers drawn at random from a 256 MiB pool (64 MiB with `--quick`), far
+//! past the last-level cache, as the chunk store's are. They too are timed
+//! round-robin and report medians. Every row runs on the calling thread.
 //!
 //! ```text
 //! cargo run --release -p draid-bench --bin kernels [--quick] [--out PATH]
@@ -28,6 +29,7 @@
 //! `mul_wide` / `mul_acc_scalar_ref` speedup at 64 KiB — the number the
 //! acceptance bar (≥ 5×) checks.
 
+use std::cell::RefCell;
 use std::time::{Duration, Instant};
 
 use draid_bench::json::Json;
@@ -52,10 +54,10 @@ impl Measurement {
     }
 }
 
-/// Timings per sized row; each reports the median.
+/// Timings per row; each reports the median.
 const REPEATS: usize = 5;
 
-/// One sized row: a kernel call on buffers the closure owns or borrows.
+/// One row: a kernel call on buffers the closure owns or borrows.
 struct Row<'a> {
     kernel: &'static str,
     /// Bytes of payload the kernel processes per call.
@@ -153,8 +155,8 @@ fn main() {
         "usage: kernels [--quick] [--out PATH]",
         "BENCH_kernels.json",
     );
-    // Each sized row is timed `REPEATS` times at `budget`; each cold row
-    // once, at `cold_budget`.
+    // Each sized row is timed `REPEATS` times at `budget`, each cold row at
+    // `cold_budget`.
     let (budget, cold_budget) = if quick {
         (Duration::from_millis(2), Duration::from_millis(5))
     } else {
@@ -259,31 +261,44 @@ fn main() {
         }
     }
 
-    // Cold rows: every call takes fresh, distinct blocks of the pool.
+    // Cold rows: every call takes fresh, distinct blocks of the one pool
+    // all rows share.
     let pool_bytes = if quick { 64 << 20 } else { 256 << 20 };
-    let mut pool = buf(pool_bytes, 23);
-    let mut blocks = ColdBlocks::new(pool_bytes / COLD_SIZE);
+    let pool = RefCell::new((buf(pool_bytes, 23), ColdBlocks::new(pool_bytes / COLD_SIZE)));
+    let cold = &pool;
     let rs = ReedSolomon::new(6, 2);
     let pq = [rs.coefficient(0, 2), rs.coefficient(1, 2)];
-    let ns = time_for(cold_budget, || {
-        let [data, new, p, q] = pool.get_disjoint_mut(blocks.pick()).expect("distinct");
-        kernels::update(std::hint::black_box(&pq), data, new, &mut [p, q]);
-    });
-    record("update_pq_cold", COLD_SIZE, COLD_SIZE, ns);
-    let ns = time_for(cold_budget, || {
-        let [s0, d1, s2, s3, d4, s5, s6, s7] =
-            pool.get_disjoint_mut(blocks.pick()).expect("distinct");
-        let shards =
-            [s0, &mut [], s2, s3, &mut [], s5, s6, s7].map(|s| (!s.is_empty()).then_some(&*s));
-        rs.decode_rows(std::hint::black_box(&shards), &mut [(1, d1), (4, d4)])
-            .expect("decodable");
-    });
-    record("rs_decode_2_of_6+2_cold", COLD_SIZE, 6 * COLD_SIZE, ns);
-    let ns = time_for(cold_budget, || {
-        let [dst, src] = pool.get_disjoint_mut(blocks.pick()).expect("distinct");
-        dst.copy_from_slice(std::hint::black_box(src));
-    });
-    record("copy_cold", COLD_SIZE, COLD_SIZE, ns);
+    let mut rows = vec![
+        Row::new("update_pq_cold", COLD_SIZE, move || {
+            let (pool, blocks) = &mut *cold.borrow_mut();
+            let [data, new, p, q] = pool.get_disjoint_mut(blocks.pick()).expect("distinct");
+            kernels::update(std::hint::black_box(&pq), data, new, &mut [p, q]);
+        }),
+        Row::new("update_p_cold", COLD_SIZE, move || {
+            let (pool, blocks) = &mut *cold.borrow_mut();
+            let [data, new, p] = pool.get_disjoint_mut(blocks.pick()).expect("distinct");
+            kernels::update(std::hint::black_box(&pq[..1]), data, new, &mut [p]);
+        }),
+        Row::new("rs_decode_2_of_6+2_cold", 6 * COLD_SIZE, || {
+            let (pool, blocks) = &mut *cold.borrow_mut();
+            let [s0, d1, s2, s3, d4, s5, s6, s7] =
+                pool.get_disjoint_mut(blocks.pick()).expect("distinct");
+            let shards =
+                [s0, &mut [], s2, s3, &mut [], s5, s6, s7].map(|s| (!s.is_empty()).then_some(&*s));
+            rs.decode_rows(std::hint::black_box(&shards), &mut [(1, d1), (4, d4)])
+                .expect("decodable");
+        }),
+        Row::new("copy_cold", COLD_SIZE, move || {
+            let (pool, blocks) = &mut *cold.borrow_mut();
+            let [dst, src] = pool.get_disjoint_mut(blocks.pick()).expect("distinct");
+            dst.copy_from_slice(std::hint::black_box(src));
+        }),
+    ];
+    let medians = median_round_robin(cold_budget, &mut rows);
+    for (row, ns) in rows.iter().zip(medians) {
+        record(row.kernel, COLD_SIZE, row.bytes_per_call, ns);
+    }
+    drop(rows);
     drop(pool);
 
     let speedup = {

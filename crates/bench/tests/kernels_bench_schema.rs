@@ -17,9 +17,14 @@ const KERNELS: [&str; 5] = [
 
 const SIZES: [f64; 3] = [4096.0, 65536.0, 1048576.0];
 
-/// Rows measured once, at 128 KiB, on buffers drawn from a pool far larger
-/// than the last-level cache.
-const COLD: [&str; 3] = ["update_pq_cold", "rs_decode_2_of_6+2_cold", "copy_cold"];
+/// Rows measured at 128 KiB on buffers drawn from a pool far larger than
+/// the last-level cache.
+const COLD: [&str; 4] = [
+    "update_pq_cold",
+    "update_p_cold",
+    "rs_decode_2_of_6+2_cold",
+    "copy_cold",
+];
 const COLD_SIZE: f64 = 131072.0;
 
 fn gb_per_sec(results: &[Json], kernel: &str, size: f64) -> f64 {

@@ -22,11 +22,13 @@
 //! * a resync (no segments) re-encodes the whole chunk.
 //!
 //! Each step is one pass of a fused kernel, so every cold stream is read
-//! once: a decode or an encode is one [`kernels::encode`] call for all its
-//! output rows, a read-modify-write is one [`kernels::update`] call per
-//! segment that reads the old and new data, P and Q together and writes
-//! each once, and a healthy read segment is one slice copy. Every kernel
-//! call runs on the thread that calls the store.
+//! once, and prefetched a fixed distance ahead of the line the kernel is
+//! on, across the page boundaries where the hardware prefetchers stop: a
+//! decode or an encode is one [`kernels::encode`] call for all its output
+//! rows, a read-modify-write is one [`kernels::update`] call per segment
+//! that reads the old and new data, P and Q together and writes each once,
+//! and a healthy read segment is one slice copy. Every kernel call runs on
+//! the thread that calls the store.
 //!
 //! Every decode happens before the first byte changes. Each chunk is a
 //! shared copy-on-write buffer (`Arc<Vec<u8>>`): a read that is one healthy

@@ -20,9 +20,13 @@
 //!
 //! * an **AVX2 `pshufb` path** behind the `simd` feature (on by default,
 //!   runtime-detected): the classic two-16-entry-table shuffle, 32 products
-//!   per instruction, interleaved 32 bytes at a time (64 for one or two
-//!   outputs); each source vector is multiplied into up to four output
-//!   accumulators held in registers;
+//!   per instruction, interleaved one 64-byte line of every stream per
+//!   step; each source vector is multiplied into up to four output
+//!   accumulators held in registers, and [`update`] holds its parities'
+//!   tables in registers for the whole call. Once per line each prefetches
+//!   every stream 2 KiB ahead: the hardware prefetchers stop at each 4 KiB
+//!   page, so on cold chunks the software prefetch is what keeps misses in
+//!   flight across page boundaries;
 //! * a **portable blocked fallback** for every other configuration (CPUs
 //!   without AVX2, non-x86 targets, `--no-default-features`, and [`update`]
 //!   with more than four parities): one multiply-accumulate per source over
@@ -276,6 +280,15 @@ mod x86 {
     /// Sources whose tables one pass of [`encode`] holds on the stack; a
     /// wider stripe takes a further, accumulating pass per group.
     const MAX_SRCS: usize = 16;
+    /// Bytes per step of both kernels: one cache line of every stream.
+    const LINE: usize = 64;
+    /// How far ahead of its step each kernel prefetches every stream. The
+    /// hardware prefetchers stop at each 4 KiB page, so on cold chunks they
+    /// leave most lines to demand misses; prefetching this far ahead keeps
+    /// lines of every stream in flight across page boundaries. Measured end
+    /// to end at 512 B to 4 KiB: 2 KiB was best, 1 and 4 KiB within noise
+    /// of it.
+    const AHEAD: usize = 2048;
 
     /// Whether the running CPU runs the fused [`encode`] and [`update`]
     /// kernels.
@@ -284,12 +297,37 @@ mod x86 {
         std::arch::is_x86_feature_detected!("avx2")
     }
 
+    /// A coefficient's two nibble tables, each broadcast into both 128-bit
+    /// lanes of a vector for `pshufb`.
+    #[derive(Clone, Copy)]
+    struct Wide {
+        c: u8,
+        lo: __m256i,
+        hi: __m256i,
+    }
+
+    impl Wide {
+        #[inline]
+        #[target_feature(enable = "avx2")]
+        fn new(t: &MulTable) -> Wide {
+            // SAFETY: `lo`/`hi` are 16-byte arrays; the unaligned 128-bit
+            // loads stay in bounds.
+            let (lo, hi) = unsafe {
+                (
+                    _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo.as_ptr().cast())),
+                    _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast())),
+                )
+            };
+            Wide { c: t.c, lo, hi }
+        }
+    }
+
     /// `acc[v] ^= t.c·x[v]` for `V` vectors whose low and high nibbles are
-    /// `nib[v]`, loading the tables once for all of them.
+    /// `nib[v]`.
     #[inline]
     #[target_feature(enable = "avx2")]
     fn mul_acc_vectors<const V: usize>(
-        t: &MulTable,
+        t: &Wide,
         acc: &mut [__m256i; V],
         x: &[__m256i; V],
         nib: &[(__m256i, __m256i); V],
@@ -302,18 +340,10 @@ mod x86 {
                 }
             }
             _ => {
-                // SAFETY: `lo`/`hi` are 16-byte arrays; the unaligned
-                // 128-bit loads stay in bounds.
-                let (lo, hi) = unsafe {
-                    (
-                        _mm256_broadcastsi128_si256(_mm_loadu_si128(t.lo.as_ptr().cast())),
-                        _mm256_broadcastsi128_si256(_mm_loadu_si128(t.hi.as_ptr().cast())),
-                    )
-                };
                 for (a, &(lo_n, hi_n)) in acc.iter_mut().zip(nib) {
                     let prod = _mm256_xor_si256(
-                        _mm256_shuffle_epi8(lo, lo_n),
-                        _mm256_shuffle_epi8(hi, hi_n),
+                        _mm256_shuffle_epi8(t.lo, lo_n),
+                        _mm256_shuffle_epi8(t.hi, hi_n),
                     );
                     *a = _mm256_xor_si256(*a, prod);
                 }
@@ -332,13 +362,52 @@ mod x86 {
         )
     }
 
+    /// The `V` vectors of `s` from `off` on.
+    ///
+    /// # Safety
+    ///
+    /// `off + 32·V` must not exceed `s.len()`.
+    // SAFETY: an `unsafe fn` so the bound above is the caller's to keep.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn load<const V: usize>(s: &[u8], off: usize) -> [__m256i; V] {
+        // SAFETY: the caller keeps `off + 32·V` within `s`.
+        std::array::from_fn(|v| unsafe { _mm256_loadu_si256(s.as_ptr().add(off + 32 * v).cast()) })
+    }
+
+    /// Stores `V` vectors into `s` from `off` on.
+    ///
+    /// # Safety
+    ///
+    /// `off + 32·V` must not exceed `s.len()`.
+    // SAFETY: an `unsafe fn` so the bound above is the caller's to keep.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn store<const V: usize>(s: &mut [u8], off: usize, x: &[__m256i; V]) {
+        for (v, x) in x.iter().enumerate() {
+            // SAFETY: the caller keeps `off + 32·V` within `s`.
+            unsafe { _mm256_storeu_si256(s.as_mut_ptr().add(off + 32 * v).cast(), *x) };
+        }
+    }
+
+    /// Prefetches the line of `s` holding byte `at` into every cache
+    /// level. The kernels guard every call with `off + AHEAD < len`, so the
+    /// line lies inside `s`; `wrapping_add` keeps the address computation
+    /// defined even past the end, and a prefetch never faults.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn prefetch(s: &[u8], at: usize) {
+        _mm_prefetch::<_MM_HINT_T0>(s.as_ptr().wrapping_add(at).cast());
+    }
+
     /// [`super::encode`] on AVX2: outputs in groups of [`MAX_OUTS`], each
     /// group one pass over the sources.
     pub(super) fn encode(coeffs: &[u8], srcs: &[&[u8]], outs: &mut [&mut [u8]]) {
         let k = srcs.len();
         for (rows, outs) in coeffs.chunks(MAX_OUTS * k).zip(outs.chunks_mut(MAX_OUTS)) {
             // SAFETY: the caller checked AVX2 (`avx2()`), the callee's ISA.
-            // One or two outputs leave registers to step 64 bytes at a time.
+            // One or two outputs leave registers to load a line of each
+            // source at once.
             unsafe {
                 match outs.len() {
                     1 => encode_group::<1, 2>(rows, srcs, outs),
@@ -350,8 +419,9 @@ mod x86 {
         }
     }
 
-    /// `N` outputs over every source, [`MAX_SRCS`] sources per pass, `V`
-    /// vectors per step.
+    /// `N` outputs over every source, [`MAX_SRCS`] sources per pass, one
+    /// [`LINE`] at a time in steps of `V` vectors; the first step of each
+    /// line prefetches every stream [`AHEAD`].
     #[target_feature(enable = "avx2")]
     fn encode_group<const N: usize, const V: usize>(
         rows: &[u8],
@@ -370,14 +440,19 @@ mod x86 {
             let accumulate = g > 0;
             let len = group[0].len();
             let mut off = 0;
-            while off + 32 * V <= len {
-                // SAFETY: `off + 32·V <= len`, the length of every buffer.
-                unsafe { encode_step::<N, V>(terms, group, outs, off, accumulate) };
-                off += 32 * V;
+            while off + LINE <= len {
+                let ahead = off + AHEAD < len;
+                for at in (off..off + LINE).step_by(32 * V) {
+                    let ahead = ahead && at == off;
+                    // SAFETY: `at + 32·V <= off + LINE <= len`, the length
+                    // of every buffer.
+                    unsafe { encode_step::<N, V>(terms, group, outs, at, accumulate, ahead) };
+                }
+                off += LINE;
             }
-            while off + 32 <= len {
-                // SAFETY: as above, one vector at a time.
-                unsafe { encode_step::<N, 1>(terms, group, outs, off, accumulate) };
+            if off + 32 <= len {
+                // SAFETY: as above, one vector.
+                unsafe { encode_step::<N, 1>(terms, group, outs, off, accumulate, false) };
                 off += 32;
             }
             for x in off..len {
@@ -394,7 +469,9 @@ mod x86 {
 
     /// One interleaved step over `32·V` bytes at `off`: every source is
     /// loaded once and multiplied into `N × V` register accumulators, which
-    /// start from zero or, with `accumulate`, from the outputs.
+    /// start from zero or, with `accumulate`, from the outputs. With
+    /// `ahead`, it also prefetches each stream at `off + AHEAD`, which the
+    /// caller keeps below the streams' length.
     ///
     /// # Safety
     ///
@@ -409,75 +486,127 @@ mod x86 {
         outs: &mut [&mut [u8]],
         off: usize,
         accumulate: bool,
+        ahead: bool,
     ) {
-        let mut acc = [[_mm256_setzero_si256(); V]; N];
-        if accumulate {
-            for (a, o) in acc.iter_mut().zip(outs.iter()) {
-                for (v, a) in a.iter_mut().enumerate() {
-                    // SAFETY: the caller keeps `off + 32·V` within `o`.
-                    *a = unsafe { _mm256_loadu_si256(o.as_ptr().add(off + 32 * v).cast()) };
+        // SAFETY: the caller keeps `off + 32·V` within every source and
+        // output, which is all `load` and `store` require.
+        unsafe {
+            let mut acc = [[_mm256_setzero_si256(); V]; N];
+            if accumulate {
+                for (a, o) in acc.iter_mut().zip(outs.iter()) {
+                    *a = load(o, off);
                 }
             }
-        }
-        for (src, col) in srcs.iter().zip(terms) {
-            // SAFETY: the caller keeps `off + 32·V` within `src`.
-            let x: [__m256i; V] = std::array::from_fn(|v| unsafe {
-                _mm256_loadu_si256(src.as_ptr().add(off + 32 * v).cast())
-            });
-            let nib = x.map(|x| nibbles(x));
-            for (a, t) in acc.iter_mut().zip(col) {
-                mul_acc_vectors(t, a, &x, &nib);
+            for (src, col) in srcs.iter().zip(terms) {
+                if ahead {
+                    prefetch(src, off + AHEAD);
+                }
+                let x: [__m256i; V] = load(src, off);
+                let nib = x.map(|x| nibbles(x));
+                for (a, t) in acc.iter_mut().zip(col) {
+                    mul_acc_vectors(&Wide::new(t), a, &x, &nib);
+                }
             }
-        }
-        for (a, o) in acc.iter().zip(outs.iter_mut()) {
-            for (v, a) in a.iter().enumerate() {
-                // SAFETY: the caller keeps `off + 32·V` within `o`.
-                unsafe { _mm256_storeu_si256(o.as_mut_ptr().add(off + 32 * v).cast(), *a) };
+            for (a, o) in acc.iter().zip(outs.iter_mut()) {
+                if ahead {
+                    prefetch(o, off + AHEAD);
+                }
+                store(o, off, a);
             }
         }
     }
 
     /// [`super::update`] on AVX2, for at most [`MAX_OUTS`] parities.
     pub(super) fn update(coeffs: &[u8], data: &mut [u8], new: &[u8], parity: &mut [&mut [u8]]) {
-        let mut terms = [mul_table(0); MAX_OUTS];
-        for (t, &c) in terms.iter_mut().zip(coeffs) {
-            *t = mul_table(c);
-        }
         // SAFETY: the caller checked AVX2 (`avx2()`), the callee's ISA.
-        unsafe { update_pass(&terms[..parity.len()], data, new, parity) }
+        unsafe {
+            match parity.len() {
+                0 => update_pass::<0>(coeffs, data, new, parity),
+                1 => update_pass::<1>(coeffs, data, new, parity),
+                2 => update_pass::<2>(coeffs, data, new, parity),
+                3 => update_pass::<3>(coeffs, data, new, parity),
+                _ => update_pass::<4>(coeffs, data, new, parity),
+            }
+        }
     }
 
-    /// Per 32 bytes: load the old and new data, store the new, and fold the
-    /// delta into every parity.
+    /// `N` parities, one [`LINE`] of every stream per step, with the
+    /// tables in registers for the whole pass; each step prefetches every
+    /// stream [`AHEAD`]. With `N = 0` it is the copy `data = new`.
     #[target_feature(enable = "avx2")]
-    fn update_pass(terms: &[&MulTable], data: &mut [u8], new: &[u8], parity: &mut [&mut [u8]]) {
+    fn update_pass<const N: usize>(
+        coeffs: &[u8],
+        data: &mut [u8],
+        new: &[u8],
+        parity: &mut [&mut [u8]],
+    ) {
+        let coeffs: &[u8; N] = coeffs.try_into().expect("one coefficient per parity");
+        let parity: &mut [&mut [u8]; N] =
+            parity.try_into().expect("dispatched on the parity count");
+        let terms = coeffs.map(mul_table);
+        let wide = terms.map(|t| Wide::new(t));
         let len = data.len();
-        let wide = len / 32 * 32;
         let mut off = 0;
-        while off < wide {
-            // SAFETY: `off + 32 <= wide <= len`, and `new` and every parity
-            // are `len` long (the public entry point asserts it), so every
-            // unaligned 256-bit load/store stays in bounds.
-            unsafe {
-                let old = _mm256_loadu_si256(data.as_ptr().add(off).cast());
-                let n = _mm256_loadu_si256(new.as_ptr().add(off).cast());
-                _mm256_storeu_si256(data.as_mut_ptr().add(off).cast(), n);
-                let delta = [_mm256_xor_si256(old, n)];
-                let nib = [nibbles(delta[0])];
-                for (p, t) in parity.iter_mut().zip(terms) {
-                    let at = p.as_mut_ptr().add(off).cast();
-                    let mut acc = [_mm256_loadu_si256(at)];
-                    mul_acc_vectors(t, &mut acc, &delta, &nib);
-                    _mm256_storeu_si256(at, acc[0]);
-                }
-            }
+        while off + LINE <= len {
+            let ahead = off + AHEAD < len;
+            // SAFETY: `off + LINE <= len`, and `new` and every parity are
+            // `len` long (the public entry point asserts it).
+            unsafe { update_step::<N, 2>(&wide, data, new, parity, off, ahead) };
+            off += LINE;
+        }
+        if off + 32 <= len {
+            // SAFETY: as above, one vector.
+            unsafe { update_step::<N, 1>(&wide, data, new, parity, off, false) };
             off += 32;
         }
-        for x in wide..len {
+        for x in off..len {
             let delta = data[x] ^ new[x];
             data[x] = new[x];
             for (p, t) in parity.iter_mut().zip(terms) {
                 p[x] ^= t.mul_byte(delta);
+            }
+        }
+    }
+
+    /// One step over `32·V` bytes at `off`: load the old and new data,
+    /// store the new, and fold the delta into every parity. With `ahead`,
+    /// it also prefetches each stream at `off + AHEAD`, which the caller
+    /// keeps below the streams' length.
+    ///
+    /// # Safety
+    ///
+    /// `off + 32·V` must not exceed the length of `data`, `new` or any
+    /// parity.
+    // SAFETY: an `unsafe fn` so the bounds above are the caller's to keep;
+    // every load and store below relies on them.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn update_step<const N: usize, const V: usize>(
+        terms: &[Wide; N],
+        data: &mut [u8],
+        new: &[u8],
+        parity: &mut [&mut [u8]; N],
+        off: usize,
+        ahead: bool,
+    ) {
+        // SAFETY: the caller keeps `off + 32·V` within `data`, `new` and
+        // every parity, which is all `load` and `store` require.
+        unsafe {
+            if ahead {
+                prefetch(data, off + AHEAD);
+                prefetch(new, off + AHEAD);
+            }
+            let (old, n): ([__m256i; V], [__m256i; V]) = (load(data, off), load(new, off));
+            store(data, off, &n);
+            let delta: [__m256i; V] = std::array::from_fn(|v| _mm256_xor_si256(old[v], n[v]));
+            let nib = delta.map(|x| nibbles(x));
+            for (p, t) in parity.iter_mut().zip(terms) {
+                if ahead {
+                    prefetch(p, off + AHEAD);
+                }
+                let mut acc = load(p, off);
+                mul_acc_vectors(t, &mut acc, &delta, &nib);
+                store(p, off, &acc);
             }
         }
     }

@@ -258,30 +258,166 @@ fn long_encode_matches_scalar_for_one_to_six_outputs() {
     }
 }
 
+/// `update` coefficients for up to four parities: 0 (skipped), 1 (plain
+/// XOR) and general multipliers in every position.
+const UPDATE_COEFFS: [[u8; 4]; 5] = [
+    [1, 0, 2, 0x8E],
+    [1, 1, 1, 1],
+    [0, 0x8E, 0xFF, 1],
+    [1, 0x1D, 4, 0x53],
+    [0xFF, 2, 0, 0x1D],
+];
+
+/// Runs `update` on `data`, `new` and `parity` and checks them against the
+/// scalar reference: the data takes the new bytes and each parity moves
+/// by `c·old ⊕ c·new`.
+fn check_update(coeffs: &[u8], data: &mut [u8], new: &[u8], parity: &mut [&mut [u8]], what: &str) {
+    let expect: Vec<Vec<u8>> = parity
+        .iter()
+        .zip(coeffs)
+        .map(|(p, &c)| {
+            let mut e = p.to_vec();
+            gf256::mul_acc_ref(&mut e, data, c);
+            gf256::mul_acc_ref(&mut e, new, c);
+            e
+        })
+        .collect();
+    kernels::update(coeffs, data, new, parity);
+    assert!(data == new, "{what}: data = new");
+    for (j, (p, e)) in parity.iter().zip(&expect).enumerate() {
+        assert!(**p == e[..], "{what}: parity {j}");
+    }
+}
+
 #[test]
-fn long_update_matches_scalar_for_one_and_two_parities() {
-    // Coefficient 0 (skipped), 1 (plain XOR) and a general multiplier on
-    // P and on Q.
+fn update_with_no_parity_copies_the_new_bytes() {
+    // A RAID-5 write whose P member is lost updates no parity: the data
+    // chunk just takes the new bytes. (The long and edge tests below cover
+    // zero parities at their lengths.)
+    for &len in LENGTHS {
+        let mut data = pattern(len, 0x21);
+        let new = pattern(len, 0x9C);
+        check_update(&[], &mut data, &new, &mut [], &format!("len={len}"));
+    }
+}
+
+#[test]
+fn long_update_matches_scalar_for_zero_to_four_parities() {
     for &len in LONG_LENGTHS {
-        for coeffs in [[1u8, 0], [1, 1], [0, 0x8E], [1, 0x1D], [0xFF, 2]] {
-            for m in 1..=2 {
+        for coeffs in UPDATE_COEFFS {
+            for m in 0..=4 {
                 let coeffs = &coeffs[..m];
                 let mut data = pattern(len, 0x11);
                 let new = pattern(len, 0x6B);
                 let mut parity: Vec<Vec<u8>> = (0..m).map(|j| pattern(len, 90 + j as u8)).collect();
-                let mut expect = parity.clone();
-                for (p, &c) in expect.iter_mut().zip(coeffs) {
-                    gf256::mul_acc_ref(p, &data, c);
-                    gf256::mul_acc_ref(p, &new, c);
-                }
-                kernels::update(
+                check_update(
                     coeffs,
                     &mut data,
                     &new,
                     &mut parity.iter_mut().map(|p| &mut p[..]).collect::<Vec<_>>(),
+                    &format!("len={len} coeffs={coeffs:?}"),
                 );
-                assert!(data == new, "len={len} coeffs={coeffs:?}: data = new");
-                assert!(parity == expect, "len={len} coeffs={coeffs:?}");
+            }
+        }
+    }
+}
+
+/// Lengths on either side of every distance the AVX2 kernels' prefetch was
+/// tuned over (512 B to 4 KiB, the page size at which the hardware
+/// prefetchers stop) and of two pages plus most of a line.
+fn edge_lengths() -> Vec<usize> {
+    let mut lengths: Vec<usize> = [512usize, 1024, 2048, 4096]
+        .into_iter()
+        .flat_map(|d| [d - 1, d, d + 1, d + 63, d + 64, d + 65])
+        .collect();
+    lengths.extend([4095, 4097, 8191 + 63]);
+    lengths
+}
+
+/// Bytes after each stream's sub-slice, which no kernel may touch.
+const GUARD: usize = 4096 + 64;
+
+/// A buffer with room for a `len`-byte stream at offset `at` and [`GUARD`]
+/// bytes after it.
+fn framed(len: usize, at: usize, seed: u8) -> Vec<u8> {
+    pattern(len + at + GUARD, seed)
+}
+
+/// Checks that the bytes of a [`framed`] buffer outside its stream are
+/// still the pattern they were built with.
+fn untouched(buf: &[u8], len: usize, at: usize, seed: u8, what: &str) {
+    let fresh = pattern(buf.len(), seed);
+    assert!(buf[..at] == fresh[..at], "{what}: bytes before the slice");
+    assert!(
+        buf[at + len..] == fresh[at + len..],
+        "{what}: bytes after the slice"
+    );
+}
+
+#[test]
+fn kernels_match_scalar_across_prefetch_and_page_edges_on_offset_subslices() {
+    // Every stream is a sub-slice at its own odd offset inside a larger
+    // buffer, so no stream is aligned and each ends mid-line; the bytes
+    // around every sub-slice must stay as they were.
+    let k = 6;
+    for len in edge_lengths() {
+        for shift in [1usize, 33, 63] {
+            let at = |i: usize| (shift + 2 * i) | 1;
+            let srcs: Vec<Vec<u8>> = (0..k).map(|i| framed(len, at(i), i as u8)).collect();
+            let refs: Vec<&[u8]> = srcs
+                .iter()
+                .enumerate()
+                .map(|(i, s)| &s[at(i)..][..len])
+                .collect();
+            for m in [1usize, 2, 3, 4, 6] {
+                let what = format!("encode len={len} shift={shift} m={m}");
+                let coeffs: Vec<u8> = (0..m * k)
+                    .map(|t| background(t / k, t % k) ^ t as u8)
+                    .collect();
+                let seed = |j: usize| 0x40 + j as u8;
+                let mut outs: Vec<Vec<u8>> =
+                    (0..m).map(|j| framed(len, at(k + j), seed(j))).collect();
+                kernels::encode(
+                    &coeffs,
+                    &refs,
+                    &mut outs
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(j, o)| &mut o[at(k + j)..][..len])
+                        .collect::<Vec<_>>(),
+                );
+                for (j, out) in outs.iter().enumerate() {
+                    let row = &coeffs[j * k..][..k];
+                    assert!(
+                        out[at(k + j)..][..len] == dot_ref(row, &refs, len)[..],
+                        "{what} out={j}"
+                    );
+                    untouched(out, len, at(k + j), seed(j), &what);
+                }
+            }
+            for m in 0..=4 {
+                let what = format!("update len={len} shift={shift} m={m}");
+                let coeffs = &UPDATE_COEFFS[(len + shift) % UPDATE_COEFFS.len()][..m];
+                let seed = |j: usize| 0x80 + j as u8;
+                let mut data = framed(len, at(0), seed(0));
+                let mut parity: Vec<Vec<u8>> = (0..m)
+                    .map(|j| framed(len, at(2 + j), seed(2 + j)))
+                    .collect();
+                check_update(
+                    coeffs,
+                    &mut data[at(0)..][..len],
+                    refs[1],
+                    &mut parity
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(j, p)| &mut p[at(2 + j)..][..len])
+                        .collect::<Vec<_>>(),
+                    &what,
+                );
+                untouched(&data, len, at(0), seed(0), &what);
+                for (j, p) in parity.iter().enumerate() {
+                    untouched(p, len, at(2 + j), seed(2 + j), &what);
+                }
             }
         }
     }
