@@ -9,17 +9,22 @@
 //! ```
 //!
 //! Scenarios (each runs bit-for-bit identically on both engines, so the
-//! fired-event counts match and the speedup is a pure time ratio):
+//! fired-event counts match and the speedup is a pure time ratio). The two
+//! engines run each scenario round-robin, alternating which goes first, so
+//! host drift does not land on the ratio:
 //!
 //! * `heap_random_steady` — a bounded in-flight window of events, each
 //!   firing rescheduling a successor at a pseudorandom future delta (the
 //!   steady-state shape of a running simulation, where every step
 //!   completion goes through the heap). Measures the heap path end to end:
 //!   the new engine's successor push overwrites the spent top in one
-//!   sift-down where the baseline pops and then pushes, and it sifts
-//!   24-byte index entries compared by one `u128` key, with a hot, bounded
-//!   slab, where the baseline sifts boxed-closure fat entries. CI floors it
-//!   at 1.0×: the new engine must not be slower on its most common path.
+//!   sift-down where the baseline pops and then pushes, and it compares
+//!   entries by one `u128` key. Its events are boxed closures, so each
+//!   48-byte heap entry addresses a slot of a hot, bounded slab, where the
+//!   baseline sifts boxed-closure fat entries. (The array's step
+//!   completions are plain-data events, which ride in their heap entries
+//!   and skip the slab.) CI floors it at 1.0×: the new engine must not be
+//!   slower on its most common path.
 //! * `completion_chain_backlog` — a long same-instant completion chain over
 //!   a deep backlog of far-future timers; stresses the same-instant FIFO
 //!   fast path against sift-to-root heap pushes. This is the headline
@@ -65,19 +70,62 @@ impl Measurement {
     }
 }
 
-/// Runs `f` `repeats` times and keeps the fastest run (the usual
-/// min-of-N noise filter for wall-clock micro-benchmarks). One untimed
-/// warm-up call first, so no engine pays the allocator's page-fault cost.
-fn best_of(repeats: usize, mut f: impl FnMut() -> (u64, Duration)) -> (u64, Duration) {
-    let mut best = f();
-    for _ in 0..repeats {
-        let run = f();
-        assert_eq!(run.0, best.0, "scenario fired a different event count");
-        if run.1 < best.1 {
-            best = run;
+/// Times the two engines on one scenario round-robin: one untimed warm-up
+/// call each, so no engine pays the allocator's page-fault cost, then
+/// `repeats` rounds that run both, alternating which goes first. Keeps each
+/// engine's fastest run (the usual min-of-N noise filter for wall-clock
+/// micro-benchmarks), new engine first. Host drift over the block then
+/// lands on both engines alike instead of on their ratio.
+fn best_of_pair(
+    repeats: usize,
+    mut new: impl FnMut() -> (u64, Duration),
+    mut baseline: impl FnMut() -> (u64, Duration),
+) -> [(u64, Duration); 2] {
+    let mut run = |engine: usize| if engine == 0 { new() } else { baseline() };
+    let mut best = [run(0), run(1)];
+    assert_eq!(best[0].0, best[1].0, "engines fired different event counts");
+    for round in 0..repeats {
+        let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
+        for engine in order {
+            let timed = run(engine);
+            assert_eq!(
+                timed.0, best[engine].0,
+                "scenario fired a different event count"
+            );
+            if timed.1 < best[engine].1 {
+                best[engine] = timed;
+            }
         }
     }
     best
+}
+
+/// Measures one scenario on both engines and prints and records a row for
+/// each.
+fn measure(
+    results: &mut Vec<Measurement>,
+    repeats: usize,
+    scenario: &'static str,
+    new: impl FnMut() -> (u64, Duration),
+    baseline: impl FnMut() -> (u64, Duration),
+) {
+    let runs = best_of_pair(repeats, new, baseline);
+    for (engine, (events, elapsed)) in ["new", "baseline"].into_iter().zip(runs) {
+        let m = Measurement {
+            scenario,
+            engine,
+            events,
+            elapsed,
+        };
+        println!(
+            "{:<26} {:<9} {:>9} events  {:>8.2} M events/s",
+            scenario,
+            engine,
+            events,
+            m.events_per_sec() / 1e6
+        );
+        results.push(m);
+    }
 }
 
 /// The two micro scenarios with a shared body (heap churn and the completion
@@ -268,49 +316,34 @@ fn main() {
     let ops = 100_000 / scale;
 
     let mut results: Vec<Measurement> = Vec::new();
-    let mut measure =
-        |scenario: &'static str, engine: &'static str, f: &mut dyn FnMut() -> (u64, Duration)| {
-            let (events, elapsed) = best_of(repeats, f);
-            let m = Measurement {
-                scenario,
-                engine,
-                events,
-                elapsed,
-            };
-            println!(
-                "{:<26} {:<9} {:>9} events  {:>8.2} M events/s",
-                scenario,
-                engine,
-                events,
-                m.events_per_sec() / 1e6
-            );
-            results.push(m);
-        };
-
-    measure("heap_random_steady", "new", &mut || {
-        heap_random_new(heap_n, 1_000)
-    });
-    measure("heap_random_steady", "baseline", &mut || {
-        heap_random_baseline(heap_n, 1_000)
-    });
-    measure("completion_chain_backlog", "new", &mut || {
-        chain_backlog_new(chain_n, backlog)
-    });
-    measure("completion_chain_backlog", "baseline", &mut || {
-        chain_backlog_baseline(chain_n, backlog)
-    });
-    measure("timer_arm_cancel", "new", &mut || {
-        timer_cancel_new(ops, 1, DEADLINE_DELAY)
-    });
-    measure("timer_arm_cancel", "baseline", &mut || {
-        timer_cancel_baseline(ops, 1, DEADLINE_DELAY)
-    });
-    measure("deadline_backlog", "new", &mut || {
-        timer_cancel_new(ops, BACKLOG_INFLIGHT, BACKLOG_DEADLINE_DELAY)
-    });
-    measure("deadline_backlog", "baseline", &mut || {
-        timer_cancel_baseline(ops, BACKLOG_INFLIGHT, BACKLOG_DEADLINE_DELAY)
-    });
+    measure(
+        &mut results,
+        repeats,
+        "heap_random_steady",
+        || heap_random_new(heap_n, 1_000),
+        || heap_random_baseline(heap_n, 1_000),
+    );
+    measure(
+        &mut results,
+        repeats,
+        "completion_chain_backlog",
+        || chain_backlog_new(chain_n, backlog),
+        || chain_backlog_baseline(chain_n, backlog),
+    );
+    measure(
+        &mut results,
+        repeats,
+        "timer_arm_cancel",
+        || timer_cancel_new(ops, 1, DEADLINE_DELAY),
+        || timer_cancel_baseline(ops, 1, DEADLINE_DELAY),
+    );
+    measure(
+        &mut results,
+        repeats,
+        "deadline_backlog",
+        || timer_cancel_new(ops, BACKLOG_INFLIGHT, BACKLOG_DEADLINE_DELAY),
+        || timer_cancel_baseline(ops, BACKLOG_INFLIGHT, BACKLOG_DEADLINE_DELAY),
+    );
 
     let rate = |scenario: &str, engine: &str| {
         results

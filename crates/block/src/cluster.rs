@@ -172,16 +172,19 @@ impl Cluster {
     }
 
     /// The host's fabric node.
+    #[inline]
     pub fn host_node(&self) -> NodeId {
         self.host_node
     }
 
     /// A server's fabric node.
+    #[inline]
     pub fn server_node(&self, server: ServerId) -> NodeId {
         self.servers[server.0].node
     }
 
     /// Reverse lookup from a fabric node to the server living on it.
+    #[inline]
     pub fn server_at(&self, node: NodeId) -> Option<ServerId> {
         self.node_server.get(node.0).copied().flatten()
     }
@@ -191,6 +194,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if the pair has no connection (i.e. `from == to`).
+    #[inline]
     fn conn(&self, from: NodeId, to: NodeId) -> ConnId {
         let n = self.node_server.len();
         (from.0 < n && to.0 < n)
@@ -220,6 +224,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if the pair has no connection (i.e. `from == to`).
+    #[inline]
     pub fn try_transfer(
         &mut self,
         now: SimTime,
@@ -236,6 +241,7 @@ impl Cluster {
     /// # Errors
     ///
     /// Propagates the drive's failure state.
+    #[inline]
     pub fn drive_read(
         &mut self,
         now: SimTime,
@@ -250,6 +256,7 @@ impl Cluster {
     /// # Errors
     ///
     /// Propagates the drive's failure state.
+    #[inline]
     pub fn drive_write(
         &mut self,
         now: SimTime,
@@ -264,6 +271,7 @@ impl Cluster {
     /// # Panics
     ///
     /// Panics if `node` is not part of this cluster.
+    #[inline]
     pub fn cpu_mut(&mut self, node: NodeId) -> &mut Cpu {
         if node == self.host_node {
             &mut self.host_cpu

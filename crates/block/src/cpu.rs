@@ -58,22 +58,26 @@ impl Cpu {
     }
 
     /// Charges an XOR pass over `bytes`.
+    #[inline]
     pub fn xor(&mut self, now: SimTime, bytes: u64) -> Service {
         self.core.serve_at_rate(now, bytes, self.spec.xor_rate)
     }
 
     /// Charges a GF(256) multiply-accumulate pass over `bytes`.
+    #[inline]
     pub fn gf_mul(&mut self, now: SimTime, bytes: u64) -> Service {
         self.core.serve_at_rate(now, bytes, self.spec.gf_rate)
     }
 
     /// Charges the fixed per-I/O software cost.
+    #[inline]
     pub fn per_io(&mut self, now: SimTime) -> Service {
         self.core.serve_fixed(now, self.spec.per_io)
     }
 
     /// Charges an arbitrary fixed cost (e.g. Linux stripe-cache page
     /// handling).
+    #[inline]
     pub fn busy_for(&mut self, now: SimTime, duration: SimTime) -> Service {
         self.core.serve_fixed(now, duration)
     }

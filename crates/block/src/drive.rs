@@ -121,6 +121,7 @@ impl Drive {
 
     /// Current health, given the clock (transient windows expire on their
     /// own).
+    #[inline]
     pub fn state(&self, now: SimTime) -> DriveState {
         match self.state {
             DriveState::Transient(until) if now >= until => DriveState::Healthy,
@@ -176,6 +177,7 @@ impl Drive {
     /// # Errors
     ///
     /// [`DriveError`] if the drive is failed or in a transient window.
+    #[inline]
     pub fn read(&mut self, now: SimTime, bytes: u64) -> Result<Service, DriveError> {
         self.bytes_offered += bytes;
         if let Err(e) = self.check(now) {
@@ -198,6 +200,7 @@ impl Drive {
     /// # Errors
     ///
     /// [`DriveError`] if the drive is failed or in a transient window.
+    #[inline]
     pub fn write(&mut self, now: SimTime, bytes: u64) -> Result<Service, DriveError> {
         self.bytes_offered += bytes;
         if let Err(e) = self.check(now) {
@@ -214,12 +217,14 @@ impl Drive {
         })
     }
 
+    #[inline]
     fn effective(&self, rate: draid_sim::ByteRate) -> draid_sim::ByteRate {
         rate.scaled(1.0 / self.slow_factor)
     }
 
     /// `latency` stretched by the fail-slow factor; a healthy drive's factor
     /// of exactly 1 skips the float math (bit-identical below 2^53 ns).
+    #[inline]
     fn stretch(&self, latency: SimTime) -> SimTime {
         if self.slow_factor == 1.0 {
             return latency;
@@ -227,6 +232,7 @@ impl Drive {
         SimTime::from_nanos((latency.as_nanos() as f64 * self.slow_factor).round() as u64)
     }
 
+    #[inline]
     fn check(&mut self, now: SimTime) -> Result<(), DriveError> {
         match self.state(now) {
             DriveState::Healthy => {

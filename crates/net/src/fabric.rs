@@ -59,6 +59,7 @@ struct LinkState {
 }
 
 impl LinkState {
+    #[inline]
     fn is_down(&self, now: SimTime) -> bool {
         self.admin_down
             || self
@@ -69,6 +70,7 @@ impl LinkState {
 
     /// The smallest active degradation factor (degradations stack by taking
     /// the worst), or 1.0 when the link is at full speed.
+    #[inline]
     fn rate_factor(&self, now: SimTime) -> f64 {
         self.degraded
             .iter()
@@ -300,6 +302,7 @@ impl Fabric {
     /// # Errors
     ///
     /// [`LinkError`] naming the endpoint whose link refused the transfer.
+    #[inline]
     pub fn try_transfer(
         &mut self,
         now: SimTime,

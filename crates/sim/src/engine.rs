@@ -2,12 +2,15 @@
 //!
 //! Scheduling core (see DESIGN.md §9 "Engine internals"):
 //!
-//! * Events live in a **slab** with a free-list; the binary heap sifts only
-//!   compact `(time, seq, slot)` triples, never whole events.
 //! * An event is either a boxed closure or **plain data** — a function
 //!   pointer plus three words of arguments ([`Engine::schedule_call_at`]).
 //!   Plain-data events allocate nothing, so hot event kinds whose state fits
 //!   in three words (the executor's step completions) use them.
+//! * A plain-data event rides in its **heap entry**: the 48-byte entry holds
+//!   `(time, seq)`, the handler and the three argument words, so scheduling
+//!   and firing one touches nothing but the heap. Boxed closures and timers
+//!   live in a **slab** with a free-list, and their heap or lane entry holds
+//!   the slot; timers need the slot, because [`Engine::cancel`] empties it.
 //! * Events scheduled at the current instant — completion chains, the most
 //!   common pattern in the executor — bypass the heap entirely through a
 //!   **same-instant FIFO** (`VecDeque`).
@@ -67,33 +70,56 @@ impl<W> Event<W> {
     }
 }
 
-/// Compact heap entry: 24 bytes moved per sift, addressing the slab slot
-/// that owns the event.
-#[derive(Clone, Copy)]
-struct HeapEntry {
+/// Event-heap entry, 48 bytes. A plain-data event rides in it whole; a
+/// boxed closure or a timer has no handler here and its slab slot in
+/// `args[0]`.
+struct HeapEntry<W> {
     time: SimTime,
     seq: u64,
-    slot: u32,
+    /// The plain-data event's handler, or `None` for a slab-backed entry.
+    call: Option<EventFn<W>>,
+    /// The handler's arguments, or `[slot, 0, 0]` for a slab-backed entry.
+    args: [u64; 3],
 }
 
-impl HeapEntry {
+const _: () = assert!(std::mem::size_of::<HeapEntry<()>>() == 48);
+
+// Not derived: a derive would require `W: Copy`.
+impl<W> Clone for HeapEntry<W> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<W> Copy for HeapEntry<W> {}
+
+impl<W> HeapEntry<W> {
+    /// The entry of the event in slab slot `slot`.
+    fn slab(time: SimTime, seq: u64, slot: u32) -> Self {
+        HeapEntry {
+            time,
+            seq,
+            call: None,
+            args: [u64::from(slot), 0, 0],
+        }
+    }
+
     /// `(time, seq)` as one integer, `time << 64 | seq`: a sift step then
     /// makes one comparison instead of a tuple compare.
-    fn key(self) -> u128 {
+    fn key(&self) -> u128 {
         u128::from(self.time.as_nanos()) << 64 | u128::from(self.seq)
     }
 }
 
-impl PartialEq for HeapEntry {
+impl<W> PartialEq for HeapEntry<W> {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
     }
 }
-impl Eq for HeapEntry {}
+impl<W> Eq for HeapEntry<W> {}
 // BinaryHeap is a max-heap; every comparison is inverted so the earliest
 // `(time, seq)` pops first. The sift loops use `<=` and `>=`, so those are
 // overridden too rather than derived from `partial_cmp`.
-impl PartialOrd for HeapEntry {
+impl<W> PartialOrd for HeapEntry<W> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -110,7 +136,7 @@ impl PartialOrd for HeapEntry {
         other.key() >= self.key()
     }
 }
-impl Ord for HeapEntry {
+impl<W> Ord for HeapEntry<W> {
     fn cmp(&self, other: &Self) -> Ordering {
         other.key().cmp(&self.key())
     }
@@ -132,20 +158,20 @@ struct LaneEntry {
 }
 
 impl LaneEntry {
-    fn pack(entry: HeapEntry) -> Option<LaneEntry> {
-        let fits = entry.seq < 1 << (64 - LANE_SLOT_BITS) && entry.slot < 1 << LANE_SLOT_BITS;
+    fn pack(time: SimTime, seq: u64, slot: u32) -> Option<LaneEntry> {
+        let fits = seq < 1 << (64 - LANE_SLOT_BITS) && slot < 1 << LANE_SLOT_BITS;
         fits.then(|| LaneEntry {
-            time: entry.time,
-            key: entry.seq << LANE_SLOT_BITS | u64::from(entry.slot),
+            time,
+            key: seq << LANE_SLOT_BITS | u64::from(slot),
         })
     }
 
-    fn unpack(self) -> HeapEntry {
-        HeapEntry {
-            time: self.time,
-            seq: self.key >> LANE_SLOT_BITS,
-            slot: (self.key & ((1 << LANE_SLOT_BITS) - 1)) as u32,
-        }
+    fn unpack<W>(self) -> HeapEntry<W> {
+        HeapEntry::slab(
+            self.time,
+            self.key >> LANE_SLOT_BITS,
+            (self.key & ((1 << LANE_SLOT_BITS) - 1)) as u32,
+        )
     }
 }
 
@@ -209,9 +235,10 @@ pub struct EngineStats {
 pub struct Engine<W> {
     now: SimTime,
     seq: u64,
-    /// Future plain events, step completions and the timers that arrived
-    /// out of order for the lane.
-    heap: BinaryHeap<HeapEntry>,
+    /// Future events: plain-data ones (step completions) inline, boxed
+    /// closures and the timers that arrived out of order for the lane by
+    /// slab slot.
+    heap: BinaryHeap<HeapEntry<W>>,
     /// The heap's top has fired (or retired as a canceled timer) but is
     /// still in place: the next heap push overwrites it with one sift-down
     /// instead of a pop and a push. Only set between a heap event's firing
@@ -282,8 +309,11 @@ impl<W> Engine<W> {
         self.stats
     }
 
-    /// Slab slots allocated so far (high-water mark of events pending
-    /// outside the same-instant FIFO; diagnostic for the engine benchmarks).
+    /// Slab slots allocated so far: the high-water mark of pending boxed
+    /// closures outside the same-instant FIFO plus pending timers, canceled
+    /// ones included until their entries retire. Plain-data events ride in
+    /// their heap entries and hold no slot. A diagnostic for the engine
+    /// benchmarks.
     pub fn slab_slots(&self) -> usize {
         self.slots.len()
     }
@@ -346,22 +376,27 @@ impl<W> Engine<W> {
         if at == self.now {
             self.fast.push_back((seq, event));
         } else {
-            let slot = self.alloc_slot(seq, event);
-            self.heap_push(HeapEntry {
-                time: at,
-                seq,
-                slot,
-            });
+            let entry = match event {
+                Event::Call(handler, args) => HeapEntry {
+                    time: at,
+                    seq,
+                    call: Some(handler),
+                    args,
+                },
+                Event::Boxed(_) => HeapEntry::slab(at, seq, self.alloc_slot(seq, event)),
+            };
+            self.heap_push(entry);
         }
     }
 
-    /// Pushes onto the event heap. A spent top is overwritten in place, so
-    /// a handler's first heap push costs one sift-down and the spent entry's
-    /// pop costs nothing. Always inlined into `push` and `push_timer`, the
-    /// per-event hot path: left to the inliner it was outlined in some
-    /// builds, and `small_read_4k` read about 3% slower in simcost.
+    /// Pushes onto the event heap: a plain-data event whole, any other by
+    /// its slab slot. A spent top is overwritten in place, so a handler's
+    /// first heap push costs one sift-down and the spent entry's pop costs
+    /// nothing. Always inlined into `push` and `push_timer`, the per-event
+    /// hot path: left to the inliner it was outlined in some builds, and
+    /// `small_read_4k` read about 3% slower in simcost.
     #[inline(always)]
-    fn heap_push(&mut self, entry: HeapEntry) {
+    fn heap_push(&mut self, entry: HeapEntry<W>) {
         if std::mem::take(&mut self.spent_top) {
             *self.heap.peek_mut().expect("spent top vanished") = entry;
         } else {
@@ -401,7 +436,7 @@ impl<W> Engine<W> {
     }
 
     /// Schedules a cancelable timer at absolute time `at` and returns its
-    /// handle. Timers always go through the slab (never the same-instant
+    /// handle. Timers always take a slab slot (never the same-instant
     /// fast path) into the timer lane, or the event heap if `at` is earlier
     /// than the lane's back, but fire in exactly the same global
     /// `(time, seq)` order as plain events.
@@ -421,15 +456,10 @@ impl<W> Engine<W> {
         self.assert_not_past(at);
         let seq = self.next_seq();
         let slot = self.alloc_slot(seq, event);
-        let entry = HeapEntry {
-            time: at,
-            seq,
-            slot,
-        };
         let in_order = self.lane.back().is_none_or(|back| at >= back.time);
-        match LaneEntry::pack(entry).filter(|_| in_order) {
+        match LaneEntry::pack(at, seq, slot).filter(|_| in_order) {
             Some(packed) => self.lane.push_back(packed),
-            None => self.heap_push(entry),
+            None => self.heap_push(HeapEntry::slab(at, seq, slot)),
         }
         TimerHandle { slot, seq }
     }
@@ -506,7 +536,7 @@ impl<W> Engine<W> {
     /// The earlier of the event heap's top and the lane's front by
     /// `(time, seq)`, and whether it is the lane's. Sequence numbers are
     /// unique, so the choice is exact.
-    fn next_entry(&self) -> Option<(HeapEntry, bool)> {
+    fn next_entry(&self) -> Option<(HeapEntry<W>, bool)> {
         match (self.heap.peek(), self.lane.front()) {
             (Some(&event), Some(timer)) => {
                 let timer = timer.unpack();
@@ -566,16 +596,23 @@ impl<W> Engine<W> {
             );
             self.now = entry.time;
             self.stats.events_fired += 1;
-            let slot = &mut self.slots[entry.slot as usize];
-            if slot.seq == entry.seq {
-                let event = std::mem::replace(&mut slot.event, Event::VACANT);
-                slot.seq = 0;
-                self.free.push(entry.slot);
+            if let Some(handler) = entry.call {
                 self.live -= 1;
-                event.fire(world, self);
+                handler(world, self, entry.args);
+            } else {
+                let index = entry.args[0] as usize;
+                let slot = &mut self.slots[index];
+                if slot.seq == entry.seq {
+                    let event = std::mem::replace(&mut slot.event, Event::VACANT);
+                    slot.seq = 0;
+                    self.free.push(index as u32);
+                    self.live -= 1;
+                    event.fire(world, self);
+                }
+                // else: stale entry of a canceled timer — retired at its due
+                // time (clock advanced, fired counted) without running
+                // anything.
             }
-            // else: stale entry of a canceled timer — retired at its due
-            // time (clock advanced, fired counted) without running anything.
             self.settle_top();
         }
         crate::draid_invariant!(!self.spent_top, "run loop left a spent heap top");
@@ -904,7 +941,11 @@ mod tests {
         let timer = engine.schedule_timer_call_in(SimTime::from_micros(5), bump, [100, 0, 0]);
         assert!(engine.cancel(timer));
         engine.schedule_timer_call_in(SimTime::from_micros(2), bump, [10, 0, 0]);
-        assert_eq!(engine.slab_slots(), 2, "canceled timer's slot recycled");
+        assert_eq!(
+            engine.slab_slots(),
+            1,
+            "the plain-data event rides in its heap entry; the canceled timer's slot is recycled"
+        );
         assert!(!engine.cancel(timer), "stale handle is a no-op");
         let end = engine.run(&mut world);
 
@@ -926,6 +967,29 @@ mod tests {
             (world, end, engine.stats()),
             (closure_world, closure_end, closures.stats())
         );
+    }
+
+    #[test]
+    fn pending_plain_data_events_hold_no_slab_slot() {
+        fn bump(w: &mut u64, _: &mut Engine<u64>, [by, _, _]: [u64; 3]) {
+            *w += by;
+        }
+        const N: u64 = 500;
+        let mut world = 0u64;
+        let mut engine: Engine<u64> = Engine::new();
+        for i in 1..=N {
+            engine.schedule_call_at(SimTime::from_nanos(i), bump, [i, 0, 0]);
+        }
+        assert_eq!(engine.pending() as u64, N);
+        assert_eq!(engine.heap.len() as u64, N);
+        assert_eq!(
+            engine.slab_slots(),
+            0,
+            "plain-data events ride in their heap entries"
+        );
+        engine.run(&mut world);
+        assert_eq!(world, N * (N + 1) / 2);
+        assert_eq!(engine.slab_slots(), 0);
     }
 
     #[test]
@@ -1070,7 +1134,10 @@ mod tests {
         }
 
         fn armed(&mut self, eng: &Engine<Script>, h: TimerHandle, delay: u64) {
-            let in_lane = eng.lane.back().is_some_and(|b| b.unpack().seq == h.seq);
+            let in_lane = eng
+                .lane
+                .back()
+                .is_some_and(|b| b.unpack::<Script>().seq == h.seq);
             if in_lane {
                 self.reached.lane_timers += 1;
             } else {
@@ -1383,11 +1450,13 @@ mod tests {
         for _ in 0..CHAINS {
             arm(&mut engine);
         }
+        // Every heap entry is a live event: plain data, or a slab-backed
+        // entry whose slot still holds it (no canceled deadline).
         let live_only = |engine: &Engine<u64>| {
             engine
                 .heap
                 .iter()
-                .all(|e| engine.slots[e.slot as usize].seq == e.seq)
+                .all(|e| e.call.is_some() || engine.slots[e.args[0] as usize].seq == e.seq)
         };
         engine.run_until(&mut done, SimTime::from_micros(250));
         assert!(done > OPS / 3 && done < OPS);

@@ -9,10 +9,11 @@
 //! The kernel is deliberately small and fully deterministic:
 //!
 //! * [`SimTime`] — nanosecond simulated clock.
-//! * [`Engine`] — slab-backed event queue over a user world type `W`; events
-//!   are `FnOnce(&mut W, &mut Engine<W>)` closures with FIFO tie-breaking, a
-//!   same-instant fast path for completion chains, and cancelable timers
-//!   ([`TimerHandle`]).
+//! * [`Engine`] — event queue over a user world type `W`; events are
+//!   `FnOnce(&mut W, &mut Engine<W>)` closures, held in a slab, or plain-data
+//!   handlers ([`EventFn`]) that ride in their heap entries, with FIFO
+//!   tie-breaking, a same-instant fast path for completion chains, and
+//!   cancelable timers ([`TimerHandle`]).
 //! * [`RateResource`] — a fluid FIFO server: serving `b` bytes at rate `r`
 //!   occupies the resource for `b / r`, queueing behind earlier work.
 //! * [`DetRng`] — seeded deterministic RNG so every experiment replays.

@@ -71,6 +71,7 @@ impl ByteRate {
     /// # Panics
     ///
     /// Panics if `factor` is negative or not finite.
+    #[inline]
     pub fn scaled(self, factor: f64) -> Self {
         if factor == 1.0 {
             return self;
@@ -87,6 +88,7 @@ impl ByteRate {
     /// # Panics
     ///
     /// Panics if the rate is zero.
+    #[inline]
     pub fn time_for(self, bytes: u64) -> SimTime {
         assert!(self.0 > 0, "cannot serve at a zero rate");
         // The exact ceiling either way: a 64-bit division whenever
@@ -272,6 +274,7 @@ impl RateResource {
     /// # Panics
     ///
     /// Panics if `rate` is zero.
+    #[inline]
     pub fn serve_at_rate(&mut self, now: SimTime, bytes: u64, rate: ByteRate) -> Service {
         self.serve_after(now, now, bytes, rate)
     }
@@ -285,6 +288,7 @@ impl RateResource {
     /// # Panics
     ///
     /// Panics if `rate` is zero.
+    #[inline]
     pub fn serve_after(
         &mut self,
         now: SimTime,
@@ -306,6 +310,7 @@ impl RateResource {
     /// # Panics
     ///
     /// Panics if `rate` is zero while `bytes > 0`.
+    #[inline]
     pub fn serve_with_setup(
         &mut self,
         now: SimTime,
@@ -327,6 +332,7 @@ impl RateResource {
 
     /// Queues a fixed-duration unit of work (per-message or per-I/O software
     /// overhead) that occupies the resource without moving bytes.
+    #[inline]
     pub fn serve_fixed(&mut self, now: SimTime, duration: SimTime) -> Service {
         let start = self.next_free.max(now);
         let end = start + duration;
@@ -342,6 +348,7 @@ impl RateResource {
     /// every folded run as fully elapsed, and a later
     /// [`RateResource::reset_counters`] never finds a folded run that ends
     /// after its boundary.
+    #[inline]
     fn charge(&mut self, now: SimTime, start: SimTime, end: SimTime, bytes: u64) {
         while let Some(front) = self.tail.front() {
             if front.end > now {
