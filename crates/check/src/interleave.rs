@@ -11,8 +11,6 @@
 //!   exactly once;
 //! * `map_chunked` upholds the same contract for every claim-chunk size,
 //!   including partial final chunks;
-//! * a shared [`BufPool`] hands out only cleared buffers, never exceeds
-//!   its pooling bound, and survives concurrent take/put cycles;
 //! * [`ChunkStore`]s driven from several threads at once, sharing the
 //!   kernels' process-wide coefficient-table cache, return exactly the
 //!   bytes written and keep their parity consistent.
@@ -21,10 +19,10 @@
 //! failing exit.
 
 use std::collections::BTreeSet;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use draid_bench::parallel;
-use draid_core::{ArrayConfig, BufPool, ChunkStore, Layout, RaidLevel, SystemKind, WriteMode};
+use draid_core::{ArrayConfig, ChunkStore, Layout, RaidLevel, SystemKind, WriteMode};
 
 /// Default number of seeds (the CI gate requires at least 64).
 pub const DEFAULT_SEEDS: u64 = 64;
@@ -38,8 +36,6 @@ pub struct Report {
     pub mapped_items: u64,
     /// Total `parallel::map_chunked` items pushed through order checks.
     pub chunked_items: u64,
-    /// Total BufPool take/put cycles executed under contention.
-    pub pool_cycles: u64,
     /// Total chunk-store writes and checked reads executed from several
     /// threads at once.
     pub store_cycles: u64,
@@ -72,7 +68,6 @@ pub fn run(seeds: u64) -> Report {
     for seed in 0..seeds {
         report.mapped_items += stress_map_order(seed);
         report.chunked_items += stress_chunked_claiming(seed);
-        report.pool_cycles += stress_bufpool(seed);
         report.store_cycles += stress_chunk_stores(seed);
         report.seeds += 1;
     }
@@ -116,45 +111,6 @@ fn stress_chunked_claiming(seed: u64) -> u64 {
         "parallel::map_chunked broke order preservation under seed {seed} (chunk {chunk})"
     );
     n as u64
-}
-
-/// One seed of BufPool contention: workers take, fill, and return
-/// buffers through a shared pool while jitter reorders their critical
-/// sections. Every take must observe a cleared buffer; the pool must
-/// respect its bound afterwards.
-fn stress_bufpool(seed: u64) -> u64 {
-    let pool = Mutex::new(BufPool::new());
-    let cycles = 48u64;
-    let inputs: Vec<u64> = (0..cycles).collect();
-    parallel::map(inputs, |i| {
-        let h = splitmix64(seed ^ (i << 17));
-        let mut buf = pool.lock().expect("pool lock").take();
-        assert!(
-            buf.is_empty(),
-            "BufPool::take returned a dirty buffer (len {}) under seed {seed}",
-            buf.len()
-        );
-        buf.extend_from_slice(&h.to_le_bytes());
-        jitter(h);
-        assert_eq!(buf[..8], h.to_le_bytes(), "buffer corrupted while held");
-        pool.lock().expect("pool lock").put(buf);
-
-        // Exercise the zeroed-take path under the same contention.
-        let len = 64 + (h % 512) as usize;
-        let z = pool.lock().expect("pool lock").take_zeroed(len);
-        assert_eq!(z.len(), len, "take_zeroed returned wrong length");
-        assert!(
-            z.iter().all(|&b| b == 0),
-            "take_zeroed returned non-zero bytes under seed {seed}"
-        );
-        pool.lock().expect("pool lock").put(z);
-    });
-    let pooled = pool.lock().expect("pool lock").pooled();
-    assert!(
-        pooled <= 8,
-        "pool retained {pooled} buffers, beyond its bound of 8"
-    );
-    cycles
 }
 
 /// Threads per seed that drive chunk stores at once.
@@ -282,7 +238,6 @@ mod tests {
         assert_eq!(r.seeds, 4);
         assert!(r.mapped_items >= 4 * 16);
         assert!(r.chunked_items >= 4 * 16);
-        assert_eq!(r.pool_cycles, 4 * 48);
         assert_eq!(r.store_cycles, 4 * STORE_THREADS * 2 * STORE_WRITES);
     }
 

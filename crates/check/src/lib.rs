@@ -12,8 +12,8 @@
 //!   the same seed; the full artifact (stats, histograms, resource ledgers,
 //!   step trace) must match byte-for-byte.
 //! * [`interleave`] — a seeded bounded-interleaving stress harness for the
-//!   `draid_bench::parallel` atomic-cursor claiming discipline and the
-//!   executor's [`draid_core::BufPool`].
+//!   `draid_bench::parallel` atomic-cursor claiming discipline and for
+//!   [`draid_core::ChunkStore`]s driven from several threads at once.
 //!
 //! The runtime legs lean on the `draid_invariant!` checkers compiled into
 //! the simulation crates under `debug_assertions` (or the opt-in

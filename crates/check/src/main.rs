@@ -159,13 +159,9 @@ fn run_interleave(seeds: u64) -> bool {
     // message; a clean return means every assertion held on every seed.
     let report = interleave::run(seeds);
     println!(
-        "interleave: OK ({} seeds, {} ordered map items, {} chunked items, {} pool cycles, \
+        "interleave: OK ({} seeds, {} ordered map items, {} chunked items, \
          {} chunk-store cycles)",
-        report.seeds,
-        report.mapped_items,
-        report.chunked_items,
-        report.pool_cycles,
-        report.store_cycles
+        report.seeds, report.mapped_items, report.chunked_items, report.store_cycles
     );
     true
 }

@@ -1,13 +1,10 @@
-//! Bounded-interleaving edge cases for `draid_bench::parallel::map` and
-//! `draid_core::BufPool` (the interleave harness covers the steady state;
-//! these pin the edges: panic propagation, empty input, tiny inputs,
-//! reuse-after-return).
+//! Bounded-interleaving edge cases for `draid_bench::parallel::map` (the
+//! interleave harness covers the steady state; these pin the edges: panic
+//! propagation, empty input, tiny inputs).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
 
 use draid_bench::parallel;
-use draid_core::BufPool;
 
 #[test]
 fn worker_panic_propagates_to_caller() {
@@ -47,55 +44,4 @@ fn map_under_contention_with_yields_preserves_order() {
         x + 1
     });
     assert_eq!(out, (1..=256).collect::<Vec<_>>());
-}
-
-#[test]
-fn bufpool_reuse_after_return_is_cleared() {
-    let mut pool = BufPool::new();
-    let mut buf = pool.take();
-    buf.extend_from_slice(b"dirty bytes from a previous op");
-    let cap = buf.capacity();
-    pool.put(buf);
-    assert_eq!(pool.pooled(), 1);
-    let reused = pool.take();
-    assert!(reused.is_empty(), "reused buffer must come back cleared");
-    assert_eq!(
-        reused.capacity(),
-        cap,
-        "pool should hand back the same allocation"
-    );
-}
-
-#[test]
-fn bufpool_caps_retained_buffers() {
-    let mut pool = BufPool::new();
-    for _ in 0..32 {
-        pool.put(vec![0u8; 128]);
-    }
-    assert!(
-        pool.pooled() <= 8,
-        "pool exceeded its bound: {}",
-        pool.pooled()
-    );
-}
-
-#[test]
-fn bufpool_take_zeroed_is_zero_even_after_dirty_return() {
-    let mut pool = BufPool::new();
-    pool.put(vec![0xAAu8; 256]);
-    let z = pool.take_zeroed(128);
-    assert_eq!(z.len(), 128);
-    assert!(z.iter().all(|&b| b == 0), "zeroed take leaked dirty bytes");
-}
-
-#[test]
-fn bufpool_shared_across_map_workers_stays_bounded() {
-    let pool = Mutex::new(BufPool::new());
-    parallel::map((0..128u64).collect::<Vec<_>>(), |i| {
-        let mut b = pool.lock().expect("lock").take();
-        assert!(b.is_empty());
-        b.extend_from_slice(&i.to_le_bytes());
-        pool.lock().expect("lock").put(b);
-    });
-    assert!(pool.lock().expect("lock").pooled() <= 8);
 }

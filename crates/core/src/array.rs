@@ -16,7 +16,7 @@ use draid_net::NodeId;
 use draid_sim::{DetRng, Engine, SimTime};
 
 use crate::config::{ArrayConfig, DataMode, ReducerPolicy, SystemKind};
-use crate::datastore::{ChunkStore, ReadBuf, WriteBehind};
+use crate::datastore::{ChunkStore, DataPlane};
 use crate::exec::{OpKind, OpState};
 use crate::health::{HealthConfig, HealthMonitor, HealthState};
 use crate::idhash::IdHasher;
@@ -83,11 +83,10 @@ pub struct ArraySim {
     pub(crate) free_ops: Vec<usize>,
     pub(crate) next_gen: u64,
     pub(crate) users: HashMap<u64, UserState, BuildHasherDefault<IdHasher>>,
-    /// The bytes of the Full-mode reads in flight, by user I/O id; empty in
-    /// `DataMode::Timing`. A read submitted to a failed array has none.
-    pub(crate) reads: HashMap<u64, ReadBuf, BuildHasherDefault<IdHasher>>,
     next_io: u64,
-    pub(crate) store: Option<Box<WriteBehind>>,
+    /// The real bytes, in `DataMode::Full` only: every data-plane decision
+    /// is a [`DataPlane`] method, so a `DataMode::Timing` op never makes one.
+    pub(crate) data: Option<Box<DataPlane>>,
     pub(crate) selector: ReducerSelector,
     bw_probe: BwProbe,
     pub(crate) rng: DetRng,
@@ -104,9 +103,6 @@ pub struct ArraySim {
     /// controller.
     pub(crate) host_epoch: u64,
     pub(crate) fault_mgr: Option<crate::fault::FaultManagerState>,
-    /// Recycled scratch buffers for the op data plane (see
-    /// [`crate::exec::BufPool`]).
-    pub(crate) buf_pool: crate::exec::BufPool,
     /// Step buffers of finished ops, reused by the next launches (see
     /// [`crate::exec::Steps`]).
     pub(crate) step_pool: Vec<crate::exec::Steps>,
@@ -157,7 +153,7 @@ impl ArraySim {
             .iter()
             .map(|&s| cluster.server_node(s))
             .collect();
-        let store = (cfg.data_mode == DataMode::Full).then(|| Box::new(WriteBehind::new(layout)));
+        let data = (cfg.data_mode == DataMode::Full).then(|| Box::new(DataPlane::new(layout)));
         Ok(ArraySim {
             cluster,
             layout,
@@ -173,9 +169,8 @@ impl ArraySim {
             free_ops: Vec::new(),
             next_gen: 1,
             users: HashMap::default(),
-            reads: HashMap::default(),
             next_io: 1,
-            store,
+            data,
             selector: ReducerSelector::new(cfg.width),
             bw_probe: BwProbe::new(cfg.width),
             rng: DetRng::new(cfg.seed),
@@ -187,7 +182,6 @@ impl ArraySim {
             bitmap: crate::bitmap::WriteIntentBitmap::new(),
             host_epoch: 0,
             fault_mgr: None,
-            buf_pool: crate::exec::BufPool::new(),
             step_pool: Vec::new(),
             shapes: crate::exec::ShapeCache::default(),
             segment_pool: Vec::new(),
@@ -240,13 +234,13 @@ impl ArraySim {
     /// The chunk store, when running with a full data plane, once every
     /// queued write has applied.
     pub fn store(&mut self) -> Option<&ChunkStore> {
-        self.store.as_mut().map(|s| &*s.settled_all())
+        self.data.as_mut().map(|d| &*d.store())
     }
 
     /// Mutable chunk-store access (fault injection in tests and examples),
     /// once every queued write has applied.
     pub fn store_mut(&mut self) -> Option<&mut ChunkStore> {
-        self.store.as_mut().map(|s| s.settled_all())
+        self.data.as_mut().map(|d| d.store())
     }
 
     /// Submits a user I/O; the result is later available via
@@ -305,8 +299,8 @@ impl ArraySim {
             io,
         };
         self.users.insert(id, user);
-        if kind == IoKind::Read && self.store.is_some() {
-            self.start_read(id, len);
+        if let Some(data) = &mut self.data {
+            data.start_io(id, kind, len);
         }
 
         for stripe in stripes {
@@ -331,19 +325,6 @@ impl ArraySim {
             }
         }
         IoId(id)
-    }
-
-    /// Records a Full-mode read, whose bytes its stripe ops fill in (see
-    /// [`ReadBuf`]). Kept out of line, like the rest of the data plane.
-    #[inline(never)]
-    fn start_read(&mut self, id: u64, len: u64) {
-        self.reads.insert(id, ReadBuf::Empty(len as usize));
-    }
-
-    /// The bytes of Full-mode read `id`, if it has a record.
-    #[inline(never)]
-    fn finish_read(&mut self, id: u64) -> Option<bytes::Bytes> {
-        self.reads.remove(&id).map(ReadBuf::into_bytes)
     }
 
     /// Whether this configuration serializes reads through stripe locks.
@@ -382,8 +363,8 @@ impl ArraySim {
             self.cluster
                 .drive_mut(self.member_servers[member])
                 .fail_permanently();
-            if let Some(store) = &mut self.store {
-                store.settled_all().drop_member(member);
+            if let Some(data) = &mut self.data {
+                data.drop_member(member);
             }
         }
     }
@@ -529,14 +510,7 @@ impl ArraySim {
             len: user.io.len,
             submitted: user.submitted,
             completed: now,
-            // O(1): a healthy one-segment read already is a view of its
-            // chunk, and `Bytes::from(Vec)` takes a gathered buffer without
-            // copying it.
-            data: if self.reads.is_empty() {
-                None
-            } else {
-                self.finish_read(id)
-            },
+            data: self.data.as_mut().and_then(|d| d.finish_io(id)),
             error: user.error,
         };
         if let Some(hook) = user.hook {
@@ -573,7 +547,9 @@ impl ArraySim {
         }
         self.free_ops = (0..self.ops.len()).rev().collect();
         self.users.clear();
-        self.reads.clear();
+        if let Some(data) = &mut self.data {
+            data.host_crash();
+        }
         self.host_epoch += 1;
         self.locks = LockTable::new();
         if let Some(r) = self.rebuild.take() {

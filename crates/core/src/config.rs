@@ -160,9 +160,6 @@ pub struct ArrayConfig {
     pub lock_overhead: SimTime,
     /// Linux MD kernel-path tuning.
     pub linux: LinuxTuning,
-    /// Automatically rewrite the parity of stripes a scrub pass flags
-    /// (md's `repair` sync action). Disable to get report-only scrubs.
-    pub scrub_repair: bool,
     /// RNG seed (reducer selection, workloads derive from it).
     pub seed: u64,
 }
@@ -184,7 +181,6 @@ impl ArrayConfig {
             callback_bytes: 64,
             lock_overhead: SimTime::from_nanos(1200),
             linux: LinuxTuning::default(),
-            scrub_repair: true,
             seed: 0xD5A1D,
         }
     }

@@ -49,10 +49,19 @@
 //! are made unique on the caller before it queues, so the applier changes
 //! only chunks no read result shares, and copies none.
 //!
+//! An array holds all of this in one [`DataPlane`], and only in Full mode.
+//! It owns the write-behind store and the bytes of the reads in flight, and
+//! makes every data-plane decision: what a finished stripe op stores or
+//! reads, when a stripe settles, and what a lost member, a rebuilt chunk, a
+//! scrub check, an injected corruption or a host crash does to the bytes.
+//! The array's callers only hand it the op, its payload and the members it
+//! lost, so a `DataMode::Timing` op never reaches this code.
+//!
 //! [`DataMode::Full`]: crate::DataMode::Full
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::hash::BuildHasherDefault;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -61,6 +70,10 @@ use std::thread::JoinHandle;
 use bytes::Bytes;
 use draid_ec::{kernels, ReedSolomon};
 
+use crate::builders::Purpose;
+use crate::exec::OpState;
+use crate::idhash::IdHasher;
+use crate::io::IoKind;
 use crate::layout::{Layout, Segment, StripeIo, WriteMode};
 
 /// Bytes verified per decode call when checking a stripe's parity.
@@ -607,7 +620,7 @@ impl ChunkStore {
 /// A Full-mode user read's bytes, built as its stripe ops complete. Nothing
 /// is allocated when the read is submitted.
 #[derive(Debug)]
-pub(crate) enum ReadBuf {
+enum ReadBuf {
     /// No stripe op has applied yet; the read is this many bytes long.
     Empty(usize),
     /// The whole read is one healthy segment: a view of its stored chunk
@@ -621,7 +634,7 @@ impl ReadBuf {
     /// Adds the bytes of `io`, one stripe op of the read, from `store`.
     /// The first op to apply allocates, unless it is the whole read and
     /// `store` can share it.
-    pub(crate) fn fill(&mut self, store: &ChunkStore, io: &StripeIo, failed: &BTreeSet<usize>) {
+    fn fill(&mut self, store: &ChunkStore, io: &StripeIo, failed: &BTreeSet<usize>) {
         if let ReadBuf::Empty(len) = *self {
             if io.bytes() == len as u64 {
                 if let Some(view) = store.read_shared(io, failed) {
@@ -639,7 +652,7 @@ impl ReadBuf {
 
     /// The read's bytes. Ranges no stripe op filled (the op failed, or
     /// completed after the array failed) read as zeros.
-    pub(crate) fn into_bytes(self) -> Bytes {
+    fn into_bytes(self) -> Bytes {
         match self {
             ReadBuf::Empty(len) => Bytes::from(vec![0; len]),
             ReadBuf::Shared(view) => view,
@@ -969,13 +982,13 @@ impl WriteBehind {
 
     /// The store, with `stripe`'s chunks back: valid for accesses to
     /// `stripe` only.
-    pub(crate) fn settled(&mut self, stripe: u64) -> &mut ChunkStore {
+    fn settled(&mut self, stripe: u64) -> &mut ChunkStore {
         self.settle(stripe);
         &mut self.home.store
     }
 
     /// The store, with every write applied and back.
-    pub(crate) fn settled_all(&mut self) -> &mut ChunkStore {
+    fn settled_all(&mut self) -> &mut ChunkStore {
         while let Some(&stripe) = self.home.out.first() {
             self.settle(stripe);
         }
@@ -1009,6 +1022,137 @@ impl WriteBehind {
                 .unwrap_or_else(PoisonError::into_inner);
             q.waiting = false;
         }
+    }
+}
+
+/// The data plane of a [`DataMode::Full`](crate::DataMode::Full) array: the
+/// write-behind store and the bytes of the user reads in flight. The array
+/// holds one only in Full mode, and each method below takes the whole
+/// decision its caller needs about bytes, settling the stripes it touches.
+pub(crate) struct DataPlane {
+    store: WriteBehind,
+    /// The bytes of the user reads in flight, by user I/O id. A read
+    /// submitted to a failed array has none.
+    reads: HashMap<u64, ReadBuf, BuildHasherDefault<IdHasher>>,
+}
+
+impl DataPlane {
+    pub(crate) fn new(layout: Layout) -> Self {
+        DataPlane {
+            store: WriteBehind::new(layout),
+            reads: HashMap::default(),
+        }
+    }
+
+    /// The store, with every queued write applied.
+    pub(crate) fn store(&mut self) -> &mut ChunkStore {
+        self.store.settled_all()
+    }
+
+    /// A user I/O was submitted: a read gets a record its stripe ops fill
+    /// in (see [`ReadBuf`]); nothing is allocated.
+    pub(crate) fn start_io(&mut self, id: u64, kind: IoKind, len: u64) {
+        if kind == IoKind::Read {
+            self.reads.insert(id, ReadBuf::Empty(len as usize));
+        }
+    }
+
+    /// The bytes user I/O `id` returns as it completes: a read's, if it has
+    /// a record. O(1): a healthy one-segment read already is a view of its
+    /// chunk, and `Bytes::from(Vec)` takes a gathered buffer without
+    /// copying it.
+    pub(crate) fn finish_io(&mut self, id: u64) -> Option<Bytes> {
+        if self.reads.is_empty() {
+            return None;
+        }
+        self.reads.remove(&id).map(ReadBuf::into_bytes)
+    }
+
+    /// A host crash: the reads in flight die with their issuer. The writes
+    /// handed to the store stay, as they reached the members.
+    pub(crate) fn host_crash(&mut self) {
+        self.reads.clear();
+    }
+
+    /// Applies the effect of stripe op `op`, which finished on an array
+    /// that has not failed. `payload` is its user's write payload, if any;
+    /// `lost` are the members whose chunk of the stripe is lost.
+    ///
+    /// A write queues to the write-behind applier, its payload an O(1)
+    /// sub-view of the user's `Bytes`; a write without one (a resync, whose
+    /// stripe I/O has no segments, or a write submitted without bytes)
+    /// stores zeros. A read adds its bytes to the user read's [`ReadBuf`],
+    /// which shares the stored chunk when the read is one healthy segment
+    /// and otherwise gathers (possibly reconstructed) bytes into a buffer
+    /// the first op allocates.
+    pub(crate) fn apply(&mut self, op: &OpState, payload: Option<&Bytes>, lost: BTreeSet<usize>) {
+        let stripe = op.io.stripe;
+        // Sampled post-write parity re-verification: every 8th stripe write
+        // on a stripe with no effectively-lost member is checked against
+        // its stored parity once it has applied. (A stripe with a lost
+        // member is skipped: its dropped chunks read back as zeros by
+        // design, and only parity encodes the data.) No-op unless
+        // invariants are on.
+        let verify = draid_sim::invariants_enabled()
+            && lost.is_empty()
+            && matches!(op.purpose, Some(Purpose::Write { .. }))
+            && stripe.is_multiple_of(8);
+        match op.purpose {
+            Some(Purpose::Write { mode, .. }) => {
+                let len = op.io.bytes() as usize;
+                let bytes = match payload {
+                    Some(data) => {
+                        let lo = op.io.buf_offset as usize;
+                        data.slice(lo..lo + len)
+                    }
+                    None => Bytes::from(vec![0; len]),
+                };
+                self.store.write(&op.io, bytes, mode, lost);
+            }
+            Some(Purpose::Read { .. }) => {
+                if let Some(read) = self.reads.get_mut(&op.user) {
+                    read.fill(self.store.settled(stripe), &op.io, &lost);
+                }
+            }
+            _ => {}
+        }
+        if verify {
+            draid_sim::draid_invariant!(
+                self.store.settled(stripe).verify_stripe(stripe),
+                "post-write parity mismatch on stripe {}",
+                stripe
+            );
+        }
+    }
+
+    /// Discards every chunk on `member`, whose drive is gone, once every
+    /// queued write has applied (see [`ChunkStore::drop_member`]).
+    pub(crate) fn drop_member(&mut self, member: usize) {
+        self.store.settled_all().drop_member(member);
+    }
+
+    /// Restores `member`'s chunk of `stripe` from the survivors (see
+    /// [`ChunkStore::rebuild_chunk`]).
+    pub(crate) fn rebuild_chunk(&mut self, stripe: u64, member: usize, failed: &BTreeSet<usize>) {
+        self.store
+            .settled(stripe)
+            .rebuild_chunk(stripe, member, failed);
+    }
+
+    /// Whether `stripe`'s surviving chunks agree with its parity, as far as
+    /// the members outside `lost` can check (see
+    /// [`ChunkStore::verify_survivors`]): a lost chunk is absent by design,
+    /// not corrupt.
+    pub(crate) fn verify_survivors(&mut self, stripe: u64, lost: &BTreeSet<usize>) -> bool {
+        self.store.settled(stripe).verify_survivors(stripe, lost)
+    }
+
+    /// Flips one byte of `member`'s stored chunk of `stripe` (see
+    /// [`ChunkStore::corrupt_chunk`]).
+    pub(crate) fn corrupt_chunk(&mut self, stripe: u64, member: usize, byte: usize) {
+        self.store
+            .settled(stripe)
+            .corrupt_chunk(stripe, member, byte);
     }
 }
 

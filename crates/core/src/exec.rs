@@ -33,6 +33,7 @@ use crate::dag::{Dag, StepKind};
 use crate::idhash::IdHasher;
 use crate::io::{IoError, IoKind};
 use crate::layout::{Segment, StripeIo, WriteMode};
+use crate::rebuild::lost_members;
 
 /// What a stripe operation is for: user I/O or one of the array's own
 /// background jobs. `launch_op` maps it to a builder [`Purpose`], and
@@ -94,55 +95,6 @@ pub(crate) struct OpState {
     /// a host crash can cancel the launch outright instead of relying on the
     /// fired closure to notice the slot was recycled.
     pub launch_timer: Option<TimerHandle>,
-}
-
-/// A tiny free-list of byte buffers backing the op data plane: the
-/// apply-effect scratch space (gathered read bytes, zero payloads for
-/// internal parity ops) is recycled across stripe operations instead of
-/// allocated and freed once per op.
-///
-/// Public so the `draid-check` concurrency harness can stress its
-/// take/return discipline directly.
-#[derive(Debug, Default)]
-pub struct BufPool {
-    free: Vec<Vec<u8>>,
-}
-
-impl BufPool {
-    /// Buffers kept across ops; excess returns are simply dropped.
-    const MAX_POOLED: usize = 8;
-
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        BufPool::default()
-    }
-
-    /// Number of buffers currently pooled (diagnostic/test aid).
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Takes an empty (length 0) buffer, reusing pooled capacity when
-    /// available.
-    pub fn take(&mut self) -> Vec<u8> {
-        let mut buf = self.free.pop().unwrap_or_default();
-        buf.clear();
-        buf
-    }
-
-    /// Takes a zero-filled buffer of length `len`, reusing pooled capacity.
-    pub fn take_zeroed(&mut self, len: usize) -> Vec<u8> {
-        let mut buf = self.take();
-        buf.resize(len, 0);
-        buf
-    }
-
-    /// Returns a buffer to the pool for reuse.
-    pub fn put(&mut self, buf: Vec<u8>) {
-        if self.free.len() < Self::MAX_POOLED && buf.capacity() > 0 {
-            self.free.push(buf);
-        }
-    }
 }
 
 impl OpState {
@@ -706,8 +658,12 @@ impl ArraySim {
         // than the level tolerates has no consistent place to land — surface
         // the array failure rather than acknowledging a lost write.
         let array_failed = self.is_failed();
-        if !failed && !array_failed && self.store.is_some() {
-            self.apply_effect(&op);
+        if !failed && !array_failed {
+            if let Some(data) = &mut self.data {
+                let lost = lost_members(&self.faulty, self.rebuild.as_ref(), stripe);
+                let payload = self.users.get(&op.user).and_then(|u| u.io.data.as_ref());
+                data.apply(&op, payload, lost);
+            }
         }
         self.recycle_segments(op.io.segments);
 
@@ -745,71 +701,6 @@ impl ArraySim {
         // drains its queue, so a self-rescheduling tick would never let a
         // run terminate. Rate limiting lives inside the tick.
         self.maybe_tick_fault_manager(eng);
-    }
-
-    /// Applies the operation's semantic effect to the chunk store (full data
-    /// mode only): writes queue to the write-behind applier; reads add their
-    /// bytes to the user read's [`ReadBuf`](crate::datastore::ReadBuf),
-    /// which shares the stored chunk when the read is one healthy segment
-    /// and otherwise gathers (possibly reconstructed) bytes into a buffer
-    /// the first op allocates. Kept out of line, so the data plane adds no
-    /// code to the op path that `DataMode::Timing` runs.
-    #[inline(never)]
-    fn apply_effect(&mut self, op: &OpState) {
-        if self.faulty.len() > self.cfg.level.parity_count() {
-            return; // array failed; nothing consistent to apply
-        }
-        let lost = self.lost_members(op.io.stripe);
-        // Sampled post-write parity re-verification: every 8th stripe write
-        // on a stripe with no effectively-lost member is checked against
-        // its stored parity once it has applied. (A stripe with a lost
-        // member is skipped: its dropped chunks read back as zeros by
-        // design, and only parity encodes the data.) No-op unless
-        // invariants are on.
-        let verify = draid_sim::invariants_enabled()
-            && lost.is_empty()
-            && matches!(op.purpose, Some(Purpose::Write { .. }))
-            && op.io.stripe.is_multiple_of(8);
-        let Some(store) = &mut self.store else {
-            return;
-        };
-        // Internal ops (parity resync) have no user record; their writes
-        // carry no payload and only refresh parity.
-        match op.purpose {
-            Some(Purpose::Write { mode, .. }) => {
-                // The payload handle is `Arc`-backed `Bytes`: cloning it
-                // shares the user's buffer, and `Bytes::slice` carves an
-                // O(1) sub-view of this stripe's portion — the op path
-                // copies no payload bytes.
-                let payload = self.users.get(&op.user).and_then(|u| u.io.data.clone());
-                match payload {
-                    Some(data) => {
-                        let lo = op.io.buf_offset as usize;
-                        let hi = lo + op.io.bytes() as usize;
-                        store.write(&op.io, data.slice(lo..hi), mode, lost);
-                    }
-                    None => {
-                        let zeros = self.buf_pool.take_zeroed(op.io.bytes() as usize);
-                        let store = store.settled(op.io.stripe);
-                        store.apply_write(&op.io, &zeros, mode, &lost);
-                        self.buf_pool.put(zeros);
-                    }
-                }
-            }
-            Some(Purpose::Read { .. }) => {
-                if let Some(read) = self.reads.get_mut(&op.user) {
-                    read.fill(store.settled(op.io.stripe), &op.io, &lost);
-                }
-            }
-            _ => {}
-        }
-        if verify {
-            draid_sim::draid_invariant!(
-                store.settled(op.io.stripe).verify_stripe(op.io.stripe),
-                "post-write parity mismatch on stripe {}",
-                op.io.stripe
-            );
-        }
     }
 }
 

@@ -196,8 +196,8 @@ impl ArraySim {
                 member,
                 byte,
             } => {
-                if let Some(store) = self.store.as_mut() {
-                    store.settled(stripe).corrupt_chunk(stripe, member, byte);
+                if let Some(data) = &mut self.data {
+                    data.corrupt_chunk(stripe, member, byte);
                 }
             }
         }

@@ -80,7 +80,6 @@ pub use config::{
 };
 pub use dag::{Dag, Step, StepKind};
 pub use datastore::{ChunkStore, WriteBehind};
-pub use exec::BufPool;
 pub use fault::{FaultAction, FaultManagerConfig, FaultSchedule};
 pub use health::{HealthConfig, HealthMonitor, HealthState, MemberHealth};
 pub use io::{IoError, IoId, IoKind, IoResult, UserIo};

@@ -54,6 +54,20 @@ pub(crate) struct RebuildState {
     pub backoff_timers: Vec<TimerHandle>,
 }
 
+/// The members whose chunk of `stripe` is lost: the `faulty` ones, minus a
+/// rebuilding member whose copy is already on the spare (the member index
+/// then maps to the spare drive, which holds the chunk; writes behind the
+/// cursor go straight to the spare). It reads two fields, not the array,
+/// so a caller may hold the data plane mutably.
+pub(crate) fn lost_members(
+    faulty: &BTreeSet<usize>,
+    rebuild: Option<&RebuildState>,
+    stripe: u64,
+) -> BTreeSet<usize> {
+    let rebuilt = |m: usize| rebuild.is_some_and(|r| r.member == m && r.sweep.is_done(stripe));
+    faulty.iter().copied().filter(|&m| !rebuilt(m)).collect()
+}
+
 impl ArraySim {
     /// Starts rebuilding faulty `member` onto `spare` (a server beyond the
     /// array width, i.e. a drive from the shared pool). `stripes` is the
@@ -116,26 +130,6 @@ impl ArraySim {
         })
     }
 
-    /// Whether `stripe`'s copy of the rebuilding member is already on the
-    /// spare (writes behind the cursor go straight to the spare).
-    pub(crate) fn stripe_rebuilt(&self, stripe: u64, member: usize) -> bool {
-        match &self.rebuild {
-            Some(r) => r.member == member && r.sweep.is_done(stripe),
-            None => false,
-        }
-    }
-
-    /// The members whose chunk of `stripe` is lost: the faulty ones, minus
-    /// a rebuilding member whose copy is already on the spare (the member
-    /// index then maps to the spare drive, which holds the chunk).
-    pub(crate) fn lost_members(&self, stripe: u64) -> BTreeSet<usize> {
-        self.faulty
-            .iter()
-            .copied()
-            .filter(|&m| !self.stripe_rebuilt(stripe, m))
-            .collect()
-    }
-
     /// Launches reconstruction of the next stripes, up to the concurrency.
     fn pump_rebuild(&mut self, eng: &mut Engine<ArraySim>) {
         while let Some(r) = &mut self.rebuild {
@@ -161,10 +155,8 @@ impl ArraySim {
     ) {
         // Materialize the reconstructed chunk in the data plane.
         if !failed {
-            if let Some(store) = &mut self.store {
-                store
-                    .settled(stripe)
-                    .rebuild_chunk(stripe, member, &self.faulty);
+            if let Some(data) = &mut self.data {
+                data.rebuild_chunk(stripe, member, &self.faulty);
             }
         }
         let Some(r) = &mut self.rebuild else {

@@ -9,6 +9,7 @@ use draid_sim::Engine;
 
 use crate::array::ArraySim;
 use crate::exec::OpKind;
+use crate::rebuild::lost_members;
 use crate::sweep::Sweep;
 
 /// Progress and findings of a scrub pass.
@@ -82,14 +83,12 @@ impl ArraySim {
         stripe: u64,
         failed: bool,
     ) {
-        // Verify against the data plane (when present) at completion time,
-        // checking only what the surviving chunks can: a lost chunk is
-        // absent by design, not corrupt.
-        let clean = self.store.is_none() || {
-            let lost = self.lost_members(stripe);
-            let store = self.store.as_mut().expect("checked above");
-            store.settled(stripe).verify_survivors(stripe, &lost)
-        };
+        // Verify against the data plane (when present) at completion time.
+        let mut clean = true;
+        if let Some(data) = &mut self.data {
+            let lost = lost_members(&self.faulty, self.rebuild.as_ref(), stripe);
+            clean = data.verify_survivors(stripe, &lost);
+        }
         let Some(s) = &mut self.scrub else {
             return;
         };
@@ -103,7 +102,7 @@ impl ArraySim {
         // md's `repair` sync action: a flagged stripe gets its parity
         // rewritten from the data immediately, so latent corruption never
         // survives until the next member failure makes it unrecoverable.
-        if mismatch && !clean && self.cfg.scrub_repair && !self.is_failed() {
+        if mismatch && !clean && !self.is_failed() {
             self.stats.scrub_repairs += 1;
             self.repair_stripe(eng, stripe);
         }

@@ -3,7 +3,7 @@
 //! failure handling with timeouts and retries.
 
 use bytes::Bytes;
-use draid_block::Cluster;
+use draid_block::{Cluster, ServerId};
 use draid_core::{
     ArrayConfig, ArraySim, DataMode, IoError, RaidLevel, SystemKind, UserIo, WriteMode,
 };
@@ -499,4 +499,85 @@ fn a_read_submitted_to_a_failed_array_carries_no_data() {
     );
     assert_eq!(read.error, Some(IoError::ArrayFailed));
     assert_eq!(read.data, None);
+}
+
+#[test]
+fn a_write_without_a_payload_stores_zeros_healthy_and_degraded() {
+    for level in [RaidLevel::Raid5, RaidLevel::Raid6] {
+        let mut cfg = small_cfg(SystemKind::Draid, level);
+        // Two data chunks more than parity: the narrowest array where a
+        // sub-chunk write is a read-modify-write and a whole-chunk write a
+        // reconstruct-write.
+        cfg.width = 2 + 2 * level.parity_count();
+        let (width, chunk) = (cfg.width, cfg.chunk_size);
+        let layout = draid_core::Layout::new(&cfg);
+        let stripe = layout.stripe_data_bytes();
+        // Sub-chunk in data chunk 0 of stripe 0; all of data chunk 1 of
+        // stripe 1.
+        let cases = [
+            (4 * KIB, 8 * KIB, WriteMode::ReadModifyWrite),
+            (stripe + chunk, chunk, WriteMode::ReconstructWrite),
+        ];
+        for (off, len, mode) in cases {
+            assert_eq!(layout.write_mode(&layout.map(off, len)[0]), mode);
+        }
+        let lost = [
+            None,
+            Some(layout.data_member(0, 0)),
+            Some(layout.data_member(1, 1)),
+        ];
+        for lose in lost {
+            let what = format!("{level:?}, lost {lose:?}");
+            // One server beyond the width: the spare a lost member is
+            // rebuilt onto.
+            let cluster = Cluster::homogeneous(width + 1);
+            let mut array = ArraySim::new(cluster, cfg).expect("valid config");
+            let mut eng = Engine::new();
+            let mut shadow = rand_bytes(&mut DetRng::new(7), 2 * stripe).to_vec();
+            array.submit(
+                &mut eng,
+                UserIo::write_bytes(0, Bytes::from(shadow.clone())),
+            );
+            eng.run(&mut array);
+            if let Some(member) = lose {
+                array.fail_member(member);
+            }
+            for (off, len, _) in cases {
+                array.submit(&mut eng, UserIo::write(off, len));
+                eng.run(&mut array);
+                shadow[off as usize..(off + len) as usize].fill(0);
+            }
+            assert!(
+                array.drain_completions().iter().all(|r| r.is_ok()),
+                "{what}"
+            );
+
+            let read_all = |array: &mut ArraySim, eng: &mut Engine<ArraySim>| {
+                array.submit(eng, UserIo::read(0, 2 * stripe));
+                eng.run(array);
+                let res = array.drain_completions().pop().expect("read completion");
+                res.data.expect("full mode returns bytes")
+            };
+            let got = read_all(&mut array, &mut eng);
+            for (off, len, mode) in cases {
+                let range = off as usize..(off + len) as usize;
+                assert!(
+                    got[range].iter().all(|&b| b == 0),
+                    "{what}: the {mode:?} range reads back as zeros"
+                );
+            }
+            assert!(got == shadow, "{what}: the rest reads back unchanged");
+
+            // Rebuilt onto the spare, every chunk is stored again and every
+            // stripe's parity can be checked.
+            if let Some(member) = lose {
+                array.start_rebuild(&mut eng, member, ServerId(width), 2, 2);
+                eng.run(&mut array);
+                assert!(!array.is_degraded(), "{what}: rebuilt");
+                assert!(read_all(&mut array, &mut eng) == shadow, "{what}");
+            }
+            let store = array.store().expect("full mode");
+            assert!(store.verify_all().is_empty(), "{what}: parity consistent");
+        }
+    }
 }

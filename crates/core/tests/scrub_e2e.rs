@@ -175,11 +175,9 @@ fn raid6_double_failure_rebuilds_both_members() {
 
 #[test]
 fn scrub_auto_repairs_mismatches() {
-    // With `scrub_repair` on (the paper default, md's `repair` sync action),
-    // the scrubber rewrites parity as it finds mismatches — no operator pass
-    // over the report needed.
+    // Like md's `repair` sync action, the scrubber rewrites parity as it
+    // finds mismatches — no operator pass over the report needed.
     let (mut array, mut eng) = make();
-    assert!(array.config().scrub_repair);
     fill(&mut array, &mut eng, 8);
     let p1 = array.layout().p_member(1);
     let p4 = array.layout().p_member(4);
@@ -196,34 +194,6 @@ fn scrub_auto_repairs_mismatches() {
     assert!(
         array.store().expect("full mode").verify_all().is_empty(),
         "parity rewritten without a manual repair pass"
-    );
-}
-
-#[test]
-fn report_only_scrub_leaves_mismatches_in_place() {
-    let mut cfg = ArrayConfig::paper_default(SystemKind::Draid);
-    cfg.width = 5;
-    cfg.chunk_size = 16 * KIB;
-    cfg.data_mode = DataMode::Full;
-    cfg.scrub_repair = false;
-    let mut array = ArraySim::new(Cluster::homogeneous(5), cfg).expect("valid");
-    let mut eng: Engine<ArraySim> = Engine::new();
-    fill(&mut array, &mut eng, 6);
-    let p3 = array.layout().p_member(3);
-    array
-        .store_mut()
-        .expect("full mode")
-        .corrupt_chunk(3, p3, 17);
-
-    array.start_scrub(&mut eng, 6, 2);
-    eng.run(&mut array);
-    let report = array.take_scrub_report().expect("scrub ran");
-    assert_eq!(report.mismatches, vec![3]);
-    assert_eq!(array.stats.scrub_repairs, 0);
-    assert_eq!(
-        array.store().expect("full mode").verify_all(),
-        vec![3],
-        "report-only mode must not touch the data plane"
     );
 }
 

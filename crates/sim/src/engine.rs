@@ -394,7 +394,11 @@ impl<W> Engine<W> {
     /// first heap push costs one sift-down and the spent entry's pop costs
     /// nothing. Always inlined into `push` and `push_timer`, the per-event
     /// hot path: left to the inliner it was outlined in some builds, and
-    /// `small_read_4k` read about 3% slower in simcost.
+    /// `small_read_4k` read about 3% slower in simcost. Where the inliner
+    /// does inline it, the pin still moves the surrounding layout: over 20
+    /// interleaved 10 s simcost pairs on a 2-vCPU shared Xeon VM, the same
+    /// build without it lost `rmw_write_128k` in 15 pairs (paired median
+    /// -1.0%) and `small_read_4k` in 11 (-0.6%).
     #[inline(always)]
     fn heap_push(&mut self, entry: HeapEntry<W>) {
         if std::mem::take(&mut self.spent_top) {
