@@ -3,7 +3,7 @@
 //! artifact: the §7 server-CPU claim, traced per-op resource demand,
 //! open-loop latency and a two-tier oversubscribed core.
 
-use draid_block::{ClusterBuilder, CpuSpec, DriveSpec};
+use draid_block::ClusterBuilder;
 use draid_core::trace::StepClass;
 use draid_core::{ArrayConfig, ArraySim, DraidOptions, ReducerPolicy, SystemKind, UserIo};
 use draid_net::NicSpec;
@@ -517,13 +517,9 @@ pub(crate) fn oversubscription(id: &str) -> Figure {
         // factor. The compute rack holds one host; its uplink is a full NIC.
         let storage_uplink = NicSpec::with_goodput_gbps(92.0 * WIDTH as f64 / oversub);
         b.two_tier(NicSpec::cx5_100g(), storage_uplink);
-        b.host(vec![NicSpec::cx5_100g()], CpuSpec::default());
+        b.host(vec![NicSpec::cx5_100g()]);
         for _ in 0..WIDTH {
-            b.server(
-                vec![NicSpec::cx5_100g()],
-                DriveSpec::default(),
-                CpuSpec::default(),
-            );
+            b.server(vec![NicSpec::cx5_100g()]);
         }
         ArraySim::new(b.build(), ArrayConfig::paper_default(system)).expect("valid config")
     };

@@ -2,28 +2,16 @@
 //! simulation, so points fan out across cores.
 //!
 //! Work distribution is a single atomic cursor over a shared slice of input
-//! slots: each worker claims a small fixed-size *chunk* of consecutive
-//! indices with one `fetch_add` and writes each result into that index's own
-//! slot. Chunked claiming cuts cursor contention for tiny per-point sweeps —
-//! one contended atomic op per chunk instead of per point — while the
-//! per-slot writes keep results in input order regardless of which worker
-//! claims what. No queue or result vector is globally locked — the per-slot
+//! slots: each worker claims the next index with one `fetch_add` and writes
+//! its result into that index's own slot, so results stay in input order
+//! regardless of which worker claims what. A sweep point is a whole
+//! simulation, so one contended atomic op per point costs nothing worth
+//! amortizing. No queue or result vector is globally locked — the per-slot
 //! mutexes exist only to move values across the thread boundary safely and
 //! are touched by exactly one worker each, so they never contend.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Upper bound on the claimed chunk: big enough to amortize the `fetch_add`,
-/// small enough that a straggler chunk cannot idle the other workers at the
-/// tail of a sweep.
-const MAX_CHUNK: usize = 8;
-
-/// The chunk size [`map`] picks for `n` inputs on `workers` threads: about
-/// eight claims per worker for load balance, clamped to `1..=MAX_CHUNK`.
-fn auto_chunk(n: usize, workers: usize) -> usize {
-    (n / (workers * 8).max(1)).clamp(1, MAX_CHUNK)
-}
 
 /// Maps `f` over `inputs` on a thread pool, preserving order.
 ///
@@ -35,26 +23,6 @@ where
     R: Send,
     F: Fn(T) -> R + Sync,
 {
-    let workers = worker_count(inputs.len());
-    let chunk = auto_chunk(inputs.len(), workers);
-    map_chunked(inputs, chunk, f)
-}
-
-/// [`map`] with an explicit claim-chunk size (`chunk >= 1`): each `fetch_add`
-/// on the shared cursor claims `chunk` consecutive indices. Order-preserving
-/// for every chunk size; exposed so the interleaving harness can drive the
-/// claiming discipline across the whole chunk-size range.
-///
-/// # Panics
-///
-/// Panics if `chunk == 0`.
-pub fn map_chunked<T, R, F>(inputs: Vec<T>, chunk: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    assert!(chunk >= 1, "chunk size must be at least 1");
     let n = inputs.len();
     if n == 0 {
         return Vec::new();
@@ -69,19 +37,17 @@ where
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
-                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                if start >= n {
+                let idx = cursor.fetch_add(1, Ordering::Relaxed);
+                if idx >= n {
                     break;
                 }
-                for idx in start..n.min(start + chunk) {
-                    let input = slots[idx]
-                        .lock()
-                        .expect("slot poisoned")
-                        .take()
-                        .expect("index claimed exactly once");
-                    let r = f(input);
-                    *results[idx].lock().expect("slot poisoned") = Some(r);
-                }
+                let input = slots[idx]
+                    .lock()
+                    .expect("slot poisoned")
+                    .take()
+                    .expect("index claimed exactly once");
+                let r = f(input);
+                *results[idx].lock().expect("slot poisoned") = Some(r);
             });
         }
     });
@@ -142,37 +108,5 @@ mod tests {
             x + 1
         });
         assert_eq!(out, (1..=64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn every_chunk_size_preserves_order() {
-        // Including chunks larger than the whole input and sizes that do
-        // not divide it evenly (the final claim is a partial chunk).
-        for chunk in [1usize, 2, 3, 7, 8, 64, 1000] {
-            let out = map_chunked((0..97u64).collect(), chunk, |x| x + 5);
-            assert_eq!(
-                out,
-                (5..102).collect::<Vec<_>>(),
-                "order broke at chunk size {chunk}"
-            );
-        }
-    }
-
-    #[test]
-    fn auto_chunk_scales_with_sweep_size() {
-        assert_eq!(auto_chunk(4, 8), 1, "tiny sweeps claim singly");
-        assert_eq!(auto_chunk(10_000, 8), MAX_CHUNK, "big sweeps cap out");
-        for n in 0..300 {
-            for w in 1..32 {
-                let c = auto_chunk(n, w);
-                assert!((1..=MAX_CHUNK).contains(&c));
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be at least 1")]
-    fn zero_chunk_panics() {
-        map_chunked(vec![1], 0, |x: i32| x);
     }
 }

@@ -3,7 +3,7 @@
 use draid_net::{ConnId, Fabric, FabricBuilder, LinkDir, NicSpec, NodeId};
 use draid_sim::{Service, SimTime};
 
-use crate::{Cpu, CpuSpec, Drive, DriveError, DriveSpec};
+use crate::{Cpu, Drive, DriveError};
 
 /// Identifies a storage server (and its drive) within a cluster; dense from
 /// zero, independent of fabric [`NodeId`]s.
@@ -22,21 +22,21 @@ struct Server {
 /// Builder for a [`Cluster`].
 ///
 /// ```
-/// use draid_block::{ClusterBuilder, CpuSpec, DriveSpec};
+/// use draid_block::ClusterBuilder;
 /// use draid_net::NicSpec;
 ///
 /// let mut b = ClusterBuilder::new();
-/// b.host(vec![NicSpec::cx5_100g()], CpuSpec::spdk_core());
+/// b.host(vec![NicSpec::cx5_100g()]);
 /// for _ in 0..4 {
-///     b.server(vec![NicSpec::cx5_100g()], DriveSpec::default(), CpuSpec::spdk_core());
+///     b.server(vec![NicSpec::cx5_100g()]);
 /// }
 /// let cluster = b.build();
 /// assert_eq!(cluster.width(), 4);
 /// ```
 #[derive(Debug, Default)]
 pub struct ClusterBuilder {
-    host: Option<(Vec<NicSpec>, CpuSpec)>,
-    servers: Vec<(Vec<NicSpec>, DriveSpec, CpuSpec)>,
+    host: Option<Vec<NicSpec>>,
+    servers: Vec<Vec<NicSpec>>,
     racks: Option<(NicSpec, NicSpec)>,
 }
 
@@ -47,8 +47,8 @@ impl ClusterBuilder {
     }
 
     /// Configures the host (the node where the virtual RAID device attaches).
-    pub fn host(&mut self, nics: Vec<NicSpec>, cpu: CpuSpec) -> &mut Self {
-        self.host = Some((nics, cpu));
+    pub fn host(&mut self, nics: Vec<NicSpec>) -> &mut Self {
+        self.host = Some(nics);
         self
     }
 
@@ -62,9 +62,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Adds a storage server; returns its [`ServerId`].
-    pub fn server(&mut self, nics: Vec<NicSpec>, drive: DriveSpec, cpu: CpuSpec) -> ServerId {
-        self.servers.push((nics, drive, cpu));
+    /// Adds a storage server (the paper's drive and one polling core);
+    /// returns its [`ServerId`].
+    pub fn server(&mut self, nics: Vec<NicSpec>) -> ServerId {
+        self.servers.push(nics);
         ServerId(self.servers.len() - 1)
     }
 
@@ -76,7 +77,7 @@ impl ClusterBuilder {
     ///
     /// Panics unless a host and at least two servers were configured.
     pub fn build(self) -> Cluster {
-        let (host_nics, host_cpu) = self.host.expect("cluster needs a host");
+        let host_nics = self.host.expect("cluster needs a host");
         assert!(
             self.servers.len() >= 2,
             "a RAID array needs at least two members"
@@ -90,15 +91,15 @@ impl ClusterBuilder {
             None => fb.add_node("host", host_nics),
         };
         let mut servers = Vec::with_capacity(self.servers.len());
-        for (i, (nics, drive, cpu)) in self.servers.into_iter().enumerate() {
+        for (i, nics) in self.servers.into_iter().enumerate() {
             let node = match rack_ids {
                 Some((_, storage)) => fb.add_node_in_rack(format!("server{i}"), nics, storage),
                 None => fb.add_node(format!("server{i}"), nics),
             };
             servers.push(Server {
                 node,
-                drive: Drive::new(drive),
-                cpu: Cpu::new(cpu),
+                drive: Drive::new(),
+                cpu: Cpu::new(),
             });
         }
         let mut fabric = fb.build();
@@ -121,7 +122,7 @@ impl ClusterBuilder {
         Cluster {
             fabric,
             host_node,
-            host_cpu: Cpu::new(host_cpu),
+            host_cpu: Cpu::new(),
             servers,
             conns,
             node_server,
@@ -147,21 +148,16 @@ pub struct Cluster {
 
 impl Cluster {
     /// A host plus `width` identical servers, all on 100 Gbps NICs with the
-    /// paper's default drive — the §9.1 testbed shape.
+    /// paper's drive — the §9.1 testbed shape.
     ///
     /// # Panics
     ///
     /// Panics if `width < 2`.
     pub fn homogeneous(width: usize) -> Cluster {
-        Self::homogeneous_with(width, DriveSpec::default(), CpuSpec::default())
-    }
-
-    /// Like [`Cluster::homogeneous`] with explicit drive/CPU profiles.
-    pub fn homogeneous_with(width: usize, drive: DriveSpec, cpu: CpuSpec) -> Cluster {
         let mut b = ClusterBuilder::new();
-        b.host(vec![NicSpec::cx5_100g()], cpu);
+        b.host(vec![NicSpec::cx5_100g()]);
         for _ in 0..width {
-            b.server(vec![NicSpec::cx5_100g()], drive, cpu);
+            b.server(vec![NicSpec::cx5_100g()]);
         }
         b.build()
     }
@@ -204,18 +200,8 @@ impl Cluster {
     }
 
     /// Sends `bytes` between two fabric nodes over the pre-established
-    /// connection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pair has no connection (i.e. `from == to`).
-    pub fn transfer(&mut self, now: SimTime, from: NodeId, to: NodeId, bytes: u64) -> Service {
-        let conn = self.conn(from, to);
-        self.fabric.transfer(now, conn, bytes)
-    }
-
-    /// Fault-aware [`Cluster::transfer`]: fails fast with the refusing node
-    /// when either endpoint's link is down (network fault injection).
+    /// connection; fails fast with the refusing node when either endpoint's
+    /// link is down (network fault injection).
     ///
     /// # Errors
     ///
@@ -379,12 +365,15 @@ mod tests {
         // Host to each server and server-to-server transfers all work.
         for i in 0..4 {
             let node = c.server_node(ServerId(i));
-            c.transfer(SimTime::ZERO, host, node, 4096);
-            c.transfer(SimTime::ZERO, node, host, 4096);
+            c.try_transfer(SimTime::ZERO, host, node, 4096)
+                .expect("link up");
+            c.try_transfer(SimTime::ZERO, node, host, 4096)
+                .expect("link up");
             for j in 0..4 {
                 if i != j {
                     let peer = c.server_node(ServerId(j));
-                    c.transfer(SimTime::ZERO, node, peer, 512);
+                    c.try_transfer(SimTime::ZERO, node, peer, 512)
+                        .expect("link up");
                 }
             }
         }
@@ -428,7 +417,8 @@ mod tests {
         let mut c = Cluster::homogeneous(3);
         let host = c.host_node();
         let n0 = c.server_node(ServerId(0));
-        c.transfer(SimTime::ZERO, host, n0, 1 << 16);
+        c.try_transfer(SimTime::ZERO, host, n0, 1 << 16)
+            .expect("link up");
         c.drive_mut(ServerId(1)).fail_permanently();
         assert!(c.drive_write(SimTime::ZERO, ServerId(1), 4096).is_err());
         c.drive_write(SimTime::ZERO, ServerId(0), 4096).unwrap();
@@ -441,7 +431,8 @@ mod tests {
         let mut c = Cluster::homogeneous(2);
         let host = c.host_node();
         let n0 = c.server_node(ServerId(0));
-        c.transfer(SimTime::ZERO, host, n0, 1 << 20);
+        c.try_transfer(SimTime::ZERO, host, n0, 1 << 20)
+            .expect("link up");
         c.drive_write(SimTime::ZERO, ServerId(0), 1 << 20).unwrap();
         c.reset_counters(SimTime::from_millis(1_000));
         assert_eq!(c.fabric().bytes_sent(host), 0);
@@ -455,7 +446,8 @@ mod tests {
         let n0 = c.server_node(ServerId(0));
         let mut tl = draid_sim::UtilizationTimeline::new(SimTime::ZERO);
         c.sample_busy(&mut tl, SimTime::ZERO);
-        c.transfer(SimTime::ZERO, host, n0, 1 << 20);
+        c.try_transfer(SimTime::ZERO, host, n0, 1 << 20)
+            .expect("link up");
         c.drive_write(SimTime::ZERO, ServerId(0), 1 << 20).unwrap();
         c.sample_busy(&mut tl, SimTime::from_millis(1));
         let names: Vec<&str> = tl.names().collect();
@@ -491,13 +483,9 @@ mod tests {
     fn rack_cluster() -> Cluster {
         let mut b = ClusterBuilder::new();
         b.two_tier(NicSpec::cx5_100g(), NicSpec::with_goodput_gbps(25.0));
-        b.host(vec![NicSpec::cx5_100g()], CpuSpec::default());
+        b.host(vec![NicSpec::cx5_100g()]);
         for _ in 0..5 {
-            b.server(
-                vec![NicSpec::cx5_100g(), NicSpec::cx5_100g()],
-                DriveSpec::default(),
-                CpuSpec::default(),
-            );
+            b.server(vec![NicSpec::cx5_100g(), NicSpec::cx5_100g()]);
         }
         b.build()
     }
@@ -533,7 +521,7 @@ mod tests {
     fn loopback_transfer_panics() {
         let mut c = Cluster::homogeneous(8);
         let n = c.server_node(ServerId(3));
-        c.transfer(SimTime::ZERO, n, n, 4096);
+        let _ = c.try_transfer(SimTime::ZERO, n, n, 4096);
     }
 
     #[test]
@@ -541,19 +529,15 @@ mod tests {
     fn rack_loopback_transfer_panics() {
         let mut c = rack_cluster();
         let host = c.host_node();
-        c.transfer(SimTime::ZERO, host, host, 4096);
+        let _ = c.try_transfer(SimTime::ZERO, host, host, 4096);
     }
 
     #[test]
     #[should_panic(expected = "at least two")]
     fn single_member_rejected() {
         let mut b = ClusterBuilder::new();
-        b.host(vec![NicSpec::cx5_100g()], CpuSpec::default());
-        b.server(
-            vec![NicSpec::cx5_100g()],
-            DriveSpec::default(),
-            CpuSpec::default(),
-        );
+        b.host(vec![NicSpec::cx5_100g()]);
+        b.server(vec![NicSpec::cx5_100g()]);
         b.build();
     }
 }
@@ -570,23 +554,23 @@ mod rack_tests {
             NicSpec::with_goodput_gbps(8.0),
             NicSpec::with_goodput_gbps(1.0),
         );
-        b.host(vec![NicSpec::with_goodput_gbps(8.0)], CpuSpec::default());
+        b.host(vec![NicSpec::with_goodput_gbps(8.0)]);
         for _ in 0..3 {
-            b.server(
-                vec![NicSpec::with_goodput_gbps(8.0)],
-                DriveSpec::default(),
-                CpuSpec::default(),
-            );
+            b.server(vec![NicSpec::with_goodput_gbps(8.0)]);
         }
         let mut c = b.build();
         let host = c.host_node();
         let s0 = c.server_node(ServerId(0));
         let s1 = c.server_node(ServerId(1));
         // Server-to-server stays rack-local: ~1 ms for 1 MB at 1 GB/s NICs.
-        let local = c.transfer(SimTime::ZERO, s0, s1, 1_000_000);
+        let local = c
+            .try_transfer(SimTime::ZERO, s0, s1, 1_000_000)
+            .expect("link up");
         assert!(local.end < SimTime::from_millis(2), "local: {}", local.end);
         // Host-to-server crosses the 1 Gbps storage downlink: ~8 ms.
-        let cross = c.transfer(SimTime::ZERO, host, s0, 1_000_000);
+        let cross = c
+            .try_transfer(SimTime::ZERO, host, s0, 1_000_000)
+            .expect("link up");
         assert!(cross.end > SimTime::from_millis(8), "cross: {}", cross.end);
     }
 }

@@ -2,77 +2,51 @@
 
 use draid_sim::{ByteRate, RateResource, Service, SimTime};
 
-/// Compute profile of one polling core.
-///
-/// The paper accelerates XOR and GF multiplication with ISA-L (§8) and limits
-/// dRAID to one core per SSD on storage servers (§7); the defaults are in
-/// ISA-L's ballpark on the testbed's EPYC 7402P.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct CpuSpec {
-    /// XOR (RAID-5 parity / parity reduction) throughput.
-    pub xor_rate: ByteRate,
-    /// GF(256) multiply-accumulate (RAID-6 Q) throughput.
-    pub gf_rate: ByteRate,
-    /// Fixed software cost to admit/complete one I/O (SPDK-class user-space
-    /// stack).
-    pub per_io: SimTime,
-}
+// Every core is one user-space polling core with ISA-L acceleration (SPDK /
+// dRAID): the paper accelerates XOR and GF multiplication with ISA-L (§8)
+// and limits dRAID to one core per SSD on storage servers (§7).
 
-impl CpuSpec {
-    /// A user-space polling core with ISA-L acceleration (SPDK / dRAID).
-    /// AVX2 XOR is close to memory-bandwidth-bound on the testbed's EPYC.
-    pub fn spdk_core() -> Self {
-        CpuSpec {
-            xor_rate: ByteRate::from_mb_per_sec(25_000.0),
-            gf_rate: ByteRate::from_mb_per_sec(12_000.0),
-            per_io: SimTime::from_micros(3),
-        }
-    }
-}
-
-impl Default for CpuSpec {
-    fn default() -> Self {
-        Self::spdk_core()
-    }
-}
+/// XOR (RAID-5 parity / parity reduction) throughput: 25 GB/s, ISA-L's
+/// AVX2 XOR close to memory-bandwidth-bound on the testbed's EPYC 7402P
+/// (§9.1).
+const XOR_RATE: ByteRate = ByteRate::from_bytes_per_sec(25_000_000_000);
+/// GF(256) multiply-accumulate (RAID-6 Q) throughput: 12 GB/s, in ISA-L's
+/// ballpark on the testbed's EPYC 7402P (§9.1).
+const GF_RATE: ByteRate = ByteRate::from_bytes_per_sec(12_000_000_000);
+/// Fixed software cost to admit/complete one I/O on an SPDK-class
+/// user-space stack (§8).
+const PER_IO: SimTime = SimTime::from_micros(3);
 
 /// A single polling core executing parity math and I/O software overhead.
 #[derive(Clone, Debug)]
 pub struct Cpu {
-    spec: CpuSpec,
     core: RateResource,
 }
 
 impl Cpu {
     /// Creates an idle core.
-    pub fn new(spec: CpuSpec) -> Self {
+    pub(crate) fn new() -> Self {
         Cpu {
-            spec,
-            core: RateResource::new(spec.xor_rate),
+            core: RateResource::new(XOR_RATE),
         }
-    }
-
-    /// The core's profile.
-    pub fn spec(&self) -> &CpuSpec {
-        &self.spec
     }
 
     /// Charges an XOR pass over `bytes`.
     #[inline]
     pub fn xor(&mut self, now: SimTime, bytes: u64) -> Service {
-        self.core.serve_at_rate(now, bytes, self.spec.xor_rate)
+        self.core.serve_at_rate(now, bytes, XOR_RATE)
     }
 
     /// Charges a GF(256) multiply-accumulate pass over `bytes`.
     #[inline]
     pub fn gf_mul(&mut self, now: SimTime, bytes: u64) -> Service {
-        self.core.serve_at_rate(now, bytes, self.spec.gf_rate)
+        self.core.serve_at_rate(now, bytes, GF_RATE)
     }
 
     /// Charges the fixed per-I/O software cost.
     #[inline]
     pub fn per_io(&mut self, now: SimTime) -> Service {
-        self.core.serve_fixed(now, self.spec.per_io)
+        self.core.serve_fixed(now, PER_IO)
     }
 
     /// Charges an arbitrary fixed cost (e.g. Linux stripe-cache page
@@ -112,22 +86,18 @@ mod tests {
 
     #[test]
     fn xor_and_gf_rates_apply() {
-        let mut cpu = Cpu::new(CpuSpec {
-            xor_rate: ByteRate::from_mb_per_sec(2.0),
-            gf_rate: ByteRate::from_mb_per_sec(1.0),
-            per_io: SimTime::from_micros(5),
-        });
-        let x = cpu.xor(SimTime::ZERO, 1_000_000);
-        assert_eq!(x.end, SimTime::from_millis(500));
-        let g = cpu.gf_mul(SimTime::ZERO, 1_000_000);
-        assert_eq!(g.end, SimTime::from_millis(1500), "queued behind xor");
+        let mut cpu = Cpu::new(); // 25 GB/s XOR, 12 GB/s GF, 3 us per I/O
+        let x = cpu.xor(SimTime::ZERO, 3_000_000);
+        assert_eq!(x.end, SimTime::from_micros(120));
+        let g = cpu.gf_mul(SimTime::ZERO, 3_000_000);
+        assert_eq!(g.end, SimTime::from_micros(370), "queued behind xor");
         let p = cpu.per_io(SimTime::ZERO);
-        assert_eq!(p.end, SimTime::from_nanos(1_500_005_000));
+        assert_eq!(p.end, SimTime::from_micros(373));
     }
 
     #[test]
     fn utilization_tracks_busy_fraction() {
-        let mut cpu = Cpu::new(CpuSpec::spdk_core());
+        let mut cpu = Cpu::new();
         cpu.busy_for(SimTime::ZERO, SimTime::from_millis(250));
         assert!((cpu.utilization(SimTime::from_millis(1_000)) - 0.25).abs() < 1e-9);
     }

@@ -2,43 +2,20 @@
 
 use draid_sim::{ByteRate, RateResource, Service, SimTime};
 
-/// Performance/health profile of an NVMe drive.
-///
-/// Defaults model the paper's Dell Ent NVMe AGN MU U.2 1.6 TB: ~19 Gbps
-/// (2375 MB/s) sustained random write (§2.3's motivating experiment) and
-/// ~3200 MB/s read, with tens-of-µs access latency.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct DriveSpec {
-    /// Sustained read bandwidth.
-    pub read_rate: ByteRate,
-    /// Sustained write bandwidth.
-    pub write_rate: ByteRate,
-    /// Fixed read access latency (overlaps across queued I/Os).
-    pub read_latency: SimTime,
-    /// Fixed write access latency (overlaps across queued I/Os).
-    pub write_latency: SimTime,
-    /// Usable capacity in bytes.
-    pub capacity: u64,
-}
+// Every drive is the paper's testbed drive (§9.1), a Dell Ent NVMe AGN MU
+// U.2 1.6 TB, so its profile is a set of constants.
 
-impl DriveSpec {
-    /// The paper's testbed drive: Dell Ent NVMe AGN MU U.2 1.6 TB.
-    pub fn dell_ent_nvme() -> Self {
-        DriveSpec {
-            read_rate: ByteRate::from_mb_per_sec(3200.0),
-            write_rate: ByteRate::from_mb_per_sec(2375.0), // ~19 Gbps
-            read_latency: SimTime::from_micros(80),
-            write_latency: SimTime::from_micros(20),
-            capacity: 1_600_000_000_000,
-        }
-    }
-}
-
-impl Default for DriveSpec {
-    fn default() -> Self {
-        Self::dell_ent_nvme()
-    }
-}
+/// Sustained read bandwidth of the testbed drive (§9.1): ~3200 MB/s.
+const READ_RATE: ByteRate = ByteRate::from_bytes_per_sec(3_200_000_000);
+/// Sustained random-write bandwidth of the testbed drive: ~19 Gbps
+/// (2375 MB/s), §2.3's motivating experiment.
+const WRITE_RATE: ByteRate = ByteRate::from_bytes_per_sec(2_375_000_000);
+/// Fixed read access latency, tens of µs for the testbed's NVMe drive
+/// (overlaps across queued I/Os).
+const READ_LATENCY: SimTime = SimTime::from_micros(80);
+/// Fixed write access latency, tens of µs for the testbed's NVMe drive
+/// (overlaps across queued I/Os).
+const WRITE_LATENCY: SimTime = SimTime::from_micros(20);
 
 /// Health of a drive (§5.4's failure model: transient or prolonged).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -76,7 +53,7 @@ impl std::fmt::Display for DriveError {
 
 impl std::error::Error for DriveError {}
 
-/// A simulated NVMe drive.
+/// A simulated NVMe drive: the paper's testbed drive.
 ///
 /// Reads and writes share one FIFO channel (the drive's controller/flash
 /// bus), each charged at its direction's rate; a fixed access latency is
@@ -85,7 +62,6 @@ impl std::error::Error for DriveError {}
 /// "queuing I/Os as soon as possible" profitable for dRAID's pipeline (§5.3).
 #[derive(Clone, Debug)]
 pub struct Drive {
-    spec: DriveSpec,
     channel: RateResource,
     state: DriveState,
     /// Fail-slow multiplier: ≥ 1.0; bandwidth divides by it and access
@@ -101,10 +77,9 @@ pub struct Drive {
 
 impl Drive {
     /// Creates a healthy drive.
-    pub fn new(spec: DriveSpec) -> Self {
+    pub(crate) fn new() -> Self {
         Drive {
-            spec,
-            channel: RateResource::new(spec.read_rate),
+            channel: RateResource::new(READ_RATE),
             state: DriveState::Healthy,
             slow_factor: 1.0,
             reads: 0,
@@ -112,11 +87,6 @@ impl Drive {
             bytes_offered: 0,
             bytes_dropped: 0,
         }
-    }
-
-    /// The drive's profile.
-    pub fn spec(&self) -> &DriveSpec {
-        &self.spec
     }
 
     /// Current health, given the clock (transient windows expire on their
@@ -163,7 +133,7 @@ impl Drive {
     /// storage pool, Table 1).
     pub fn replace(&mut self) {
         self.state = DriveState::Healthy;
-        self.channel = RateResource::new(self.spec.read_rate);
+        self.channel = RateResource::new(READ_RATE);
         self.slow_factor = 1.0;
         self.reads = 0;
         self.writes = 0;
@@ -187,10 +157,10 @@ impl Drive {
         self.reads += 1;
         let svc = self
             .channel
-            .serve_at_rate(now, bytes, self.effective(self.spec.read_rate));
+            .serve_at_rate(now, bytes, self.effective(READ_RATE));
         Ok(Service {
             start: svc.start,
-            end: svc.end + self.stretch(self.spec.read_latency),
+            end: svc.end + self.stretch(READ_LATENCY),
         })
     }
 
@@ -210,15 +180,15 @@ impl Drive {
         self.writes += 1;
         let svc = self
             .channel
-            .serve_at_rate(now, bytes, self.effective(self.spec.write_rate));
+            .serve_at_rate(now, bytes, self.effective(WRITE_RATE));
         Ok(Service {
             start: svc.start,
-            end: svc.end + self.stretch(self.spec.write_latency),
+            end: svc.end + self.stretch(WRITE_LATENCY),
         })
     }
 
     #[inline]
-    fn effective(&self, rate: draid_sim::ByteRate) -> draid_sim::ByteRate {
+    fn effective(&self, rate: ByteRate) -> ByteRate {
         rate.scaled(1.0 / self.slow_factor)
     }
 
@@ -322,13 +292,7 @@ mod tests {
     use super::*;
 
     fn drive() -> Drive {
-        Drive::new(DriveSpec {
-            read_rate: ByteRate::from_mb_per_sec(2.0),
-            write_rate: ByteRate::from_mb_per_sec(1.0),
-            read_latency: SimTime::from_micros(80),
-            write_latency: SimTime::from_micros(20),
-            capacity: 1 << 30,
-        })
+        Drive::new()
     }
 
     #[test]
@@ -349,20 +313,20 @@ mod tests {
     #[test]
     fn read_write_rates_differ_on_shared_channel() {
         let mut d = drive();
-        let r = d.read(SimTime::ZERO, 1_000_000).unwrap(); // 0.5 s + 80 us
-        let w = d.write(SimTime::ZERO, 1_000_000).unwrap(); // queued: +1 s + 20 us
-        assert_eq!(r.end, SimTime::from_micros(500_080));
-        assert_eq!(w.end, SimTime::from_micros(1_500_020));
+        let r = d.read(SimTime::ZERO, 19_000_000).unwrap(); // 5.9375 ms + 80 us
+        let w = d.write(SimTime::ZERO, 19_000_000).unwrap(); // queued: +8 ms + 20 us
+        assert_eq!(r.end, SimTime::from_nanos(6_017_500));
+        assert_eq!(w.end, SimTime::from_nanos(13_957_500));
         assert_eq!(d.reads(), 1);
         assert_eq!(d.writes(), 1);
-        assert_eq!(d.bytes_served(), 2_000_000);
+        assert_eq!(d.bytes_served(), 38_000_000);
     }
 
     #[test]
     fn latency_is_post_channel() {
         let mut d = drive();
-        let a = d.read(SimTime::ZERO, 2_000).unwrap(); // 1 ms channel
-        let b = d.read(SimTime::ZERO, 2_000).unwrap();
+        let a = d.read(SimTime::ZERO, 3_200_000).unwrap(); // 1 ms channel
+        let b = d.read(SimTime::ZERO, 3_200_000).unwrap();
         // b waits only for a's channel time, not a's access latency.
         assert_eq!(b.start, a.end - SimTime::from_micros(80));
         assert_eq!(b.end, SimTime::from_micros(2_080));
@@ -415,24 +379,27 @@ mod tests {
 
     #[test]
     fn reset_mid_io_keeps_ledger_balanced_and_prorates() {
-        let mut d = drive(); // 1 MB/s write rate
-        d.write(SimTime::ZERO, 1_000_000).unwrap(); // channel busy [0, 1s)
-        d.reset_counters(SimTime::from_millis(250));
+        let mut d = drive(); // 2375 MB/s write rate
+        d.write(SimTime::ZERO, 2_375_000).unwrap(); // channel busy [0, 1 ms)
+        d.reset_counters(SimTime::from_micros(250));
         d.audit_conservation();
         // 75 % of the I/O lands in the measurement window.
-        assert_eq!(d.bytes_served(), 750_000);
-        assert_eq!(d.bytes_offered(), 750_000);
-        assert_eq!(d.busy_time(), SimTime::from_millis(750));
+        assert_eq!(d.bytes_served(), 1_781_250);
+        assert_eq!(d.bytes_offered(), 1_781_250);
+        assert_eq!(d.busy_time(), SimTime::from_micros(750));
         assert_eq!(
-            d.busy_elapsed(SimTime::from_millis(500)),
-            SimTime::from_millis(250)
+            d.busy_elapsed(SimTime::from_micros(500)),
+            SimTime::from_micros(250)
         );
     }
 
     #[test]
-    fn default_spec_is_paper_drive() {
-        let spec = DriveSpec::default();
-        assert!((spec.write_rate.as_gbps() - 19.0).abs() < 0.1);
-        assert_eq!(spec.capacity, 1_600_000_000_000);
+    fn paper_drive_serves_at_its_rates_plus_latency() {
+        // 3200 MB/s read, 2375 MB/s (~19 Gbps) write, each followed by its
+        // access latency.
+        let r = drive().read(SimTime::ZERO, 3_200_000_000).unwrap();
+        assert_eq!(r.end, SimTime::from_micros(1_000_080));
+        let w = drive().write(SimTime::ZERO, 2_375_000_000).unwrap();
+        assert_eq!(w.end, SimTime::from_micros(1_000_020));
     }
 }

@@ -5,13 +5,17 @@
 //! CPU core that SPDK/dRAID dedicates to I/O handling (§7 limits dRAID to one
 //! core per SSD).
 //!
-//! * [`DriveSpec`] / [`Drive`] — an NVMe drive as a shared FIFO channel with
-//!   direction-specific bandwidth and a fixed post-channel latency (modelling
-//!   internal parallelism: latency overlaps, bandwidth is the contended
-//!   resource). Drives support transient and permanent failure injection
-//!   (§5.4's failure model).
-//! * [`CpuSpec`] / [`Cpu`] — a polling core with byte-rate costs for XOR and
-//!   GF(256) work (ISA-L-class throughput) and a fixed per-I/O software cost.
+//! * [`Drive`] — the testbed's NVMe drive (§9.1: 3200 MB/s read, 2375 MB/s
+//!   write) as a shared FIFO channel with direction-specific bandwidth and a
+//!   fixed post-channel latency (modelling internal parallelism: latency
+//!   overlaps, bandwidth is the contended resource). Drives support
+//!   transient and permanent failure injection (§5.4's failure model).
+//! * [`Cpu`] — a polling core with byte-rate costs for XOR and GF(256) work
+//!   (ISA-L-class throughput) and a fixed per-I/O software cost.
+//!
+//! Every server carries the same drive and core, and the host the same
+//! core, as on the paper's one testbed: their rates are constants in
+//! `drive.rs` and `cpu.rs`, not settings.
 //! * [`Cluster`] / [`ClusterBuilder`] — a host plus storage servers on a
 //!   [`draid_net::Fabric`], with the full connection mesh dRAID needs
 //!   (host ↔ every server, server ↔ server pairs, §3).
@@ -38,5 +42,5 @@ mod cpu;
 mod drive;
 
 pub use cluster::{Cluster, ClusterBuilder, ServerId};
-pub use cpu::{Cpu, CpuSpec};
-pub use drive::{Drive, DriveError, DriveSpec, DriveState};
+pub use cpu::Cpu;
+pub use drive::{Drive, DriveError, DriveState};

@@ -9,8 +9,6 @@
 //!
 //! * `map` returns results **in input order**, each input consumed
 //!   exactly once;
-//! * `map_chunked` upholds the same contract for every claim-chunk size,
-//!   including partial final chunks;
 //! * [`ChunkStore`]s driven from several threads at once, sharing the
 //!   kernels' process-wide coefficient-table cache, return exactly the
 //!   bytes written and keep their parity consistent.
@@ -34,8 +32,6 @@ pub struct Report {
     pub seeds: u64,
     /// Total `parallel::map` items pushed through order checks.
     pub mapped_items: u64,
-    /// Total `parallel::map_chunked` items pushed through order checks.
-    pub chunked_items: u64,
     /// Total chunk-store writes and checked reads executed from several
     /// threads at once.
     pub store_cycles: u64,
@@ -67,7 +63,6 @@ pub fn run(seeds: u64) -> Report {
     let mut report = Report::default();
     for seed in 0..seeds {
         report.mapped_items += stress_map_order(seed);
-        report.chunked_items += stress_chunked_claiming(seed);
         report.store_cycles += stress_chunk_stores(seed);
         report.seeds += 1;
     }
@@ -88,27 +83,6 @@ fn stress_map_order(seed: u64) -> u64 {
     assert_eq!(
         out, expected,
         "parallel::map broke order preservation under seed {seed}"
-    );
-    n as u64
-}
-
-/// One seed of chunked-claiming stress: the explicit-chunk entry point must
-/// preserve order and consume each input exactly once for a seed-derived
-/// chunk size (1..=7, deliberately straddling divisors and non-divisors of
-/// `n` so the final claim is often a partial chunk).
-fn stress_chunked_claiming(seed: u64) -> u64 {
-    let h = splitmix64(seed ^ 0xC4A1_D15E);
-    let chunk = 1 + (h % 7) as usize;
-    let n = 16 + ((h >> 8) % 97) as usize;
-    let inputs: Vec<u64> = (0..n as u64).collect();
-    let out = parallel::map_chunked(inputs, chunk, |x| {
-        jitter(splitmix64(seed.wrapping_mul(0xC4A1).wrapping_add(x)));
-        x * 17 + seed
-    });
-    let expected: Vec<u64> = (0..n as u64).map(|x| x * 17 + seed).collect();
-    assert_eq!(
-        out, expected,
-        "parallel::map_chunked broke order preservation under seed {seed} (chunk {chunk})"
     );
     n as u64
 }
@@ -237,7 +211,6 @@ mod tests {
         let r = run(4);
         assert_eq!(r.seeds, 4);
         assert!(r.mapped_items >= 4 * 16);
-        assert!(r.chunked_items >= 4 * 16);
         assert_eq!(r.store_cycles, 4 * STORE_THREADS * 2 * STORE_WRITES);
     }
 

@@ -18,7 +18,7 @@ use draid_sim::{DetRng, Engine, SimTime};
 use crate::config::{ArrayConfig, DataMode, ReducerPolicy, SystemKind};
 use crate::datastore::{ChunkStore, DataPlane};
 use crate::exec::{OpKind, OpState};
-use crate::health::{HealthConfig, HealthMonitor, HealthState};
+use crate::health::{HealthMonitor, HealthState};
 use crate::idhash::IdHasher;
 use crate::io::{IoError, IoId, IoKind, IoResult, UserIo};
 use crate::layout::Layout;
@@ -160,10 +160,7 @@ impl ArraySim {
             member_nodes,
             member_servers,
             faulty: BTreeSet::new(),
-            health: HealthMonitor::new(
-                cfg.width,
-                HealthConfig::for_deadline(cfg.op_deadline, cfg.fault_threshold),
-            ),
+            health: HealthMonitor::new(cfg.width, cfg.op_deadline),
             locks: LockTable::new(),
             ops: Vec::new(),
             free_ops: Vec::new(),

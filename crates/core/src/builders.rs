@@ -48,9 +48,33 @@ use crate::config::{ArrayConfig, SystemKind};
 use crate::dag::{Dag, StepKind};
 use crate::layout::{Layout, StripeIo, WriteMode};
 
+/// Size of a command capsule on the wire, in bytes.
+pub const COMMAND_BYTES: u64 = 128;
+/// Size of a completion/callback message on the wire, in bytes.
+pub const CALLBACK_BYTES: u64 = 64;
+
+/// Host-core cost of acquiring+releasing a stripe lock, paid by the locking
+/// systems on every I/O (the small-I/O read gap of Fig. 9 that dRAID's
+/// lock-free read avoids).
+const LOCK_OVERHEAD: SimTime = SimTime::from_nanos(1200);
+
+// Extra per-I/O costs of the Linux MD kernel path, applied on the host CPU.
+// MD funnels every stripe head through the `raid5d` kernel thread and a
+// stripe cache of 4 KiB pages; the per-page cost grows with stripe width
+// (wider stripes mean more stripe-cache bookkeeping per head), which is what
+// bends Linux's curves downward as width grows (Figs. 12 and 16).
+
+/// Linux MD: base handling cost per 4 KiB page on the write path.
+const LINUX_PAGE_COST: SimTime = SimTime::from_nanos(1500);
+/// Linux MD: additional per-page cost per member of stripe width.
+const LINUX_PAGE_COST_PER_WIDTH: SimTime = SimTime::from_nanos(160);
+/// Linux MD: extra fixed per-I/O cost of crossing the kernel block stack (on
+/// top of the host core's base per-I/O cost).
+const LINUX_PER_IO_EXTRA: SimTime = SimTime::from_micros(5);
+
 /// Everything a builder needs to know about the array at op-launch time.
 pub struct BuildCtx<'a> {
-    /// Array configuration (system kind, ablation toggles, wire sizes).
+    /// Array configuration (system kind, ablation toggles).
     pub cfg: &'a ArrayConfig,
     /// Stripe geometry.
     pub layout: &'a Layout,
@@ -150,11 +174,11 @@ impl<'a, 'c> Builder<'a, 'c> {
             SystemKind::SpdkRaid | SystemKind::LinuxMd => true,
             SystemKind::Draid => !is_read || !cfg.draid.lockfree_read,
         };
-        if pays_lock && cfg.lock_overhead > SimTime::ZERO {
+        if pays_lock {
             root = dag.add(
                 StepKind::CoreBusy {
                     node: ctx.host,
-                    duration: cfg.lock_overhead,
+                    duration: LOCK_OVERHEAD,
                 },
                 &[root],
             );
@@ -169,22 +193,20 @@ impl<'a, 'c> Builder<'a, 'c> {
                 Purpose::Read { .. } => !ctx.faulty.is_empty(),
                 _ => true,
             };
-            let mut busy = cfg.linux.per_io_extra;
+            let mut busy = LINUX_PER_IO_EXTRA;
             if pays_pages {
                 let pages = io.bytes().div_ceil(4096);
-                let per_page = cfg.linux.page_cost.as_nanos()
-                    + cfg.width as u64 * cfg.linux.page_cost_per_width.as_nanos();
+                let per_page = LINUX_PAGE_COST.as_nanos()
+                    + cfg.width as u64 * LINUX_PAGE_COST_PER_WIDTH.as_nanos();
                 busy += SimTime::from_nanos(pages * per_page);
             }
-            if busy > SimTime::ZERO {
-                root = dag.add(
-                    StepKind::CoreBusy {
-                        node: ctx.host,
-                        duration: busy,
-                    },
-                    &[root],
-                );
-            }
+            root = dag.add(
+                StepKind::CoreBusy {
+                    node: ctx.host,
+                    duration: busy,
+                },
+                &[root],
+            );
         }
         Builder { ctx, dag, root }
     }
@@ -232,7 +254,7 @@ impl<'a, 'c> Builder<'a, 'c> {
         let cmd = self.xfer(
             self.ctx.host,
             self.node(member),
-            self.ctx.cfg.command_bytes + payload,
+            COMMAND_BYTES + payload,
             &[dep],
         );
         self.dag.add(
@@ -245,12 +267,7 @@ impl<'a, 'c> Builder<'a, 'c> {
 
     /// Completion callback from `member` to the host.
     fn callback(&mut self, member: usize, deps: &[usize]) -> usize {
-        let arrive = self.xfer(
-            self.node(member),
-            self.ctx.host,
-            self.ctx.cfg.callback_bytes,
-            deps,
-        );
+        let arrive = self.xfer(self.node(member), self.ctx.host, CALLBACK_BYTES, deps);
         // Completion processing on the host stack: every callback consumes a
         // per-I/O slice of the host core, whichever system sent it.
         self.dag.add(
@@ -470,29 +487,24 @@ impl<'a, 'c> Builder<'a, 'c> {
             },
             &[to_spare],
         );
-        self.xfer(
-            spare_node,
-            self.ctx.host,
-            self.ctx.cfg.callback_bytes,
-            &[write],
-        );
+        self.xfer(spare_node, self.ctx.host, CALLBACK_BYTES, &[write]);
     }
 
     /// Scrub of one stripe (identical for every system): every healthy
     /// member reads its chunk and streams it to the stripe's P member, which
     /// XOR-verifies; only a small verdict message reaches the host.
     fn scrub(&mut self, io: &StripeIo, deps: &mut Vec<usize>) {
-        let (host, cfg) = (self.ctx.host, self.ctx.cfg);
+        let host = self.ctx.host;
         let verifier = self.ctx.layout.p_member(io.stripe);
         deps.clear();
         for m in 0..self.ctx.layout.width() {
             if self.healthy(m) {
-                let cmd = self.xfer(host, self.node(m), cfg.command_bytes, &[self.root]);
+                let cmd = self.xfer(host, self.node(m), COMMAND_BYTES, &[self.root]);
                 deps.push(self.chunk_to(m, verifier, cmd));
             }
         }
         let done = self.dag.add(StepKind::Join, deps);
-        self.xfer(self.node(verifier), host, cfg.callback_bytes, &[done]);
+        self.xfer(self.node(verifier), host, CALLBACK_BYTES, &[done]);
     }
 
     /// Member `m` reads its whole chunk after step `ready` and streams it to
@@ -688,7 +700,7 @@ impl<'a, 'c> Builder<'a, 'c> {
             // The dead member's new data goes straight to each parity.
             for (slot, pm) in parity.into_iter().enumerate() {
                 if let Some(pm) = pm {
-                    let bytes = self.ctx.cfg.command_bytes + seg.len;
+                    let bytes = COMMAND_BYTES + seg.len;
                     let fwd = self.xfer(self.ctx.host, self.node(pm), bytes, &[self.root]);
                     fwds[slot].push((m, fwd));
                 }

@@ -7,10 +7,10 @@
 //!
 //! * **fail-stop** — drive/link errors that persist across several
 //!   op-deadline windows escalate `Healthy → Transient → Quarantined →
-//!   Faulty` (the classic §5.4 path; the final transition is what used to be
-//!   the bare `fault_threshold` counter).
+//!   Faulty` (the classic §5.4 path; three errors, each at least an eighth
+//!   of the op deadline after the last, declare the member faulty).
 //! * **fail-slow** — a member that answers without errors but whose latency
-//!   EWMA sits persistently at `fail_slow_factor ×` the array median is a
+//!   EWMA sits persistently at three times the array median is a
 //!   gray member: it is moved to `Quarantined` so operators (and the
 //!   [`FaultManager`](crate::FaultManagerConfig)) can see it, without
 //!   tripping a rebuild for what may be a transient brown-out.
@@ -37,41 +37,16 @@ pub enum HealthState {
     Rebuilding,
 }
 
-/// Detector tuning. Derived from the array configuration by
-/// [`HealthConfig::for_deadline`]; all thresholds are deterministic.
-#[derive(Clone, Copy, Debug)]
-pub struct HealthConfig {
-    /// EWMA smoothing factor for latency samples (weight of the newest).
-    pub ewma_alpha: f64,
-    /// A member is fail-slow when its EWMA is at least this multiple of the
-    /// array median.
-    pub fail_slow_factor: f64,
-    /// How long the latency excess must persist before quarantine.
-    pub fail_slow_grace: SimTime,
-    /// Minimum latency samples before a member's EWMA is judged.
-    pub min_samples: u64,
-    /// Windowed errors that declare the member faulty (§5.4).
-    pub fault_threshold: u32,
-    /// Errors closer together than this count as one piece of evidence.
-    pub error_window: SimTime,
-}
-
-impl HealthConfig {
-    /// Tuning derived from the op deadline and the §5.4 fault threshold:
-    /// the error window is an eighth of the deadline (the first-retry
-    /// backoff), and fail-slow must persist for two deadlines before a
-    /// member is quarantined.
-    pub fn for_deadline(op_deadline: SimTime, fault_threshold: u32) -> Self {
-        HealthConfig {
-            ewma_alpha: 0.25,
-            fail_slow_factor: 3.0,
-            fail_slow_grace: SimTime::from_nanos(2 * op_deadline.as_nanos()),
-            min_samples: 8,
-            fault_threshold,
-            error_window: SimTime::from_nanos(op_deadline.as_nanos() / 8),
-        }
-    }
-}
+/// EWMA smoothing factor for latency samples (weight of the newest).
+const EWMA_ALPHA: f64 = 0.25;
+/// A member is fail-slow when its EWMA is at least this multiple of the
+/// array median.
+const FAIL_SLOW_FACTOR: f64 = 3.0;
+/// Minimum latency samples before a member's EWMA is judged.
+const MIN_SAMPLES: u64 = 8;
+/// Windowed errors that declare the member faulty (§5.4); quarantine comes
+/// halfway, at `ceil(3 / 2) = 2`.
+const FAULT_THRESHOLD: u32 = 3;
 
 /// Health record of one member.
 #[derive(Clone, Debug)]
@@ -116,15 +91,22 @@ impl MemberHealth {
 /// detectors that drive state transitions.
 #[derive(Clone, Debug)]
 pub struct HealthMonitor {
-    cfg: HealthConfig,
+    /// Errors closer together than this count as one piece of evidence: an
+    /// eighth of the op deadline (the first-retry backoff).
+    error_window: SimTime,
+    /// How long the latency excess must persist before quarantine: two op
+    /// deadlines.
+    fail_slow_grace: SimTime,
     members: Vec<MemberHealth>,
 }
 
 impl HealthMonitor {
-    /// A monitor for `width` members.
-    pub fn new(width: usize, cfg: HealthConfig) -> Self {
+    /// A monitor for `width` members of an array whose ops time out after
+    /// `op_deadline`.
+    pub(crate) fn new(width: usize, op_deadline: SimTime) -> Self {
         HealthMonitor {
-            cfg,
+            error_window: SimTime::from_nanos(op_deadline.as_nanos() / 8),
+            fail_slow_grace: SimTime::from_nanos(2 * op_deadline.as_nanos()),
             members: vec![MemberHealth::new(); width],
         }
     }
@@ -143,11 +125,6 @@ impl HealthMonitor {
         self.members[member].state
     }
 
-    /// The detector tuning in effect.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
-    }
-
     /// Records a successful drive op and its observed latency. Success is
     /// proof of life: windowed errors clear, and an error-quarantined member
     /// (no latency excess on record) returns to healthy.
@@ -157,7 +134,7 @@ impl HealthMonitor {
         m.ewma_ns = if m.samples == 0 {
             sample
         } else {
-            self.cfg.ewma_alpha * sample + (1.0 - self.cfg.ewma_alpha) * m.ewma_ns
+            EWMA_ALPHA * sample + (1.0 - EWMA_ALPHA) * m.ewma_ns
         };
         m.samples += 1;
         m.errors = 0;
@@ -179,14 +156,14 @@ impl HealthMonitor {
         if matches!(m.state, HealthState::Faulty | HealthState::Rebuilding) {
             return m.state;
         }
-        if m.errors > 0 && now.saturating_sub(m.last_error) < self.cfg.error_window {
+        if m.errors > 0 && now.saturating_sub(m.last_error) < self.error_window {
             return m.state;
         }
         m.errors += 1;
         m.last_error = now;
-        m.state = if m.errors >= self.cfg.fault_threshold {
+        m.state = if m.errors >= FAULT_THRESHOLD {
             HealthState::Faulty
-        } else if m.errors >= self.cfg.fault_threshold.div_ceil(2) {
+        } else if m.errors >= FAULT_THRESHOLD.div_ceil(2) {
             HealthState::Quarantined
         } else {
             HealthState::Transient
@@ -195,7 +172,7 @@ impl HealthMonitor {
     }
 
     /// Sweeps the fail-slow detector: any member whose latency EWMA has sat
-    /// at `fail_slow_factor ×` the array median for longer than the grace
+    /// at `FAIL_SLOW_FACTOR ×` the array median for longer than the grace
     /// period is quarantined. Members in `skip` (faulty/rebuilding) are
     /// excluded from both the median and the verdicts. Returns the members
     /// newly quarantined by this sweep.
@@ -204,7 +181,7 @@ impl HealthMonitor {
             .members
             .iter()
             .enumerate()
-            .filter(|(i, m)| !skip.contains(i) && m.samples >= self.cfg.min_samples)
+            .filter(|(i, m)| !skip.contains(i) && m.samples >= MIN_SAMPLES)
             .map(|(_, m)| m.ewma_ns)
             .collect();
         // A median needs a population to compare against.
@@ -219,14 +196,14 @@ impl HealthMonitor {
         let mut newly = Vec::new();
         for (i, m) in self.members.iter_mut().enumerate() {
             if skip.contains(&i)
-                || m.samples < self.cfg.min_samples
+                || m.samples < MIN_SAMPLES
                 || matches!(m.state, HealthState::Faulty | HealthState::Rebuilding)
             {
                 continue;
             }
-            if m.ewma_ns >= self.cfg.fail_slow_factor * median {
+            if m.ewma_ns >= FAIL_SLOW_FACTOR * median {
                 let since = *m.slow_since.get_or_insert(now);
-                if now.saturating_sub(since) >= self.cfg.fail_slow_grace
+                if now.saturating_sub(since) >= self.fail_slow_grace
                     && matches!(m.state, HealthState::Healthy | HealthState::Transient)
                 {
                     m.state = HealthState::Quarantined;
@@ -258,14 +235,14 @@ impl HealthMonitor {
 mod tests {
     use super::*;
 
-    fn cfg() -> HealthConfig {
-        HealthConfig::for_deadline(SimTime::from_millis(8), 3)
-    }
+    /// An op deadline of 8 ms: a 1 ms error window, a 16 ms fail-slow
+    /// grace.
+    const DEADLINE: SimTime = SimTime::from_millis(8);
 
     #[test]
     fn errors_escalate_transient_quarantined_faulty() {
-        let mut h = HealthMonitor::new(4, cfg());
-        let w = h.config().error_window;
+        let mut h = HealthMonitor::new(4, DEADLINE);
+        let w = h.error_window;
         // Three errors a window apart walk the whole ladder (threshold 3:
         // quarantine at ceil(3/2) = 2).
         assert_eq!(h.record_error(1, SimTime::ZERO), HealthState::Transient);
@@ -278,7 +255,7 @@ mod tests {
 
     #[test]
     fn burst_errors_count_once() {
-        let mut h = HealthMonitor::new(4, cfg());
+        let mut h = HealthMonitor::new(4, DEADLINE);
         for _ in 0..10 {
             h.record_error(0, SimTime::from_micros(1));
         }
@@ -288,8 +265,8 @@ mod tests {
 
     #[test]
     fn success_resets_error_evidence() {
-        let mut h = HealthMonitor::new(4, cfg());
-        let w = h.config().error_window;
+        let mut h = HealthMonitor::new(4, DEADLINE);
+        let w = h.error_window;
         h.record_error(2, SimTime::ZERO);
         h.record_error(2, w);
         assert_eq!(h.state(2), HealthState::Quarantined);
@@ -300,7 +277,7 @@ mod tests {
 
     #[test]
     fn fail_slow_needs_persistence_then_quarantines() {
-        let mut h = HealthMonitor::new(5, cfg());
+        let mut h = HealthMonitor::new(5, DEADLINE);
         let fast = SimTime::from_micros(100);
         let slow = SimTime::from_micros(1500);
         for _ in 0..20 {
@@ -313,7 +290,7 @@ mod tests {
         assert!(h.check_fail_slow(SimTime::from_millis(1), &none).is_empty());
         assert_eq!(h.state(3), HealthState::Healthy);
         // Persisting past the grace period quarantines exactly the gray one.
-        let later = SimTime::from_millis(1) + h.config().fail_slow_grace;
+        let later = SimTime::from_millis(1) + h.fail_slow_grace;
         assert_eq!(h.check_fail_slow(later, &none), vec![3]);
         assert_eq!(h.state(3), HealthState::Quarantined);
         // Recovery un-quarantines once the EWMA converges back down.
@@ -328,7 +305,7 @@ mod tests {
 
     #[test]
     fn rebuild_reset_gives_fresh_record() {
-        let mut h = HealthMonitor::new(3, cfg());
+        let mut h = HealthMonitor::new(3, DEADLINE);
         h.record_error(0, SimTime::ZERO);
         h.set_state(0, HealthState::Rebuilding);
         // Errors against a rebuilding member are ignored.

@@ -74,14 +74,12 @@ pub mod trace;
 
 pub use array::{ArraySim, CompletionHook};
 pub use bitmap::WriteIntentBitmap;
-pub use builders::{build as build_dag, BuildCtx, Purpose};
-pub use config::{
-    ArrayConfig, DataMode, DraidOptions, LinuxTuning, RaidLevel, ReducerPolicy, SystemKind,
-};
+pub use builders::{build as build_dag, BuildCtx, Purpose, CALLBACK_BYTES, COMMAND_BYTES};
+pub use config::{ArrayConfig, DataMode, DraidOptions, RaidLevel, ReducerPolicy, SystemKind};
 pub use dag::{Dag, Step, StepKind};
 pub use datastore::{ChunkStore, WriteBehind};
 pub use fault::{FaultAction, FaultManagerConfig, FaultSchedule};
-pub use health::{HealthConfig, HealthMonitor, HealthState, MemberHealth};
+pub use health::{HealthMonitor, HealthState, MemberHealth};
 pub use io::{IoError, IoId, IoKind, IoResult, UserIo};
 pub use layout::{Layout, Segment, StripeIo, WriteMode};
 pub use lock::LockTable;

@@ -8,7 +8,7 @@ use draid_core::protocol::{Command, Dest, Opcode, Subtype};
 use draid_core::target::handle_data_chunk;
 use draid_core::{
     build_dag, ArrayConfig, BuildCtx, Dag, DraidOptions, Layout, Purpose, RaidLevel, Segment,
-    StepKind, StripeIo, SystemKind, WriteMode,
+    StepKind, StripeIo, SystemKind, WriteMode, CALLBACK_BYTES, COMMAND_BYTES,
 };
 use draid_net::NodeId;
 
@@ -81,7 +81,7 @@ fn draid_rmw_host_sends_only_new_data() {
     // Exactly one peer transfer of the partial parity to the P bdev.
     let p_node = fx.nodes[fx.layout.p_member(0)];
     let peer_bytes = bytes_received_by(&dag, p_node);
-    assert_eq!(peer_bytes, 128 * KIB + fx.cfg.command_bytes);
+    assert_eq!(peer_bytes, 128 * KIB + COMMAND_BYTES);
 }
 
 #[test]
@@ -173,7 +173,7 @@ fn degraded_read_normal_segments_bypass_reducer() {
     let reducer_in = bytes_received_by(&dag, fx.nodes[reducer]);
     assert_eq!(
         reducer_in,
-        6 * 512 * KIB + fx.cfg.command_bytes,
+        6 * 512 * KIB + COMMAND_BYTES,
         "6 peers stream partials to the reducer"
     );
     // The failed member is never touched.
@@ -286,7 +286,7 @@ fn pipeline_ablation_serializes_and_drops_bdev_callbacks() {
     let cbs = |dag: &draid_core::Dag| {
         count_steps(dag, |k| {
             matches!(k, StepKind::Transfer { to, bytes, .. }
-            if *to == HOST && *bytes == fx_pipe.cfg.callback_bytes)
+            if *to == HOST && *bytes == CALLBACK_BYTES)
         })
     };
     assert_eq!(cbs(&piped), 2);
@@ -407,7 +407,7 @@ fn member_bytes(fx: &Fixture, dag: &Dag, m: usize, p: usize, q: Option<usize>) -
             StepKind::DriveRead { server: s, bytes } if s == server => out[0] += bytes,
             StepKind::DriveWrite { server: s, bytes } if s == server => out[1] += bytes,
             StepKind::Transfer { from, to, bytes } if from == HOST && to == node => {
-                out[2] += bytes - fx.cfg.command_bytes;
+                out[2] += bytes - COMMAND_BYTES;
             }
             StepKind::Transfer { from, to, bytes } if from == node && to == fx.nodes[p] => {
                 out[3] += bytes;

@@ -286,18 +286,9 @@ impl Fabric {
     /// each direction independently serializes at its own NIC rate, so the
     /// slower direction and any queueing on either side gate completion.
     ///
-    /// # Panics
-    ///
-    /// Panics if either endpoint's link is down — use
-    /// [`Fabric::try_transfer`] when fault injection is in play.
-    pub fn transfer(&mut self, now: SimTime, conn: ConnId, bytes: u64) -> Service {
-        self.try_transfer(now, conn, bytes)
-            .unwrap_or_else(|e| panic!("transfer on a dead link: {e}"))
-    }
-
-    /// Fault-aware [`Fabric::transfer`]: fails fast when the sender's egress
-    /// link or the receiver's ingress link is down, and serves at the
-    /// degraded rate while a degradation window is active.
+    /// Fault-aware: fails fast when the sender's egress link or the
+    /// receiver's ingress link is down, and serves at the degraded rate while
+    /// a degradation window is active.
     ///
     /// # Errors
     ///
@@ -599,8 +590,10 @@ mod tests {
     #[test]
     fn uncontended_transfer_latency() {
         let (mut f, conn) = two_node_fabric(8.0); // 1 GB/s
-        let svc = f.transfer(SimTime::ZERO, conn, 1_000_000); // 1 MB -> 1 ms
-                                                              // per_message (0.5us) + propagation (2us) + serialization (1ms)
+        let svc = f
+            .try_transfer(SimTime::ZERO, conn, 1_000_000)
+            .expect("link up"); // 1 MB -> 1 ms
+                                // per_message (0.5us) + propagation (2us) + serialization (1ms)
         assert_eq!(svc.end, SimTime::from_nanos(1_000_000 + 2_500));
     }
 
@@ -611,8 +604,11 @@ mod tests {
         // Folding its ingress charge at that future instant once reported
         // 80 µs busy by t = 10 µs.
         let (mut f, conn) = two_node_fabric(100.0);
-        f.transfer(SimTime::ZERO, conn, 1_000_000);
-        let last = f.transfer(SimTime::ZERO, conn, 1_000_000);
+        f.try_transfer(SimTime::ZERO, conn, 1_000_000)
+            .expect("link up");
+        let last = f
+            .try_transfer(SimTime::ZERO, conn, 1_000_000)
+            .expect("link up");
         let mut prev = SimTime::ZERO;
         for us in (0..=200).step_by(10) {
             let at = SimTime::from_micros(us);
@@ -634,8 +630,12 @@ mod tests {
         let mut f = b.build();
         let c1 = f.connect(host, t1);
         let c2 = f.connect(host, t2);
-        let s1 = f.transfer(SimTime::ZERO, c1, 1_000_000);
-        let s2 = f.transfer(SimTime::ZERO, c2, 1_000_000);
+        let s1 = f
+            .try_transfer(SimTime::ZERO, c1, 1_000_000)
+            .expect("link up");
+        let s2 = f
+            .try_transfer(SimTime::ZERO, c2, 1_000_000)
+            .expect("link up");
         // Second transfer queues behind the first on the host egress.
         assert!(s2.start >= s1.start + SimTime::from_millis(1));
         assert!(s2.end >= SimTime::from_millis(2));
@@ -650,8 +650,12 @@ mod tests {
         let mut f = b.build();
         let c1 = f.connect(t1, sink);
         let c2 = f.connect(t2, sink);
-        let s1 = f.transfer(SimTime::ZERO, c1, 1_000_000);
-        let s2 = f.transfer(SimTime::ZERO, c2, 1_000_000);
+        let s1 = f
+            .try_transfer(SimTime::ZERO, c1, 1_000_000)
+            .expect("link up");
+        let s2 = f
+            .try_transfer(SimTime::ZERO, c2, 1_000_000)
+            .expect("link up");
         // Both leave their senders immediately but serialize into the sink.
         assert_eq!(s1.start, SimTime::ZERO);
         assert_eq!(s2.start, SimTime::ZERO);
@@ -665,7 +669,9 @@ mod tests {
         let slow = b.add_node("slow", vec![NicSpec::with_goodput_gbps(8.0)]);
         let mut f = b.build();
         let c = f.connect(fast, slow);
-        let svc = f.transfer(SimTime::ZERO, c, 1_000_000);
+        let svc = f
+            .try_transfer(SimTime::ZERO, c, 1_000_000)
+            .expect("link up");
         // Dominated by the 1 GB/s receiving side.
         assert!(svc.end >= SimTime::from_millis(1));
         assert!(svc.end < SimTime::from_nanos(1_100_000));
@@ -674,8 +680,8 @@ mod tests {
     #[test]
     fn traffic_accounting() {
         let (mut f, conn) = two_node_fabric(92.0);
-        f.transfer(SimTime::ZERO, conn, 4096);
-        f.transfer(SimTime::ZERO, conn, 4096);
+        f.try_transfer(SimTime::ZERO, conn, 4096).expect("link up");
+        f.try_transfer(SimTime::ZERO, conn, 4096).expect("link up");
         assert_eq!(f.bytes_sent(NodeId(0)), 8192);
         assert_eq!(f.bytes_received(NodeId(1)), 8192);
         assert_eq!(f.bytes_sent(NodeId(1)), 0);
@@ -700,14 +706,15 @@ mod tests {
     #[test]
     fn conservation_ledger_balances_under_faults() {
         let (mut f, conn) = two_node_fabric(8.0);
-        f.transfer(SimTime::ZERO, conn, 4096);
+        f.try_transfer(SimTime::ZERO, conn, 4096).expect("link up");
         f.set_link_down(NodeId(1));
         assert!(f.try_transfer(SimTime::ZERO, conn, 1000).is_err());
         f.for_each_link(NodeId(1), |l| l.admin_down = false);
         f.set_link_down(NodeId(0));
         assert!(f.try_transfer(SimTime::ZERO, conn, 500).is_err());
         f.for_each_link(NodeId(0), |l| l.admin_down = false);
-        f.transfer(SimTime::from_millis(1), conn, 100);
+        f.try_transfer(SimTime::from_millis(1), conn, 100)
+            .expect("link up");
         // offered = served + dropped on every direction.
         f.audit_conservation();
         assert_eq!(
@@ -724,7 +731,8 @@ mod tests {
 
         // A reset in the middle of an in-flight transfer keeps the ledger
         // balanced: the straddling portion stays attributed to the window.
-        f.transfer(SimTime::from_millis(2_000), conn, 1_000_000); // ~1 ms service
+        f.try_transfer(SimTime::from_millis(2_000), conn, 1_000_000)
+            .expect("link up"); // ~1 ms service
         f.reset_counters(SimTime::from_millis(2_000) + SimTime::from_micros(500));
         f.audit_conservation();
         let kept = f.bytes_offered(NodeId(0), LinkDir::Egress);
@@ -733,14 +741,6 @@ mod tests {
             "straddling transfer prorated into the window, got {kept}"
         );
         assert_eq!(kept, f.bytes_sent(NodeId(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "dead link")]
-    fn plain_transfer_panics_on_dead_link() {
-        let (mut f, conn) = two_node_fabric(8.0);
-        f.set_link_down(NodeId(1));
-        f.transfer(SimTime::ZERO, conn, 4096);
     }
 
     #[test]
@@ -839,14 +839,18 @@ mod tests {
         let cross = f.connect(a, z);
         let local = f.connect(peer, z);
         // 1 MB rack-local: only NIC speed (~1 ms), no uplink involved.
-        let svc = f.transfer(SimTime::ZERO, local, 1_000_000);
+        let svc = f
+            .try_transfer(SimTime::ZERO, local, 1_000_000)
+            .expect("link up");
         assert!(
             svc.end < SimTime::from_millis(2),
             "local stays fast: {}",
             svc.end
         );
         // 1 MB cross-rack: gated by the 1 Gbps uplink (~8 ms), not the NICs.
-        let svc = f.transfer(SimTime::ZERO, cross, 1_000_000);
+        let svc = f
+            .try_transfer(SimTime::ZERO, cross, 1_000_000)
+            .expect("link up");
         assert!(
             svc.end >= SimTime::from_millis(8),
             "uplink-bound: {}",
@@ -862,7 +866,9 @@ mod tests {
         let z = b.add_node("z", vec![NicSpec::with_goodput_gbps(8.0)]);
         let mut f = b.build();
         let c = f.connect(a, z);
-        let svc = f.transfer(SimTime::ZERO, c, 1_000_000);
+        let svc = f
+            .try_transfer(SimTime::ZERO, c, 1_000_000)
+            .expect("link up");
         assert!(svc.end < SimTime::from_millis(2));
     }
 

@@ -17,7 +17,7 @@
 //! * per-direction byte counters provide the traffic accounting behind
 //!   Table 1.
 //!
-//! The fabric is passive: [`Fabric::transfer`] reserves resources and returns
+//! The fabric is passive: [`Fabric::try_transfer`] reserves resources and returns
 //! the delivery [`Service`] window; the caller schedules the completion event
 //! on its own [`draid_sim::Engine`]. A core-switch bottleneck is deliberately
 //! not modelled — the paper's testbed switch is non-blocking at the offered
@@ -34,7 +34,9 @@
 //! let target = b.add_node("ssd0", vec![NicSpec::cx5_100g()]);
 //! let mut fabric = b.build();
 //! let conn = fabric.connect(host, target);
-//! let svc = fabric.transfer(SimTime::ZERO, conn, 128 * 1024);
+//! let svc = fabric
+//!     .try_transfer(SimTime::ZERO, conn, 128 * 1024)
+//!     .expect("both links up");
 //! assert!(svc.end > SimTime::ZERO);
 //! ```
 

@@ -13,7 +13,8 @@ use crate::SimTime;
 /// ```
 /// use draid_sim::ByteRate;
 /// assert_eq!(ByteRate::from_gbps(100.0).bytes_per_sec(), 12_500_000_000);
-/// assert_eq!(ByteRate::from_mb_per_sec(2375.0).bytes_per_sec(), 2_375_000_000);
+/// // 2375 MB/s, the testbed drive's write rate.
+/// assert_eq!(ByteRate::from_bytes_per_sec(2_375_000_000).as_mb_per_sec(), 2375.0);
 /// ```
 #[derive(
     Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
@@ -37,16 +38,6 @@ impl ByteRate {
     pub fn from_gbps(gbps: f64) -> Self {
         assert!(gbps.is_finite() && gbps >= 0.0, "invalid rate: {gbps}");
         ByteRate((gbps * 1e9 / 8.0).round() as u64)
-    }
-
-    /// Creates a rate from decimal megabytes per second (storage convention).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mbs` is negative or not finite.
-    pub fn from_mb_per_sec(mbs: f64) -> Self {
-        assert!(mbs.is_finite() && mbs >= 0.0, "invalid rate: {mbs}");
-        ByteRate((mbs * 1e6).round() as u64)
     }
 
     /// The rate in bytes per second.
@@ -404,7 +395,6 @@ mod tests {
     fn rate_conversions() {
         let r = ByteRate::from_gbps(92.0);
         assert!((r.as_gbps() - 92.0).abs() < 1e-9);
-        assert_eq!(ByteRate::from_mb_per_sec(1.0).bytes_per_sec(), 1_000_000);
         assert_eq!(
             ByteRate::from_bytes_per_sec(125_000_000).as_gbps(),
             1.0 // 1 Gbps
@@ -469,9 +459,13 @@ mod tests {
 
     #[test]
     fn mixed_rates_on_shared_channel() {
-        let mut drive = RateResource::new(ByteRate::from_mb_per_sec(1.0));
-        let read = drive.serve_at_rate(SimTime::ZERO, 1_000_000, ByteRate::from_mb_per_sec(2.0));
-        let write = drive.serve_at_rate(SimTime::ZERO, 1_000_000, ByteRate::from_mb_per_sec(1.0));
+        let (one, two) = (
+            ByteRate::from_bytes_per_sec(1_000_000),
+            ByteRate::from_bytes_per_sec(2_000_000),
+        );
+        let mut drive = RateResource::new(one);
+        let read = drive.serve_at_rate(SimTime::ZERO, 1_000_000, two);
+        let write = drive.serve_at_rate(SimTime::ZERO, 1_000_000, one);
         assert_eq!(read.end, SimTime::from_millis(500));
         assert_eq!(write.start, read.end);
         assert_eq!(write.end, SimTime::from_millis(1500));

@@ -9,7 +9,8 @@ use draid_sim::{ByteRate, DetRng, Engine, RateResource, SimTime};
 fn rate_resource_is_fifo_and_work_conserving() {
     let mut rng = DetRng::new(0x51A1);
     for _ in 0..60 {
-        let rate = ByteRate::from_mb_per_sec(1.0 + rng.unit_f64() * 9_999.0);
+        let rate =
+            ByteRate::from_bytes_per_sec(((1.0 + rng.unit_f64() * 9_999.0) * 1e6).round() as u64);
         let n = 1 + rng.below(60) as usize;
         let mut res = RateResource::new(rate);
         let mut prev_end = SimTime::ZERO;
@@ -90,7 +91,8 @@ fn timeline_conserves_clamped_busy_under_random_load() {
     // arrival patterns (including deep queueing) and random bucket widths.
     let mut rng = DetRng::new(0x51A5);
     for _ in 0..40 {
-        let rate = ByteRate::from_mb_per_sec(1.0 + rng.unit_f64() * 999.0);
+        let rate =
+            ByteRate::from_bytes_per_sec(((1.0 + rng.unit_f64() * 999.0) * 1e6).round() as u64);
         let mut res = RateResource::new(rate);
         let mut tl = draid_sim::UtilizationTimeline::new(SimTime::ZERO);
         tl.observe("res", SimTime::ZERO, SimTime::ZERO);

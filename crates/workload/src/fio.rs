@@ -14,16 +14,12 @@ pub struct FioJob {
     pub io_size: u64,
     /// Outstanding I/Os (closed loop).
     pub queue_depth: usize,
-    /// Size of the region offsets are drawn from.
+    /// Size of the region offsets are drawn from; a uniform offset is a
+    /// multiple of `io_size`.
     pub working_set: u64,
-    /// Offset alignment; defaults to `io_size`.
-    pub align: u64,
     /// When set, every read targets chunks stored on this member — the
     /// rebuild-style workload of Fig. 17a where *all* reads are degraded.
     pub target_member: Option<usize>,
-    /// Sequential instead of random offsets (FIO's `rw=read|write`); the
-    /// cursor wraps at the working-set end.
-    pub sequential: bool,
     /// Workload RNG seed.
     pub seed: u64,
 }
@@ -52,17 +48,9 @@ impl FioJob {
             io_size,
             queue_depth: 32,
             working_set: 16 << 30,
-            align: io_size,
             target_member: None,
-            sequential: false,
             seed: 0xF10,
         }
-    }
-
-    /// Switches to sequential access (builder style).
-    pub fn sequential(mut self) -> Self {
-        self.sequential = true;
-        self
     }
 
     /// Sets the queue depth (builder style).
@@ -108,19 +96,15 @@ impl FioJob {
         }
     }
 
+    /// An `io_size`-aligned offset whose I/O lies inside the working set.
     fn uniform_offset(&self, rng: &mut DetRng) -> u64 {
-        let slots = (self.working_set / self.align).max(1);
-        let mut off = rng.below(slots) * self.align;
-        // Clamp so the I/O stays inside the working set.
-        if off + self.io_size > self.working_set {
-            off = self.working_set - self.io_size;
-            off -= off % self.align.min(off.max(1));
-        }
-        off
+        let slots = (self.working_set / self.io_size).max(1);
+        rng.below(slots) * self.io_size
     }
 
     /// An offset whose first chunk lives on `member` (skipping stripes where
-    /// `member` holds parity).
+    /// `member` holds parity). An I/O smaller than a chunk lies inside it, at
+    /// a multiple of `io_size` when that is at most half a chunk.
     fn member_offset(&self, rng: &mut DetRng, layout: &Layout, member: usize) -> u64 {
         let stripe_bytes = layout.stripe_data_bytes();
         let stripes = (self.working_set / stripe_bytes).max(1);
@@ -130,26 +114,26 @@ impl FioJob {
             {
                 let chunk_base = s * stripe_bytes + k as u64 * layout.chunk_size();
                 let span = layout.chunk_size().saturating_sub(self.io_size);
-                let within = if span == 0 || self.io_size >= layout.chunk_size() {
+                let within = if span == 0 {
                     0
                 } else {
-                    (rng.below(span / self.align.min(span).max(1) + 1)) * self.align.min(span)
+                    let step = self.io_size.min(span);
+                    rng.below(span / step + 1) * step
                 };
-                return chunk_base + within.min(span);
+                return chunk_base + within;
             }
             // `member` holds parity in stripe `s`; try another stripe.
         }
     }
 }
 
-/// A stateful stream of I/Os from a [`FioJob`]: owns the RNG and, for
-/// sequential jobs, the advancing cursor. The runners consume jobs through
-/// streams so `FioJob` itself stays a plain, copyable description.
+/// A stateful stream of I/Os from a [`FioJob`]: owns the RNG. The runners
+/// consume jobs through streams so `FioJob` itself stays a plain, copyable
+/// description.
 #[derive(Clone, Debug)]
 pub struct FioStream {
     job: FioJob,
     rng: DetRng,
-    cursor: u64,
 }
 
 impl FioStream {
@@ -157,7 +141,6 @@ impl FioStream {
     pub fn new(job: FioJob) -> Self {
         FioStream {
             rng: DetRng::new(job.seed),
-            cursor: 0,
             job,
         }
     }
@@ -169,24 +152,7 @@ impl FioStream {
 
     /// Draws the next I/O.
     pub fn next_io(&mut self, layout: &Layout) -> UserIo {
-        if self.job.sequential {
-            let kind = if self.rng.chance(self.job.read_ratio) {
-                IoKind::Read
-            } else {
-                IoKind::Write
-            };
-            if self.cursor + self.job.io_size > self.job.working_set {
-                self.cursor = 0;
-            }
-            let offset = self.cursor;
-            self.cursor += self.job.io_size.max(self.job.align);
-            match kind {
-                IoKind::Read => UserIo::read(offset, self.job.io_size),
-                IoKind::Write => UserIo::write(offset, self.job.io_size),
-            }
-        } else {
-            self.job.next_io(&mut self.rng, layout)
-        }
+        self.job.next_io(&mut self.rng, layout)
     }
 }
 
@@ -208,7 +174,7 @@ mod tests {
         let l = layout();
         for _ in 0..1000 {
             let io = job.next_io(&mut rng, &l);
-            assert_eq!(io.offset % job.align, 0);
+            assert_eq!(io.offset % job.io_size, 0);
             assert!(io.offset + io.len <= job.working_set);
             assert_eq!(io.kind, IoKind::Write);
         }
@@ -227,16 +193,26 @@ mod tests {
 
     #[test]
     fn member_targeting_hits_only_that_member() {
+        // Fig. 17a's rebuild-style reads at each of its I/O sizes: aligned
+        // to the I/O size, inside one chunk of the targeted member.
         let l = layout();
-        let job = FioJob::random_read(16 * 1024)
-            .working_set(1 << 30)
-            .target_member(3)
-            .seed(3);
-        let mut rng = DetRng::new(job.seed);
-        for _ in 0..500 {
-            let io = job.next_io(&mut rng, &l);
-            let sio = &l.map(io.offset, io.len)[0];
-            assert!(sio.segments.iter().all(|s| s.member == 3));
+        for io_size in [4 * 1024, 16 * 1024, 128 * 1024] {
+            let job = FioJob::random_read(io_size)
+                .working_set(1 << 30)
+                .target_member(3)
+                .seed(3);
+            let mut rng = DetRng::new(job.seed);
+            for _ in 0..500 {
+                let io = job.next_io(&mut rng, &l);
+                assert_eq!(io.offset % io_size, 0, "{io_size} B read at {}", io.offset);
+                let sios = l.map(io.offset, io.len);
+                assert_eq!(sios.len(), 1, "one stripe");
+                let [seg] = sios[0].segments[..] else {
+                    panic!("{io_size} B read at {} spans chunks", io.offset);
+                };
+                assert_eq!((seg.member, seg.len), (3, io_size));
+                assert!(seg.offset + seg.len <= l.chunk_size());
+            }
         }
     }
 
@@ -244,21 +220,6 @@ mod tests {
     #[should_panic(expected = "bad read ratio")]
     fn ratio_validated() {
         FioJob::mixed(1.5, 4096);
-    }
-
-    #[test]
-    fn sequential_stream_advances_and_wraps() {
-        let l = layout();
-        let job = FioJob::random_write(128 * 1024)
-            .working_set(512 * 1024)
-            .sequential();
-        let mut stream = FioStream::new(job);
-        let offsets: Vec<u64> = (0..6).map(|_| stream.next_io(&l).offset).collect();
-        assert_eq!(
-            offsets,
-            vec![0, 131072, 262144, 393216, 0, 131072],
-            "cursor advances by io_size and wraps at the working set"
-        );
     }
 
     #[test]

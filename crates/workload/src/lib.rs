@@ -7,7 +7,9 @@
 //!
 //! * [`FioJob`] — the workload description (read ratio, I/O size, queue
 //!   depth, working set, optional targeting of a failed member's chunks for
-//!   rebuild-style experiments).
+//!   rebuild-style experiments). Offsets are random and aligned to the I/O
+//!   size, as the paper's FIO jobs draw them; [`FioStream`] owns the RNG
+//!   that draws them.
 //! * [`Runner`] — a closed-loop driver: `queue_depth` outstanding I/Os, each
 //!   completion immediately submitting the next, with a warm-up phase and a
 //!   measured phase (counters reset in between, like FIO's `ramp_time`).

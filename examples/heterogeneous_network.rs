@@ -7,7 +7,7 @@
 //! cargo run --release --example heterogeneous_network
 //! ```
 
-use draid::block::{ClusterBuilder, CpuSpec, DriveSpec};
+use draid::block::ClusterBuilder;
 use draid::core::reducer::water_fill;
 use draid::core::{ArrayConfig, ArraySim, DraidOptions, ReducerPolicy, SystemKind};
 use draid::net::NicSpec;
@@ -16,14 +16,14 @@ use draid::workload::{FioJob, Runner};
 fn build(policy: ReducerPolicy) -> ArraySim {
     // 8 storage servers: five on 100 Gbps NICs, three on 25 Gbps.
     let mut b = ClusterBuilder::new();
-    b.host(vec![NicSpec::cx5_100g()], CpuSpec::default());
+    b.host(vec![NicSpec::cx5_100g()]);
     for i in 0..8 {
         let nic = if i >= 5 {
             NicSpec::cx5_25g()
         } else {
             NicSpec::cx5_100g()
         };
-        b.server(vec![nic], DriveSpec::default(), CpuSpec::default());
+        b.server(vec![nic]);
     }
     let mut cfg = ArrayConfig::paper_default(SystemKind::Draid);
     cfg.draid = DraidOptions {

@@ -158,18 +158,18 @@ fn lsm_store_stays_below_array_bandwidth() {
 
 #[test]
 fn bandwidth_aware_beats_random_on_heterogeneous_network() {
-    use draid::block::{ClusterBuilder, CpuSpec, DriveSpec};
+    use draid::block::ClusterBuilder;
     use draid::net::NicSpec;
     let build = |policy: ReducerPolicy| {
         let mut b = ClusterBuilder::new();
-        b.host(vec![NicSpec::cx5_100g()], CpuSpec::default());
+        b.host(vec![NicSpec::cx5_100g()]);
         for i in 0..8 {
             let nic = if i >= 5 {
                 NicSpec::cx5_25g()
             } else {
                 NicSpec::cx5_100g()
             };
-            b.server(vec![nic], DriveSpec::default(), CpuSpec::default());
+            b.server(vec![nic]);
         }
         let mut cfg = ArrayConfig::paper_default(SystemKind::Draid);
         cfg.draid = DraidOptions {
