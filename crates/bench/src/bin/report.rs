@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run --release -p draid-bench --bin report            # aligned text
 //! cargo run --release -p draid-bench --bin report -- --json  # machine-readable
-//! cargo run --release -p draid-bench --bin report -- --prometheus
 //! cargo run --release -p draid-bench --bin report -- --quick # short CI smoke
 //! ```
 //!
@@ -13,34 +12,26 @@ use draid_bench::{run_report, ReportConfig};
 
 fn main() {
     let mut cfg = ReportConfig::reference();
-    let mut format = Format::Text;
+    let mut json = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--json" => format = Format::Json,
-            "--prometheus" => format = Format::Prometheus,
-            "--text" => format = Format::Text,
+            "--json" => json = true,
             "--quick" => cfg = ReportConfig::quick(),
             other => {
                 eprintln!("unknown argument: {other}");
-                eprintln!("usage: report [--json | --prometheus | --text] [--quick]");
+                eprintln!("usage: report [--json] [--quick]");
                 std::process::exit(2);
             }
         }
     }
     let report = run_report(&cfg);
-    match format {
-        Format::Text => print!("{}", report.to_text()),
-        Format::Json => println!("{}", report.to_json()),
-        Format::Prometheus => print!("{}", report.to_prometheus()),
+    if json {
+        println!("{}", report.to_json());
+    } else {
+        print!("{}", report.to_text());
     }
     if !report.reconciled() {
         eprintln!("error: byte-conservation ledgers do not balance");
         std::process::exit(1);
     }
-}
-
-enum Format {
-    Text,
-    Json,
-    Prometheus,
 }

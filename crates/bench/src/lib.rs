@@ -15,8 +15,8 @@
 //! baselines (`BENCH_kernels.json`, `BENCH_sim.json`).
 //!
 //! The `report` binary is the observability plane's front end: it runs a
-//! reference scenario and attributes the bottleneck per phase, with JSON,
-//! aligned-text and Prometheus outputs (see [`report`]).
+//! reference scenario and attributes the bottleneck per phase, as aligned
+//! text or JSON (see [`report`]).
 //!
 //! ## Example
 //!

@@ -5,12 +5,13 @@
 //! the bytes went: per-resource utilization timeline, per-phase bottleneck,
 //! per-class queueing-vs-service latency breakdown, and the byte-conservation
 //! ledgers (`offered == served + dropped`) for every NIC direction and drive
-//! channel. Renders as aligned text, a [`Json`] document (validated against
-//! `schema/report.schema.json`), or Prometheus exposition text.
+//! channel. Renders as aligned text or as a [`Json`] document (validated
+//! against `schema/report.schema.json`).
 
+use draid_core::trace::{ClassBreakdown, StepClass};
 use draid_core::{run_measured, ArraySim, RaidLevel, SystemKind};
 use draid_net::LinkDir;
-use draid_sim::{Engine, HistogramSummary, MetricsRegistry, SimTime, UtilizationTimeline};
+use draid_sim::{Engine, HistogramSummary, SimTime, UtilizationTimeline};
 use draid_workload::{start_closed_loop, FioJob};
 
 use crate::json::Json;
@@ -55,23 +56,6 @@ impl ReportConfig {
             ..Self::reference()
         }
     }
-}
-
-/// One resource class's aggregate latency demand over the window.
-#[derive(Clone, Copy, Debug)]
-pub struct ClassRow {
-    /// Class label (`network`, `drive`, `cpu`, `control`).
-    pub class: &'static str,
-    /// Steps executed.
-    pub steps: u64,
-    /// Total issue-to-completion demand (overlapping steps all count).
-    pub span: SimTime,
-    /// Portion of `span` spent queueing for the resource.
-    pub queue: SimTime,
-    /// Portion of `span` spent in service.
-    pub service: SimTime,
-    /// Bytes moved or processed.
-    pub bytes: u64,
 }
 
 /// One resource's utilization over the whole measured window.
@@ -148,7 +132,7 @@ pub struct BottleneckReport {
     /// Write-latency summary (zeroes when no writes completed).
     pub write_latency: HistogramSummary,
     /// Per-class latency demand split into queueing and service.
-    pub breakdown: Vec<ClassRow>,
+    pub breakdown: Vec<(StepClass, ClassBreakdown)>,
     /// Whole-window utilization per resource, saturated first.
     pub utilization: Vec<UtilRow>,
     /// Per-bucket bottleneck attribution.
@@ -193,19 +177,6 @@ pub fn run_report(cfg: &ReportConfig) -> BottleneckReport {
     );
 
     let trace = array.take_trace().expect("tracing enabled above");
-    let breakdown = trace
-        .breakdown()
-        .into_iter()
-        .map(|(class, agg)| ClassRow {
-            class: class.label(),
-            steps: agg.steps,
-            span: agg.total_span,
-            queue: agg.queue,
-            service: agg.service,
-            bytes: agg.bytes,
-        })
-        .collect();
-
     let mut utilization: Vec<UtilRow> = timeline
         .names()
         .map(|name| {
@@ -251,7 +222,7 @@ pub fn run_report(cfg: &ReportConfig) -> BottleneckReport {
         kiops: stats.kiops(cfg.measure),
         read_latency: stats.read_latency.summary(),
         write_latency: stats.write_latency.summary(),
-        breakdown,
+        breakdown: trace.breakdown(),
         utilization,
         bottlenecks,
         ledgers,
@@ -357,11 +328,11 @@ impl BottleneckReport {
                 "breakdown",
                 self.breakdown
                     .iter()
-                    .map(|row| {
+                    .map(|(class, row)| {
                         Json::obj([
-                            ("class", row.class.into()),
+                            ("class", class.label().into()),
                             ("steps", row.steps.into()),
-                            ("span_ns", row.span.as_nanos().into()),
+                            ("span_ns", row.total_span.as_nanos().into()),
                             ("queue_ns", row.queue.as_nanos().into()),
                             ("service_ns", row.service.as_nanos().into()),
                             ("bytes", row.bytes.into()),
@@ -449,15 +420,15 @@ impl BottleneckReport {
             "  {:<8} {:>8} {:>14} {:>14} {:>14} {:>14}\n",
             "class", "steps", "span", "queue", "service", "bytes"
         ));
-        for row in &self.breakdown {
+        for (class, row) in &self.breakdown {
             if row.steps == 0 {
                 continue;
             }
             out.push_str(&format!(
                 "  {:<8} {:>8} {:>14} {:>14} {:>14} {:>14}\n",
-                row.class,
+                class.label(),
                 row.steps,
-                row.span.to_string(),
+                row.total_span.to_string(),
                 row.queue.to_string(),
                 row.service.to_string(),
                 row.bytes
@@ -504,53 +475,6 @@ impl BottleneckReport {
         }
         out
     }
-
-    /// Renders the report's metrics in the Prometheus text exposition format
-    /// via a [`MetricsRegistry`].
-    pub fn to_prometheus(&self) -> String {
-        let mut reg = MetricsRegistry::new();
-        reg.counter_add("draid_reads_total", self.reads);
-        reg.counter_add("draid_writes_total", self.writes);
-        reg.counter_add("draid_bytes_read_total", self.bytes_read);
-        reg.counter_add("draid_bytes_written_total", self.bytes_written);
-        reg.counter_add("draid_trace_events_total", self.trace_events);
-        reg.counter_add("draid_trace_dropped_total", self.trace_dropped);
-        reg.set_gauge("draid_bandwidth_mb_per_sec", self.bandwidth_mb_per_sec);
-        reg.set_gauge("draid_kiops", self.kiops);
-        for row in &self.utilization {
-            reg.set_gauge(
-                &format!("draid_utilization{{resource=\"{}\"}}", row.resource),
-                row.utilization,
-            );
-        }
-        for row in &self.ledgers {
-            let name = &row.resource;
-            reg.counter_add(
-                &format!("draid_bytes_offered_total{{resource=\"{name}\"}}"),
-                row.offered,
-            );
-            reg.counter_add(
-                &format!("draid_bytes_served_total{{resource=\"{name}\"}}"),
-                row.served,
-            );
-            reg.counter_add(
-                &format!("draid_bytes_dropped_total{{resource=\"{name}\"}}"),
-                row.dropped,
-            );
-        }
-        for row in &self.breakdown {
-            let class = row.class;
-            reg.counter_add(
-                &format!("draid_step_queue_ns_total{{class=\"{class}\"}}"),
-                row.queue.as_nanos(),
-            );
-            reg.counter_add(
-                &format!("draid_step_service_ns_total{{class=\"{class}\"}}"),
-                row.service.as_nanos(),
-            );
-        }
-        reg.render_prometheus()
-    }
 }
 
 #[cfg(test)]
@@ -577,8 +501,8 @@ mod tests {
         let top = report.utilization.first().expect("has resources");
         assert!(top.utilization > 0.3, "load too light: {top:?}");
         // queue + service == span per class (the trace-span invariant).
-        for row in &report.breakdown {
-            assert_eq!(row.queue + row.service, row.span, "{}", row.class);
+        for (class, row) in &report.breakdown {
+            assert_eq!(row.queue + row.service, row.total_span, "{class:?}");
         }
         assert_eq!(report.trace_dropped, 0);
     }
@@ -601,7 +525,7 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_all_three_formats() {
+    fn report_renders_text_and_json() {
         let report = run_report(&ReportConfig::quick());
         let text = report.to_text();
         assert!(text.contains("bottleneck per phase"));
@@ -609,8 +533,5 @@ mod tests {
         let json = report.to_json();
         let parsed = crate::json::parse(&json).expect("report JSON parses");
         assert_eq!(parsed.get("reconciled").and_then(Json::as_bool), Some(true));
-        let prom = report.to_prometheus();
-        assert!(prom.contains("draid_writes_total"));
-        assert!(prom.contains("draid_utilization{resource="));
     }
 }

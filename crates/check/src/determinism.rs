@@ -7,11 +7,11 @@
 //! covering user-visible results, array statistics, latency histograms,
 //! engine counters, per-node fabric ledgers, per-drive byte ledgers, the
 //! full step trace (with each step's queue/service split), the windowed
-//! utilization timeline, a bucketed-latency cross-section and a rendered
-//! metrics registry. Run twice with the same seed, the artifact must
-//! match **byte-for-byte**; any divergence means hidden nondeterminism
-//! (hash-order iteration, wall-clock reads, allocation-dependent
-//! scheduling) has leaked into the simulation.
+//! utilization timeline and a bucketed-latency cross-section. Run twice
+//! with the same seed, the artifact must match **byte-for-byte**; any
+//! divergence means hidden nondeterminism (hash-order iteration,
+//! wall-clock reads, allocation-dependent scheduling) has leaked into the
+//! simulation.
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
@@ -21,7 +21,7 @@ use bytes::Bytes;
 use draid_block::Cluster;
 use draid_core::{ArrayConfig, ArraySim, DataMode, FaultSchedule, RaidLevel, SystemKind, UserIo};
 use draid_net::LinkDir;
-use draid_sim::{DetRng, Engine, Histogram, MetricsRegistry, SimTime, UtilizationTimeline};
+use draid_sim::{DetRng, Engine, Histogram, SimTime, UtilizationTimeline};
 
 const KIB: u64 = 1024;
 
@@ -284,24 +284,16 @@ pub fn artifact(seed: u64) -> String {
     let ls = lat.summary();
     let _ = writeln!(
         w,
-        "bucketed_latency n {} mean_ns {} p50_ns {} p99_ns {} min_ns {} max_ns {}",
+        "bucketed_latency n {} mean_ns {} p50_ns {} p99_ns {} min_ns {} max_ns {} sum_ns {}",
         ls.n,
         ls.mean.as_nanos(),
         ls.p50.as_nanos(),
         ls.p99.as_nanos(),
         ls.min.as_nanos(),
-        ls.max.as_nanos()
+        ls.max.as_nanos(),
+        lat.sum_nanos()
     );
 
-    // Metrics registry rendered through the Prometheus text exporter.
-    let mut reg = MetricsRegistry::new();
-    reg.counter_add("draid_reads_total", array.stats.reads);
-    reg.counter_add("draid_writes_total", array.stats.writes);
-    reg.counter_add("draid_bytes_read_total", array.stats.bytes_read);
-    reg.counter_add("draid_bytes_written_total", array.stats.bytes_written);
-    reg.counter_add("draid_retries_total", array.stats.retries);
-    *reg.histogram_mut("draid_io_latency_ns") = lat;
-    let _ = write!(w, "{}", reg.render_prometheus());
     out
 }
 

@@ -335,7 +335,10 @@ impl ArraySim {
     }
 
     /// Permanently fails a member: the drive errors out and the array enters
-    /// degraded state immediately (the §9.4/§9.5 experiment setup).
+    /// degraded state immediately (the §9.4/§9.5 experiment setup). A
+    /// scheduled [`FaultAction::FailDrive`](crate::FaultAction::FailDrive)
+    /// kills the drive without telling the array, so the §5.4 detection
+    /// path has to discover it.
     pub fn fail_member(&mut self, member: usize) {
         assert!(member < self.cfg.width, "member out of range");
         self.cluster

@@ -130,17 +130,6 @@ impl ArraySim {
         })
     }
 
-    /// Fails a member's drive *without* telling the array — the §5.4
-    /// detection path (timeouts, errored retries, windowed evidence) has to
-    /// discover and declare it, unlike [`ArraySim::fail_member`] which
-    /// declares immediately.
-    pub fn inject_drive_failure(&mut self, member: usize) {
-        assert!(member < self.cfg.width, "member out of range");
-        self.cluster
-            .drive_mut(self.member_servers[member])
-            .fail_permanently();
-    }
-
     /// Makes a member's drive fail-slow: every drive op serves `factor ×`
     /// slower, with no errors. `1.0` restores full speed.
     pub fn inject_fail_slow(&mut self, member: usize, factor: f64) {
@@ -153,7 +142,12 @@ impl ArraySim {
     pub(crate) fn apply_fault(&mut self, eng: &mut Engine<ArraySim>, action: FaultAction) {
         let now = eng.now();
         match action {
-            FaultAction::FailDrive { member } => self.inject_drive_failure(member),
+            // The array is not told: the §5.4 detection path (timeouts,
+            // errored retries, windowed evidence) has to declare it.
+            FaultAction::FailDrive { member } => self
+                .cluster
+                .drive_mut(self.member_servers[member])
+                .fail_permanently(),
             FaultAction::DeclareFailed { member } => self.fail_member(member),
             FaultAction::Transient { member, duration } => {
                 self.inject_transient(now, member, duration)

@@ -258,39 +258,6 @@ impl Tracer {
             })
             .collect()
     }
-
-    /// Renders a compact human-readable summary.
-    pub fn summary(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "trace: {} events ({} dropped)\n",
-            self.events.len(),
-            self.dropped
-        ));
-        for (class, agg) in self.breakdown() {
-            if agg.steps > 0 {
-                out.push_str(&format!(
-                    "  {:<8} steps={:<6} span={:<12} queue={:<12} service={:<12} bytes={}\n",
-                    class.label(),
-                    agg.steps,
-                    agg.total_span.to_string(),
-                    agg.queue.to_string(),
-                    agg.service.to_string(),
-                    agg.bytes
-                ));
-            }
-        }
-        out
-    }
-
-    /// Clears the buffer and the kept DAGs (keeps capacity).
-    pub fn reset(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-        self.ops.clear();
-        self.op_steps = 0;
-        self.live.clear();
-    }
 }
 
 /// Latency attribution along one operation's critical path.
@@ -502,7 +469,6 @@ mod tests {
             .expect("drv")
             .1;
         assert_eq!(drive.steps, 1);
-        assert!(t.summary().contains("network"));
     }
 
     #[test]
@@ -512,8 +478,6 @@ mod tests {
         t.record(ev(StepKind::Join, 1, 1));
         assert_eq!(t.events().len(), 1);
         assert_eq!(t.dropped(), 1);
-        t.reset();
-        assert_eq!(t.dropped(), 0);
     }
 }
 

@@ -10,10 +10,6 @@ use crate::NicSpec;
 )]
 pub struct NodeId(pub usize);
 
-/// Identifies a NIC in the fabric (global index).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NicId(pub usize);
-
 /// Identifies an established connection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ConnId(pub usize);

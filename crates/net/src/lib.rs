@@ -46,7 +46,7 @@
 mod fabric;
 mod spec;
 
-pub use fabric::{ConnId, Fabric, FabricBuilder, LinkDir, LinkError, NicId, NodeId};
+pub use fabric::{ConnId, Fabric, FabricBuilder, LinkDir, LinkError, NodeId};
 pub use spec::NicSpec;
 
 pub use draid_sim::Service;

@@ -17,10 +17,8 @@
 //! * [`RateResource`] — a fluid FIFO server: serving `b` bytes at rate `r`
 //!   occupies the resource for `b / r`, queueing behind earlier work.
 //! * [`DetRng`] — seeded deterministic RNG so every experiment replays.
-//! * [`Histogram`] / [`Counter`] — exact or bucketed latency percentiles and
-//!   counters.
-//! * [`MetricsRegistry`] / [`UtilizationTimeline`] — named metrics with a
-//!   Prometheus-style exporter, and windowed per-resource utilization buckets.
+//! * [`Histogram`] — exact or bucketed latency percentiles.
+//! * [`UtilizationTimeline`] — windowed per-resource utilization buckets.
 //!
 //! ## Example
 //!
@@ -48,14 +46,14 @@ mod engine;
 mod invariant;
 mod metrics;
 mod rate;
-mod registry;
 mod rng;
 mod time;
+mod timeline;
 
 pub use engine::{Engine, EngineStats, EventFn, TimerHandle};
 pub use invariant::invariants_enabled;
-pub use metrics::{Counter, Histogram, HistogramSummary};
+pub use metrics::{Histogram, HistogramSummary};
 pub use rate::{ByteRate, RateResource, Service};
-pub use registry::{MetricsRegistry, UtilBucket, UtilizationTimeline};
 pub use rng::DetRng;
 pub use time::SimTime;
+pub use timeline::{UtilBucket, UtilizationTimeline};

@@ -1,41 +1,8 @@
-//! Exact measurement primitives: counters and latency histograms.
+//! Latency histograms: exact or bucketed percentiles.
 
 use std::fmt;
 
 use crate::SimTime;
-
-/// A monotonically increasing counter with a byte/ops flavour decided by the
-/// caller.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// The current value.
-    pub fn value(&self) -> u64 {
-        self.0
-    }
-
-    /// Resets to zero (between warm-up and measurement).
-    pub fn reset(&mut self) {
-        self.0 = 0;
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Number of linear sub-buckets per octave in the bucketed representation:
 /// 32 sub-buckets bound the relative quantile error at 1/32 ≈ 3.2 %.
@@ -342,16 +309,6 @@ mod tests {
         assert_eq!(h.percentile(50.0), SimTime::from_nanos(3));
         h.record(SimTime::from_nanos(2));
         assert_eq!(h.percentile(50.0), SimTime::from_nanos(3));
-    }
-
-    #[test]
-    fn counter_ops() {
-        let mut c = Counter::new();
-        c.add(1);
-        c.add(41);
-        assert_eq!(c.value(), 42);
-        c.reset();
-        assert_eq!(c.value(), 0);
     }
 
     #[test]

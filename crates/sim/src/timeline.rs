@@ -1,125 +1,14 @@
-//! Named metrics registry and windowed utilization timeline.
+//! Windowed per-resource utilization timeline.
 //!
-//! The observability plane's collection layer: simulation components export
-//! counters, gauges and histograms under stable names, and a
-//! [`UtilizationTimeline`] turns cumulative elapsed-busy samples (see
+//! A [`UtilizationTimeline`] turns cumulative elapsed-busy samples (see
 //! [`RateResource::busy_elapsed`](crate::RateResource::busy_elapsed)) into
 //! fixed-interval per-resource utilization buckets that are correct under
 //! queueing: each bucket's busy time is bounded by the bucket width, so
 //! utilization never exceeds 1.0.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::{Histogram, SimTime};
-
-/// A registry of named metrics with a Prometheus-style text exporter.
-///
-/// Names follow the Prometheus convention (`snake_case`, unit-suffixed, e.g.
-/// `draid_nic_egress_busy_ns`). Iteration order is the lexical name order
-/// (BTreeMap), so rendered output is deterministic.
-///
-/// ```
-/// use draid_sim::{MetricsRegistry, SimTime};
-/// let mut reg = MetricsRegistry::new();
-/// reg.counter_add("draid_reads_total", 3);
-/// reg.set_gauge("draid_drive_utilization", 0.25);
-/// reg.histogram_mut("draid_read_latency_ns")
-///     .record(SimTime::from_micros(120));
-/// let text = reg.render_prometheus();
-/// assert!(text.contains("draid_reads_total 3"));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
-}
-
-impl MetricsRegistry {
-    /// Creates an empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `n` to the named counter, creating it at zero first.
-    pub fn counter_add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
-    }
-
-    /// Sets the named gauge to `value`.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
-    /// The named counter's value, or zero if absent.
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// The named histogram, creating an empty bounded-memory (bucketed) one
-    /// on first use.
-    pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(Histogram::bucketed)
-    }
-
-    /// Counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
-    }
-
-    /// Removes every metric.
-    pub fn clear(&mut self) {
-        self.counters.clear();
-        self.gauges.clear();
-        self.histograms.clear();
-    }
-
-    /// Renders the registry in the Prometheus text exposition format
-    /// (counters and gauges as-is; histograms as summary quantiles plus
-    /// `_sum`/`_count`). A name may carry a `{label="…"}` suffix; the
-    /// `# TYPE` header names the bare family and is emitted once per
-    /// family (labeled series of one family are adjacent in lexical
-    /// order, which is also the emission order — deterministic).
-    pub fn render_prometheus(&mut self) -> String {
-        fn family(name: &str) -> &str {
-            name.split('{').next().unwrap_or(name)
-        }
-        let mut out = String::new();
-        let mut last_family = String::new();
-        let mut typed = |out: &mut String, name: &str, kind: &str| {
-            let fam = family(name);
-            if fam != last_family {
-                let _ = writeln!(out, "# TYPE {fam} {kind}");
-                last_family = fam.to_string();
-            }
-        };
-        for (name, value) in &self.counters {
-            typed(&mut out, name, "counter");
-            let _ = writeln!(out, "{name} {value}");
-        }
-        for (name, value) in &self.gauges {
-            typed(&mut out, name, "gauge");
-            let _ = writeln!(out, "{name} {value:.6}");
-        }
-        for (name, hist) in &mut self.histograms {
-            let s = hist.summary();
-            typed(&mut out, name, "summary");
-            let _ = writeln!(out, "{name}{{quantile=\"0.5\"}} {}", s.p50.as_nanos());
-            let _ = writeln!(out, "{name}{{quantile=\"0.99\"}} {}", s.p99.as_nanos());
-            let _ = writeln!(out, "{name}_sum {}", hist.sum_nanos());
-            let _ = writeln!(out, "{name}_count {}", s.n);
-        }
-        out
-    }
-}
+use crate::SimTime;
 
 /// One utilization bucket: the busy time accrued in `(prev_end, end]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,11 +63,6 @@ impl UtilizationTimeline {
             origin,
             series: BTreeMap::new(),
         }
-    }
-
-    /// Start of the first bucket.
-    pub fn origin(&self) -> SimTime {
-        self.origin
     }
 
     /// Records one resource's cumulative elapsed busy time at instant `now`.
@@ -277,43 +161,6 @@ impl UtilizationTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_roundtrip_and_render() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter_add("b_total", 1);
-        reg.counter_add("a_total", 2);
-        reg.counter_add("b_total", 1);
-        reg.set_gauge("util", 0.5);
-        reg.histogram_mut("lat_ns").record(SimTime::from_nanos(10));
-        assert_eq!(reg.counter("b_total"), 2);
-        assert_eq!(reg.gauges.get("util"), Some(&0.5));
-        assert_eq!(reg.counter("missing"), 0);
-        let text = reg.render_prometheus();
-        let a = text.find("a_total 2").expect("a_total rendered");
-        let b = text.find("b_total 2").expect("b_total rendered");
-        assert!(a < b, "lexical order");
-        assert!(text.contains("# TYPE util gauge"));
-        assert!(text.contains("util 0.500000"));
-        assert!(text.contains("lat_ns_count 1"));
-        assert!(text.contains("lat_ns_sum 10"));
-    }
-
-    #[test]
-    fn labeled_series_share_one_type_header_per_family() {
-        let mut reg = MetricsRegistry::new();
-        reg.counter_add("bytes_total{resource=\"a\"}", 1);
-        reg.counter_add("bytes_total{resource=\"b\"}", 2);
-        reg.set_gauge("util{resource=\"a\"}", 0.25);
-        let text = reg.render_prometheus();
-        // The TYPE header names the bare family, once, before its series.
-        assert_eq!(text.matches("# TYPE bytes_total counter").count(), 1);
-        assert!(!text.contains("# TYPE bytes_total{"));
-        assert!(text.contains("bytes_total{resource=\"a\"} 1"));
-        assert!(text.contains("bytes_total{resource=\"b\"} 2"));
-        assert!(text.contains("# TYPE util gauge"));
-        assert!(text.contains("util{resource=\"a\"} 0.250000"));
-    }
 
     #[test]
     fn timeline_buckets_and_conservation() {
