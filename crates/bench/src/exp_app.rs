@@ -66,7 +66,7 @@ fn run_app_sweep(app: App, degraded: bool) -> Vec<Series> {
                 };
                 runner.run(
                     array,
-                    ObjectStore::paper_default(),
+                    ObjectStore,
                     YcsbGen::with_distribution(w, Distribution::Uniform, 200_000, 7),
                 )
             }

@@ -5,7 +5,8 @@ use draid_core::{ArrayConfig, ArraySim, DraidOptions, RaidLevel, SystemKind};
 use draid_net::NicSpec;
 
 /// A fully specified experiment target: which engine, geometry, health and
-/// dRAID options to instantiate.
+/// dRAID options to instantiate. Every scenario seeds the array's RNG with
+/// [`ArrayConfig::paper_default`]'s seed.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Scenario {
     /// Engine under test.
@@ -20,8 +21,6 @@ pub struct Scenario {
     pub failed: usize,
     /// dRAID option overrides.
     pub draid: DraidOptions,
-    /// Seed for the array RNG.
-    pub seed: u64,
 }
 
 impl Scenario {
@@ -34,7 +33,6 @@ impl Scenario {
             chunk_kib: 512,
             failed: 0,
             draid: DraidOptions::default(),
-            seed: 0xD5A1D,
         }
     }
 
@@ -74,7 +72,6 @@ impl Scenario {
         cfg.width = self.width;
         cfg.chunk_size = self.chunk_kib * 1024;
         cfg.draid = self.draid;
-        cfg.seed = self.seed;
         cfg
     }
 }

@@ -124,11 +124,6 @@ impl Drive {
         self.slow_factor = factor;
     }
 
-    /// The current fail-slow multiplier (1.0 = healthy speed).
-    pub fn slow_factor(&self) -> f64 {
-        self.slow_factor
-    }
-
     /// Replaces the drive with a healthy one (hot-spare swap from the shared
     /// storage pool, Table 1).
     pub fn replace(&mut self) {

@@ -153,13 +153,16 @@ pub struct Allow {
     pub reason: &'static str,
 }
 
-/// Every identifier that caller code uses, built once per lint run over
+/// Every identifier that caller code calls, built once per lint run over
 /// the whole file set so cross-file rules (`no-dead-pub`) need no second
 /// walk.
 ///
 /// Caller code is the non-test part (everything outside `#[cfg(test)]`
 /// items) of each file under `crates/*/src` (bins included), `src/`,
-/// `examples/`, `simcost/src` and the facade's `tests/`. Neither the
+/// `examples/`, `simcost/src` and the facade's `tests/`. An identifier
+/// counts only in call position (`name(`, `name::<T>(`) or after a path
+/// separator (`Type::name`, which covers a fn pointer), so a field read
+/// `self.name` or a local `name` is no use of a `pub fn name`. Neither the
 /// `fn NAME` of a declaration nor a `use` declaration is a use: naming an
 /// item in a re-export calls nothing. Per-crate `crates/*/tests/` never
 /// count.
@@ -176,9 +179,9 @@ impl Index {
             let mut in_use = false;
             for (_, line) in file.non_test_lines() {
                 let mut prev = "";
-                for ident in identifiers(line) {
+                for (at, ident) in identifier_spans(line) {
                     in_use |= ident == "use";
-                    if prev != "fn" && !in_use {
+                    if prev != "fn" && !in_use && is_called(line, at, ident.len()) {
                         used.insert(ident.to_string());
                     }
                     prev = ident;
@@ -191,7 +194,7 @@ impl Index {
         Index { used }
     }
 
-    /// True if caller code uses `name` anywhere other than `fn name`.
+    /// True if caller code calls `name` or names it through a path.
     pub fn uses(&self, name: &str) -> bool {
         self.used.contains(name)
     }
@@ -207,28 +210,61 @@ fn is_caller_file(path: &str) -> bool {
 
 /// The identifier tokens of a code line, in order (keywords included).
 fn identifiers(line: &str) -> impl Iterator<Item = &str> {
+    identifier_spans(line).map(|(_, ident)| ident)
+}
+
+/// The identifier tokens of a code line with their byte offsets.
+fn identifier_spans(line: &str) -> impl Iterator<Item = (usize, &str)> {
     line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .filter(|t| t.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
+        .map(move |t| (t.as_ptr() as usize - line.as_ptr() as usize, t))
+}
+
+/// Whether the identifier at `line[at..at + len]` is called (`name(`,
+/// `name::<T>(`) or reached through a path (`Type::name`).
+fn is_called(line: &str, at: usize, len: usize) -> bool {
+    let after = line[at + len..].trim_start();
+    after.starts_with('(') || after.starts_with("::<") || line[..at].trim_end().ends_with("::")
 }
 
 /// Lints a set of files with the given allowlist; returns surviving
 /// findings sorted by (path, line, rule).
+///
+/// An allowlist entry that suppresses no finding is itself a finding
+/// (rule `stale-allow`), so an exception goes once its item gains a
+/// caller or leaves. Only entries whose file is in `files` are judged:
+/// linting part of the tree says nothing of the rest's entries.
 pub fn lint_files(files: &[SourceFile], allows: &[Allow]) -> Vec<Finding> {
     let index = Index::new(files);
+    let mut used = vec![false; allows.len()];
     let mut out = Vec::new();
     for file in files {
         for rule in all_rules() {
             for finding in (rule.check)(file, &index) {
                 let line_text = file.raw_line(finding.line);
-                let allowed = allows.iter().any(|a| {
+                let allowed = allows.iter().position(|a| {
                     a.rule == finding.rule
                         && finding.path.ends_with(a.path_suffix)
                         && (a.line_contains.is_empty() || line_text.contains(a.line_contains))
                 });
-                if !allowed {
-                    out.push(finding);
+                match allowed {
+                    Some(i) => used[i] = true,
+                    None => out.push(finding),
                 }
             }
+        }
+    }
+    for (a, _) in allows.iter().zip(&used).filter(|(_, &hit)| !hit) {
+        if let Some(file) = files.iter().find(|f| f.path.ends_with(a.path_suffix)) {
+            out.push(Finding {
+                rule: "stale-allow",
+                path: file.path.clone(),
+                line: 0,
+                message: format!(
+                    "allowlist entry [{}] `{}` suppresses no finding; delete it",
+                    a.rule, a.line_contains
+                ),
+            });
         }
     }
     out.sort_by(|a, b| (a.path.as_str(), a.line, a.rule).cmp(&(b.path.as_str(), b.line, b.rule)));
@@ -553,6 +589,76 @@ mod tests {
         };
         let still = lint_files(&[bad], &[wrong]);
         assert!(still.iter().any(|f| f.rule == "no-wall-clock"));
+    }
+
+    #[test]
+    fn allowlist_entry_that_suppresses_nothing_is_a_finding() {
+        let bad = || {
+            SourceFile::new(
+                "crates/net/src/thing.rs",
+                "fn f() { let t = std::time::Instant::now(); }",
+            )
+        };
+        let live = Allow {
+            rule: "no-wall-clock",
+            path_suffix: "net/src/thing.rs",
+            line_contains: "Instant::now",
+            reason: "test exception",
+        };
+        let stale = Allow {
+            line_contains: "SystemTime",
+            ..live
+        };
+        let hits = lint_files(&[bad()], &[live, stale]);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert_eq!(hits[0].rule, "stale-allow");
+        assert_eq!(hits[0].path, "crates/net/src/thing.rs");
+        assert!(hits[0].message.contains("SystemTime"), "{hits:?}");
+        // An entry for a file outside the linted set is not judged.
+        let elsewhere = Allow {
+            path_suffix: "core/src/other.rs",
+            ..stale
+        };
+        assert!(lint_files(&[bad()], &[live, elsewhere]).is_empty());
+    }
+
+    fn dead_pub(files: Vec<SourceFile>) -> Vec<Finding> {
+        lint_files(&files, &[])
+            .into_iter()
+            .filter(|f| f.rule == "no-dead-pub")
+            .collect()
+    }
+
+    #[test]
+    fn getter_read_only_as_a_field_is_dead() {
+        let hits = dead_pub(vec![
+            SourceFile::new(
+                "crates/foo/src/thing.rs",
+                "pub struct S { count: u64 }\n\
+                 impl S { pub fn count(&self) -> u64 { self.count } }\n\
+                 pub(crate) fn bump(s: &mut S) { s.count += 1; }\n",
+            ),
+            SourceFile::new("src/lib.rs", "fn f(s: &S) { let count = s.count; }\n"),
+        ]);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].message.contains("count"), "{hits:?}");
+    }
+
+    #[test]
+    fn fn_pointer_through_a_path_is_a_use() {
+        let hits = dead_pub(vec![
+            SourceFile::new(
+                "crates/foo/src/thing.rs",
+                "impl Thing { pub fn on_done(&mut self) {} }\n",
+            ),
+            SourceFile::new("src/lib.rs", "fn f() { register(Thing::on_done); }\n"),
+        ]);
+        assert!(hits.is_empty(), "{hits:?}");
+        let turbofish = dead_pub(vec![
+            SourceFile::new("crates/foo/src/thing.rs", "pub fn parse<T>() {}\n"),
+            SourceFile::new("src/lib.rs", "fn f(s: &str) { s.parse::<u8>(); }\n"),
+        ]);
+        assert!(turbofish.is_empty(), "{turbofish:?}");
     }
 
     #[test]

@@ -410,13 +410,16 @@ fn declared_pub_fn(line: &str) -> Option<&str> {
     None
 }
 
-/// A public function in a library file whose name, as a whole word, no
-/// caller code uses (see [`Index`]): only tests, or nothing, reach it.
-/// Uses in the item's own file count, so a helper its module calls stays
-/// live; whether it should also be private is left to review.
+/// A public function in a library file whose name no caller code calls
+/// or names through a path (see [`Index`]): only tests, or nothing, reach
+/// it. A field or local of the same name is no use, so a getter read only
+/// as `self.name` is dead. Uses in the item's own file count, so a helper
+/// its module calls stays live; whether it should also be private is left
+/// to review.
 ///
-/// Known blind spot (lexical analysis): a name shared with a live item
-/// (`new`, `len`, a trait method) always looks used.
+/// Known blind spot (lexical analysis): the index holds names, not items,
+/// so a dead function whose name caller code calls elsewhere (`new`,
+/// `run`, `len`, a trait method) always looks used.
 fn no_dead_pub(file: &SourceFile, index: &Index) -> Vec<Finding> {
     if !is_library_file(&file.path) {
         return Vec::new();
@@ -479,12 +482,6 @@ pub const ALLOWLIST: &[Allow] = &[
         path_suffix: "core/src/bitmap.rs",
         line_contains: "pub fn is_dirty(",
         reason: "test seam: crash_recovery and the bitmap tests query one stripe's intent",
-    },
-    Allow {
-        rule: "no-dead-pub",
-        path_suffix: "core/src/datastore.rs",
-        line_contains: "pub fn stored_chunk(",
-        reason: "test seam: datastore_diff compares raw stored chunks against its oracle",
     },
     Allow {
         rule: "no-dead-pub",

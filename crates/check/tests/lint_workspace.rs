@@ -68,7 +68,10 @@ fn seeded_violations_fail_against_real_file_set() {
          fn g() { let t = std::time::Instant::now(); }\n\
          struct S { m: HashMap<u64, u64> }\n\
          fn h(s: &S) { for v in s.m.values() { use_it(v); } }\n\
-         pub fn seeded_dead_probe() {}\n",
+         pub fn seeded_dead_probe() {}\n\
+         pub struct Probe { seeded_dead_getter: u64 }\n\
+         impl Probe { pub fn seeded_dead_getter(&self) -> u64 { self.seeded_dead_getter } }\n\
+         fn read(p: &Probe) -> u64 { p.seeded_dead_getter }\n",
     ));
     files.push(SourceFile::new(
         "crates/core/tests/seeded.rs",
@@ -96,6 +99,12 @@ fn seeded_violations_fail_against_real_file_set() {
             .iter()
             .any(|f| f.rule == "no-dead-pub" && f.message.contains("seeded_dead_probe")),
         "a pub fn only crates/*/tests call must be dead: {findings:?}"
+    );
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "no-dead-pub" && f.message.contains("seeded_dead_getter")),
+        "a getter whose name is only read as a field must be dead: {findings:?}"
     );
     // The unwrap rule is path-scoped to the real op-path files; prove it
     // on the genuine exec.rs content with one appended bad line.

@@ -23,7 +23,7 @@ use crate::idhash::IdHasher;
 use crate::io::{IoError, IoId, IoKind, IoResult, UserIo};
 use crate::layout::Layout;
 use crate::lock::LockTable;
-use crate::reducer::ReducerSelector;
+use crate::reducer::{ReducerSelector, SELECTOR_PERIOD};
 use crate::stats::ArrayStats;
 
 /// Callback invoked when a user I/O completes (drives closed-loop workloads).
@@ -49,11 +49,11 @@ pub(crate) enum MemberChange {
     Replace(ServerId),
 }
 
-/// Window-based available-bandwidth probe feeding the §6.2 selector.
+/// Window-based available-bandwidth probe feeding the §6.2 selector; it
+/// samples once per `SELECTOR_PERIOD`.
 struct BwProbe {
     prev_busy: Vec<SimTime>,
     prev_time: SimTime,
-    period: SimTime,
 }
 
 impl BwProbe {
@@ -61,7 +61,6 @@ impl BwProbe {
         BwProbe {
             prev_busy: vec![SimTime::ZERO; members],
             prev_time: SimTime::ZERO,
-            period: SimTime::from_millis(10),
         }
     }
 }
@@ -474,7 +473,7 @@ impl ArraySim {
 
     fn maybe_update_selector(&mut self, now: SimTime) {
         let elapsed = now.saturating_sub(self.bw_probe.prev_time);
-        if elapsed < self.bw_probe.period {
+        if elapsed < SELECTOR_PERIOD {
             return;
         }
         let mut available = Vec::with_capacity(self.cfg.width);

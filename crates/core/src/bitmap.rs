@@ -19,7 +19,6 @@
 #[derive(Clone, Debug, Default)]
 pub struct WriteIntentBitmap {
     dirty: Vec<u64>,
-    marks: u64,
 }
 
 impl WriteIntentBitmap {
@@ -30,7 +29,6 @@ impl WriteIntentBitmap {
 
     /// Marks a stripe dirty (write admitted). Idempotent.
     pub fn mark(&mut self, stripe: u64) {
-        self.marks += 1;
         if let Err(at) = self.dirty.binary_search(&stripe) {
             self.dirty.insert(at, stripe);
         }
@@ -52,11 +50,6 @@ impl WriteIntentBitmap {
     pub fn dirty_stripes(&self) -> Vec<u64> {
         self.dirty.clone()
     }
-
-    /// Total mark operations (diagnostics).
-    pub fn marks(&self) -> u64 {
-        self.marks
-    }
 }
 
 #[cfg(test)]
@@ -75,7 +68,6 @@ mod tests {
         b.clear(5);
         assert!(!b.is_dirty(5));
         assert_eq!(b.dirty.len(), 1);
-        assert_eq!(b.marks(), 3);
     }
 
     #[test]
@@ -116,9 +108,5 @@ mod tests {
         assert!(dirty.windows(2).all(|w| w[0] < w[1]), "{dirty:?}");
         assert_eq!(dirty, model.into_iter().collect::<Vec<_>>());
         assert!(dirty.iter().all(|&s| b.is_dirty(s)));
-        assert_eq!(
-            b.marks(),
-            200 + 200 - order.iter().filter(|&&s| s % 3 == 0).count() as u64
-        );
     }
 }

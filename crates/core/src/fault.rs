@@ -2,20 +2,21 @@
 //! declarative fault-injection schedule for chaos tests.
 //!
 //! The paper's operational story (§5.4, §6) ends with "the array rebuilds
-//! onto a spare from the storage pool" — but the seed code left drawing the
-//! spare and calling [`ArraySim::start_rebuild`] to the test author. The
-//! [`FaultManagerConfig`]-enabled manager closes the loop: whenever the
-//! health plane declares a member faulty, the manager picks the first
+//! onto a spare from the storage pool". The manager that
+//! [`ArraySim::enable_fault_manager`] turns on closes that loop: whenever
+//! the health plane declares a member faulty, the manager picks the first
 //! healthy drive in the cluster's shared pool and starts the reconstruction
-//! itself, then re-arms for the next failure.
+//! itself ([`ArraySim::start_rebuild`]), then re-arms for the next failure.
 //!
 //! The engine drains its event queue to completion, so the manager cannot
 //! run on a self-rescheduling timer (the run would never terminate).
 //! Instead it ticks from op completions — every finished stripe op, rebuild
-//! chunk, and scrub check offers a tick — and rate-limits itself to the
-//! configured period. Under any live workload that converges to "the
-//! manager runs at most once per period"; with no I/O at all there is
-//! nothing to manage (and nothing to rebuild from, either).
+//! chunk, and scrub check offers a tick — and rate-limits itself to one
+//! sweep per `MANAGER_PERIOD`. Under any live workload that converges to
+//! "the manager runs at most once per period"; with no I/O at all there is
+//! nothing to manage (and nothing to rebuild from, either). The period and
+//! the rebuild's concurrency are constants, not settings: the recovery
+//! story runs one way.
 //!
 //! [`FaultSchedule`] is the other half: a deterministic, declarative script
 //! of fault injections ("at 2 ms, kill member 3's drive; at 5 ms, flap
@@ -23,39 +24,26 @@
 //! their scenario up front instead of interleaving injection calls with the
 //! workload loop.
 
-use std::collections::BTreeSet;
-
 use draid_block::ServerId;
 use draid_net::LinkDir;
 use draid_sim::{Engine, SimTime, TimerHandle};
 
 use crate::array::ArraySim;
 
-/// Configuration of the automatic fault manager.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultManagerConfig {
-    /// Minimum spacing between management sweeps (fail-slow checks, spare
-    /// draws). Sweeps are driven by op completions, so the effective period
-    /// is `max(period, inter-completion gap)`.
-    pub period: SimTime,
-    /// Extent of the used region a rebuild must cover, in stripes.
-    pub rebuild_stripes: u64,
-    /// Concurrent stripe reconstructions per rebuild.
-    pub rebuild_concurrency: usize,
-}
+/// Minimum spacing between management sweeps (fail-slow checks, spare
+/// draws): 500 µs, far inside the §5.4 detection window (three errors at
+/// least an eighth of the op deadline apart), so a declared member's
+/// rebuild starts within a sweep of its declaration. Sweeps are driven by
+/// op completions, so the effective period is
+/// `max(MANAGER_PERIOD, inter-completion gap)`.
+const MANAGER_PERIOD: SimTime = SimTime::from_micros(500);
 
-impl Default for FaultManagerConfig {
-    fn default() -> Self {
-        FaultManagerConfig {
-            period: SimTime::from_millis(1),
-            rebuild_stripes: 0,
-            rebuild_concurrency: 4,
-        }
-    }
-}
+/// Concurrent stripe reconstructions in a rebuild the manager starts: 3.
+const REBUILD_CONCURRENCY: usize = 3;
 
 pub(crate) struct FaultManagerState {
-    pub cfg: FaultManagerConfig,
+    /// Extent of the used region a rebuild must cover, in stripes.
+    pub rebuild_stripes: u64,
     pub last_tick: SimTime,
     pub auto_rebuilds: u64,
 }
@@ -63,14 +51,13 @@ pub(crate) struct FaultManagerState {
 impl ArraySim {
     /// Enables the automatic fault manager: from now on, declared-faulty
     /// members are rebuilt onto pool spares without operator intervention,
-    /// and the fail-slow detector sweeps at the configured period.
-    pub fn enable_fault_manager(&mut self, cfg: FaultManagerConfig) {
-        assert!(
-            cfg.rebuild_concurrency > 0,
-            "rebuild concurrency must be positive"
-        );
+    /// each rebuild covering the first `rebuild_stripes` stripes with 3
+    /// reconstructions in flight, and the fail-slow detector sweeps at most
+    /// once per 500 µs. Sweeps ride on op completions: the first completion
+    /// at least 500 µs after the last sweep runs the next one.
+    pub fn enable_fault_manager(&mut self, rebuild_stripes: u64) {
         self.fault_mgr = Some(FaultManagerState {
-            cfg,
+            rebuild_stripes,
             last_tick: SimTime::ZERO,
             auto_rebuilds: 0,
         });
@@ -82,23 +69,22 @@ impl ArraySim {
     }
 
     /// One management sweep, offered on every op completion and rate-limited
-    /// to the configured period.
+    /// to one per `MANAGER_PERIOD`.
     pub(crate) fn maybe_tick_fault_manager(&mut self, eng: &mut Engine<ArraySim>) {
         let now = eng.now();
         let Some(fm) = &mut self.fault_mgr else {
             return;
         };
-        if now.saturating_sub(fm.last_tick) < fm.cfg.period {
+        if now.saturating_sub(fm.last_tick) < MANAGER_PERIOD {
             return;
         }
         fm.last_tick = now;
-        let cfg = fm.cfg;
+        let rebuild_stripes = fm.rebuild_stripes;
 
         // Fail-slow sweep: gray members get quarantined (visible via
         // `health()`); declaration stays with the error-evidence path, so a
         // merely slow member never triggers a rebuild by itself.
-        let skip: BTreeSet<usize> = self.faulty.iter().copied().collect();
-        self.health.check_fail_slow(now, &skip);
+        self.health.check_fail_slow(now, &self.faulty);
 
         // Declared failures: draw a spare from the pool and reconstruct.
         // One rebuild at a time (the rebuilder's own constraint); the next
@@ -108,13 +94,7 @@ impl ArraySim {
         }
         let member = *self.faulty.iter().min().expect("non-empty faulty set");
         if let Some(spare) = self.find_spare(now) {
-            self.start_rebuild(
-                eng,
-                member,
-                spare,
-                cfg.rebuild_stripes,
-                cfg.rebuild_concurrency,
-            );
+            self.start_rebuild(eng, member, spare, rebuild_stripes, REBUILD_CONCURRENCY);
             if let Some(fm) = &mut self.fault_mgr {
                 fm.auto_rebuilds += 1;
             }

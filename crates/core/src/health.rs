@@ -12,7 +12,7 @@
 //! * **fail-slow** — a member that answers without errors but whose latency
 //!   EWMA sits persistently at three times the array median is a
 //!   gray member: it is moved to `Quarantined` so operators (and the
-//!   [`FaultManager`](crate::FaultManagerConfig)) can see it, without
+//!   [fault manager](crate::ArraySim::enable_fault_manager)) can see it, without
 //!   tripping a rebuild for what may be a transient brown-out.
 //!
 //! A member under reconstruction is `Rebuilding`; completion resets it to

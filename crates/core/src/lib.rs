@@ -78,7 +78,7 @@ pub use builders::{build as build_dag, BuildCtx, Purpose, CALLBACK_BYTES, COMMAN
 pub use config::{ArrayConfig, DataMode, DraidOptions, RaidLevel, ReducerPolicy, SystemKind};
 pub use dag::{Dag, Step, StepKind};
 pub use datastore::{ChunkStore, WriteBehind};
-pub use fault::{FaultAction, FaultManagerConfig, FaultSchedule};
+pub use fault::{FaultAction, FaultSchedule};
 pub use health::{HealthMonitor, HealthState, MemberHealth};
 pub use io::{IoError, IoId, IoKind, IoResult, UserIo};
 pub use layout::{Layout, Segment, StripeIo, WriteMode};

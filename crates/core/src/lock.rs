@@ -28,15 +28,13 @@ struct StripeLock {
 /// A table of per-stripe FIFO locks.
 ///
 /// The table is only ever accessed by stripe — acquire, release, transfer,
-/// lookup — and [`LockTable::waiting`] is a running count, so nothing
-/// iterates it and hash order cannot reach a result. That makes a hash map
+/// lookup — so nothing iterates it and hash order cannot reach a result. That makes a hash map
 /// with a one-multiply hasher the cheapest home for it: no ordered-tree
 /// descent or node allocation per write, and an uncontended acquire
 /// allocates nothing.
 #[derive(Debug, Default)]
 pub struct LockTable {
     stripes: HashMap<u64, StripeLock, BuildHasherDefault<IdHasher>>,
-    waiting: usize,
 }
 
 impl LockTable {
@@ -66,7 +64,6 @@ impl LockTable {
                     stripe
                 );
                 lock.waiters.push_back(ticket);
-                self.waiting += 1;
                 false
             }
         }
@@ -96,10 +93,7 @@ impl LockTable {
         let lock = self.held(stripe, ticket);
         let next = lock.waiters.pop_front();
         match next {
-            Some(next) => {
-                lock.holder = next;
-                self.waiting -= 1;
-            }
+            Some(next) => lock.holder = next,
             None => {
                 self.stripes.remove(&stripe);
             }
@@ -122,11 +116,6 @@ impl LockTable {
     pub fn is_locked(&self, stripe: u64) -> bool {
         self.stripes.contains_key(&stripe)
     }
-
-    /// Number of tickets waiting (not holding) across all stripes.
-    pub fn waiting(&self) -> usize {
-        self.waiting
-    }
 }
 
 #[cfg(test)]
@@ -140,12 +129,9 @@ mod tests {
         assert!(!t.acquire(7, 2));
         assert!(!t.acquire(7, 3));
         assert!(t.is_locked(7));
-        assert_eq!(t.waiting(), 2);
         assert_eq!(t.release(7, 1), Some(2));
-        assert_eq!(t.waiting(), 1);
         assert_eq!(t.release(7, 2), Some(3));
         assert_eq!(t.release(7, 3), None);
-        assert_eq!(t.waiting(), 0);
         assert!(!t.is_locked(7));
     }
 

@@ -73,14 +73,17 @@ pub fn water_fill(b: &[f64], t: f64) -> Vec<f64> {
     p
 }
 
+/// Smoothing factor of the selector's load EWMA: 0.3.
+const EWMA_ALPHA: f64 = 0.3;
+
+/// The §6.2 selector's re-solve period, and the window of the array's
+/// available-bandwidth probe that feeds it: 10 ms.
+pub(crate) const SELECTOR_PERIOD: SimTime = SimTime::from_millis(10);
+
 /// Online reducer selector: EWMA load tracking plus periodic re-solve of the
 /// water-filling program.
 #[derive(Clone, Debug)]
 pub struct ReducerSelector {
-    /// Smoothing factor for the load EWMA.
-    alpha: f64,
-    /// Re-solve period.
-    period: SimTime,
     ewma_load: f64,
     window_bytes: u64,
     window_start: SimTime,
@@ -97,8 +100,6 @@ impl ReducerSelector {
     pub fn new(candidates: usize) -> Self {
         assert!(candidates > 0, "need at least one candidate");
         ReducerSelector {
-            alpha: 0.3,
-            period: SimTime::from_millis(10),
             ewma_load: 0.0,
             window_bytes: 0,
             window_start: SimTime::ZERO,
@@ -123,11 +124,11 @@ impl ReducerSelector {
     pub fn update(&mut self, now: SimTime, available: &[f64]) {
         assert_eq!(available.len(), self.probs.len(), "candidate count changed");
         let elapsed = now.saturating_sub(self.window_start);
-        if elapsed < self.period {
+        if elapsed < SELECTOR_PERIOD {
             return;
         }
         let inst = self.window_bytes as f64 / elapsed.as_secs_f64();
-        self.ewma_load = self.alpha * inst + (1.0 - self.alpha) * self.ewma_load;
+        self.ewma_load = EWMA_ALPHA * inst + (1.0 - EWMA_ALPHA) * self.ewma_load;
         self.window_bytes = 0;
         self.window_start = now;
         let n = available.len();

@@ -47,17 +47,6 @@ pub fn exp(i: usize) -> u8 {
     EXP[i % GROUP_ORDER]
 }
 
-/// Discrete logarithm of a non-zero element.
-///
-/// # Panics
-///
-/// Panics if `x == 0` (zero has no logarithm).
-#[inline]
-pub fn log(x: u8) -> u8 {
-    assert!(x != 0, "log(0) is undefined in GF(256)");
-    LOG[x as usize]
-}
-
 /// Multiplication in GF(2⁸).
 #[inline]
 pub fn mul(a: u8, b: u8) -> u8 {

@@ -160,7 +160,6 @@ pub struct RateResource {
     /// requests (several, when requests start after their submission; see
     /// [`RateResource::serve_after`]).
     tail: VecDeque<BusyRun>,
-    requests: u64,
     /// Start of the current measurement window (set by
     /// [`RateResource::reset_counters`]).
     window_start: SimTime,
@@ -183,7 +182,6 @@ impl RateResource {
             busy_folded: SimTime::ZERO,
             bytes_folded: 0,
             tail: VecDeque::new(),
-            requests: 0,
             window_start: SimTime::ZERO,
         }
     }
@@ -193,11 +191,6 @@ impl RateResource {
         self.rate
     }
 
-    /// Earliest instant at which new work could start.
-    pub fn next_free(&self) -> SimTime {
-        self.next_free
-    }
-
     /// Total bytes charged to this measurement window so far (traffic
     /// accounting for Table 1). Like [`RateResource::busy_time`] this counts
     /// queued work in full at submit time; a service straddling a
@@ -205,11 +198,6 @@ impl RateResource {
     /// time-prorated in-window share.
     pub fn bytes_served(&self) -> u64 {
         self.bytes_folded + self.tail.iter().map(|r| r.bytes).sum::<u64>()
-    }
-
-    /// Number of requests served so far.
-    pub fn requests(&self) -> u64 {
-        self.requests
     }
 
     /// Cumulative busy time *charged* (demand), including service scheduled
@@ -252,11 +240,6 @@ impl RateResource {
         } else {
             self.busy_elapsed(now).as_secs_f64() / elapsed.as_secs_f64()
         }
-    }
-
-    /// Start of the current measurement window.
-    pub fn window_start(&self) -> SimTime {
-        self.window_start
     }
 
     /// Queues `bytes` at `rate` (a shared drive channel's read and write
@@ -349,7 +332,6 @@ impl RateResource {
             self.busy_folded += run.end - run.start;
             self.bytes_folded += run.bytes;
         }
-        self.requests += 1;
         if let Some(last) = self.tail.back_mut() {
             if last.end == start {
                 last.end = end;
@@ -368,7 +350,6 @@ impl RateResource {
     pub fn reset_counters(&mut self, now: SimTime) {
         self.busy_folded = SimTime::ZERO;
         self.bytes_folded = 0;
-        self.requests = 0;
         while let Some(front) = self.tail.front_mut() {
             if front.end <= now {
                 self.tail.pop_front();
@@ -445,7 +426,6 @@ mod tests {
         assert_eq!(s2.start, SimTime::from_millis(1_000));
         assert_eq!(s2.end, SimTime::from_millis(1500));
         assert_eq!(res.bytes_served(), 1_500);
-        assert_eq!(res.requests(), 2);
     }
 
     #[test]
@@ -546,7 +526,6 @@ mod tests {
         );
         assert!((res.utilization(SimTime::from_millis(10_000)) - 1.0).abs() < 1e-12);
         assert!((res.utilization(SimTime::from_millis(16_000)) - 0.5).abs() < 1e-12);
-        assert_eq!(res.requests(), 0, "the request itself counted pre-reset");
     }
 
     #[test]

@@ -33,7 +33,7 @@ fn rate_resource_is_fifo_and_work_conserving() {
         // Work conservation: busy time equals the sum of service times, and
         // the resource never finishes before the work could be done.
         assert_eq!(res.busy_time(), total_busy);
-        assert!(res.next_free() >= total_busy);
+        assert!(prev_end >= total_busy);
     }
 }
 
@@ -99,16 +99,17 @@ fn timeline_conserves_clamped_busy_under_random_load() {
         let bucket = SimTime::from_micros(500 + rng.below(1_500));
         let mut boundary = bucket;
         let mut clock = SimTime::ZERO;
+        let mut last_end = SimTime::ZERO;
         for _ in 0..(1 + rng.below(80)) {
             clock += SimTime::from_nanos(rng.below(800_000));
             while boundary <= clock {
                 tl.observe("res", boundary, res.busy_elapsed(boundary));
                 boundary += bucket;
             }
-            res.serve_at_rate(clock, rng.below(1 << 18), res.rate());
+            last_end = res.serve_at_rate(clock, rng.below(1 << 18), res.rate()).end;
         }
         // Keep sampling until every queued service has elapsed.
-        let horizon = res.next_free().max(clock) + bucket;
+        let horizon = last_end.max(clock) + bucket;
         while boundary <= horizon {
             tl.observe("res", boundary, res.busy_elapsed(boundary));
             boundary += bucket;

@@ -29,16 +29,6 @@ pub enum PlanStep {
     Think(SimTime),
 }
 
-impl IoPlan {
-    /// A plan that touches no blocks.
-    pub fn compute(d: SimTime) -> Self {
-        IoPlan {
-            steps: vec![PlanStep::Think(d)],
-            background: Vec::new(),
-        }
-    }
-}
-
 /// An application that translates YCSB operations into block I/O.
 pub trait BlockApp {
     /// Plans the block I/O for `op`.
@@ -87,16 +77,6 @@ pub struct AppRunner {
 }
 
 impl AppRunner {
-    /// Default shape: 20 ms warm-up, 100 ms measured.
-    pub fn new(concurrency: usize) -> Self {
-        assert!(concurrency > 0, "need at least one worker");
-        AppRunner {
-            concurrency,
-            warmup: SimTime::from_millis(20),
-            measure: SimTime::from_millis(100),
-        }
-    }
-
     /// Runs the app over the array with the YCSB stream.
     pub fn run<A: BlockApp + 'static>(
         &self,
@@ -223,7 +203,7 @@ mod tests {
     fn object_store_run_produces_throughput() {
         let cfg = ArrayConfig::paper_default(SystemKind::Draid);
         let array = ArraySim::new(Cluster::homogeneous(8), cfg).expect("valid");
-        let store = ObjectStore::paper_default();
+        let store = ObjectStore;
         let gen =
             YcsbGen::with_distribution(YcsbWorkload::A, crate::Distribution::Uniform, 10_000, 1);
         let runner = AppRunner {

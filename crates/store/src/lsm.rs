@@ -8,6 +8,10 @@
 //! mechanics: WAL group commits, memtable flushes, leveled compaction, and
 //! mostly-cached reads — all issued through the same block device, with the
 //! single-instance concurrency cap applied by the driver.
+//!
+//! The paper measures one configuration, so the model's parameters are
+//! constants beside their one reader: a stock RocksDB instance running
+//! YCSB with 1 KiB records, over a 1 GiB WAL and a 32 GiB data region.
 
 use draid_core::UserIo;
 use draid_sim::{DetRng, SimTime};
@@ -15,162 +19,114 @@ use draid_sim::{DetRng, SimTime};
 use crate::driver::{BlockApp, IoPlan, PlanStep};
 use crate::YcsbOp;
 
-/// Tunables of the LSM model; defaults mirror a stock RocksDB instance
-/// running YCSB with 1 KiB records.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LsmConfig {
-    /// Logical record size (YCSB default: 1 KiB).
-    pub record_size: u64,
-    /// SST/data block size read per point lookup miss.
-    pub block_size: u64,
-    /// Memtable capacity; a flush is issued when it fills.
-    pub memtable_bytes: u64,
-    /// Probability a read is served from the memtable/row cache.
-    pub memory_hit: f64,
-    /// Probability a block needed by a read is in the block cache.
-    pub block_cache_hit: f64,
-    /// Flushes per L0→L1 compaction round.
-    pub compaction_every: u64,
-    /// Read + write amplification of one compaction round, as a multiple of
-    /// the flushed bytes.
-    pub compaction_multiplier: u64,
-    /// Software service time per op (filesystem + KV CPU path; BlobFS locks
-    /// and super-block handling make this substantial).
-    pub service: SimTime,
-    /// Device region reserved for the WAL.
-    pub wal_region: u64,
-    /// RNG seed for hit/miss draws.
-    pub seed: u64,
-}
+/// Logical record size (YCSB default: 1 KiB).
+const RECORD_SIZE: u64 = 1024;
+/// SST data block read per point-lookup miss: 8 KiB.
+const BLOCK_SIZE: u64 = 8 * 1024;
+/// Memtable capacity, 64 MiB (RocksDB's write buffer); a flush is issued
+/// when it fills.
+const MEMTABLE_BYTES: u64 = 64 << 20;
+/// Probability a read is served from the memtable/row cache: 0.35.
+const MEMORY_HIT: f64 = 0.35;
+/// Probability a block needed by a read is in the block cache: 0.60.
+const BLOCK_CACHE_HIT: f64 = 0.60;
+/// Flushes per L0→L1 compaction round: 4 (RocksDB's L0 trigger).
+const COMPACTION_EVERY: u64 = 4;
+/// Read + write amplification of one compaction round, as a multiple of
+/// the flushed bytes: 3.
+const COMPACTION_MULTIPLIER: u64 = 3;
+/// Software service time per op, 6 µs (filesystem + KV CPU path; §9.6:
+/// BlobFS locks and super-block handling make it substantial).
+const SERVICE: SimTime = SimTime::from_micros(6);
+/// Device region reserved for the WAL, at the start of the device: 1 GiB.
+const WAL_REGION: u64 = 1 << 30;
+/// Device region the SSTs cycle through, after the WAL: 32 GiB.
+const DATA_REGION: u64 = 32 << 30;
+/// RNG seed for hit/miss draws.
+const SEED: u64 = 0x15B;
 
-impl Default for LsmConfig {
-    fn default() -> Self {
-        LsmConfig {
-            record_size: 1024,
-            block_size: 8 * 1024,
-            memtable_bytes: 64 << 20,
-            memory_hit: 0.35,
-            block_cache_hit: 0.60,
-            compaction_every: 4,
-            compaction_multiplier: 3,
-            service: SimTime::from_micros(6),
-            wal_region: 1 << 30,
-            seed: 0x15B,
-        }
-    }
-}
+const _: () = assert!(
+    DATA_REGION >= MEMTABLE_BYTES,
+    "data region smaller than one flush"
+);
 
 /// The LSM store state machine.
 #[derive(Clone, Debug)]
 pub struct LsmStore {
-    cfg: LsmConfig,
     rng: DetRng,
     wal_pos: u64,
     memtable_fill: u64,
     flushes_since_compaction: u64,
     sst_cursor: u64,
-    data_region: u64,
-    flush_count_total: u64,
-    compactions: u64,
 }
 
 impl LsmStore {
-    /// Creates a store with the given tunables over a device data region of
-    /// `data_region` bytes (SSTs cycle through it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the data region cannot hold one memtable flush.
-    pub fn new(cfg: LsmConfig, data_region: u64) -> Self {
-        assert!(
-            data_region >= cfg.memtable_bytes,
-            "data region smaller than one flush"
-        );
+    /// The §9.6 instance: an empty store over a 1 GiB WAL and a 32 GiB
+    /// data region.
+    pub fn paper_default() -> Self {
         LsmStore {
-            rng: DetRng::new(cfg.seed),
+            rng: DetRng::new(SEED),
             wal_pos: 0,
             memtable_fill: 0,
             flushes_since_compaction: 0,
             sst_cursor: 0,
-            data_region,
-            flush_count_total: 0,
-            compactions: 0,
-            cfg,
         }
-    }
-
-    /// Default instance over a 32 GiB data region.
-    pub fn paper_default() -> Self {
-        Self::new(LsmConfig::default(), 32 << 30)
-    }
-
-    /// Completed compaction rounds.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
     }
 
     fn wal_append(&mut self) -> UserIo {
         // Group commit: a 4 KiB WAL page per write op.
-        let io = UserIo::write(self.cfg.wal_region.min(self.wal_pos), 4096);
-        self.wal_pos = (self.wal_pos + 4096) % self.cfg.wal_region;
+        let io = UserIo::write(self.wal_pos, 4096);
+        self.wal_pos = (self.wal_pos + 4096) % WAL_REGION;
         io
     }
 
+    /// The device offset of the next `bytes`-long SST write or compaction
+    /// read, inside the data region.
     fn data_offset(&mut self, bytes: u64) -> u64 {
-        let off = self.sst_cursor % (self.data_region - bytes);
+        let off = self.sst_cursor % (DATA_REGION - bytes);
         let aligned = off - off % 4096;
         self.sst_cursor = self.sst_cursor.wrapping_add(bytes + 4096);
-        aligned
+        WAL_REGION + aligned
     }
 
     fn read_plan(&mut self) -> Vec<PlanStep> {
-        let mut steps = vec![PlanStep::Think(self.cfg.service)];
-        if self.rng.chance(self.cfg.memory_hit) {
+        let mut steps = vec![PlanStep::Think(SERVICE)];
+        if self.rng.chance(MEMORY_HIT) {
             return steps; // memtable / row cache hit
         }
         // Bloom filters route the lookup to ~1 SST; the block may be cached.
-        if !self.rng.chance(self.cfg.block_cache_hit) {
-            let off = self.wal_region_end() + self.rng.below(self.data_region / 4096) * 4096;
-            steps.push(PlanStep::Io(UserIo::read(off, self.cfg.block_size)));
+        if !self.rng.chance(BLOCK_CACHE_HIT) {
+            let off = WAL_REGION + self.rng.below(DATA_REGION / 4096) * 4096;
+            steps.push(PlanStep::Io(UserIo::read(off, BLOCK_SIZE)));
         }
         steps
     }
 
-    fn wal_region_end(&self) -> u64 {
-        self.cfg.wal_region
-    }
-
     fn write_plan(&mut self) -> IoPlan {
         let mut plan = IoPlan {
-            steps: vec![
-                PlanStep::Think(self.cfg.service),
-                PlanStep::Io(self.wal_append()),
-            ],
+            steps: vec![PlanStep::Think(SERVICE), PlanStep::Io(self.wal_append())],
             background: Vec::new(),
         };
-        self.memtable_fill += self.cfg.record_size;
-        if self.memtable_fill >= self.cfg.memtable_bytes {
+        self.memtable_fill += RECORD_SIZE;
+        if self.memtable_fill >= MEMTABLE_BYTES {
             self.memtable_fill = 0;
             self.flushes_since_compaction += 1;
-            self.flush_count_total += 1;
             // Flush: the memtable streams out as 1 MiB SST writes.
-            let mut remaining = self.cfg.memtable_bytes;
+            let mut remaining = MEMTABLE_BYTES;
             while remaining > 0 {
                 let chunk = remaining.min(1 << 20);
-                let off = self.wal_region_end() + self.data_offset(chunk);
+                let off = self.data_offset(chunk);
                 plan.background.push(UserIo::write(off, chunk));
                 remaining -= chunk;
             }
-            if self.flushes_since_compaction >= self.cfg.compaction_every {
+            if self.flushes_since_compaction >= COMPACTION_EVERY {
                 self.flushes_since_compaction = 0;
-                self.compactions += 1;
                 // Compaction: read + rewrite `multiplier ×` the flushed bytes.
-                let total = self.cfg.memtable_bytes * self.cfg.compaction_multiplier;
-                let mut remaining = total;
+                let mut remaining = MEMTABLE_BYTES * COMPACTION_MULTIPLIER;
                 while remaining > 0 {
                     let chunk = remaining.min(1 << 20);
-                    let roff = self.wal_region_end() + self.data_offset(chunk);
-                    let woff = self.wal_region_end() + self.data_offset(chunk);
+                    let roff = self.data_offset(chunk);
+                    let woff = self.data_offset(chunk);
                     plan.background.push(UserIo::read(roff, chunk));
                     plan.background.push(UserIo::write(woff, chunk));
                     remaining -= chunk;
@@ -209,19 +165,15 @@ impl BlockApp for LsmStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use draid_core::IoKind;
 
-    fn tiny() -> LsmStore {
-        let cfg = LsmConfig {
-            memtable_bytes: 64 * 1024,
-            compaction_every: 2,
-            ..LsmConfig::default()
-        };
-        LsmStore::new(cfg, 8 << 20)
-    }
+    /// Updates that fill the memtable `COMPACTION_EVERY` times: four
+    /// flushes, the last of which triggers one compaction.
+    const UPDATES_PER_COMPACTION: u64 = COMPACTION_EVERY * MEMTABLE_BYTES / RECORD_SIZE;
 
     #[test]
     fn reads_mostly_avoid_io() {
-        let mut lsm = tiny();
+        let mut lsm = LsmStore::paper_default();
         let mut io_reads = 0;
         for _ in 0..1000 {
             let plan = lsm.plan(&YcsbOp::Read(1));
@@ -237,25 +189,33 @@ mod tests {
 
     #[test]
     fn writes_append_wal_and_flush_periodically() {
-        let mut lsm = tiny();
-        let mut background = 0usize;
-        for _ in 0..256 {
+        let mut lsm = LsmStore::paper_default();
+        let (mut read_bytes, mut write_bytes) = (0, 0);
+        for _ in 0..UPDATES_PER_COMPACTION {
             let plan = lsm.plan(&YcsbOp::Update(7));
             assert!(plan
                 .steps
                 .iter()
                 .any(|s| matches!(s, PlanStep::Io(io) if io.len == 4096)));
-            background += plan.background.len();
+            for io in &plan.background {
+                match io.kind {
+                    IoKind::Read => read_bytes += io.len,
+                    IoKind::Write => write_bytes += io.len,
+                }
+            }
         }
-        // 256 KiB written with a 64 KiB memtable ⇒ 4 flushes, 2 compactions.
-        assert_eq!(lsm.flush_count_total, 4);
-        assert_eq!(lsm.compactions(), 2);
-        assert!(background > 0);
+        // Four memtable flushes, then one compaction that reads and
+        // rewrites three memtables' worth.
+        assert_eq!(read_bytes, COMPACTION_MULTIPLIER * MEMTABLE_BYTES);
+        assert_eq!(
+            write_bytes,
+            (COMPACTION_EVERY + COMPACTION_MULTIPLIER) * MEMTABLE_BYTES
+        );
     }
 
     #[test]
     fn rmw_combines_read_and_write() {
-        let mut lsm = tiny();
+        let mut lsm = LsmStore::paper_default();
         let plan = lsm.plan(&YcsbOp::ReadModifyWrite(9));
         let ios = plan
             .steps
@@ -267,22 +227,21 @@ mod tests {
 
     #[test]
     fn offsets_stay_in_device_regions() {
-        let mut lsm = tiny();
-        for _ in 0..2000 {
-            for step_or_bg in lsm
-                .plan(&YcsbOp::Update(3))
-                .background
-                .iter()
-                .chain(std::iter::empty())
-            {
-                assert!(step_or_bg.offset >= lsm.wal_region_end());
+        let mut lsm = LsmStore::paper_default();
+        let mut background = 0;
+        for _ in 0..UPDATES_PER_COMPACTION {
+            let plan = lsm.plan(&YcsbOp::Update(3));
+            for step in &plan.steps {
+                if let PlanStep::Io(io) = step {
+                    assert!(io.offset + io.len <= WAL_REGION, "{io:?}");
+                }
             }
+            for io in &plan.background {
+                assert!(io.offset >= WAL_REGION, "{io:?}");
+                assert!(io.offset + io.len <= WAL_REGION + DATA_REGION, "{io:?}");
+            }
+            background += plan.background.len();
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "smaller than one flush")]
-    fn region_must_hold_a_flush() {
-        LsmStore::new(LsmConfig::default(), 1024);
+        assert!(background > 0, "no flush or compaction was checked");
     }
 }

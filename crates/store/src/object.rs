@@ -9,64 +9,39 @@ use draid_sim::SimTime;
 use crate::driver::{BlockApp, IoPlan, PlanStep};
 use crate::YcsbOp;
 
-/// A hash-based object store over the virtual RAID device.
-#[derive(Clone, Debug)]
-pub struct ObjectStore {
-    object_size: u64,
-    slot_size: u64,
-    slots: u64,
-    service: SimTime,
-}
+/// Object size: 128 KiB (§9.6). A multiple of 4 KiB, so each object's slot
+/// is 4 KiB-aligned like the paper's store.
+const OBJECT_SIZE: u64 = 128 * 1024;
+/// Object slots on the device: 200 K (§9.6).
+const SLOTS: u64 = 200_000;
+/// Service time of a read-modify-write's modify step: 1 µs.
+const SERVICE: SimTime = SimTime::from_micros(1);
 
-impl ObjectStore {
-    /// Creates a store of `slots` fixed-size objects.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `object_size` or `slots` is zero.
-    pub fn new(object_size: u64, slots: u64) -> Self {
-        assert!(object_size > 0 && slots > 0, "empty store");
-        // Slots are aligned up to 4 KiB boundaries like the paper's store.
-        let slot_size = object_size.div_ceil(4096) * 4096;
-        ObjectStore {
-            object_size,
-            slot_size,
-            slots,
-            service: SimTime::from_micros(1),
-        }
-    }
+/// A hash-based object store over the virtual RAID device: the §9.6
+/// configuration, 200 K objects of 128 KiB.
+#[derive(Clone, Copy, Debug)]
+pub struct ObjectStore;
 
-    /// The §9.6 configuration: 200 K objects of 128 KiB.
-    pub fn paper_default() -> Self {
-        Self::new(128 * 1024, 200_000)
-    }
-
-    /// Object size in bytes.
-    pub fn object_size(&self) -> u64 {
-        self.object_size
-    }
-
-    /// The device offset of a key's slot (multiplicative hash, then slot
-    /// scaling — collisions alias to the same slot, which only recycles the
-    /// same blocks and is harmless for I/O behaviour).
-    pub fn slot_offset(&self, key: u64) -> u64 {
-        let hashed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        (hashed % self.slots) * self.slot_size
-    }
+/// The device offset of a key's slot (multiplicative hash, then slot
+/// scaling — collisions alias to the same slot, which only recycles the
+/// same blocks and is harmless for I/O behaviour).
+fn slot_offset(key: u64) -> u64 {
+    let hashed = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (hashed % SLOTS) * OBJECT_SIZE
 }
 
 impl BlockApp for ObjectStore {
     fn plan(&mut self, op: &YcsbOp) -> IoPlan {
-        let off = self.slot_offset(op.key());
-        let read = UserIo::read(off, self.object_size);
-        let write = UserIo::write(off, self.object_size);
+        let off = slot_offset(op.key());
+        let read = UserIo::read(off, OBJECT_SIZE);
+        let write = UserIo::write(off, OBJECT_SIZE);
         let steps = match op {
             YcsbOp::Read(_) => vec![PlanStep::Io(read)],
             YcsbOp::Update(_) | YcsbOp::Insert(_) => vec![PlanStep::Io(write)],
             // Workload F: read the object, modify, write it back.
             YcsbOp::ReadModifyWrite(_) => vec![
                 PlanStep::Io(read),
-                PlanStep::Think(self.service),
+                PlanStep::Think(SERVICE),
                 PlanStep::Io(write),
             ],
         };
@@ -87,24 +62,16 @@ mod tests {
 
     #[test]
     fn slots_are_aligned_and_in_range() {
-        let s = ObjectStore::new(128 * 1024, 1000);
         for key in 0..5000u64 {
-            let off = s.slot_offset(key);
+            let off = slot_offset(key);
             assert_eq!(off % 4096, 0);
-            assert!(off < s.slot_size * s.slots);
+            assert!(off < OBJECT_SIZE * SLOTS);
         }
     }
 
     #[test]
-    fn odd_object_size_rounds_slot_up() {
-        let s = ObjectStore::new(5000, 10);
-        assert_eq!(s.slot_size * s.slots, 10 * 8192);
-        assert_eq!(s.object_size(), 5000);
-    }
-
-    #[test]
     fn plans_match_op_kinds() {
-        let mut s = ObjectStore::paper_default();
+        let mut s = ObjectStore;
         assert_eq!(s.plan(&YcsbOp::Read(1)).steps.len(), 1);
         assert_eq!(s.plan(&YcsbOp::Update(1)).steps.len(), 1);
         assert_eq!(s.plan(&YcsbOp::ReadModifyWrite(1)).steps.len(), 3);
@@ -113,10 +80,9 @@ mod tests {
 
     #[test]
     fn keys_spread_across_slots() {
-        let s = ObjectStore::new(4096, 1024);
         let mut seen = std::collections::HashSet::new();
         for key in 0..1024u64 {
-            seen.insert(s.slot_offset(key));
+            seen.insert(slot_offset(key));
         }
         assert!(seen.len() > 600, "hash spreads keys: {}", seen.len());
     }

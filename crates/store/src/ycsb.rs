@@ -84,16 +84,18 @@ impl YcsbOp {
     }
 }
 
+/// The zipfian exponent θ: YCSB's 0.99.
+const THETA: f64 = 0.99;
+/// `1 / (1 − θ)`, the exponent of the generator's inverse transform.
+const ALPHA: f64 = 1.0 / (1.0 - THETA);
+
 /// The standard YCSB zipfian generator (Gray et al.'s rejection-free
 /// algorithm), producing values in `[0, n)` with exponent θ = 0.99.
 #[derive(Clone, Debug)]
 pub struct ZipfianGen {
     items: u64,
-    theta: f64,
-    alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2: f64,
 }
 
 impl ZipfianGen {
@@ -104,28 +106,24 @@ impl ZipfianGen {
     /// Panics if `items == 0`.
     pub fn new(items: u64) -> Self {
         assert!(items > 0, "empty keyspace");
-        let theta = 0.99;
-        let zetan = Self::zeta(items, theta);
-        let zeta2 = Self::zeta(2, theta);
+        let zetan = Self::zeta(items);
+        let zeta2 = Self::zeta(2);
         ZipfianGen {
             items,
-            theta,
-            alpha: 1.0 / (1.0 - theta),
             zetan,
-            eta: (1.0 - (2.0 / items as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan),
-            zeta2,
+            eta: (1.0 - (2.0 / items as f64).powf(1.0 - THETA)) / (1.0 - zeta2 / zetan),
         }
     }
 
-    fn zeta(n: u64, theta: f64) -> f64 {
+    fn zeta(n: u64) -> f64 {
         // Exact for small n; Euler–Maclaurin tail estimate beyond 10⁶ keeps
         // construction O(1) for large keyspaces.
         let exact = n.min(1_000_000);
-        let mut sum: f64 = (1..=exact).map(|i| 1.0 / (i as f64).powf(theta)).sum();
+        let mut sum: f64 = (1..=exact).map(|i| 1.0 / (i as f64).powf(THETA)).sum();
         if n > exact {
             let a = exact as f64;
             let b = n as f64;
-            sum += (b.powf(1.0 - theta) - a.powf(1.0 - theta)) / (1.0 - theta);
+            sum += (b.powf(1.0 - THETA) - a.powf(1.0 - THETA)) / (1.0 - THETA);
         }
         sum
     }
@@ -138,26 +136,11 @@ impl ZipfianGen {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + 0.5f64.powf(THETA) {
             return 1;
         }
-        let v = self.items as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha);
+        let v = self.items as f64 * (self.eta * u - self.eta + 1.0).powf(ALPHA);
         (v as u64).min(self.items - 1)
-    }
-
-    /// Number of items.
-    pub fn items(&self) -> u64 {
-        self.items
-    }
-
-    /// Internal normalization constant (exposed for tests).
-    pub fn zetan(&self) -> f64 {
-        self.zetan
-    }
-
-    /// θ-dependent constant for two items (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2
     }
 }
 
@@ -199,11 +182,6 @@ impl YcsbGen {
             inserted: 0,
             rng: DetRng::new(seed),
         }
-    }
-
-    /// The configured workload.
-    pub fn workload(&self) -> YcsbWorkload {
-        self.workload
     }
 
     fn draw_key(&mut self) -> u64 {
@@ -286,7 +264,7 @@ mod tests {
     fn zeta_tail_estimate_is_close() {
         // Compare the clamped estimate against exact for a value just above
         // the clamp threshold by computing both with a smaller clamp.
-        let exact = ZipfianGen::zeta(1_000_000, 0.99);
+        let exact = ZipfianGen::zeta(1_000_000);
         let series: f64 = (1..=1_000_000u64)
             .map(|i| 1.0 / (i as f64).powf(0.99))
             .sum();

@@ -9,7 +9,7 @@ use std::rc::Rc;
 use draid_core::{run_measured, ArraySim, MEASURE_SLICES};
 use draid_sim::{DetRng, Engine, SimTime};
 
-use crate::{FioJob, RunReport, Runner};
+use crate::{FioJob, RunReport};
 
 /// Arrival process of an open-loop run.
 #[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -115,23 +115,11 @@ pub struct OpenLoopRunner {
     /// Measured duration.
     pub measure: SimTime,
     /// Outstanding-I/O bound (protects the simulation from unbounded queues
-    /// in overload; 4096 by default).
+    /// in overload).
     pub max_inflight: usize,
 }
 
 impl OpenLoopRunner {
-    /// Creates a runner with the default 50 ms + 200 ms phases.
-    pub fn new(pattern: ArrivalPattern) -> Self {
-        pattern.validate();
-        let base = Runner::new();
-        OpenLoopRunner {
-            pattern,
-            warmup: base.warmup,
-            measure: base.measure,
-            max_inflight: 4096,
-        }
-    }
-
     /// Runs `job`'s access pattern under this arrival process.
     ///
     /// `job.queue_depth` is ignored — concurrency emerges from the arrival
@@ -329,6 +317,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid rate")]
     fn zero_rate_rejected() {
-        OpenLoopRunner::new(ArrivalPattern::Poisson { rate: 0.0 });
+        OpenLoopRunner {
+            pattern: ArrivalPattern::Poisson { rate: 0.0 },
+            warmup: SimTime::from_millis(1),
+            measure: SimTime::from_millis(1),
+            max_inflight: 1,
+        }
+        .run(array(), &FioJob::random_write(4096));
     }
 }

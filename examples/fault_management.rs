@@ -9,9 +9,7 @@
 
 use bytes::Bytes;
 use draid::block::Cluster;
-use draid::core::{
-    ArrayConfig, ArraySim, DataMode, FaultManagerConfig, FaultSchedule, SystemKind, UserIo,
-};
+use draid::core::{ArrayConfig, ArraySim, DataMode, FaultSchedule, SystemKind, UserIo};
 use draid::sim::{DetRng, Engine, SimTime};
 
 fn main() -> Result<(), String> {
@@ -24,11 +22,7 @@ fn main() -> Result<(), String> {
     let mut array = ArraySim::new(Cluster::homogeneous(8), cfg)?;
     let mut engine: Engine<ArraySim> = Engine::new();
     let stripes = 8u64;
-    array.enable_fault_manager(FaultManagerConfig {
-        period: SimTime::from_micros(500),
-        rebuild_stripes: stripes,
-        rebuild_concurrency: 3,
-    });
+    array.enable_fault_manager(stripes);
 
     // The whole scenario is declared up front and replays deterministically.
     FaultSchedule::new()

@@ -22,7 +22,7 @@ fn run(system: SystemKind, workload: YcsbWorkload) -> draid::store::AppReport {
     // §9.6: 200 K objects of 128 KiB, uniform key distribution.
     runner.run(
         array,
-        ObjectStore::paper_default(),
+        ObjectStore,
         YcsbGen::with_distribution(workload, Distribution::Uniform, 200_000, 42),
     )
 }

@@ -5,11 +5,14 @@
 //! without ever tripping a rebuild; and transients striking mid-rebuild
 //! neither corrupt the spare nor stall the pump.
 
+use std::cell::Cell;
+use std::rc::Rc;
+
 use bytes::Bytes;
 use draid::block::Cluster;
 use draid::core::{
-    ArrayConfig, ArraySim, DataMode, FaultManagerConfig, FaultSchedule, HealthState, RaidLevel,
-    SystemKind, UserIo,
+    ArrayConfig, ArraySim, CompletionHook, DataMode, FaultAction, FaultSchedule, HealthState,
+    RaidLevel, SystemKind, UserIo,
 };
 use draid::sim::{DetRng, Engine, SimTime};
 
@@ -52,11 +55,7 @@ fn auto_rebuild_closes_the_loop_without_operator() {
     // Width-5 array over a 7-server pool: servers 5 and 6 are spares.
     let (mut array, mut engine) = managed_array(5, 7);
     let stripes = 8u64;
-    array.enable_fault_manager(FaultManagerConfig {
-        period: SimTime::from_micros(500),
-        rebuild_stripes: stripes,
-        rebuild_concurrency: 3,
-    });
+    array.enable_fault_manager(stripes);
     let mut rng = DetRng::new(0xFA017);
     let stripe = array.layout().stripe_data_bytes();
     let mut shadow = vec![0u8; (stripes * stripe) as usize];
@@ -109,11 +108,7 @@ fn second_failure_is_rebuilt_by_the_rearmed_manager() {
     // sequential failures, two spares drawn (servers 5 then 6).
     let (mut array, mut engine) = managed_array(5, 7);
     let stripes = 6u64;
-    array.enable_fault_manager(FaultManagerConfig {
-        period: SimTime::from_micros(500),
-        rebuild_stripes: stripes,
-        rebuild_concurrency: 3,
-    });
+    array.enable_fault_manager(stripes);
     let mut rng = DetRng::new(0xFA018);
     let stripe = array.layout().stripe_data_bytes();
     let mut shadow = vec![0u8; (stripes * stripe) as usize];
@@ -139,14 +134,79 @@ fn second_failure_is_rebuilt_by_the_rearmed_manager() {
     assert_eq!(res.data.as_deref(), Some(&shadow[..]));
 }
 
+/// Submits a 4 KiB read at `at` and runs the engine until it completes;
+/// returns the completion instant. The sweep that completion offers has
+/// run by then, and a rebuild it started is still in flight.
+fn probe_read(array: &mut ArraySim, engine: &mut Engine<ArraySim>, at: SimTime) -> SimTime {
+    let done = Rc::new(Cell::new(SimTime::ZERO));
+    let seen = Rc::clone(&done);
+    engine.schedule_at(at, move |array: &mut ArraySim, engine| {
+        let hook: CompletionHook = Box::new(move |_, engine, res| {
+            assert!(res.is_ok(), "probe read failed: {res:?}");
+            seen.set(engine.now());
+            engine.stop();
+        });
+        array.submit_with_hook(engine, UserIo::read(0, 4 * KIB), Some(hook));
+    });
+    engine.run(array);
+    done.get()
+}
+
+#[test]
+fn manager_sweeps_every_500us_and_rebuilds_three_stripes_at_a_time() {
+    let (mut array, mut engine) = managed_array(5, 7);
+    let stripes = 8u64;
+    array.enable_fault_manager(stripes);
+    let mut rng = DetRng::new(0xFA01B);
+    let stripe = array.layout().stripe_data_bytes();
+    let mut shadow = vec![0u8; (stripes * stripe) as usize];
+    let slots: Vec<u64> = (0..stripes).collect();
+    write_round(&mut array, &mut engine, &mut rng, &mut shadow, &slots);
+
+    // Long after any earlier sweep, the next completion sweeps: the last
+    // sweep is at `swept`.
+    let idle = engine.now() + SimTime::from_millis(1);
+    let swept = probe_read(&mut array, &mut engine, idle);
+    FaultSchedule::new()
+        .at(
+            swept + SimTime::from_micros(50),
+            FaultAction::DeclareFailed { member: 3 },
+        )
+        .install(&mut engine);
+
+    // Completions inside the 500 µs period leave the declared member
+    // alone; the first one at or past it starts the rebuild.
+    let mut waited = Vec::new();
+    for offset_us in [100, 250, 400, 450, 500] {
+        let at = (swept + SimTime::from_micros(offset_us)).max(engine.now());
+        let done = probe_read(&mut array, &mut engine, at);
+        assert_eq!(array.faulty_members(), vec![3]);
+        if done.saturating_sub(swept) < SimTime::from_micros(500) {
+            assert_eq!(array.fault_manager_rebuilds(), 0, "rebuilt at {done:?}");
+            assert!(array.rebuild_status().is_none());
+            waited.push(done);
+            continue;
+        }
+        assert_eq!(array.fault_manager_rebuilds(), 1, "no rebuild at {done:?}");
+        let status = array.rebuild_status().expect("rebuild in flight");
+        assert_eq!(status.member, 3);
+        assert_eq!(status.started, done);
+        assert_eq!(status.concurrency, 3);
+        break;
+    }
+    assert!(
+        !waited.is_empty() && array.fault_manager_rebuilds() == 1,
+        "completions before the period {waited:?}, rebuilds {}",
+        array.fault_manager_rebuilds()
+    );
+    engine.run(&mut array);
+    assert!(!array.is_degraded(), "the rebuild completes");
+}
+
 #[test]
 fn fail_slow_member_is_quarantined_not_rebuilt() {
     let (mut array, mut engine) = managed_array(6, 6);
-    array.enable_fault_manager(FaultManagerConfig {
-        period: SimTime::from_micros(500),
-        rebuild_stripes: 4,
-        rebuild_concurrency: 2,
-    });
+    array.enable_fault_manager(4);
     let mut rng = DetRng::new(0xFA019);
     let stripe = array.layout().stripe_data_bytes();
     let stripes = 4u64;

@@ -126,7 +126,7 @@ fn object_store_ycsb_all_workloads() {
         };
         let report = runner.run(
             array,
-            ObjectStore::paper_default(),
+            ObjectStore,
             YcsbGen::with_distribution(workload, Distribution::Uniform, 50_000, 3),
         );
         assert!(report.ops > 50, "{workload:?}: {report:?}");

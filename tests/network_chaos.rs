@@ -6,10 +6,7 @@
 
 use bytes::Bytes;
 use draid::block::Cluster;
-use draid::core::{
-    ArrayConfig, ArraySim, DataMode, FaultManagerConfig, FaultSchedule, RaidLevel, SystemKind,
-    UserIo,
-};
+use draid::core::{ArrayConfig, ArraySim, DataMode, FaultSchedule, RaidLevel, SystemKind, UserIo};
 use draid::net::LinkDir;
 use draid::sim::{DetRng, Engine, SimTime};
 
@@ -31,11 +28,7 @@ fn link_flaps_and_degradations_do_not_lose_data() {
     let mut array = chaos_array(6, 7);
     let mut engine: Engine<ArraySim> = Engine::new();
     // A spare is on standby in case the flapping gets a member declared.
-    array.enable_fault_manager(FaultManagerConfig {
-        period: SimTime::from_micros(500),
-        rebuild_stripes: 12,
-        rebuild_concurrency: 3,
-    });
+    array.enable_fault_manager(12);
     let mut rng = DetRng::new(0x4E7C4A05);
     let stripe = array.layout().stripe_data_bytes();
     let stripes = 12u64;
@@ -124,11 +117,7 @@ fn permanent_link_loss_is_declared_and_rebuilt() {
     let mut array = chaos_array(5, 6);
     let mut engine: Engine<ArraySim> = Engine::new();
     let stripes = 8u64;
-    array.enable_fault_manager(FaultManagerConfig {
-        period: SimTime::from_micros(500),
-        rebuild_stripes: stripes,
-        rebuild_concurrency: 3,
-    });
+    array.enable_fault_manager(stripes);
     let mut rng = DetRng::new(0x4E7C4A06);
     let stripe = array.layout().stripe_data_bytes();
     let mut shadow = vec![0u8; (stripes * stripe) as usize];
