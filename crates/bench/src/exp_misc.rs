@@ -6,8 +6,8 @@
 use draid_block::ClusterBuilder;
 use draid_core::trace::StepClass;
 use draid_core::{ArrayConfig, ArraySim, DraidOptions, ReducerPolicy, SystemKind, UserIo};
-use draid_net::NicSpec;
-use draid_sim::{Engine, SimTime};
+use draid_net::CX5_100G;
+use draid_sim::{ByteRate, Engine, SimTime};
 use draid_workload::{ArrivalPattern, FioJob, OpenLoopRunner, Runner};
 
 use crate::claim::Band::{Above, Below};
@@ -515,11 +515,9 @@ pub(crate) fn oversubscription(id: &str) -> Figure {
         let mut b = ClusterBuilder::new();
         // Uplink capacity = aggregate NIC bandwidth / oversubscription
         // factor. The compute rack holds one host; its uplink is a full NIC.
-        let storage_uplink = NicSpec::with_goodput_gbps(92.0 * WIDTH as f64 / oversub);
-        b.two_tier(NicSpec::cx5_100g(), storage_uplink);
-        b.host(vec![NicSpec::cx5_100g()]);
+        b.two_tier(ByteRate::from_gbps(92.0 * WIDTH as f64 / oversub));
         for _ in 0..WIDTH {
-            b.server(vec![NicSpec::cx5_100g()]);
+            b.server(CX5_100G);
         }
         ArraySim::new(b.build(), ArrayConfig::paper_default(system)).expect("valid config")
     };

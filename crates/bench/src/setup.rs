@@ -2,7 +2,7 @@
 
 use draid_block::{Cluster, ClusterBuilder};
 use draid_core::{ArrayConfig, ArraySim, DraidOptions, RaidLevel, SystemKind};
-use draid_net::NicSpec;
+use draid_net::{CX5_100G, CX5_25G};
 
 /// A fully specified experiment target: which engine, geometry, health and
 /// dRAID options to instantiate. Every scenario seeds the array's RNG with
@@ -95,14 +95,12 @@ pub fn build_array(scenario: &Scenario) -> ArraySim {
 pub fn build_hetero_array(scenario: &Scenario, slow: usize) -> ArraySim {
     assert!(slow <= scenario.width, "more slow nodes than members");
     let mut b = ClusterBuilder::new();
-    b.host(vec![NicSpec::cx5_100g()]);
     for i in 0..scenario.width {
-        let nic = if i >= scenario.width - slow {
-            NicSpec::cx5_25g()
+        b.server(if i >= scenario.width - slow {
+            CX5_25G
         } else {
-            NicSpec::cx5_100g()
-        };
-        b.server(vec![nic]);
+            CX5_100G
+        });
     }
     finish(b.build(), scenario)
 }

@@ -1,7 +1,7 @@
 //! Cluster assembly: a host plus storage servers on a fabric.
 
-use draid_net::{ConnId, Fabric, FabricBuilder, LinkDir, NicSpec, NodeId};
-use draid_sim::{Service, SimTime};
+use draid_net::{Fabric, FabricBuilder, LinkDir, NodeId, CX5_100G};
+use draid_sim::{ByteRate, Service, SimTime};
 
 use crate::{Cpu, Drive, DriveError};
 
@@ -23,21 +23,19 @@ struct Server {
 ///
 /// ```
 /// use draid_block::ClusterBuilder;
-/// use draid_net::NicSpec;
+/// use draid_net::CX5_100G;
 ///
 /// let mut b = ClusterBuilder::new();
-/// b.host(vec![NicSpec::cx5_100g()]);
 /// for _ in 0..4 {
-///     b.server(vec![NicSpec::cx5_100g()]);
+///     b.server(CX5_100G);
 /// }
 /// let cluster = b.build();
 /// assert_eq!(cluster.width(), 4);
 /// ```
 #[derive(Debug, Default)]
 pub struct ClusterBuilder {
-    host: Option<Vec<NicSpec>>,
-    servers: Vec<Vec<NicSpec>>,
-    racks: Option<(NicSpec, NicSpec)>,
+    servers: Vec<ByteRate>,
+    storage_uplink: Option<ByteRate>,
 }
 
 impl ClusterBuilder {
@@ -46,55 +44,48 @@ impl ClusterBuilder {
         Self::default()
     }
 
-    /// Configures the host (the node where the virtual RAID device attaches).
-    pub fn host(&mut self, nics: Vec<NicSpec>) -> &mut Self {
-        self.host = Some(nics);
-        self
-    }
-
-    /// Places the host in a compute rack and every server in a storage rack,
-    /// joined through core uplinks of the given capacities — the
-    /// oversubscribed two-tier topology of real disaggregated deployments.
+    /// Places the host in a compute rack and every server in a storage rack
+    /// whose core uplink carries `storage_uplink` — the oversubscribed
+    /// two-tier topology of real disaggregated deployments. The compute
+    /// rack holds only the host, so its uplink is a full 100 Gbps NIC.
     /// Host ↔ server traffic crosses the core; server ↔ server traffic
     /// (dRAID's partial parities) stays inside the storage rack.
-    pub fn two_tier(&mut self, compute_uplink: NicSpec, storage_uplink: NicSpec) -> &mut Self {
-        self.racks = Some((compute_uplink, storage_uplink));
+    pub fn two_tier(&mut self, storage_uplink: ByteRate) -> &mut Self {
+        self.storage_uplink = Some(storage_uplink);
         self
     }
 
-    /// Adds a storage server (the paper's drive and one polling core);
-    /// returns its [`ServerId`].
-    pub fn server(&mut self, nics: Vec<NicSpec>) -> ServerId {
-        self.servers.push(nics);
+    /// Adds a storage server (the paper's drive and one polling core) whose
+    /// NIC moves `goodput` per direction; returns its [`ServerId`].
+    pub fn server(&mut self, goodput: ByteRate) -> ServerId {
+        self.servers.push(goodput);
         ServerId(self.servers.len() - 1)
     }
 
-    /// Builds the cluster and wires the full connection mesh: host ↔ every
-    /// server plus every server pair (dRAID's server-side controllers connect
-    /// to all other storage servers, §8).
+    /// Builds the cluster: the host, on a 100 Gbps NIC like the paper's
+    /// (§9.1), and the servers.
     ///
     /// # Panics
     ///
-    /// Panics unless a host and at least two servers were configured.
+    /// Panics unless at least two servers were configured.
     pub fn build(self) -> Cluster {
-        let host_nics = self.host.expect("cluster needs a host");
         assert!(
             self.servers.len() >= 2,
             "a RAID array needs at least two members"
         );
         let mut fb = FabricBuilder::new();
         let rack_ids = self
-            .racks
-            .map(|(compute, storage)| (fb.add_rack(compute), fb.add_rack(storage)));
+            .storage_uplink
+            .map(|storage| (fb.add_rack(CX5_100G), fb.add_rack(storage)));
         let host_node = match rack_ids {
-            Some((compute, _)) => fb.add_node_in_rack("host", host_nics, compute),
-            None => fb.add_node("host", host_nics),
+            Some((compute, _)) => fb.add_node_in_rack("host", CX5_100G, compute),
+            None => fb.add_node("host", CX5_100G),
         };
         let mut servers = Vec::with_capacity(self.servers.len());
-        for (i, nics) in self.servers.into_iter().enumerate() {
+        for (i, goodput) in self.servers.into_iter().enumerate() {
             let node = match rack_ids {
-                Some((_, storage)) => fb.add_node_in_rack(format!("server{i}"), nics, storage),
-                None => fb.add_node(format!("server{i}"), nics),
+                Some((_, storage)) => fb.add_node_in_rack(format!("server{i}"), goodput, storage),
+                None => fb.add_node(format!("server{i}"), goodput),
             };
             servers.push(Server {
                 node,
@@ -102,46 +93,28 @@ impl ClusterBuilder {
                 cpu: Cpu::new(),
             });
         }
-        let mut fabric = fb.build();
-        let node_count = fabric.node_count();
-        let mut conns = vec![None; node_count * node_count];
-        let nodes: Vec<NodeId> = std::iter::once(host_node)
-            .chain(servers.iter().map(|s| s.node))
-            .collect();
-        for &a in &nodes {
-            for &b in &nodes {
-                if a != b {
-                    conns[a.0 * node_count + b.0] = Some(fabric.connect(a, b));
-                }
-            }
-        }
-        let mut node_server = vec![None; node_count];
+        let mut node_server = vec![None; servers.len() + 1];
         for (i, s) in servers.iter().enumerate() {
             node_server[s.node.0] = Some(ServerId(i));
         }
         Cluster {
-            fabric,
+            fabric: fb.build(),
             host_node,
             host_cpu: Cpu::new(),
             servers,
-            conns,
             node_server,
         }
     }
 }
 
-/// A simulated storage cluster: one host, `width` storage servers, and the
-/// full RDMA-RC connection mesh between them.
+/// A simulated storage cluster: one host and `width` storage servers on one
+/// fabric.
 #[derive(Debug)]
 pub struct Cluster {
     fabric: Fabric,
     host_node: NodeId,
     host_cpu: Cpu,
     servers: Vec<Server>,
-    /// The connection of each ordered node pair, indexed by
-    /// `from * nodes + to` (`None` on the diagonal): a transfer finds its
-    /// connection by one index, not a hash lookup.
-    conns: Vec<Option<ConnId>>,
     /// The server at each of the fabric's nodes (`None` for the host).
     node_server: Vec<Option<ServerId>>,
 }
@@ -155,9 +128,8 @@ impl Cluster {
     /// Panics if `width < 2`.
     pub fn homogeneous(width: usize) -> Cluster {
         let mut b = ClusterBuilder::new();
-        b.host(vec![NicSpec::cx5_100g()]);
         for _ in 0..width {
-            b.server(vec![NicSpec::cx5_100g()]);
+            b.server(CX5_100G);
         }
         b.build()
     }
@@ -185,23 +157,8 @@ impl Cluster {
         self.node_server.get(node.0).copied().flatten()
     }
 
-    /// The pre-established connection from `from` to `to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pair has no connection (i.e. `from == to`).
-    #[inline]
-    fn conn(&self, from: NodeId, to: NodeId) -> ConnId {
-        let n = self.node_server.len();
-        (from.0 < n && to.0 < n)
-            .then(|| self.conns[from.0 * n + to.0])
-            .flatten()
-            .unwrap_or_else(|| panic!("no connection {from:?} -> {to:?}"))
-    }
-
-    /// Sends `bytes` between two fabric nodes over the pre-established
-    /// connection; fails fast with the refusing node when either endpoint's
-    /// link is down (network fault injection).
+    /// Sends `bytes` between two fabric nodes; fails fast with the refusing
+    /// node when either endpoint's link is down (network fault injection).
     ///
     /// # Errors
     ///
@@ -209,7 +166,7 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the pair has no connection (i.e. `from == to`).
+    /// Panics if `from == to` (loopback does not cross the fabric).
     #[inline]
     pub fn try_transfer(
         &mut self,
@@ -218,8 +175,7 @@ impl Cluster {
         to: NodeId,
         bytes: u64,
     ) -> Result<Service, draid_net::LinkError> {
-        let conn = self.conn(from, to);
-        self.fabric.try_transfer(now, conn, bytes)
+        self.fabric.try_transfer(now, from, to, bytes)
     }
 
     /// Queues a read on a server's drive.
@@ -462,42 +418,48 @@ mod tests {
         assert!(tl.total_busy("net:host:egress") > SimTime::ZERO);
     }
 
-    /// The connection ids `build` assigns: `connect` numbers connections
-    /// in call order, and `build` connects every ordered pair of the host
-    /// then the servers, row by row.
-    fn expected_conns(c: &Cluster) -> Vec<(NodeId, NodeId, ConnId)> {
-        let nodes: Vec<NodeId> = std::iter::once(c.host_node())
-            .chain((0..c.width()).map(|i| c.server_node(ServerId(i))))
-            .collect();
-        let mut out = Vec::new();
-        for &a in &nodes {
-            for &b in &nodes {
-                if a != b {
-                    out.push((a, b, ConnId(out.len())));
-                }
-            }
-        }
-        out
-    }
-
     fn rack_cluster() -> Cluster {
         let mut b = ClusterBuilder::new();
-        b.two_tier(NicSpec::cx5_100g(), NicSpec::with_goodput_gbps(25.0));
-        b.host(vec![NicSpec::cx5_100g()]);
+        b.two_tier(ByteRate::from_gbps(25.0));
         for _ in 0..5 {
-            b.server(vec![NicSpec::cx5_100g(), NicSpec::cx5_100g()]);
+            b.server(CX5_100G);
         }
         b.build()
     }
 
     #[test]
-    fn conn_table_holds_the_connect_order() {
-        for c in [Cluster::homogeneous(8), rack_cluster()] {
-            let expected = expected_conns(&c);
-            let nodes = c.width() + 1;
-            assert_eq!(expected.len(), nodes * (nodes - 1));
-            for (from, to, conn) in expected {
-                assert_eq!(c.conn(from, to), conn, "{from:?} -> {to:?}");
+    fn a_transfer_touches_exactly_its_two_endpoints() {
+        const BYTES: u64 = 1 << 20;
+        let flat_8: fn() -> Cluster = || Cluster::homogeneous(8);
+        for (build, racked) in [(flat_8, false), (rack_cluster, true)] {
+            let fresh = build();
+            let host = fresh.host_node();
+            let nodes: Vec<NodeId> = std::iter::once(host)
+                .chain((0..fresh.width()).map(|i| fresh.server_node(ServerId(i))))
+                .collect();
+            for &from in &nodes {
+                for &to in nodes.iter().filter(|&&n| n != from) {
+                    let mut c = build();
+                    let svc = c
+                        .try_transfer(SimTime::ZERO, from, to, BYTES)
+                        .expect("link up");
+                    for &n in &nodes {
+                        let sent = if n == from { BYTES } else { 0 };
+                        let received = if n == to { BYTES } else { 0 };
+                        assert_eq!(c.fabric().bytes_sent(n), sent, "{from:?} -> {to:?}");
+                        assert_eq!(c.fabric().bytes_received(n), received, "{from:?} -> {to:?}");
+                    }
+                    // The host sits alone in the compute rack.
+                    let crosses = racked && (from == host || to == host);
+                    let flat = Cluster::homogeneous(c.width())
+                        .try_transfer(SimTime::ZERO, from, to, BYTES)
+                        .expect("link up");
+                    if crosses {
+                        assert!(svc.end > flat.end, "{from:?} -> {to:?}: {svc:?}");
+                    } else {
+                        assert_eq!(svc, flat, "{from:?} -> {to:?}");
+                    }
+                }
             }
         }
     }
@@ -517,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no connection")]
+    #[should_panic(expected = "loopback")]
     fn loopback_transfer_panics() {
         let mut c = Cluster::homogeneous(8);
         let n = c.server_node(ServerId(3));
@@ -525,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no connection")]
+    #[should_panic(expected = "loopback")]
     fn rack_loopback_transfer_panics() {
         let mut c = rack_cluster();
         let host = c.host_node();
@@ -536,8 +498,7 @@ mod tests {
     #[should_panic(expected = "at least two")]
     fn single_member_rejected() {
         let mut b = ClusterBuilder::new();
-        b.host(vec![NicSpec::cx5_100g()]);
-        b.server(vec![NicSpec::cx5_100g()]);
+        b.server(CX5_100G);
         b.build();
     }
 }
@@ -550,13 +511,9 @@ mod rack_tests {
     fn two_tier_cluster_routes_host_traffic_through_core() {
         let mut b = ClusterBuilder::new();
         // Storage rack uplink much slower than the NICs.
-        b.two_tier(
-            NicSpec::with_goodput_gbps(8.0),
-            NicSpec::with_goodput_gbps(1.0),
-        );
-        b.host(vec![NicSpec::with_goodput_gbps(8.0)]);
+        b.two_tier(ByteRate::from_gbps(1.0));
         for _ in 0..3 {
-            b.server(vec![NicSpec::with_goodput_gbps(8.0)]);
+            b.server(ByteRate::from_gbps(8.0));
         }
         let mut c = b.build();
         let host = c.host_node();

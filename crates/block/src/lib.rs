@@ -17,8 +17,9 @@
 //! core, as on the paper's one testbed: their rates are constants in
 //! `drive.rs` and `cpu.rs`, not settings.
 //! * [`Cluster`] / [`ClusterBuilder`] — a host plus storage servers on a
-//!   [`draid_net::Fabric`], with the full connection mesh dRAID needs
-//!   (host ↔ every server, server ↔ server pairs, §3).
+//!   [`draid_net::Fabric`]; any two of them exchange data directly (host ↔
+//!   every server, server ↔ server pairs, §3). The host has a 100 Gbps NIC,
+//!   each server the goodput its builder gives it.
 //!
 //! ## Example
 //!

@@ -1,18 +1,20 @@
-//! The fabric: nodes, NICs, connections, transfers.
+//! The fabric: nodes, their NICs, transfers.
 
-use draid_sim::{RateResource, Service, SimTime};
+use draid_sim::{ByteRate, RateResource, Service, SimTime};
 
-use crate::NicSpec;
+/// Fixed per-message processing cost charged on the sending direction
+/// (verbs posting, doorbell, DMA setup). The ConnectX-5 goodput already
+/// absorbs steady-state per-packet costs; this models per-*verb* posting.
+const PER_MESSAGE: SimTime = SimTime::from_nanos(500);
+
+/// One-way propagation + switching delay of a NIC or a rack uplink.
+const PROPAGATION: SimTime = SimTime::from_micros(2);
 
 /// Identifies a node (server) in the fabric.
 #[derive(
     Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
 )]
 pub struct NodeId(pub usize);
-
-/// Identifies an established connection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ConnId(pub usize);
 
 /// Direction of traffic through a NIC, from the NIC owner's point of view.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -86,51 +88,76 @@ struct DirLedger {
     dropped: u64,
 }
 
+/// One direction of a node's NIC: its FIFO rate server at the NIC's
+/// goodput, its fault state and its conservation ledger.
 #[derive(Debug)]
-struct Nic {
-    spec: NicSpec,
-    egress: RateResource,
-    ingress: RateResource,
-    connections: usize,
-    egress_link: LinkState,
-    ingress_link: LinkState,
-    egress_ledger: DirLedger,
-    ingress_ledger: DirLedger,
+struct Port {
+    server: RateResource,
+    link: LinkState,
+    ledger: DirLedger,
 }
 
+impl Port {
+    fn new(goodput: ByteRate) -> Self {
+        Port {
+            server: RateResource::new(goodput),
+            link: LinkState::default(),
+            ledger: DirLedger::default(),
+        }
+    }
+
+    fn audit_conservation(&self, node: usize, dir: &str) {
+        draid_sim::draid_invariant!(
+            self.ledger.offered == self.server.bytes_served() + self.ledger.dropped,
+            "node {} {} conservation: offered={} served={} dropped={}",
+            node,
+            dir,
+            self.ledger.offered,
+            self.server.bytes_served(),
+            self.ledger.dropped
+        );
+    }
+
+    fn reset_counters(&mut self, now: SimTime) {
+        self.server.reset_counters(now);
+        self.ledger = DirLedger {
+            offered: self.server.bytes_served(),
+            dropped: 0,
+        };
+    }
+}
+
+/// A node (the host or a storage server) with its one NIC.
 #[derive(Debug)]
 struct Node {
     name: String,
-    nics: Vec<usize>,
     rack: Option<usize>,
+    egress: Port,
+    ingress: Port,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Connection {
-    from_node: NodeId,
-    to_node: NodeId,
-    from_nic: usize,
-    to_nic: usize,
+impl Node {
+    fn port(&self, dir: LinkDir) -> &Port {
+        match dir {
+            LinkDir::Egress => &self.egress,
+            LinkDir::Ingress => &self.ingress,
+        }
+    }
+}
+
+/// A rack's pair of core links, each a FIFO rate server at the uplink's
+/// capacity.
+#[derive(Debug)]
+struct Rack {
+    up: RateResource,
+    down: RateResource,
 }
 
 /// Builder for a [`Fabric`].
 #[derive(Debug, Default)]
 pub struct FabricBuilder {
     nodes: Vec<Node>,
-    nics: Vec<Nic>,
-    racks: Vec<RackSpec>,
-}
-
-#[derive(Clone, Copy, Debug)]
-struct RackSpec {
-    uplink: crate::NicSpec,
-}
-
-#[derive(Debug)]
-struct Rack {
-    up: RateResource,
-    down: RateResource,
-    spec: crate::NicSpec,
+    racks: Vec<Rack>,
 }
 
 impl FabricBuilder {
@@ -139,20 +166,20 @@ impl FabricBuilder {
         Self::default()
     }
 
-    /// Adds a node with the given NICs and returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nics` is empty — every server in the testbed has a NIC.
-    pub fn add_node(&mut self, name: impl Into<String>, nics: Vec<NicSpec>) -> NodeId {
-        self.add_node_inner(name, nics, None)
+    /// Adds a node whose NIC moves `goodput` per direction and returns its
+    /// id.
+    pub fn add_node(&mut self, name: impl Into<String>, goodput: ByteRate) -> NodeId {
+        self.add_node_inner(name, goodput, None)
     }
 
     /// Declares a rack whose uplink to the core has the given capacity
-    /// (model an `f:1` oversubscription of `n` nodes with `rate = n·nic/f`).
+    /// (model an `f:1` oversubscription of `n` nodes with `uplink = n·nic/f`).
     /// Returns the rack id for [`FabricBuilder::add_node_in_rack`].
-    pub fn add_rack(&mut self, uplink: NicSpec) -> usize {
-        self.racks.push(RackSpec { uplink });
+    pub fn add_rack(&mut self, uplink: ByteRate) -> usize {
+        self.racks.push(Rack {
+            up: RateResource::new(uplink),
+            down: RateResource::new(uplink),
+        });
         self.racks.len() - 1
     }
 
@@ -161,62 +188,37 @@ impl FabricBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if `rack` was not declared or `nics` is empty.
+    /// Panics if `rack` was not declared.
     pub fn add_node_in_rack(
         &mut self,
         name: impl Into<String>,
-        nics: Vec<NicSpec>,
+        goodput: ByteRate,
         rack: usize,
     ) -> NodeId {
         assert!(rack < self.racks.len(), "undeclared rack {rack}");
-        self.add_node_inner(name, nics, Some(rack))
+        self.add_node_inner(name, goodput, Some(rack))
     }
 
     fn add_node_inner(
         &mut self,
         name: impl Into<String>,
-        nics: Vec<NicSpec>,
+        goodput: ByteRate,
         rack: Option<usize>,
     ) -> NodeId {
-        assert!(!nics.is_empty(), "a node needs at least one NIC");
-        let id = NodeId(self.nodes.len());
-        let mut indices = Vec::with_capacity(nics.len());
-        for spec in nics {
-            indices.push(self.nics.len());
-            self.nics.push(Nic {
-                spec,
-                egress: RateResource::new(spec.rate),
-                ingress: RateResource::new(spec.rate),
-                connections: 0,
-                egress_link: LinkState::default(),
-                ingress_link: LinkState::default(),
-                egress_ledger: DirLedger::default(),
-                ingress_ledger: DirLedger::default(),
-            });
-        }
         self.nodes.push(Node {
             name: name.into(),
-            nics: indices,
             rack,
+            egress: Port::new(goodput),
+            ingress: Port::new(goodput),
         });
-        id
+        NodeId(self.nodes.len() - 1)
     }
 
     /// Finalizes the fabric.
     pub fn build(self) -> Fabric {
         Fabric {
             nodes: self.nodes,
-            nics: self.nics,
-            racks: self
-                .racks
-                .into_iter()
-                .map(|r| Rack {
-                    up: RateResource::new(r.uplink.rate),
-                    down: RateResource::new(r.uplink.rate),
-                    spec: r.uplink,
-                })
-                .collect(),
-            connections: Vec::new(),
+            racks: self.racks,
         }
     }
 }
@@ -225,57 +227,19 @@ impl FabricBuilder {
 #[derive(Debug)]
 pub struct Fabric {
     nodes: Vec<Node>,
-    nics: Vec<Nic>,
     racks: Vec<Rack>,
-    connections: Vec<Connection>,
 }
 
 impl Fabric {
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// A node's human-readable name.
     pub fn node_name(&self, node: NodeId) -> &str {
         &self.nodes[node.0].name
     }
 
-    /// Establishes an RC-style connection between two nodes, placing each end
-    /// on the least-connected NIC of its node (§5.5: "new connections are
-    /// created on the least used NIC for load balancing").
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from == to` (loopback does not cross the fabric) or either
-    /// id is out of range.
-    pub fn connect(&mut self, from: NodeId, to: NodeId) -> ConnId {
-        assert_ne!(from, to, "loopback connections are not modelled");
-        let from_nic = self.least_connected_nic(from);
-        let to_nic = self.least_connected_nic(to);
-        self.nics[from_nic].connections += 1;
-        self.nics[to_nic].connections += 1;
-        let id = ConnId(self.connections.len());
-        self.connections.push(Connection {
-            from_node: from,
-            to_node: to,
-            from_nic,
-            to_nic,
-        });
-        id
-    }
-
-    fn least_connected_nic(&self, node: NodeId) -> usize {
-        *self.nodes[node.0]
-            .nics
-            .iter()
-            .min_by_key(|&&n| self.nics[n].connections)
-            .expect("nodes have at least one NIC")
-    }
-
-    /// Sends `bytes` over `conn`. Returns the delivery window: `start` is
-    /// when the first byte left the sender, `end` is when the last byte
-    /// arrived at the receiver (the moment a completion event should fire).
+    /// Sends `bytes` from `from` to `to`. Returns the delivery window:
+    /// `start` is when the first byte left the sender, `end` is when the last
+    /// byte arrived at the receiver (the moment a completion event should
+    /// fire).
     ///
     /// The model pipelines egress and ingress: the receiver starts taking the
     /// stream one propagation delay after the sender starts emitting, and
@@ -289,91 +253,83 @@ impl Fabric {
     /// # Errors
     ///
     /// [`LinkError`] naming the endpoint whose link refused the transfer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from == to` (loopback does not cross the fabric) or either
+    /// id is out of range.
     #[inline]
     pub fn try_transfer(
         &mut self,
         now: SimTime,
-        conn: ConnId,
+        from: NodeId,
+        to: NodeId,
         bytes: u64,
     ) -> Result<Service, LinkError> {
-        let c = self.connections[conn.0];
+        assert_ne!(from, to, "loopback transfers are not modelled");
         // Conservation ledger: the sender's egress direction is offered the
         // payload the moment the verb is posted; a refused transfer drops the
         // whole payload on that ledger (nothing ever reaches a rate server).
-        self.nics[c.from_nic].egress_ledger.offered += bytes;
-        if self.nics[c.from_nic].egress_link.is_down(now) {
-            self.nics[c.from_nic].egress_ledger.dropped += bytes;
-            return Err(LinkError { node: c.from_node });
+        self.nodes[from.0].egress.ledger.offered += bytes;
+        if self.nodes[from.0].egress.link.is_down(now) {
+            self.nodes[from.0].egress.ledger.dropped += bytes;
+            return Err(LinkError { node: from });
         }
-        if self.nics[c.to_nic].ingress_link.is_down(now) {
-            self.nics[c.from_nic].egress_ledger.dropped += bytes;
-            return Err(LinkError { node: c.to_node });
+        if self.nodes[to.0].ingress.link.is_down(now) {
+            self.nodes[from.0].egress.ledger.dropped += bytes;
+            return Err(LinkError { node: to });
         }
-        let (eg_spec, in_spec) = (self.nics[c.from_nic].spec, self.nics[c.to_nic].spec);
-        let eg_rate = eg_spec
-            .rate
-            .scaled(self.nics[c.from_nic].egress_link.rate_factor(now));
-        let eg =
-            self.nics[c.from_nic]
-                .egress
-                .serve_with_setup(now, bytes, eg_spec.per_message, eg_rate);
-        let mut arrive = eg.start + eg_spec.per_message + eg_spec.propagation;
+        let src = &mut self.nodes[from.0];
+        let src_rack = src.rack;
+        let out = &mut src.egress;
+        let eg_rate = out.server.rate().scaled(out.link.rate_factor(now));
+        let eg = out
+            .server
+            .serve_with_setup(now, bytes, PER_MESSAGE, eg_rate);
+        let mut arrive = eg.start + PER_MESSAGE + PROPAGATION;
         // Cross-rack traffic serializes through the source rack's uplink and
         // the destination rack's downlink (the oversubscription model). The
         // stream pipelines through every stage, so completion is gated by
         // the slowest stage's finish, not their sum.
         let mut stage_end = eg.end;
-        let (src_rack, dst_rack) = (self.nodes[c.from_node.0].rack, self.nodes[c.to_node.0].rack);
+        let dst_rack = self.nodes[to.0].rack;
         if src_rack != dst_rack {
             if let Some(r) = src_rack {
-                let rack = &mut self.racks[r];
-                let svc = rack
-                    .up
-                    .serve_after(now, arrive, bytes.max(1), rack.spec.rate);
-                arrive = svc.start + rack.spec.propagation;
+                let up = &mut self.racks[r].up;
+                let svc = up.serve_after(now, arrive, bytes.max(1), up.rate());
+                arrive = svc.start + PROPAGATION;
                 stage_end = stage_end.max(svc.end);
             }
             if let Some(r) = dst_rack {
-                let rack = &mut self.racks[r];
-                let svc = rack
-                    .down
-                    .serve_after(now, arrive, bytes.max(1), rack.spec.rate);
-                arrive = svc.start + rack.spec.propagation;
+                let down = &mut self.racks[r].down;
+                let svc = down.serve_after(now, arrive, bytes.max(1), down.rate());
+                arrive = svc.start + PROPAGATION;
                 stage_end = stage_end.max(svc.end);
             }
         }
-        let in_rate = in_spec
-            .rate
-            .scaled(self.nics[c.to_nic].ingress_link.rate_factor(arrive));
-        self.nics[c.to_nic].ingress_ledger.offered += bytes.max(1);
-        let ing = self.nics[c.to_nic]
-            .ingress
-            .serve_after(now, arrive, bytes.max(1), in_rate);
+        let dst = &mut self.nodes[to.0].ingress;
+        let in_rate = dst.server.rate().scaled(dst.link.rate_factor(arrive));
+        dst.ledger.offered += bytes.max(1);
+        let ing = dst.server.serve_after(now, arrive, bytes.max(1), in_rate);
         Ok(Service {
             start: eg.start,
             end: ing.end.max(stage_end),
         })
     }
 
-    /// Takes every NIC of `node` administratively down, both directions, for
-    /// good: transfers touching it fail from now on.
+    /// Takes a node's NIC administratively down, both directions, for good:
+    /// transfers touching it fail from now on.
     pub fn set_link_down(&mut self, node: NodeId) {
         self.for_each_link(node, |l| l.admin_down = true);
     }
 
-    /// Whether any of a node's links refuses traffic in `dir` at `now`.
+    /// Whether a node's link refuses traffic in `dir` at `now`.
     pub fn link_down(&self, node: NodeId, dir: LinkDir, now: SimTime) -> bool {
-        self.nodes[node.0].nics.iter().any(|&n| {
-            let nic = &self.nics[n];
-            match dir {
-                LinkDir::Egress => nic.egress_link.is_down(now),
-                LinkDir::Ingress => nic.ingress_link.is_down(now),
-            }
-        })
+        self.nodes[node.0].port(dir).link.is_down(now)
     }
 
-    /// Schedules an outage window `[from, until)` on every NIC of `node`,
-    /// both directions — the building block of link-flap injection.
+    /// Schedules an outage window `[from, until)` on a node's NIC, both
+    /// directions — the building block of link-flap injection.
     pub fn schedule_link_down(&mut self, node: NodeId, from: SimTime, until: SimTime) {
         self.for_each_link(node, |l| l.down_windows.push((from, until)));
     }
@@ -395,7 +351,7 @@ impl Fabric {
         }
     }
 
-    /// Degrades one direction of a node's links to `factor` of nominal rate
+    /// Degrades one direction of a node's link to `factor` of nominal rate
     /// during `[from, until)` — gray-failure injection (fail-slow NIC,
     /// congested uplink, mis-negotiated speed). Overlapping windows take the
     /// worst factor.
@@ -412,104 +368,62 @@ impl Fabric {
         until: SimTime,
     ) {
         assert!(factor > 0.0 && factor <= 1.0, "factor must be in (0, 1]");
-        for &n in &self.nodes[node.0].nics {
-            let nic = &mut self.nics[n];
-            let link = match dir {
-                LinkDir::Egress => &mut nic.egress_link,
-                LinkDir::Ingress => &mut nic.ingress_link,
-            };
-            link.degraded.push((from, until, factor));
-        }
+        let n = &mut self.nodes[node.0];
+        let port = match dir {
+            LinkDir::Egress => &mut n.egress,
+            LinkDir::Ingress => &mut n.ingress,
+        };
+        port.link.degraded.push((from, until, factor));
     }
 
     fn for_each_link(&mut self, node: NodeId, mut f: impl FnMut(&mut LinkState)) {
-        for &n in &self.nodes[node.0].nics {
-            f(&mut self.nics[n].egress_link);
-            f(&mut self.nics[n].ingress_link);
-        }
+        let n = &mut self.nodes[node.0];
+        f(&mut n.egress.link);
+        f(&mut n.ingress.link);
     }
 
-    /// Total bytes a node has sent (across all its NICs).
+    /// Total bytes a node has sent.
     pub fn bytes_sent(&self, node: NodeId) -> u64 {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| self.nics[n].egress.bytes_served())
-            .sum()
+        self.nodes[node.0].egress.server.bytes_served()
     }
 
-    /// Total bytes a node has received (across all its NICs).
+    /// Total bytes a node has received.
     pub fn bytes_received(&self, node: NodeId) -> u64 {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| self.nics[n].ingress.bytes_served())
-            .sum()
+        self.nodes[node.0].ingress.server.bytes_served()
     }
 
-    /// Aggregate NIC goodput available to a node, per direction.
-    pub fn node_rate(&self, node: NodeId) -> draid_sim::ByteRate {
-        draid_sim::ByteRate::from_bytes_per_sec(
-            self.nodes[node.0]
-                .nics
-                .iter()
-                .map(|&n| self.nics[n].spec.rate.bytes_per_sec())
-                .sum(),
-        )
+    /// A node's NIC goodput, per direction.
+    pub fn node_rate(&self, node: NodeId) -> ByteRate {
+        self.nodes[node.0].egress.server.rate()
     }
 
-    /// Cumulative egress busy time across a node's NICs; sampling this over a
+    /// Cumulative egress busy time of a node's NIC; sampling this over a
     /// window yields the utilization estimate the bandwidth-aware reducer
     /// selection feeds on (§6.2).
     pub fn egress_busy(&self, node: NodeId) -> SimTime {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| self.nics[n].egress.busy_time())
-            .fold(SimTime::ZERO, |a, b| a + b)
+        self.nodes[node.0].egress.server.busy_time()
     }
 
-    /// Elapsed busy time of a node's NICs by `at`, per direction — clamped to
+    /// Elapsed busy time of a node's NIC by `at`, per direction — clamped to
     /// the sample instant (service scheduled beyond `at` is excluded), so
     /// utilization derived from successive samples never exceeds 1.0. This is
     /// what the observability timeline samples; [`Fabric::egress_busy`] keeps
     /// reporting charged demand for the §6.2 reducer selection.
     pub fn busy_elapsed(&self, node: NodeId, dir: LinkDir, at: SimTime) -> SimTime {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| match dir {
-                LinkDir::Egress => self.nics[n].egress.busy_elapsed(at),
-                LinkDir::Ingress => self.nics[n].ingress.busy_elapsed(at),
-            })
-            .fold(SimTime::ZERO, |a, b| a + b)
+        self.nodes[node.0].port(dir).server.busy_elapsed(at)
     }
 
-    /// Bytes a node's links dropped by refusing transfers (fault injection),
+    /// Bytes a node's link dropped by refusing transfers (fault injection),
     /// per direction. With `LinkDir::Egress` this counts refusals blamed on
     /// either endpoint: the payload never left the sender, so it lands on the
     /// sender's egress ledger.
     pub fn bytes_dropped(&self, node: NodeId, dir: LinkDir) -> u64 {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| match dir {
-                LinkDir::Egress => self.nics[n].egress_ledger.dropped,
-                LinkDir::Ingress => self.nics[n].ingress_ledger.dropped,
-            })
-            .sum()
+        self.nodes[node.0].port(dir).ledger.dropped
     }
 
-    /// Bytes offered to a node's links (served + dropped), per direction.
+    /// Bytes offered to a node's link (served + dropped), per direction.
     pub fn bytes_offered(&self, node: NodeId, dir: LinkDir) -> u64 {
-        self.nodes[node.0]
-            .nics
-            .iter()
-            .map(|&n| match dir {
-                LinkDir::Egress => self.nics[n].egress_ledger.offered,
-                LinkDir::Ingress => self.nics[n].ingress_ledger.offered,
-            })
-            .sum()
+        self.nodes[node.0].port(dir).ledger.offered
     }
 
     /// Checks the byte-conservation invariant on every NIC direction:
@@ -522,24 +436,9 @@ impl Fabric {
     /// or refused traffic without keeping the ledger, a determinism and
     /// accounting bug.
     pub fn audit_conservation(&self) {
-        for (i, nic) in self.nics.iter().enumerate() {
-            draid_sim::draid_invariant!(
-                nic.egress_ledger.offered == nic.egress.bytes_served() + nic.egress_ledger.dropped,
-                "NIC {} egress conservation: offered={} served={} dropped={}",
-                i,
-                nic.egress_ledger.offered,
-                nic.egress.bytes_served(),
-                nic.egress_ledger.dropped
-            );
-            draid_sim::draid_invariant!(
-                nic.ingress_ledger.offered
-                    == nic.ingress.bytes_served() + nic.ingress_ledger.dropped,
-                "NIC {} ingress conservation: offered={} served={} dropped={}",
-                i,
-                nic.ingress_ledger.offered,
-                nic.ingress.bytes_served(),
-                nic.ingress_ledger.dropped
-            );
+        for (i, node) in self.nodes.iter().enumerate() {
+            node.egress.audit_conservation(i, "egress");
+            node.ingress.audit_conservation(i, "ingress");
         }
     }
 
@@ -550,17 +449,9 @@ impl Fabric {
     /// re-seeded from the post-reset served bytes so `offered == served +
     /// dropped` keeps holding across the boundary.
     pub fn reset_counters(&mut self, now: SimTime) {
-        for nic in &mut self.nics {
-            nic.egress.reset_counters(now);
-            nic.ingress.reset_counters(now);
-            nic.egress_ledger = DirLedger {
-                offered: nic.egress.bytes_served(),
-                dropped: 0,
-            };
-            nic.ingress_ledger = DirLedger {
-                offered: nic.ingress.bytes_served(),
-                dropped: 0,
-            };
+        for node in &mut self.nodes {
+            node.egress.reset_counters(now);
+            node.ingress.reset_counters(now);
         }
         for rack in &mut self.racks {
             rack.up.reset_counters(now);
@@ -574,20 +465,22 @@ mod tests {
     use super::*;
     use draid_sim::ByteRate;
 
-    fn two_node_fabric(rate_gbps: f64) -> (Fabric, ConnId) {
+    fn gbps(rate: f64) -> ByteRate {
+        ByteRate::from_gbps(rate)
+    }
+
+    fn two_node_fabric(rate_gbps: f64) -> (Fabric, NodeId, NodeId) {
         let mut b = FabricBuilder::new();
-        let a = b.add_node("a", vec![NicSpec::with_goodput_gbps(rate_gbps)]);
-        let z = b.add_node("z", vec![NicSpec::with_goodput_gbps(rate_gbps)]);
-        let mut f = b.build();
-        let conn = f.connect(a, z);
-        (f, conn)
+        let a = b.add_node("a", gbps(rate_gbps));
+        let z = b.add_node("z", gbps(rate_gbps));
+        (b.build(), a, z)
     }
 
     #[test]
     fn uncontended_transfer_latency() {
-        let (mut f, conn) = two_node_fabric(8.0); // 1 GB/s
+        let (mut f, a, z) = two_node_fabric(8.0); // 1 GB/s
         let svc = f
-            .try_transfer(SimTime::ZERO, conn, 1_000_000)
+            .try_transfer(SimTime::ZERO, a, z, 1_000_000)
             .expect("link up"); // 1 MB -> 1 ms
                                 // per_message (0.5us) + propagation (2us) + serialization (1ms)
         assert_eq!(svc.end, SimTime::from_nanos(1_000_000 + 2_500));
@@ -599,11 +492,11 @@ mod tests {
         // receiver only once the first has left the sender, about 80 µs on.
         // Folding its ingress charge at that future instant once reported
         // 80 µs busy by t = 10 µs.
-        let (mut f, conn) = two_node_fabric(100.0);
-        f.try_transfer(SimTime::ZERO, conn, 1_000_000)
+        let (mut f, a, z) = two_node_fabric(100.0);
+        f.try_transfer(SimTime::ZERO, a, z, 1_000_000)
             .expect("link up");
         let last = f
-            .try_transfer(SimTime::ZERO, conn, 1_000_000)
+            .try_transfer(SimTime::ZERO, a, z, 1_000_000)
             .expect("link up");
         let mut prev = SimTime::ZERO;
         for us in (0..=200).step_by(10) {
@@ -614,23 +507,25 @@ mod tests {
             prev = busy;
         }
         let total = f.busy_elapsed(NodeId(1), LinkDir::Ingress, last.end);
-        assert_eq!(total, f.nics[1].ingress.busy_time(), "all of it by the end");
+        assert_eq!(
+            total,
+            f.nodes[1].ingress.server.busy_time(),
+            "all of it by the end"
+        );
     }
 
     #[test]
     fn egress_is_the_shared_bottleneck() {
         let mut b = FabricBuilder::new();
-        let host = b.add_node("host", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let t1 = b.add_node("t1", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let t2 = b.add_node("t2", vec![NicSpec::with_goodput_gbps(8.0)]);
+        let host = b.add_node("host", gbps(8.0));
+        let t1 = b.add_node("t1", gbps(8.0));
+        let t2 = b.add_node("t2", gbps(8.0));
         let mut f = b.build();
-        let c1 = f.connect(host, t1);
-        let c2 = f.connect(host, t2);
         let s1 = f
-            .try_transfer(SimTime::ZERO, c1, 1_000_000)
+            .try_transfer(SimTime::ZERO, host, t1, 1_000_000)
             .expect("link up");
         let s2 = f
-            .try_transfer(SimTime::ZERO, c2, 1_000_000)
+            .try_transfer(SimTime::ZERO, host, t2, 1_000_000)
             .expect("link up");
         // Second transfer queues behind the first on the host egress.
         assert!(s2.start >= s1.start + SimTime::from_millis(1));
@@ -640,17 +535,15 @@ mod tests {
     #[test]
     fn ingress_contention_gates_completion() {
         let mut b = FabricBuilder::new();
-        let t1 = b.add_node("t1", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let t2 = b.add_node("t2", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let sink = b.add_node("sink", vec![NicSpec::with_goodput_gbps(8.0)]);
+        let t1 = b.add_node("t1", gbps(8.0));
+        let t2 = b.add_node("t2", gbps(8.0));
+        let sink = b.add_node("sink", gbps(8.0));
         let mut f = b.build();
-        let c1 = f.connect(t1, sink);
-        let c2 = f.connect(t2, sink);
         let s1 = f
-            .try_transfer(SimTime::ZERO, c1, 1_000_000)
+            .try_transfer(SimTime::ZERO, t1, sink, 1_000_000)
             .expect("link up");
         let s2 = f
-            .try_transfer(SimTime::ZERO, c2, 1_000_000)
+            .try_transfer(SimTime::ZERO, t2, sink, 1_000_000)
             .expect("link up");
         // Both leave their senders immediately but serialize into the sink.
         assert_eq!(s1.start, SimTime::ZERO);
@@ -661,12 +554,11 @@ mod tests {
     #[test]
     fn slow_receiver_gates_fast_sender() {
         let mut b = FabricBuilder::new();
-        let fast = b.add_node("fast", vec![NicSpec::with_goodput_gbps(80.0)]);
-        let slow = b.add_node("slow", vec![NicSpec::with_goodput_gbps(8.0)]);
+        let fast = b.add_node("fast", gbps(80.0));
+        let slow = b.add_node("slow", gbps(8.0));
         let mut f = b.build();
-        let c = f.connect(fast, slow);
         let svc = f
-            .try_transfer(SimTime::ZERO, c, 1_000_000)
+            .try_transfer(SimTime::ZERO, fast, slow, 1_000_000)
             .expect("link up");
         // Dominated by the 1 GB/s receiving side.
         assert!(svc.end >= SimTime::from_millis(1));
@@ -675,9 +567,9 @@ mod tests {
 
     #[test]
     fn traffic_accounting() {
-        let (mut f, conn) = two_node_fabric(92.0);
-        f.try_transfer(SimTime::ZERO, conn, 4096).expect("link up");
-        f.try_transfer(SimTime::ZERO, conn, 4096).expect("link up");
+        let (mut f, a, z) = two_node_fabric(92.0);
+        f.try_transfer(SimTime::ZERO, a, z, 4096).expect("link up");
+        f.try_transfer(SimTime::ZERO, a, z, 4096).expect("link up");
         assert_eq!(f.bytes_sent(NodeId(0)), 8192);
         assert_eq!(f.bytes_received(NodeId(1)), 8192);
         assert_eq!(f.bytes_sent(NodeId(1)), 0);
@@ -687,29 +579,29 @@ mod tests {
 
     #[test]
     fn admin_down_link_refuses_traffic() {
-        let (mut f, conn) = two_node_fabric(8.0);
+        let (mut f, a, z) = two_node_fabric(8.0);
         f.set_link_down(NodeId(0));
-        let err = f.try_transfer(SimTime::ZERO, conn, 4096).unwrap_err();
+        let err = f.try_transfer(SimTime::ZERO, a, z, 4096).unwrap_err();
         assert_eq!(err.node, NodeId(0), "blames the dead sender");
         assert!(f.link_down(NodeId(0), LinkDir::Egress, SimTime::ZERO));
         // A dead receiver is blamed too.
-        let (mut f, conn) = two_node_fabric(8.0);
+        let (mut f, a, z) = two_node_fabric(8.0);
         f.set_link_down(NodeId(1));
-        let err = f.try_transfer(SimTime::ZERO, conn, 4096).unwrap_err();
+        let err = f.try_transfer(SimTime::ZERO, a, z, 4096).unwrap_err();
         assert_eq!(err.node, NodeId(1));
     }
 
     #[test]
     fn conservation_ledger_balances_under_faults() {
-        let (mut f, conn) = two_node_fabric(8.0);
-        f.try_transfer(SimTime::ZERO, conn, 4096).expect("link up");
+        let (mut f, a, z) = two_node_fabric(8.0);
+        f.try_transfer(SimTime::ZERO, a, z, 4096).expect("link up");
         f.set_link_down(NodeId(1));
-        assert!(f.try_transfer(SimTime::ZERO, conn, 1000).is_err());
+        assert!(f.try_transfer(SimTime::ZERO, a, z, 1000).is_err());
         f.for_each_link(NodeId(1), |l| l.admin_down = false);
         f.set_link_down(NodeId(0));
-        assert!(f.try_transfer(SimTime::ZERO, conn, 500).is_err());
+        assert!(f.try_transfer(SimTime::ZERO, a, z, 500).is_err());
         f.for_each_link(NodeId(0), |l| l.admin_down = false);
-        f.try_transfer(SimTime::from_millis(1), conn, 100)
+        f.try_transfer(SimTime::from_millis(1), a, z, 100)
             .expect("link up");
         // offered = served + dropped on every direction.
         f.audit_conservation();
@@ -727,7 +619,7 @@ mod tests {
 
         // A reset in the middle of an in-flight transfer keeps the ledger
         // balanced: the straddling portion stays attributed to the window.
-        f.try_transfer(SimTime::from_millis(2_000), conn, 1_000_000)
+        f.try_transfer(SimTime::from_millis(2_000), a, z, 1_000_000)
             .expect("link up"); // ~1 ms service
         f.reset_counters(SimTime::from_millis(2_000) + SimTime::from_micros(500));
         f.audit_conservation();
@@ -741,7 +633,7 @@ mod tests {
 
     #[test]
     fn flap_windows_alternate_down_and_up() {
-        let (mut f, conn) = two_node_fabric(8.0);
+        let (mut f, a, z) = two_node_fabric(8.0);
         let ms = SimTime::from_millis;
         f.flap_link(NodeId(0), ms(1), ms(1), ms(2), 3);
         // Down windows: [1,2), [4,5), [7,8) ms.
@@ -760,13 +652,13 @@ mod tests {
                 down,
                 "at {t} ms"
             );
-            assert_eq!(f.try_transfer(ms(t), conn, 1).is_err(), down, "at {t} ms");
+            assert_eq!(f.try_transfer(ms(t), a, z, 1).is_err(), down, "at {t} ms");
         }
     }
 
     #[test]
     fn degraded_window_halves_throughput_then_recovers() {
-        let (mut f, conn) = two_node_fabric(8.0); // 1 GB/s
+        let (mut f, a, z) = two_node_fabric(8.0); // 1 GB/s
         f.degrade_link(
             NodeId(0),
             LinkDir::Egress,
@@ -775,11 +667,11 @@ mod tests {
             SimTime::from_millis(1_000),
         );
         // 1 MB at the degraded 0.5 GB/s: ~2 ms instead of ~1 ms.
-        let svc = f.try_transfer(SimTime::ZERO, conn, 1_000_000).unwrap();
+        let svc = f.try_transfer(SimTime::ZERO, a, z, 1_000_000).unwrap();
         assert!(svc.end >= SimTime::from_millis(2), "degraded: {}", svc.end);
         // Past the window the link is back to full rate.
         let svc = f
-            .try_transfer(SimTime::from_millis(2_000), conn, 1_000_000)
+            .try_transfer(SimTime::from_millis(2_000), a, z, 1_000_000)
             .unwrap();
         let took = svc.end.saturating_sub(svc.start);
         assert!(took < SimTime::from_nanos(1_100_000), "recovered: {took}");
@@ -787,12 +679,12 @@ mod tests {
 
     #[test]
     fn overlapping_degradations_take_the_worst_factor() {
-        let (mut f, conn) = two_node_fabric(8.0);
+        let (mut f, a, z) = two_node_fabric(8.0);
         let sec = |s: u64| SimTime::from_millis(s * 1000);
         f.degrade_link(NodeId(0), LinkDir::Egress, 0.5, sec(0), sec(10));
         f.degrade_link(NodeId(0), LinkDir::Egress, 0.25, sec(0), sec(10));
         // 1 MB at 0.25 GB/s: ~4 ms.
-        let svc = f.try_transfer(SimTime::ZERO, conn, 1_000_000).unwrap();
+        let svc = f.try_transfer(SimTime::ZERO, a, z, 1_000_000).unwrap();
         assert!(
             svc.end >= SimTime::from_millis(4),
             "worst factor: {}",
@@ -801,42 +693,19 @@ mod tests {
     }
 
     #[test]
-    fn connections_balance_across_nics() {
-        let mut b = FabricBuilder::new();
-        let multi = b.add_node("multi", vec![NicSpec::cx5_100g(), NicSpec::cx5_25g()]);
-        let peer1 = b.add_node("p1", vec![NicSpec::cx5_100g()]);
-        let peer2 = b.add_node("p2", vec![NicSpec::cx5_100g()]);
-        let mut f = b.build();
-        let c1 = f.connect(multi, peer1);
-        let c2 = f.connect(multi, peer2);
-        // The two connections land on different NICs of `multi`.
-        assert_ne!(f.connections[c1.0].from_nic, f.connections[c2.0].from_nic);
-    }
-
-    #[test]
-    fn node_rate_sums_nics() {
-        let mut b = FabricBuilder::new();
-        let n = b.add_node("n", vec![NicSpec::cx5_100g(), NicSpec::cx5_25g()]);
-        let f = b.build();
-        assert_eq!(f.node_rate(n), ByteRate::from_gbps(115.0));
-    }
-
-    #[test]
     fn cross_rack_traffic_serializes_on_uplinks() {
         let mut b = FabricBuilder::new();
         // Two racks joined by a skinny 1 Gbps uplink; NICs are 8 Gbps.
-        let uplink = NicSpec::with_goodput_gbps(1.0);
+        let uplink = gbps(1.0);
         let r0 = b.add_rack(uplink);
         let r1 = b.add_rack(uplink);
-        let a = b.add_node_in_rack("a", vec![NicSpec::with_goodput_gbps(8.0)], r0);
-        let z = b.add_node_in_rack("z", vec![NicSpec::with_goodput_gbps(8.0)], r1);
-        let peer = b.add_node_in_rack("p", vec![NicSpec::with_goodput_gbps(8.0)], r1);
+        let a = b.add_node_in_rack("a", gbps(8.0), r0);
+        let z = b.add_node_in_rack("z", gbps(8.0), r1);
+        let peer = b.add_node_in_rack("p", gbps(8.0), r1);
         let mut f = b.build();
-        let cross = f.connect(a, z);
-        let local = f.connect(peer, z);
         // 1 MB rack-local: only NIC speed (~1 ms), no uplink involved.
         let svc = f
-            .try_transfer(SimTime::ZERO, local, 1_000_000)
+            .try_transfer(SimTime::ZERO, peer, z, 1_000_000)
             .expect("link up");
         assert!(
             svc.end < SimTime::from_millis(2),
@@ -845,7 +714,7 @@ mod tests {
         );
         // 1 MB cross-rack: gated by the 1 Gbps uplink (~8 ms), not the NICs.
         let svc = f
-            .try_transfer(SimTime::ZERO, cross, 1_000_000)
+            .try_transfer(SimTime::ZERO, a, z, 1_000_000)
             .expect("link up");
         assert!(
             svc.end >= SimTime::from_millis(8),
@@ -857,13 +726,12 @@ mod tests {
     #[test]
     fn rackless_nodes_skip_uplinks() {
         let mut b = FabricBuilder::new();
-        let _ = b.add_rack(NicSpec::with_goodput_gbps(0.1));
-        let a = b.add_node("a", vec![NicSpec::with_goodput_gbps(8.0)]);
-        let z = b.add_node("z", vec![NicSpec::with_goodput_gbps(8.0)]);
+        let _ = b.add_rack(gbps(0.1));
+        let a = b.add_node("a", gbps(8.0));
+        let z = b.add_node("z", gbps(8.0));
         let mut f = b.build();
-        let c = f.connect(a, z);
         let svc = f
-            .try_transfer(SimTime::ZERO, c, 1_000_000)
+            .try_transfer(SimTime::ZERO, a, z, 1_000_000)
             .expect("link up");
         assert!(svc.end < SimTime::from_millis(2));
     }
@@ -872,14 +740,14 @@ mod tests {
     #[should_panic(expected = "undeclared rack")]
     fn unknown_rack_rejected() {
         let mut b = FabricBuilder::new();
-        b.add_node_in_rack("x", vec![NicSpec::cx5_100g()], 0);
+        b.add_node_in_rack("x", gbps(92.0), 0);
     }
 
     #[test]
     #[should_panic(expected = "loopback")]
     fn loopback_rejected() {
         let mut b = FabricBuilder::new();
-        let n = b.add_node("n", vec![NicSpec::cx5_100g()]);
-        b.build().connect(n, n);
+        let n = b.add_node("n", gbps(92.0));
+        let _ = b.build().try_transfer(SimTime::ZERO, n, n, 4096);
     }
 }

@@ -8,12 +8,12 @@
 //!   node can move at most its NIC bandwidth per direction per second and
 //!   concurrent flows queue;
 //! * transfers are *pipelined streams*: a message starts arriving one
-//!   propagation delay after it starts leaving, and completion is gated by
-//!   the slower of the two directions;
-//! * each message pays a fixed per-message processing cost (standing in for
-//!   RDMA verbs/doorbell overhead);
-//! * connections are RDMA-RC-like: created pairwise, counted, and placed on
-//!   the least-loaded NIC of multi-NIC nodes (§5.5 "network sharing");
+//!   propagation delay (2 µs) after it starts leaving, and completion is
+//!   gated by the slower of the two directions;
+//! * each message pays a fixed per-message processing cost (0.5 µs, standing
+//!   in for RDMA verbs/doorbell overhead);
+//! * every node has one NIC, reduced to its goodput; a transfer is addressed
+//!   by its node pair (no connection state, no multi-NIC placement);
 //! * per-direction byte counters provide the traffic accounting behind
 //!   Table 1.
 //!
@@ -26,16 +26,15 @@
 //! ## Example
 //!
 //! ```
-//! use draid_net::{FabricBuilder, NicSpec};
+//! use draid_net::{FabricBuilder, CX5_100G};
 //! use draid_sim::SimTime;
 //!
 //! let mut b = FabricBuilder::new();
-//! let host = b.add_node("host", vec![NicSpec::cx5_100g()]);
-//! let target = b.add_node("ssd0", vec![NicSpec::cx5_100g()]);
+//! let host = b.add_node("host", CX5_100G);
+//! let target = b.add_node("ssd0", CX5_100G);
 //! let mut fabric = b.build();
-//! let conn = fabric.connect(host, target);
 //! let svc = fabric
-//!     .try_transfer(SimTime::ZERO, conn, 128 * 1024)
+//!     .try_transfer(SimTime::ZERO, host, target, 128 * 1024)
 //!     .expect("both links up");
 //! assert!(svc.end > SimTime::ZERO);
 //! ```
@@ -46,7 +45,7 @@
 mod fabric;
 mod spec;
 
-pub use fabric::{ConnId, Fabric, FabricBuilder, LinkDir, LinkError, NodeId};
-pub use spec::NicSpec;
+pub use fabric::{Fabric, FabricBuilder, LinkDir, LinkError, NodeId};
+pub use spec::{CX5_100G, CX5_25G};
 
 pub use draid_sim::Service;

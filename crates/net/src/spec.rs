@@ -1,61 +1,16 @@
-//! NIC specifications.
+//! NIC goodputs of the paper's testbed.
 
-use draid_sim::{ByteRate, SimTime};
+use draid_sim::ByteRate;
 
-/// The capabilities of one network interface.
-///
-/// The defaults mirror the paper's testbed hardware (§9.1): each CloudLab
-/// c6525-100g node has a ConnectX-5 Ex 100 Gbps NIC and a ConnectX-5 25 Gbps
-/// NIC. The paper measures ~92 Gbps *goodput* on the 100 Gbps NIC; the spec
-/// stores goodput directly so bandwidth sweeps match the "NIC Goodput"
-/// reference lines in Figs. 12 and 14.
-#[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct NicSpec {
-    /// Usable bandwidth per direction (full duplex).
-    pub rate: ByteRate,
-    /// One-way propagation + switching delay.
-    pub propagation: SimTime,
-    /// Fixed per-message processing cost charged on the sending direction
-    /// (verbs posting, doorbell, DMA setup).
-    pub per_message: SimTime,
-}
+/// Goodput of the ConnectX-5 Ex 100 Gbps NIC, per direction (full duplex):
+/// each CloudLab c6525-100g node of the testbed has one, and the paper
+/// measures ~92 Gbps of it (§9.1), the "NIC Goodput" reference line in
+/// Figs. 12 and 14.
+pub const CX5_100G: ByteRate = ByteRate::from_bytes_per_sec(11_500_000_000);
 
-impl NicSpec {
-    /// ConnectX-5 Ex 100 Gbps: ~92 Gbps goodput, 2 µs one-way, 0.5 µs of
-    /// per-message processing (the 92 Gbps goodput figure already absorbs
-    /// steady-state per-packet costs; this models per-*verb* posting).
-    pub fn cx5_100g() -> Self {
-        NicSpec {
-            rate: ByteRate::from_gbps(92.0),
-            propagation: SimTime::from_micros(2),
-            per_message: SimTime::from_nanos(500),
-        }
-    }
-
-    /// ConnectX-5 25 Gbps: ~23 Gbps goodput (paper: "enough to saturate the
-    /// read bandwidth of a single SSD", §9.4).
-    pub fn cx5_25g() -> Self {
-        NicSpec {
-            rate: ByteRate::from_gbps(23.0),
-            propagation: SimTime::from_micros(2),
-            per_message: SimTime::from_nanos(500),
-        }
-    }
-
-    /// A custom-goodput NIC with the default latency profile.
-    pub fn with_goodput_gbps(gbps: f64) -> Self {
-        NicSpec {
-            rate: ByteRate::from_gbps(gbps),
-            ..Self::cx5_100g()
-        }
-    }
-}
-
-impl Default for NicSpec {
-    fn default() -> Self {
-        Self::cx5_100g()
-    }
-}
+/// Goodput of the ConnectX-5 25 Gbps NIC, ~23 Gbps per direction: "enough to
+/// saturate the read bandwidth of a single SSD" (§9.4, Fig. 17b).
+pub const CX5_25G: ByteRate = ByteRate::from_bytes_per_sec(2_875_000_000);
 
 #[cfg(test)]
 mod tests {
@@ -63,15 +18,26 @@ mod tests {
 
     #[test]
     fn presets_match_paper_goodput() {
-        assert_eq!(NicSpec::cx5_100g().rate, ByteRate::from_gbps(92.0));
-        assert_eq!(NicSpec::cx5_25g().rate, ByteRate::from_gbps(23.0));
-        assert_eq!(NicSpec::default(), NicSpec::cx5_100g());
+        assert_eq!(CX5_100G, ByteRate::from_gbps(92.0));
+        assert_eq!(CX5_25G, ByteRate::from_gbps(23.0));
     }
 
     #[test]
     fn custom_goodput_keeps_latency() {
-        let n = NicSpec::with_goodput_gbps(10.0);
-        assert_eq!(n.rate, ByteRate::from_gbps(10.0));
-        assert_eq!(n.propagation, NicSpec::cx5_100g().propagation);
+        // A node built with a custom goodput pays the same fixed
+        // per-message and propagation delay as one with a preset NIC: only
+        // the serialization time scales with the rate.
+        let fixed = |goodput: ByteRate| {
+            let mut b = crate::FabricBuilder::new();
+            let a = b.add_node("a", goodput);
+            let z = b.add_node("z", goodput);
+            let bytes = 1_000_000;
+            let svc = b
+                .build()
+                .try_transfer(draid_sim::SimTime::ZERO, a, z, bytes)
+                .expect("link up");
+            svc.end - goodput.time_for(bytes)
+        };
+        assert_eq!(fixed(ByteRate::from_gbps(10.0)), fixed(CX5_100G));
     }
 }

@@ -10,20 +10,14 @@
 use draid::block::ClusterBuilder;
 use draid::core::reducer::water_fill;
 use draid::core::{ArrayConfig, ArraySim, DraidOptions, ReducerPolicy, SystemKind};
-use draid::net::NicSpec;
+use draid::net::{CX5_100G, CX5_25G};
 use draid::workload::{FioJob, Runner};
 
 fn build(policy: ReducerPolicy) -> ArraySim {
     // 8 storage servers: five on 100 Gbps NICs, three on 25 Gbps.
     let mut b = ClusterBuilder::new();
-    b.host(vec![NicSpec::cx5_100g()]);
     for i in 0..8 {
-        let nic = if i >= 5 {
-            NicSpec::cx5_25g()
-        } else {
-            NicSpec::cx5_100g()
-        };
-        b.server(vec![nic]);
+        b.server(if i >= 5 { CX5_25G } else { CX5_100G });
     }
     let mut cfg = ArrayConfig::paper_default(SystemKind::Draid);
     cfg.draid = DraidOptions {

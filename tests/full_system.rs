@@ -159,17 +159,11 @@ fn lsm_store_stays_below_array_bandwidth() {
 #[test]
 fn bandwidth_aware_beats_random_on_heterogeneous_network() {
     use draid::block::ClusterBuilder;
-    use draid::net::NicSpec;
+    use draid::net::{CX5_100G, CX5_25G};
     let build = |policy: ReducerPolicy| {
         let mut b = ClusterBuilder::new();
-        b.host(vec![NicSpec::cx5_100g()]);
         for i in 0..8 {
-            let nic = if i >= 5 {
-                NicSpec::cx5_25g()
-            } else {
-                NicSpec::cx5_100g()
-            };
-            b.server(vec![nic]);
+            b.server(if i >= 5 { CX5_25G } else { CX5_100G });
         }
         let mut cfg = ArrayConfig::paper_default(SystemKind::Draid);
         cfg.draid = DraidOptions {
