@@ -241,7 +241,7 @@ fn collect_ledgers(array: &ArraySim) -> Vec<LedgerRow> {
     }
     let mut out = Vec::new();
     for (node, server) in nodes {
-        let name = fabric.node_name(node);
+        let name = cluster.node_name(node);
         out.push(LedgerRow {
             resource: format!("net:{name}:egress"),
             offered: fabric.bytes_offered(node, LinkDir::Egress),

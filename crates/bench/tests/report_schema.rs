@@ -60,6 +60,24 @@ fn report_totals_reconcile_with_ledgers() {
 }
 
 #[test]
+fn ledger_resources_match_utilization_labels() {
+    // Both sections label a node through `Cluster::node_name`: every NIC
+    // direction and drive ledger is a utilization series of the same name.
+    let report = run_report(&ReportConfig::quick());
+    let mut ledgers: Vec<&str> = report.ledgers.iter().map(|r| r.resource.as_str()).collect();
+    let mut sampled: Vec<&str> = report
+        .utilization
+        .iter()
+        .map(|r| r.resource.as_str())
+        .filter(|r| r.starts_with("net:") || r.starts_with("drive:"))
+        .collect();
+    ledgers.sort_unstable();
+    sampled.sort_unstable();
+    assert_eq!(ledgers, sampled);
+    assert!(ledgers.contains(&"net:host:egress") && ledgers.contains(&"drive:server7"));
+}
+
+#[test]
 fn utilization_is_clamped_in_json_output() {
     let report = run_report(&ReportConfig::quick());
     let doc = json::parse(&report.to_json()).expect("report JSON parses");

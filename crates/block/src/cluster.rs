@@ -6,20 +6,13 @@ use draid_sim::{ByteRate, Service, SimTime};
 use crate::{Cpu, Drive, DriveError};
 
 /// Identifies a storage server (and its drive) within a cluster; dense from
-/// zero, independent of fabric [`NodeId`]s.
+/// zero. [`Cluster`] states which fabric node each server is.
 #[derive(
     Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
 )]
 pub struct ServerId(pub usize);
 
-#[derive(Debug)]
-struct Server {
-    node: NodeId,
-    drive: Drive,
-    cpu: Cpu,
-}
-
-/// Builder for a [`Cluster`].
+/// Builder for a [`Cluster`], numbered as [`Cluster`] states.
 ///
 /// ```
 /// use draid_block::ClusterBuilder;
@@ -69,54 +62,41 @@ impl ClusterBuilder {
     ///
     /// Panics unless at least two servers were configured.
     pub fn build(self) -> Cluster {
-        assert!(
-            self.servers.len() >= 2,
-            "a RAID array needs at least two members"
-        );
+        let width = self.servers.len();
+        assert!(width >= 2, "a RAID array needs at least two members");
         let mut fb = FabricBuilder::new();
-        let rack_ids = self
+        let racks = self
             .storage_uplink
             .map(|storage| (fb.add_rack(CX5_100G), fb.add_rack(storage)));
-        let host_node = match rack_ids {
-            Some((compute, _)) => fb.add_node_in_rack("host", CX5_100G, compute),
-            None => fb.add_node("host", CX5_100G),
+        let host = match racks {
+            Some((compute, _)) => fb.add_node_in_rack(CX5_100G, compute),
+            None => fb.add_node(CX5_100G),
         };
-        let mut servers = Vec::with_capacity(self.servers.len());
-        for (i, goodput) in self.servers.into_iter().enumerate() {
-            let node = match rack_ids {
-                Some((_, storage)) => fb.add_node_in_rack(format!("server{i}"), goodput, storage),
-                None => fb.add_node(format!("server{i}"), goodput),
+        assert_eq!(host, NodeId(0), "the host is fabric node 0");
+        for goodput in self.servers {
+            match racks {
+                Some((_, storage)) => fb.add_node_in_rack(goodput, storage),
+                None => fb.add_node(goodput),
             };
-            servers.push(Server {
-                node,
-                drive: Drive::new(),
-                cpu: Cpu::new(),
-            });
-        }
-        let mut node_server = vec![None; servers.len() + 1];
-        for (i, s) in servers.iter().enumerate() {
-            node_server[s.node.0] = Some(ServerId(i));
         }
         Cluster {
             fabric: fb.build(),
-            host_node,
-            host_cpu: Cpu::new(),
-            servers,
-            node_server,
+            cpus: vec![Cpu::new(); width + 1],
+            drives: vec![Drive::new(); width],
         }
     }
 }
 
 /// A simulated storage cluster: one host and `width` storage servers on one
-/// fabric.
+/// fabric. The host is fabric node 0 and server `i` is node `i + 1`; each
+/// node has one polling core and each server one drive.
 #[derive(Debug)]
 pub struct Cluster {
     fabric: Fabric,
-    host_node: NodeId,
-    host_cpu: Cpu,
-    servers: Vec<Server>,
-    /// The server at each of the fabric's nodes (`None` for the host).
-    node_server: Vec<Option<ServerId>>,
+    /// Each node's core, indexed by node (the host's at 0).
+    cpus: Vec<Cpu>,
+    /// Each server's drive, indexed by server.
+    drives: Vec<Drive>,
 }
 
 impl Cluster {
@@ -136,25 +116,28 @@ impl Cluster {
 
     /// Number of storage servers (the RAID stripe width).
     pub fn width(&self) -> usize {
-        self.servers.len()
+        self.drives.len()
     }
 
     /// The host's fabric node.
     #[inline]
     pub fn host_node(&self) -> NodeId {
-        self.host_node
+        NodeId(0)
     }
 
     /// A server's fabric node.
     #[inline]
     pub fn server_node(&self, server: ServerId) -> NodeId {
-        self.servers[server.0].node
+        NodeId(server.0 + 1)
     }
 
-    /// Reverse lookup from a fabric node to the server living on it.
-    #[inline]
-    pub fn server_at(&self, node: NodeId) -> Option<ServerId> {
-        self.node_server.get(node.0).copied().flatten()
+    /// A node's label in utilization series and ledgers: `host` or
+    /// `server<i>`.
+    pub fn node_name(&self, node: NodeId) -> String {
+        match node.0 {
+            0 => "host".to_string(),
+            n => format!("server{}", n - 1),
+        }
     }
 
     /// Sends `bytes` between two fabric nodes; fails fast with the refusing
@@ -190,7 +173,7 @@ impl Cluster {
         server: ServerId,
         bytes: u64,
     ) -> Result<Service, DriveError> {
-        self.servers[server.0].drive.read(now, bytes)
+        self.drives[server.0].read(now, bytes)
     }
 
     /// Queues a write on a server's drive.
@@ -205,7 +188,7 @@ impl Cluster {
         server: ServerId,
         bytes: u64,
     ) -> Result<Service, DriveError> {
-        self.servers[server.0].drive.write(now, bytes)
+        self.drives[server.0].write(now, bytes)
     }
 
     /// The CPU core of a fabric node (host or server).
@@ -215,31 +198,22 @@ impl Cluster {
     /// Panics if `node` is not part of this cluster.
     #[inline]
     pub fn cpu_mut(&mut self, node: NodeId) -> &mut Cpu {
-        if node == self.host_node {
-            &mut self.host_cpu
-        } else {
-            let s = self.server_at(node).expect("unknown node");
-            &mut self.servers[s.0].cpu
-        }
+        &mut self.cpus[node.0]
     }
 
     /// Immutable access to a node's CPU.
     pub fn cpu(&self, node: NodeId) -> &Cpu {
-        if node == self.host_node {
-            &self.host_cpu
-        } else {
-            &self.servers[self.server_at(node).expect("unknown node").0].cpu
-        }
+        &self.cpus[node.0]
     }
 
     /// Immutable access to a server's drive.
     pub fn drive(&self, server: ServerId) -> &Drive {
-        &self.servers[server.0].drive
+        &self.drives[server.0]
     }
 
     /// Mutable access to a server's drive (failure injection).
     pub fn drive_mut(&mut self, server: ServerId) -> &mut Drive {
-        &mut self.servers[server.0].drive
+        &mut self.drives[server.0]
     }
 
     /// The underlying fabric (traffic accounting, backlog probes).
@@ -261,8 +235,8 @@ impl Cluster {
     /// Panics when any ledger does not balance.
     pub fn audit_conservation(&self) {
         self.fabric.audit_conservation();
-        for s in &self.servers {
-            s.drive.audit_conservation();
+        for drive in &self.drives {
+            drive.audit_conservation();
         }
     }
 
@@ -271,10 +245,11 @@ impl Cluster {
     /// its time-prorated in-window share on every resource.
     pub fn reset_counters(&mut self, now: SimTime) {
         self.fabric.reset_counters(now);
-        self.host_cpu.reset_counters(now);
-        for s in &mut self.servers {
-            s.drive.reset_counters(now);
-            s.cpu.reset_counters(now);
+        for cpu in &mut self.cpus {
+            cpu.reset_counters(now);
+        }
+        for drive in &mut self.drives {
+            drive.reset_counters(now);
         }
     }
 
@@ -282,15 +257,13 @@ impl Cluster {
     /// each node's NIC directions, each server's drive channel, each CPU —
     /// into `timeline` at instant `at`, under stable series names:
     /// `net:<node>:egress`, `net:<node>:ingress`, `drive:<node>`,
-    /// `cpu:<node>`. Call at fixed bucket boundaries to build the
-    /// observability plane's utilization timeline.
+    /// `cpu:<node>`, with [`Cluster::node_name`] labels. Call at fixed
+    /// bucket boundaries to build the observability plane's utilization
+    /// timeline.
     pub fn sample_busy(&self, timeline: &mut draid_sim::UtilizationTimeline, at: SimTime) {
-        let mut nodes = vec![(self.host_node, None)];
-        for s in &self.servers {
-            nodes.push((s.node, Some(&s.drive)));
-        }
-        for (node, drive) in nodes {
-            let name = self.fabric.node_name(node);
+        for (n, cpu) in self.cpus.iter().enumerate() {
+            let node = NodeId(n);
+            let name = self.node_name(node);
             timeline.observe(
                 &format!("net:{name}:egress"),
                 at,
@@ -301,9 +274,10 @@ impl Cluster {
                 at,
                 self.fabric.busy_elapsed(node, LinkDir::Ingress, at),
             );
-            timeline.observe(&format!("cpu:{name}"), at, self.cpu(node).busy_elapsed(at));
-            if let Some(drive) = drive {
-                timeline.observe(&format!("drive:{name}"), at, drive.busy_elapsed(at));
+            timeline.observe(&format!("cpu:{name}"), at, cpu.busy_elapsed(at));
+            if let Some(server) = n.checked_sub(1) {
+                let busy = self.drives[server].busy_elapsed(at);
+                timeline.observe(&format!("drive:{name}"), at, busy);
             }
         }
     }
@@ -312,39 +286,6 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn homogeneous_builds_mesh() {
-        let mut c = Cluster::homogeneous(4);
-        assert_eq!(c.width(), 4);
-        let host = c.host_node();
-        // Host to each server and server-to-server transfers all work.
-        for i in 0..4 {
-            let node = c.server_node(ServerId(i));
-            c.try_transfer(SimTime::ZERO, host, node, 4096)
-                .expect("link up");
-            c.try_transfer(SimTime::ZERO, node, host, 4096)
-                .expect("link up");
-            for j in 0..4 {
-                if i != j {
-                    let peer = c.server_node(ServerId(j));
-                    c.try_transfer(SimTime::ZERO, node, peer, 512)
-                        .expect("link up");
-                }
-            }
-        }
-        assert!(c.fabric().bytes_sent(host) > 0);
-    }
-
-    #[test]
-    fn server_lookup_roundtrip() {
-        let c = Cluster::homogeneous(3);
-        for i in 0..3 {
-            let node = c.server_node(ServerId(i));
-            assert_eq!(c.server_at(node), Some(ServerId(i)));
-        }
-        assert_eq!(c.server_at(c.host_node()), None);
-    }
 
     #[test]
     fn drive_failure_visible_through_cluster() {
@@ -427,6 +368,49 @@ mod tests {
         b.build()
     }
 
+    /// The series names `sample_busy` gives a cluster, in sample order.
+    fn series_names(c: &Cluster) -> Vec<String> {
+        let mut tl = draid_sim::UtilizationTimeline::new(SimTime::ZERO);
+        c.sample_busy(&mut tl, SimTime::ZERO);
+        tl.names().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn nodes_are_numbered_host_first() {
+        let flat_8: fn() -> Cluster = || Cluster::homogeneous(8);
+        for build in [flat_8, rack_cluster] {
+            let mut c = build();
+            assert_eq!(c.host_node(), NodeId(0));
+            let nodes: Vec<NodeId> = std::iter::once(c.host_node())
+                .chain((0..c.width()).map(|i| c.server_node(ServerId(i))))
+                .collect();
+            for (i, &node) in nodes.iter().enumerate().skip(1) {
+                assert_eq!(node, NodeId(i));
+                assert_eq!(c.node_name(node), format!("server{}", i - 1));
+            }
+            assert_eq!(c.node_name(c.host_node()), "host");
+            for &from in &nodes {
+                for &to in nodes.iter().filter(|&&n| n != from) {
+                    c.try_transfer(SimTime::ZERO, from, to, 4096)
+                        .expect("link up");
+                }
+            }
+        }
+        // The two-tier cluster labels its resources as a flat one does.
+        let names = series_names(&rack_cluster());
+        assert_eq!(names, series_names(&Cluster::homogeneous(5)));
+        assert_eq!(names.len(), 6 * 3 + 5);
+        for name in [
+            "net:host:egress",
+            "cpu:host",
+            "cpu:server4",
+            "drive:server4",
+        ] {
+            assert!(names.iter().any(|n| n == name), "{name} missing: {names:?}");
+        }
+        assert!(!names.iter().any(|n| n == "drive:host"), "{names:?}");
+    }
+
     #[test]
     fn a_transfer_touches_exactly_its_two_endpoints() {
         const BYTES: u64 = 1 << 20;
@@ -467,13 +451,14 @@ mod tests {
     #[test]
     fn cpu_lookup_finds_each_nodes_core() {
         for mut c in [Cluster::homogeneous(8), rack_cluster()] {
+            assert_eq!(c.cpus.len(), c.width() + 1);
             let host = c.host_node();
-            assert!(std::ptr::eq(c.cpu(host), &c.host_cpu));
-            assert!(std::ptr::eq(c.cpu_mut(host), &c.host_cpu));
+            assert!(std::ptr::eq(c.cpu(host), &c.cpus[0]));
+            assert!(std::ptr::eq(c.cpu_mut(host), &c.cpus[0]));
             for i in 0..c.width() {
                 let node = c.server_node(ServerId(i));
-                assert!(std::ptr::eq(c.cpu(node), &c.servers[i].cpu));
-                assert!(std::ptr::eq(c.cpu_mut(node), &c.servers[i].cpu));
+                assert!(std::ptr::eq(c.cpu(node), &c.cpus[i + 1]));
+                assert!(std::ptr::eq(c.cpu_mut(node), &c.cpus[i + 1]));
             }
         }
     }

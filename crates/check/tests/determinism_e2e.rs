@@ -31,6 +31,22 @@ fn reference_scenario_differs_across_seeds() {
     assert_ne!(a, b, "different seeds must produce different artifacts");
 }
 
+#[test]
+fn seed_42_artifact_matches_recorded_digest() {
+    // FNV-1a over the whole seed-42 artifact (227,392 bytes): any change to
+    // the simulated behaviour it records (stats, histograms, ledgers, the
+    // step trace) changes it.
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &b in draid_check::determinism::artifact(42).as_bytes() {
+        hash = (hash ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+    }
+    assert_eq!(
+        hash, 0x524e_4211_8682_db8c,
+        "the seed-42 determinism artifact changed: re-record this digest only \
+         for an intended behaviour change, and say why in CHANGES.md"
+    );
+}
+
 /// One independent fault-schedule run; returns (stats line, trace lines,
 /// completion oks) for exact comparison.
 fn fault_run(seed: u64) -> (String, Vec<String>, Vec<bool>) {

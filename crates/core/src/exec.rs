@@ -444,23 +444,13 @@ impl ArraySim {
                     }
                 }
             }
-            StepKind::DriveRead { server, bytes } => {
-                match self.cluster.drive_read(now, server, bytes) {
-                    Ok(svc) => {
-                        if let Some(m) = self.member_of(server) {
-                            self.note_member_success(m, svc.latency_from(now));
-                        }
-                        (svc.start, svc.end)
-                    }
-                    Err(_) => {
-                        let m = self.member_of(server).unwrap_or(usize::MAX);
-                        self.op_failed(eng, idx, OpFailure::MemberError(m));
-                        return;
-                    }
-                }
-            }
-            StepKind::DriveWrite { server, bytes } => {
-                match self.cluster.drive_write(now, server, bytes) {
+            StepKind::DriveRead { server, bytes } | StepKind::DriveWrite { server, bytes } => {
+                let served = if matches!(kind, StepKind::DriveRead { .. }) {
+                    self.cluster.drive_read(now, server, bytes)
+                } else {
+                    self.cluster.drive_write(now, server, bytes)
+                };
+                match served {
                     Ok(svc) => {
                         if let Some(m) = self.member_of(server) {
                             self.note_member_success(m, svc.latency_from(now));

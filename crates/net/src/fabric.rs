@@ -130,7 +130,6 @@ impl Port {
 /// A node (the host or a storage server) with its one NIC.
 #[derive(Debug)]
 struct Node {
-    name: String,
     rack: Option<usize>,
     egress: Port,
     ingress: Port,
@@ -168,8 +167,8 @@ impl FabricBuilder {
 
     /// Adds a node whose NIC moves `goodput` per direction and returns its
     /// id.
-    pub fn add_node(&mut self, name: impl Into<String>, goodput: ByteRate) -> NodeId {
-        self.add_node_inner(name, goodput, None)
+    pub fn add_node(&mut self, goodput: ByteRate) -> NodeId {
+        self.add_node_inner(goodput, None)
     }
 
     /// Declares a rack whose uplink to the core has the given capacity
@@ -189,24 +188,13 @@ impl FabricBuilder {
     /// # Panics
     ///
     /// Panics if `rack` was not declared.
-    pub fn add_node_in_rack(
-        &mut self,
-        name: impl Into<String>,
-        goodput: ByteRate,
-        rack: usize,
-    ) -> NodeId {
+    pub fn add_node_in_rack(&mut self, goodput: ByteRate, rack: usize) -> NodeId {
         assert!(rack < self.racks.len(), "undeclared rack {rack}");
-        self.add_node_inner(name, goodput, Some(rack))
+        self.add_node_inner(goodput, Some(rack))
     }
 
-    fn add_node_inner(
-        &mut self,
-        name: impl Into<String>,
-        goodput: ByteRate,
-        rack: Option<usize>,
-    ) -> NodeId {
+    fn add_node_inner(&mut self, goodput: ByteRate, rack: Option<usize>) -> NodeId {
         self.nodes.push(Node {
-            name: name.into(),
             rack,
             egress: Port::new(goodput),
             ingress: Port::new(goodput),
@@ -231,11 +219,6 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// A node's human-readable name.
-    pub fn node_name(&self, node: NodeId) -> &str {
-        &self.nodes[node.0].name
-    }
-
     /// Sends `bytes` from `from` to `to`. Returns the delivery window:
     /// `start` is when the first byte left the sender, `end` is when the last
     /// byte arrived at the receiver (the moment a completion event should
@@ -471,8 +454,8 @@ mod tests {
 
     fn two_node_fabric(rate_gbps: f64) -> (Fabric, NodeId, NodeId) {
         let mut b = FabricBuilder::new();
-        let a = b.add_node("a", gbps(rate_gbps));
-        let z = b.add_node("z", gbps(rate_gbps));
+        let a = b.add_node(gbps(rate_gbps));
+        let z = b.add_node(gbps(rate_gbps));
         (b.build(), a, z)
     }
 
@@ -517,9 +500,9 @@ mod tests {
     #[test]
     fn egress_is_the_shared_bottleneck() {
         let mut b = FabricBuilder::new();
-        let host = b.add_node("host", gbps(8.0));
-        let t1 = b.add_node("t1", gbps(8.0));
-        let t2 = b.add_node("t2", gbps(8.0));
+        let host = b.add_node(gbps(8.0));
+        let t1 = b.add_node(gbps(8.0));
+        let t2 = b.add_node(gbps(8.0));
         let mut f = b.build();
         let s1 = f
             .try_transfer(SimTime::ZERO, host, t1, 1_000_000)
@@ -535,9 +518,9 @@ mod tests {
     #[test]
     fn ingress_contention_gates_completion() {
         let mut b = FabricBuilder::new();
-        let t1 = b.add_node("t1", gbps(8.0));
-        let t2 = b.add_node("t2", gbps(8.0));
-        let sink = b.add_node("sink", gbps(8.0));
+        let t1 = b.add_node(gbps(8.0));
+        let t2 = b.add_node(gbps(8.0));
+        let sink = b.add_node(gbps(8.0));
         let mut f = b.build();
         let s1 = f
             .try_transfer(SimTime::ZERO, t1, sink, 1_000_000)
@@ -554,8 +537,8 @@ mod tests {
     #[test]
     fn slow_receiver_gates_fast_sender() {
         let mut b = FabricBuilder::new();
-        let fast = b.add_node("fast", gbps(80.0));
-        let slow = b.add_node("slow", gbps(8.0));
+        let fast = b.add_node(gbps(80.0));
+        let slow = b.add_node(gbps(8.0));
         let mut f = b.build();
         let svc = f
             .try_transfer(SimTime::ZERO, fast, slow, 1_000_000)
@@ -699,9 +682,9 @@ mod tests {
         let uplink = gbps(1.0);
         let r0 = b.add_rack(uplink);
         let r1 = b.add_rack(uplink);
-        let a = b.add_node_in_rack("a", gbps(8.0), r0);
-        let z = b.add_node_in_rack("z", gbps(8.0), r1);
-        let peer = b.add_node_in_rack("p", gbps(8.0), r1);
+        let a = b.add_node_in_rack(gbps(8.0), r0);
+        let z = b.add_node_in_rack(gbps(8.0), r1);
+        let peer = b.add_node_in_rack(gbps(8.0), r1);
         let mut f = b.build();
         // 1 MB rack-local: only NIC speed (~1 ms), no uplink involved.
         let svc = f
@@ -727,8 +710,8 @@ mod tests {
     fn rackless_nodes_skip_uplinks() {
         let mut b = FabricBuilder::new();
         let _ = b.add_rack(gbps(0.1));
-        let a = b.add_node("a", gbps(8.0));
-        let z = b.add_node("z", gbps(8.0));
+        let a = b.add_node(gbps(8.0));
+        let z = b.add_node(gbps(8.0));
         let mut f = b.build();
         let svc = f
             .try_transfer(SimTime::ZERO, a, z, 1_000_000)
@@ -740,14 +723,14 @@ mod tests {
     #[should_panic(expected = "undeclared rack")]
     fn unknown_rack_rejected() {
         let mut b = FabricBuilder::new();
-        b.add_node_in_rack("x", gbps(92.0), 0);
+        b.add_node_in_rack(gbps(92.0), 0);
     }
 
     #[test]
     #[should_panic(expected = "loopback")]
     fn loopback_rejected() {
         let mut b = FabricBuilder::new();
-        let n = b.add_node("n", gbps(92.0));
+        let n = b.add_node(gbps(92.0));
         let _ = b.build().try_transfer(SimTime::ZERO, n, n, 4096);
     }
 }

@@ -30,8 +30,8 @@
 //! use draid_sim::SimTime;
 //!
 //! let mut b = FabricBuilder::new();
-//! let host = b.add_node("host", CX5_100G);
-//! let target = b.add_node("ssd0", CX5_100G);
+//! let host = b.add_node(CX5_100G);
+//! let target = b.add_node(CX5_100G);
 //! let mut fabric = b.build();
 //! let svc = fabric
 //!     .try_transfer(SimTime::ZERO, host, target, 128 * 1024)

@@ -29,8 +29,8 @@ mod tests {
         // the serialization time scales with the rate.
         let fixed = |goodput: ByteRate| {
             let mut b = crate::FabricBuilder::new();
-            let a = b.add_node("a", goodput);
-            let z = b.add_node("z", goodput);
+            let a = b.add_node(goodput);
+            let z = b.add_node(goodput);
             let bytes = 1_000_000;
             let svc = b
                 .build()
