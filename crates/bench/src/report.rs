@@ -531,7 +531,6 @@ mod tests {
         assert!(text.contains("bottleneck per phase"));
         assert!(text.contains("all balanced"));
         let json = report.to_json();
-        let parsed = crate::json::parse(&json).expect("report JSON parses");
-        assert_eq!(parsed.get("reconciled").and_then(Json::as_bool), Some(true));
+        assert!(json.contains("\n  \"reconciled\": true,\n"), "{json}");
     }
 }

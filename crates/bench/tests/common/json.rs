@@ -1,0 +1,341 @@
+//! The JSON reader the bench tests check written documents with: a parser
+//! into the library's [`Json`] model, a schema validator, and the getters
+//! both need ([`JsonExt`]).
+//!
+//! [`validate`] covers the JSON Schema subset `schema/report.schema.json`
+//! uses: `type`, `properties`, `required`, `items`. Each test target uses a
+//! different part of the reader, so unused items are no warning here.
+#![allow(dead_code)]
+
+use std::fmt;
+
+pub use draid_bench::json::Json;
+
+/// Read access to a parsed [`Json`] value.
+pub trait JsonExt {
+    /// Member lookup on an object; `None` for other variants.
+    fn get(&self, key: &str) -> Option<&Json>;
+    /// The value as an array, if it is one.
+    fn as_arr(&self) -> Option<&[Json]>;
+    /// The value as a number, if it is one.
+    fn as_num(&self) -> Option<f64>;
+    /// The value as a string, if it is one.
+    fn as_str(&self) -> Option<&str>;
+    /// The value as a bool, if it is one.
+    fn as_bool(&self) -> Option<bool>;
+}
+
+impl JsonExt for Json {
+    fn get(&self, key: &str) -> Option<&Json> {
+        match self {
+            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    fn as_num(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    fn as_bool(&self) -> Option<bool> {
+        match self {
+            Json::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// A parse failure with its byte offset.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ParseError {
+    /// Byte offset of the failure.
+    pub at: usize,
+    /// What went wrong.
+    pub msg: String,
+}
+
+impl fmt::Display for ParseError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "JSON parse error at byte {}: {}", self.at, self.msg)
+    }
+}
+
+/// Parses one JSON document (trailing whitespace allowed, nothing else).
+///
+/// # Errors
+///
+/// [`ParseError`] on malformed input or trailing garbage.
+pub fn parse(text: &str) -> Result<Json, ParseError> {
+    let mut p = Parser {
+        bytes: text.as_bytes(),
+        pos: 0,
+    };
+    p.skip_ws();
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(p.err("trailing characters"));
+    }
+    Ok(v)
+}
+
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn err(&self, msg: &str) -> ParseError {
+        ParseError {
+            at: self.pos,
+            msg: msg.to_string(),
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.err(&format!("expected '{}'", b as char)))
+        }
+    }
+
+    fn literal(&mut self, lit: &str, v: Json) -> Result<Json, ParseError> {
+        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(self.err(&format!("expected '{lit}'")))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, ParseError> {
+        match self.peek() {
+            Some(b'{') => self.object(),
+            Some(b'[') => self.array(),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
+            _ => Err(self.err("expected a value")),
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, ParseError> {
+        self.expect(b'{')?;
+        let mut members = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(members));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let val = self.value()?;
+            members.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(members));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, ParseError> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, ParseError> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err(self.err("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    match self.peek() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.err("truncated \\u escape"))?;
+                            let hex =
+                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| self.err("bad \\u escape"))?;
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            self.pos += 4;
+                        }
+                        _ => return Err(self.err("bad escape")),
+                    }
+                    self.pos += 1;
+                }
+                Some(_) => {
+                    // Consume one UTF-8 scalar from the source slice.
+                    let rest = &self.bytes[self.pos..];
+                    let s = std::str::from_utf8(rest).map_err(|_| self.err("bad UTF-8"))?;
+                    let ch = s.chars().next().ok_or_else(|| self.err("empty"))?;
+                    out.push(ch);
+                    self.pos += ch.len_utf8();
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, ParseError> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                self.pos += 1;
+            }
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
+            .map_err(|_| self.err("bad number"))?;
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| self.err("bad number"))
+    }
+}
+
+/// Validates `value` against `schema` — the JSON Schema subset used by
+/// `schema/report.schema.json`: `type`, `required`, `properties`, `items`.
+///
+/// # Errors
+///
+/// A human-readable path + reason for the first violation found.
+pub fn validate(schema: &Json, value: &Json) -> Result<(), String> {
+    validate_at(schema, value, "$")
+}
+
+fn validate_at(schema: &Json, value: &Json, path: &str) -> Result<(), String> {
+    if let Some(Json::Str(ty)) = schema.get("type") {
+        let ok = match ty.as_str() {
+            "integer" => matches!(value, Json::Num(n) if n.fract() == 0.0),
+            other => type_name(value) == other,
+        };
+        if !ok {
+            return Err(format!("{path}: expected {ty}, got {}", type_name(value)));
+        }
+    }
+    if let Some(Json::Arr(required)) = schema.get("required") {
+        for name in required {
+            let name = name
+                .as_str()
+                .ok_or_else(|| format!("{path}: schema 'required' entries must be strings"))?;
+            if value.get(name).is_none() {
+                return Err(format!("{path}: missing required member '{name}'"));
+            }
+        }
+    }
+    if let Some(Json::Obj(props)) = schema.get("properties") {
+        for (name, subschema) in props {
+            if let Some(member) = value.get(name) {
+                validate_at(subschema, member, &format!("{path}.{name}"))?;
+            }
+        }
+    }
+    if let Some(items) = schema.get("items") {
+        if let Json::Arr(elems) = value {
+            for (i, elem) in elems.iter().enumerate() {
+                validate_at(items, elem, &format!("{path}[{i}]"))?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// JSON type name, as JSON Schema spells it.
+fn type_name(value: &Json) -> &'static str {
+    match value {
+        Json::Null => "null",
+        Json::Bool(_) => "boolean",
+        Json::Num(_) => "number",
+        Json::Str(_) => "string",
+        Json::Arr(_) => "array",
+        Json::Obj(_) => "object",
+    }
+}

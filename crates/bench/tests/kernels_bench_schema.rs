@@ -3,7 +3,10 @@
 //! and every cold row at its one size, and keep Reed-Solomon decode within
 //! reach of the one-source multiply it is built from.
 
-use draid_bench::json::{self, Json};
+#[path = "common/json.rs"]
+mod json;
+
+use json::{Json, JsonExt};
 
 const BENCH: &str = include_str!("../../../BENCH_kernels.json");
 

@@ -1,23 +1,42 @@
-//! The report's JSON output must parse and validate against the checked-in
-//! schema, and its totals must reconcile with the conservation ledgers.
+//! What `report --quick --json` prints must parse and validate against the
+//! checked-in schema, and its totals must reconcile with the conservation
+//! ledgers.
 
-use draid_bench::json::{self, Json};
-use draid_bench::{run_report, ReportConfig};
+#[path = "common/json.rs"]
+mod json;
+
+use std::process::Command;
+use std::sync::OnceLock;
+
+use json::{Json, JsonExt};
 
 const SCHEMA: &str = include_str!("../schema/report.schema.json");
 
+/// The parsed stdout of one `report --quick --json` run, shared by the
+/// tests of this file.
+fn report() -> &'static Json {
+    static DOC: OnceLock<Json> = OnceLock::new();
+    DOC.get_or_init(|| {
+        let out = Command::new(env!("CARGO_BIN_EXE_report"))
+            .args(["--quick", "--json"])
+            .output()
+            .expect("report runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "report failed: {stderr}");
+        let stdout = String::from_utf8(out.stdout).expect("report prints UTF-8");
+        json::parse(&stdout).expect("report JSON parses")
+    })
+}
+
 #[test]
 fn report_json_validates_against_schema() {
-    let report = run_report(&ReportConfig::quick());
-    let doc = json::parse(&report.to_json()).expect("report JSON parses");
     let schema = json::parse(SCHEMA).expect("schema parses");
-    json::validate(&schema, &doc).expect("report matches schema");
+    json::validate(&schema, report()).expect("report matches schema");
 }
 
 #[test]
 fn report_totals_reconcile_with_ledgers() {
-    let report = run_report(&ReportConfig::quick());
-    let doc = json::parse(&report.to_json()).expect("report JSON parses");
+    let doc = report();
     assert_eq!(doc.get("reconciled").and_then(Json::as_bool), Some(true));
     let ledgers = doc
         .get("ledgers")
@@ -63,12 +82,18 @@ fn report_totals_reconcile_with_ledgers() {
 fn ledger_resources_match_utilization_labels() {
     // Both sections label a node through `Cluster::node_name`: every NIC
     // direction and drive ledger is a utilization series of the same name.
-    let report = run_report(&ReportConfig::quick());
-    let mut ledgers: Vec<&str> = report.ledgers.iter().map(|r| r.resource.as_str()).collect();
-    let mut sampled: Vec<&str> = report
-        .utilization
-        .iter()
-        .map(|r| r.resource.as_str())
+    let resources = |section: &str| -> Vec<&str> {
+        report()
+            .get(section)
+            .and_then(Json::as_arr)
+            .expect(section)
+            .iter()
+            .map(|r| r.get("resource").and_then(Json::as_str).expect("resource"))
+            .collect()
+    };
+    let mut ledgers = resources("ledgers");
+    let mut sampled: Vec<&str> = resources("utilization")
+        .into_iter()
         .filter(|r| r.starts_with("net:") || r.starts_with("drive:"))
         .collect();
     ledgers.sort_unstable();
@@ -79,10 +104,8 @@ fn ledger_resources_match_utilization_labels() {
 
 #[test]
 fn utilization_is_clamped_in_json_output() {
-    let report = run_report(&ReportConfig::quick());
-    let doc = json::parse(&report.to_json()).expect("report JSON parses");
     for section in ["utilization", "bottlenecks"] {
-        for row in doc.get(section).and_then(Json::as_arr).expect(section) {
+        for row in report().get(section).and_then(Json::as_arr).expect(section) {
             let u = row
                 .get("utilization")
                 .and_then(Json::as_num)

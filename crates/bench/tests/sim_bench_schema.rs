@@ -5,7 +5,10 @@
 //! no scenario far below it and the deadline-backlog scenario at least 2x
 //! above it.
 
-use draid_bench::json::{self, Json};
+#[path = "common/json.rs"]
+mod json;
+
+use json::{Json, JsonExt};
 
 const BENCH: &str = include_str!("../../../BENCH_sim.json");
 

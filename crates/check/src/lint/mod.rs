@@ -2,7 +2,7 @@
 //!
 //! The driver is deliberately *lexical*, not syntactic: it walks every
 //! `.rs` file in the workspace, strips comments and string-literal
-//! contents, indexes the identifiers that non-test code uses, and matches
+//! contents, indexes what each use in non-test code can name, and matches
 //! rules against what remains. That keeps it
 //! dependency-free (no rustc internals, no proc-macro parsing) and fast,
 //! at the cost of known blind spots (type aliases, macro-generated code),
@@ -153,78 +153,410 @@ pub struct Allow {
     pub reason: &'static str,
 }
 
-/// Every identifier that caller code calls, built once per lint run over
-/// the whole file set so cross-file rules (`no-dead-pub`) need no second
-/// walk.
+/// The item a `pub fn` belongs to: the type of the inherent `impl` block
+/// it sits in, or the module it is free in.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Owner {
+    /// A method or associated function of this type.
+    Type(String),
+    /// A free function of this module (its file stem, the directory of a
+    /// `mod.rs`, or an inline `mod`).
+    Module(String),
+}
+
+/// One `pub fn` (or `pub const fn`) declared in a file's non-test code.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PubFn {
+    /// 0-based line of the declaration.
+    pub line: usize,
+    /// The function's name.
+    pub name: String,
+    /// What it belongs to.
+    pub owner: Owner,
+}
+
+/// Every use that caller code makes of a function, resolved as far as a
+/// lexical pass can. Built once per lint run over the whole file set so
+/// cross-file rules (`no-dead-pub`) need no second walk.
 ///
 /// Caller code is the non-test part (everything outside `#[cfg(test)]`
 /// items) of each file under `crates/*/src` (bins included), `src/`,
-/// `examples/`, `simcost/src` and the facade's `tests/`. An identifier
-/// counts only in call position (`name(`, `name::<T>(`) or after a path
-/// separator (`Type::name`, which covers a fn pointer), so a field read
-/// `self.name` or a local `name` is no use of a `pub fn name`. Neither the
-/// `fn NAME` of a declaration nor a `use` declaration is a use: naming an
-/// item in a re-export calls nothing. Per-crate `crates/*/tests/` never
-/// count.
+/// `examples/` and `simcost/src`. Test targets, the facade's `tests/`
+/// included, are no callers. A use is recorded by what it can name:
+///
+/// * `.name(` and `.name::<T>(` reach methods called `name` of any type,
+///   except that `self.name(` inside an `impl` block reaches that type's;
+/// * `Type::name` and `Self::name` reach `name` of that type's inherent
+///   `impl` only, in any position, so a fn pointer counts;
+/// * `module::name` reaches a free `name` of that module, or of that crate
+///   when the qualifier is a crate (`draid_core::`, the facade's
+///   `draid::core::`, or `crate::`/`super::`/`self::` in the caller's own
+///   crate);
+/// * a bare call `name(` reaches a free `name` of the same file, or the one
+///   a `use` line of the file imports (by name, alias or glob).
+///
+/// A field read `self.name` or a local `name` is no use, and neither is the
+/// `fn NAME` of a declaration or a `use` declaration: naming an item in a
+/// re-export calls nothing.
 #[derive(Debug, Default)]
 pub struct Index {
-    used: HashSet<String>,
+    /// Names called as methods, or through a qualifier that is no plain
+    /// identifier (`<T as Tr>::name`, `Vec::<u8>::name`).
+    methods: HashSet<String>,
+    /// `(type, name)` of `Type::name` and `Self::name` paths.
+    assoc: HashSet<(String, String)>,
+    /// `(module or crate, name)` of qualified free-function uses.
+    paths: HashSet<(String, String)>,
+    /// `(file, name)` of each bare call.
+    bare: HashSet<(String, String)>,
 }
 
 impl Index {
     /// Indexes the caller files among `files`.
     pub fn new(files: &[SourceFile]) -> Self {
-        let mut used = HashSet::new();
+        let mut index = Index::default();
         for file in files.iter().filter(|f| is_caller_file(&f.path)) {
-            let mut in_use = false;
-            for (_, line) in file.non_test_lines() {
-                let mut prev = "";
-                for (at, ident) in identifier_spans(line) {
-                    in_use |= ident == "use";
-                    if prev != "fn" && !in_use && is_called(line, at, ident.len()) {
-                        used.insert(ident.to_string());
-                    }
-                    prev = ident;
+            let own_crate = crate_dir(&file.path).unwrap_or_default();
+            let mut qualified: Vec<(String, String)> = Vec::new();
+            let mut bare: Vec<String> = Vec::new();
+            let imports = file.walk(|tok| {
+                if tok.in_use || tok.prev[0] == "fn" {
+                    return;
                 }
-                if line.contains(';') {
-                    in_use = false;
+                let before = tok.code[..tok.at].trim_end();
+                let after = tok.code[tok.at + tok.ident.len()..].trim_start();
+                let called = after.starts_with('(') || after.starts_with("::<");
+                let name = tok.ident.to_string();
+                // What the use is qualified by: the path's last segment, or
+                // `Self` for a method called on `self`; `None` for another
+                // method call or a qualifier that is no plain identifier.
+                let qualifier = match (before.strip_suffix("::"), before.strip_suffix('.')) {
+                    (Some(path), _) => trailing_ident(path),
+                    (None, Some(receiver)) if called => {
+                        (trailing_ident(receiver) == Some("self")).then_some("Self")
+                    }
+                    (None, Some(_)) => return,
+                    (None, None) => {
+                        if called {
+                            bare.push(name);
+                        }
+                        return;
+                    }
+                };
+                match (qualifier, tok.impl_ty) {
+                    (Some("Self"), Some(ty)) => {
+                        index.assoc.insert((ty.to_string(), name));
+                    }
+                    (Some("Self") | None, _) => {
+                        index.methods.insert(name);
+                    }
+                    (Some(q), _) => qualified.push((q.to_string(), name)),
+                }
+            });
+            for name in bare {
+                for (q, leaf) in imports.resolve_bare(&name) {
+                    qualified.push((q, leaf));
+                }
+                index.bare.insert((file.path.clone(), name));
+            }
+            for (q, name) in qualified {
+                let q = imports.unalias(&q);
+                if q.starts_with(|c: char| c.is_ascii_uppercase()) {
+                    index.assoc.insert((q.to_string(), name));
+                } else if matches!(q, "crate" | "self" | "super") {
+                    index.paths.insert((own_crate.to_string(), name));
+                } else {
+                    index.paths.insert((q.to_string(), name));
                 }
             }
         }
-        Index { used }
+        index
     }
 
-    /// True if caller code calls `name` or names it through a path.
-    pub fn uses(&self, name: &str) -> bool {
-        self.used.contains(name)
+    /// True if caller code can reach `item`, declared in `file`.
+    pub fn uses(&self, file: &SourceFile, item: &PubFn) -> bool {
+        let name = item.name.clone();
+        match &item.owner {
+            Owner::Type(ty) => {
+                self.methods.contains(&name) || self.assoc.contains(&(ty.clone(), name))
+            }
+            Owner::Module(module) => {
+                let dir = crate_dir(&file.path).unwrap_or_default();
+                let via = |q: String| self.paths.contains(&(q, name.clone()));
+                self.bare.contains(&(file.path.clone(), name.clone()))
+                    || via(module.clone())
+                    || via(dir.to_string())
+                    || via(format!("draid_{dir}"))
+            }
+        }
     }
 }
 
 /// Whether a file's non-test code counts as a caller of library items.
 fn is_caller_file(path: &str) -> bool {
-    ["src/", "examples/", "tests/", "simcost/src/"]
+    ["src/", "examples/", "simcost/src/"]
         .iter()
         .any(|p| path.starts_with(p))
-        || path.starts_with("crates/") && path.split('/').nth(2) == Some("src")
+        || crate_dir(path).is_some() && path.split('/').nth(2) == Some("src")
 }
 
-/// The identifier tokens of a code line, in order (keywords included).
-fn identifiers(line: &str) -> impl Iterator<Item = &str> {
-    identifier_spans(line).map(|(_, ident)| ident)
+/// `DIR` for a file under `crates/DIR/`: the crate `draid_DIR`, which the
+/// facade re-exports as `draid::DIR`.
+fn crate_dir(path: &str) -> Option<&str> {
+    path.strip_prefix("crates/")?.split('/').next()
 }
 
-/// The identifier tokens of a code line with their byte offsets.
-fn identifier_spans(line: &str) -> impl Iterator<Item = (usize, &str)> {
-    line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|t| t.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
-        .map(move |t| (t.as_ptr() as usize - line.as_ptr() as usize, t))
+/// The module a file's free items belong to: its stem, or its directory
+/// for a `mod.rs`.
+fn file_module(path: &str) -> &str {
+    let mut parts = path.trim_end_matches(".rs").rsplit('/');
+    let stem = parts.next().unwrap_or_default();
+    match stem {
+        "mod" => parts.next().unwrap_or_default(),
+        _ => stem,
+    }
 }
 
-/// Whether the identifier at `line[at..at + len]` is called (`name(`,
-/// `name::<T>(`) or reached through a path (`Type::name`).
-fn is_called(line: &str, at: usize, len: usize) -> bool {
-    let after = line[at + len..].trim_start();
-    after.starts_with('(') || after.starts_with("::<") || line[..at].trim_end().ends_with("::")
+/// The identifier `text` ends with, if it ends with one.
+fn trailing_ident(text: &str) -> Option<&str> {
+    let start = text
+        .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .map_or(0, |i| i + 1);
+    let ident = &text[start..];
+    ident
+        .starts_with(|c: char| c.is_ascii_alphabetic() || c == '_')
+        .then_some(ident)
+}
+
+/// An identifier of a file's non-test code, with its lexical context.
+struct Tok<'a> {
+    /// 0-based line.
+    line: usize,
+    /// The stripped code line it is on.
+    code: &'a str,
+    /// Byte offset in `code`.
+    at: usize,
+    ident: &'a str,
+    /// The three identifiers before it, nearest first.
+    prev: [&'a str; 3],
+    /// Whether it is part of a `use` declaration.
+    in_use: bool,
+    /// The self type of the innermost `impl` block around it.
+    impl_ty: Option<&'a str>,
+    /// The innermost inline `mod` around it.
+    module: Option<&'a str>,
+}
+
+/// What a file's `use` declarations import: `alias -> (qualifier, name)`,
+/// and the qualifiers of its glob imports.
+#[derive(Default)]
+struct Imports {
+    names: Vec<(String, String, String)>,
+    globs: Vec<String>,
+}
+
+impl Imports {
+    /// The `(qualifier, name)` pairs a bare call of `name` can reach.
+    fn resolve_bare(&self, name: &str) -> Vec<(String, String)> {
+        let named = self
+            .names
+            .iter()
+            .filter(|(alias, _, _)| alias == name)
+            .map(|(_, q, leaf)| (q.clone(), leaf.clone()));
+        let globbed = self.globs.iter().map(|q| (q.clone(), name.to_string()));
+        named.chain(globbed).collect()
+    }
+
+    /// The imported name `alias` stands for (`use a::B as C` makes `C` a
+    /// `B`), or `alias` itself.
+    fn unalias<'a>(&'a self, alias: &'a str) -> &'a str {
+        self.names
+            .iter()
+            .find(|(a, _, _)| a == alias)
+            .map_or(alias, |(_, _, leaf)| leaf.as_str())
+    }
+
+    /// Adds the leaves of one `use` tree (the text between `use` and
+    /// `;`), each path below `prefix`.
+    fn add_tree(&mut self, prefix: &str, tree: &str) {
+        let tree = tree.trim();
+        let Some(open) = tree.find('{') else {
+            let path = format!("{prefix}{tree}");
+            let (path, alias) = path.split_once(" as ").unwrap_or((&path, ""));
+            let mut segments = path.rsplit("::").map(str::trim);
+            let leaf = segments.next().unwrap_or_default();
+            let qual = segments.next().unwrap_or_default().to_string();
+            match leaf {
+                "*" => self.globs.push(qual),
+                "" | "self" => {}
+                _ => {
+                    let alias = if alias.is_empty() { leaf } else { alias.trim() };
+                    self.names.push((alias.to_string(), qual, leaf.to_string()));
+                }
+            }
+            return;
+        };
+        let head = format!("{prefix}{}", &tree[..open]);
+        let body = &tree[open + 1..tree.rfind('}').unwrap_or(tree.len())];
+        let (mut depth, mut start) = (0usize, 0);
+        for (i, c) in body.char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' => depth = depth.saturating_sub(1),
+                ',' if depth == 0 => {
+                    self.add_tree(&head, &body[start..i]);
+                    start = i + 1;
+                }
+                _ => {}
+            }
+        }
+        self.add_tree(&head, &body[start..]);
+    }
+}
+
+impl SourceFile {
+    /// The `pub fn`s of the file's non-test code, with their owners.
+    pub fn pub_fns(&self) -> Vec<PubFn> {
+        let mut out = Vec::new();
+        let module = file_module(&self.path);
+        self.walk(|tok| {
+            let public = tok.prev[1] == "pub" || tok.prev[1] == "const" && tok.prev[2] == "pub";
+            if tok.prev[0] == "fn" && public && !tok.in_use {
+                let owner = match tok.impl_ty {
+                    Some(ty) => Owner::Type(ty.to_string()),
+                    None => Owner::Module(tok.module.unwrap_or(module).to_string()),
+                };
+                out.push(PubFn {
+                    line: tok.line,
+                    name: tok.ident.to_string(),
+                    owner,
+                });
+            }
+        });
+        out
+    }
+
+    /// Visits every identifier of the non-test code in order, tracking the
+    /// `impl` and `mod` blocks around it by brace depth; returns what the
+    /// file's `use` declarations import. An `impl` opens a block only at
+    /// item position (after `{`, `}`, `;`, `]`, `unsafe` or at the start),
+    /// so `-> impl Trait` and `x: impl Fn()` do not.
+    fn walk<'a>(&'a self, mut visit: impl FnMut(&Tok<'_>)) -> Imports {
+        let mut imports = Imports::default();
+        // `(depth inside the block, "impl" or "mod", self type or name)`.
+        let mut scopes: Vec<(usize, &str, String)> = Vec::new();
+        let mut depth = 0usize;
+        // An `impl`/`mod` header waiting for its `{`, or a `use` tree
+        // waiting for its `;`, with its text so far.
+        let mut pending: Option<(&str, String)> = None;
+        let mut last = "{";
+        let mut prev: [&'a str; 3] = [""; 3];
+        for (line, code) in self.non_test_lines() {
+            for (at, token) in tokens(code) {
+                let is_ident = token.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_');
+                if let Some((_, text)) = &mut pending {
+                    if is_ident {
+                        text.push(' ');
+                    }
+                    text.push_str(token);
+                }
+                let kind = pending.as_ref().map(|&(kind, _)| kind);
+                match token {
+                    "{" => {
+                        depth += 1;
+                        let header = pending.take_if(|(kind, _)| matches!(*kind, "impl" | "mod"));
+                        if let Some((kind, text)) = header {
+                            let text = text.trim_end_matches('{');
+                            let name = match kind {
+                                "impl" => impl_self_type(text),
+                                _ => trailing_ident(text.trim()).unwrap_or_default().to_string(),
+                            };
+                            scopes.push((depth, kind, name));
+                        }
+                    }
+                    "}" => {
+                        if scopes.last().is_some_and(|&(d, _, _)| d == depth) {
+                            scopes.pop();
+                        }
+                        depth = depth.saturating_sub(1);
+                    }
+                    ";" if matches!(kind, Some("use" | "mod")) => {
+                        if let Some(("use", tree)) = pending.take() {
+                            imports.add_tree("", tree.trim_end_matches(';'));
+                        }
+                    }
+                    _ if is_ident => {
+                        let item_position = matches!(last, "{" | "}" | ";" | "]");
+                        if kind.is_none()
+                            && (matches!(token, "mod" | "use")
+                                || token == "impl" && (item_position || prev[0] == "unsafe"))
+                        {
+                            pending = Some((token, String::new()));
+                        }
+                        if !matches!(pending, Some(("impl" | "mod", _))) {
+                            let innermost = |want: &str| {
+                                let scope = scopes.iter().rev().find(|&&(_, k, _)| k == want);
+                                scope.map(|(_, _, name)| name.as_str())
+                            };
+                            visit(&Tok {
+                                line,
+                                code,
+                                at,
+                                ident: token,
+                                prev,
+                                in_use: pending.is_some(),
+                                impl_ty: innermost("impl"),
+                                module: innermost("mod"),
+                            });
+                        }
+                        prev = [token, prev[0], prev[1]];
+                    }
+                    _ => {}
+                }
+                last = token;
+            }
+        }
+        imports
+    }
+}
+
+/// The tokens of a code line with their byte offsets: identifiers (and
+/// keywords, and numbers' digit runs split off) whole, anything else one
+/// character at a time; whitespace separates and is dropped.
+fn tokens(code: &str) -> impl Iterator<Item = (usize, &str)> {
+    let mut at = 0;
+    std::iter::from_fn(move || {
+        at += code[at..].len() - code[at..].trim_start().len();
+        let c = code[at..].chars().next()?;
+        let len = if c.is_ascii_alphanumeric() || c == '_' {
+            code[at..]
+                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                .unwrap_or(code.len() - at)
+        } else {
+            c.len_utf8()
+        };
+        at += len;
+        Some((at - len, &code[at - len..at]))
+    })
+}
+
+/// The self type named by an `impl` header (the text between `impl` and
+/// `{`): the last path segment after `for`, or after `impl` when there is
+/// no `for`, with generic arguments and any `where` clause dropped.
+fn impl_self_type(header: &str) -> String {
+    let mut flat = String::new();
+    let mut angle = 0usize;
+    for c in header.chars() {
+        match c {
+            '<' => angle += 1,
+            '>' if angle > 0 => angle -= 1,
+            _ if angle == 0 => flat.push(c),
+            _ => {}
+        }
+    }
+    let flat = &flat[..find_word(&flat, "where").unwrap_or(flat.len())];
+    let self_ty = find_word(flat, "for").map_or(flat, |at| &flat[at + "for".len()..]);
+    trailing_ident(self_ty.trim_end()).unwrap_or("").to_string()
 }
 
 /// Lints a set of files with the given allowlist; returns surviving
@@ -646,19 +978,96 @@ mod tests {
 
     #[test]
     fn fn_pointer_through_a_path_is_a_use() {
-        let hits = dead_pub(vec![
+        let thing = || {
             SourceFile::new(
                 "crates/foo/src/thing.rs",
-                "impl Thing { pub fn on_done(&mut self) {} }\n",
-            ),
+                "impl Thing {\n    pub fn on_done(&mut self) {}\n}\n",
+            )
+        };
+        let hits = dead_pub(vec![
+            thing(),
             SourceFile::new("src/lib.rs", "fn f() { register(Thing::on_done); }\n"),
         ]);
         assert!(hits.is_empty(), "{hits:?}");
+        // Another type's path names another item.
+        let other = dead_pub(vec![
+            thing(),
+            SourceFile::new("src/lib.rs", "fn f() { register(Other::on_done); }\n"),
+        ]);
+        assert_eq!(other.len(), 1, "{other:?}");
         let turbofish = dead_pub(vec![
             SourceFile::new("crates/foo/src/thing.rs", "pub fn parse<T>() {}\n"),
-            SourceFile::new("src/lib.rs", "fn f(s: &str) { s.parse::<u8>(); }\n"),
+            SourceFile::new(
+                "src/lib.rs",
+                "fn f() { draid::foo::thing::parse::<u8>(); }\n",
+            ),
         ]);
         assert!(turbofish.is_empty(), "{turbofish:?}");
+    }
+
+    #[test]
+    fn a_type_path_keeps_no_free_fn_of_that_name_alive() {
+        let json = || SourceFile::new("crates/foo/src/json.rs", "pub fn parse(text: &str) {}\n");
+        let hits = dead_pub(vec![
+            json(),
+            SourceFile::new("src/lib.rs", "fn f() { let n = Number::parse(\"1\"); }\n"),
+        ]);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        assert!(hits[0].message.contains("json::parse"), "{hits:?}");
+        // The module's path, through the crate or the facade, reaches it.
+        for caller in [
+            "fn f() { draid_foo::json::parse(\"1\"); }\n",
+            "fn f() { draid::foo::json::parse(\"1\"); }\n",
+        ] {
+            let live = dead_pub(vec![json(), SourceFile::new("src/lib.rs", caller)]);
+            assert!(live.is_empty(), "{caller:?}: {live:?}");
+        }
+    }
+
+    #[test]
+    fn a_method_call_keeps_no_free_fn_alive() {
+        for caller in [
+            "fn f(c: &Config) { c.validate(); }\n",
+            "fn f(c: &Config) { c.validate::<u8>(); }\n",
+        ] {
+            let hits = dead_pub(vec![
+                SourceFile::new("crates/foo/src/json.rs", "pub fn validate() {}\n"),
+                SourceFile::new("src/lib.rs", caller),
+            ]);
+            assert_eq!(hits.len(), 1, "{caller:?}: {hits:?}");
+        }
+        // It does reach a method of that name.
+        let method = dead_pub(vec![
+            SourceFile::new(
+                "crates/foo/src/config.rs",
+                "impl Config {\n    pub fn validate(&self) {}\n}\n",
+            ),
+            SourceFile::new("src/lib.rs", "fn f(c: &Config) { c.validate(); }\n"),
+        ]);
+        assert!(method.is_empty(), "{method:?}");
+    }
+
+    #[test]
+    fn a_bare_call_reaches_a_free_fn_through_its_module_or_a_use_line() {
+        let json = || SourceFile::new("crates/foo/src/json.rs", "pub fn parse() {}\n");
+        let other = |text: &str| SourceFile::new("crates/foo/src/other.rs", text);
+        // A bare call in another module without an import names its own item.
+        let hits = dead_pub(vec![json(), other("fn f() { parse(); }\n")]);
+        assert_eq!(hits.len(), 1, "{hits:?}");
+        for caller in [
+            "use draid_foo::json::parse;\nfn f() { parse(); }\n",
+            "use crate::json::{self, parse as read};\nfn f() { read(); }\n",
+            "use crate::{\n    json::{parse},\n    other,\n};\nfn f() { parse(); }\n",
+            "use super::json::*;\nfn f() { parse(); }\n",
+        ] {
+            let live = dead_pub(vec![json(), other(caller)]);
+            assert!(live.is_empty(), "{caller:?}: {live:?}");
+        }
+        let own = SourceFile::new(
+            "crates/foo/src/json.rs",
+            "pub fn parse() {}\nfn g() { parse(); }\n",
+        );
+        assert!(dead_pub(vec![own]).is_empty());
     }
 
     #[test]

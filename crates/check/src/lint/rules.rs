@@ -7,7 +7,7 @@
 //! point, e.g. locating `// SAFETY:` comments), so prose never trips a
 //! rule and rule pattern strings never trip the linter on itself.
 
-use super::{contains_word, identifiers, Allow, Finding, Index, SourceFile};
+use super::{contains_word, Allow, Finding, Index, Owner, SourceFile};
 
 /// A named lint rule.
 pub struct Rule {
@@ -390,57 +390,41 @@ fn is_library_file(path: &str) -> bool {
         && !path.ends_with("/main.rs")
 }
 
-/// The name a `pub fn NAME` or `pub const fn NAME` declaration on this
-/// code line introduces. `pub(crate)` and narrower items are `rustc`'s
-/// `dead_code` lint's business, not this rule's.
-fn declared_pub_fn(line: &str) -> Option<&str> {
-    let mut tokens = identifiers(line);
-    while let Some(t) = tokens.next() {
-        if t != "pub" {
-            continue;
-        }
-        let mut next = tokens.next();
-        if next == Some("const") {
-            next = tokens.next();
-        }
-        if next == Some("fn") {
-            return tokens.next();
-        }
-    }
-    None
-}
-
-/// A public function in a library file whose name no caller code calls
-/// or names through a path (see [`Index`]): only tests, or nothing, reach
-/// it. A field or local of the same name is no use, so a getter read only
-/// as `self.name` is dead. Uses in the item's own file count, so a helper
-/// its module calls stays live; whether it should also be private is left
-/// to review.
+/// A public function in a library file that no caller code can reach
+/// (see [`Index`]): only tests, or nothing, call it. A field or local of
+/// the same name is no use, so a getter read only as `self.name` is dead,
+/// and a method call `.name(` keeps no free `pub fn name` alive. Uses in
+/// the item's own file count, so a helper its module calls stays live;
+/// whether it should also be private is left to review. `pub(crate)` and
+/// narrower items are `rustc`'s `dead_code` lint's business, not this
+/// rule's.
 ///
-/// Known blind spot (lexical analysis): the index holds names, not items,
-/// so a dead function whose name caller code calls elsewhere (`new`,
-/// `run`, `len`, a trait method) always looks used.
+/// Known blind spot (lexical analysis): a method call `.name(` reaches
+/// every method called `name` of every type, since the receiver's type is
+/// unknown, so a dead method that shares its name with a live one (`new`,
+/// `len`, a trait method) looks used. A type alias hides its target:
+/// `Alias::name` reaches no method of the aliased type.
 fn no_dead_pub(file: &SourceFile, index: &Index) -> Vec<Finding> {
     if !is_library_file(&file.path) {
         return Vec::new();
     }
-    let mut out = Vec::new();
-    for (i, line) in file.non_test_lines() {
-        if let Some(name) = declared_pub_fn(line) {
-            if !index.uses(name) {
-                out.push(Finding {
-                    rule: "no-dead-pub",
-                    path: file.path.clone(),
-                    line: i + 1,
-                    message: format!(
-                        "`pub fn {name}` has no caller outside tests; delete it \
-                         (or allowlist a reference model or test seam)"
-                    ),
-                });
+    file.pub_fns()
+        .into_iter()
+        .filter(|item| !index.uses(file, item))
+        .map(|item| {
+            let (Owner::Type(owner) | Owner::Module(owner)) = &item.owner;
+            Finding {
+                rule: "no-dead-pub",
+                path: file.path.clone(),
+                line: item.line + 1,
+                message: format!(
+                    "`pub fn {owner}::{}` has no caller outside tests; delete it \
+                     (or allowlist a reference model or test seam)",
+                    item.name
+                ),
             }
-        }
-    }
-    out
+        })
+        .collect()
 }
 
 // ------------------------------------------------------------- allowlist
@@ -455,24 +439,6 @@ fn no_dead_pub(file: &SourceFile, index: &Index) -> Vec<Finding> {
 pub const ALLOWLIST: &[Allow] = &[
     Allow {
         rule: "no-dead-pub",
-        path_suffix: "bench/src/json.rs",
-        line_contains: "pub fn as_arr(",
-        reason: "test seam: the BENCH_*.json and report schema gates read arrays through it",
-    },
-    Allow {
-        rule: "no-dead-pub",
-        path_suffix: "bench/src/json.rs",
-        line_contains: "pub fn as_num(",
-        reason: "test seam: the BENCH_*.json and report schema gates read numbers through it",
-    },
-    Allow {
-        rule: "no-dead-pub",
-        path_suffix: "bench/src/json.rs",
-        line_contains: "pub fn as_bool(",
-        reason: "test seam: the BENCH_*.json and report schema gates read flags through it",
-    },
-    Allow {
-        rule: "no-dead-pub",
         path_suffix: "core/src/array.rs",
         line_contains: "pub fn write_intent(",
         reason: "test seam: crash_recovery observes the §5.4 bitmap, which no other API exposes",
@@ -485,9 +451,27 @@ pub const ALLOWLIST: &[Allow] = &[
     },
     Allow {
         rule: "no-dead-pub",
+        path_suffix: "core/src/datastore.rs",
+        line_contains: "pub fn stored_chunk(",
+        reason: "test seam: datastore_diff and write_behind compare stored chunk bytes, and their absence, which reads cannot show",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "core/src/protocol.rs",
+        line_contains: "pub fn decode(",
+        reason: "test seam: the round-trip tests read each field back from encode's capsule; the simulation parses none",
+    },
+    Allow {
+        rule: "no-dead-pub",
         path_suffix: "core/src/protocol.rs",
         line_contains: "pub fn for_write_mode(",
         reason: "reference model: dag_shapes builds Algorithm 1's command for each write mode",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "core/src/rebuild.rs",
+        line_contains: "pub fn rebuild_status(",
+        reason: "test seam: the rebuild, fault-manager and write-behind tests watch a rebuild's progress, which no other API exposes",
     },
     Allow {
         rule: "no-dead-pub",
@@ -512,6 +496,12 @@ pub const ALLOWLIST: &[Allow] = &[
         path_suffix: "sim/src/rng.rs",
         line_contains: "pub fn weighted_index(",
         reason: "reference model: the draw ReducerSelector::choose must reproduce exactly",
+    },
+    Allow {
+        rule: "no-dead-pub",
+        path_suffix: "workload/src/runner.rs",
+        line_contains: "pub fn quick(",
+        reason: "test seam: the short measurement window of the runner's tests, tests/full_system.rs and the crate's doc example",
     },
 ];
 
@@ -758,6 +748,7 @@ mod tests {
                 vec![
                 lib("pub fn probe() {}\n#[cfg(test)]\nmod tests { fn t() { super::probe(); } }\n"),
                 SourceFile::new("crates/foo/tests/it.rs", "fn t() { foo::probe(); }\n"),
+                SourceFile::new("tests/it.rs", "#[test]\nfn t() { draid::foo::probe(); }\n"),
                 // Prose, strings and re-exports are no callers either.
                 SourceFile::new("src/lib.rs", "// probe()\nlet s = \"probe\";\n"),
                 SourceFile::new("crates/foo/src/lib.rs", "pub use thing::{\n    probe,\n};\n"),
@@ -779,8 +770,7 @@ mod tests {
     fn pub_fn_with_a_caller_is_clean() {
         for (path, text) in [
             ("simcost/src/main.rs", "fn main() { foo::probe(); }\n"),
-            ("examples/demo.rs", "fn main() { draid::probe(); }\n"),
-            ("tests/it.rs", "#[test]\nfn t() { draid::probe(); }\n"),
+            ("examples/demo.rs", "fn main() { draid::foo::probe(); }\n"),
             (
                 "crates/bar/src/bin/tool.rs",
                 "fn main() { foo::probe(); }\n",

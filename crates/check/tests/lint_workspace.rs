@@ -71,7 +71,8 @@ fn seeded_violations_fail_against_real_file_set() {
          pub fn seeded_dead_probe() {}\n\
          pub struct Probe { seeded_dead_getter: u64 }\n\
          impl Probe { pub fn seeded_dead_getter(&self) -> u64 { self.seeded_dead_getter } }\n\
-         fn read(p: &Probe) -> u64 { p.seeded_dead_getter }\n",
+         fn read(p: &Probe) -> u64 { p.seeded_dead_getter }\n\
+         pub fn len() -> usize { 0 }\n",
     ));
     files.push(SourceFile::new(
         "crates/core/tests/seeded.rs",
@@ -105,6 +106,12 @@ fn seeded_violations_fail_against_real_file_set() {
             .iter()
             .any(|f| f.rule == "no-dead-pub" && f.message.contains("seeded_dead_getter")),
         "a getter whose name is only read as a field must be dead: {findings:?}"
+    );
+    assert!(
+        findings
+            .iter()
+            .any(|f| f.rule == "no-dead-pub" && f.path == "crates/core/src/evil.rs" && f.line == 9),
+        "a free pub fn is dead though methods of its name are called: {findings:?}"
     );
     // The unwrap rule is path-scoped to the real op-path files; prove it
     // on the genuine exec.rs content with one appended bad line.

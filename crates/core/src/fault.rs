@@ -320,11 +320,6 @@ impl FaultSchedule {
         )
     }
 
-    /// At `at`, member `member`'s link drops for `duration` (or forever).
-    pub fn link_down(self, at: SimTime, member: usize, duration: Option<SimTime>) -> Self {
-        self.at(at, FaultAction::LinkDown { member, duration })
-    }
-
     /// At `at`, member `member`'s link starts `cycles` down/up flaps.
     pub fn flap_link(
         self,

@@ -148,11 +148,6 @@ pub struct ReduceState {
 }
 
 impl ReduceState {
-    /// Creates an idle parity bdev.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Number of offsets with in-flight reductions.
     pub fn pending(&self) -> usize {
         self.slots.len()
@@ -314,7 +309,7 @@ mod tests {
 
     #[test]
     fn reduce_parity_first_then_peers() {
-        let mut st = ReduceState::new();
+        let mut st = ReduceState::default();
         let fx = st.handle_host_parity(&parity_cmd(2, Subtype::Rmw, 0, 8192));
         assert_eq!(
             fx,
@@ -342,7 +337,7 @@ mod tests {
     fn late_parity_command_does_not_block_reduction() {
         // §5.2: peers arrive first; reductions proceed; completion fires
         // exactly when the late Parity command reveals wait_num.
-        let mut st = ReduceState::new();
+        let mut st = ReduceState::default();
         assert_eq!(
             st.handle_peer_partial(&peer(4096, 1024)),
             vec![ReduceEffect::Reduce { offset: 4096 }]
@@ -358,7 +353,7 @@ mod tests {
 
     #[test]
     fn reconstruct_write_parity_has_no_preload() {
-        let mut st = ReduceState::new();
+        let mut st = ReduceState::default();
         let fx = st.handle_host_parity(&parity_cmd(1, Subtype::RwWrite, 0, 16384));
         assert!(fx.is_empty(), "no old-parity read outside RMW");
         assert_eq!(
@@ -373,7 +368,7 @@ mod tests {
     #[test]
     fn concurrent_stripes_tracked_independently() {
         // Different offsets = different stripe writes in flight.
-        let mut st = ReduceState::new();
+        let mut st = ReduceState::default();
         st.handle_host_parity(&parity_cmd(1, Subtype::Rmw, 0, 4096));
         st.handle_host_parity(&parity_cmd(2, Subtype::Rmw, 8192, 4096));
         assert_eq!(st.pending(), 2);

@@ -35,12 +35,6 @@ pub const EXP: [u8; 256] = TABLES.0;
 /// `LOG[x] = log_g(x)` for non-zero `x`; `LOG[0]` is unused and zero.
 pub const LOG: [u8; 256] = TABLES.1;
 
-/// Addition in GF(2⁸) — XOR.
-#[inline]
-pub const fn add(a: u8, b: u8) -> u8 {
-    a ^ b
-}
-
 /// `g^i` for arbitrary exponent (reduced mod 255).
 #[inline]
 pub fn exp(i: usize) -> u8 {
@@ -163,7 +157,8 @@ mod tests {
         for a in 0..=255u8 {
             for b in 0..=255u8 {
                 let c = 0xA7;
-                assert_eq!(mul(c, add(a, b)), add(mul(c, a), mul(c, b)));
+                // Addition in GF(2⁸) is XOR.
+                assert_eq!(mul(c, a ^ b), mul(c, a) ^ mul(c, b));
             }
         }
     }

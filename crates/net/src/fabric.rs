@@ -306,11 +306,6 @@ impl Fabric {
         self.for_each_link(node, |l| l.admin_down = true);
     }
 
-    /// Whether a node's link refuses traffic in `dir` at `now`.
-    pub fn link_down(&self, node: NodeId, dir: LinkDir, now: SimTime) -> bool {
-        self.nodes[node.0].port(dir).link.is_down(now)
-    }
-
     /// Schedules an outage window `[from, until)` on a node's NIC, both
     /// directions — the building block of link-flap injection.
     pub fn schedule_link_down(&mut self, node: NodeId, from: SimTime, until: SimTime) {
@@ -566,7 +561,8 @@ mod tests {
         f.set_link_down(NodeId(0));
         let err = f.try_transfer(SimTime::ZERO, a, z, 4096).unwrap_err();
         assert_eq!(err.node, NodeId(0), "blames the dead sender");
-        assert!(f.link_down(NodeId(0), LinkDir::Egress, SimTime::ZERO));
+        let err = f.try_transfer(SimTime::ZERO, z, a, 4096).unwrap_err();
+        assert_eq!(err.node, NodeId(0), "both directions are down");
         // A dead receiver is blamed too.
         let (mut f, a, z) = two_node_fabric(8.0);
         f.set_link_down(NodeId(1));
@@ -630,11 +626,6 @@ mod tests {
             (8, false),
             (20, false),
         ] {
-            assert_eq!(
-                f.link_down(NodeId(0), LinkDir::Egress, ms(t)),
-                down,
-                "at {t} ms"
-            );
             assert_eq!(f.try_transfer(ms(t), a, z, 1).is_err(), down, "at {t} ms");
         }
     }

@@ -6,7 +6,9 @@
 
 use bytes::Bytes;
 use draid::block::Cluster;
-use draid::core::{ArrayConfig, ArraySim, DataMode, FaultSchedule, RaidLevel, SystemKind, UserIo};
+use draid::core::{
+    ArrayConfig, ArraySim, DataMode, FaultAction, FaultSchedule, RaidLevel, SystemKind, UserIo,
+};
 use draid::net::LinkDir;
 use draid::sim::{DetRng, Engine, SimTime};
 
@@ -140,7 +142,13 @@ fn permanent_link_loss_is_declared_and_rebuilt() {
 
     // Member 3's target falls off the fabric for good.
     FaultSchedule::new()
-        .link_down(engine.now() + SimTime::from_micros(100), 3, None)
+        .at(
+            engine.now() + SimTime::from_micros(100),
+            FaultAction::LinkDown {
+                member: 3,
+                duration: None,
+            },
+        )
         .install(&mut engine);
 
     for _ in 0..6 {
