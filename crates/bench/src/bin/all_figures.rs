@@ -9,10 +9,10 @@
 //!
 //! Ids are those of `draid_bench::figures::all`: `table1`, `fig09` …
 //! `fig30`, `ablation`, and the extensions `cpu_util`, `breakdown`,
-//! `openloop` and `oversubscription`. When ids are named, each figure is
-//! followed by its terminal bar chart. An argument that names no figure
-//! exits 2 before any figure runs. The run exits 1 when a gated claim
-//! misses its band.
+//! `openloop`, `oversubscription` and `bottleneck`. When ids are named, each
+//! figure is followed by its terminal bar chart. An argument that names no
+//! figure exits 2 before any figure runs. The run exits 1 when a gated
+//! claim misses its band.
 
 use std::time::Instant;
 

@@ -44,7 +44,7 @@
 use std::time::{Duration, Instant};
 
 use draid_bench::json::Json;
-use draid_bench::{baseline, figures, run_report, ReportConfig};
+use draid_bench::{baseline, figures};
 use draid_sim::SimTime;
 
 /// splitmix64, for deterministic pseudorandom event times.
@@ -373,28 +373,25 @@ fn main() {
     println!("headline (completion_chain_backlog) speedup: {headline:.2}x");
 
     // Macro check: wall time of full-event-mix runs on the real array
-    // model (not micro loops): the reference bottleneck-report scenario,
-    // plus two reference figures in full mode (skipped under --quick so
-    // the CI smoke stays fast).
-    let mut macros: Vec<(&'static str, f64)> = Vec::new();
-    let mut macro_time = |name: &'static str, f: &mut dyn FnMut()| {
-        let start = Instant::now();
-        f();
-        let ms = start.elapsed().as_secs_f64() * 1e3;
-        println!("macro {name}: {ms:.1} ms");
-        macros.push((name, ms));
+    // model (not micro loops): the `bottleneck` figure's single traced run,
+    // plus two reference figures (skipped under --quick so the CI smoke
+    // stays fast).
+    let ids: &[&'static str] = if quick {
+        &["bottleneck"]
+    } else {
+        &["bottleneck", "fig10", "fig15"]
     };
-    macro_time("report_quick", &mut || {
-        let _ = run_report(&ReportConfig::quick());
-    });
-    if !quick {
-        for id in ["fig10", "fig15"] {
+    let macros: Vec<(&'static str, f64)> = ids
+        .iter()
+        .map(|&id| {
             let spec = figures::by_id(id).expect("known reference figure");
-            macro_time(id, &mut || {
-                let _ = spec.build();
-            });
-        }
-    }
+            let start = Instant::now();
+            let _ = spec.build();
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            println!("macro {id}: {ms:.1} ms");
+            (id, ms)
+        })
+        .collect();
 
     let (cores, cpu_model) = draid_bench::machine();
     let doc = Json::obj([

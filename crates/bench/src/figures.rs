@@ -206,6 +206,11 @@ pub fn all() -> Vec<FigureSpec> {
             "Two-tier topology with an oversubscribed storage core",
             exp_misc::oversubscription("oversubscription")
         ),
+        spec!(
+            "bottleneck",
+            "Where one loaded run's time goes, per resource class and slice",
+            exp_misc::bottleneck("bottleneck")
+        ),
     ]
 }
 
@@ -236,6 +241,7 @@ mod tests {
             "breakdown",
             "openloop",
             "oversubscription",
+            "bottleneck",
         ];
         assert_eq!(ids[ids.len() - tail.len()..], tail);
     }
@@ -259,6 +265,39 @@ mod tests {
             draid <= 0.55 * spdk,
             "dRAID {draid} vs SPDK {spdk} net bytes/op"
         );
+    }
+
+    /// The `bottleneck` figure splits every class's span into queueing and
+    /// service, names the busiest resource of every slice, and drops no
+    /// trace event; in a debug build its final audit also checks every
+    /// conservation ledger.
+    #[test]
+    fn bottleneck_attributes_every_class_and_slice() {
+        let fig = by_id("bottleneck").expect("registered").build();
+        let span = fig.series("span").expect("span row");
+        assert_eq!(span.points.len(), 4);
+        for p in &span.points {
+            let parts = fig.y("queue", p.x) + fig.y("service", p.x);
+            assert!((parts - p.y).abs() <= 1e-9 * p.y.max(1.0), "class {}", p.x);
+        }
+        let shares = |prefix: &str| -> Vec<f64> {
+            let notes = fig.notes.iter().filter(|n| n.starts_with(prefix));
+            notes
+                .map(|n| {
+                    let pct = n.rsplit(' ').next().and_then(|w| w.strip_suffix('%'));
+                    pct.and_then(|w| w.parse().ok()).expect(n)
+                })
+                .collect()
+        };
+        let busiest = shares("busy over the window: ");
+        let slices = shares("busiest up to ");
+        assert_eq!(busiest.len(), 8);
+        assert_eq!(slices.len(), draid_core::MEASURE_SLICES as usize);
+        for share in busiest.iter().chain(&slices) {
+            assert!((0.0..=100.0).contains(share), "{share}% busy");
+        }
+        assert!(busiest[0] > 30.0, "load too light: {busiest:?}");
+        assert!(!fig.notes.iter().any(|n| n.contains("dropped")));
     }
 
     /// The eight reproduction gates are gated rows of the figures that

@@ -1,11 +1,11 @@
 //! A minimal JSON document model and its writer.
 //!
 //! The workspace's `serde` is a façade without a JSON backend, so the bench
-//! crate carries its own small writer. Every JSON file it writes — the
-//! [`crate::report`] document, `BENCH_kernels.json` and `BENCH_sim.json` —
-//! is a [`Json`] value printed through its `Display` impl. Nothing in the
-//! library reads JSON: the reader and the schema validator the crate's
-//! tests check those files with live in `tests/common/json.rs`.
+//! crate carries its own small writer. Both JSON files it writes —
+//! `BENCH_kernels.json` and `BENCH_sim.json` — are [`Json`] values printed
+//! through its `Display` impl. Nothing in the library reads JSON: the
+//! reader the crate's tests check those files with lives in
+//! `tests/common/json.rs`.
 
 use std::fmt;
 

@@ -10,13 +10,11 @@
 //! `all_figures` runs the whole evaluation and emits a Markdown report;
 //! `all_figures <id>...` regenerates individual figures (`fig09` … `fig30`,
 //! `table1`, `ablation`, and the extensions `cpu_util`, `breakdown`,
-//! `openloop`, `oversubscription`). The `kernels` and `simperf` binaries
-//! time the GF(256) kernels and the event engine against recorded
-//! baselines (`BENCH_kernels.json`, `BENCH_sim.json`).
-//!
-//! The `report` binary is the observability plane's front end: it runs a
-//! reference scenario and attributes the bottleneck per phase, as aligned
-//! text or JSON (see [`report`]).
+//! `openloop`, `oversubscription` and `bottleneck`, which attributes one
+//! loaded run's time to resource classes and its busiest resource to each
+//! slice of the window). The `kernels` and `simperf` binaries time the
+//! GF(256) kernels and the event engine against recorded baselines
+//! (`BENCH_kernels.json`, `BENCH_sim.json`).
 //!
 //! ## Example
 //!
@@ -37,12 +35,10 @@ mod figure;
 pub mod figures;
 pub mod json;
 pub mod parallel;
-pub mod report;
 mod setup;
 
 pub use claim::{headline_table, Band, Claim, Kind, Value};
 pub use figure::{Figure, Point, Series};
-pub use report::{run_report, BottleneckReport, ReportConfig};
 pub use setup::{build_array, build_hetero_array, Scenario};
 
 /// The machine a wall-clock report ran on, as `(logical cores, CPU model)`.

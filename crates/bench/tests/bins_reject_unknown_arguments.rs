@@ -7,14 +7,11 @@ use std::process::Command;
 
 #[test]
 fn unknown_arguments_exit_2_before_anything_runs() {
-    let cases: [(&str, &[&str]); 7] = [
+    let cases: [(&str, &[&str]); 4] = [
         (env!("CARGO_BIN_EXE_all_figures"), &["fig10", "fgi15"]),
         (env!("CARGO_BIN_EXE_kernels"), &["--quik"]),
         (env!("CARGO_BIN_EXE_kernels"), &["--quick", "--out"]),
         (env!("CARGO_BIN_EXE_simperf"), &["--quick", "--bogus"]),
-        (env!("CARGO_BIN_EXE_report"), &["--jsn"]),
-        (env!("CARGO_BIN_EXE_report"), &["--prometheus"]),
-        (env!("CARGO_BIN_EXE_report"), &["--text"]),
     ];
     for (i, (bin, args)) in cases.into_iter().enumerate() {
         // A fresh working directory shows that no report file was written.

@@ -1,10 +1,7 @@
 //! The JSON reader the bench tests check written documents with: a parser
-//! into the library's [`Json`] model, a schema validator, and the getters
-//! both need ([`JsonExt`]).
-//!
-//! [`validate`] covers the JSON Schema subset `schema/report.schema.json`
-//! uses: `type`, `properties`, `required`, `items`. Each test target uses a
-//! different part of the reader, so unused items are no warning here.
+//! into the library's [`Json`] model and its getters ([`JsonExt`]). Each
+//! test target uses a different part of the reader, so unused items are no
+//! warning here.
 #![allow(dead_code)]
 
 use std::fmt;
@@ -278,64 +275,5 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("bad number"))
-    }
-}
-
-/// Validates `value` against `schema` — the JSON Schema subset used by
-/// `schema/report.schema.json`: `type`, `required`, `properties`, `items`.
-///
-/// # Errors
-///
-/// A human-readable path + reason for the first violation found.
-pub fn validate(schema: &Json, value: &Json) -> Result<(), String> {
-    validate_at(schema, value, "$")
-}
-
-fn validate_at(schema: &Json, value: &Json, path: &str) -> Result<(), String> {
-    if let Some(Json::Str(ty)) = schema.get("type") {
-        let ok = match ty.as_str() {
-            "integer" => matches!(value, Json::Num(n) if n.fract() == 0.0),
-            other => type_name(value) == other,
-        };
-        if !ok {
-            return Err(format!("{path}: expected {ty}, got {}", type_name(value)));
-        }
-    }
-    if let Some(Json::Arr(required)) = schema.get("required") {
-        for name in required {
-            let name = name
-                .as_str()
-                .ok_or_else(|| format!("{path}: schema 'required' entries must be strings"))?;
-            if value.get(name).is_none() {
-                return Err(format!("{path}: missing required member '{name}'"));
-            }
-        }
-    }
-    if let Some(Json::Obj(props)) = schema.get("properties") {
-        for (name, subschema) in props {
-            if let Some(member) = value.get(name) {
-                validate_at(subschema, member, &format!("{path}.{name}"))?;
-            }
-        }
-    }
-    if let Some(items) = schema.get("items") {
-        if let Json::Arr(elems) = value {
-            for (i, elem) in elems.iter().enumerate() {
-                validate_at(items, elem, &format!("{path}[{i}]"))?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// JSON type name, as JSON Schema spells it.
-fn type_name(value: &Json) -> &'static str {
-    match value {
-        Json::Null => "null",
-        Json::Bool(_) => "boolean",
-        Json::Num(_) => "number",
-        Json::Str(_) => "string",
-        Json::Arr(_) => "array",
-        Json::Obj(_) => "object",
     }
 }
