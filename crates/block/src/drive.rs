@@ -124,18 +124,6 @@ impl Drive {
         self.slow_factor = factor;
     }
 
-    /// Replaces the drive with a healthy one (hot-spare swap from the shared
-    /// storage pool, Table 1).
-    pub fn replace(&mut self) {
-        self.state = DriveState::Healthy;
-        self.channel = RateResource::new(READ_RATE);
-        self.slow_factor = 1.0;
-        self.reads = 0;
-        self.writes = 0;
-        self.bytes_offered = 0;
-        self.bytes_dropped = 0;
-    }
-
     /// Queues a read of `bytes`. Returns the service window whose `end`
     /// includes the access latency.
     ///
@@ -342,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn permanent_failure_and_replace() {
+    fn permanent_failure_is_final() {
         let mut d = drive();
         d.fail_permanently();
         assert_eq!(d.write(SimTime::ZERO, 512), Err(DriveError::Failed));
@@ -352,8 +340,6 @@ mod tests {
             d.write(SimTime::from_millis(1_000), 512),
             Err(DriveError::Failed)
         );
-        d.replace();
-        assert!(d.write(SimTime::from_millis(1_000), 512).is_ok());
     }
 
     #[test]

@@ -19,7 +19,9 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use draid_block::Cluster;
-use draid_core::{ArrayConfig, ArraySim, DataMode, FaultSchedule, RaidLevel, SystemKind, UserIo};
+use draid_core::{
+    ArrayConfig, ArraySim, DataMode, FaultAction, FaultSchedule, RaidLevel, SystemKind, UserIo,
+};
 use draid_net::LinkDir;
 use draid_sim::{DetRng, Engine, Histogram, SimTime, UtilizationTimeline};
 
@@ -70,14 +72,32 @@ pub fn run(seed: u64) -> Report {
 fn reference_faults() -> FaultSchedule {
     let ms = SimTime::from_millis;
     let us = SimTime::from_micros;
+    let transient = |member, duration| FaultAction::Transient { member, duration };
+    let fail_slow = |member, factor| FaultAction::FailSlow { member, factor };
     FaultSchedule::new()
-        .transient(ms(1), 1, us(900))
-        .transient(ms(3), 4, us(1_400))
-        .fail_slow(ms(2), 2, 3.0)
-        .restore_speed(ms(6), 2)
-        .degrade_link(ms(4), 3, LinkDir::Ingress, 0.5, ms(2))
-        .flap_link(ms(7), 5, us(200), us(300), 3)
-        .transient(ms(9), 0, us(700))
+        .at(ms(1), transient(1, us(900)))
+        .at(ms(3), transient(4, us(1_400)))
+        .at(ms(2), fail_slow(2, 3.0))
+        .at(ms(6), fail_slow(2, 1.0))
+        .at(
+            ms(4),
+            FaultAction::DegradeLink {
+                member: 3,
+                dir: LinkDir::Ingress,
+                factor: 0.5,
+                duration: ms(2),
+            },
+        )
+        .at(
+            ms(7),
+            FaultAction::FlapLink {
+                member: 5,
+                down_for: us(200),
+                up_for: us(300),
+                cycles: 3,
+            },
+        )
+        .at(ms(9), transient(0, us(700)))
 }
 
 /// Builds the reference array, pre-schedules the seeded workload and the

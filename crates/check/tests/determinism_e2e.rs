@@ -5,7 +5,9 @@
 
 use bytes::Bytes;
 use draid_block::Cluster;
-use draid_core::{ArrayConfig, ArraySim, DataMode, FaultSchedule, RaidLevel, SystemKind, UserIo};
+use draid_core::{
+    ArrayConfig, ArraySim, DataMode, FaultAction, FaultSchedule, RaidLevel, SystemKind, UserIo,
+};
 use draid_sim::{DetRng, Engine, SimTime};
 
 #[test]
@@ -71,11 +73,14 @@ fn fault_run(seed: u64) -> (String, Vec<String>, Vec<bool>) {
             w.submit(eng, UserIo::write_bytes(off, Bytes::from(data)));
         });
     }
+    let (ms, us) = (SimTime::from_millis, SimTime::from_micros);
+    let transient = |member, duration| FaultAction::Transient { member, duration };
+    let fail_slow = |member, factor| FaultAction::FailSlow { member, factor };
     FaultSchedule::new()
-        .transient(SimTime::from_millis(1), 2, SimTime::from_micros(800))
-        .transient(SimTime::from_millis(4), 0, SimTime::from_micros(1_200))
-        .fail_slow(SimTime::from_millis(2), 3, 2.5)
-        .restore_speed(SimTime::from_millis(5), 3)
+        .at(ms(1), transient(2, us(800)))
+        .at(ms(4), transient(0, us(1_200)))
+        .at(ms(2), fail_slow(3, 2.5))
+        .at(ms(5), fail_slow(3, 1.0))
         .install(&mut engine);
     engine.run(&mut array);
 

@@ -220,11 +220,9 @@ impl ArraySim {
         self.cluster.audit_conservation();
     }
 
-    /// Currently faulty member indices.
+    /// Currently faulty member indices, ascending.
     pub fn faulty_members(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self.faulty.iter().copied().collect();
-        v.sort_unstable();
-        v
+        self.faulty.iter().copied().collect()
     }
 
     /// The chunk store, when running with a full data plane, once every
@@ -344,16 +342,6 @@ impl ArraySim {
             .drive_mut(self.member_servers[member])
             .fail_permanently();
         self.mark_faulty(member);
-    }
-
-    /// Injects a transient failure (§5.4: network jitter / resets). The host
-    /// discovers it through timeouts and retries; the member becomes faulty
-    /// only if errors persist past the threshold.
-    pub fn inject_transient(&mut self, now: SimTime, member: usize, duration: SimTime) {
-        assert!(member < self.cfg.width, "member out of range");
-        self.cluster
-            .drive_mut(self.member_servers[member])
-            .fail_transiently(now, duration);
     }
 
     pub(crate) fn mark_faulty(&mut self, member: usize) {

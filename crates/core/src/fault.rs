@@ -18,15 +18,18 @@
 //! the rebuild's concurrency are constants, not settings: the recovery
 //! story runs one way.
 //!
-//! [`FaultSchedule`] is the other half: a deterministic, declarative script
-//! of fault injections ("at 2 ms, kill member 3's drive; at 5 ms, flap
-//! member 1's link") that compiles onto the same engine. Chaos tests state
+//! Injection is the other half, with one vocabulary: every fault is a
+//! [`FaultAction`] value, and [`ArraySim::inject`] applies it at the instant
+//! the engine fires it. A [`FaultSchedule`] is a deterministic, declarative
+//! script of such actions ("at 2 ms, kill member 3's drive; at 5 ms, flap
+//! member 1's link") installed as plain engine events, so chaos tests state
 //! their scenario up front instead of interleaving injection calls with the
-//! workload loop.
+//! workload loop; a test that needs a fault at a computed instant schedules
+//! its own event that calls `inject`.
 
 use draid_block::ServerId;
 use draid_net::LinkDir;
-use draid_sim::{Engine, SimTime, TimerHandle};
+use draid_sim::{Engine, SimTime};
 
 use crate::array::ArraySim;
 
@@ -84,7 +87,7 @@ impl ArraySim {
         // Fail-slow sweep: gray members get quarantined (visible via
         // `health()`); declaration stays with the error-evidence path, so a
         // merely slow member never triggers a rebuild by itself.
-        self.health.check_fail_slow(now, &self.faulty);
+        self.health.check_fail_slow(now);
 
         // Declared failures: draw a spare from the pool and reconstruct.
         // One rebuild at a time (the rebuilder's own constraint); the next
@@ -110,66 +113,69 @@ impl ArraySim {
         })
     }
 
-    /// Makes a member's drive fail-slow: every drive op serves `factor ×`
-    /// slower, with no errors. `1.0` restores full speed.
-    pub fn inject_fail_slow(&mut self, member: usize, factor: f64) {
+    /// Applies one fault to the array at `now`, the instant the engine
+    /// fires it: the one entry point for every injected fault, whether a
+    /// [`FaultSchedule`] installed it or a test's own engine event calls it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the action's member is out of range.
+    pub fn inject(&mut self, now: SimTime, action: FaultAction) {
+        let (FaultAction::FailDrive { member }
+        | FaultAction::DeclareFailed { member }
+        | FaultAction::Transient { member, .. }
+        | FaultAction::FailSlow { member, .. }
+        | FaultAction::LinkDown { member, .. }
+        | FaultAction::FlapLink { member, .. }
+        | FaultAction::DegradeLink { member, .. }
+        | FaultAction::Corrupt { member, .. }) = action;
         assert!(member < self.cfg.width, "member out of range");
-        self.cluster
-            .drive_mut(self.member_servers[member])
-            .set_fail_slow(factor);
-    }
-
-    pub(crate) fn apply_fault(&mut self, eng: &mut Engine<ArraySim>, action: FaultAction) {
-        let now = eng.now();
+        let server = self.member_servers[member];
+        let node = self.member_nodes[member];
         match action {
             // The array is not told: the §5.4 detection path (timeouts,
             // errored retries, windowed evidence) has to declare it.
-            FaultAction::FailDrive { member } => self
+            FaultAction::FailDrive { .. } => self.cluster.drive_mut(server).fail_permanently(),
+            FaultAction::DeclareFailed { .. } => self.fail_member(member),
+            // The host discovers it through timeouts and retries; the member
+            // becomes faulty only if errors persist past the threshold.
+            FaultAction::Transient { duration, .. } => self
                 .cluster
-                .drive_mut(self.member_servers[member])
-                .fail_permanently(),
-            FaultAction::DeclareFailed { member } => self.fail_member(member),
-            FaultAction::Transient { member, duration } => {
-                self.inject_transient(now, member, duration)
+                .drive_mut(server)
+                .fail_transiently(now, duration),
+            FaultAction::FailSlow { factor, .. } => {
+                self.cluster.drive_mut(server).set_fail_slow(factor)
             }
-            FaultAction::FailSlow { member, factor } => self.inject_fail_slow(member, factor),
-            FaultAction::LinkDown { member, duration } => {
-                let node = self.member_nodes[member];
-                match duration {
-                    Some(d) => self
-                        .cluster
-                        .fabric_mut()
-                        .schedule_link_down(node, now, now + d),
-                    None => self.cluster.fabric_mut().set_link_down(node),
-                }
+            FaultAction::LinkDown { duration, .. } => {
+                let until = duration.map_or(SimTime::MAX, |d| now + d);
+                self.cluster
+                    .fabric_mut()
+                    .schedule_link_down(node, now, until);
             }
             FaultAction::FlapLink {
-                member,
                 down_for,
                 up_for,
                 cycles,
+                ..
             } => {
-                let node = self.member_nodes[member];
-                self.cluster
-                    .fabric_mut()
-                    .flap_link(node, now, down_for, up_for, cycles);
+                let mut t = now;
+                for _ in 0..cycles {
+                    self.cluster
+                        .fabric_mut()
+                        .schedule_link_down(node, t, t + down_for);
+                    t = t + down_for + up_for;
+                }
             }
             FaultAction::DegradeLink {
-                member,
                 dir,
                 factor,
                 duration,
-            } => {
-                let node = self.member_nodes[member];
-                self.cluster
-                    .fabric_mut()
-                    .degrade_link(node, dir, factor, now, now + duration);
-            }
-            FaultAction::Corrupt {
-                stripe,
-                member,
-                byte,
-            } => {
+                ..
+            } => self
+                .cluster
+                .fabric_mut()
+                .degrade_link(node, dir, factor, now, now + duration),
+            FaultAction::Corrupt { stripe, byte, .. } => {
                 if let Some(data) = &mut self.data {
                     data.corrupt_chunk(stripe, member, byte);
                 }
@@ -178,7 +184,8 @@ impl ArraySim {
     }
 }
 
-/// One injected fault (see the [`FaultSchedule`] builder methods).
+/// One injected fault, applied by [`ArraySim::inject`] (directly or through
+/// a [`FaultSchedule`]).
 #[derive(Clone, Copy, Debug)]
 pub enum FaultAction {
     /// Drive fails permanently; the host must *discover* it (§5.4).
@@ -248,24 +255,33 @@ pub enum FaultAction {
 
 /// A declarative, deterministic script of fault injections.
 ///
-/// Build the scenario up front with the chainable methods, then
+/// Build the scenario up front with [`at`](FaultSchedule::at), then
 /// [`install`](FaultSchedule::install) it on the engine before running the
-/// workload:
+/// workload; each action reaches [`ArraySim::inject`] at its instant:
 ///
 /// ```
-/// use draid_core::FaultSchedule;
-/// use draid_sim::SimTime;
+/// use draid_block::Cluster;
+/// use draid_core::{ArrayConfig, ArraySim, FaultAction, FaultSchedule, SystemKind};
+/// use draid_sim::{Engine, SimTime};
 ///
-/// let schedule = FaultSchedule::new()
-///     .fail_drive(SimTime::from_millis(2), 3)
-///     .flap_link(
+/// let cfg = ArrayConfig::paper_default(SystemKind::Draid);
+/// let mut array = ArraySim::new(Cluster::homogeneous(8), cfg)?;
+/// let mut engine = Engine::new();
+/// FaultSchedule::new()
+///     .at(SimTime::from_millis(2), FaultAction::FailDrive { member: 3 })
+///     .at(
 ///         SimTime::from_millis(5),
-///         1,
-///         SimTime::from_micros(300),
-///         SimTime::from_micros(700),
-///         4,
-///     );
-/// assert_eq!(schedule.len(), 2);
+///         FaultAction::FlapLink {
+///             member: 1,
+///             down_for: SimTime::from_micros(300),
+///             up_for: SimTime::from_micros(700),
+///             cycles: 4,
+///         },
+///     )
+///     .install(&mut engine);
+/// engine.run(&mut array);
+/// assert_eq!(engine.now(), SimTime::from_millis(5));
+/// # Ok::<(), String>(())
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct FaultSchedule {
@@ -278,102 +294,17 @@ impl FaultSchedule {
         Self::default()
     }
 
-    /// Number of scheduled injections.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Adds a raw action at `at`.
+    /// Adds `action` at `at`.
     pub fn at(mut self, at: SimTime, action: FaultAction) -> Self {
         self.events.push((at, action));
         self
     }
 
-    /// At `at`, member `member`'s drive dies (detection path).
-    pub fn fail_drive(self, at: SimTime, member: usize) -> Self {
-        self.at(at, FaultAction::FailDrive { member })
-    }
-
-    /// At `at`, member `member` errors for `duration`, then recovers.
-    pub fn transient(self, at: SimTime, member: usize, duration: SimTime) -> Self {
-        self.at(at, FaultAction::Transient { member, duration })
-    }
-
-    /// At `at`, member `member` starts serving `factor ×` slower.
-    pub fn fail_slow(self, at: SimTime, member: usize, factor: f64) -> Self {
-        self.at(at, FaultAction::FailSlow { member, factor })
-    }
-
-    /// At `at`, member `member` returns to full speed.
-    pub fn restore_speed(self, at: SimTime, member: usize) -> Self {
-        self.at(
-            at,
-            FaultAction::FailSlow {
-                member,
-                factor: 1.0,
-            },
-        )
-    }
-
-    /// At `at`, member `member`'s link starts `cycles` down/up flaps.
-    pub fn flap_link(
-        self,
-        at: SimTime,
-        member: usize,
-        down_for: SimTime,
-        up_for: SimTime,
-        cycles: u32,
-    ) -> Self {
-        self.at(
-            at,
-            FaultAction::FlapLink {
-                member,
-                down_for,
-                up_for,
-                cycles,
-            },
-        )
-    }
-
-    /// At `at`, member `member`'s link serves at `factor ×` its rate in
-    /// direction `dir` for `duration`.
-    pub fn degrade_link(
-        self,
-        at: SimTime,
-        member: usize,
-        dir: LinkDir,
-        factor: f64,
-        duration: SimTime,
-    ) -> Self {
-        self.at(
-            at,
-            FaultAction::DegradeLink {
-                member,
-                dir,
-                factor,
-                duration,
-            },
-        )
-    }
-
     /// Schedules every injection on the engine. Call before (or while)
     /// running the workload; the events fire at their simulated times.
-    /// Returns one [`TimerHandle`] per injection, in schedule order, so a
-    /// test can call off the part of the script that hasn't happened yet
-    /// (`eng.cancel(handle)`); canceling a fired injection is a no-op.
-    pub fn install(self, eng: &mut Engine<ArraySim>) -> Vec<TimerHandle> {
-        self.events
-            .into_iter()
-            .map(|(at, action)| {
-                eng.schedule_timer_at(at, move |w: &mut ArraySim, eng| {
-                    w.apply_fault(eng, action);
-                })
-            })
-            .collect()
+    pub fn install(self, eng: &mut Engine<ArraySim>) {
+        for (at, action) in self.events {
+            eng.schedule_at(at, move |w: &mut ArraySim, eng| w.inject(eng.now(), action));
+        }
     }
 }

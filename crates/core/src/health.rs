@@ -18,8 +18,6 @@
 //! A member under reconstruction is `Rebuilding`; completion resets it to
 //! `Healthy` with fresh statistics (it is a different physical drive).
 
-use std::collections::BTreeSet;
-
 use draid_sim::SimTime;
 
 /// Health state of one array member.
@@ -173,16 +171,19 @@ impl HealthMonitor {
 
     /// Sweeps the fail-slow detector: any member whose latency EWMA has sat
     /// at `FAIL_SLOW_FACTOR ×` the array median for longer than the grace
-    /// period is quarantined. Members in `skip` (faulty/rebuilding) are
-    /// excluded from both the median and the verdicts. Returns the members
-    /// newly quarantined by this sweep.
-    pub fn check_fail_slow(&mut self, now: SimTime, skip: &BTreeSet<usize>) -> Vec<usize> {
+    /// period is quarantined. `Faulty` and `Rebuilding` members (exactly
+    /// the array's faulty set) are excluded from both the median and the
+    /// verdicts. Returns the members newly quarantined by this sweep.
+    pub fn check_fail_slow(&mut self, now: SimTime) -> Vec<usize> {
+        let judged = |m: &MemberHealth| {
+            m.samples >= MIN_SAMPLES
+                && !matches!(m.state, HealthState::Faulty | HealthState::Rebuilding)
+        };
         let mut ewmas: Vec<f64> = self
             .members
             .iter()
-            .enumerate()
-            .filter(|(i, m)| !skip.contains(i) && m.samples >= MIN_SAMPLES)
-            .map(|(_, m)| m.ewma_ns)
+            .filter(|m| judged(m))
+            .map(|m| m.ewma_ns)
             .collect();
         // A median needs a population to compare against.
         if ewmas.len() < 3 {
@@ -195,10 +196,7 @@ impl HealthMonitor {
         }
         let mut newly = Vec::new();
         for (i, m) in self.members.iter_mut().enumerate() {
-            if skip.contains(&i)
-                || m.samples < MIN_SAMPLES
-                || matches!(m.state, HealthState::Faulty | HealthState::Rebuilding)
-            {
+            if !judged(m) {
                 continue;
             }
             if m.ewma_ns >= FAIL_SLOW_FACTOR * median {
@@ -285,20 +283,19 @@ mod tests {
                 h.record_success(m, if m == 3 { slow } else { fast });
             }
         }
-        let none = BTreeSet::new();
         // First sighting starts the clock but does not quarantine.
-        assert!(h.check_fail_slow(SimTime::from_millis(1), &none).is_empty());
+        assert!(h.check_fail_slow(SimTime::from_millis(1)).is_empty());
         assert_eq!(h.state(3), HealthState::Healthy);
         // Persisting past the grace period quarantines exactly the gray one.
         let later = SimTime::from_millis(1) + h.fail_slow_grace;
-        assert_eq!(h.check_fail_slow(later, &none), vec![3]);
+        assert_eq!(h.check_fail_slow(later), vec![3]);
         assert_eq!(h.state(3), HealthState::Quarantined);
         // Recovery un-quarantines once the EWMA converges back down.
         for _ in 0..200 {
             h.record_success(3, fast);
         }
         assert!(h
-            .check_fail_slow(later + SimTime::from_millis(1), &none)
+            .check_fail_slow(later + SimTime::from_millis(1))
             .is_empty());
         assert_eq!(h.state(3), HealthState::Healthy);
     }

@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use draid_block::{Cluster, ServerId};
 use draid_core::{
-    ArrayConfig, ArraySim, DataMode, IoError, RaidLevel, SystemKind, UserIo, WriteMode,
+    ArrayConfig, ArraySim, DataMode, FaultAction, IoError, RaidLevel, SystemKind, UserIo, WriteMode,
 };
 use draid_sim::{DetRng, Engine, SimTime};
 
@@ -202,7 +202,11 @@ fn transient_failure_recovers_via_timeout_and_retry() {
     let data = rand_bytes(&mut cfg_rng, 8 * KIB);
     // Knock member 0 out briefly; the write hits the error, the host
     // retries as a reconstruct-write after backoff, and succeeds.
-    array.inject_transient(SimTime::ZERO, 0, SimTime::from_millis(20));
+    let transient = FaultAction::Transient {
+        member: 0,
+        duration: SimTime::from_millis(20),
+    };
+    array.inject(SimTime::ZERO, transient);
     array.submit(&mut eng, UserIo::write_bytes(0, data.clone()));
     eng.run(&mut array);
     let res = array.drain_completions().pop().expect("write");
@@ -223,7 +227,11 @@ fn persistent_errors_mark_member_faulty() {
     let (mut array, mut eng) = make(SystemKind::Draid, RaidLevel::Raid5);
     // Long transient: errors exceed the fault threshold, member is faulted,
     // the array goes degraded, and the I/O then completes degraded.
-    array.inject_transient(SimTime::ZERO, 0, SimTime::from_millis(3_600_000));
+    let transient = FaultAction::Transient {
+        member: 0,
+        duration: SimTime::from_millis(3_600_000),
+    };
+    array.inject(SimTime::ZERO, transient);
     array.submit(&mut eng, UserIo::write(0, 8 * KIB));
     eng.run(&mut array);
     let res = array.drain_completions().pop().expect("write");
@@ -456,8 +464,11 @@ fn a_read_whose_op_failed_is_zeros_where_the_op_failed() {
     // across both stripes, the first stripe op succeeds and the second
     // fails, and a read of that chunk alone fails whole.
     let victim = array.layout().data_member(1, 0);
-    let now = eng.now();
-    array.inject_transient(now, victim, SimTime::from_millis(1));
+    let transient = FaultAction::Transient {
+        member: victim,
+        duration: SimTime::from_millis(1),
+    };
+    array.inject(eng.now(), transient);
     array.submit(&mut eng, UserIo::read(stripe - 8 * KIB, 16 * KIB));
     array.submit(&mut eng, UserIo::read(stripe, 8 * KIB));
     eng.run(&mut array);

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use draid_block::{Cluster, ServerId};
-use draid_core::{ArrayConfig, ArraySim, DataMode, RaidLevel, SystemKind, UserIo};
+use draid_core::{ArrayConfig, ArraySim, DataMode, FaultAction, RaidLevel, SystemKind, UserIo};
 use draid_sim::{DetRng, Engine, SimTime};
 
 const KIB: u64 = 1024;
@@ -101,7 +101,11 @@ fn failed_stripe_is_relaunched_alone_and_counted_once() {
     array.fail_member(2);
     array.start_rebuild(&mut eng, 2, ServerId(5), stripes, 4);
     eng.schedule_in(SimTime::from_micros(5), |array: &mut ArraySim, eng| {
-        array.inject_transient(eng.now(), 0, SimTime::from_micros(5));
+        let transient = FaultAction::Transient {
+            member: 0,
+            duration: SimTime::from_micros(5),
+        };
+        array.inject(eng.now(), transient);
     });
     eng.run(&mut array);
     assert!(array.rebuild_status().is_none(), "rebuild finished");

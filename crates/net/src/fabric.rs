@@ -42,14 +42,13 @@ impl std::fmt::Display for LinkError {
 
 impl std::error::Error for LinkError {}
 
-/// Fault state of one NIC direction: hard-down intervals (administrative or
-/// scheduled flap windows) and degraded-rate windows (congestion, a flaky
-/// transceiver, a mis-negotiated link speed).
+/// Fault state of one NIC direction: hard-down intervals (outages, flap
+/// windows; a link down for good is the window `[from, SimTime::MAX)`) and
+/// degraded-rate windows (congestion, a flaky transceiver, a mis-negotiated
+/// link speed).
 #[derive(Debug, Default)]
 struct LinkState {
-    /// Administratively down until further notice.
-    admin_down: bool,
-    /// Scheduled outage windows `[from, until)` — link-flap injection.
+    /// Scheduled outage windows `[from, until)`.
     down_windows: Vec<(SimTime, SimTime)>,
     /// Degraded-rate windows `[from, until, factor)`: the NIC serves at
     /// `rate * factor` while the window is active.
@@ -59,11 +58,9 @@ struct LinkState {
 impl LinkState {
     #[inline]
     fn is_down(&self, now: SimTime) -> bool {
-        self.admin_down
-            || self
-                .down_windows
-                .iter()
-                .any(|&(from, until)| now >= from && now < until)
+        self.down_windows
+            .iter()
+            .any(|&(from, until)| now >= from && now < until)
     }
 
     /// The smallest active degradation factor (degradations stack by taking
@@ -300,32 +297,14 @@ impl Fabric {
         })
     }
 
-    /// Takes a node's NIC administratively down, both directions, for good:
-    /// transfers touching it fail from now on.
-    pub fn set_link_down(&mut self, node: NodeId) {
-        self.for_each_link(node, |l| l.admin_down = true);
-    }
-
     /// Schedules an outage window `[from, until)` on a node's NIC, both
-    /// directions — the building block of link-flap injection.
+    /// directions: transfers touching it fail inside the window. A link
+    /// flap is several windows; `until = SimTime::MAX` takes it down for
+    /// good.
     pub fn schedule_link_down(&mut self, node: NodeId, from: SimTime, until: SimTime) {
-        self.for_each_link(node, |l| l.down_windows.push((from, until)));
-    }
-
-    /// Schedules `cycles` down/up flaps on a node's links: down for
-    /// `down_for` starting at `start`, up for `up_for`, repeating.
-    pub fn flap_link(
-        &mut self,
-        node: NodeId,
-        start: SimTime,
-        down_for: SimTime,
-        up_for: SimTime,
-        cycles: u32,
-    ) {
-        let mut t = start;
-        for _ in 0..cycles {
-            self.schedule_link_down(node, t, t + down_for);
-            t = t + down_for + up_for;
+        let n = &mut self.nodes[node.0];
+        for port in [&mut n.egress, &mut n.ingress] {
+            port.link.down_windows.push((from, until));
         }
     }
 
@@ -352,12 +331,6 @@ impl Fabric {
             LinkDir::Ingress => &mut n.ingress,
         };
         port.link.degraded.push((from, until, factor));
-    }
-
-    fn for_each_link(&mut self, node: NodeId, mut f: impl FnMut(&mut LinkState)) {
-        let n = &mut self.nodes[node.0];
-        f(&mut n.egress.link);
-        f(&mut n.ingress.link);
     }
 
     /// Total bytes a node has sent.
@@ -556,32 +529,33 @@ mod tests {
     }
 
     #[test]
-    fn admin_down_link_refuses_traffic() {
+    fn link_down_for_good_refuses_traffic() {
         let (mut f, a, z) = two_node_fabric(8.0);
-        f.set_link_down(NodeId(0));
+        f.schedule_link_down(NodeId(0), SimTime::ZERO, SimTime::MAX);
         let err = f.try_transfer(SimTime::ZERO, a, z, 4096).unwrap_err();
         assert_eq!(err.node, NodeId(0), "blames the dead sender");
         let err = f.try_transfer(SimTime::ZERO, z, a, 4096).unwrap_err();
         assert_eq!(err.node, NodeId(0), "both directions are down");
         // A dead receiver is blamed too.
         let (mut f, a, z) = two_node_fabric(8.0);
-        f.set_link_down(NodeId(1));
+        f.schedule_link_down(NodeId(1), SimTime::ZERO, SimTime::MAX);
         let err = f.try_transfer(SimTime::ZERO, a, z, 4096).unwrap_err();
         assert_eq!(err.node, NodeId(1));
+        // Down for good: still refused arbitrarily late.
+        let err = f.try_transfer(SimTime::from_millis(3_600_000), a, z, 1);
+        assert_eq!(err.unwrap_err().node, NodeId(1));
     }
 
     #[test]
     fn conservation_ledger_balances_under_faults() {
         let (mut f, a, z) = two_node_fabric(8.0);
+        let ms = SimTime::from_millis;
         f.try_transfer(SimTime::ZERO, a, z, 4096).expect("link up");
-        f.set_link_down(NodeId(1));
+        f.schedule_link_down(NodeId(1), SimTime::ZERO, ms(1));
         assert!(f.try_transfer(SimTime::ZERO, a, z, 1000).is_err());
-        f.for_each_link(NodeId(1), |l| l.admin_down = false);
-        f.set_link_down(NodeId(0));
-        assert!(f.try_transfer(SimTime::ZERO, a, z, 500).is_err());
-        f.for_each_link(NodeId(0), |l| l.admin_down = false);
-        f.try_transfer(SimTime::from_millis(1), a, z, 100)
-            .expect("link up");
+        f.schedule_link_down(NodeId(0), ms(1), ms(2));
+        assert!(f.try_transfer(ms(1), a, z, 500).is_err());
+        f.try_transfer(ms(2), a, z, 100).expect("link up");
         // offered = served + dropped on every direction.
         f.audit_conservation();
         assert_eq!(
@@ -614,8 +588,10 @@ mod tests {
     fn flap_windows_alternate_down_and_up() {
         let (mut f, a, z) = two_node_fabric(8.0);
         let ms = SimTime::from_millis;
-        f.flap_link(NodeId(0), ms(1), ms(1), ms(2), 3);
-        // Down windows: [1,2), [4,5), [7,8) ms.
+        // Three flaps, down 1 ms and up 2 ms from 1 ms: [1,2), [4,5), [7,8).
+        for from in [1, 4, 7] {
+            f.schedule_link_down(NodeId(0), ms(from), ms(from + 1));
+        }
         for (t, down) in [
             (0, false),
             (1, true),

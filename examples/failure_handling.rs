@@ -7,7 +7,7 @@
 //! ```
 
 use draid::block::Cluster;
-use draid::core::{ArrayConfig, ArraySim, DataMode, SystemKind, UserIo};
+use draid::core::{ArrayConfig, ArraySim, DataMode, FaultAction, SystemKind, UserIo};
 use draid::sim::{DetRng, Engine, SimTime};
 
 fn main() -> Result<(), String> {
@@ -26,7 +26,11 @@ fn main() -> Result<(), String> {
     rng.fill_bytes(&mut data);
     // The transient hits the very member the write lands on.
     let written_member = array.layout().data_member(0, 0);
-    array.inject_transient(engine.now(), written_member, SimTime::from_millis(3));
+    let transient = FaultAction::Transient {
+        member: written_member,
+        duration: SimTime::from_millis(3),
+    };
+    array.inject(engine.now(), transient);
     array.submit(
         &mut engine,
         UserIo::write_bytes(0, bytes::Bytes::from(data.clone())),
@@ -62,10 +66,12 @@ fn main() -> Result<(), String> {
 
     // --- 3. Silent corruption caught by a scrub pass. ------------------------
     let victim = array.layout().data_member(0, 0);
-    array
-        .store_mut()
-        .expect("full mode")
-        .corrupt_chunk(0, victim, 4096);
+    let corrupt = FaultAction::Corrupt {
+        stripe: 0,
+        member: victim,
+        byte: 4096,
+    };
+    array.inject(engine.now(), corrupt);
     array.start_scrub(&mut engine, 4, 2);
     engine.run(&mut array);
     let report = array.take_scrub_report().expect("scrub finished");

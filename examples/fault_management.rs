@@ -9,7 +9,9 @@
 
 use bytes::Bytes;
 use draid::block::Cluster;
-use draid::core::{ArrayConfig, ArraySim, DataMode, FaultSchedule, SystemKind, UserIo};
+use draid::core::{
+    ArrayConfig, ArraySim, DataMode, FaultAction, FaultSchedule, SystemKind, UserIo,
+};
 use draid::sim::{DetRng, Engine, SimTime};
 
 fn main() -> Result<(), String> {
@@ -26,15 +28,28 @@ fn main() -> Result<(), String> {
 
     // The whole scenario is declared up front and replays deterministically.
     FaultSchedule::new()
-        .fail_drive(SimTime::from_millis(2), 4) // silent: must be *detected*
-        .flap_link(
-            SimTime::from_millis(1),
-            1,
-            SimTime::from_micros(300),
+        // Silent: the array must *detect* the dead drive.
+        .at(
             SimTime::from_millis(2),
-            3,
+            FaultAction::FailDrive { member: 4 },
         )
-        .fail_slow(SimTime::from_micros(10), 2, 8.0) // gray member, 8x latency
+        .at(
+            SimTime::from_millis(1),
+            FaultAction::FlapLink {
+                member: 1,
+                down_for: SimTime::from_micros(300),
+                up_for: SimTime::from_millis(2),
+                cycles: 3,
+            },
+        )
+        // A gray member: 8x latency, no errors.
+        .at(
+            SimTime::from_micros(10),
+            FaultAction::FailSlow {
+                member: 2,
+                factor: 8.0,
+            },
+        )
         .install(&mut engine);
 
     let mut rng = DetRng::new(7);

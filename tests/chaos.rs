@@ -5,7 +5,7 @@
 
 use bytes::Bytes;
 use draid::block::Cluster;
-use draid::core::{ArrayConfig, ArraySim, DataMode, RaidLevel, SystemKind, UserIo};
+use draid::core::{ArrayConfig, ArraySim, DataMode, FaultAction, RaidLevel, SystemKind, UserIo};
 use draid::sim::{DetRng, Engine, SimTime};
 
 const KIB: u64 = 1024;
@@ -54,10 +54,13 @@ fn run_chaos(level: RaidLevel, seed: u64, rounds: u64) -> ChaosOutcome {
         // genuinely transient; longer outages are *supposed* to fault the
         // member (§5.4 prolonged failure), which the rebuild test covers.
         let victim = rng.below(6) as usize;
-        let duration = SimTime::from_micros(200 + rng.below(1_800));
+        let transient = FaultAction::Transient {
+            member: victim,
+            duration: SimTime::from_micros(200 + rng.below(1_800)),
+        };
         let when = engine.now() + SimTime::from_micros(rng.below(300));
         engine.schedule_at(when, move |w: &mut ArraySim, eng| {
-            w.inject_transient(eng.now(), victim, duration);
+            w.inject(eng.now(), transient)
         });
         engine.run(&mut array);
         let results = array.drain_completions();

@@ -2,18 +2,21 @@
 //! *detected* through the §5.4 evidence path, *declared*, and *rebuilt* onto
 //! a pool spare by the fault manager — with no manual `start_rebuild` — while
 //! the workload keeps running; fail-slow (gray) members are quarantined
-//! without ever tripping a rebuild; and transients striking mid-rebuild
-//! neither corrupt the spare nor stall the pump.
+//! without ever tripping a rebuild; transients striking mid-rebuild
+//! neither corrupt the spare nor stall the pump; and a fault applied with
+//! `ArraySim::inject` from an engine event acts exactly like the same fault
+//! installed through a `FaultSchedule`.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use bytes::Bytes;
-use draid::block::Cluster;
+use draid::block::{Cluster, ServerId};
 use draid::core::{
     ArrayConfig, ArraySim, CompletionHook, DataMode, FaultAction, FaultSchedule, HealthState,
     RaidLevel, SystemKind, UserIo,
 };
+use draid::net::{LinkDir, NodeId};
 use draid::sim::{DetRng, Engine, SimTime};
 
 const KIB: u64 = 1024;
@@ -68,7 +71,10 @@ fn auto_rebuild_closes_the_loop_without_operator() {
     // Member 2's drive dies *silently* — no declaration. The host has to
     // discover it from errored ops (§5.4 windowed evidence).
     FaultSchedule::new()
-        .fail_drive(engine.now() + SimTime::from_micros(100), 2)
+        .at(
+            engine.now() + SimTime::from_micros(100),
+            FaultAction::FailDrive { member: 2 },
+        )
         .install(&mut engine);
 
     // Sustained writes: evidence accrues, the member is declared, the
@@ -117,7 +123,10 @@ fn second_failure_is_rebuilt_by_the_rearmed_manager() {
 
     for victim in [1usize, 3] {
         FaultSchedule::new()
-            .fail_drive(engine.now() + SimTime::from_micros(50), victim)
+            .at(
+                engine.now() + SimTime::from_micros(50),
+                FaultAction::FailDrive { member: victim },
+            )
             .install(&mut engine);
         for _ in 0..6 {
             let results = write_round(&mut array, &mut engine, &mut rng, &mut shadow, &slots);
@@ -214,8 +223,9 @@ fn fail_slow_member_is_quarantined_not_rebuilt() {
     let slots: Vec<u64> = (0..stripes).collect();
 
     // Member 1 serves 10× slower — no errors, just latency (gray failure).
+    let fail_slow = |factor| FaultAction::FailSlow { member: 1, factor };
     FaultSchedule::new()
-        .fail_slow(SimTime::from_micros(10), 1, 10.0)
+        .at(SimTime::from_micros(10), fail_slow(10.0))
         .install(&mut engine);
 
     // Mixed rounds, spaced out so the latency excess persists well past the
@@ -243,7 +253,7 @@ fn fail_slow_member_is_quarantined_not_rebuilt() {
     assert_eq!(array.stats.failed_ios, 0);
 
     // Restoring full speed recovers the member after fresh samples.
-    array.inject_fail_slow(1, 1.0);
+    array.inject(engine.now(), fail_slow(1.0));
     for _ in 0..20 {
         write_round(&mut array, &mut engine, &mut rng, &mut shadow, &slots);
     }
@@ -271,15 +281,17 @@ fn transient_mid_rebuild_neither_corrupts_nor_stalls() {
     write_round(&mut array, &mut engine, &mut rng, &mut shadow, &slots);
 
     array.fail_member(2);
-    array.start_rebuild(&mut engine, 2, draid::block::ServerId(5), stripes, 2);
+    array.start_rebuild(&mut engine, 2, ServerId(5), stripes, 2);
     // A survivor goes transient while its chunks are being pulled for
     // reconstruction; failed stripe rebuilds must rewind and retry, not
     // poison the spare or wedge the pump.
     FaultSchedule::new()
-        .transient(
+        .at(
             engine.now() + SimTime::from_micros(150),
-            0,
-            SimTime::from_micros(400),
+            FaultAction::Transient {
+                member: 0,
+                duration: SimTime::from_micros(400),
+            },
         )
         .install(&mut engine);
     engine.run(&mut array);
@@ -304,4 +316,138 @@ fn transient_mid_rebuild_neither_corrupts_nor_stalls() {
         Some(&shadow[..]),
         "data loss after rebuild"
     );
+}
+
+/// One client of [`closed_loop`]: it owns `SPAN` bytes from `base` and
+/// keeps one I/O in flight there, alternating a random write with a read
+/// of a random range, which must return what the shadow holds.
+struct Client {
+    rng: DetRng,
+    base: u64,
+    shadow: Vec<u8>,
+    left: u32,
+}
+
+/// Two stripes of a width-6 RAID-6 array with 16 KiB chunks.
+const SPAN: u64 = 2 * 4 * 16 * KIB;
+
+fn issue(array: &mut ArraySim, engine: &mut Engine<ArraySim>, client: Rc<RefCell<Client>>) {
+    let (io, want) = {
+        let c = &mut *client.borrow_mut();
+        if c.left == 0 {
+            return;
+        }
+        c.left -= 1;
+        let len = (1 + c.rng.below(8)) * 4 * KIB;
+        let off = c.rng.below((SPAN - len) / (4 * KIB) + 1) * 4 * KIB;
+        let range = off as usize..(off + len) as usize;
+        if c.left % 2 == 1 {
+            c.rng.fill_bytes(&mut c.shadow[range.clone()]);
+            let data = Bytes::copy_from_slice(&c.shadow[range]);
+            (UserIo::write_bytes(c.base + off, data), None)
+        } else {
+            let want = c.shadow[range].to_vec();
+            (UserIo::read(c.base + off, len), Some(want))
+        }
+    };
+    let hook: CompletionHook = Box::new(move |array, engine, res| {
+        assert!(res.is_ok(), "I/O failed under the faults: {res:?}");
+        if let Some(want) = want {
+            assert_eq!(
+                res.data.as_deref(),
+                Some(&want[..]),
+                "read at {}",
+                res.offset
+            );
+        }
+        issue(array, engine, client);
+    });
+    array.submit_with_hook(engine, io, Some(hook));
+}
+
+/// Runs four closed-loop clients of 96 I/Os each on a Full-mode RAID-6
+/// array after `arm` has put its faults on the engine. Returns the
+/// completion stream, the array statistics, the events fired and the final
+/// clock, all rendered for comparison.
+fn closed_loop(arm: impl FnOnce(&mut Engine<ArraySim>)) -> (Vec<String>, String, u64, SimTime) {
+    let mut cfg = ArrayConfig::paper_default(SystemKind::Draid);
+    cfg.level = RaidLevel::Raid6;
+    cfg.width = 6;
+    cfg.chunk_size = 16 * KIB;
+    cfg.data_mode = DataMode::Full;
+    cfg.op_deadline = SimTime::from_millis(5);
+    let mut array = ArraySim::new(Cluster::homogeneous(6), cfg).expect("valid");
+    let mut engine = Engine::new();
+    arm(&mut engine);
+    for i in 0..4 {
+        let client = Client {
+            rng: DetRng::new(0xFA01C + i),
+            base: i * SPAN,
+            shadow: vec![0; SPAN as usize],
+            left: 96,
+        };
+        issue(&mut array, &mut engine, Rc::new(RefCell::new(client)));
+    }
+    engine.run(&mut array);
+    let done: Vec<String> = array
+        .drain_completions()
+        .iter()
+        .map(|r| format!("{r:?}"))
+        .collect();
+    assert_eq!(done.len(), 4 * 96);
+    // Both faults struck: member 1's drive refused I/O, and a transfer
+    // met member 4's link down.
+    assert!(array.cluster.drive(ServerId(1)).bytes_dropped() > 0);
+    let fabric = array.cluster.fabric();
+    let link_drops: u64 = (0..=6)
+        .map(|n| fabric.bytes_dropped(NodeId(n), LinkDir::Egress))
+        .sum();
+    assert!(link_drops > 0, "the flap refused no transfer");
+    let stats = format!("{:?}", array.stats);
+    (done, stats, engine.stats().events_fired, engine.now())
+}
+
+#[test]
+fn inject_from_engine_events_matches_an_installed_schedule() {
+    let (ms, us) = (SimTime::from_millis, SimTime::from_micros);
+    let faults = [
+        (
+            ms(1),
+            FaultAction::Transient {
+                member: 1,
+                duration: us(800),
+            },
+        ),
+        (
+            ms(2),
+            FaultAction::FlapLink {
+                member: 4,
+                down_for: us(200),
+                up_for: us(300),
+                cycles: 3,
+            },
+        ),
+    ];
+    let injected = closed_loop(|engine| {
+        for (at, action) in faults {
+            engine.schedule_at(at, move |array: &mut ArraySim, engine| {
+                array.inject(engine.now(), action)
+            });
+        }
+    });
+    let installed = closed_loop(|engine| {
+        faults
+            .into_iter()
+            .fold(FaultSchedule::new(), |s, (at, action)| s.at(at, action))
+            .install(engine)
+    });
+    assert!(
+        injected.3 > ms(4),
+        "the loop outlasts the faults: {}",
+        injected.3
+    );
+    assert_eq!(injected.0, installed.0, "completion streams differ");
+    assert_eq!(injected.1, installed.1, "array statistics differ");
+    assert_eq!(injected.2, installed.2, "events fired differ");
+    assert_eq!(injected.3, installed.3, "final clocks differ");
 }

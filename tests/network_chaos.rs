@@ -44,28 +44,24 @@ fn link_flaps_and_degradations_do_not_lose_data() {
         let flapper = rng.below(6) as usize;
         let laggard = rng.below(6) as usize;
         let start = engine.now() + SimTime::from_micros(rng.below(200));
+        let degrade = |dir, factor| FaultAction::DegradeLink {
+            member: laggard,
+            dir,
+            factor,
+            duration: SimTime::from_millis(3),
+        };
         FaultSchedule::new()
-            .flap_link(
+            .at(
                 start,
-                flapper,
-                SimTime::from_micros(250),
-                SimTime::from_micros(2_750),
-                2,
+                FaultAction::FlapLink {
+                    member: flapper,
+                    down_for: SimTime::from_micros(250),
+                    up_for: SimTime::from_micros(2_750),
+                    cycles: 2,
+                },
             )
-            .degrade_link(
-                start,
-                laggard,
-                LinkDir::Ingress,
-                0.4,
-                SimTime::from_millis(3),
-            )
-            .degrade_link(
-                start,
-                laggard,
-                LinkDir::Egress,
-                0.5,
-                SimTime::from_millis(3),
-            )
+            .at(start, degrade(LinkDir::Ingress, 0.4))
+            .at(start, degrade(LinkDir::Egress, 0.5))
             .install(&mut engine);
 
         // A burst of full-stripe writes across the slot space.

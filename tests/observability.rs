@@ -8,7 +8,9 @@ use std::rc::Rc;
 
 use bytes::Bytes;
 use draid::block::Cluster;
-use draid::core::{ArrayConfig, ArraySim, DataMode, FaultSchedule, RaidLevel, SystemKind, UserIo};
+use draid::core::{
+    ArrayConfig, ArraySim, DataMode, FaultAction, FaultSchedule, RaidLevel, SystemKind, UserIo,
+};
 use draid::net::LinkDir;
 use draid::sim::{DetRng, Engine, SimTime, UtilizationTimeline};
 
@@ -53,12 +55,35 @@ fn trace_spans_split_exactly_under_fault_chaos() {
     // shaped links stretch them.
     let ms = SimTime::from_millis;
     let us = SimTime::from_micros;
+    let fail_slow = |factor| FaultAction::FailSlow { member: 4, factor };
     FaultSchedule::new()
-        .transient(ms(1), 2, us(800))
-        .fail_slow(ms(2), 4, 2.5)
-        .restore_speed(ms(5), 4)
-        .degrade_link(ms(3), 1, LinkDir::Ingress, 0.5, ms(2))
-        .flap_link(ms(6), 5, us(150), us(250), 3)
+        .at(
+            ms(1),
+            FaultAction::Transient {
+                member: 2,
+                duration: us(800),
+            },
+        )
+        .at(ms(2), fail_slow(2.5))
+        .at(ms(5), fail_slow(1.0))
+        .at(
+            ms(3),
+            FaultAction::DegradeLink {
+                member: 1,
+                dir: LinkDir::Ingress,
+                factor: 0.5,
+                duration: ms(2),
+            },
+        )
+        .at(
+            ms(6),
+            FaultAction::FlapLink {
+                member: 5,
+                down_for: us(150),
+                up_for: us(250),
+                cycles: 3,
+            },
+        )
         .install(&mut engine);
     engine.run(&mut array);
     array.drain_completions();

@@ -22,8 +22,8 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use draid::block::{Cluster, ServerId};
 use draid::core::{
-    ArrayConfig, ArraySim, ChunkStore, DataMode, FaultAction, FaultSchedule, IoKind, IoResult,
-    Layout, RaidLevel, SystemKind, UserIo, WriteBehind, WriteMode,
+    ArrayConfig, ArraySim, ChunkStore, DataMode, FaultAction, IoKind, IoResult, Layout, RaidLevel,
+    SystemKind, UserIo, WriteBehind, WriteMode,
 };
 use draid::sim::{DetRng, Engine, SimTime};
 
@@ -265,18 +265,14 @@ fn read_now(array: &mut ArraySim, eng: &mut Engine<ArraySim>, offset: u64, len: 
     res.data.expect("full mode returns bytes")
 }
 
-/// Flips `byte` of `member`'s chunk of stripe 0 through the fault
-/// schedule.
-fn corrupt(array: &mut ArraySim, eng: &mut Engine<ArraySim>, member: usize, byte: usize) {
+/// Flips `byte` of `member`'s chunk of stripe 0 through fault injection.
+fn corrupt(array: &mut ArraySim, eng: &Engine<ArraySim>, member: usize, byte: usize) {
     let action = FaultAction::Corrupt {
         stripe: 0,
         member,
         byte,
     };
-    FaultSchedule::new()
-        .at(eng.now() + SimTime::from_micros(1), action)
-        .install(eng);
-    eng.run(array);
+    array.inject(eng.now(), action);
 }
 
 #[test]
@@ -293,11 +289,11 @@ fn held_read_results_keep_their_bytes_through_writes_rebuild_and_corruption() {
         let view = read_now(&mut array, &mut eng, 0, len);
         assert_eq!(view[..], want[..], "{level:?}");
         let member = array.layout().data_member(0, 0);
-        corrupt(&mut array, &mut eng, member, byte);
+        corrupt(&mut array, &eng, member, byte);
         assert_eq!(view[..], want[..], "{level:?}: the held view changed");
         let torn = read_now(&mut array, &mut eng, 0, len);
         assert_eq!(torn[byte], want[byte] ^ 0xFF, "{level:?}: corrupted");
-        corrupt(&mut array, &mut eng, member, byte);
+        corrupt(&mut array, &eng, member, byte);
         assert_eq!(read_now(&mut array, &mut eng, 0, len)[..], want[..]);
         assert_eq!(torn[byte], want[byte] ^ 0xFF, "{level:?}: torn read kept");
         drv.held.push((view, want));
